@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from ..errors import DataError
@@ -32,6 +33,15 @@ from .schemas import (CHURN_SCHEMA, ENERGY_SCHEMA, PATIENT_SCHEMA, RETAIL_SCHEMA
 Record = Dict[str, Any]
 
 _REGIONS = ("north", "south", "east", "west", "centre")
+
+
+def _cumulative(weights: Iterable[float]) -> tuple:
+    """Running totals for ``random.choices(..., cum_weights=)``.
+
+    ``choices`` builds this same list from ``weights=`` on every call; passing
+    it precomputed draws the identical value without the per-record re-sum.
+    """
+    return tuple(accumulate(weights))
 
 
 def _sigmoid(x: float) -> float:
@@ -81,6 +91,7 @@ class ChurnDataGenerator(DataGenerator):
 
     CONTRACTS = ("monthly", "one_year", "two_year")
     PAYMENTS = ("card", "bank_transfer", "electronic", "mailed_check")
+    _CONTRACT_CUM_WEIGHTS = _cumulative((55, 25, 20))
 
     def __init__(self, seed: int = 0, churn_base_rate: float = -1.2):
         super().__init__(seed)
@@ -90,7 +101,7 @@ class ChurnDataGenerator(DataGenerator):
         rng = self._rng(index)
         age = rng.randint(18, 90)
         tenure = rng.randint(1, 72)
-        contract = rng.choices(self.CONTRACTS, weights=(55, 25, 20))[0]
+        contract = rng.choices(self.CONTRACTS, cum_weights=self._CONTRACT_CUM_WEIGHTS)[0]
         payment = rng.choice(self.PAYMENTS)
         monthly = round(rng.uniform(15.0, 120.0), 2)
         total = round(monthly * tenure * rng.uniform(0.9, 1.05), 2)
@@ -175,6 +186,8 @@ class WebLogGenerator(DataGenerator):
 
     SERVICES = ("frontend", "catalog", "cart", "payment", "auth")
     METHODS = ("GET", "POST", "PUT", "DELETE")
+    _METHOD_CUM_WEIGHTS = _cumulative((78, 15, 5, 2))
+    _STATUS_CUM_WEIGHTS = _cumulative((92, 3, 4, 1))
 
     def __init__(self, seed: int = 0, num_urls: int = 200, num_users: int = 500,
                  error_burst_every: int = 997):
@@ -183,13 +196,14 @@ class WebLogGenerator(DataGenerator):
         self.num_users = max(1, num_users)
         self.error_burst_every = max(2, error_burst_every)
         # zipf-like weights for URL popularity
-        self._url_weights = [1.0 / (rank + 1) for rank in range(self.num_urls)]
+        self._url_cum_weights = _cumulative(1.0 / (rank + 1)
+                                            for rank in range(self.num_urls))
 
     def generate_record(self, index: int) -> Record:
         rng = self._rng(index)
-        url_rank = rng.choices(range(self.num_urls), weights=self._url_weights)[0]
+        url_rank = rng.choices(range(self.num_urls), cum_weights=self._url_cum_weights)[0]
         service = self.SERVICES[url_rank % len(self.SERVICES)]
-        method = rng.choices(self.METHODS, weights=(78, 15, 5, 2))[0]
+        method = rng.choices(self.METHODS, cum_weights=self._METHOD_CUM_WEIGHTS)[0]
         base_latency = {"frontend": 35.0, "catalog": 60.0, "cart": 45.0,
                         "payment": 140.0, "auth": 25.0}[service]
         latency = max(1.0, rng.gauss(base_latency, base_latency * 0.3))
@@ -198,7 +212,7 @@ class WebLogGenerator(DataGenerator):
             status = rng.choice((500, 502, 503))
             latency *= rng.uniform(3.0, 8.0)
         else:
-            status = rng.choices((200, 301, 404, 500), weights=(92, 3, 4, 1))[0]
+            status = rng.choices((200, 301, 404, 500), cum_weights=self._STATUS_CUM_WEIGHTS)[0]
         has_user = rng.random() < 0.7
         return {
             "timestamp": float(1_600_000_000 + index),
@@ -272,6 +286,8 @@ class PatientRecordGenerator(DataGenerator):
     DIAGNOSES = ("cardiac", "oncology", "orthopedic", "respiratory",
                  "neurology", "other")
     GENDERS = ("female", "male", "other")
+    _DIAGNOSIS_CUM_WEIGHTS = _cumulative((24, 14, 20, 16, 10, 16))
+    _GENDER_CUM_WEIGHTS = _cumulative((49, 49, 2))
 
     def __init__(self, seed: int = 0, num_zip_codes: int = 40):
         super().__init__(seed)
@@ -280,7 +296,7 @@ class PatientRecordGenerator(DataGenerator):
     def generate_record(self, index: int) -> Record:
         rng = self._rng(index)
         age = min(99, max(0, int(rng.gauss(58, 19))))
-        diagnosis = rng.choices(self.DIAGNOSES, weights=(24, 14, 20, 16, 10, 16))[0]
+        diagnosis = rng.choices(self.DIAGNOSES, cum_weights=self._DIAGNOSIS_CUM_WEIGHTS)[0]
         length_of_stay = max(1, int(rng.expovariate(1 / 5.0)))
         cost = round(800.0 * length_of_stay * rng.uniform(0.8, 1.6)
                      + 2500.0 * (diagnosis == "oncology"), 2)
@@ -293,7 +309,7 @@ class PatientRecordGenerator(DataGenerator):
         return {
             "patient_id": f"P{index:07d}",
             "age": age,
-            "gender": rng.choices(self.GENDERS, weights=(49, 49, 2))[0],
+            "gender": rng.choices(self.GENDERS, cum_weights=self._GENDER_CUM_WEIGHTS)[0],
             "zip_code": f"{20000 + district * 137 % 9000 + 137:05d}",
             "diagnosis": diagnosis,
             "length_of_stay": length_of_stay,

@@ -13,7 +13,8 @@ experiment (E5) sweeps.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import AnonymizationError
 from ..services.base import (AREA_PREPARATION, Service, ServiceContext, ServiceMetadata,
@@ -28,6 +29,39 @@ def mask_value(value: Any, salt: str = "repro") -> str:
     return f"tok_{digest[:12]}"
 
 
+#: One row of the frequency set: the quasi-identifier components of a record.
+ClassKey = Tuple[Any, ...]
+
+
+def _frequency_set(records: Sequence[Record], fields: Sequence[str],
+                   key_of: Optional[Callable[[Any], Any]] = None,
+                   ) -> Tuple[List[ClassKey], Dict[ClassKey, int]]:
+    """Group ``records`` on ``fields``: one key per record, and ``{key: count}``.
+
+    This is the one place equivalence classes are counted.  A missing field
+    reads as ``None``; ``key_of`` maps each value to the component it is
+    grouped under (the value itself by default).  Classes keep first-seen
+    order.
+    """
+    columns = [[record.get(field) for record in records] for field in fields]
+    keyed = columns if key_of is None else [[key_of(value) for value in column]
+                                            for column in columns]
+    rows = list(zip(*keyed))
+    try:
+        return rows, Counter(rows)
+    except TypeError:
+        for field, column in zip(fields, columns):
+            for value in column:
+                try:
+                    hash(value)
+                except TypeError:
+                    raise AnonymizationError(
+                        f"quasi-identifier {field!r} holds an unhashable value "
+                        f"({value!r}); equivalence classes need hashable "
+                        f"values") from None
+        raise
+
+
 def measure_k_anonymity(records: Sequence[Record],
                         quasi_identifiers: Sequence[str]) -> int:
     """Return the k-anonymity level of ``records`` w.r.t. the quasi-identifiers.
@@ -39,11 +73,7 @@ def measure_k_anonymity(records: Sequence[Record],
         return 0
     if not quasi_identifiers:
         return len(records)
-    classes: Dict[Tuple[Any, ...], int] = {}
-    for record in records:
-        key = tuple(record.get(field) for field in quasi_identifiers)
-        classes[key] = classes.get(key, 0) + 1
-    return min(classes.values())
+    return min(_frequency_set(records, quasi_identifiers)[1].values())
 
 
 def _generalize_numeric(value: Any, level: int, base_width: float = 5.0) -> Any:
@@ -53,7 +83,8 @@ def _generalize_numeric(value: Any, level: int, base_width: float = 5.0) -> Any:
     width = base_width * (2 ** (level - 1))
     try:
         low = int(float(value) // width * width)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        # NaN, infinities and ints beyond float range have no bucket
         return value
     return f"[{low}-{low + int(width)})"
 
@@ -77,6 +108,90 @@ def generalize_value(value: Any, level: int, base_width: float = 5.0) -> Any:
     return _generalize_string(value, level)
 
 
+def _hierarchy_key(value: Any) -> Any:
+    """The component a raw value is grouped under in the frequency set.
+
+    Values sharing a key must generalise alike at every level, and ``==`` does
+    not promise that: ``True``, ``1`` and ``Decimal(1)`` hash together, yet a
+    bool coarsens to ``"*"``, an int into a bucket and anything else through
+    its ``str()``.  An int and the float equal to it may share a key (both
+    bucket ``float(value)``); every other type is told apart by type and text.
+    """
+    kind = type(value)
+    if value is None or kind is str or kind is int or kind is float:
+        return value
+    return (kind, str(value), value)
+
+
+def _keyed_value(key: Any) -> Any:
+    """The raw value ``_hierarchy_key`` made ``key`` from."""
+    return key[2] if type(key) is tuple else key
+
+
+def _coarsen(classes: Dict[ClassKey, int], position: int,
+             coarser: Dict[Any, Any]) -> Dict[ClassKey, int]:
+    """Re-key a class histogram, mapping one component through ``coarser``."""
+    merged: Dict[ClassKey, int] = {}
+    after = position + 1
+    for key, count in classes.items():
+        key = key[:position] + (coarser[key[position]],) + key[after:]
+        merged[key] = merged.get(key, 0) + count
+    return merged
+
+
+class _Hierarchy:
+    """Lazily memoised generalisation hierarchy of one quasi-identifier.
+
+    Built over the attribute's distinct values, so ``generalize_value`` runs
+    once per distinct value and level however many records carry the value and
+    however often the lattice walk asks.
+    """
+
+    def __init__(self, keys: Iterable[Any], base_width: float):
+        self._values = {key: _keyed_value(key) for key in dict.fromkeys(keys)}
+        self._base_width = base_width
+        self._labels: Dict[int, Dict[Any, Any]] = {}
+        self._parents: Dict[int, Optional[Dict[Any, Any]]] = {}
+
+    def labels(self, level: int) -> Dict[Any, Any]:
+        """``{hierarchy key: label at level}``."""
+        labels = self._labels.get(level)
+        if labels is None:
+            labels = self._labels[level] = {
+                key: generalize_value(value, level, self._base_width)
+                for key, value in self._values.items()}
+        return labels
+
+    def parents(self, level: int) -> Optional[Dict[Any, Any]]:
+        """``{label at level: label at level + 1}``, or ``None`` if not nested.
+
+        Bucket doubling and suffix truncation nest: a label decides its
+        coarser label, so classes roll up without going back to raw values.
+        Fractional bucket widths break that (their labels truncate the bounds
+        to ints), which shows up here as one label wanting two parents.
+        """
+        if level not in self._parents:
+            parents: Optional[Dict[Any, Any]] = {}
+            coarser = self.labels(level + 1)
+            for key, label in self.labels(level).items():
+                parent = coarser[key]
+                known = parents.setdefault(label, parent)
+                if known is not parent and known != parent:
+                    parents = None
+                    break
+            self._parents[level] = parents
+        return self._parents[level]
+
+
+def _classes_at(frequency: Dict[ClassKey, int], hierarchies: Sequence[_Hierarchy],
+                levels: Sequence[int]) -> Dict[ClassKey, int]:
+    """The class histogram of the frequency set generalised to ``levels``."""
+    classes = frequency
+    for position, (hierarchy, level) in enumerate(zip(hierarchies, levels)):
+        classes = _coarsen(classes, position, hierarchy.labels(level))
+    return classes
+
+
 class KAnonymizer:
     """Greedy per-attribute k-anonymiser with suppression.
 
@@ -86,6 +201,11 @@ class KAnonymizer:
     of size ``>= k`` (a greedy walk up the generalisation lattice), stopping as
     soon as the target is met or every attribute is fully generalised.
     Records still in undersized classes afterwards are suppressed.
+
+    The walk never touches records: one pass builds the frequency set
+    ``{raw quasi-identifier tuple: count}``, candidates are scored by merging
+    its classes through each attribute's memoised hierarchy, and a second pass
+    writes the surviving records out.
     """
 
     def __init__(self, quasi_identifiers: Sequence[str], k: int,
@@ -99,47 +219,36 @@ class KAnonymizer:
         self.max_level = max_level
         self.numeric_base_width = numeric_base_width
 
-    def _generalize_records(self, records: Sequence[Record],
-                            levels: Dict[str, int]) -> List[Record]:
-        generalized = []
-        for record in records:
-            updated = dict(record)
-            for field, level in levels.items():
-                if field in updated:
-                    updated[field] = generalize_value(updated[field], level,
-                                                      self.numeric_base_width)
-            generalized.append(updated)
-        return generalized
+    def _search_levels(self, frequency: Dict[ClassKey, int],
+                       hierarchies: Sequence[_Hierarchy],
+                       ) -> Tuple[List[int], Dict[ClassKey, int]]:
+        """Greedy lattice walk: raise one attribute's level per step.
 
-    def _records_in_large_classes(self, records: Sequence[Record]) -> int:
-        """Number of records whose equivalence class already has size >= k."""
-        classes: Dict[Tuple[Any, ...], int] = {}
-        for record in records:
-            key = tuple(record.get(field) for field in self.quasi_identifiers)
-            classes[key] = classes.get(key, 0) + 1
-        return sum(count for count in classes.values() if count >= self.k)
-
-    def _search_levels(self, records: Sequence[Record]) -> Dict[str, int]:
-        """Greedy lattice walk: raise one attribute's level per step."""
-        levels = {field: 0 for field in self.quasi_identifiers}
-        generalized = self._generalize_records(records, levels)
-        while measure_k_anonymity(generalized, self.quasi_identifiers) < self.k:
-            candidates = [field for field in self.quasi_identifiers
-                          if levels[field] < self.max_level]
-            if not candidates:
-                break
-            best_field, best_score = None, (-1, -1)
-            for field in candidates:
-                trial_levels = dict(levels)
-                trial_levels[field] += 1
-                trial = self._generalize_records(records, trial_levels)
-                score = (self._records_in_large_classes(trial),
-                         measure_k_anonymity(trial, self.quasi_identifiers))
+        Returns the level of each attribute and the class histogram there.
+        """
+        levels = [0] * len(hierarchies)
+        classes = _classes_at(frequency, hierarchies, levels)
+        while min(classes.values()) < self.k:
+            best_position, best_score, best_classes = None, (-1, -1), None
+            for position, hierarchy in enumerate(hierarchies):
+                if levels[position] >= self.max_level:
+                    continue
+                parents = hierarchy.parents(levels[position])
+                if parents is not None:
+                    trial = _coarsen(classes, position, parents)
+                else:
+                    trial_levels = list(levels)
+                    trial_levels[position] += 1
+                    trial = _classes_at(frequency, hierarchies, trial_levels)
+                score = (sum(count for count in trial.values() if count >= self.k),
+                         min(trial.values()))
                 if score > best_score:
-                    best_field, best_score = field, score
-            levels[best_field] += 1
-            generalized = self._generalize_records(records, levels)
-        return levels
+                    best_position, best_score, best_classes = position, score, trial
+            if best_position is None:
+                break
+            levels[best_position] += 1
+            classes = best_classes
+        return levels, classes
 
     def anonymize(self, records: Sequence[Record]) -> Tuple[List[Record], Dict[str, float]]:
         """Return (anonymised records, quality report).
@@ -152,19 +261,36 @@ class KAnonymizer:
         if not records:
             return [], {"level": 0.0, "suppressed": 0.0, "achieved_k": 0.0,
                         "information_loss": 0.0}
-        levels = self._search_levels(records)
-        generalized = self._generalize_records(records, levels)
-        # suppress residual undersized classes
-        classes: Dict[Tuple[Any, ...], int] = {}
-        for record in generalized:
-            key = tuple(record.get(field) for field in self.quasi_identifiers)
-            classes[key] = classes.get(key, 0) + 1
-        kept = [record for record in generalized
-                if classes[tuple(record.get(field) for field in self.quasi_identifiers)]
-                >= self.k]
-        suppressed = len(generalized) - len(kept)
-        achieved = measure_k_anonymity(kept, self.quasi_identifiers) if kept else 0
-        mean_level = sum(levels.values()) / len(levels)
+        fields = list(dict.fromkeys(self.quasi_identifiers))
+        rows, frequency = _frequency_set(records, fields, _hierarchy_key)
+        hierarchies = [_Hierarchy(keys, self.numeric_base_width)
+                       for keys in zip(*frequency)]
+        levels, classes = self._search_levels(frequency, hierarchies)
+
+        # suppress residual undersized classes; level 0 leaves a value as it is
+        label_maps = [hierarchy.labels(level)
+                      for hierarchy, level in zip(hierarchies, levels)]
+        rewritten = [(field, position) for position, field in enumerate(fields)
+                     if levels[position] > 0]
+        surviving: Dict[ClassKey, Optional[ClassKey]] = {}
+        for row in frequency:
+            labels = tuple([labels_of[key] for labels_of, key in zip(label_maps, row)])
+            surviving[row] = labels if classes[labels] >= self.k else None
+        kept = []
+        for record, row in zip(records, rows):
+            labels = surviving[row]
+            if labels is None:
+                continue
+            updated = dict(record)
+            for field, position in rewritten:
+                if field in updated:
+                    updated[field] = labels[position]
+            kept.append(updated)
+
+        kept_sizes = [count for count in classes.values() if count >= self.k]
+        suppressed = len(records) - sum(kept_sizes)
+        achieved = min(kept_sizes) if kept_sizes else 0
+        mean_level = sum(levels) / len(levels)
         generalisation_loss = mean_level / self.max_level
         suppression_loss = suppressed / len(records)
         information_loss = min(1.0, 0.5 * generalisation_loss + 0.5 * suppression_loss

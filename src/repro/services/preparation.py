@@ -9,6 +9,7 @@ an imputation that changes class balance.
 
 from __future__ import annotations
 
+import random
 from typing import Any, Dict, List, Optional
 
 from ..errors import ServiceConfigurationError
@@ -268,8 +269,7 @@ class TrainTestSplitService(Service):
         split_field = self.params["split_field"]
 
         def tag(record: Dict[str, Any]) -> Dict[str, Any]:
-            import random as _random
-            digest = _random.Random(f"{seed}:{sorted(record.items())!r}").random()
+            digest = random.Random(f"{seed}:{sorted(record.items())!r}").random()
             updated = dict(record)
             updated[split_field] = "test" if digest < fraction else "train"
             return updated

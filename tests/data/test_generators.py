@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.data.generators import (ChurnDataGenerator, EnergyDataGenerator,
@@ -12,6 +14,31 @@ from repro.errors import DataError
 
 ALL_GENERATORS = [ChurnDataGenerator, EnergyDataGenerator, WebLogGenerator,
                   RetailTransactionGenerator, PatientRecordGenerator]
+
+#: sha256 of ``repr(generator(seed).generate(500))``, recorded on the commit
+#: before the weighted draws switched to precomputed ``cum_weights``.
+RECORDED_DIGESTS = {
+    (ChurnDataGenerator, 5):
+        "b59c16acaff386cdef8ae1af85dd064de66ff8748c4d50d7a597ba3b5bcfd9d9",
+    (ChurnDataGenerator, 29):
+        "1a2db7603f8b7336683d18d01b0075e617a3738fc38ab3f16df32695b8b49e86",
+    (EnergyDataGenerator, 5):
+        "63b4628bdf86cb4b0404ef6f9313ded555712329c9c6da087b3c1000ae44c403",
+    (EnergyDataGenerator, 29):
+        "d25e472ac424a200d6a79ac49eb458379f550b72e5837cc975e20adf45b019aa",
+    (WebLogGenerator, 5):
+        "7dde8c6fc52fe1b3fc22e44e9d19a9317e99a8ad91c30b9456105f8b206b5dea",
+    (WebLogGenerator, 29):
+        "f5c1c7f8c398d23127e0860116bb5fae12fa9b38ae667955459248ebecb6cff9",
+    (RetailTransactionGenerator, 5):
+        "8c468bd7fe59bb2ced18df3c0a221636683af66c74699981a0677d18299d7fe1",
+    (RetailTransactionGenerator, 29):
+        "95975b5af67f2b7d62dc2417ecbbb03403498960df666bfb5756c2dd4de57037",
+    (PatientRecordGenerator, 5):
+        "494c7aa66e3bb4689ee0a32d9ed51af189785283471212e99d6a4f57f496b007",
+    (PatientRecordGenerator, 29):
+        "1dedf04964f6169f11e7db71007abdcce81c226ce6336e43a870d4b235dea0d4",
+}
 
 
 class TestGeneratorContract:
@@ -32,6 +59,13 @@ class TestGeneratorContract:
         generator = generator_class(seed=4)
         full = generator.generate(30)
         assert list(generator.generate_range(10, 20)) == full[10:20]
+
+    @pytest.mark.parametrize("generator_class,seed", sorted(
+        RECORDED_DIGESTS, key=lambda pair: (pair[0].__name__, pair[1])))
+    def test_records_match_recorded_digest(self, generator_class, seed):
+        records = generator_class(seed=seed).generate(500)
+        digest = hashlib.sha256(repr(records).encode("utf-8")).hexdigest()
+        assert digest == RECORDED_DIGESTS[generator_class, seed]
 
     def test_invalid_range_rejected(self):
         with pytest.raises(DataError):

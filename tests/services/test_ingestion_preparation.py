@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.data.schemas import CHURN_SCHEMA
@@ -171,6 +173,14 @@ class TestSplitAndDedup:
         first = TrainTestSplitService(seed=5).execute(churn_context).dataset.collect()
         second = TrainTestSplitService(seed=5).execute(churn_context).dataset.collect()
         assert first == second
+
+    def test_split_assignment_is_pinned(self, churn_context):
+        # digest recorded before the per-record ``import random`` was hoisted:
+        # a changed tag would silently move every downstream train/test metric
+        tagged = TrainTestSplitService(seed=5).execute(churn_context).dataset.collect()
+        tags = "".join(record["__split__"][1] for record in tagged)
+        assert hashlib.sha256(tags.encode()).hexdigest() == (
+            "cc129af8ef3c85137ca7f599d6222e646055519a29a2368adda85451fba0ad80")
 
     def test_split_invalid_fraction(self, churn_context):
         with pytest.raises(ServiceConfigurationError):
