@@ -62,12 +62,13 @@ class EngineConfig:
         specific codec.  Frames are self-describing (each carries its codec
         in a header), so readers never consult this setting.
     columnar_enabled:
-        Whether schema-bearing scans produce columnar batches
-        (:class:`~repro.engine.columnar.ColumnBatch`: per-field vectors
-        with null masks) instead of row-dict lists, letting projections
-        slice column vectors and counts skip record materialisation
-        entirely.  Datasets without a schema and UDFs that need records
-        fall back to row batches transparently; results, order and all
+        Whether a scan the optimized plan *pruned* to a field subset
+        (``Project(Source)`` over a schema-bearing source) produces
+        columnar batches (:class:`~repro.engine.columnar.ColumnBatch`:
+        per-field vectors with null masks) instead of row-dict lists, so
+        projections slice column vectors and counts skip record
+        materialisation.  Full-width and schema-less scans always pass the
+        source's rows through, whatever this says; results, order and all
         non-byte metrics are identical either way.
     failure_rate:
         Probability that any task fails spuriously; used by tests and by the

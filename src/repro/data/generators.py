@@ -146,14 +146,24 @@ class EnergyDataGenerator(DataGenerator):
             raise DataError("anomaly_rate must be in [0, 1)")
         self.num_meters = num_meters
         self.anomaly_rate = anomaly_rate
+        #: {meter: household size}, filled on first use: a meter's size is one
+        #: string-seeded draw, the same for every reading of that meter.  Two
+        #: threads missing together store the same value, so no lock.
+        self._household_sizes: Dict[int, int] = {}
+
+    def _household_size(self, meter: int) -> int:
+        size = self._household_sizes.get(meter)
+        if size is None:
+            size = random.Random(f"meter:{self.seed}:{meter}").randint(1, 6)
+            self._household_sizes[meter] = size
+        return size
 
     def generate_record(self, index: int) -> Record:
         rng = self._rng(index)
         meter = index % self.num_meters
         hour_index = index // self.num_meters
         hour_of_day = hour_index % 24
-        meter_rng = random.Random(f"meter:{self.seed}:{meter}")
-        household_size = meter_rng.randint(1, 6)
+        household_size = self._household_size(meter)
         base_load = 0.25 + 0.15 * household_size
         daily = 1.0 + 0.8 * math.sin((hour_of_day - 7) / 24.0 * 2 * math.pi) ** 2
         kwh = base_load * daily * rng.uniform(0.85, 1.15)

@@ -10,6 +10,7 @@ context.
 from __future__ import annotations
 
 import csv
+import threading
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..errors import SourceError
@@ -36,21 +37,18 @@ class DataSource:
         raise NotImplementedError
 
     def read_partition_columns(self, partition: int, num_partitions: int,
-                               fields: Optional[List[str]] = None
-                               ) -> Optional[ColumnBatch]:
-        """One partition as a :class:`ColumnBatch`, or ``None`` without a schema.
+                               fields: List[str]) -> Optional[ColumnBatch]:
+        """``fields`` of one partition as a :class:`ColumnBatch` (a pruned,
+        projection-aware scan), or ``None`` without a schema.
 
-        ``fields`` restricts the read to the listed columns (projection-aware
-        scan); by default every schema field is materialised.  The base
-        implementation pivots :meth:`read_partition`'s row dicts; sources
-        that hold data column-wise override it to skip rows entirely.
+        The base implementation pivots :meth:`read_partition`'s row dicts,
+        reading each field with ``record.get``; sources that hold data
+        column-wise override it to skip rows entirely.
         """
-        schema = getattr(self, "schema", None)
-        if schema is None:
+        if getattr(self, "schema", None) is None:
             return None
-        names = list(fields) if fields is not None else schema.field_names
         records = list(self.read_partition(partition, num_partitions))
-        return ColumnBatch.from_records(records, names)
+        return ColumnBatch.from_records(records, fields)
 
     def read_all(self) -> Iterator[Record]:
         """Yield every record (single-partition convenience read)."""
@@ -67,10 +65,23 @@ class InMemorySource(DataSource):
         super().__init__(name)
         self._records = list(records)
         self.schema = schema
-        #: Lazily pivoted column store ({field: full-length value vector}),
-        #: built on the first columnar read and shared by every partition —
-        #: records are immutable, so the pivot happens at most once.
-        self._column_store: Optional[Dict[str, List[Any]]] = None
+        #: Lazily pivoted column store ({field: full-length value vector}).
+        #: A field is pivoted by the first pruned read that asks for it, once
+        #: (under the lock: worker threads start on the same field together),
+        #: and shared by every partition — records are immutable.
+        self._column_store: Dict[str, List[Any]] = {}
+        self._store_lock = threading.Lock()
+
+    def __getstate__(self):
+        """Ship the records, not the derived store or its (unpicklable) lock."""
+        state = self.__dict__.copy()
+        state["_column_store"] = {}
+        del state["_store_lock"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._store_lock = threading.Lock()
 
     def estimated_size(self) -> int:
         return len(self._records)
@@ -81,27 +92,24 @@ class InMemorySource(DataSource):
         end = ((partition + 1) * total) // num_partitions
         return iter(self._records[start:end])
 
+    def _column(self, name: str) -> List[Any]:
+        with self._store_lock:
+            column = self._column_store.get(name)
+            if column is None:
+                column = [record.get(name) for record in self._records]
+                self._column_store[name] = column
+        return column
+
     def read_partition_columns(self, partition: int, num_partitions: int,
-                               fields: Optional[List[str]] = None
-                               ) -> Optional[ColumnBatch]:
+                               fields: List[str]) -> Optional[ColumnBatch]:
         if self.schema is None:
             return None
-        names = list(fields) if fields is not None else self.schema.field_names
-        if any(not self.schema.has_field(name) for name in names):
-            # a pruned read asking for non-schema fields (hand-built plans):
-            # let the row-pivoting base handle the .get(name) -> None fill
-            return super().read_partition_columns(partition, num_partitions,
-                                                  names)
-        if self._column_store is None:
-            self._column_store = {
-                name: [record.get(name) for record in self._records]
-                for name in self.schema.field_names}
         total = len(self._records)
         start = (partition * total) // num_partitions
         end = ((partition + 1) * total) // num_partitions
         return ColumnBatch(
-            tuple(names),
-            {name: self._column_store[name][start:end] for name in names},
+            tuple(fields),
+            {name: self._column(name)[start:end] for name in fields},
             end - start)
 
 

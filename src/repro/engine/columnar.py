@@ -1,21 +1,21 @@
-"""Columnar batch representation for schema-bearing scans.
+"""Columnar batch representation for pruned, schema-bearing scans.
 
 A :class:`ColumnBatch` stores a batch of records as per-field value vectors
 (plain Python lists, ``None`` marking nulls) plus lazily computed null
-masks, instead of a list of per-record dicts.  Schema-bearing sources
-produce them natively (see ``DataSource.read_partition_columns``), which
-makes the two operations that dominate scan-bound pipelines nearly free:
+masks, instead of a list of per-record dicts.  A scan produces them only
+when the optimized plan pruned it to a field subset (``SourceDataset`` with
+``columns``; see ``DataSource.read_partition_columns``), which makes the two
+operations that dominate such pipelines nearly free:
 
 * **projection** — :meth:`ColumnBatch.project` selects column references;
   no per-record dict is ever built;
 * **counting** — ``len(batch)`` is a stored length, not a record walk.
 
-Everything else falls back transparently: a ``ColumnBatch`` iterates as
-per-record dicts (in field order), so any row-oriented consumer — filter
-predicates, UDF maps, shuffle bucketers, ``records.extend(batch)`` — sees
-exactly the records the row path would have produced.  Results, order and
-all non-byte metrics are therefore identical with columnar execution on or
-off; only the work done per batch differs.
+A ``ColumnBatch`` also iterates as per-record dicts (in field order), so a
+row-oriented consumer above a pruned scan — filter predicates, UDF maps,
+shuffle bucketers — sees exactly the records the row path would produce.
+That view is correct but not free (one fresh dict per record), which is why
+a full-width scan, whose consumers want whole records, never pivots at all.
 
 The representation is deliberately dependency-free (no numpy): the engine's
 records are heterogeneous Python dicts and the win comes from skipping

@@ -1405,10 +1405,10 @@ class SourceDataset(Dataset):
     ``columns`` restricts the scan to the listed schema fields (a pruned,
     projection-aware scan lowered from a
     :class:`~repro.engine.plan.ProjectedScanNode`); ``None`` reads every
-    field.  When the engine runs columnar (``EngineConfig.columnar_enabled``)
-    and the source carries a schema, batches are produced as
-    :class:`~repro.engine.columnar.ColumnBatch` vectors; otherwise — and on
-    the record-at-a-time path — row dicts flow exactly as before.
+    field.  The batch representation follows the plan: only a pruned scan of
+    a schema-bearing source yields :class:`~repro.engine.columnar.ColumnBatch`
+    vectors; a full-width scan passes the source's own records through in row
+    lists, since its first consumer (UDF, bucketer) would rebuild every dict.
     """
 
     def __init__(self, ctx, source, num_partitions: int,
@@ -1436,7 +1436,7 @@ class SourceDataset(Dataset):
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
-        if getattr(self.ctx.config, "columnar_enabled", False):
+        if self._columns is not None and self.ctx.config.columnar_enabled:
             columns = self._source.read_partition_columns(
                 partition, self.num_partitions, self._columns)
             if columns is not None:

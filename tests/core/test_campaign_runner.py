@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.core.campaign import CampaignRunner
@@ -111,6 +113,18 @@ class TestBatchRun:
         assert run.indicator("analytics-churn.accuracy") is not None
         assert run.option_signature == {"churn": "classify_naive_bayes",
                                         "segments": "cluster_kmeans"}
+
+    def test_campaign_over_records_leaves_callers_records_untouched(
+            self, compiler, runner, churn_records):
+        """The row scan hands the caller's dicts to the services: none may
+        write into them (the split step tags a copy)."""
+        records = churn_records[:400]
+        before = copy.deepcopy(records)
+        spec = small_churn_spec(source={"records": records})
+        run = runner.run(compiler.compile(spec))
+        assert run.succeeded
+        assert run.indicator("records_processed") == len(records)
+        assert records == before
 
 
 class TestStreamingRun:

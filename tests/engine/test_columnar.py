@@ -15,6 +15,10 @@ Three contracts under test:
 
 from __future__ import annotations
 
+import pickle
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,11 +59,15 @@ def make_engine(columnar: bool, batch_size: int = 1024,
 def run_schema_pipeline(pipeline_name: str, columnar: bool,
                         batch_size: int = 1024, backend: str = "thread",
                         **overrides):
-    """One wide pipeline over a schema-bearing scan; results + metrics."""
+    """One wide pipeline over a pruned schema-bearing scan; results + metrics.
+
+    The projection is what makes the scan columnar (when enabled): the UDF
+    map above it then reads the ``ColumnBatch`` through its row view.
+    """
     build = PIPELINES[pipeline_name]
     with make_engine(columnar, batch_size, backend, **overrides) as ctx:
         base = ctx.from_source(InMemorySource("kv", RECORDS, schema=SCHEMA),
-                               num_partitions=4)
+                               num_partitions=4).project(["k", "v"])
         kv = base.map(lambda record: (record["k"], record["v"]))
         ds = build(kv, ctx.parallelize(OTHER_SIDE, 2))
         first = ds.collect()
@@ -153,27 +161,57 @@ class TestColumnBatch:
 # ---------------------------------------------------------------------------
 
 
-class TestColumnarScan:
-    def test_schema_scan_produces_column_batches(self):
-        with make_engine(columnar=True) as ctx:
-            ds = ctx.from_source(InMemorySource("kv", RECORDS, schema=SCHEMA),
-                                 num_partitions=2)
-            batches = list(ds.compute_batches(0, _task_context(), 100))
-            assert batches and all(isinstance(b, ColumnBatch) for b in batches)
-            assert sum(len(b) for b in batches) == len(RECORDS) // 2
+class CountingRecord(dict):
+    """A record that counts ``get`` calls per field (a pivot reads via get)."""
 
-    def test_columnar_disabled_produces_row_lists(self):
-        with make_engine(columnar=False) as ctx:
-            ds = ctx.from_source(InMemorySource("kv", RECORDS, schema=SCHEMA),
-                                 num_partitions=2)
+    reads: Counter = Counter()
+
+    def get(self, name, default=None):
+        CountingRecord.reads[name] += 1
+        return super().get(name, default)
+
+
+class TestColumnarScan:
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_full_width_scan_passes_source_records_through(self, columnar):
+        """No consumer asked for columns: the scan hands over the rows."""
+        source = InMemorySource("kv", RECORDS, schema=SCHEMA)
+        with make_engine(columnar=columnar) as ctx:
+            ds = ctx.from_source(source, num_partitions=2)
             batches = list(ds.compute_batches(0, _task_context(), 100))
             assert batches and all(isinstance(b, list) for b in batches)
+            scanned = [record for batch in batches for record in batch]
+            half = RECORDS[:len(RECORDS) // 2]
+            assert len(scanned) == len(half)
+            assert all(got is given for got, given in zip(scanned, half))
+        assert source._column_store == {}
+
+    def test_projection_over_source_scans_requested_columns(self):
+        with make_engine(columnar=True) as ctx:
+            ds = ctx.from_source(InMemorySource("kv", RECORDS, schema=SCHEMA),
+                                 num_partitions=2).project(["v"])
+            pruned = ctx._executable_for(ds)
+            batches = list(pruned.compute_batches(0, _task_context(), 100))
+            assert batches and all(isinstance(b, ColumnBatch) for b in batches)
+            assert all(b.fields == ("v",) and set(b.columns) == {"v"}
+                       for b in batches)
+            assert sum(len(b) for b in batches) == len(RECORDS) // 2
+
+    def test_columnar_disabled_prunes_in_rows(self):
+        with make_engine(columnar=False) as ctx:
+            ds = ctx.from_source(InMemorySource("kv", RECORDS, schema=SCHEMA),
+                                 num_partitions=2).project(["v"])
+            batches = list(ctx._executable_for(ds).compute_batches(
+                0, _task_context(), 100))
+            assert batches and all(isinstance(b, list) for b in batches)
+            assert batches[0][0] == {"v": DATA[0][1]}
 
     def test_schemaless_source_falls_back_to_rows(self):
         with make_engine(columnar=True) as ctx:
             ds = ctx.from_source(InMemorySource("kv", RECORDS, schema=None),
-                                 num_partitions=2)
-            batches = list(ds.compute_batches(0, _task_context(), 100))
+                                 num_partitions=2).project(["v"])
+            batches = list(ctx._executable_for(ds).compute_batches(
+                0, _task_context(), 100))
             assert batches and all(isinstance(b, list) for b in batches)
 
     def test_pruned_scan_reads_only_requested_columns(self):
@@ -182,8 +220,32 @@ class TestColumnarScan:
             ds = ctx.from_source(source, num_partitions=2).project(["v"])
             rows = ds.collect()
             assert rows == [{"v": v} for _, v in DATA]
-            # the source pivoted its records into the shared column store
-            assert source._column_store is not None
+            # the source pivoted the one requested field, not the schema
+            assert set(source._column_store) == {"v"}
+
+    def test_each_requested_field_is_pivoted_once_across_threads(self):
+        """More workers than cores, eight partitions, one pivot per field."""
+        records = [CountingRecord(record) for record in RECORDS]
+        source = InMemorySource("kv", records, schema=SCHEMA)
+        CountingRecord.reads.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_engine(columnar=True, num_workers=4) as ctx:
+                ds = ctx.from_source(source, num_partitions=8).project(["k"])
+                assert ds.count() == len(RECORDS)
+                assert ds.collect() == [{"k": k} for k, _ in DATA]
+        finally:
+            sys.setswitchinterval(interval)
+        assert CountingRecord.reads == {"k": len(RECORDS)}
+
+    def test_source_ships_to_workers_without_its_column_store(self):
+        source = InMemorySource("kv", RECORDS, schema=SCHEMA)
+        source.read_partition_columns(0, 2, ["k"])
+        shipped = pickle.loads(pickle.dumps(source))
+        assert shipped._column_store == {}
+        assert shipped.read_partition_columns(1, 2, ["v"]).to_records() == \
+            [{"v": v} for _, v in DATA[len(DATA) // 2:]]
 
     def test_count_over_projection_matches_rows(self):
         with make_engine(columnar=True) as ctx:
@@ -195,6 +257,42 @@ class TestColumnarScan:
 def _task_context():
     from repro.engine.dataset import TaskContext
     return TaskContext()
+
+
+# ---------------------------------------------------------------------------
+# Records that do not conform to the declared schema
+# ---------------------------------------------------------------------------
+
+AB_SCHEMA = Schema(name="ab", fields=(Field("a", "int"), Field("b", "int")))
+
+#: One record carries a field the schema does not declare, one lacks a
+#: declared field.
+RAGGED = [{"a": 1, "b": 2, "extra": 9}, {"a": 3}]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("batch_size", [0, 1, 1024])
+@pytest.mark.parametrize("columnar", [True, False])
+def test_full_width_scan_keeps_nonconforming_records(columnar, batch_size,
+                                                     backend):
+    """A full-width scan never drops undeclared fields or fabricates Nones."""
+    with make_engine(columnar, batch_size, backend) as ctx:
+        ds = ctx.from_source(InMemorySource("ab", RAGGED, schema=AB_SCHEMA),
+                             num_partitions=2)
+        assert ds.collect() == RAGGED
+        assert ds.map(lambda record: sorted(record)).collect() == \
+            [["a", "b", "extra"], ["a"]]
+        # a pruned scan keeps projection semantics: record.get -> None
+        assert ds.project(["b"]).collect() == [{"b": 2}, {"b": None}]
+
+
+def test_pruned_read_uses_record_get_for_any_field():
+    """Hand-pruned scans may name fields the schema does not declare."""
+    source = InMemorySource("ab", RAGGED, schema=AB_SCHEMA)
+    assert source.read_partition_columns(
+        0, 1, ["b", "extra", "nowhere"]).to_records() == [
+            {"b": 2, "extra": 9, "nowhere": None},
+            {"b": None, "extra": None, "nowhere": None}]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import pytest
@@ -48,6 +49,22 @@ class TestIngestionServices:
         result = InMemoryIngestionService(records=records) \
             .execute(ServiceContext(engine=engine))
         assert result.dataset.collect() == records
+
+    def test_schema_bearing_records_survive_writing_services(self, engine,
+                                                             churn_records):
+        """A full-width scan aliases the ingested dicts; services copy."""
+        records = churn_records[:200]
+        before = copy.deepcopy(records)
+        result = InMemoryIngestionService(records=records, schema=CHURN_SCHEMA) \
+            .execute(ServiceContext(engine=engine))
+        for service in (MissingValueImputationService(fields=["monthly_charges"]),
+                        NormalizationService(fields=["monthly_charges"]),
+                        CategoricalEncodingService(fields=["contract_type"]),
+                        TrainTestSplitService()):
+            result = service.execute(ServiceContext(
+                engine=engine, dataset=result.dataset, schema=result.schema))
+        assert result.dataset.count() == len(records)
+        assert records == before
 
     def test_records_ingestion_with_schema_object(self, engine):
         result = InMemoryIngestionService(records=[{"v": 1}], schema=None) \
