@@ -43,8 +43,9 @@ class EngineConfig:
     max_task_retries:
         How many times a failed task is retried before the job is aborted.
     memory_budget_bytes:
-        Soft budget of the in-memory cache.  When exceeded the least recently
-        used cached partitions are evicted.
+        Budget of the in-memory cache, in resident bytes (sampled
+        ``sys.getsizeof`` of the cached records, not their pickled size).
+        When exceeded the least recently used cached partitions are evicted.
     shuffle_compression:
         Whether spill and shuffle payloads are actually compressed on disk:
         shuffle bucket spills, reduce-side external-merge runs and

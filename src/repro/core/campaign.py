@@ -84,7 +84,10 @@ class CampaignRun:
     objective_summary: Dict[str, float]
     step_metrics: Dict[str, Dict[str, float]]
     artifacts: Dict[str, Dict[str, Any]]
-    execution_profile: Dict[str, float]
+    #: Engine metrics summary plus ``reused_blocks`` (partitions served from
+    #: the platform's shared block store) and ``reused_from`` (the run ids
+    #: that materialised them) — what the timings of this run stood on.
+    execution_profile: Dict[str, Any]
     deployment_estimates: List[Dict[str, float]]
     compliance: Dict[str, Any]
     spec: Dict[str, Any]
@@ -100,6 +103,11 @@ class CampaignRun:
     def satisfied_all_hard_objectives(self) -> bool:
         """True when every hard objective was met."""
         return bool(self.objective_summary.get("hard_objectives_met", 0.0))
+
+    @property
+    def reused_blocks(self) -> int:
+        """Partitions this run was served from an earlier run's work."""
+        return int(self.execution_profile.get("reused_blocks", 0))
 
     @property
     def weighted_score(self) -> float:
@@ -152,7 +160,16 @@ class CampaignRunner:
         """Execute ``campaign`` and return its run record.
 
         A fresh engine context is created from the deployment model unless an
-        existing one is passed (tests use that to inspect engine internals).
+        existing one is passed (tests use that to inspect engine internals;
+        the platform passes one that borrows its shared block store).
+
+        Two datasets per trial are marked as shared materialisation points
+        (:meth:`~repro.engine.dataset.Dataset.share`): the ingestion step's
+        output and the dataset handed to each analytics step.  Every option
+        that shapes them — generator seed and volume, masked fields and
+        salt, the split seed and fraction — sits in a closure or a source
+        the fingerprint covers, so a trial that changes one misses by
+        construction, and a trial that changes only the model does not.
         """
         run_id = f"run-{next(self._run_counter)}-{uuid.uuid4().hex[:8]}"
         started = time.time()
@@ -163,12 +180,18 @@ class CampaignRunner:
                               run_id=run_id, option=option_label or "default")
         try:
             if campaign.deployment.streaming:
-                results, stream_metrics = self._run_streaming(campaign, engine)
+                results, stream_metrics = self._run_streaming(campaign, engine,
+                                                              run_id)
             else:
-                results = self._run_batch(campaign, engine)
+                results = self._run_batch(campaign, engine, run_id)
                 stream_metrics = {}
             run = self._build_run(campaign, engine, results, stream_metrics,
                                   run_id, option_label, started)
+            for (fingerprint, origin), blocks in sorted(
+                    self._reuse_of(engine, run_id).items()):
+                self.audit_log.record(actor, "materialisation.reuse",
+                                      fingerprint, run_id=run_id,
+                                      derived_from=origin, blocks=blocks)
             self.audit_log.record(actor, "campaign.finish", campaign.name,
                                   run_id=run_id, succeeded=True)
             return run
@@ -182,17 +205,20 @@ class CampaignRunner:
 
     # -- batch execution ----------------------------------------------------------------
 
-    def _run_batch(self, campaign: Campaign,
-                   engine: EngineContext) -> Dict[str, ServiceResult]:
+    def _run_batch(self, campaign: Campaign, engine: EngineContext,
+                   run_id: str) -> Dict[str, ServiceResult]:
         results: Dict[str, ServiceResult] = {}
         for step in campaign.procedural.topological_order():
-            results[step.step_id] = self._execute_step(campaign, engine, step, results)
+            results[step.step_id] = self._execute_step(campaign, engine, step,
+                                                       results, run_id)
         return results
 
     def _execute_step(self, campaign: Campaign, engine: EngineContext,
-                      step: ServiceStep,
-                      results: Dict[str, ServiceResult]) -> ServiceResult:
+                      step: ServiceStep, results: Dict[str, ServiceResult],
+                      run_id: str) -> ServiceResult:
         dataset, schema = self._input_of(step, results)
+        if dataset is not None and step.area == "analytics":
+            dataset.share(origin=run_id)
         service = self.catalog.instantiate(step.service_name, **step.params)
         context = ServiceContext(engine=engine, dataset=dataset, schema=schema,
                                  params=dict(step.params), upstream=dict(results),
@@ -200,11 +226,21 @@ class CampaignRunner:
         self.audit_log.record("platform", "step.execute", step.step_id,
                               service=step.service_name, campaign=campaign.name)
         try:
-            return service.execute(context)
+            result = service.execute(context)
         except Exception as error:
             raise ServiceExecutionError(
                 f"step {step.step_id!r} ({step.service_name}) failed: {error}"
             ) from error
+        if result.dataset is not None and step.area == "ingestion":
+            result.dataset.share(origin=run_id)
+        return result
+
+    @staticmethod
+    def _reuse_of(engine: EngineContext, run_id: str) -> Dict[tuple, int]:
+        """``(fingerprint, publishing run) -> blocks`` this run was served
+        from the shared store, its own publications excluded."""
+        return {key: blocks for key, blocks in engine.shared_reuse.items()
+                if key[1] != run_id}
 
     @staticmethod
     def _input_of(step: ServiceStep, results: Dict[str, ServiceResult]):
@@ -230,7 +266,8 @@ class CampaignRunner:
             return ReplayStreamSource(records, batch_size)
         return ReplayStreamSource(list(declaration.records or ()), batch_size)
 
-    def _run_streaming(self, campaign: Campaign, engine: EngineContext):
+    def _run_streaming(self, campaign: Campaign, engine: EngineContext,
+                       run_id: str):
         """Run the non-ingestion pipeline once per micro-batch."""
         source = self._stream_source(campaign)
         steps = [step for step in campaign.procedural.topological_order()
@@ -256,7 +293,8 @@ class CampaignRunner:
                 dataset=dataset, schema=None,
                 metrics={"ingested_records": float(len(records))})}
             for step in steps:
-                results[step.step_id] = self._execute_step(campaign, engine, step, results)
+                results[step.step_id] = self._execute_step(campaign, engine, step,
+                                                           results, run_id)
             latencies.append(time.perf_counter() - batch_started)
 
         if batches_processed == 0:
@@ -296,7 +334,11 @@ class CampaignRunner:
 
         # engine execution profile
         profile = engine.metrics.summary()
-        execution_profile = dict(profile)
+        execution_profile: Dict[str, Any] = dict(profile)
+        reuse = self._reuse_of(engine, run_id)
+        execution_profile["reused_blocks"] = sum(reuse.values())
+        execution_profile["reused_from"] = sorted(
+            {origin for _, origin in reuse if origin})
         indicator_values["execution_time_s"] = profile.get("wall_clock_s", 0.0)
         indicator_values["total_task_time_s"] = profile.get("total_task_time_s", 0.0)
         indicator_values["shuffle_bytes"] = profile.get("shuffle_bytes", 0.0)

@@ -15,6 +15,8 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from ..errors import SourceError
 from ..engine.columnar import ColumnBatch
+from ..engine.fingerprint import (Unfingerprintable, object_fingerprint,
+                                  records_digest)
 from ..engine.streaming import StreamSource
 from .generators import DataGenerator
 from .schemas import Schema
@@ -23,7 +25,13 @@ Record = Dict[str, Any]
 
 
 class DataSource:
-    """Interface of a partitioned, re-readable batch data source."""
+    """Interface of a partitioned, re-readable batch data source.
+
+    Besides the read interface a source states its *content identity*
+    (:meth:`fingerprint`): what the job journal matches a resumed run's
+    input against, and what keys the blocks a platform shares between the
+    contexts it creates.  The name is a label, never part of the identity.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -31,6 +39,16 @@ class DataSource:
     def estimated_size(self) -> int:
         """Number of records the source is expected to produce."""
         raise NotImplementedError
+
+    def fingerprint(self) -> Optional[str]:
+        """Digest that changes whenever the records the source yields change.
+
+        Two sources with equal fingerprints yield equal records for every
+        ``(partition, num_partitions)``.  ``None`` — the default, for a
+        source that cannot vouch for its content — makes every lineage
+        reading it unshareable and unjournaled: recomputed, never matched.
+        """
+        return None
 
     def read_partition(self, partition: int, num_partitions: int) -> Iterator[Record]:
         """Yield the records belonging to ``partition`` of ``num_partitions``."""
@@ -86,6 +104,10 @@ class InMemorySource(DataSource):
     def estimated_size(self) -> int:
         return len(self._records)
 
+    def fingerprint(self) -> Optional[str]:
+        """Content digest of the held records (computed once, on demand)."""
+        return _held_records_fingerprint(self)
+
     def read_partition(self, partition: int, num_partitions: int) -> Iterator[Record]:
         total = len(self._records)
         start = (partition * total) // num_partitions
@@ -133,6 +155,13 @@ class GeneratorSource(DataSource):
     def estimated_size(self) -> int:
         return self.num_records
 
+    def fingerprint(self) -> Optional[str]:
+        """Generator class, its public parameters (seed included) and the
+        record count — everything ``generate_range`` output depends on."""
+        private = [name for name in vars(self.generator)
+                   if name.startswith("_")]
+        return object_fingerprint(self.generator, private, self.num_records)
+
     def read_partition(self, partition: int, num_partitions: int) -> Iterator[Record]:
         start = (partition * self.num_records) // num_partitions
         end = ((partition + 1) * self.num_records) // num_partitions
@@ -179,11 +208,27 @@ class CSVFileSource(DataSource):
     def estimated_size(self) -> int:
         return len(self._records)
 
+    def fingerprint(self) -> Optional[str]:
+        """Content digest of the rows as loaded and converted: an edited
+        file of the same path and row count is a different source."""
+        return _held_records_fingerprint(self)
+
     def read_partition(self, partition: int, num_partitions: int) -> Iterator[Record]:
         total = len(self._records)
         start = (partition * total) // num_partitions
         end = ((partition + 1) * total) // num_partitions
         return iter(self._records[start:end])
+
+
+def _held_records_fingerprint(source) -> Optional[str]:
+    """Digest of a source's in-memory ``_records``, memoised on the source
+    (both holders copy the list at construction and never mutate it)."""
+    if "_content_digest" not in vars(source):
+        try:
+            source._content_digest = records_digest(source._records)
+        except Unfingerprintable:
+            source._content_digest = None
+    return source._content_digest
 
 
 def write_csv(path: str, records: List[Record], schema: Schema) -> int:

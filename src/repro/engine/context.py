@@ -20,7 +20,7 @@ from ..errors import (CheckpointCorruptionError, ConfigurationError,
 from .dataset import (CheckpointEntry, Dataset, ParallelCollectionDataset,
                       SourceDataset, collect_partition)
 from .journal import (JobJournal, atomic_write_bytes, load_journal_state,
-                      plan_signature_key, validate_checkpoint_entry)
+                      validate_checkpoint_entry)
 from .memory import MemoryManager, dump_frames, resolve_codec
 from .metrics import MetricsRegistry
 from .optimizer import PlanOptimizer, lower_plan
@@ -34,11 +34,24 @@ from .transport import LocalDirShuffleTransport, TcpShuffleTransport
 
 
 class EngineContext:
-    """Owns every engine-wide resource and creates datasets."""
+    """Owns every engine-wide resource and creates datasets.
 
-    def __init__(self, config: Optional[EngineConfig] = None, name: str = "repro-engine"):
+    ``shared_blocks`` is a :class:`BlockStore` the context *borrows*: datasets
+    marked with :meth:`Dataset.share` look their partitions up there, by
+    content fingerprint, and publish to it what they materialise.  Whoever
+    lends it (the platform, to every context of a session) owns its
+    lifetime — :meth:`stop` never clears it.  Without one, ``share()`` is a
+    no-op and the context behaves as if the argument did not exist.
+    """
+
+    def __init__(self, config: Optional[EngineConfig] = None, name: str = "repro-engine",
+                 shared_blocks: Optional[BlockStore] = None):
         self.config = config or DEFAULT_ENGINE_CONFIG
         self.name = name
+        self.shared_blocks = shared_blocks
+        #: What this context's tasks took from the borrowed store:
+        #: (fingerprint, origin of the block) -> blocks served.
+        self.shared_reuse: dict = {}
         #: Tracks shuffle-bucket and reduce-partial residency against
         #: ``EngineConfig.shuffle_memory_bytes`` (0 = unbounded: residency is
         #: still tracked for reporting, nothing ever spills).
@@ -202,8 +215,8 @@ class EngineContext:
     def checkpoint_dataset(self, dataset: Dataset) -> None:
         """Materialise ``dataset`` durably (behind ``Dataset.checkpoint``).
 
-        Adopts the recovered checkpoint recorded under the same plan
-        signature when its files still pass their CRCs; otherwise runs one
+        Adopts the recovered checkpoint recorded under the same content
+        fingerprint when its files still pass their CRCs; otherwise runs one
         collection job and writes every partition as an atomically renamed,
         fsynced frame file.  Adoption needs no write access, so it is
         attempted before the ``checkpoint_dir`` requirement is enforced —
@@ -212,10 +225,10 @@ class EngineContext:
         self._check_active()
         if dataset._checkpoint is not None:
             return
-        # plan_signature_key can also return None (unsignable plan); the
+        # a lineage without a stable identity has no fingerprint; the
         # dataset-id fallback keeps the journal key a unique string either
         # way — a None key would serialise as "null" and collide
-        key = plan_signature_key(dataset.plan) or f"dataset:{dataset.id}"
+        key = dataset.fingerprint() or f"dataset:{dataset.id}"
         if self._adopt_recovered_checkpoint(dataset, key):
             return
         directory = self.checkpoints_dir()
@@ -457,6 +470,12 @@ class EngineContext:
         dataset._executable_epoch = self._cache_epoch
         return executable
 
+    def note_shared_hit(self, fingerprint: str, origin: str) -> None:
+        """Record that a task was served a block of the borrowed store."""
+        with self._lock:
+            key = (fingerprint, origin)
+            self.shared_reuse[key] = self.shared_reuse.get(key, 0) + 1
+
     def invalidate_broadcast_builds(self, *dataset_ids: int) -> None:
         """Drop cached broadcast build sides collected from these datasets.
 
@@ -528,6 +547,9 @@ class EngineContext:
         self.scheduler.executor.shutdown()
         self.shuffle_manager.clear()
         self.block_store.clear()
+        # a borrowed store is its lender's to clear; only let go of it, so a
+        # stopped context awaiting cycle collection does not keep it alive
+        self.shared_blocks = None
         self.broadcast_builds.clear()
         self._lowered_plans.clear()
         if self._shuffle_server is not None:

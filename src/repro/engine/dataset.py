@@ -25,6 +25,7 @@ from ..errors import (CheckpointCorruptionError, PlanError,
                       ShuffleCorruptionError)
 from . import plan as logical
 from .columnar import ColumnBatch
+from .fingerprint import dataset_fingerprint
 from .memory import CODEC_NONE, SpillRun, load_frames
 from .partitioner import HashPartitioner, Partitioner, RangePartitioner, RoundRobinPartitioner
 
@@ -657,6 +658,11 @@ class Dataset:
         #: materialised (or recovery adopted) one; partitions are then
         #: served from its checksummed files and lineage truncates here.
         self._checkpoint: Optional[CheckpointEntry] = None
+        #: Content fingerprint under which :meth:`share` placed this dataset
+        #: in the context's borrowed block store (``None``: not shared), and
+        #: the label blocks it publishes there are attributed to.
+        self._share_key: Optional[str] = None
+        self._share_origin = ""
 
     # -- plumbing -------------------------------------------------------------
 
@@ -686,24 +692,62 @@ class Dataset:
 
     def iterator(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
         """Compute a partition, honouring the cache when the dataset is persisted."""
-        if self.is_cached:
-            cached = self.ctx.block_store.get(self.id, partition)
-            if cached is not None:
-                task_context.cache_hits += 1
-                # records served from the cache are reads, like source reads
-                task_context.records_read += len(cached)
-                return iter(cached)
-            if self.has_checkpoint:
-                records = self._checkpoint_records(partition, task_context)
-            else:
-                records = list(self.compute(partition, task_context))
-            self.ctx.block_store.put(self.id, partition, records)
-            # caching materialises the partition: that is written output
-            task_context.records_written += len(records)
-            return iter(records)
+        if self.is_cached or self._share_key is not None:
+            records = self._materialized(partition, task_context, None)
+            if records is not None:
+                return iter(records)
         if self.has_checkpoint:
             return iter(self._checkpoint_records(partition, task_context))
         return self.compute(partition, task_context)
+
+    def _materialized(self, partition: int, task_context: TaskContext,
+                      batch_size: Optional[int]) -> Optional[List[Any]]:
+        """One partition of a persisted dataset as a list, or ``None``.
+
+        Looks in the context's own store (``cache()``), then — on a local
+        miss — in the borrowed one (:meth:`share`), and otherwise computes
+        the partition and leaves it wherever it is wanted.  ``None`` means
+        nobody keeps this block (a shared-only dataset whose key the
+        borrowed store declines): the caller streams it as if unmarked.
+        ``batch_size`` picks the kernel that computes a miss.
+        """
+        local = self.ctx.block_store if self.is_cached else None
+        shared = self.ctx.shared_blocks if self._share_key is not None else None
+        cached = local.get(self.id, partition) if local is not None else None
+        if cached is None and shared is not None:
+            cached = shared.get(self._share_key, partition)
+            if cached is not None:
+                self.ctx.note_shared_hit(
+                    self._share_key,
+                    shared.origin_of(self._share_key, partition))
+                if local is not None:
+                    local.put(self.id, partition, cached)
+        if cached is not None:
+            task_context.cache_hits += 1
+            # records served from a store are reads, like source reads
+            task_context.records_read += len(cached)
+            return cached
+        publish = shared is not None and \
+            shared.admits(self._share_key, partition)
+        if local is None and not publish:
+            return None
+        if self.has_checkpoint:
+            records = self._checkpoint_records(partition, task_context)
+        elif batch_size is None:
+            records = list(self.compute(partition, task_context))
+        else:
+            records = []
+            for batch in self.compute_batches(partition, task_context,
+                                              batch_size):
+                records.extend(batch)
+        if local is not None:
+            local.put(self.id, partition, records)
+        if publish:
+            shared.put(self._share_key, partition, records,
+                       origin=self._share_origin)
+        # caching materialises the partition: that is written output
+        task_context.records_written += len(records)
+        return records
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
@@ -727,22 +771,10 @@ class Dataset:
         block instead of once per record).
         """
         batch_size = max(1, self.ctx.config.batch_size)
-        if self.is_cached:
-            cached = self.ctx.block_store.get(self.id, partition)
-            if cached is not None:
-                task_context.cache_hits += 1
-                task_context.records_read += len(cached)
-                return chunk_list(cached, batch_size)
-            if self.has_checkpoint:
-                records = self._checkpoint_records(partition, task_context)
-            else:
-                records = []
-                for batch in self.compute_batches(partition, task_context,
-                                                  batch_size):
-                    records.extend(batch)
-            self.ctx.block_store.put(self.id, partition, records)
-            task_context.records_written += len(records)
-            return chunk_list(records, batch_size)
+        if self.is_cached or self._share_key is not None:
+            records = self._materialized(partition, task_context, batch_size)
+            if records is not None:
+                return chunk_list(records, batch_size)
         if self.has_checkpoint:
             return chunk_list(self._checkpoint_records(partition, task_context),
                               batch_size)
@@ -799,12 +831,18 @@ class Dataset:
     persist = cache
 
     def unpersist(self) -> "Dataset":
-        """Drop any cached partitions and stop caching new ones."""
+        """Drop any cached partitions and stop caching new ones.
+
+        A :meth:`share` mark is dropped with the cache flag; blocks already
+        in the borrowed store stay — other contexts may be reading them.
+        """
         self.is_cached = False
+        self._share_key = None
         self.ctx.block_store.evict_dataset(self.id)
         invalidated = [self.id]
         for mirror in self._cache_mirrors:
             mirror.is_cached = False
+            mirror._share_key = None
             self.ctx.block_store.evict_dataset(mirror.id)
             invalidated.append(mirror.id)
         self._cache_mirrors.clear()
@@ -813,6 +851,45 @@ class Dataset:
         self.ctx.invalidate_broadcast_builds(*invalidated)
         self._executable = None
         self.ctx._cache_epoch += 1
+        return self
+
+    # -- content identity and cross-context sharing ------------------------------
+
+    def fingerprint(self) -> Optional[str]:
+        """Content identity of this dataset's lineage, or ``None``.
+
+        A SHA-256 digest over the operators, partition counts, user-function
+        bytecode (closure cells and defaults included), partitioners and
+        source content the partitions depend on — and over no dataset id,
+        name or cache flag — so the same lineage built in another context
+        has the same fingerprint and a lineage differing in any option that
+        reaches a closure does not (:mod:`repro.engine.fingerprint`).
+        ``None`` when some value in the lineage has no identity of its own
+        (an object with the default address-based ``repr``, a source without
+        a fingerprint): such a dataset is never matched to anything.
+        """
+        return dataset_fingerprint(self)
+
+    def share(self, origin: str = "") -> "Dataset":
+        """Mark the dataset as a materialisation point shared across contexts.
+
+        Partitions are then looked up in the block store the context
+        borrowed (``EngineContext(shared_blocks=...)``) under
+        ``(fingerprint(), partition)`` and, when that store admits them,
+        materialised and published there, attributed to ``origin``.  Like
+        ``cache()``, the mark is a barrier the optimizer does not fuse or
+        push projections across.  A no-op when the context borrowed no
+        store, runs the process backend (workers cannot see driver
+        memory) or the lineage has no fingerprint.
+        """
+        if self._share_key is not None or self.ctx.shared_blocks is None or \
+                self.ctx.config.executor_backend != "thread":
+            return self
+        self._share_key = self.fingerprint()
+        if self._share_key is not None:
+            self._share_origin = origin
+            self._executable = None
+            self.ctx._cache_epoch += 1
         return self
 
     # -- durable checkpointing ---------------------------------------------------
@@ -1379,6 +1456,10 @@ class ParallelCollectionDataset(Dataset):
         super().__init__(ctx, num_partitions, [], name="parallelize")
         self._data = list(data)
         self._size_hint = len(self._data)
+
+    def share(self, origin: str = "") -> "Dataset":
+        """Already resident in the driver: there is nothing to share."""
+        return self
 
     def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
         total = len(self._data)

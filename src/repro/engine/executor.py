@@ -31,7 +31,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import EngineConfig
 from ..errors import (CheckpointCorruptionError, FetchFailedError,
@@ -317,8 +317,13 @@ class ProcessExecutor:
 
     def __init__(self, config: EngineConfig, shuffle_manager=None,
                  block_store=None, memory_manager=None, transport=None,
-                 health_tracker=None):
+                 health_tracker=None,
+                 clock: Callable[[], float] = time.perf_counter):
         self.config = config
+        #: Clock of the running-time deadlines and speculation thresholds
+        #: (never of reported durations); injectable so tests can expire a
+        #: deadline without racing a sleep against it.
+        self._clock = clock
         self._shuffle_manager = shuffle_manager
         self._block_store = block_store
         self._memory = memory_manager
@@ -551,7 +556,7 @@ class ProcessExecutor:
         timeout = self.config.task_timeout_s
         if not timeout:
             return
-        now = time.perf_counter()
+        now = self._clock()
         for future, info in list(drive.active.items()):
             if info.started is None or now - info.started <= timeout:
                 continue
@@ -594,7 +599,7 @@ class ProcessExecutor:
             return
         threshold = max(multiplier * statistics.median(drive.durations),
                         _SPECULATION_MIN_S)
-        now = time.perf_counter()
+        now = self._clock()
         for future, info in list(drive.active.items()):
             if info.speculative or info.index in drive.speculated:
                 continue
@@ -685,7 +690,7 @@ class ProcessExecutor:
                 self._settle_attempt(future.result(), info, drive)
             # the deadline/speculation clock starts when an attempt begins
             # *executing*, not when it is queued behind a busy pool
-            now = time.perf_counter()
+            now = self._clock()
             for future, info in drive.active.items():
                 if info.started is None and future.running():
                     info.started = now

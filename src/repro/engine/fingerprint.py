@@ -1,0 +1,287 @@
+"""Content identity of lineages: what a dataset *is*, not where it lives.
+
+A fingerprint is a SHA-256 digest over everything that decides the records a
+dataset produces — operator classes, partition counts, user-function
+bytecode with closure cells and defaults, partitioners, and the content
+identity of every source (:meth:`repro.data.sources.DataSource.fingerprint`)
+— and over nothing that does not: no per-context dataset or shuffle ids, no
+names, no cache flags.  Two lineages with the same fingerprint compute the
+same partitions, in any context of any process, so the digest can key
+
+* the job journal (:mod:`repro.engine.journal`): a ``recover_from`` resume
+  adopts recorded map output only from the *same* program over the *same*
+  input;
+* a block store lent to several contexts
+  (``EngineContext(shared_blocks=...)``): a partition one context
+  materialised serves every later context that asks for the same lineage.
+
+The safe direction is always *no match*.  A value whose identity cannot be
+established — anything whose ``repr`` is the default, address-based
+``<... object at 0x...>`` — raises :class:`Unfingerprintable`, which the
+public entry points turn into ``None``: such a lineage is recomputed, never
+matched.  Matching on the address itself would be wrong even inside one
+process, because a freed object's address is reused by the next allocation
+of the same type.
+
+Limits, stated once: an object that defines its own ``__repr__`` is taken
+to be a value and identified by its pickled state (by that ``repr`` when it
+does not pickle; objects wanting to choose implement ``fingerprint()``),
+and module-level names a function refers to are identified by name —
+editing a helper a UDF *calls* does not change the UDF's fingerprint.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import inspect
+import pickle
+import re
+import types
+from typing import Any, Iterable, Optional, Sequence, Set
+
+#: The default ``object.__repr__`` shape, wherever it appears in a repr.
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+>")
+
+#: Records per ``pickle.dumps`` call when digesting a collection: bounds
+#: the transient payload to a few hundred kilobytes whatever its size.
+_DIGEST_CHUNK = 512
+
+#: Pinned, so a digest does not change with the interpreter's default.
+_PICKLE_PROTOCOL = 4
+
+#: Sequences longer than this are digested by content (one pickle per
+#: chunk) instead of element by element: a parallelised collection of a few
+#: thousand records is one value, not thousands of recursive calls.
+_ELEMENTWISE_LIMIT = 32
+
+_UNSET = object()
+
+#: Dataset attributes that are driver plumbing or cosmetics, not content.
+#: Anything *not* listed is fingerprinted, so an attribute a future operator
+#: adds is covered (or makes the lineage unshareable) by default.
+_DATASET_SKIP_ATTRS = frozenset({
+    "ctx", "id", "name", "dependencies", "plan", "is_cached", "_executable",
+    "_executable_epoch", "_cache_mirrors", "_checkpoint", "_size_hint",
+    "_fingerprint", "_share_key", "_share_origin",
+    # derived from ``dependencies`` (union) or per-job runtime state
+    "_offsets", "_split_plan", "_slice_results",
+    "_build_holder", "_stream_keys_holder", "_emits_unmatched_build",
+})
+
+
+class Unfingerprintable(Exception):
+    """A value with no stable identity was reached; the lineage has none."""
+
+
+def digest(signature: Any) -> str:
+    """Collision-resistant digest of a signature built from plain values."""
+    return hashlib.sha256(repr(signature).encode("utf-8")).hexdigest()
+
+
+def records_digest(records: Sequence[Any]) -> str:
+    """Content digest of an in-memory collection, order included.
+
+    Hashes the records' pickles, chunk by chunk: equal digests mean equal
+    pickles, hence equal content, and pickling runs about seven times
+    faster than ``repr`` on float-bearing dict records (2.7 ms against
+    18 ms for 6000 churn records).  Pickle is not canonical — whether two
+    equal strings are one object shows in the memo — so equal content
+    built along a different path may digest differently; that costs a
+    recomputation, never a wrong match.  Raises :class:`Unfingerprintable`
+    for records that cannot be pickled.
+    """
+    hasher = hashlib.sha256(str(len(records)).encode("ascii"))
+    try:
+        for start in range(0, len(records), _DIGEST_CHUNK):
+            hasher.update(pickle.dumps(records[start:start + _DIGEST_CHUNK],
+                                       protocol=_PICKLE_PROTOCOL))
+    except Exception as error:  # noqa: BLE001 - pickling runs user __reduce__
+        raise Unfingerprintable(f"a record cannot be pickled: {error}") from error
+    return hasher.hexdigest()
+
+
+def _code_fingerprint(code: types.CodeType) -> tuple:
+    """Bytecode-level identity of a code object, stable across processes.
+
+    Deliberately excludes the filename and line numbers: moving a lambda
+    must not change its identity, while editing its logic must.  Nested
+    code objects recurse; frozenset constants are sorted because their repr
+    order follows the per-process string hash seed.
+    """
+    consts = []
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            consts.append(_code_fingerprint(const))
+        elif isinstance(const, frozenset):
+            consts.append(("frozenset", tuple(sorted(map(repr, const)))))
+        else:
+            consts.append(repr(const))
+    return (code.co_code.hex(), tuple(consts), code.co_names,
+            code.co_varnames)
+
+
+def _callable_fingerprint(func: Any, seen: Set[int]) -> Any:
+    """Semantic identity of a function: bytecode, constants, closure cells,
+    defaults and — for bound methods — the instance it is bound to."""
+    if id(func) in seen:
+        return "<recursive>"
+    seen.add(id(func))
+    try:
+        return _function_identity(func, seen)
+    finally:
+        seen.discard(id(func))  # only a true cycle is "<recursive>"
+
+
+def _function_identity(func: Any, seen: Set[int]) -> Any:
+    if inspect.ismethod(func):
+        return ("method", value_fingerprint(func.__self__, seen),
+                _callable_fingerprint(func.__func__, seen))
+    code = getattr(func, "__code__", None)
+    if code is not None:
+        cells = []
+        for cell in getattr(func, "__closure__", None) or ():
+            try:
+                cells.append(value_fingerprint(cell.cell_contents, seen))
+            except ValueError:
+                cells.append("<empty-cell>")
+        defaults = tuple(value_fingerprint(value, seen) for value
+                         in getattr(func, "__defaults__", None) or ())
+        kwdefaults = tuple(
+            (name, value_fingerprint(value, seen)) for name, value
+            in sorted((getattr(func, "__kwdefaults__", None) or {}).items()))
+        return (_code_fingerprint(code), tuple(cells), defaults, kwdefaults)
+    inner = getattr(func, "func", None)  # functools.partial
+    if inner is not None and callable(inner):
+        return ("partial", _callable_fingerprint(inner, seen),
+                tuple(value_fingerprint(value, seen)
+                      for value in getattr(func, "args", ())),
+                tuple((key, value_fingerprint(value, seen)) for key, value
+                      in sorted((getattr(func, "keywords", None)
+                                 or {}).items())))
+    name = getattr(func, "__qualname__", None)
+    if name is not None:  # builtins and other code-less named callables
+        owner = getattr(func, "__self__", None)  # ``allowed.__contains__``
+        if owner is not None and not isinstance(owner, types.ModuleType):
+            return ("bound", value_fingerprint(owner, seen), name)
+        return (getattr(func, "__module__", None), name)
+    return _opaque_fingerprint(func)  # an instance with ``__call__``
+
+
+def _opaque_fingerprint(value: Any) -> Any:
+    """Identity of an arbitrary object, if it presents itself as a value.
+
+    An object that keeps the default address-based ``repr`` makes no such
+    claim and has no identity.  One with a ``repr`` of its own is digested
+    by pickle when it pickles — the whole state, where a ``repr`` may
+    summarise (a large array prints with an ellipsis) — and by that
+    ``repr`` otherwise, provided no address shows in it.
+    """
+    if type(value).__repr__ is object.__repr__:
+        raise Unfingerprintable(f"{type(value).__name__} has no repr of its own")
+    try:
+        return ("pickle", type(value).__qualname__, hashlib.sha256(
+            pickle.dumps(value, protocol=_PICKLE_PROTOCOL)).hexdigest())
+    except Exception:  # noqa: BLE001 - pickling runs user __reduce__
+        pass
+    text = repr(value)
+    if _ADDRESS.search(text):
+        raise Unfingerprintable(f"repr of {type(value).__name__} shows an address")
+    return text
+
+
+def value_fingerprint(value: Any, seen: Optional[Set[int]] = None) -> Any:
+    """Stable identity of one value reachable from a lineage.
+
+    Plain data is identified by content, containers element-wise (dicts in
+    insertion order — iteration order is observable), functions by
+    bytecode, classes by qualified name, and anything offering a
+    ``fingerprint()`` method (data sources, datasets, partitioners) by what
+    that returns.  Everything else must have a ``repr`` of its own.
+    """
+    if value is None or isinstance(value, (bool, int, float, complex, str,
+                                           bytes)):
+        return repr(value)
+    if seen is None:
+        seen = set()
+    if isinstance(value, (tuple, list)):
+        if len(value) > _ELEMENTWISE_LIMIT:
+            return (type(value).__name__, "digest", records_digest(value))
+        return (type(value).__name__,
+                tuple(value_fingerprint(item, seen) for item in value))
+    if isinstance(value, dict):
+        return ("dict", tuple((value_fingerprint(key, seen),
+                               value_fingerprint(item, seen))
+                              for key, item in value.items()))
+    if isinstance(value, (set, frozenset)):
+        return (type(value).__name__,
+                tuple(sorted(repr(value_fingerprint(item, seen))
+                             for item in value)))
+    if isinstance(value, type):
+        return ("class", value.__module__, value.__qualname__)
+    own = getattr(value, "fingerprint", None)
+    if callable(own):
+        identity = own()
+        if identity is None:
+            raise Unfingerprintable(f"{type(value).__name__} has no fingerprint")
+        return ("fingerprint", type(value).__name__, identity)
+    if callable(value):
+        return _callable_fingerprint(value, seen)
+    return _opaque_fingerprint(value)
+
+
+def attributes_fingerprint(obj: Any, skip: Iterable[str] = ()) -> tuple:
+    """Identity of every instance attribute of ``obj`` not named in ``skip``."""
+    return tuple((name, value_fingerprint(value))
+                 for name, value in sorted(vars(obj).items())
+                 if name not in skip)
+
+
+def object_fingerprint(obj: Any, skip: Iterable[str] = (),
+                       *extra: Any) -> Optional[str]:
+    """Digest of an object's class, instance attributes and ``extra`` plain
+    values — what a ``fingerprint()`` method typically returns — or ``None``
+    when an attribute has no identity."""
+    try:
+        return digest((type(obj).__module__, type(obj).__qualname__,
+                       attributes_fingerprint(obj, skip), extra))
+    except (Unfingerprintable, RecursionError):
+        return None
+
+
+def _dependency_signature(dependency: Any) -> tuple:
+    partitioner = getattr(dependency, "partitioner", None)
+    map_side = getattr(dependency, "map_side", None)
+    return (type(dependency).__name__, getattr(dependency, "kind", None),
+            value_fingerprint(partitioner), value_fingerprint(map_side),
+            value_fingerprint(dependency.parent))
+
+
+def dataset_fingerprint(dataset: Any) -> Optional[str]:
+    """Content identity of a physical dataset lineage, or ``None``.
+
+    Covers the operator class, every semantic attribute (partition count,
+    functions, parameters, in-memory data, the source's own fingerprint)
+    and, per dependency, its kind, partitioner, map-side function and the
+    parent's fingerprint.  Memoised on the dataset: a lineage is immutable.
+    """
+    memo = dataset.__dict__.get("_fingerprint", _UNSET)
+    if memo is not _UNSET:
+        return memo
+    try:
+        identity = digest((
+            type(dataset).__name__,
+            attributes_fingerprint(dataset, _DATASET_SKIP_ATTRS),
+            tuple(_dependency_signature(dependency)
+                  for dependency in dataset.dependencies)))
+    except (Unfingerprintable, RecursionError):
+        identity = None
+    dataset.__dict__["_fingerprint"] = identity
+    return identity
+
+
+def shuffle_fingerprint(dependency: Any) -> Optional[str]:
+    """Content identity of one shuffle's map output, or ``None``."""
+    try:
+        return digest(_dependency_signature(dependency))
+    except (Unfingerprintable, RecursionError):
+        return None

@@ -6,16 +6,16 @@ kill it and the map-output catalog, the block store and every completed
 stage die with it.  The journal closes that gap.  A context configured
 with ``EngineConfig.checkpoint_dir`` records, as execution progresses:
 
-* per job: the optimized plan signature and the stage graph as stages
-  settle;
+* per job: the content fingerprint of the dataset it ran and the stage
+  graph as stages settle;
 * per completed shuffle: the full span catalog (the PR 6 ``(path, offset,
   length, record count, estimated bytes)`` format) of its durable frame
-  files, keyed by the shuffle id *and* a structural signature of the
-  map-side lineage — operators, user-function bytecode and source-data
-  fingerprints (:func:`shuffle_journal_key`) — so a restarted run of the
-  same program matches its entries while a *changed* program (edited
-  map/filter logic, different input, different plan shape) never adopts
-  the old program's map output;
+  files, keyed by the shuffle id *and* the content fingerprint of the
+  map-side lineage — operators, user-function bytecode and source content
+  (:func:`shuffle_journal_key`, :mod:`repro.engine.fingerprint`) — so a
+  restarted run of the same program matches its entries while a *changed*
+  program (edited map/filter logic, different input, different plan shape)
+  never adopts the old program's map output;
 * per checkpoint (:meth:`~repro.engine.dataset.Dataset.checkpoint`): the
   checksummed partition files a dataset was materialised to.
 
@@ -34,22 +34,22 @@ recompute from lineage exactly as if the journal had never existed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
-import types
-import zlib
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import ShuffleCorruptionError
+from .fingerprint import shuffle_fingerprint
 from .memory import load_frames
 
 #: On-disk journal document version; bumped on incompatible layout changes.
-#: Version 2: shuffle entries are keyed by lineage signature (not bare
-#: shuffle id) and carry ``num_reduces`` — version-1 journals, whose bare
-#: id keys are exactly the unsafe ones, are discarded as a cold start.
-JOURNAL_VERSION = 2
+#: Version 2 keyed shuffle entries by lineage signature instead of bare
+#: shuffle id; version 3 keys shuffles and checkpoints by the content
+#: fingerprint of :mod:`repro.engine.fingerprint`, which — unlike the
+#: ``repr(source)`` of version 2 — covers a source's seed, parameters and
+#: data.  Older journals are discarded as a cold start.
+JOURNAL_VERSION = 3
 
 #: File name of the journal document inside ``checkpoint_dir``.
 JOURNAL_NAME = "journal.json"
@@ -82,221 +82,25 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
         os.close(fd)
 
 
-def _const_fingerprint(const: Any) -> Any:
-    """Stable identity of one code-object constant.
-
-    Nested code objects recurse; frozensets are sorted because their repr
-    order follows the per-process string hash seed.
-    """
-    if isinstance(const, types.CodeType):
-        return _code_fingerprint(const)
-    if isinstance(const, frozenset):
-        return ("frozenset", tuple(sorted(repr(item) for item in const)))
-    return repr(const)
-
-
-def _code_fingerprint(code: types.CodeType) -> tuple:
-    """Bytecode-level identity of a code object, stable across processes.
-
-    Deliberately excludes the filename and line numbers: moving a lambda
-    must not invalidate journal entries, while editing its logic must.
-    """
-    return (code.co_code.hex(),
-            tuple(_const_fingerprint(const) for const in code.co_consts),
-            code.co_names, code.co_varnames)
-
-
-def _callable_fingerprint(func: Any, _seen: Optional[Set[int]] = None) -> Any:
-    """Semantic identity of a user function for journal keys.
-
-    Hashes the bytecode, constants, closure-cell values and defaults, so a
-    resumed run only matches journal entries recorded by *the same logic*
-    — an edited map/filter body changes the fingerprint even when the plan
-    shape is identical.  Values whose repr is address-based (arbitrary
-    objects in a closure) make the fingerprint unmatchable, which errs on
-    the safe side: recomputation, never stale adoption.
-    """
-    if _seen is None:
-        _seen = set()
-    if id(func) in _seen:
-        return "<recursive>"
-    _seen.add(id(func))
-
-    def value_print(value: Any) -> Any:
-        if callable(value) and not isinstance(value, type):
-            return _callable_fingerprint(value, _seen)
-        return repr(value)
-
-    code = getattr(func, "__code__", None)
-    if code is not None:
-        cells = []
-        for cell in getattr(func, "__closure__", None) or ():
-            try:
-                cells.append(value_print(cell.cell_contents))
-            except ValueError:
-                cells.append("<empty-cell>")
-        defaults = tuple(value_print(value)
-                         for value in getattr(func, "__defaults__", None)
-                         or ())
-        return (_code_fingerprint(code), tuple(cells), defaults)
-    inner = getattr(func, "func", None)  # functools.partial
-    if inner is not None and callable(inner):
-        return ("partial", _callable_fingerprint(inner, _seen),
-                tuple(value_print(value)
-                      for value in getattr(func, "args", ())),
-                tuple(sorted((key, value_print(value)) for key, value
-                             in (getattr(func, "keywords", None)
-                                 or {}).items())))
-    name = getattr(func, "__qualname__", None)
-    if name is not None:  # builtins, bound methods without __code__
-        return (getattr(func, "__module__", None), name)
-    return repr(type(func))
-
-
-_UNSET = object()
-
-
-def _source_fingerprint(dataset) -> Any:
-    """Cheap content identity of a source dataset, memoised per dataset.
-
-    In-memory collections hash their repr so resuming against *different
-    input* of the same shape cannot adopt the old input's map output;
-    external sources contribute their repr (path, parameters).  ``None``
-    for derived datasets.
-    """
-    if dataset is None:
-        return None
-    cached = dataset.__dict__.get("_recovery_fingerprint", _UNSET)
-    if cached is not _UNSET:
-        return cached
-    fingerprint = None
-    data = dataset.__dict__.get("_data")
-    source = dataset.__dict__.get("_source")
-    try:
-        if data is not None:
-            fingerprint = ("data", len(data),
-                           zlib.crc32(repr(data).encode("utf-8", "replace")))
-        elif source is not None:
-            fingerprint = ("source", repr(source))
-    except Exception:
-        fingerprint = None
-    dataset.__dict__["_recovery_fingerprint"] = fingerprint
-    return fingerprint
-
-
-#: Plan-node attributes that are structural plumbing, not semantics.
-_NODE_SKIP_ATTRS = frozenset({"children", "dataset", "origin_dataset",
-                              "stats"})
-
-#: Physical-dataset attributes that are driver plumbing, not semantics.
-_DATASET_SKIP_ATTRS = frozenset({"ctx", "dependencies", "plan", "_executable",
-                                 "_cache_mirrors", "_checkpoint",
-                                 "_recovery_fingerprint"})
-
-
-def _function_attrs(obj, skip: frozenset) -> tuple:
-    """Fingerprints of every callable attribute of a node or dataset."""
-    return tuple((attr, _callable_fingerprint(value))
-                 for attr, value in sorted(obj.__dict__.items())
-                 if attr not in skip and callable(value)
-                 and not isinstance(value, type))
-
-
-def _recovery_signature(node) -> tuple:
-    """Structural *and* semantic identity keyed on per-context dataset ids.
-
-    The in-memory plan signature uses module-global origin counters, which
-    drift when several contexts share one process (a resume test, a
-    notebook restart cell).  Dataset ids are allocated by a *per-context*
-    deterministic counter, so keying on the originating dataset makes the
-    journal key reproducible wherever the same program is rebuilt —
-    across process restarts and across contexts alike.  User-function
-    bytecode and source-data fingerprints are folded in so two programs
-    of identical shape but different logic or input never share a key.
-    """
-    origin = getattr(node, "origin_dataset", None)
-    ident = origin.id if origin is not None \
-        else getattr(node, "origin_id", None)
-    return (node.op, node.variant, ident, _source_fingerprint(origin),
-            _function_attrs(node, _NODE_SKIP_ATTRS),
-            tuple(_recovery_signature(child) for child in node.children))
-
-
-def physical_signature(dataset) -> tuple:
-    """Structural identity of a *physical* dataset lineage.
-
-    The fallback key source for shuffles whose map-side parent carries no
-    logical plan (datasets built directly by plan lowering).  Covers the
-    same three axes as :func:`_recovery_signature` — operator classes and
-    per-context dataset ids for shape, callable-attribute fingerprints for
-    logic, source fingerprints for input — so lowering-built lineages get
-    the same staleness protection as API-built ones.
-    """
-    def dependency_signature(dep) -> tuple:
-        partitioner = getattr(dep, "partitioner", None)
-        map_side = getattr(dep, "map_side", None)
-        return (type(dep).__name__, getattr(dep, "shuffle_id", None),
-                repr(partitioner) if partitioner is not None else None,
-                _callable_fingerprint(map_side) if map_side is not None
-                else None,
-                physical_signature(dep.parent))
-
-    return (type(dataset).__name__, dataset.name, dataset.id,
-            dataset.num_partitions, _source_fingerprint(dataset),
-            _function_attrs(dataset, _DATASET_SKIP_ATTRS),
-            tuple(dependency_signature(dep)
-                  for dep in getattr(dataset, "dependencies", ())))
-
-
-def _digest(signature: Any) -> str:
-    """Compact stable digest of a signature tuple, for journal keys."""
-    return hashlib.sha1(repr(signature).encode("utf-8")).hexdigest()
-
-
-def plan_signature_key(plan) -> Optional[str]:
-    """Stable string identity of a logical plan node, for journal keys.
-
-    A digest of the structural signature, stable for identical programs
-    across runs (dataset ids are allocated by per-context deterministic
-    counters, so the same driver script reproduces the same signatures).
-    ``None`` when the dataset carries no logical plan.
-    """
-    if plan is None:
-        return None
-    try:
-        return _digest(_recovery_signature(plan))
-    except Exception:
-        return None
-
-
 def shuffle_journal_key(dependency) -> Optional[str]:
     """Journal key of one shuffle: its id *plus* the map side's identity.
 
     Shuffle ids are per-context counters, so alone they collide across
     *different* programs resumed over the same ``checkpoint_dir`` — the id
     only disambiguates two shuffles of the same parent (a group-by and a
-    sort over one dataset share the parent signature).  What actually
-    gates adoption is the structural signature of the map-side parent
-    (logical plan when it carries one, physical lineage otherwise)
-    together with the partitioner and the map-side function, so a resumed
-    run of a changed program never adopts the old program's map output.
-    ``None`` — journal nothing, adopt nothing — when no stable signature
-    can be computed.
+    sort over one dataset share the parent lineage).  What actually gates
+    adoption is the content fingerprint of the map side
+    (:func:`~repro.engine.fingerprint.shuffle_fingerprint`: the parent's
+    lineage down to its sources' content, the partitioner and the map-side
+    function), so a resumed run of a changed program, or of the same
+    program over changed input, never adopts the old run's map output.
+    ``None`` — journal nothing, adopt nothing — when the lineage has no
+    stable identity.
     """
-    parent = dependency.parent
-    try:
-        plan = getattr(parent, "plan", None)
-        parent_signature = _recovery_signature(plan) if plan is not None \
-            else physical_signature(parent)
-        partitioner = getattr(dependency, "partitioner", None)
-        map_side = getattr(dependency, "map_side", None)
-        signature = (parent_signature,
-                     repr(partitioner) if partitioner is not None else None,
-                     _callable_fingerprint(map_side) if map_side is not None
-                     else None)
-        return f"shuffle:{dependency.shuffle_id}:{_digest(signature)}"
-    except Exception:
+    fingerprint = shuffle_fingerprint(dependency)
+    if fingerprint is None:
         return None
+    return f"shuffle:{dependency.shuffle_id}:{fingerprint}"
 
 
 class JobJournal:
@@ -331,7 +135,7 @@ class JobJournal:
 
     def record_job(self, job_id: int, description: str,
                    plan_signature: Optional[str]) -> None:
-        """Open a job entry: its id, description and optimized plan signature."""
+        """Open a job entry: its id, description and lineage fingerprint."""
         with self._lock:
             self._state["jobs"].append({
                 "job_id": job_id,

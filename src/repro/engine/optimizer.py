@@ -750,6 +750,12 @@ def lower_plan(node: LogicalNode, ctx) -> "physical.Dataset":
         # too and remember the mirror so unpersist() can evict it
         built.is_cached = True
         origin._cache_mirrors.append(built)
+    if origin is not None and origin._share_key is not None \
+            and built._share_key is None:
+        # likewise for a shared API dataset: same content, same key
+        built._share_key = origin._share_key
+        built._share_origin = origin._share_origin
+        origin._cache_mirrors.append(built)
     return built
 
 

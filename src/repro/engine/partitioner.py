@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..errors import PlanError
+from .fingerprint import object_fingerprint
 
 
 def _stable_hash(value: Any) -> int:
@@ -74,6 +75,15 @@ class Partitioner:
         recomputed map task must rebuild byte-identical buckets.
         """
         return self.partition_for
+
+    def fingerprint(self) -> Optional[str]:
+        """Content identity: the class and every attribute.
+
+        ``repr`` is for plans and leaves out what placement also depends on
+        (range boundaries and key function, the round-robin seed), so
+        lineage fingerprints ask here instead.
+        """
+        return object_fingerprint(self)
 
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and self.__dict__ == other.__dict__

@@ -87,8 +87,11 @@ class LogicalNode:
 
     @property
     def is_cached(self) -> bool:
-        """True when the API dataset this node originated at is cached."""
-        return self.origin_dataset is not None and self.origin_dataset.is_cached
+        """True when the API dataset this node originated at is a
+        materialisation point: cached, or shared across contexts."""
+        origin = self.origin_dataset
+        return origin is not None and \
+            (origin.is_cached or origin._share_key is not None)
 
     # -- display ------------------------------------------------------------
 

@@ -33,8 +33,7 @@ from .dataset import (BroadcastDependency, CoGroupedDataset, Dataset,
                       Dependency, ShuffleDependency, ShuffledDataset,
                       TaskContext)
 from .executor import Task, create_executor
-from .journal import (plan_signature_key, shuffle_journal_key,
-                      validate_shuffle_entry)
+from .journal import shuffle_journal_key, validate_shuffle_entry
 from .metrics import JobMetrics, StageMetrics
 from .retry import RetryPolicy
 
@@ -376,7 +375,7 @@ class DAGScheduler:
         job = JobMetrics(job_id=next(self._job_counter), description=description)
         if self.journal is not None:
             self.journal.record_job(job.job_id, description,
-                                    plan_signature_key(dataset.plan))
+                                    dataset.fingerprint())
         try:
             dataset = self._execute_prerequisites(dataset, job, replanner)
             if partitions is None:

@@ -5,6 +5,11 @@ who did it, what was done, on which resource, and any extra details.  The
 audit log is what makes the "custody" part of the regulatory barrier
 demonstrable in the Labs: a trainee can inspect exactly what their campaign
 did with personal data.
+
+Events may carry a ``derived_from`` detail naming the parent a result stood
+on — the run whose materialised blocks a later run was served
+(``materialisation.reuse``).  :meth:`AuditLog.derivations` reads those
+parent → child edges back, so a run's provenance is a query, not a guess.
 """
 
 from __future__ import annotations
@@ -95,6 +100,21 @@ class AuditLog:
                 continue
             selected.append(event)
         return selected
+
+    def derivations(self, run_id: Optional[str] = None) -> List[Dict[str, Any]]:
+        """Parent → child edges recorded by ``materialisation.reuse`` events.
+
+        One entry per reused lineage: the ``fingerprint`` of what was
+        reused, the ``run_id`` that was served it, the run it was
+        ``derived_from`` and how many ``blocks`` changed hands.  ``run_id``
+        restricts the answer to what one run stood on.
+        """
+        edges = []
+        for event in self.query(action="materialisation.reuse"):
+            details = event.details_dict
+            if run_id is None or details.get("run_id") == run_id:
+                edges.append({"fingerprint": event.resource, **details})
+        return edges
 
     def actions_by_actor(self) -> Dict[str, int]:
         """Number of events per actor (a quick accountability summary)."""

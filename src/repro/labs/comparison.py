@@ -26,6 +26,11 @@ DEFAULT_COMPARISON_KEYS = (
     "records_processed",
 )
 
+#: Rows that measure the clock or price it: what a run that was served
+#: reused input did *not* pay for, so cold and warm values do not compare.
+_CLOCK_METRIC_KEYS = frozenset({"execution_time_s", "total_task_time_s",
+                                "estimated_cost_usd"})
+
 #: Direction of improvement per metric key (defaults to "higher is better").
 _METRIC_DIRECTIONS: Dict[str, str] = {}
 for _indicator in INDICATORS.values():
@@ -63,6 +68,9 @@ class ComparisonReport:
     rows: List[ComparisonRow] = field(default_factory=list)
     option_signatures: Dict[str, Dict[str, str]] = field(default_factory=dict)
     scores: Dict[str, float] = field(default_factory=dict)
+    #: Label -> partitions the run was served from an earlier trial's work
+    #: (the platform's shared block store); absent labels ran cold.
+    reused_blocks: Dict[str, int] = field(default_factory=dict)
 
     def row(self, metric_key: str) -> ComparisonRow:
         """Return the row of one metric."""
@@ -109,10 +117,19 @@ class ComparisonReport:
                 text = fmt(row.values.get(label))
                 if label == row.winner:
                     text = f"*{text}"
+                if label in self.reused_blocks and \
+                        row.metric_key in _CLOCK_METRIC_KEYS:
+                    text = f"~{text}"
                 cells.append(text.ljust(max_width))
             lines.append("  ".join(cells))
         lines.append("")
         lines.append(f"(* best value; reference run: {self.reference_label})")
+        if self.reused_blocks:
+            warm = ", ".join(label for label in self.run_labels
+                             if label in self.reused_blocks)
+            lines.append(f"(~ ran on input reused from an earlier trial — "
+                         f"time and cost are not comparable with cold runs: "
+                         f"{warm})")
         return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, object]:
@@ -122,6 +139,7 @@ class ComparisonReport:
                 "rows": [row.as_dict() for row in self.rows],
                 "options": dict(self.option_signatures),
                 "scores": dict(self.scores),
+                "reused_blocks": dict(self.reused_blocks),
                 "overall_winner": self.overall_winner()}
 
 
@@ -167,7 +185,10 @@ class RunComparator:
             run_labels=labels, reference_label=reference, rows=rows,
             option_signatures={label: dict(run.option_signature)
                                for label, run in by_label.items()},
-            scores={label: run.weighted_score for label, run in by_label.items()})
+            scores={label: run.weighted_score for label, run in by_label.items()},
+            reused_blocks={label: run.reused_blocks
+                           for label, run in by_label.items()
+                           if run.reused_blocks})
 
     # -- helpers ------------------------------------------------------------------------
 

@@ -19,6 +19,7 @@ from ..core.compiler import CampaignCompiler
 from ..core.dsl import SpecLike, parse_spec, spec_to_dict
 from ..engine.context import EngineContext
 from ..engine.simulator import DeploymentSimulator
+from ..engine.storage import BlockStore
 from ..errors import PlatformError
 from ..governance.audit import AuditLog
 from ..governance.policies import BUILTIN_POLICIES, DataProtectionPolicy
@@ -28,8 +29,31 @@ from .provisioning import Provisioner
 from .workspace import Workspace, WorkspaceManager
 
 
+#: Resident-byte cap of the block store a platform shares between the
+#: engine contexts it creates.  One challenge's working set is its scenario
+#: at base volume on two levels (source blocks, analytics input); the
+#: largest, 2 x 6000 churn records, is accounted at 8.3 MB (~690 B per
+#: record), and an LRU that is one block short of a cyclically read working
+#: set misses every time, so the cap leaves a fifth of headroom over it.
+#: Not a knob: a larger cap buys nothing the Labs traffic can use and is
+#: paid for, byte for byte, in peak RSS.
+SHARED_BLOCKS_BUDGET_BYTES = 10 * 1024 * 1024
+
+
 class BDAaaSPlatform:
-    """The Big Data Analytics-as-a-Service platform facade."""
+    """The Big Data Analytics-as-a-Service platform facade.
+
+    The platform owns one bounded, content-addressed block store
+    (``shared_blocks``) and lends it to every engine context it creates, so
+    the trials of a Lab session — one option changed at a time — stop
+    regenerating and re-preparing the input they have in common.  Blocks are
+    keyed by lineage fingerprint (policy-driven masking and anonymisation
+    parameters included, so a trial is never served a less-protected block
+    than it declared), admitted on the second request for their key, and
+    every run records which earlier run's blocks it was served
+    (``execution_profile["reused_from"]``, ``materialisation.reuse`` audit
+    events).  The store lives and dies with the platform object.
+    """
 
     def __init__(self, config: Optional[PlatformConfig] = None,
                  catalog: Optional[ServiceCatalog] = None,
@@ -47,6 +71,8 @@ class BDAaaSPlatform:
         self.compiler = CampaignCompiler(self.catalog, self.policies)
         self.runner = CampaignRunner(self.catalog, self.policies, self.simulator,
                                      audit_log=self.audit)
+        self.shared_blocks = BlockStore(SHARED_BLOCKS_BUDGET_BYTES,
+                                        admit_on_second_touch=True)
 
     # -- account and workspace management ----------------------------------------------
 
@@ -97,7 +123,8 @@ class BDAaaSPlatform:
         self.jobs.mark_running(job.job_id)
         try:
             engine = EngineContext(cluster.engine_config,
-                                   name=f"platform:{declarative.name}")
+                                   name=f"platform:{declarative.name}",
+                                   shared_blocks=self.shared_blocks)
             try:
                 run = self.runner.run(campaign, option_label=option_label,
                                       actor=user.name, engine=engine)

@@ -366,6 +366,68 @@ def test_resume_adopts_the_same_programs_map_output(tmp_path):
     assert summary["stages_recovered"] > 0
 
 
+def _churn_charges_by_contract(tmp_path, source, **engine_kwargs):
+    """One shuffle over a data source: total charges per contract type."""
+    with make_engine("thread", tmp_path / "ckpt", **engine_kwargs) as ctx:
+        sums = (ctx.from_source(source, 4)
+                .map(lambda r: (r["contract_type"], r["monthly_charges"]))
+                .reduce_by_key(lambda a, b: a + b).collect())
+        return sorted(sums), ctx.metrics.summary()
+
+
+def test_resume_never_adopts_another_generator_seeds_map_output(tmp_path):
+    """Same scenario, same volume, same name — a different generator seed.
+
+    The journal used to identify a source by its ``repr``, which for a
+    ``GeneratorSource`` shows the name and the record count only, so the
+    resumed run adopted seed 1's shuffle and returned seed 1's sums.
+    """
+    from repro.data.generators import ChurnDataGenerator
+    from repro.data.sources import GeneratorSource
+
+    def source(seed):
+        return GeneratorSource(ChurnDataGenerator(seed=seed), 2000)
+
+    assert repr(source(1)) == repr(source(2))
+    first, _ = _churn_charges_by_contract(tmp_path, source(1))
+    root = str(tmp_path / "ckpt")
+    resumed, summary = _churn_charges_by_contract(tmp_path, source(2),
+                                                  recover_from=root)
+    cold, _ = _churn_charges_by_contract(tmp_path / "elsewhere", source(2))
+    assert cold != first, "the two seeds must differ for the test to bite"
+    assert summary["stages_recovered"] == 0
+    assert resumed == cold
+
+    # the twin control: the same seed still resumes from its own entries
+    again, summary = _churn_charges_by_contract(tmp_path, source(2),
+                                                recover_from=root)
+    assert again == cold
+    assert summary["stages_recovered"] == 1
+
+
+def test_resume_never_adopts_an_edited_csv_files_map_output(tmp_path):
+    """Same path, same row count — different cell values."""
+    from repro.data.generators import ChurnDataGenerator
+    from repro.data.schemas import CHURN_SCHEMA
+    from repro.data.sources import CSVFileSource, write_csv
+
+    path = str(tmp_path / "customers.csv")
+    rows = ChurnDataGenerator(seed=1).generate(300)
+    write_csv(path, rows, CHURN_SCHEMA)
+    first, _ = _churn_charges_by_contract(
+        tmp_path, CSVFileSource(path, CHURN_SCHEMA))
+    for row in rows:
+        row["monthly_charges"] += 1.0
+    write_csv(path, rows, CHURN_SCHEMA)
+    resumed, summary = _churn_charges_by_contract(
+        tmp_path, CSVFileSource(path, CHURN_SCHEMA),
+        recover_from=str(tmp_path / "ckpt"))
+    assert summary["stages_recovered"] == 0
+    assert resumed != first
+    assert sum(total for _, total in resumed) == pytest.approx(
+        sum(total for _, total in first) + 300.0)
+
+
 def test_forget_unlinks_invalidated_files_inside_journal_root(tmp_path):
     journal = JobJournal(str(tmp_path))
     span = tmp_path / "transport" / "shuffle-0" / "map-0.data"

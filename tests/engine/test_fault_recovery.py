@@ -449,19 +449,49 @@ def test_fetch_failure_without_retries_propagates():
 
 @needs_closures
 def test_task_deadline_abandons_and_retries(tmp_path):
-    marker = str(tmp_path / "slept-once")
+    """A running attempt that overruns its deadline is dropped and retried.
 
-    def slow_once(pair):
-        if pair[0] == 0 and not os.path.exists(marker):
-            open(marker, "w").close()
-            time.sleep(3.0)
+    Nothing here races a sleep against a timeout: the first attempt parks
+    on a release file after raising its marker, the deadline expires on an
+    *injected* clock that leaps forward once the marker is up, and the
+    retry (which finds the marker and returns at once) is what releases
+    the parked attempt — so its late result demonstrably arrives after the
+    task settled.  The deadline itself is far longer than any scheduling
+    delay a loaded host can add to the retry.
+    """
+    marker = str(tmp_path / "first-attempt-running")
+    release = str(tmp_path / "release")
+
+    def park_once(pair):
+        if pair[1] == 0:
+            if os.path.exists(marker):
+                open(release, "w").close()
+            else:
+                open(marker, "w").close()
+                give_up = time.monotonic() + 60.0
+                while not os.path.exists(release) and \
+                        time.monotonic() < give_up:
+                    time.sleep(0.01)
         return pair
 
-    with make_engine("process", task_timeout_s=0.75, num_workers=2,
-                     default_parallelism=2) as ctx:
+    seen_marker = [0]
+
+    def clock():
+        # the driver reads the clock twice per settle-loop pass: once to
+        # stamp attempts it finds running, once to enforce deadlines.  The
+        # first two reads that see the marker stay on real time, so the
+        # parked attempt is certainly stamped before time leaps.
+        if os.path.exists(marker):
+            seen_marker[0] += 1
+        return time.perf_counter() + (10_000.0 if seen_marker[0] > 2 else 0.0)
+
+    with make_engine("process", task_timeout_s=600.0, num_workers=2,
+                     default_parallelism=1) as ctx:
+        ctx.scheduler.executor._clock = clock
         data = [(i % 2, i) for i in range(20)]
-        result = ctx.parallelize(data, 2).map(slow_once).collect()
+        result = ctx.parallelize(data, 1).map(park_once).collect()
         job = ctx.metrics.jobs[-1]
+        assert os.path.exists(release), "the retry never ran"
         assert sorted(result) == sorted(data), \
             "the late attempt's result must be discarded, not merged"
         assert job.timed_out_tasks == 1

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.engine.shuffle import ShuffleManager, estimate_bytes
-from repro.engine.storage import BlockStore
+from repro.engine.storage import BlockStore, resident_bytes
 from repro.errors import ShuffleError
 
 
@@ -293,17 +293,22 @@ class TestBlockStore:
         assert not store.contains(1, 0)
         assert store.contains(2, 0)
 
+    # budgets are in resident bytes: sized off the block, room for two
+
     def test_lru_eviction_under_budget(self):
-        store = BlockStore(memory_budget_bytes=600)
+        budget = int(2.5 * resident_bytes(list(range(100))))
+        store = BlockStore(memory_budget_bytes=budget)
         store.put(1, 0, list(range(100)))
         store.put(1, 1, list(range(100)))
         store.put(1, 2, list(range(100)))
         stats = store.stats()
-        assert stats["evictions"] >= 1
-        assert stats["bytes_stored"] <= 600
+        assert stats["evictions"] == 1
+        assert stats["blocks"] == 2
+        assert stats["bytes_stored"] <= budget
 
     def test_lru_keeps_recently_used_block(self):
-        store = BlockStore(memory_budget_bytes=900)
+        store = BlockStore(
+            memory_budget_bytes=int(2.5 * resident_bytes(list(range(100)))))
         store.put(1, 0, list(range(100)))
         store.put(1, 1, list(range(100)))
         store.get(1, 0)  # touch block 0 so block 1 is the LRU victim
