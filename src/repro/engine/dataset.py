@@ -26,7 +26,7 @@ from ..errors import (CheckpointCorruptionError, PlanError,
 from . import plan as logical
 from .columnar import ColumnBatch
 from .fingerprint import dataset_fingerprint
-from .memory import CODEC_NONE, SpillRun, load_frames
+from .memory import CODEC_NONE, SpillRun, dump_frames, load_frames
 from .partitioner import HashPartitioner, Partitioner, RangePartitioner, RoundRobinPartitioner
 
 
@@ -1444,36 +1444,125 @@ class Dataset:
         return getattr(node, "_size_hint", 10_000)
 
 
+class LineageStub(Dataset):
+    """What a stage payload ships in place of lineage its tasks never read.
+
+    The process backend replaces the parent behind a complete shuffle, a
+    filled broadcast or a live checkpoint with one of these *in the shipped
+    copy of the graph only* (:mod:`repro.engine.executor`); the driver keeps
+    the full lineage, because every recovery path recomputes from it and
+    republishes.  A stub keeps the identity a diagnostic needs and refuses
+    to compute.
+    """
+
+    def __init__(self, original: Dataset):
+        # not Dataset.__init__: a stub borrows an identity, it allocates none
+        self.ctx = None
+        self.id = original.id
+        self.name = original.name
+        self.num_partitions = original.num_partitions
+        self.dependencies = []
+        self.is_cached = False
+        self._checkpoint = None
+        self._share_key = None
+
+    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
+        raise PlanError(
+            f"dataset '{self.name}' (id {self.id}) was cut from this stage's "
+            f"payload: it sits behind a complete shuffle, a filled broadcast "
+            f"or a checkpoint, and only the driver's lineage can recompute it")
+
+
 # ---------------------------------------------------------------------------
 # Concrete narrow datasets
 # ---------------------------------------------------------------------------
 
 
 class ParallelCollectionDataset(Dataset):
-    """A dataset created from an in-memory Python sequence."""
+    """A dataset created from an in-memory Python sequence.
+
+    The one dataset whose *data* is part of its lineage.  In the driver the
+    sequence stays resident and partitions are slices of it.  It crosses to
+    worker processes once, not once per stage: :meth:`publish` frames every
+    partition into one transport file, the pickled state carries the
+    per-partition ``(path, offset, length, count)`` spans instead of the
+    records, and a worker loads only the span of the partition it computes.
+    """
 
     def __init__(self, ctx, data: Iterable[Any], num_partitions: int):
         super().__init__(ctx, num_partitions, [], name="parallelize")
         self._data = list(data)
         self._size_hint = len(self._data)
+        #: Spans of the published partitions (``None`` until the process
+        #: backend first ships this dataset); the file is swept with the
+        #: transport root when the context stops.
+        self._spans: Optional[List[Tuple[str, int, int, int]]] = None
+
+    def __getstate__(self):
+        state = super().__getstate__()
+        if self._spans is not None:
+            state["_data"] = None
+        return state
 
     def share(self, origin: str = "") -> "Dataset":
         """Already resident in the driver: there is nothing to share."""
         return self
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
+    def _bounds(self, partition: int) -> Tuple[int, int]:
         total = len(self._data)
-        start = (partition * total) // self.num_partitions
-        end = ((partition + 1) * total) // self.num_partitions
-        for record in self._data[start:end]:
+        return ((partition * total) // self.num_partitions,
+                ((partition + 1) * total) // self.num_partitions)
+
+    def publish(self, transport) -> None:
+        """Write every partition as CRC'd frames, once per context.
+
+        Uncompressed: the file is read where it lies, by processes on this
+        machine, so a codec would only trade driver CPU for scratch disk.
+        """
+        if self._spans is not None:
+            return
+        writer = transport.input_writer(self.id)
+        spans = []
+        try:
+            for partition in range(self.num_partitions):
+                start, end = self._bounds(partition)
+                offset, length = writer.append(
+                    dump_frames(self._data[start:end]))
+                spans.append((writer.path, offset, length, end - start))
+        finally:
+            writer.close()
+        self._spans = spans
+
+    def _published_records(self, partition: int) -> List[Any]:
+        """One partition read back from its span (worker side)."""
+        path, offset, length, count = self._spans[partition]
+        records = load_frames(path, offset, length)
+        if len(records) != count:
+            raise ShuffleCorruptionError(
+                f"published partition {partition} of {self.name} holds "
+                f"{len(records)} records, expected {count}", path=path,
+                offset=offset)
+        return records
+
+    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
+        if self._data is None:
+            records = self._published_records(partition)
+        else:
+            start, end = self._bounds(partition)
+            records = self._data[start:end]
+        for record in records:
             task_context.records_read += 1
             yield record
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
-        total = len(self._data)
-        start = (partition * total) // self.num_partitions
-        end = ((partition + 1) * total) // self.num_partitions
+        if self._data is None:
+            for batch in chunk_list(self._published_records(partition),
+                                    batch_size):
+                task_context.records_read += len(batch)
+                yield batch
+            return
+        start, end = self._bounds(partition)
         for low in range(start, end, batch_size):
             batch = self._data[low:min(low + batch_size, end)]
             task_context.records_read += len(batch)
@@ -1715,19 +1804,24 @@ class UnionDataset(Dataset):
         super().__init__(ctx, num_partitions,
                          [NarrowDependency(parent) for parent in parents],
                          name="union")
-        self._offsets: List[Tuple[Dataset, int]] = []
-        for parent in parents:
-            for index in range(parent.num_partitions):
-                self._offsets.append((parent, index))
+        #: Union partition -> (dependency index, parent partition).  Parents
+        #: are reached through ``dependencies`` only, so a shipped copy of
+        #: the graph reads exactly the parents it was given.
+        self._offsets: List[Tuple[int, int]] = [
+            (position, index)
+            for position, parent in enumerate(parents)
+            for index in range(parent.num_partitions)]
 
     def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        parent, parent_partition = self._offsets[partition]
-        return parent.iterator(parent_partition, task_context)
+        position, parent_partition = self._offsets[partition]
+        return self.dependencies[position].parent.iterator(
+            parent_partition, task_context)
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
-        parent, parent_partition = self._offsets[partition]
-        return parent.batch_iterator(parent_partition, task_context)
+        position, parent_partition = self._offsets[partition]
+        return self.dependencies[position].parent.batch_iterator(
+            parent_partition, task_context)
 
 
 class SampleDataset(Dataset):

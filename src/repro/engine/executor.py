@@ -12,15 +12,17 @@ extrapolate costs.  Two backends implement that shape behind one interface
     the default thread pool — simple, shares the driver address space,
     bounded by the GIL for CPU-bound work;
 :class:`ProcessExecutor`
-    forked worker processes — stage payloads are pickled to the workers
-    over a :class:`~repro.engine.transport.ShuffleTransport` and map output
-    comes back as pickle-framed spill-file spans, so CPU-bound jobs get
+    forked worker processes — stage payloads (cut to what the stage reads,
+    see :class:`_StageCut`) are pickled to the workers over a
+    :class:`~repro.engine.transport.ShuffleTransport` and map output comes
+    back as pickle-framed spill-file spans, so CPU-bound jobs get
     real multi-core speedups while results, retries, fault injection and
     metrics stay backend-invariant.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import multiprocessing
 import random
@@ -37,7 +39,9 @@ from ..config import EngineConfig
 from ..errors import (CheckpointCorruptionError, FetchFailedError,
                       SerializationError, TaskError)
 from . import serializer
-from .dataset import ShuffleDependency, TaskContext
+from .dataset import (BroadcastDependency, LineageStub,
+                      ParallelCollectionDataset, ShuffleDependency,
+                      TaskContext)
 from .metrics import StageMetrics, TaskMetrics
 
 #: The ``TaskContext`` counters copied verbatim into ``TaskMetrics`` after a
@@ -230,25 +234,92 @@ class Executor:
         return [result for _, result in results]
 
 
-def _walk_task_datasets(tasks: Sequence[Task]) -> List[Any]:
-    """Every dataset reachable from the tasks' graphs, unique by identity."""
-    datasets: List[Any] = []
-    seen: set = set()
+class _StageCut:
+    """The copy of a stage's task graphs that crosses the process boundary.
 
-    def walk(dataset: Any) -> None:
-        if dataset is None or id(dataset) in seen:
-            return
-        seen.add(id(dataset))
-        datasets.append(dataset)
-        for dependency in dataset.dependencies:
-            walk(dependency.parent)
+    A stage reads the spans of its complete upstream shuffles, the values of
+    its filled broadcasts and the files of its live checkpoints — never the
+    lineage behind them.  Walking from each task root, the dependency edge
+    into such lineage is replaced by an edge to a
+    :class:`~repro.engine.dataset.LineageStub`; the datasets and
+    dependencies between a root and a cut are shallow copies, everything
+    untouched is shipped as the object it is, and the driver's graph is
+    never mutated (fetch-failure, checkpoint-corruption and journal recovery
+    all recompute from it and republish).  The cut is per edge: a dataset
+    behind a complete shuffle on one path and read narrowly on another
+    ships in full, because the narrow path reaches it.  A cached parent is
+    *not* a cut — a worker may evict the seeded block and recompute.
+    """
 
-    for task in tasks:
-        walk(getattr(task, "_dataset", None))
+    def __init__(self, tasks: Sequence[Task],
+                 is_complete: Callable[[int], bool]):
+        self._is_complete = is_complete
+        self._shipped: Dict[int, Any] = {}
+        self._roots: Dict[int, Any] = {}
+        #: Datasets the payload carries (stubs excluded), in walk order.
+        self.datasets: List[Any] = []
+        #: Ids of the complete shuffles the shipped graph reads.
+        self.shuffle_ids: List[int] = []
+        self.tasks = [self._ship_task(task) for task in tasks]
+
+    def _ship_task(self, task: Task) -> Task:
+        clone = copy.copy(task)
+        if getattr(task, "_dataset", None) is not None:
+            clone._dataset = self._ship(task._dataset)
         dependency = getattr(task, "_dependency", None)
         if dependency is not None:
-            walk(dependency.parent)
-    return datasets
+            # the shuffle this task *writes*; its parent is the stage root.
+            # One copy serves every task, so its closures pickle once.
+            root = self._roots.get(id(dependency))
+            if root is None:
+                root = self._roots[id(dependency)] = self._reparent(
+                    dependency, self._ship(dependency.parent))
+            clone._dependency = root
+        return clone
+
+    @staticmethod
+    def _reparent(dependency: Any, parent: Any) -> Any:
+        if parent is dependency.parent:
+            return dependency
+        clone = copy.copy(dependency)
+        clone.parent = parent
+        return clone
+
+    def _edge_parent(self, dataset: Any, dependency: Any) -> Any:
+        """What the payload carries behind one edge: the parent, or a stub."""
+        if dataset.has_checkpoint:
+            cut = True  # served from the checkpoint files, whatever the edge
+        elif isinstance(dependency, ShuffleDependency):
+            cut = self._is_complete(dependency.shuffle_id)
+            if cut and dependency.shuffle_id not in self.shuffle_ids:
+                self.shuffle_ids.append(dependency.shuffle_id)
+        else:
+            cut = isinstance(dependency, BroadcastDependency) and \
+                dependency.holder.ready
+        if cut:
+            return LineageStub(dependency.parent)
+        return self._ship(dependency.parent)
+
+    def _ship(self, dataset: Any) -> Any:
+        """``dataset`` as the payload carries it: itself, or a cut copy.
+
+        The copy is shallow — it shares every attribute value (installed
+        skew-slice overrides included) with the driver's object.
+        """
+        shipped = self._shipped.get(id(dataset))
+        if shipped is not None:
+            return shipped
+        dependencies = [
+            self._reparent(dependency, self._edge_parent(dataset, dependency))
+            for dependency in dataset.dependencies]
+        shipped = dataset
+        if any(new is not old
+               for new, old in zip(dependencies, dataset.dependencies)):
+            shipped = copy.copy(dataset)
+            shipped.dependencies = dependencies
+        self._shipped[id(dataset)] = shipped
+        self.datasets.append(shipped)
+        return shipped
 
 
 def _dumps_error(value: Any) -> Optional[str]:
@@ -303,8 +374,10 @@ class ProcessExecutor:
 
     Same interface and observable behaviour as :class:`Executor`; the
     differences are mechanical.  Each stage is serialized once into a
-    payload (task graphs, the span catalog of complete upstream shuffles,
-    cached blocks) published through the shuffle transport; workers run
+    payload (task graphs cut at satisfied shuffle, broadcast and checkpoint
+    boundaries, the span catalog of the shuffles they read, the cached
+    blocks of the datasets they carry) published through the shuffle
+    transport; workers run
     tasks out of that payload and return plain dicts carrying the value,
     the ``TaskContext`` counters, map-output spans and dirty cache blocks.
     The driver settles results in submission order: it registers map
@@ -396,41 +469,40 @@ class ProcessExecutor:
     # -- stage publication --------------------------------------------------
 
     def _publish_stage(self, tasks: Sequence[Task]) -> str:
-        datasets = _walk_task_datasets(tasks)
+        """Serialize what this stage reads — and nothing behind it.
+
+        The payload holds the cut task graphs (:class:`_StageCut`), the span
+        catalog of exactly the shuffles those graphs read, and the cached
+        blocks of exactly the datasets they carry.  Parallelised input on
+        the path is published once per context and rides as spans.
+        """
+        is_complete = self._shuffle_manager.is_complete \
+            if self._shuffle_manager is not None else lambda shuffle_id: False
+        cut = _StageCut(tasks, is_complete)
         payload = {
-            "tasks": list(tasks),
-            "catalog": self._build_catalog(datasets),
-            "blocks": self._collect_blocks(datasets),
+            "tasks": cut.tasks,
+            "catalog": {shuffle_id:
+                        self._shuffle_manager.export_catalog(shuffle_id)
+                        for shuffle_id in cut.shuffle_ids},
+            "blocks": self._collect_blocks(cut.datasets),
         }
         try:
+            for dataset in cut.datasets:
+                if isinstance(dataset, ParallelCollectionDataset):
+                    dataset.publish(self._transport)
             data = serializer.dumps(payload)
         except Exception as error:  # noqa: BLE001 - rethrown with diagnosis
             raise SerializationError(
-                _diagnose_unpicklable(tasks, datasets, error)) from error
+                _diagnose_unpicklable(tasks, cut.datasets, error)) from error
         token = self._transport.publish_stage(data)
         # one-shot skew-slice overrides just shipped inside the payload;
         # the worker copies own them now, and a stale driver copy would
-        # replay into a later job's payload
-        for dataset in datasets:
+        # replay into a later job's payload (a cut copy shares the dict)
+        for dataset in cut.datasets:
             overrides = getattr(dataset, "_slice_results", None)
             if overrides:
                 overrides.clear()
         return token
-
-    def _build_catalog(self, datasets: List[Any]) -> Dict[int, Any]:
-        if self._shuffle_manager is None:
-            return {}
-        catalog: Dict[int, Any] = {}
-        for dataset in datasets:
-            for dependency in dataset.dependencies:
-                if not isinstance(dependency, ShuffleDependency):
-                    continue
-                shuffle_id = dependency.shuffle_id
-                if shuffle_id not in catalog and \
-                        self._shuffle_manager.is_complete(shuffle_id):
-                    catalog[shuffle_id] = \
-                        self._shuffle_manager.export_catalog(shuffle_id)
-        return catalog
 
     def _collect_blocks(self, datasets: List[Any]) -> Dict[Tuple[int, int], Any]:
         if self._block_store is None:

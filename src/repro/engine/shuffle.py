@@ -363,9 +363,8 @@ class ShuffleManager:
         spans: Dict[int, Tuple[str, int, int, int, int]] = {}
         try:
             for reduce_partition, records in buckets.items():
-                copied = list(records)
-                size = estimate_bytes(copied, self.compression, self.codec)
-                payload = dump_frames(copied, self.codec)
+                size = estimate_bytes(records, self.compression, self.codec)
+                payload = dump_frames(records, self.codec)
                 with self._lock:
                     self._spill_seq += 1
                     seq = self._spill_seq
@@ -375,7 +374,7 @@ class ShuffleManager:
                                               f"transport:{seq}")
                 offset, length = writer.append(payload)
                 spans[reduce_partition] = \
-                    (writer.path, offset, length, len(copied), size)
+                    (writer.path, offset, length, len(records), size)
         finally:
             writer.close()
         written = self.register_external_map_output(shuffle_id, map_partition,

@@ -3,12 +3,16 @@
 On the thread backend every task shares the driver's address space, so
 shuffle buckets live in the :class:`~repro.engine.shuffle.ShuffleManager`'s
 in-memory dict.  The process backend has no shared memory: stage payloads
-(task graphs, cached blocks, the shuffle catalog) and shuffle map output
+(the task graphs cut to what the stage reads, the span catalog of the
+shuffles it reads, cached blocks), parallelised input and shuffle map output
 must cross the process boundary explicitly.  A :class:`ShuffleTransport`
 owns that movement:
 
 * the driver *publishes* one serialized payload per stage and hands workers
   an opaque token (a file path for the local-dir implementation);
+* a parallelised collection is framed into one *input* file the first time
+  a stage ships it; payloads carry its per-partition spans, and both kinds
+  of file are read where they lie (the shared directory), never fetched;
 * workers write each map task's buckets as pickle-framed payloads (the PR 5
   spill-file format, see :mod:`repro.engine.memory`) into per-shuffle files
   and report ``(path, offset, length)`` spans back with the task result;
@@ -63,6 +67,10 @@ class ShuffleTransport:
         """Open a frame writer for one map task's output of one shuffle."""
         raise NotImplementedError
 
+    def input_writer(self, dataset_id: int) -> FrameFileWriter:
+        """Open a frame writer for the partitions of one parallelised input."""
+        raise NotImplementedError
+
     def read_span(self, path: str, offset: int, length: int) -> List[Any]:
         """Read one registered span's records back (local file read here)."""
         return load_frames(path, offset, length)
@@ -96,8 +104,8 @@ class LocalDirShuffleTransport(ShuffleTransport):
         #: Durable transports root their frame files under the engine's
         #: ``checkpoint_dir``: shuffle spans must outlive the driver process
         #: for journal-based recovery, so :meth:`cleanup` sweeps only the
-        #: ephemeral pieces (stage payloads, worker scratch, heartbeats) and
-        #: leaves the shuffle directories in place.
+        #: ephemeral pieces (stage payloads, published inputs, worker
+        #: scratch, heartbeats) and leaves the shuffle directories in place.
         self.durable = durable
         os.makedirs(root, exist_ok=True)
         self._seq = itertools.count()
@@ -126,6 +134,12 @@ class LocalDirShuffleTransport(ShuffleTransport):
         directory = self.shuffle_dir(shuffle_id)
         os.makedirs(directory, exist_ok=True)
         name = self._unique_name(f"map-{map_partition}", ".data")
+        return FrameFileWriter(os.path.join(directory, name))
+
+    def input_writer(self, dataset_id: int) -> FrameFileWriter:
+        directory = os.path.join(self.root, "inputs")
+        os.makedirs(directory, exist_ok=True)
+        name = self._unique_name(f"dataset-{dataset_id}", ".data")
         return FrameFileWriter(os.path.join(directory, name))
 
     def remove_shuffle(self, shuffle_id: int) -> None:
@@ -160,9 +174,8 @@ class LocalDirShuffleTransport(ShuffleTransport):
             return
         # durable root: shuffle frame files must survive for recovery, but
         # everything process-scoped is garbage once the driver exits
-        shutil.rmtree(os.path.join(self.root, "scratch"), ignore_errors=True)
-        shutil.rmtree(os.path.join(self.root, "heartbeats"),
-                      ignore_errors=True)
+        for scoped in ("scratch", "heartbeats", "inputs"):
+            shutil.rmtree(os.path.join(self.root, scoped), ignore_errors=True)
         try:
             names = os.listdir(self.root)
         except OSError:

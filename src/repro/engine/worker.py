@@ -6,14 +6,17 @@ holds one :class:`WorkerContext` — a stand-in for the driver's
 computing partitions: ``config``, a :class:`WorkerBlockStore`, a
 :class:`WorkerShuffleClient`, a fresh
 :class:`~repro.engine.memory.MemoryManager` and a per-process spill
-directory.  The driver publishes one serialized *payload* per stage (task
-graphs, the span catalog of every complete upstream shuffle, cached blocks);
-workers deserialize it once, reattach the worker context to every dataset in
-the task graphs, and then answer ``run_stage_task(payload, index, attempt)``
-calls with a plain result dict: the task value, the nine ``TaskContext``
-counters, the spans of any map output written, and dirty cache blocks — so
-byte/spill/peak accounting flows back across the process boundary and job
-metrics stay backend-invariant.
+directory.  The driver publishes one serialized *payload* per stage: the task
+graphs cut at every complete shuffle, filled broadcast and live checkpoint
+(the lineage behind those is a :class:`~repro.engine.dataset.LineageStub`),
+the span catalog of exactly the shuffles the cut graphs read, the cached
+blocks of the datasets they carry, and parallelised input as per-partition
+spans.  Workers deserialize it once, reattach the worker context to every
+dataset in the task graphs, and then answer
+``run_stage_task(payload, index, attempt)`` calls with a plain result dict:
+the task value, the nine ``TaskContext`` counters, the spans of any map
+output written, and dirty cache blocks — so byte/spill/peak accounting flows
+back across the process boundary and job metrics stay backend-invariant.
 
 Fault injection runs *inside* the worker with the same seeded decision
 function the thread backend uses (``seed:task_id:attempt``), so a given
@@ -52,7 +55,7 @@ class WorkerShuffleClient:
     """The worker's view of shuffle data: catalog reads, frame-file writes.
 
     Reads are driven by the *span catalog* the driver ships with each stage
-    payload: for every complete upstream shuffle, the ``(path, offset,
+    payload: for every shuffle the stage reads, the ``(path, offset,
     length, record count, estimated bytes)`` span of each pickle-framed
     bucket.  Reads stream the frames back with
     :func:`~repro.engine.memory.load_frames` and sum the write-side byte
@@ -79,12 +82,19 @@ class WorkerShuffleClient:
         self._seed = seed
         self._corrupt_key: Optional[str] = None
 
-    def begin_task(self, task_id: str, attempt: int) -> None:
-        """Draw this attempt's corruption decision (keyed per attempt).
+    def begin_task(self, task_id: str, attempt: int,
+                   catalog: Dict[int, Dict[str, Any]]) -> None:
+        """Install the task's span catalog; draw its corruption decision.
 
-        A recomputed or retried attempt draws a fresh decision, so an
-        injected corruption is recoverable rather than repeating forever.
+        The catalog is the one the task's own stage payload carries and it
+        *replaces* the previous task's: which spans a task reads never
+        depends on what this worker happened to run before, and a long-lived
+        worker holds one stage's catalog, not one entry per shuffle ever
+        seen.  The corruption decision is keyed per attempt — a recomputed
+        or retried attempt draws a fresh one, so an injected corruption is
+        recoverable rather than repeating forever.
         """
+        self._catalog = catalog
         key = f"{task_id}:{attempt}"
         if should_corrupt(self._seed, self._corruption_rate, key):
             self._corrupt_key = key
@@ -92,10 +102,6 @@ class WorkerShuffleClient:
             self._corrupt_key = None
 
     # -- catalog ------------------------------------------------------------
-
-    def install_catalog(self, catalog: Dict[int, Dict[str, Any]]) -> None:
-        """Merge a stage payload's catalog; later stages refresh per shuffle."""
-        self._catalog.update(catalog)
 
     def _entry(self, shuffle_id: int) -> Dict[str, Any]:
         entry = self._catalog.get(shuffle_id)
@@ -179,8 +185,7 @@ class WorkerShuffleClient:
         written = 0
         try:
             for reduce_partition, records in buckets.items():
-                size = estimate_bytes(list(records), self.compression,
-                                      self.codec)
+                size = estimate_bytes(records, self.compression, self.codec)
                 payload = dump_frames(records, self.codec)
                 if self._corrupt_key is not None:
                     # fault injection: damage the on-disk bytes of one
@@ -322,7 +327,8 @@ def _attach_graph(task: Any, ctx: WorkerContext, seen: set) -> None:
     """Reattach the worker context to every dataset a task can reach.
 
     ``Dataset.__getstate__`` strips the driver context before pickling;
-    this walk installs the worker's stand-in on the deserialized graph.
+    this walk installs the worker's stand-in on the deserialized graph,
+    lineage stubs included (they are leaves: the walk ends at every cut).
     Duck-typed on the task attributes (``_dataset`` for result/skew-slice
     tasks, ``_dependency``/``_shuffle_manager`` for shuffle-map tasks) so
     custom task classes ship without registration.
@@ -351,7 +357,6 @@ def _load_payload(state: _WorkerState, payload_path: str) -> Dict[str, Any]:
         return payload
     with open(payload_path, "rb") as handle:
         payload = serializer.loads(handle.read())
-    state.ctx.shuffle_manager.install_catalog(payload.get("catalog") or {})
     state.ctx.block_store.seed(payload.get("blocks") or {})
     seen: set = set()
     for task in payload["tasks"]:
@@ -379,7 +384,8 @@ def run_stage_task(payload_path: str, task_index: int,
     payload = _load_payload(state, payload_path)
     task = payload["tasks"][task_index]
     task_context = TaskContext()
-    state.ctx.shuffle_manager.begin_task(task.task_id, attempt)
+    state.ctx.shuffle_manager.begin_task(task.task_id, attempt,
+                                         payload["catalog"])
     started = time.perf_counter()
     try:
         if should_inject_failure(state.ctx.config, task.task_id, attempt):

@@ -43,6 +43,8 @@ from repro.engine.shuffle_server import (AddressInUseError, ShuffleFetchClient,
                                          ShuffleServer)
 from repro.errors import ConfigurationError
 
+from payload_probe import recorded_payloads, shipped_graph
+
 _HAVE_CLOSURES = serializer.supports_closures()
 
 needs_closures = pytest.mark.skipif(
@@ -238,6 +240,35 @@ def test_corrupt_checkpoint_degrades_to_lineage(tmp_path):
         # identical answer, corruption only visible in the metrics
         assert sorted(ds.collect()) == expected
         assert not ds.has_checkpoint
+        summary = ctx.metrics.summary()
+    assert summary["recovery_invalid_entries"] >= 1
+
+
+@needs_closures
+def test_corrupt_checkpoint_behind_a_cut_payload_degrades_to_lineage(tmp_path):
+    """Process backend: the payload drops what feeds a checkpointed dataset;
+    when the checkpoint rots the driver republishes from its own lineage."""
+    expected = [(key, value + 1) for key, value in run_cold("thread")]
+    with make_engine("process", tmp_path / "ckpt") as ctx:
+        ds = build_pipeline(ctx).checkpoint()
+        bumped = ds.map(lambda kv: (kv[0], kv[1] + 1))
+        with recorded_payloads(ctx) as served:
+            assert sorted(bumped.collect()) == expected
+        # served from the checkpoint files: the shuffle read that produced
+        # them is behind the cut, and no span catalog rides along
+        (full, stubs), = map(shipped_graph, served)
+        assert ds.id in full and len(stubs) == 1
+        assert serializer.loads(served[0])["catalog"] == {}
+        directory = os.path.join(str(tmp_path / "ckpt"), "checkpoints")
+        for name in os.listdir(directory):
+            with open(os.path.join(directory, name), "r+b") as handle:
+                handle.truncate(3)
+        with recorded_payloads(ctx) as healed:
+            assert sorted(bumped.collect()) == expected
+        assert not ds.has_checkpoint
+        # the failed attempt, then the replanned job reading the shuffle
+        assert len(healed) == 2
+        assert len(serializer.loads(healed[-1])["catalog"]) == 1
         summary = ctx.metrics.summary()
     assert summary["recovery_invalid_entries"] >= 1
 

@@ -31,6 +31,7 @@ from repro.errors import (FetchFailedError, ShuffleCorruptionError,
                           TaskError)
 
 from test_memory_bounded import DATA, OTHER_SIDE, PIPELINES, TINY_CAP
+from payload_probe import recorded_payloads, shipped_graph
 
 _HAVE_CLOSURES = serializer.supports_closures()
 
@@ -227,6 +228,11 @@ CHAOS = {"failure_rate": 0.05, "crash_failure_rate": 0.05,
          "max_stage_retries": 8, "seed": 7}
 
 _fault_hits = {"thread": 0, "process": 0}
+
+#: On-disk frame corruption alone (no wire chaos), at a rate and seed where
+#: a reduce side of the four-round chain below hits a damaged span.
+CUT_CHAOS = {"corruption_rate": 0.15, "max_stage_retries": 8,
+             "fetch_max_retries": 2, "fetch_backoff_s": 0.001, "seed": 7}
 
 
 def run_chaos(backend: str, pipeline_name: str):
@@ -432,6 +438,82 @@ def test_corrupt_transport_frame_triggers_recomputation_process():
         assert job.lost_map_outputs > 0
         assert job.recomputed_tasks > 0
         assert job.stage_retries > 0
+
+
+# -- recovery through a cut stage payload ---------------------------------------
+#
+# The process backend ships a stage only what it reads: the lineage behind a
+# complete shuffle is a stub in the payload.  Recovery therefore has to come
+# from the *driver's* graph — recompute the lost map output from the full
+# lineage and publish a payload that again contains the needed parent.
+
+
+def _chained(ctx, rounds: int = 3):
+    dataset = ctx.parallelize(DATA, 4)
+    for _ in range(rounds):
+        dataset = dataset.reduce_by_key(lambda a, b: a + b, 4) \
+            .map(lambda kv: ((kv[0] * 5 + 1) % 13, kv[1]))
+    return dataset
+
+
+def _shuffle_files(ctx, shuffle_id: int) -> list:
+    directory = ctx._transport.shuffle_dir(shuffle_id)
+    return sorted(os.path.join(directory, name)
+                  for name in os.listdir(directory))
+
+
+@needs_closures
+def test_damage_two_boundaries_upstream_recovers_through_the_cuts():
+    """Lost spans at every boundary heal recursively from driver lineage."""
+    with make_engine("thread") as ctx:
+        expected = _chained(ctx).collect()
+    with make_engine("process", shuffle_transport="tcp", max_stage_retries=4,
+                     fetch_max_retries=1, fetch_backoff_s=0.001) as ctx:
+        ds = _chained(ctx)
+        with recorded_payloads(ctx) as cold:
+            assert ds.collect() == expected
+        # the stage reading the last shuffle never shipped what feeds it
+        assert all(stubs for _, stubs in map(shipped_graph, cold[1:]))
+        first, middle, last = sorted(
+            dependency.shuffle_id
+            for full, _ in map(shipped_graph, cold)
+            for dataset in full.values()
+            for dependency in dataset.dependencies
+            if hasattr(dependency, "shuffle_id"))
+        # the running (result) stage reads ``last``; ``first`` sits two
+        # boundaries upstream of it.  Delete, truncate, delete.
+        os.remove(_shuffle_files(ctx, last)[0])
+        with open(_shuffle_files(ctx, middle)[0], "r+b") as handle:
+            handle.truncate(5)
+        os.remove(_shuffle_files(ctx, first)[0])
+        with recorded_payloads(ctx) as healing:
+            assert ds.collect() == expected
+        job = ctx.metrics.jobs[-1]
+        assert job.lost_map_outputs >= 3
+        assert job.recomputed_tasks >= 3
+        assert job.stage_retries >= 3
+        # the recomputation of ``first`` was republished with the input the
+        # cut payloads had dropped: full lineage, no stub
+        republished = [shipped_graph(data) for data in healing]
+        assert any(not stubs and
+                   any(node.name == "parallelize" for node in full.values())
+                   for full, stubs in republished)
+
+
+@needs_closures
+def test_injected_corruption_in_a_cut_stage_recomputes_from_lineage():
+    with make_engine("thread", seed=CUT_CHAOS["seed"]) as ctx:
+        expected = _chained(ctx, rounds=4).collect()
+    with make_engine("process", shuffle_transport="tcp",
+                     **CUT_CHAOS) as ctx:
+        with recorded_payloads(ctx) as payloads:
+            assert _chained(ctx, rounds=4).collect() == expected
+        summary = ctx.metrics.summary()
+        assert summary["lost_map_outputs"] > 0
+        assert summary["recomputed_tasks"] > 0
+        assert summary["stage_retries"] > 0
+        # more payloads than the five fault-free stages: the recoveries
+        assert len(payloads) > 5
 
 
 def test_fetch_failure_without_retries_propagates():

@@ -25,6 +25,7 @@ from repro.errors import ConfigurationError, SerializationError, TaskError
 
 from test_memory_bounded import (DATA, OTHER_SIDE, PIPELINES, TINY_CAP,
                                  run_pipeline)
+from payload_probe import recorded_payloads, shipped_graph
 
 if not serializer.supports_closures():  # pragma: no cover - cloudpickle ships
     pytest.skip("shipping task closures to worker processes needs cloudpickle",
@@ -178,6 +179,82 @@ def test_cached_datasets_hit_across_stages():
     assert proc_second == thr_second
     assert proc_hits == thr_hits
     assert proc_hits > 0
+
+
+# -- stage payloads are cut per edge, not per object ---------------------------
+
+
+def _diamond(build, **overrides):
+    """Run ``build(ctx, pairs)`` on both backends; return the process side.
+
+    ``(result, pairs id, [(full, stubs) per published payload])`` — after
+    asserting the thread backend computes the identical result and metrics.
+    """
+    options = dict(broadcast_threshold_bytes=0, **overrides)
+    with thread_engine(**options) as ctx:
+        expected = build(ctx, ctx.parallelize(DATA, 4)).collect()
+        thread_summary = ctx.metrics.summary()
+    with process_engine(**options) as ctx:
+        pairs = ctx.parallelize(DATA, 4)
+        with recorded_payloads(ctx) as payloads:
+            result = build(ctx, pairs).collect()
+        assert comparable(ctx.metrics.summary()) == comparable(thread_summary)
+        assert result == expected
+        return result, pairs.id, [shipped_graph(data) for data in payloads]
+
+
+def test_diamond_union_ships_the_shared_parent_on_the_uncut_path():
+    """One payload, one object, two paths: cut on one, narrow on the other."""
+    _, pairs_id, graphs = _diamond(
+        lambda ctx, pairs: pairs.union(
+            pairs.reduce_by_key(lambda a, b: a + b, 4)))
+    map_stage, result_stage = graphs
+    assert pairs_id in map_stage[0] and not map_stage[1]
+    full, stubs = result_stage
+    # the union reads ``pairs`` narrowly, so it ships — while the very same
+    # object behind the complete shuffle of its reduced descendant is a stub
+    assert pairs_id in full and full[pairs_id].name == "parallelize"
+    assert list(stubs) == [pairs_id]
+
+
+def test_diamond_join_ships_the_shared_parent_only_where_it_is_scanned():
+    _, pairs_id, graphs = _diamond(
+        lambda ctx, pairs: pairs.join(
+            pairs.reduce_by_key(lambda a, b: a + b, 4), 4))
+    # four stages: the reduce's map side and the join's left map side scan
+    # ``pairs``; the join's right map side reads the reduce's complete
+    # shuffle; the result stage reads the two cogroup shuffles
+    assert len(graphs) == 4
+    scans = [pairs_id in full for full, _ in graphs]
+    assert sorted(scans) == [False, False, True, True]
+    # a stage ships ``pairs`` in full exactly when an uncut path reaches it
+    assert all((pairs_id in stubs) != scanned
+               for (_, stubs), scanned in zip(graphs, scans))
+    # the right map side stubs only it; the result stage stubs both parents
+    assert sorted(len(stubs) for _, stubs in graphs) == [0, 0, 1, 2]
+    assert len(graphs[-1][1]) == 2
+
+
+def test_diamond_cached_parent_of_two_shuffles_is_never_cut():
+    """A cached parent is evictable in the worker, so its lineage ships."""
+
+    def build(ctx, pairs):
+        base = pairs.map_values(lambda v: v + 1).cache()
+        totals = base.reduce_by_key(lambda a, b: a + b, 4)
+        sizes = base.group_by_key(4).map_values(len)
+        return totals.join(sizes, 4)
+
+    _, pairs_id, graphs = _diamond(build)
+    # every map stage over the cached parent carries it *and* what it would
+    # recompute from, although all but the first find every block cached
+    scanning = [full for full, _ in graphs
+                if any(ds.is_cached for ds in full.values())]
+    assert len(scanning) >= 2
+    assert all(pairs_id in full for full in scanning)
+    # once both shuffles are complete the cached parent is behind a cut
+    full, stubs = graphs[-1]
+    assert not any(ds.is_cached for ds in full.values())
+    assert pairs_id not in full and stubs
 
 
 # -- fault injection and retries ----------------------------------------------
