@@ -124,7 +124,7 @@ def test_e15_memory_bounded(benchmark):
         "the capped wall pays pickle + disk I/O for every spilled bucket "
         "and merge run — the price of the out-of-core workload class; the "
         "default configuration (shuffle_memory_bytes=0) takes none of these "
-        "code paths (bench_e13/bench_e14 are its no-regression guards)",
+        "code paths (bench_e14 is its no-regression guard)",
     ]
     emit_table("E15", "memory-bounded execution (spill-to-disk shuffle)",
                headers, rows, notes=notes)

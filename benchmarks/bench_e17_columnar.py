@@ -5,19 +5,18 @@ Three things are measured:
 * **Scan-bound projection throughput** (the favourable case).  A wide
   schema-bearing scan counted through a two-field projection.  The row path
   materialises every record as a full dict, projects it record-at-a-time and
-  counts the survivors.  The columnar path folds the projection into the
-  scan (only the two referenced column vectors are ever touched) and counts
-  batches by their stored length, without materialising row dicts at all.
-  Full-width rows, pruned rows (pushdown only) and pruned columns (pushdown
-  + ``columnar_enabled``) isolate the two effects; the pruned-columns scan
-  is timed warm (column store already pivoted) and *cold* (first read of a
-  new source, pivot of the two fields included).
+  counts the survivors.  The columnar path (projection pushdown) folds the
+  projection into the scan (only the two referenced column vectors are ever
+  touched) and counts batches by their stored length, without materialising
+  row dicts at all.  The pruned-columns scan is timed warm (column store
+  already pivoted) and *cold* (first read of a new source, pivot of the two
+  fields included).
 
 * **Full-width scan into a UDF** (the unfavourable case).  The same scan
-  mapped through an opaque per-record function and counted, with
-  ``columnar_enabled`` on and off.  Nothing prunes the scan, so both must
-  take the row path: the guard is a count, not a timing — neither
-  configuration may construct a single ``ColumnBatch``.
+  mapped through an opaque per-record function and counted, with every
+  rewrite that could prune it enabled.  Nothing prunes the scan, so it must
+  take the row path: the guard is a count, not a timing — the run may not
+  construct a single ``ColumnBatch``.
 
 * **Spill-byte reduction.**  A spill-heavy ``group_by_key`` over repetitive
   web-log-style values under a tiny shuffle-memory cap, spilled once with
@@ -70,12 +69,11 @@ def _wide_rows():
             for i in range(ROWS)]
 
 
-def _scan_engine(columnar: bool, pushdown: bool) -> EngineContext:
+def _scan_engine(pushdown: bool) -> EngineContext:
     rules = ("pushdown",) if pushdown else ()
     return EngineContext(EngineConfig(
         num_workers=2, default_parallelism=PARTITIONS, seed=0,
-        optimizer_rules=rules, batch_size=BATCH_SIZE,
-        columnar_enabled=columnar))
+        optimizer_rules=rules, batch_size=BATCH_SIZE))
 
 
 @contextmanager
@@ -107,8 +105,7 @@ def _map_udf(events):
     return events.map(_slow_request)
 
 
-def _measure_scan(rows, build, columnar: bool, pushdown: bool,
-                  cold: bool = False):
+def _measure_scan(rows, build, pushdown: bool, cold: bool = False):
     """Best-of-REPS ``count()`` wall of ``build(scan)``.
 
     A first run stamps plans and pivots the requested columns; ``cold``
@@ -116,7 +113,7 @@ def _measure_scan(rows, build, columnar: bool, pushdown: bool,
     so the pivot is inside the timer.  Also returns how many
     ``ColumnBatch`` objects the whole measurement constructed.
     """
-    with _scan_engine(columnar, pushdown) as ctx, \
+    with _scan_engine(pushdown) as ctx, \
             _column_batches_built() as built:
         source = InMemorySource("wide_events", rows, schema=WIDE_SCHEMA)
 
@@ -155,10 +152,9 @@ def test_e17_columnar(benchmark):
     wide_rows = _wide_rows()
 
     configs = {
-        "rows/full": (False, False, False),
-        "rows/pruned": (False, True, False),
-        "columnar/pruned": (True, True, False),
-        "columnar/pruned cold": (True, True, True),
+        "rows/full": (False, False),
+        "columnar/pruned": (True, False),
+        "columnar/pruned cold": (True, True),
     }
     measured = {name: _measure_scan(wide_rows, _project_two, *config)
                 for name, config in configs.items()}
@@ -176,16 +172,10 @@ def test_e17_columnar(benchmark):
         (f"columnar pruned scan speedup {scan_speedup:.2f}x below the "
          f"{SCAN_SPEEDUP_TARGET}x floor")
 
-    full_width = {f"full/columnar_enabled={columnar}":
-                  _measure_scan(wide_rows, _map_udf, columnar, True)
-                  for columnar in (False, True)}
-    udf_count, udf_sample, udf_wall, _ = \
-        full_width["full/columnar_enabled=False"]
-    for name, (count, sample, _, built) in full_width.items():
-        assert count == udf_count, f"{name} changed the count"
-        assert sample == udf_sample, f"{name} changed mapped records"
-        assert built == 0, \
-            f"{name}: a full-width scan built {built} ColumnBatch objects"
+    udf_count, _, udf_wall, built = _measure_scan(wide_rows, _map_udf, True)
+    assert udf_count == base_count, "the UDF map changed the count"
+    assert built == 0, \
+        f"a full-width scan built {built} ColumnBatch objects"
 
     plain_result, plain_spills, plain_bytes = _measure_spill("none")
     packed_result, packed_spills, packed_bytes = _measure_spill("zlib")
@@ -196,15 +186,14 @@ def test_e17_columnar(benchmark):
          f"{SPILL_REDUCTION_TARGET}x floor")
 
     benchmark.pedantic(_measure_scan,
-                       args=(wide_rows, _project_two, True, True),
+                       args=(wide_rows, _project_two, True),
                        rounds=1, iterations=1)
 
     auto_codec = codec_name(resolve_codec("auto", enabled=True))
     headers = ["workload", "config", "wall ms / bytes", "vs baseline"]
     rows = [("scan+project+count", name, wall * 1000, row_wall / wall)
             for name, (_, _, wall, _) in measured.items()]
-    rows += [("scan+udf map+count", name, wall * 1000, udf_wall / wall)
-             for name, (_, _, wall, _) in full_width.items()]
+    rows += [("scan+udf map+count", "full/pushdown", udf_wall * 1000, 1.0)]
     rows += [
         ("spill-heavy groupBy", f"codec=none ({plain_spills} spills)",
          plain_bytes, 1.0),
@@ -215,15 +204,15 @@ def test_e17_columnar(benchmark):
         f"{ROWS} rows x {len(WIDE_SCHEMA.fields)} fields projected to 2, "
         f"{PARTITIONS} partitions, batch_size={BATCH_SIZE}, best of {REPS} "
         "runs; counts and projected records asserted identical across all "
-        "four configurations",
-        "rows/pruned shows projection pushdown alone; columnar/pruned adds "
-        "ColumnBatch scans that count by stored length without "
-        "materialising row dicts; 'cold' re-reads a new source each "
-        "repetition, so pivoting the two requested fields is inside the timer",
+        "three configurations",
+        "columnar/pruned is projection pushdown: a pruned scan of a "
+        "schema-bearing source yields ColumnBatch vectors that count by "
+        "stored length without materialising row dicts; 'cold' re-reads a "
+        "new source each repetition, so pivoting the two requested fields "
+        "is inside the timer",
         "scan+udf map+count is the unfavourable case: nothing prunes the "
-        "scan, so both settings must take the row path — asserted as zero "
-        "ColumnBatch constructions, not as a timing; its 'vs baseline' is "
-        "columnar_enabled=False over the row",
+        "scan, so it must take the row path — asserted as zero ColumnBatch "
+        "constructions, not as a timing",
         "spill bytes are measured payload lengths on the spill files, not "
         "estimates; the reduction ratio is therefore an on-disk measurement",
         f"codec 'auto' resolves to {auto_codec} on this host (lz4 is used "

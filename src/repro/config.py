@@ -62,15 +62,6 @@ class EngineConfig:
         the stdlib ``zlib``; ``"zlib"``, ``"lz4"`` and ``"none"`` force a
         specific codec.  Frames are self-describing (each carries its codec
         in a header), so readers never consult this setting.
-    columnar_enabled:
-        Whether a scan the optimized plan *pruned* to a field subset
-        (``Project(Source)`` over a schema-bearing source) produces
-        columnar batches (:class:`~repro.engine.columnar.ColumnBatch`:
-        per-field vectors with null masks) instead of row-dict lists, so
-        projections slice column vectors and counts skip record
-        materialisation.  Full-width and schema-less scans always pass the
-        source's rows through, whatever this says; results, order and all
-        non-byte metrics are identical either way.
     failure_rate:
         Probability that any task fails spuriously; used by tests and by the
         fault-injection benchmarks.  ``0.0`` disables fault injection.  The
@@ -152,12 +143,11 @@ class EngineConfig:
         small local jobs where a straggler costs microseconds; benchmarks
         and deployments lower it to exercise splitting on modest data.
     batch_size:
-        Number of records per batch in vectorized (batch-at-a-time)
-        execution.  Tasks drain ``Dataset.batch_iterator`` and the narrow
-        operators process whole record lists per call instead of resuming a
-        generator per record; results and record/byte metrics are identical
-        to record-at-a-time execution for every batch size.  ``0`` disables
-        batching entirely and tasks fall back to the per-record iterators.
+        Maximum number of records per batch.  Every operator computes a
+        partition as batches (``Dataset.compute_batches``) and processes
+        whole record lists per call; results and record/byte metrics do not
+        depend on the batch size, only ``batches_processed`` does.  Must be
+        ``>= 1``.
     shuffle_memory_bytes:
         Budget for memory-bounded execution: the total estimated bytes the
         engine may keep resident for shuffle map-output buckets and
@@ -298,7 +288,6 @@ class EngineConfig:
     memory_budget_bytes: int = 256 * 1024 * 1024
     shuffle_compression: bool = True
     spill_codec: str = "auto"
-    columnar_enabled: bool = True
     failure_rate: float = 0.0
     crash_failure_rate: float = 0.0
     corruption_rate: float = 0.0
@@ -356,9 +345,8 @@ class EngineConfig:
             raise ConfigurationError("broadcast_threshold_bytes must be >= 0")
         if self.target_partition_bytes < 0:
             raise ConfigurationError("target_partition_bytes must be >= 0")
-        if self.batch_size < 0:
-            raise ConfigurationError(
-                "batch_size must be >= 0 (0 disables batch execution)")
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
         if self.skew_split_factor < 0:
             raise ConfigurationError(
                 "skew_split_factor must be >= 0 (0 disables skew splitting)")

@@ -372,8 +372,7 @@ class ProceduralToDeployment:
         ``broadcast_threshold_bytes`` bounds the build side of a broadcast
         join, ``target_partition_bytes`` turns on post-shuffle partition
         coalescing, ``adaptive`` toggles mid-job re-optimization,
-        ``batch_size`` tunes vectorized batch execution per campaign
-        (``0`` falls back to record-at-a-time iterators), and
+        ``batch_size`` sets the engine's records per batch, and
         ``skew_split_factor`` / ``skew_min_partition_bytes`` steer runtime
         skew splitting of straggler reduce partitions, and
         ``shuffle_memory_bytes`` caps resident shuffle state for

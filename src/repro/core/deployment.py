@@ -85,9 +85,7 @@ class DeploymentModel:
             engine_batch = self.optimizer_hints.get("batch_size")
             if engine_batch is not None:
                 lines.append(
-                    "  vectorized execution: "
-                    + (f"{engine_batch}-record batches" if engine_batch
-                       else "off (record-at-a-time)"))
+                    f"  vectorized execution: {engine_batch}-record batches")
             skew_factor = self.optimizer_hints.get("skew_split_factor")
             if skew_factor is not None:
                 lines.append(

@@ -33,10 +33,12 @@ from .partitioner import HashPartitioner, Partitioner, RangePartitioner, RoundRo
 # ---------------------------------------------------------------------------
 # Batch plumbing
 #
-# Vectorized execution moves records through the physical layer as plain
-# Python lists of ~``EngineConfig.batch_size`` records.  Operators with a
-# native batch kernel override ``Dataset.compute_batches``; everything else
-# falls back to chunking its record-at-a-time ``compute``.
+# Records move through the physical layer as batches: plain Python lists of
+# at most ``EngineConfig.batch_size`` records (or, from a pruned scan,
+# :class:`~repro.engine.columnar.ColumnBatch` vectors).  Every operator
+# computes a partition one way, ``Dataset.compute_batches``; a consumer that
+# wants records (a ``map_partitions`` UDF, an action without a batch form)
+# gets the batches flattened by ``Dataset.iterator``.
 # ---------------------------------------------------------------------------
 
 
@@ -56,17 +58,19 @@ def chunk_iterator(iterator: Iterator[Any], batch_size: int) -> Iterator[List[An
         yield batch
 
 
-# Action partition functions, like the map-side bucketers, carry a
-# ``process_batches`` companion so result tasks in batch mode never unroll
-# batches back into a per-record iterator for the hottest actions.
+def batch_action(func: Callable[[Iterator[List[Any]]], Any]):
+    """Mark an action's partition function as consuming batches.
+
+    A result task hands such a function the partition's batch iterator;
+    every other action function receives the flattened records.
+    """
+    func.consumes_batches = True
+    return func
 
 
-def collect_partition(iterator: Iterator[Any]) -> List[Any]:
+@batch_action
+def collect_partition(batches: Iterable[List[Any]]) -> List[Any]:
     """Result-side of ``collect``: materialise the partition."""
-    return list(iterator)
-
-
-def _collect_batches(batches: Iterable[List[Any]]) -> List[Any]:
     records: List[Any] = []
     extend = records.extend
     for batch in batches:
@@ -74,19 +78,10 @@ def _collect_batches(batches: Iterable[List[Any]]) -> List[Any]:
     return records
 
 
-collect_partition.process_batches = _collect_batches
-
-
-def count_partition(iterator: Iterator[Any]) -> int:
+@batch_action
+def count_partition(batches: Iterable[List[Any]]) -> int:
     """Result-side of ``count``: tally the partition's records."""
-    return sum(1 for _ in iterator)
-
-
-def _count_batches(batches: Iterable[List[Any]]) -> int:
     return sum(map(len, batches))
-
-
-count_partition.process_batches = _count_batches
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +92,10 @@ count_partition.process_batches = _count_batches
 # records the *unoptimized* physical form) and the plan optimizer's lowering
 # (which may pick a different physical form, e.g. map-side combining).
 #
-# Every map-side function carries a ``process_batches`` attribute: the batch
-# analogue consuming an iterable of record lists.  It produces byte-identical
-# buckets (same records, same order) so shuffle contents and byte accounting
-# do not depend on the execution mode or batch size.
+# A map-side function consumes one parent partition as its iterable of
+# batches and returns ``{reduce partition: [records]}``; the buckets do not
+# depend on how the records were batched, so shuffle contents and byte
+# accounting do not depend on the batch size.
 # ---------------------------------------------------------------------------
 
 
@@ -113,15 +108,7 @@ def record_bucketer(partitioner: Partitioner):
     a recomputed map task rebuilds byte-identical buckets.
     """
 
-    def map_side(iterator: Iterator[Any]) -> Dict[int, List[Any]]:
-        partition_for = partitioner.task_partition_for()
-        buckets: Dict[int, List[Any]] = {}
-        setdefault = buckets.setdefault
-        for record in iterator:
-            setdefault(partition_for(record), []).append(record)
-        return buckets
-
-    def process_batches(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
+    def map_side(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
         partition_for = partitioner.task_partition_for()
         buckets: Dict[int, List[Any]] = {}
         setdefault = buckets.setdefault
@@ -130,22 +117,13 @@ def record_bucketer(partitioner: Partitioner):
                 setdefault(partition_for(record), []).append(record)
         return buckets
 
-    map_side.process_batches = process_batches
     return map_side
 
 
 def key_bucketer(partitioner: Partitioner):
     """Map side: bucket ``(key, value)`` pairs by key, without combining."""
 
-    def map_side(iterator: Iterator[Any]) -> Dict[int, List[Any]]:
-        partition_for = partitioner.task_partition_for()
-        buckets: Dict[int, List[Any]] = {}
-        setdefault = buckets.setdefault
-        for key, value in iterator:
-            setdefault(partition_for(key), []).append((key, value))
-        return buckets
-
-    def process_batches(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
+    def map_side(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
         partition_for = partitioner.task_partition_for()
         buckets: Dict[int, List[Any]] = {}
         setdefault = buckets.setdefault
@@ -154,31 +132,13 @@ def key_bucketer(partitioner: Partitioner):
                 setdefault(partition_for(key), []).append((key, value))
         return buckets
 
-    map_side.process_batches = process_batches
     return map_side
 
 
 def combining_map_side(create_combiner, merge_value, partitioner: Partitioner):
     """Map side with per-key pre-aggregation (inserted by the optimizer)."""
 
-    def bucket_combined(combined: Dict[Any, Any]) -> Dict[int, List[Any]]:
-        partition_for = partitioner.task_partition_for()
-        buckets: Dict[int, List[Any]] = {}
-        setdefault = buckets.setdefault
-        for key, combiner in combined.items():
-            setdefault(partition_for(key), []).append((key, combiner))
-        return buckets
-
-    def map_side(iterator: Iterator[Any]) -> Dict[int, List[Any]]:
-        combined: Dict[Any, Any] = {}
-        for key, value in iterator:
-            if key in combined:
-                combined[key] = merge_value(combined[key], value)
-            else:
-                combined[key] = create_combiner(value)
-        return bucket_combined(combined)
-
-    def process_batches(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
+    def map_side(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
         combined: Dict[Any, Any] = {}
         for batch in batches:
             for key, value in batch:
@@ -186,9 +146,13 @@ def combining_map_side(create_combiner, merge_value, partitioner: Partitioner):
                     combined[key] = merge_value(combined[key], value)
                 else:
                     combined[key] = create_combiner(value)
-        return bucket_combined(combined)
+        partition_for = partitioner.task_partition_for()
+        buckets: Dict[int, List[Any]] = {}
+        setdefault = buckets.setdefault
+        for key, combiner in combined.items():
+            setdefault(partition_for(key), []).append((key, combiner))
+        return buckets
 
-    map_side.process_batches = process_batches
     return map_side
 
 
@@ -347,19 +311,7 @@ local_group = group_reduce
 def distinct_map_side(partitioner: Partitioner):
     """Map side of ``distinct``: de-duplicate locally, bucket by record."""
 
-    def map_side(iterator: Iterator[Any]) -> Dict[int, List[Any]]:
-        partition_for = partitioner.task_partition_for()
-        buckets: Dict[int, List[Any]] = {}
-        setdefault = buckets.setdefault
-        seen = set()
-        for record in iterator:
-            if record in seen:
-                continue
-            seen.add(record)
-            setdefault(partition_for(record), []).append(record)
-        return buckets
-
-    def process_batches(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
+    def map_side(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
         partition_for = partitioner.task_partition_for()
         buckets: Dict[int, List[Any]] = {}
         setdefault = buckets.setdefault
@@ -372,7 +324,6 @@ def distinct_map_side(partitioner: Partitioner):
                 setdefault(partition_for(record), []).append(record)
         return buckets
 
-    map_side.process_batches = process_batches
     return map_side
 
 
@@ -421,7 +372,7 @@ class TaskContext:
         self.shuffle_bytes_read = 0
         self.shuffle_bytes_written = 0
         self.cache_hits = 0
-        #: Batches drained by the task (0 under record-at-a-time execution).
+        #: Batches drained by the task.
         self.batches_processed = 0
         #: Spill events (shuffle buckets or reduce-side runs written to
         #: disk) this task triggered, and the serialised bytes they moved.
@@ -534,12 +485,12 @@ class NarrowDependency(Dependency):
 class ShuffleDependency(Dependency):
     """Child partitions depend on *all* parent partitions through a shuffle.
 
-    ``map_side`` receives the iterator of one parent partition and returns a
+    ``map_side`` receives the batches of one parent partition and returns a
     dict mapping reduce-partition index to the list of records bound for it.
     """
 
     def __init__(self, parent: "Dataset", partitioner: Partitioner,
-                 map_side: Callable[[Iterator[Any]], Dict[int, List[Any]]],
+                 map_side: Callable[[Iterator[List[Any]]], Dict[int, List[Any]]],
                  shuffle_id: int):
         super().__init__(parent)
         self.partitioner = partitioner
@@ -686,22 +637,22 @@ class Dataset:
     def __setstate__(self, state):
         self.__dict__.update(state)
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        """Compute the records of one partition (narrow evaluation)."""
+    def compute_batches(self, partition: int, task_context: TaskContext,
+                        batch_size: int) -> Iterator[List[Any]]:
+        """Compute one partition as batches of at most ``batch_size`` records.
+
+        The one way a partition is computed: every operator implements it,
+        pulling its parents through :meth:`batch_iterator`.
+        """
         raise NotImplementedError
 
     def iterator(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        """Compute a partition, honouring the cache when the dataset is persisted."""
-        if self.is_cached or self._share_key is not None:
-            records = self._materialized(partition, task_context, None)
-            if records is not None:
-                return iter(records)
-        if self.has_checkpoint:
-            return iter(self._checkpoint_records(partition, task_context))
-        return self.compute(partition, task_context)
+        """The records of one partition: :meth:`batch_iterator`, flattened."""
+        return itertools.chain.from_iterable(
+            self.batch_iterator(partition, task_context))
 
-    def _materialized(self, partition: int, task_context: TaskContext,
-                      batch_size: Optional[int]) -> Optional[List[Any]]:
+    def _materialized(self, partition: int,
+                      task_context: TaskContext) -> Optional[List[Any]]:
         """One partition of a persisted dataset as a list, or ``None``.
 
         Looks in the context's own store (``cache()``), then — on a local
@@ -709,7 +660,6 @@ class Dataset:
         the partition and leaves it wherever it is wanted.  ``None`` means
         nobody keeps this block (a shared-only dataset whose key the
         borrowed store declines): the caller streams it as if unmarked.
-        ``batch_size`` picks the kernel that computes a miss.
         """
         local = self.ctx.block_store if self.is_cached else None
         shared = self.ctx.shared_blocks if self._share_key is not None else None
@@ -733,13 +683,9 @@ class Dataset:
             return None
         if self.has_checkpoint:
             records = self._checkpoint_records(partition, task_context)
-        elif batch_size is None:
-            records = list(self.compute(partition, task_context))
         else:
-            records = []
-            for batch in self.compute_batches(partition, task_context,
-                                              batch_size):
-                records.extend(batch)
+            records = collect_partition(self.compute_batches(
+                partition, task_context, self.ctx.config.batch_size))
         if local is not None:
             local.put(self.id, partition, records)
         if publish:
@@ -749,30 +695,16 @@ class Dataset:
         task_context.records_written += len(records)
         return records
 
-    def compute_batches(self, partition: int, task_context: TaskContext,
-                        batch_size: int) -> Iterator[List[Any]]:
-        """Compute one partition as batches of at most ``batch_size`` records.
-
-        The base implementation chunks the record-at-a-time :meth:`compute`,
-        so any operator works in batch mode; operators on the hot path
-        override this with a native kernel that processes whole lists per
-        call (and pulls its parent through :meth:`batch_iterator`, keeping
-        the batch pipeline unbroken).
-        """
-        return chunk_iterator(self.compute(partition, task_context), batch_size)
-
     def batch_iterator(self, partition: int,
                        task_context: TaskContext) -> Iterator[List[Any]]:
-        """Batch analogue of :meth:`iterator`: honours the cache.
+        """Compute a partition in batches, honouring cache and checkpoint.
 
-        Yields the same records in the same order as :meth:`iterator`, in
-        lists of at most ``EngineConfig.batch_size`` records, with identical
-        record/byte metric accounting (counted once per batch or cached
-        block instead of once per record).
+        Batches hold at most ``EngineConfig.batch_size`` records; record and
+        byte metrics are counted once per batch or stored block.
         """
-        batch_size = max(1, self.ctx.config.batch_size)
+        batch_size = self.ctx.config.batch_size
         if self.is_cached or self._share_key is not None:
-            records = self._materialized(partition, task_context, batch_size)
+            records = self._materialized(partition, task_context)
             if records is not None:
                 return chunk_list(records, batch_size)
         if self.has_checkpoint:
@@ -1466,7 +1398,8 @@ class LineageStub(Dataset):
         self._checkpoint = None
         self._share_key = None
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
+    def compute_batches(self, partition: int, task_context: TaskContext,
+                        batch_size: int) -> Iterator[List[Any]]:
         raise PlanError(
             f"dataset '{self.name}' (id {self.id}) was cut from this stage's "
             f"payload: it sits behind a complete shuffle, a filled broadcast "
@@ -1544,27 +1477,14 @@ class ParallelCollectionDataset(Dataset):
                 offset=offset)
         return records
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
+    def compute_batches(self, partition: int, task_context: TaskContext,
+                        batch_size: int) -> Iterator[List[Any]]:
         if self._data is None:
             records = self._published_records(partition)
         else:
             start, end = self._bounds(partition)
             records = self._data[start:end]
-        for record in records:
-            task_context.records_read += 1
-            yield record
-
-    def compute_batches(self, partition: int, task_context: TaskContext,
-                        batch_size: int) -> Iterator[List[Any]]:
-        if self._data is None:
-            for batch in chunk_list(self._published_records(partition),
-                                    batch_size):
-                task_context.records_read += len(batch)
-                yield batch
-            return
-        start, end = self._bounds(partition)
-        for low in range(start, end, batch_size):
-            batch = self._data[low:min(low + batch_size, end)]
+        for batch in chunk_list(records, batch_size):
             task_context.records_read += len(batch)
             yield batch
 
@@ -1599,23 +1519,18 @@ class SourceDataset(Dataset):
         return ({name: record.get(name) for name in names}
                 for record in records)
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        for record in self._rows(partition):
-            task_context.records_read += 1
-            yield record
-
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
-        if self._columns is not None and self.ctx.config.columnar_enabled:
+        columns = None
+        if self._columns is not None:
             columns = self._source.read_partition_columns(
                 partition, self.num_partitions, self._columns)
-            if columns is not None:
-                for start in range(0, len(columns), batch_size):
-                    chunk = columns.slice(start, start + batch_size)
-                    task_context.records_read += len(chunk)
-                    yield chunk
-                return
-        for batch in chunk_iterator(self._rows(partition), batch_size):
+        if columns is not None:
+            batches = (columns.slice(start, start + batch_size)
+                       for start in range(0, len(columns), batch_size))
+        else:
+            batches = chunk_iterator(self._rows(partition), batch_size)
+        for batch in batches:
             task_context.records_read += len(batch)
             yield batch
 
@@ -1627,10 +1542,6 @@ class MappedDataset(Dataset):
         super().__init__(parent.ctx, parent.num_partitions,
                          [NarrowDependency(parent)], name="map")
         self._func = func
-
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        parent = self.dependencies[0].parent
-        return map(self._func, parent.iterator(partition, task_context))
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
@@ -1655,10 +1566,6 @@ class FilteredDataset(Dataset):
                          [NarrowDependency(parent)], name="filter")
         self._predicate = predicate
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        parent = self.dependencies[0].parent
-        return filter(self._predicate, parent.iterator(partition, task_context))
-
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
         predicate = self._predicate
@@ -1677,12 +1584,6 @@ class FlatMappedDataset(Dataset):
                          [NarrowDependency(parent)], name="flat_map")
         self._func = func
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        parent = self.dependencies[0].parent
-        for record in parent.iterator(partition, task_context):
-            for produced in self._func(record):
-                yield produced
-
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
         # expansion is streamed at C level and re-chunked: materialising a
@@ -1690,8 +1591,7 @@ class FlatMappedDataset(Dataset):
         # locality when records fan out (e.g. join emission after cogroup)
         parent = self.dependencies[0].parent
         records = itertools.chain.from_iterable(
-            map(self._func, itertools.chain.from_iterable(
-                parent.batch_iterator(partition, task_context))))
+            map(self._func, parent.iterator(partition, task_context)))
         return chunk_iterator(records, batch_size)
 
 
@@ -1705,14 +1605,15 @@ class MapPartitionsDataset(Dataset):
         self._func = func
         self._with_index = with_index
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        parent = self.dependencies[0].parent
-        iterator = parent.iterator(partition, task_context)
+    def compute_batches(self, partition: int, task_context: TaskContext,
+                        batch_size: int) -> Iterator[List[Any]]:
+        # the UDF owns the partition's record iterator; its output re-chunks
+        records = self.dependencies[0].parent.iterator(partition, task_context)
         if self._with_index:
-            produced = self._func(partition, iterator)
+            produced = self._func(partition, records)
         else:
-            produced = self._func(iterator)
-        return iter(produced)
+            produced = self._func(records)
+        return chunk_iterator(produced, batch_size)
 
 
 class FusedDataset(Dataset):
@@ -1736,18 +1637,6 @@ class FusedDataset(Dataset):
                 raise PlanError(f"cannot fuse operator kind {kind!r}")
         self._stages = list(stages)
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        parent = self.dependencies[0].parent
-        iterator = parent.iterator(partition, task_context)
-        for kind, func in self._stages:
-            if kind in ("map", "project"):
-                iterator = map(func, iterator)
-            elif kind == "filter":
-                iterator = filter(func, iterator)
-            else:  # flat_map
-                iterator = itertools.chain.from_iterable(map(func, iterator))
-        return iterator
-
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
         parent = self.dependencies[0].parent
@@ -1756,8 +1645,7 @@ class FusedDataset(Dataset):
             # expansions stream at C level and re-chunk (see
             # FlatMappedDataset.compute_batches); the parent still feeds
             # the chain batch-at-a-time
-            iterator: Iterator[Any] = itertools.chain.from_iterable(
-                parent.batch_iterator(partition, task_context))
+            iterator = parent.iterator(partition, task_context)
             for kind, func in stages:
                 if kind in ("map", "project"):
                     iterator = map(func, iterator)
@@ -1812,11 +1700,6 @@ class UnionDataset(Dataset):
             for position, parent in enumerate(parents)
             for index in range(parent.num_partitions)]
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        position, parent_partition = self._offsets[partition]
-        return self.dependencies[position].parent.iterator(
-            parent_partition, task_context)
-
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
         position, parent_partition = self._offsets[partition]
@@ -1833,17 +1716,10 @@ class SampleDataset(Dataset):
         self._fraction = fraction
         self._seed = seed
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        parent = self.dependencies[0].parent
-        rng = random.Random(f"{self._seed}:{partition}")
-        for record in parent.iterator(partition, task_context):
-            if rng.random() < self._fraction:
-                yield record
-
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
-        # one rng.random() call per record in partition order, exactly like
-        # compute(), so both modes keep the same records for a given seed
+        # one rng seeded per partition, one draw per record in partition
+        # order: the kept records do not depend on the batch size
         parent = self.dependencies[0].parent
         rand = random.Random(f"{self._seed}:{partition}").random
         fraction = self._fraction
@@ -1863,18 +1739,11 @@ class CoalescedDataset(Dataset):
         for index in range(parent.num_partitions):
             self._groups[index % num_partitions].append(index)
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        parent = self.dependencies[0].parent
-        for parent_partition in self._groups[partition]:
-            for record in parent.iterator(parent_partition, task_context):
-                yield record
-
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
         parent = self.dependencies[0].parent
         for parent_partition in self._groups[partition]:
-            for batch in parent.batch_iterator(parent_partition, task_context):
-                yield batch
+            yield from parent.batch_iterator(parent_partition, task_context)
 
 
 # ---------------------------------------------------------------------------
@@ -1999,7 +1868,7 @@ class ShuffledDataset(Dataset, SplittableShuffleRead):
         return self._reduce_side is None or self._merge_slices is not None
 
     def _compute_external(self, partition: int,
-                          task_context: TaskContext) -> Iterator[Any]:
+                          task_context: TaskContext) -> Iterable[Any]:
         """Memory-bounded reduce of one partition.
 
         Buckets are streamed in map order (spilled buckets loaded one at a
@@ -2031,9 +1900,7 @@ class ShuffledDataset(Dataset, SplittableShuffleRead):
             if not accumulator.runs:
                 # everything fit: reduce exactly like the resident path
                 accumulator.release()
-                if self._reduce_side is None:
-                    return iter(current)
-                return iter(self._reduce_side(current))
+                return self._reduce(current)
             tail = close_run()
         except BaseException:
             accumulator.cleanup()
@@ -2070,44 +1937,26 @@ class ShuffledDataset(Dataset, SplittableShuffleRead):
         finally:
             accumulator.cleanup()
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        override = self._pop_override(partition)
-        if override is not None:
-            # already fully reduced by the sub-read tasks (bytes were
-            # accounted there); serve the merged records as-is
-            return iter(override)
-        if self._external_merge_enabled():
-            return self._compute_external(partition, task_context)
-        dependency = self.shuffle_dependency
-        records, size = self.ctx.shuffle_manager.read_reduce_input(
-            dependency.shuffle_id, partition)
-        task_context.shuffle_bytes_read += size
-        _note_memory_peak(self.ctx, task_context)
-        if self._reduce_side is None:
-            return iter(records)
-        return iter(self._reduce_side(records))
+    def _reduce(self, records: List[Any]) -> Iterable[Any]:
+        return records if self._reduce_side is None \
+            else self._reduce_side(records)
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
-        override = self._pop_override(partition)
-        if override is not None:
-            if isinstance(override, list):
-                return chunk_list(override, batch_size)
-            return chunk_iterator(override, batch_size)
-        if self._external_merge_enabled():
-            return chunk_iterator(
-                self._compute_external(partition, task_context), batch_size)
-        dependency = self.shuffle_dependency
-        records, size = self.ctx.shuffle_manager.read_reduce_input(
-            dependency.shuffle_id, partition)
-        task_context.shuffle_bytes_read += size
-        _note_memory_peak(self.ctx, task_context)
-        if self._reduce_side is not None:
-            reduced = self._reduce_side(records)
-            if isinstance(reduced, list):
-                return chunk_list(reduced, batch_size)
-            return chunk_iterator(reduced, batch_size)
-        return chunk_list(records, batch_size)
+        # a skew-split partition was already reduced by its sub-read tasks
+        # (bytes were accounted there): serve the merged records as-is
+        reduced = self._pop_override(partition)
+        if reduced is None and self._external_merge_enabled():
+            reduced = self._compute_external(partition, task_context)
+        elif reduced is None:
+            records, size = self.ctx.shuffle_manager.read_reduce_input(
+                self.shuffle_dependency.shuffle_id, partition)
+            task_context.shuffle_bytes_read += size
+            _note_memory_peak(self.ctx, task_context)
+            reduced = self._reduce(records)
+        if isinstance(reduced, list):
+            return chunk_list(reduced, batch_size)
+        return chunk_iterator(reduced, batch_size)
 
 
 def _merge_cogroup_partials(partials) -> Dict[Any, Tuple[List[Any], List[Any]]]:
@@ -2135,16 +1984,8 @@ class CoGroupedDataset(Dataset, SplittableShuffleRead):
     def __init__(self, left: Dataset, right: Dataset, partitioner: Partitioner):
         ctx = left.ctx
 
-        def tagged_map_side(tag: int) -> Callable[[Iterator[Any]], Dict[int, List[Any]]]:
-            def map_side(iterator: Iterator[Any]) -> Dict[int, List[Any]]:
-                partition_for = partitioner.task_partition_for()
-                buckets: Dict[int, List[Any]] = {}
-                setdefault = buckets.setdefault
-                for key, value in iterator:
-                    setdefault(partition_for(key), []).append((key, tag, value))
-                return buckets
-
-            def process_batches(batches) -> Dict[int, List[Any]]:
+        def tagged_map_side(tag: int):
+            def map_side(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
                 partition_for = partitioner.task_partition_for()
                 buckets: Dict[int, List[Any]] = {}
                 setdefault = buckets.setdefault
@@ -2153,7 +1994,6 @@ class CoGroupedDataset(Dataset, SplittableShuffleRead):
                         setdefault(partition_for(key), []).append((key, tag, value))
                 return buckets
 
-            map_side.process_batches = process_batches
             return map_side
 
         left_dep = ShuffleDependency(left, partitioner, tagged_map_side(0),
@@ -2195,8 +2035,8 @@ class CoGroupedDataset(Dataset, SplittableShuffleRead):
         return memory is not None and memory.bounded and \
             getattr(self.ctx, "spill_dir", None) is not None
 
-    def _compute_external(self, partition: int,
-                          task_context: TaskContext) -> Iterator[Any]:
+    def _compute_external(self, partition: int, task_context: TaskContext
+                          ) -> Dict[Any, Tuple[List[Any], List[Any]]]:
         """Memory-bounded cogroup: bounded grouped partials, spilled runs.
 
         Buckets stream in dependency order (left slices first, then right),
@@ -2224,30 +2064,29 @@ class CoGroupedDataset(Dataset, SplittableShuffleRead):
                     if accumulator.maybe_spill(lambda: current):
                         current = {}
             if not accumulator.runs:
-                return iter(current.items())
-            merged = _merge_cogroup_partials(itertools.chain(
+                return current
+            return _merge_cogroup_partials(itertools.chain(
                 (run.load_dict() for run in accumulator.runs), [current]))
-            return iter(merged.items())
         finally:
             accumulator.cleanup()
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        override = self._pop_override(partition)
-        if override is not None:
-            return iter(override.items())
-        if self._external_merge_enabled():
-            return self._compute_external(partition, task_context)
-        grouped: Dict[Any, Tuple[List[Any], List[Any]]] = {}
-        for dependency in self.dependencies:
-            records, size = self.ctx.shuffle_manager.read_reduce_input(
-                dependency.shuffle_id, partition)
-            task_context.shuffle_bytes_read += size
-            for key, tag, value in records:
-                if key not in grouped:
-                    grouped[key] = ([], [])
-                grouped[key][tag].append(value)
-        _note_memory_peak(self.ctx, task_context)
-        return iter(grouped.items())
+    def compute_batches(self, partition: int, task_context: TaskContext,
+                        batch_size: int) -> Iterator[List[Any]]:
+        grouped = self._pop_override(partition)
+        if grouped is None and self._external_merge_enabled():
+            grouped = self._compute_external(partition, task_context)
+        elif grouped is None:
+            grouped = {}
+            for dependency in self.dependencies:
+                records, size = self.ctx.shuffle_manager.read_reduce_input(
+                    dependency.shuffle_id, partition)
+                task_context.shuffle_bytes_read += size
+                for key, tag, value in records:
+                    if key not in grouped:
+                        grouped[key] = ([], [])
+                    grouped[key][tag].append(value)
+            _note_memory_peak(self.ctx, task_context)
+        return chunk_iterator(grouped.items(), batch_size)
 
 
 def broadcast_preserves_build(how: str, build_side: str) -> bool:
@@ -2310,56 +2149,34 @@ class BroadcastJoinDataset(Dataset):
             return (key, (stream_values, build_values))
         return (key, (build_values, stream_values))
 
-    def compute(self, partition: int, task_context: TaskContext) -> Iterator[Any]:
-        if not self._build_holder.ready:
+    def _prepared(self, holder: Optional[Broadcast], what: str) -> Any:
+        if holder is None or not holder.ready:
             raise PlanError(
-                f"broadcast input of {self.name} was not prepared; "
+                f"{what} of {self.name} was not prepared; "
                 "broadcast joins must run through the DAG scheduler")
-        build_map: Dict[Any, List[Any]] = self._build_holder.value
-        stream = self._stream
-        if partition < stream.num_partitions:
-            grouped: Dict[Any, List[Any]] = {}
-            for key, value in stream.iterator(partition, task_context):
-                grouped.setdefault(key, []).append(value)
-            for key, values in grouped.items():
-                pair = self._pair(key, values, build_map.get(key, []))
-                for produced in self._emit(pair):
-                    yield produced
-            return
-        # the unmatched-build partition: build keys never seen by the stream
-        if self._stream_keys_holder is None or not self._stream_keys_holder.ready:
-            raise PlanError(
-                f"stream key set of {self.name} was not prepared; "
-                "broadcast joins must run through the DAG scheduler")
-        stream_keys = self._stream_keys_holder.value
-        for key, values in build_map.items():
-            if key in stream_keys:
-                continue
-            pair = self._pair(key, [], values)
-            for produced in self._emit(pair):
-                yield produced
+        return holder.value
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
+        build_map: Dict[Any, List[Any]] = self._prepared(
+            self._build_holder, "broadcast input")
         stream = self._stream
         if partition >= stream.num_partitions:
-            # the unmatched-build partition is bounded by the (small)
-            # broadcast build side: chunking the record path is enough
-            yield from chunk_iterator(
-                self.compute(partition, task_context), batch_size)
+            # the unmatched-build partition: build keys never seen by the
+            # stream, bounded by the (small) broadcast build side
+            stream_keys = self._prepared(self._stream_keys_holder,
+                                         "stream key set")
+            yield from chunk_iterator(itertools.chain.from_iterable(
+                self._emit(self._pair(key, [], values))
+                for key, values in build_map.items()
+                if key not in stream_keys), batch_size)
             return
-        if not self._build_holder.ready:
-            raise PlanError(
-                f"broadcast input of {self.name} was not prepared; "
-                "broadcast joins must run through the DAG scheduler")
-        # same grouping as compute(), fed by the stream's batch pipeline;
-        # grouped insertion order is first-appearance order in both modes
+        # group the stream partition by key in first-appearance order
         grouped: Dict[Any, List[Any]] = {}
         setdefault = grouped.setdefault
         for batch in stream.batch_iterator(partition, task_context):
             for key, value in batch:
                 setdefault(key, []).append(value)
-        build_map: Dict[Any, List[Any]] = self._build_holder.value
         produced: List[Any] = []
         extend = produced.extend
         for key, values in grouped.items():

@@ -27,8 +27,8 @@ class TaskMetrics:
     shuffle_bytes_written: int = 0
     shuffle_bytes_read: int = 0
     cache_hits: int = 0
-    #: Batches the task drained under vectorized execution (0 when the
-    #: engine runs record-at-a-time); record/byte counts are mode-invariant.
+    #: Batches the task drained; record/byte counts do not depend on the
+    #: batch size, this count does.
     batches_processed: int = 0
     #: Spill events this task triggered under memory-bounded execution
     #: (shuffle buckets or reduce-side merge runs written to disk) and the
@@ -274,7 +274,7 @@ class JobMetrics:
 
     @property
     def batches_processed(self) -> int:
-        """Batches drained by the job's tasks (0 in record-at-a-time mode)."""
+        """Batches drained by the job's tasks."""
         return sum(s.batches_processed for s in self.stages)
 
     @property

@@ -78,7 +78,7 @@ from .plan import (AggregateNode, BroadcastJoinNode, CheckpointScanNode,
                    SortNode, SourceNode, UnionNode, output_partitioning)
 from .stats import StatsEstimator
 
-#: Narrow record-at-a-time operators the ``fuse_narrow`` rule may collapse.
+#: Narrow per-record operators the ``fuse_narrow`` rule may collapse.
 _FUSABLE = (MapNode, FilterNode, FlatMapNode, ProjectNode)
 
 #: Upper bound on pushdown fixpoint iterations (a filter can sink through at

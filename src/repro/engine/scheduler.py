@@ -205,10 +205,8 @@ def _counted_batches(batches: Iterator[List[Any]],
 class ShuffleMapTask(Task):
     """Computes one parent partition and buckets it for a shuffle.
 
-    In batch mode (``EngineConfig.batch_size > 0``) the parent partition is
-    drained through its batch pipeline and bucketed whole batches at a time
-    via the map-side function's ``process_batches`` companion; the buckets
-    are identical to the record-at-a-time ones either way.
+    The parent partition is drained through its batch pipeline straight
+    into the dependency's map-side function.
     """
 
     def __init__(self, task_id: str, stage_id: int, partition: int,
@@ -226,17 +224,8 @@ class ShuffleMapTask(Task):
 
     def run(self, task_context: TaskContext) -> Any:
         parent = self._dependency.parent
-        map_side = self._dependency.map_side
-        if parent.ctx.config.batch_size > 0:
-            batches = _counted_batches(
-                parent.batch_iterator(self.partition, task_context), task_context)
-            process_batches = getattr(map_side, "process_batches", None)
-            if process_batches is not None:
-                buckets = process_batches(batches)
-            else:
-                buckets = map_side(itertools.chain.from_iterable(batches))
-        else:
-            buckets = map_side(parent.iterator(self.partition, task_context))
+        buckets = self._dependency.map_side(_counted_batches(
+            parent.batch_iterator(self.partition, task_context), task_context))
         written_records = sum(len(records) for records in buckets.values())
         written_bytes = self._shuffle_manager.write_map_output(
             self._dependency.shuffle_id, self.partition, buckets,
@@ -279,18 +268,15 @@ class ResultTask(Task):
         # records the action consumes are *reads* (sources and caches count
         # them while the iterator is drained); ``records_written`` is
         # reserved for materialised output: shuffle files and cached blocks
-        dataset = self._dataset
-        if dataset.ctx.config.batch_size > 0:
-            batches = _counted_batches(
-                dataset.batch_iterator(self.partition, task_context), task_context)
-            process_batches = getattr(self._func, "process_batches", None)
-            if process_batches is not None:
-                # batch-native action (collect, count): whole lists per call
-                return process_batches(batches)
-            # any other action sees a flat record iterator (one C-level
-            # chain per batch, not one generator resumption per record)
-            return self._func(itertools.chain.from_iterable(batches))
-        return self._func(dataset.iterator(self.partition, task_context))
+        batches = _counted_batches(
+            self._dataset.batch_iterator(self.partition, task_context),
+            task_context)
+        if getattr(self._func, "consumes_batches", False):
+            # batch-native action (collect, count): whole lists per call
+            return self._func(batches)
+        # any other action sees a flat record iterator (one C-level chain
+        # per batch, not one generator resumption per record)
+        return self._func(itertools.chain.from_iterable(batches))
 
 
 class DAGScheduler:

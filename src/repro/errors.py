@@ -93,10 +93,6 @@ class FetchFailedError(ShuffleError):
         self.map_partition = map_partition
 
 
-class StorageError(EngineError):
-    """The storage layer could not honour a cache/persist request."""
-
-
 class StreamError(EngineError):
     """A streaming job was misconfigured or its source was exhausted."""
 

@@ -108,10 +108,11 @@ class TestOptimizerHints:
         assert "256-record batches" in campaign.deployment.describe()
 
     def test_engine_batching_disabled_from_spec(self):
-        campaign = CampaignCompiler().compile(
-            _spec(num_partitions=4, batch_size=0))
-        assert campaign.deployment.engine_config.batch_size == 0
-        assert "record-at-a-time" in campaign.deployment.describe()
+        # batches are the only execution mode: a zero batch size is bad input
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            CampaignCompiler().compile(_spec(num_partitions=4, batch_size=0))
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            EngineConfig(batch_size=0)
 
     def test_negative_engine_batch_size_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,11 +1,12 @@
-"""Batch/record execution parity: vectorized mode is a pure optimization.
+"""Batch execution checked against the reference plan interpreter.
 
-Every pipeline must produce identical results with batching disabled
-(``batch_size=0``), with degenerate one-record batches (``batch_size=1``),
-with an odd batch size that never divides the partition sizes evenly
-(``batch_size=7``) and with the default batch size — and the record/byte
-metrics (records read/written, shuffle bytes) must not depend on the
-execution mode either.
+Batches are the only way the engine computes a partition.  Every pipeline
+must return exactly what the naive interpreter in ``reference_plan.py``
+computes from its logical plan — same records, same order — with
+degenerate one-record batches (``batch_size=1``), with an odd batch size
+that never divides the partition sizes evenly (``batch_size=7``) and with
+the default batch size; and the record/byte metrics (records read/written,
+shuffle bytes) must not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -14,19 +15,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_plan as reference
 from repro.config import EngineConfig
+from repro.engine import serializer
 from repro.engine.context import EngineContext
 from repro.errors import ShuffleError
 
-#: The batch sizes every parity scenario is evaluated under; 0 disables
-#: batching entirely (the record-at-a-time reference execution).
-BATCH_SIZES = (0, 1, 7, 1024)
+from test_memory_bounded import DATA, OTHER_SIDE, PIPELINES
+
+#: The batch sizes every parity scenario is evaluated under.
+BATCH_SIZES = (1, 7, 1024)
 
 
 def _ctx(batch_size: int, **overrides) -> EngineContext:
-    config = EngineConfig(num_workers=2, default_parallelism=4, seed=3,
-                          batch_size=batch_size, **overrides)
-    return EngineContext(config)
+    options = {"num_workers": 2, "default_parallelism": 4, "seed": 3,
+               "batch_size": batch_size}
+    options.update(overrides)
+    return EngineContext(EngineConfig(**options))
 
 
 def _run(scenario, batch_size: int, **overrides):
@@ -37,40 +42,45 @@ def _run(scenario, batch_size: int, **overrides):
     return result, summary
 
 
-#: Metric keys that must be identical whatever the execution mode is.
-_MODE_INVARIANT = ("records_read", "records_written", "shuffle_bytes",
-                   "cache_hits", "num_tasks", "num_stages")
+def both(*datasets):
+    """Each dataset's engine ``collect()`` and the oracle's answer for it."""
+    engine = [dataset.collect() for dataset in datasets]
+    return engine, [reference.collect(dataset) for dataset in datasets]
+
+
+#: Metric keys that must not depend on the batch size.
+_BATCH_INVARIANT = ("records_read", "records_written", "shuffle_bytes",
+                    "cache_hits", "num_tasks", "num_stages")
 
 
 def assert_parity(scenario, **overrides):
-    """Assert result and metric parity of a scenario across batch sizes."""
-    reference, reference_metrics = _run(scenario, batch_size=0, **overrides)
-    for batch_size in BATCH_SIZES[1:]:
-        result, metrics = _run(scenario, batch_size, **overrides)
-        assert result == reference, f"results differ at batch_size={batch_size}"
-        for key in _MODE_INVARIANT:
+    """``scenario(ctx)`` returns ``(engine result, oracle result)``: they
+    must agree at every batch size, and the record/byte metrics must not
+    change with it."""
+    reference_metrics = None
+    for batch_size in BATCH_SIZES:
+        (got, expected), metrics = _run(scenario, batch_size, **overrides)
+        assert got == expected, f"results differ at batch_size={batch_size}"
+        reference_metrics = reference_metrics or metrics
+        for key in _BATCH_INVARIANT:
             assert metrics[key] == reference_metrics[key], \
                 f"{key} differs at batch_size={batch_size}"
 
 
 class TestNarrowParity:
     def test_map_filter_flat_map_chain(self):
-        def scenario(ctx):
-            return (ctx.range(500, num_partitions=4)
-                    .map(lambda v: v * 3)
-                    .filter(lambda v: v % 2 == 0)
-                    .flat_map(lambda v: (v, -v))
-                    .map(lambda v: v + 1)
-                    .collect())
-        assert_parity(scenario)
+        assert_parity(lambda ctx: both(
+            ctx.range(500, num_partitions=4)
+            .map(lambda v: v * 3)
+            .filter(lambda v: v % 2 == 0)
+            .flat_map(lambda v: (v, -v))
+            .map(lambda v: v + 1)))
 
     def test_chain_without_optimizer_runs_unfused(self):
-        def scenario(ctx):
-            return (ctx.range(400, num_partitions=3)
-                    .map(lambda v: v + 10)
-                    .filter(lambda v: v % 5 != 0)
-                    .collect())
-        assert_parity(scenario, optimizer_rules=())
+        assert_parity(lambda ctx: both(
+            ctx.range(400, num_partitions=3)
+            .map(lambda v: v + 10)
+            .filter(lambda v: v % 5 != 0)), optimizer_rules=())
 
     def test_project_union_and_coalesce(self):
         def scenario(ctx):
@@ -78,86 +88,73 @@ class TestNarrowParity:
                 [{"id": i, "value": i * 2, "noise": "x"} for i in range(200)], 4)
             more = ctx.parallelize(
                 [{"id": 1000 + i, "value": i, "noise": "y"} for i in range(50)], 2)
-            return (rows.union(more).project(["id", "value"])
-                    .coalesce(2).collect())
+            return both(rows.union(more).project(["id", "value"]).coalesce(2))
         assert_parity(scenario)
 
     def test_sample_keeps_the_same_records_per_seed(self):
-        def scenario(ctx):
-            return ctx.range(2_000, num_partitions=4).sample(0.3, seed=11).collect()
-        assert_parity(scenario)
+        assert_parity(lambda ctx: both(
+            ctx.range(2_000, num_partitions=4).sample(0.3, seed=11)))
 
     def test_map_partitions_fallback(self):
-        def scenario(ctx):
-            return (ctx.range(300, num_partitions=4)
-                    .map(lambda v: v + 1)
-                    .map_partitions(lambda it: [sum(it)])
-                    .collect())
-        assert_parity(scenario)
+        assert_parity(lambda ctx: both(
+            ctx.range(300, num_partitions=4)
+            .map(lambda v: v + 1)
+            .map_partitions(lambda it: [sum(it)])))
 
     def test_take_first_and_count(self):
-        def scenario(ctx):
-            ds = ctx.range(1_000, num_partitions=5).filter(lambda v: v % 7 != 0)
-            return (ds.take(13), ds.first(), ds.count())
         # early-stopping actions read ahead in whole batches, so record
-        # counts legitimately differ for batch_size > 1; results never do,
-        # and batch_size=1 reproduces the record path bit for bit
-        reference, reference_metrics = _run(scenario, batch_size=0)
-        for batch_size in BATCH_SIZES[1:]:
-            result, metrics = _run(scenario, batch_size)
-            assert result == reference
-        _, one_metrics = _run(scenario, batch_size=1)
-        for key in _MODE_INVARIANT:
-            assert one_metrics[key] == reference_metrics[key]
+        # counts legitimately grow with the batch size; results never do
+        for batch_size in BATCH_SIZES:
+            with _ctx(batch_size) as ctx:
+                ds = ctx.range(1_000, num_partitions=5).filter(
+                    lambda v: v % 7 != 0)
+                expected = reference.collect(ds)
+                assert ds.take(13) == expected[:13]
+                assert ds.first() == expected[0]
+                assert ds.count() == len(expected)
 
     def test_cached_dataset_round_trip(self):
         def scenario(ctx):
             ds = ctx.range(600, num_partitions=4).map(lambda v: v * v).cache()
             first = ds.collect()      # computes and materialises the blocks
             second = ds.collect()     # must be served from the cache
-            return (first, second)
+            assert ctx.metrics.summary()["cache_hits"] == 4
+            expected = reference.collect(ds)
+            return (first, second), (expected, expected)
         assert_parity(scenario)
 
 
 class TestWideParity:
     def test_shuffled_dataset_group_by_key(self):
-        def scenario(ctx):
-            pairs = ctx.range(400, num_partitions=4).map(lambda v: (v % 13, v))
-            grouped = pairs.group_by_key().map_values(sorted).collect()
-            return sorted(grouped)
-        assert_parity(scenario)
+        assert_parity(lambda ctx: both(
+            ctx.range(400, num_partitions=4).map(lambda v: (v % 13, v))
+            .group_by_key()))
 
     def test_reduce_by_key_with_map_side_combine(self):
-        def scenario(ctx):
-            return sorted(
-                ctx.range(900, num_partitions=4)
-                .map(lambda v: (v % 31, 1))
-                .reduce_by_key(lambda left, right: left + right)
-                .collect())
-        assert_parity(scenario)
+        assert_parity(lambda ctx: both(
+            ctx.range(900, num_partitions=4)
+            .map(lambda v: (v % 31, 1))
+            .reduce_by_key(lambda left, right: left + right)))
 
     def test_distinct_repartition_and_sort(self):
         def scenario(ctx):
             ds = ctx.parallelize([v % 40 for v in range(500)], 4)
-            return (sorted(ds.distinct().collect()),
-                    sorted(ds.repartition(3).collect()),
-                    ds.sort_by(lambda v: -v).collect())
+            return both(ds.distinct(), ds.repartition(3),
+                        ds.sort_by(lambda v: -v))
         assert_parity(scenario)
 
     def test_cogrouped_dataset(self):
         def scenario(ctx):
             left = ctx.range(200, num_partitions=4).map(lambda v: (v % 10, v))
             right = ctx.range(60, num_partitions=3).map(lambda v: (v % 10, -v))
-            cogrouped = left.cogroup(right).map(
-                lambda pair: (pair[0], sorted(pair[1][0]), sorted(pair[1][1])))
-            return sorted(cogrouped.collect())
+            return both(left.cogroup(right))
         assert_parity(scenario)
 
     def test_shuffle_join_parity(self):
         def scenario(ctx):
             left = ctx.range(300, num_partitions=4).map(lambda v: (v % 20, v))
             right = ctx.range(80, num_partitions=2).map(lambda v: (v % 20, -v))
-            return sorted(left.join(right).collect())
+            return both(left.join(right))
         # broadcast disabled: the join stays a shuffle cogroup
         assert_parity(scenario, broadcast_threshold_bytes=0)
 
@@ -169,7 +166,11 @@ class TestWideParity:
             big = ctx.range(400, num_partitions=4).map(lambda v: (v % 25, v))
             small = ctx.parallelize([(k, f"dim-{k}") for k in range(12)], 2)
             joined = getattr(big, how)(small)
-            return sorted(joined.collect())
+            assert "broadcast" in joined.explain()
+            # a broadcast join emits per stream partition, not per reduce
+            # partition of the cogroup the oracle evaluates: same multiset
+            got, expected = both(joined)
+            return sorted(got[0], key=repr), sorted(expected[0], key=repr)
         # a generous threshold forces the broadcast lowering (including the
         # unmatched-build partition of the outer variants)
         assert_parity(scenario, broadcast_threshold_bytes=64 * 1024 * 1024)
@@ -177,43 +178,71 @@ class TestWideParity:
     def test_shuffle_byte_accounting_is_mode_invariant(self):
         def scenario(ctx):
             pairs = ctx.range(600, num_partitions=4).map(lambda v: (v % 17, v))
-            grouped = pairs.group_by_key().collect()
+            result = both(pairs.group_by_key())
             jobs = ctx.metrics.jobs
             read = sum(s.shuffle_bytes_read for j in jobs for s in j.stages)
             written = sum(s.shuffle_bytes_written for j in jobs for s in j.stages)
             assert read == written > 0
-            return sorted((key, sorted(values)) for key, values in grouped)
+            return result
         assert_parity(scenario)
 
 
+_needs_closures = pytest.mark.skipif(
+    not serializer.supports_closures(),
+    reason="shipping task closures to worker processes needs cloudpickle")
+
+
+@pytest.mark.parametrize("backend", ["thread",
+                                     pytest.param("process",
+                                                  marks=_needs_closures)])
+@pytest.mark.parametrize("pipeline_name", sorted(PIPELINES))
+def test_wide_pipeline_matches_oracle(pipeline_name, backend):
+    """Every wide operator, on both backends, is the oracle's answer."""
+    with _ctx(1024, executor_backend=backend,
+              broadcast_threshold_bytes=0) as ctx:
+        ds = PIPELINES[pipeline_name](ctx.parallelize(DATA, 4),
+                                      ctx.parallelize(OTHER_SIDE, 2))
+        assert ds.collect() == reference.collect(ds)
+
+
+#: Narrow operators over ``(key, value)`` pairs the generated chains draw
+#: from; each keeps the pair shape the wide operator at the end expects.
+NARROW = {
+    "map": lambda ds: ds.map(lambda pair: (pair[0], pair[1] * 3)),
+    "rekey": lambda ds: ds.map(lambda pair: ((pair[0] + 1) % 5, pair[1])),
+    "filter": lambda ds: ds.filter(lambda pair: pair[1] % 3 != 0),
+    "flat_map": lambda ds: ds.flat_map(
+        lambda pair: [pair, (pair[0], -pair[1])] if pair[1] > 0 else [pair]),
+}
+
+
 class TestBatchProperties:
-    @settings(max_examples=25, deadline=None,
+    @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.lists(st.integers(-100, 100), max_size=120),
-           batch_size=st.sampled_from([1, 2, 3, 5, 16]),
+    @given(data=st.lists(st.tuples(st.integers(0, 6), st.integers(-100, 100)),
+                         max_size=120),
+           chain=st.lists(st.sampled_from(sorted(NARROW)), max_size=4),
+           pipeline_name=st.sampled_from(sorted(PIPELINES)),
+           batch_size=st.sampled_from([1, 2, 3, 5, 7, 16, 1024]),
            num_partitions=st.integers(1, 5))
-    def test_pipeline_parity_property(self, data, batch_size, num_partitions):
-        def scenario(ctx):
-            ds = (ctx.parallelize(data, num_partitions)
-                  .map(lambda v: v * 2)
-                  .filter(lambda v: v % 3 != 0)
-                  .flat_map(lambda v: (v,) if v > 0 else (v, v)))
-            return (ds.collect(),
-                    sorted(ds.map(lambda v: (v % 5, 1))
-                           .reduce_by_key(lambda a, b: a + b).collect()))
-        reference, reference_metrics = _run(scenario, batch_size=0)
-        result, metrics = _run(scenario, batch_size=batch_size)
-        assert result == reference
-        for key in _MODE_INVARIANT:
-            assert metrics[key] == reference_metrics[key]
+    def test_pipeline_parity_property(self, data, chain, pipeline_name,
+                                      batch_size, num_partitions):
+        """Generated narrow chains ending in a wide operator equal the
+        oracle with every optimizer rule on and with the optimizer off."""
+        for rules in (EngineConfig().optimizer_rules, ()):
+            with _ctx(batch_size, optimizer_rules=rules,
+                      broadcast_threshold_bytes=0) as ctx:
+                ds = ctx.parallelize(data, num_partitions)
+                for name in chain:
+                    ds = NARROW[name](ds)
+                ds = PIPELINES[pipeline_name](ds, ctx.parallelize(OTHER_SIDE, 2))
+                assert ds.collect() == reference.collect(ds), rules
 
     def test_batches_processed_metric(self):
         def scenario(ctx):
             return (ctx.range(100, num_partitions=4)
                     .map(lambda v: (v % 5, v))
                     .group_by_key().count())
-        _, record_metrics = _run(scenario, batch_size=0)
-        assert record_metrics["batches_processed"] == 0
         _, batched_metrics = _run(scenario, batch_size=16)
         assert batched_metrics["batches_processed"] > 0
         # smaller batches -> strictly more batches for the same job

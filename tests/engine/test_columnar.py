@@ -6,8 +6,9 @@ Three contracts under test:
   (iteration, projection, slicing, null masks) — including a hypothesis
   property over generated records;
 * columnar execution is invisible: for every wide operator, results, order
-  and every non-timing metric are identical with ``columnar_enabled`` on or
-  off, across batch sizes and both executor backends;
+  and every non-timing metric of a pruned scan over a schema-bearing source
+  (columnar) equal those of the same pipeline over a schema-less source
+  (pruned in rows), across batch sizes and both executor backends;
 * compressed spill frames: codec resolution, frame round-trips, measured
   byte estimates that are backend- and codec-consistent, and spill files
   that actually shrink under compression.
@@ -43,30 +44,31 @@ SCHEMA = Schema(name="kv_records",
 RECORDS = [{"k": k, "v": v} for k, v in DATA]
 
 #: Metric keys that legitimately differ across executor backends and
-#: columnar modes (everything else must match exactly).
+#: scan representations (everything else must match exactly).
 _TIMING_KEYS = ("wall_clock_s", "total_task_time_s")
 
 
-def make_engine(columnar: bool, batch_size: int = 1024,
-                backend: str = "thread", **overrides) -> EngineContext:
+def make_engine(batch_size: int = 1024, backend: str = "thread",
+                **overrides) -> EngineContext:
     options = {"num_workers": 2, "default_parallelism": 4, "seed": 1,
-               "batch_size": batch_size, "columnar_enabled": columnar,
-               "executor_backend": backend, "broadcast_threshold_bytes": 0}
+               "batch_size": batch_size, "executor_backend": backend,
+               "broadcast_threshold_bytes": 0}
     options.update(overrides)
     return EngineContext(EngineConfig(**options))
 
 
-def run_schema_pipeline(pipeline_name: str, columnar: bool,
+def run_schema_pipeline(pipeline_name: str, schema=SCHEMA,
                         batch_size: int = 1024, backend: str = "thread",
                         **overrides):
-    """One wide pipeline over a pruned schema-bearing scan; results + metrics.
+    """One wide pipeline over a pruned scan; results + metrics.
 
-    The projection is what makes the scan columnar (when enabled): the UDF
-    map above it then reads the ``ColumnBatch`` through its row view.
+    The projection is what makes a schema-bearing scan columnar: the UDF map
+    above it then reads the ``ColumnBatch`` through its row view.  With
+    ``schema=None`` the same scan is pruned in rows.
     """
     build = PIPELINES[pipeline_name]
-    with make_engine(columnar, batch_size, backend, **overrides) as ctx:
-        base = ctx.from_source(InMemorySource("kv", RECORDS, schema=SCHEMA),
+    with make_engine(batch_size, backend, **overrides) as ctx:
+        base = ctx.from_source(InMemorySource("kv", RECORDS, schema=schema),
                                num_partitions=4).project(["k", "v"])
         kv = base.map(lambda record: (record["k"], record["v"]))
         ds = build(kv, ctx.parallelize(OTHER_SIDE, 2))
@@ -172,11 +174,10 @@ class CountingRecord(dict):
 
 
 class TestColumnarScan:
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_full_width_scan_passes_source_records_through(self, columnar):
+    def test_full_width_scan_passes_source_records_through(self):
         """No consumer asked for columns: the scan hands over the rows."""
         source = InMemorySource("kv", RECORDS, schema=SCHEMA)
-        with make_engine(columnar=columnar) as ctx:
+        with make_engine() as ctx:
             ds = ctx.from_source(source, num_partitions=2)
             batches = list(ds.compute_batches(0, _task_context(), 100))
             assert batches and all(isinstance(b, list) for b in batches)
@@ -187,7 +188,7 @@ class TestColumnarScan:
         assert source._column_store == {}
 
     def test_projection_over_source_scans_requested_columns(self):
-        with make_engine(columnar=True) as ctx:
+        with make_engine() as ctx:
             ds = ctx.from_source(InMemorySource("kv", RECORDS, schema=SCHEMA),
                                  num_partitions=2).project(["v"])
             pruned = ctx._executable_for(ds)
@@ -197,26 +198,32 @@ class TestColumnarScan:
                        for b in batches)
             assert sum(len(b) for b in batches) == len(RECORDS) // 2
 
-    def test_columnar_disabled_prunes_in_rows(self):
-        with make_engine(columnar=False) as ctx:
-            ds = ctx.from_source(InMemorySource("kv", RECORDS, schema=SCHEMA),
+    def test_schemaless_source_falls_back_to_rows(self):
+        with make_engine() as ctx:
+            ds = ctx.from_source(InMemorySource("kv", RECORDS, schema=None),
                                  num_partitions=2).project(["v"])
             batches = list(ctx._executable_for(ds).compute_batches(
                 0, _task_context(), 100))
             assert batches and all(isinstance(b, list) for b in batches)
             assert batches[0][0] == {"v": DATA[0][1]}
 
-    def test_schemaless_source_falls_back_to_rows(self):
-        with make_engine(columnar=True) as ctx:
-            ds = ctx.from_source(InMemorySource("kv", RECORDS, schema=None),
-                                 num_partitions=2).project(["v"])
-            batches = list(ctx._executable_for(ds).compute_batches(
-                0, _task_context(), 100))
-            assert batches and all(isinstance(b, list) for b in batches)
+    def test_map_partitions_over_pruned_scan_sees_row_dicts(self):
+        """A partition UDF above a columnar scan gets plain row dicts."""
+        with make_engine() as ctx:
+            pruned = ctx.from_source(
+                InMemorySource("kv", RECORDS, schema=SCHEMA),
+                num_partitions=2).project(["v"])
+            scan = ctx._executable_for(pruned)
+            assert all(isinstance(batch, ColumnBatch) for batch in
+                       scan.compute_batches(0, _task_context(), 100))
+            seen = pruned.map_partitions(
+                lambda rows: [(type(row), row) for row in rows])
+            assert ctx._executable_for(seen).dependencies[0].parent is scan
+            assert seen.collect() == [(dict, {"v": v}) for _, v in DATA]
 
     def test_pruned_scan_reads_only_requested_columns(self):
         source = InMemorySource("kv", RECORDS, schema=SCHEMA)
-        with make_engine(columnar=True) as ctx:
+        with make_engine() as ctx:
             ds = ctx.from_source(source, num_partitions=2).project(["v"])
             rows = ds.collect()
             assert rows == [{"v": v} for _, v in DATA]
@@ -231,7 +238,7 @@ class TestColumnarScan:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with make_engine(columnar=True, num_workers=4) as ctx:
+            with make_engine(num_workers=4) as ctx:
                 ds = ctx.from_source(source, num_partitions=8).project(["k"])
                 assert ds.count() == len(RECORDS)
                 assert ds.collect() == [{"k": k} for k, _ in DATA]
@@ -248,7 +255,7 @@ class TestColumnarScan:
             [{"v": v} for _, v in DATA[len(DATA) // 2:]]
 
     def test_count_over_projection_matches_rows(self):
-        with make_engine(columnar=True) as ctx:
+        with make_engine() as ctx:
             ds = ctx.from_source(InMemorySource("kv", RECORDS, schema=SCHEMA),
                                  num_partitions=4).project(["k"])
             assert ds.count() == len(RECORDS)
@@ -271,12 +278,10 @@ RAGGED = [{"a": 1, "b": 2, "extra": 9}, {"a": 3}]
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-@pytest.mark.parametrize("batch_size", [0, 1, 1024])
-@pytest.mark.parametrize("columnar", [True, False])
-def test_full_width_scan_keeps_nonconforming_records(columnar, batch_size,
-                                                     backend):
+@pytest.mark.parametrize("batch_size", [1, 1024])
+def test_full_width_scan_keeps_nonconforming_records(batch_size, backend):
     """A full-width scan never drops undeclared fields or fabricates Nones."""
-    with make_engine(columnar, batch_size, backend) as ctx:
+    with make_engine(batch_size, backend) as ctx:
         ds = ctx.from_source(InMemorySource("ab", RAGGED, schema=AB_SCHEMA),
                              num_partitions=2)
         assert ds.collect() == RAGGED
@@ -296,29 +301,29 @@ def test_pruned_read_uses_record_get_for_any_field():
 
 
 # ---------------------------------------------------------------------------
-# Parity: columnar on/off x batch size x backend, all wide operators
+# Parity: columnar vs row-pruned scan x batch size x backend, all wide ops
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("batch_size", [0, 1, 1024])
+@pytest.mark.parametrize("batch_size", [1, 1024])
 @pytest.mark.parametrize("pipeline_name", sorted(PIPELINES))
 def test_columnar_parity_thread(pipeline_name, batch_size):
-    """Columnar on/off agree record-for-record and metric-for-metric."""
-    on_first, on_second, on_metrics = run_schema_pipeline(
-        pipeline_name, columnar=True, batch_size=batch_size)
-    off_first, off_second, off_metrics = run_schema_pipeline(
-        pipeline_name, columnar=False, batch_size=batch_size)
-    assert on_first == off_first
-    assert on_second == off_second
-    assert on_metrics == off_metrics
+    """A columnar scan and a row-pruned scan agree record-for-record and
+    metric-for-metric."""
+    columnar_first, columnar_second, columnar_metrics = run_schema_pipeline(
+        pipeline_name, batch_size=batch_size)
+    rows_first, rows_second, rows_metrics = run_schema_pipeline(
+        pipeline_name, schema=None, batch_size=batch_size)
+    assert columnar_first == rows_first
+    assert columnar_second == rows_second
+    assert columnar_metrics == rows_metrics
 
 
 @pytest.mark.parametrize("pipeline_name", sorted(PIPELINES))
 def test_columnar_parity_process_backend(pipeline_name):
     """The process backend sees the same columnar results and metrics."""
-    thread = run_schema_pipeline(pipeline_name, columnar=True)
-    process = run_schema_pipeline(pipeline_name, columnar=True,
-                                  backend="process")
+    thread = run_schema_pipeline(pipeline_name)
+    process = run_schema_pipeline(pipeline_name, backend="process")
     assert process == thread
 
 

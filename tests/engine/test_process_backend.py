@@ -66,7 +66,7 @@ def comparable(metrics: dict, volatile=_TIMING_KEYS) -> dict:
 # -- backend parity ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("batch_size", [0, 1, 1024])
+@pytest.mark.parametrize("batch_size", [1, 1024])
 @pytest.mark.parametrize("pipeline_name", sorted(PIPELINES))
 def test_process_matches_thread_exactly(pipeline_name, batch_size):
     """Both backends agree record-for-record and metric-for-metric."""

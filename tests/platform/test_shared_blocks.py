@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import itertools
 import sys
 import threading
 
@@ -353,8 +354,11 @@ def test_no_service_mutates_a_shared_block(monkeypatch):
                     published[(fingerprint, partition)]
                 if narrow(dataset):
                     # the context is stopped and has let go of the store:
-                    # compute() walks the closures down to the generator
-                    fresh = list(dataset.compute(partition, TaskContext()))
+                    # compute_batches() walks the closures down to the
+                    # generator
+                    fresh = list(itertools.chain.from_iterable(
+                        dataset.compute_batches(partition, TaskContext(),
+                                                1024)))
                     assert content_digest(fresh) == content_digest(block)
                     recomputed += 1
     assert checked >= 30 and recomputed >= 30
