@@ -19,9 +19,8 @@ from ..errors import (CheckpointCorruptionError, ConfigurationError,
                       EngineError, SourceError)
 from .dataset import (CheckpointEntry, Dataset, ParallelCollectionDataset,
                       SourceDataset, collect_partition)
-from .journal import (JobJournal, atomic_write_bytes, load_journal_state,
-                      validate_checkpoint_entry)
-from .memory import MemoryManager, dump_frames, resolve_codec
+from .journal import JobJournal, load_journal_state, validate_checkpoint_entry
+from .memory import MemoryManager, SpillFile, resolve_codec
 from .metrics import MetricsRegistry
 from .optimizer import PlanOptimizer, lower_plan
 from .plan import SourceNode, render_plan
@@ -216,11 +215,12 @@ class EngineContext:
         """Materialise ``dataset`` durably (behind ``Dataset.checkpoint``).
 
         Adopts the recovered checkpoint recorded under the same content
-        fingerprint when its files still pass their CRCs; otherwise runs one
-        collection job and writes every partition as an atomically renamed,
-        fsynced frame file.  Adoption needs no write access, so it is
-        attempted before the ``checkpoint_dir`` requirement is enforced —
-        a recover-only context may adopt, never write.
+        fingerprint when its spans still pass the verified read; otherwise
+        runs one collection job and appends every partition to one fsynced
+        frame file, recorded in the journal only once it is durable.
+        Adoption needs no write access, so it is attempted before the
+        ``checkpoint_dir`` requirement is enforced — a recover-only context
+        may adopt, never write.
         """
         self._check_active()
         if dataset._checkpoint is not None:
@@ -231,54 +231,32 @@ class EngineContext:
         key = dataset.fingerprint() or f"dataset:{dataset.id}"
         if self._adopt_recovered_checkpoint(dataset, key):
             return
-        directory = self.checkpoints_dir()
+        path = os.path.join(self.checkpoints_dir(), f"ds-{dataset.id}.data")
         partials = self.run_job(dataset, collect_partition,
                                 description=f"checkpoint:{dataset.name}")
         codec = resolve_codec(self.config.spill_codec,
                               self.config.shuffle_compression)
-        files: List[str] = []
-        rows: List[int] = []
-        size_bytes = 0
-        for partition, records in enumerate(partials):
-            path = os.path.join(directory,
-                                f"ds-{dataset.id}-part-{partition}.data")
-            payload = dump_frames(records, codec)
-            atomic_write_bytes(path, payload)
-            files.append(path)
-            rows.append(len(records))
-            size_bytes += len(payload)
-        self._install_checkpoint(dataset,
-                                 CheckpointEntry(key, files, rows, size_bytes))
+        with SpillFile(path, codec) as writer:
+            spans = [writer.append(records) for records in partials]
+            writer.sync()
+        self._install_checkpoint(dataset, CheckpointEntry(key, spans))
         self.recovery_counters["checkpoints_written"] += 1
         if self._journal is not None:
-            self._journal.record_checkpoint(key, dataset.name, len(files),
-                                            files, rows)
+            self._journal.record_checkpoint(key, dataset.name, spans)
 
     def _adopt_recovered_checkpoint(self, dataset: Dataset, key: str) -> bool:
         """Back ``dataset`` with a recovered checkpoint if it revalidates."""
         entry = self._recovered_checkpoints.pop(key, None)
         if entry is None:
             return False
-        valid, invalid = validate_checkpoint_entry(entry)
-        if not valid:
+        spans, invalid = validate_checkpoint_entry(entry)
+        if spans is None:
             self.recovery_counters["recovery_invalid_entries"] += \
                 max(1, invalid)
             if self._journal is not None:
                 self._journal.forget_checkpoint(key)
             return False
-        files = [str(path) for path in entry["files"]]
-        rows = [int(count) for count in entry["rows"]]
-        try:
-            size_bytes = sum(os.path.getsize(path) for path in files)
-        except OSError:
-            # a file vanished between validation and here: same degradation
-            # as failing validation — recompute from lineage
-            self.recovery_counters["recovery_invalid_entries"] += 1
-            if self._journal is not None:
-                self._journal.forget_checkpoint(key)
-            return False
-        self._install_checkpoint(dataset,
-                                 CheckpointEntry(key, files, rows, size_bytes))
+        self._install_checkpoint(dataset, CheckpointEntry(key, spans))
         self.recovery_counters["stages_recovered"] += 1
         return True
 

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 from ..errors import (CheckpointCorruptionError, PlanError,
                       ShuffleCorruptionError)
 from . import plan as logical
 from .columnar import ColumnBatch
 from .fingerprint import dataset_fingerprint
-from .memory import CODEC_NONE, SpillRun, dump_frames, load_frames
+from .memory import CODEC_NONE, Span, SpillRun, load_span
 from .partitioner import HashPartitioner, Partitioner, RangePartitioner, RoundRobinPartitioner
 
 
@@ -441,16 +440,16 @@ class _ExternalRunAccumulator:
             return False
         partial = make_partial()  # user reduce code: its errors propagate
         try:
-            kind, payload = SpillRun.serialise(partial, self._codec)
+            run = SpillRun.write(self._ctx.spill_dir(), partial, self._codec)
+        except OSError:
+            raise  # a disk failure must not silently lift the budget
         except Exception:
             # unpicklable records: stop trying, keep the run resident
             self._spillable = False
             return False
-        # disk failures below (OSError) propagate deliberately
-        run = SpillRun.write(self._ctx.spill_dir(), kind, payload)
         self.runs.append(run)
         self._task_context.spills += 1
-        self._task_context.spill_bytes += run.nbytes
+        self._task_context.spill_bytes += run.span.length
         self._bytes = 0
         self._memory.reserve(self._owner, 0)
         return True
@@ -564,23 +563,16 @@ class BroadcastDependency(Dependency):
 # ---------------------------------------------------------------------------
 
 
-class CheckpointEntry:
-    """Metadata of one durable dataset checkpoint.
+class CheckpointEntry(NamedTuple):
+    """One durable dataset checkpoint: its journal key and partition spans.
 
-    One checksummed frame file per partition plus the per-partition record
-    counts and total payload size.  The entry is plain picklable state: a
-    worker process ships it with the dataset and serves the files directly
-    (they live under ``checkpoint_dir``, outside any per-run scratch tree).
+    Plain picklable state: a worker process ships it with the dataset and
+    reads the spans directly (they live under ``checkpoint_dir``, outside
+    any per-run scratch tree).
     """
 
-    def __init__(self, key: Optional[str], files: List[str], rows: List[int],
-                 size_bytes: int):
-        #: Journal key the checkpoint was registered under (``None`` when
-        #: the owning context has no journal).
-        self.key = key
-        self.files = list(files)
-        self.rows = [int(count) for count in rows]
-        self.size_bytes = int(size_bytes)
+    key: str
+    spans: List[Span]
 
 
 class Dataset:
@@ -851,22 +843,15 @@ class Dataset:
 
     def _checkpoint_records(self, partition: int,
                             task_context: TaskContext) -> List[Any]:
-        """Serve one partition from the checkpoint files, CRC-verified.
+        """Serve one partition from its checkpoint span, verified.
 
         Any read problem — missing file, truncated payload, CRC mismatch,
         record-count drift — raises :class:`CheckpointCorruptionError`; the
         driver invalidates the checkpoint and re-runs the job from lineage,
         so corruption can cost time but never correctness.
         """
-        entry = self._checkpoint
-        path = entry.files[partition]
         try:
-            records = load_frames(path, 0, os.path.getsize(path))
-            if len(records) != entry.rows[partition]:
-                raise ShuffleCorruptionError(
-                    f"checkpoint partition {partition} of {self.name} holds "
-                    f"{len(records)} records, expected {entry.rows[partition]}",
-                    path=path)
+            records = load_span(self._checkpoint.spans[partition])
         except (OSError, ShuffleCorruptionError) as error:
             raise CheckpointCorruptionError(
                 f"checkpoint partition {partition} of {self.name} is "
@@ -1418,8 +1403,8 @@ class ParallelCollectionDataset(Dataset):
     sequence stays resident and partitions are slices of it.  It crosses to
     worker processes once, not once per stage: :meth:`publish` frames every
     partition into one transport file, the pickled state carries the
-    per-partition ``(path, offset, length, count)`` spans instead of the
-    records, and a worker loads only the span of the partition it computes.
+    per-partition spans instead of the records, and a worker loads only the
+    span of the partition it computes.
     """
 
     def __init__(self, ctx, data: Iterable[Any], num_partitions: int):
@@ -1429,7 +1414,7 @@ class ParallelCollectionDataset(Dataset):
         #: Spans of the published partitions (``None`` until the process
         #: backend first ships this dataset); the file is swept with the
         #: transport root when the context stops.
-        self._spans: Optional[List[Tuple[str, int, int, int]]] = None
+        self._spans: Optional[List[Span]] = None
 
     def __getstate__(self):
         state = super().__getstate__()
@@ -1447,40 +1432,17 @@ class ParallelCollectionDataset(Dataset):
                 ((partition + 1) * total) // self.num_partitions)
 
     def publish(self, transport) -> None:
-        """Write every partition as CRC'd frames, once per context.
-
-        Uncompressed: the file is read where it lies, by processes on this
-        machine, so a codec would only trade driver CPU for scratch disk.
-        """
+        """Write every partition through the transport, once per context."""
         if self._spans is not None:
             return
-        writer = transport.input_writer(self.id)
-        spans = []
-        try:
-            for partition in range(self.num_partitions):
-                start, end = self._bounds(partition)
-                offset, length = writer.append(
-                    dump_frames(self._data[start:end]))
-                spans.append((writer.path, offset, length, end - start))
-        finally:
-            writer.close()
-        self._spans = spans
-
-    def _published_records(self, partition: int) -> List[Any]:
-        """One partition read back from its span (worker side)."""
-        path, offset, length, count = self._spans[partition]
-        records = load_frames(path, offset, length)
-        if len(records) != count:
-            raise ShuffleCorruptionError(
-                f"published partition {partition} of {self.name} holds "
-                f"{len(records)} records, expected {count}", path=path,
-                offset=offset)
-        return records
+        with transport.input_writer(self.id) as writer:
+            self._spans = [writer.append(self._data[slice(*self._bounds(p))])
+                           for p in range(self.num_partitions)]
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
-        if self._data is None:
-            records = self._published_records(partition)
+        if self._data is None:  # a worker: read the published span
+            records = load_span(self._spans[partition])
         else:
             start, end = self._bounds(partition)
             records = self._data[start:end]

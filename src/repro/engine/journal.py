@@ -8,8 +8,7 @@ with ``EngineConfig.checkpoint_dir`` records, as execution progresses:
 
 * per job: the content fingerprint of the dataset it ran and the stage
   graph as stages settle;
-* per completed shuffle: the full span catalog (the PR 6 ``(path, offset,
-  length, record count, estimated bytes)`` format) of its durable frame
+* per completed shuffle: the full span catalog of its durable frame
   files, keyed by the shuffle id *and* the content fingerprint of the
   map-side lineage — operators, user-function bytecode and source content
   (:func:`shuffle_journal_key`, :mod:`repro.engine.fingerprint`) — so a
@@ -17,19 +16,23 @@ with ``EngineConfig.checkpoint_dir`` records, as execution progresses:
   program (edited map/filter logic, different input, different plan shape)
   never adopts the old program's map output;
 * per checkpoint (:meth:`~repro.engine.dataset.Dataset.checkpoint`): the
-  checksummed partition files a dataset was materialised to.
+  spans of the checksummed partitions a dataset was materialised to.
 
-Every update rewrites ``journal.json`` with tmp + rename + fsync
-discipline, so the journal on disk is always one complete, parseable
+Both kinds of entry store a list of *span records*: a
+:class:`~repro.engine.memory.Span` ``[path, offset, length, count]``
+followed by its coordinates (``map, reduce, estimated bytes`` for a
+shuffle bucket; none for a checkpoint partition, whose index is its
+position).  Every update rewrites ``journal.json`` with tmp + rename +
+fsync discipline, so the journal on disk is always one complete, parseable
 document — a crashed write leaves the previous version intact.
 
 The journal is a **hint, never a correctness dependency**: a resumed
-context (``EngineConfig.recover_from``) revalidates every recorded span
-and checkpoint file by actually re-reading it through the checksummed
-frame reader before re-registering anything.  Corrupt, truncated or
-missing entries — including a damaged journal document itself — are
-dropped and counted (``recovery_invalid_entries``); their partitions
-recompute from lineage exactly as if the journal had never existed.
+context (``EngineConfig.recover_from``) revalidates every recorded span by
+actually re-reading it through the verified frame read before
+re-registering anything.  Corrupt, truncated or missing entries —
+including a damaged journal document itself — are dropped and counted
+(``recovery_invalid_entries``); their partitions recompute from lineage
+exactly as if the journal had never existed.
 """
 
 from __future__ import annotations
@@ -41,15 +44,16 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import ShuffleCorruptionError
 from .fingerprint import shuffle_fingerprint
-from .memory import load_frames
+from .memory import Span, load_span
 
 #: On-disk journal document version; bumped on incompatible layout changes.
 #: Version 2 keyed shuffle entries by lineage signature instead of bare
 #: shuffle id; version 3 keys shuffles and checkpoints by the content
 #: fingerprint of :mod:`repro.engine.fingerprint`, which — unlike the
 #: ``repr(source)`` of version 2 — covers a source's seed, parameters and
-#: data.  Older journals are discarded as a cold start.
-JOURNAL_VERSION = 3
+#: data; version 4 records checkpoints as span lists, like shuffles.  Older
+#: journals are discarded as a cold start.
+JOURNAL_VERSION = 4
 
 #: File name of the journal document inside ``checkpoint_dir``.
 JOURNAL_NAME = "journal.json"
@@ -161,62 +165,51 @@ class JobJournal:
         """Record a settled shuffle's durable span catalog.
 
         ``catalog`` is the :meth:`ShuffleManager.export_durable_catalog`
-        result: ``{"maps": [...], "buckets": {(map, reduce): (path, offset,
-        length, count, size)}}`` with every path durable.  Spans are stored
-        as flat lists (JSON has no tuple keys).  A superseded entry's files
-        that the new catalog no longer references are unlinked, so repeated
-        runs over one ``checkpoint_dir`` do not accumulate orphaned frames.
+        result: ``{"maps": [...], "buckets": {(map, reduce): (span,
+        size)}}`` with every path durable.  A superseded entry's files that
+        the new catalog no longer references are unlinked, so repeated runs
+        over one ``checkpoint_dir`` do not accumulate orphaned frames.
         """
-        spans = [[m, r, path, offset, length, count, size]
-                 for (m, r), (path, offset, length, count, size)
-                 in sorted(catalog["buckets"].items())]
-        with self._lock:
-            previous = self._state["shuffles"].get(key)
-            self._state["shuffles"][key] = {
-                "shuffle_id": shuffle_id,
-                "num_maps": num_maps,
-                "num_reduces": num_reduces,
-                "maps": sorted(catalog["maps"]),
-                "spans": spans,
-            }
-            self._flush_locked()
-            if previous is not None:
-                self._unlink_stale_locked(_entry_files(previous))
+        spans = [[*span, m, r, size]
+                 for (m, r), (span, size) in sorted(catalog["buckets"].items())]
+        self._record("shuffles", key, {
+            "shuffle_id": shuffle_id,
+            "num_maps": num_maps,
+            "num_reduces": num_reduces,
+            "maps": sorted(catalog["maps"]),
+            "spans": spans,
+        })
 
-    def record_checkpoint(self, key: str, name: str, num_partitions: int,
-                          files: List[str], rows: List[int]) -> None:
-        """Record a materialised checkpoint: one frame file per partition.
-
-        Like :meth:`record_shuffle`, a superseded entry's no-longer
-        referenced files are unlinked.
-        """
-        with self._lock:
-            previous = self._state["checkpoints"].get(key)
-            self._state["checkpoints"][key] = {
-                "name": name,
-                "num_partitions": num_partitions,
-                "files": list(files),
-                "rows": list(rows),
-            }
-            self._flush_locked()
-            if previous is not None:
-                self._unlink_stale_locked(_entry_files(previous))
+    def record_checkpoint(self, key: str, name: str,
+                          spans: List[Span]) -> None:
+        """Record a materialised checkpoint: one span per partition."""
+        self._record("checkpoints", key, {
+            "name": name,
+            "num_partitions": len(spans),
+            "spans": [list(span) for span in spans],
+        })
 
     def forget_checkpoint(self, key: str) -> None:
         """Drop a checkpoint entry (its files went missing or corrupt)."""
-        with self._lock:
-            entry = self._state["checkpoints"].pop(key, None)
-            if entry is not None:
-                self._flush_locked()
-                self._unlink_stale_locked(_entry_files(entry))
+        self._record("checkpoints", key, None)
 
     def forget_shuffle(self, key: str) -> None:
         """Drop a shuffle entry (its recorded spans were invalidated)."""
+        self._record("shuffles", key, None)
+
+    def _record(self, kind: str, key: str,
+                entry: Optional[Dict[str, Any]]) -> None:
+        """Install (or, with ``None``, drop) one entry, then unlink the
+        files only the entry it replaced referenced."""
         with self._lock:
-            entry = self._state["shuffles"].pop(key, None)
+            previous = self._state[kind].pop(key, None)
             if entry is not None:
-                self._flush_locked()
-                self._unlink_stale_locked(_entry_files(entry))
+                self._state[kind][key] = entry
+            elif previous is None:
+                return
+            self._flush_locked()
+            if previous is not None:
+                self._unlink_stale_locked(_entry_files(previous))
 
     # -- metrics -----------------------------------------------------------
 
@@ -273,13 +266,11 @@ def _entry_files(entry: Any) -> Set[str]:
     files: Set[str] = set()
     if not isinstance(entry, dict):
         return files
-    for span in entry.get("spans") or ():
+    for record in entry.get("spans") or ():
         try:
-            files.add(str(span[2]))
-        except (TypeError, IndexError):
+            files.add(str(record[0]))
+        except (TypeError, IndexError, KeyError):
             continue
-    for path in entry.get("files") or ():
-        files.add(str(path))
     return files
 
 
@@ -305,75 +296,72 @@ def load_journal_state(directory: str) -> Optional[Dict[str, Any]]:
     return state
 
 
+def _valid_span(record: Any) -> Optional[Span]:
+    """Re-read one journalled span record; its span, or ``None`` if bad.
+
+    The one validator both kinds of entry share: the record's leading
+    ``[path, offset, length, count]`` go through the verified read, so a
+    span counts as valid only when every CRC and the record count check.
+    """
+    try:
+        span = Span(str(record[0]), int(record[1]), int(record[2]),
+                    int(record[3]))
+        load_span(span)
+    except (OSError, ShuffleCorruptionError, TypeError, ValueError,
+            IndexError, KeyError):
+        return None
+    return span
+
+
 def validate_shuffle_entry(entry: Any) -> Tuple[Dict[int, Dict[int, tuple]],
                                                 int, int]:
-    """CRC-revalidate one recorded shuffle's spans.
+    """Revalidate one recorded shuffle's spans.
 
-    Every span is re-read through the checksummed frame reader and its
-    record count checked against the recorded one.  Returns ``(per-map
-    spans of fully valid map partitions, num_maps, invalid span count)``;
-    a map partition with *any* bad span is dropped wholesale, so the
-    resumed scheduler recomputes it from lineage instead of serving a
-    half-restored output.
+    Returns ``(per-map {reduce: (span, estimated bytes)} of fully valid map
+    partitions, num_maps, invalid span count)``; a map partition with *any*
+    bad span is dropped wholesale, so the resumed scheduler recomputes it
+    from lineage instead of serving a half-restored output.
     """
     try:
         num_maps = int(entry["num_maps"])
-        spans = entry["spans"]
+        records = list(entry["spans"])
     except (KeyError, TypeError, ValueError):
         return {}, 0, 1
     per_map: Dict[int, Dict[int, tuple]] = {}
     bad_maps: set = set()
     invalid = 0
-    for span in spans:
+    for record in records:
         try:
-            map_partition, reduce_partition, path, offset, length, count, \
-                size = span
-            map_partition = int(map_partition)
-            records = load_frames(path, int(offset), int(length))
-            if len(records) != int(count):
-                raise ShuffleCorruptionError(
-                    f"span of map {map_partition} came back "
-                    f"{len(records)} records, expected {count}",
-                    path=str(path), offset=int(offset))
-        except (OSError, ShuffleCorruptionError, TypeError, ValueError):
-            invalid += 1
-            try:
-                bad_maps.add(int(span[0]))
-            except (TypeError, ValueError, IndexError):
-                pass
+            map_partition, reduce_partition, size = map(int, record[4:])
+        except (TypeError, ValueError):
+            invalid += 1  # names no map partition to drop
             continue
-        per_map.setdefault(map_partition, {})[int(reduce_partition)] = (
-            str(path), int(offset), int(length), int(count), int(size))
+        span = _valid_span(record)
+        if span is None:
+            invalid += 1
+            bad_maps.add(map_partition)
+            continue
+        per_map.setdefault(map_partition, {})[reduce_partition] = (span, size)
     for map_partition in bad_maps:
         per_map.pop(map_partition, None)
     return per_map, num_maps, invalid
 
 
-def validate_checkpoint_entry(entry: Any) -> Tuple[bool, int]:
-    """CRC-revalidate one recorded checkpoint's partition files.
+def validate_checkpoint_entry(entry: Any) -> Tuple[Optional[List[Span]], int]:
+    """Revalidate one recorded checkpoint's partition spans.
 
-    Returns ``(all partitions valid, invalid file count)``.  Checkpoints
-    are adopted all-or-nothing: a dataset with one unreadable partition
-    recomputes entirely — partial adoption would complicate the read path
-    for no benefit, since lineage recomputation is always available.
+    Returns ``(spans, invalid span count)``, with ``spans`` ``None`` unless
+    every partition is valid: checkpoints are adopted all-or-nothing — a
+    dataset with one unreadable partition recomputes entirely, since
+    lineage recomputation is always available.
     """
     try:
-        files = list(entry["files"])
-        rows = list(entry["rows"])
+        records = list(entry["spans"])
         num_partitions = int(entry["num_partitions"])
     except (KeyError, TypeError, ValueError):
-        return False, 1
-    if len(files) != num_partitions or len(rows) != num_partitions:
-        return False, 1
-    invalid = 0
-    for path, expected_rows in zip(files, rows):
-        try:
-            records = load_frames(path, 0, os.path.getsize(path))
-            if len(records) != int(expected_rows):
-                raise ShuffleCorruptionError(
-                    f"checkpoint partition {path!r} came back "
-                    f"{len(records)} records, expected {expected_rows}",
-                    path=str(path), offset=0)
-        except (OSError, ShuffleCorruptionError, TypeError, ValueError):
-            invalid += 1
-    return invalid == 0, invalid
+        return None, 1
+    if len(records) != num_partitions:
+        return None, 1
+    spans = [_valid_span(record) for record in records]
+    invalid = spans.count(None)
+    return (None if invalid else spans), invalid

@@ -1,4 +1,4 @@
-"""Task memory manager and spill-file plumbing for memory-bounded execution.
+"""Task memory manager and the frame store every on-disk payload goes through.
 
 The engine's shuffle path is resident by default: map-output buckets and
 reduce-side intermediates live in Python lists, so the largest workload is
@@ -16,20 +16,20 @@ Accounting deliberately reuses the estimated byte sizes the shuffle layer
 already measures (``estimate_bytes``), so bounded and unbounded runs report
 identical shuffle metrics; only the spill counters differ.
 
-All spill payloads are *pickle-framed*: a payload is a sequence of pickled
-record batches, which lets readers stream a large bucket or run back one
-frame at a time instead of materialising it whole.  Each frame is
-self-describing — a small header carries the compression codec and payload
-length — so readers need no configuration and mixed-codec files (e.g. after
-a config change mid-context) stream back correctly.
-
-Frames written by this revision additionally carry a CRC32 of their payload
-(the header's codec byte sets :data:`CRC_FLAG` to announce it) and every
-read verifies it: a mismatch — or any malformed header a truncated or
-bit-flipped file produces — raises
-:class:`~repro.errors.ShuffleCorruptionError` instead of feeding garbage
-downstream.  Checksum-less frames written by earlier revisions still read
-back; they simply skip verification.
+Every framed file the engine writes — spill runs, shuffle-bucket spills,
+map output, checkpoint partitions, parallelised input — goes through one
+*frame store*: :class:`SpillFile` appends records and returns their
+:class:`Span` ``(path, offset, length, count)``, and :func:`load_span` is
+the one verified read.  A payload is a sequence of pickled record batches
+(frames), so readers can stream a large bucket or run back one frame at a
+time.  Each frame is self-describing — a header carries the compression
+codec and payload length — so readers need no configuration and
+mixed-codec files stream back correctly.  Each frame also carries a CRC32
+of its payload (the header's codec byte sets :data:`CRC_FLAG`), and every
+read verifies it, requires the frames to fill the span exactly and checks
+the span's record count: a mismatch, a malformed or checksum-less header,
+or a span cut short raises :class:`~repro.errors.ShuffleCorruptionError`
+instead of feeding garbage — or too few records — downstream.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ import os
 import pickle
 import random
 import struct
-import tempfile
 import threading
+import uuid
 import zlib
-from typing import Any, BinaryIO, Dict, Iterator, List, Sequence, Tuple
+from typing import (Any, BinaryIO, Callable, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence)
 
 from ..errors import ConfigurationError, ShuffleCorruptionError
 
@@ -69,12 +70,11 @@ _CODEC_NAMES = {value: key for key, value in _CODEC_IDS.items()}
 #: Per-frame header: one codec byte + the compressed payload length.
 _FRAME_HEADER = struct.Struct("<BI")
 
-#: Bit set on the header's codec byte when a CRC32 of the payload follows
-#: the header.  Frames written before the checksum era leave it clear and
-#: read back unverified, so mixed files stay streamable.
+#: Bit set on the header's codec byte: a CRC32 of the payload follows the
+#: header.  Every frame carries it; a frame without it is corrupt.
 CRC_FLAG = 0x80
 
-#: The CRC32 trailer of checksummed frames, between header and payload.
+#: The CRC32 trailer of a frame, between header and payload.
 _FRAME_CRC = struct.Struct("<I")
 
 
@@ -239,8 +239,21 @@ class MemoryManager:
 
 
 # ---------------------------------------------------------------------------
-# Pickle-framed spill payloads
+# The frame store: one span type, one writer, one verified read
 # ---------------------------------------------------------------------------
+
+
+class Span(NamedTuple):
+    """Where one framed payload lives, and how many records its frames hold.
+
+    The count is part of the span because CRCs alone cannot tell a span
+    cut short at a frame boundary from a whole one: every read checks it.
+    """
+
+    path: str
+    offset: int
+    length: int
+    count: int
 
 
 def dump_frames(records: Sequence[Any], codec: int = CODEC_NONE) -> bytes:
@@ -277,8 +290,9 @@ def load_frames_bytes(payload: bytes, label: str = "<fetched>") -> List[Any]:
     The networked shuffle's fetch client verifies every frame of a fetched
     span through this path — the very CRC/structure checks on-disk reads
     run — so a payload damaged on the wire is caught before a single
-    record reaches the reduce side.  ``label`` names the payload's origin
-    in :class:`~repro.errors.ShuffleCorruptionError` diagnostics.
+    record reaches the reduce side; the caller, which holds the span, then
+    applies :func:`check_count`.  ``label`` names the payload's origin in
+    :class:`~repro.errors.ShuffleCorruptionError` diagnostics.
     """
     records: List[Any] = []
     for batch in _iter_frame_stream(io.BytesIO(payload), 0, len(payload),
@@ -292,12 +306,11 @@ def iter_frames(path: str, offset: int, length: int) -> Iterator[List[Any]]:
 
     The per-frame headers make the payload self-describing: the reader
     needs no codec configuration, and frames written under different codecs
-    coexist in one file.  Checksummed frames (:data:`CRC_FLAG` set) have
-    their payload verified against the recorded CRC32; legacy frames are
-    decoded as before.  Any integrity failure — CRC mismatch, truncated
-    header or payload, unknown codec byte, undecodable legacy payload —
-    raises :class:`~repro.errors.ShuffleCorruptionError` naming the file
-    and frame offset, never yielding garbage records.
+    coexist in one file.  Any integrity failure — CRC mismatch, truncated
+    header or payload, a codec byte that is unknown or lacks
+    :data:`CRC_FLAG`, a frame running past ``offset + length``, an
+    undecodable payload — raises :class:`~repro.errors.ShuffleCorruptionError`
+    naming the file and frame offset, never yielding garbage records.
     """
     try:
         handle = open(path, "rb")
@@ -328,26 +341,109 @@ def _iter_frame_stream(handle: BinaryIO, offset: int, length: int,
             corrupt("truncated frame header")
         flagged_codec, size = _FRAME_HEADER.unpack(header)
         codec = flagged_codec & ~CRC_FLAG
-        if codec not in _CODEC_NAMES:
-            corrupt(f"unknown codec byte {flagged_codec:#x}")
-        expected_crc = None
-        if flagged_codec & CRC_FLAG:
-            trailer = handle.read(_FRAME_CRC.size)
-            if len(trailer) < _FRAME_CRC.size:
-                corrupt("truncated frame checksum")
-            (expected_crc,) = _FRAME_CRC.unpack(trailer)
+        if not flagged_codec & CRC_FLAG or codec not in _CODEC_NAMES:
+            corrupt(f"bad codec byte {flagged_codec:#x}")
+        trailer = handle.read(_FRAME_CRC.size)
+        if len(trailer) < _FRAME_CRC.size:
+            corrupt("truncated frame checksum")
+        (expected_crc,) = _FRAME_CRC.unpack(trailer)
+        if handle.tell() + size > end:
+            corrupt(f"{size}-byte payload runs past the end of the span")
         payload = handle.read(size)
         if len(payload) < size:
             corrupt(f"payload truncated to {len(payload)} of {size} bytes")
-        if expected_crc is not None and zlib.crc32(payload) != expected_crc:
+        if zlib.crc32(payload) != expected_crc:
             corrupt(f"CRC32 mismatch over {size} payload bytes")
         try:
             batch = pickle.loads(decode_payload(payload, codec))
-        except Exception as error:  # noqa: BLE001 - legacy frame rot
-            # only reachable for un-checksummed legacy frames (a CRC
-            # match guarantees the payload decodes as written)
+        except Exception as error:  # noqa: BLE001 - any decode failure is rot
+            # the CRC covers the payload only: a flipped codec byte that
+            # names another valid codec gets this far
             corrupt(f"payload failed to decode: {error}", error)
         yield batch
+
+
+def check_count(span: Span, count: int) -> None:
+    """Raise unless ``count`` records came back from ``span``.
+
+    The last step of every span read, from a file (:func:`load_span`,
+    :meth:`SpillRun.iter_records`) or over TCP
+    (:meth:`~repro.engine.transport.TcpShuffleTransport.read_span`).
+    """
+    if count != span.count:
+        raise ShuffleCorruptionError(
+            f"span of {span.path!r} at offset {span.offset} came back "
+            f"{count} records, expected {span.count}",
+            path=span.path, offset=span.offset)
+
+
+def load_span(span: Span) -> List[Any]:
+    """The verified read: one span's records, every CRC and the count checked."""
+    records = load_frames(span.path, span.offset, span.length)
+    check_count(span, len(records))
+    return records
+
+
+class SpillFile:
+    """The one frame-file writer: append records, get back their span.
+
+    Appends only ever add to the end of the file, so a returned span stays
+    valid for as long as the file exists and readers need no coordination
+    with the writer.  The file is opened (created if absent) on the first
+    append, after its records are framed: records that refuse to pickle
+    raise before the disk is touched, and an output-less writer leaves no
+    file.  The writer never deletes its file — the directory it lives in
+    decides that (``docs/architecture.md``, "Frames and spans").
+    """
+
+    def __init__(self, path: str, codec: int = CODEC_NONE):
+        self.path = path
+        self.codec = codec
+        self._handle: Optional[BinaryIO] = None
+
+    def append(self, records: Sequence[Any],
+               damage: Optional[Callable[[bytes], bytes]] = None) -> Span:
+        """Frame ``records`` onto the end of the file; return their span.
+
+        ``damage`` is a seeded corruption injector: it is handed the framed
+        bytes and returns the bytes to write, so the span stays truthful and
+        only the read-side checks can expose the loss.  The offset is re-read
+        from the file on every append, so an append that died mid-write
+        (disk full) cannot desynchronise later spans from the file.
+        """
+        payload = dump_frames(records, self.codec)
+        if damage is not None:
+            payload = damage(payload)
+        if self._handle is None:
+            self._handle = open(self.path, "ab")
+        self._handle.seek(0, os.SEEK_END)
+        offset = self._handle.tell()
+        self._handle.write(payload)
+        self._handle.flush()
+        return Span(self.path, offset, len(payload), len(records))
+
+    def sync(self) -> None:
+        """Force everything appended so far to durable storage (fsync).
+
+        Checkpoints and journalled shuffle files call this so their spans
+        survive a driver crash; scratch files skip the cost — they only need
+        to outlive the writer, not the machine.
+        """
+        if self._handle is not None:
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+
+    def close(self) -> None:
+        """Close the write handle, keeping the file for readers (idempotent)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self) -> "SpillFile":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class SpillRun:
@@ -365,137 +461,49 @@ class SpillRun:
         time, so at most one run is resident during the merge).
     """
 
-    def __init__(self, path: str, kind: str, nbytes: int):
-        self.path = path
+    def __init__(self, span: Span, kind: str):
+        self.span = span
         self.kind = kind
-        self.nbytes = nbytes
 
-    @staticmethod
-    def serialise(partial: Any, codec: int = CODEC_NONE) -> Tuple[str, bytes]:
-        """Frame one partial into a ``(kind, payload)`` pair.
+    @classmethod
+    def write(cls, spill_dir: str, partial: Any,
+              codec: int = CODEC_NONE) -> "SpillRun":
+        """Write one partial to a fresh run file under ``spill_dir``.
 
-        Kept separate from :meth:`write` so callers can tell a *pickling*
-        failure (keep the partial resident) apart from a *disk* failure
-        (OSError, which must propagate — silently growing unbounded would
-        defeat the configured memory budget).
+        Records that refuse to pickle raise before the file exists (the
+        caller keeps the partial resident); a disk failure raises
+        ``OSError``, which must propagate — silently growing unbounded would
+        defeat the configured memory budget.
         """
         if isinstance(partial, dict):
-            return "dict", dump_frames(list(partial.items()), codec)
-        return "list", dump_frames(list(partial), codec)
-
-    @classmethod
-    def write(cls, spill_dir: str, kind: str, payload: bytes) -> "SpillRun":
-        """Write one serialised payload to its own file under ``spill_dir``."""
-        descriptor, path = tempfile.mkstemp(prefix="run-", suffix=".spill",
-                                            dir=spill_dir)
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(payload)
-        return cls(path, kind, len(payload))
-
-    @classmethod
-    def spill(cls, spill_dir: str, partial: Any,
-              codec: int = CODEC_NONE) -> "SpillRun":
-        """Serialise and write one partial (convenience composition)."""
-        kind, payload = cls.serialise(partial, codec)
-        return cls.write(spill_dir, kind, payload)
+            kind, records = "dict", list(partial.items())
+        else:
+            kind, records = "list", list(partial)
+        path = os.path.join(spill_dir, f"run-{uuid.uuid4().hex}.spill")
+        with SpillFile(path, codec) as writer:
+            return cls(writer.append(records), kind)
 
     def iter_records(self) -> Iterator[Any]:
-        """Stream a ``list`` run back record by record (one frame resident)."""
-        for batch in iter_frames(self.path, 0, self.nbytes):
-            for record in batch:
-                yield record
+        """Stream a ``list`` run back record by record (one frame resident).
+
+        The record count is checked once the run is drained.
+        """
+        path, offset, length, _ = self.span
+        count = 0
+        for batch in iter_frames(path, offset, length):
+            count += len(batch)
+            yield from batch
+        check_count(self.span, count)
 
     def load_dict(self) -> Dict[Any, Any]:
         """Rebuild a ``dict`` run (frames of items) into one dict."""
-        rebuilt: Dict[Any, Any] = {}
-        for batch in iter_frames(self.path, 0, self.nbytes):
-            rebuilt.update(batch)
-        return rebuilt
+        return dict(load_span(self.span))
 
     def delete(self) -> None:
         """Remove the run file (idempotent)."""
         try:
-            os.remove(self.path)
+            os.remove(self.span.path)
         except OSError:
             pass
 
 
-class FrameFileWriter:
-    """Append-only frame-file writer whose spans outlive the writer.
-
-    The shuffle *transport* counterpart of :class:`SpillFile`: map tasks on
-    the process backend write their per-reduce buckets as framed payloads
-    into one file per map attempt and hand the ``(offset, length)`` spans to
-    the driver, so the file must survive :meth:`close` — it is deleted with
-    its shuffle by the transport, not by the writer.  The file is created
-    lazily on the first append; an output-less map task leaves no file
-    behind.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._handle: BinaryIO | None = None
-
-    def append(self, payload: bytes) -> Tuple[int, int]:
-        """Append one framed payload; return its ``(offset, length)`` span."""
-        if self._handle is None:
-            self._handle = open(self.path, "wb")
-        offset = self._handle.tell()
-        self._handle.write(payload)
-        self._handle.flush()
-        return offset, len(payload)
-
-    def flush_and_sync(self) -> None:
-        """Force appended payloads to durable storage (fsync).
-
-        Checkpoint and journal writers call this so their spans survive a
-        driver crash; ordinary shuffle writers skip the fsync cost — their
-        files only need to outlive the *writer*, not the machine.
-        """
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        """Close the write handle, keeping the file for readers (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-class SpillFile:
-    """Append-only pickle-framed spill file shared by one shuffle's buckets.
-
-    Writers append framed payloads and record ``(offset, length)`` spans;
-    spans are immutable once written, so readers open their own handle and
-    read concurrently without coordination.  Overwritten buckets (task
-    retries) simply leak their stale span until the file is deleted with the
-    shuffle — spill files live exactly as long as their shuffle's data.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._handle: BinaryIO = open(path, "wb")
-
-    def append(self, payload: bytes) -> Tuple[int, int]:
-        """Append one framed payload; return its ``(offset, length)`` span.
-
-        The offset is re-read from the file on every append, so a previous
-        append that died mid-write (disk full) cannot desynchronise later
-        spans from the actual file contents.
-        """
-        self._handle.seek(0, os.SEEK_END)
-        offset = self._handle.tell()
-        self._handle.write(payload)
-        self._handle.flush()
-        return offset, len(payload)
-
-    def close(self) -> None:
-        """Close the write handle and delete the file (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass

@@ -6,30 +6,41 @@ register the buckets here; reduce-side tasks then fetch and concatenate the
 buckets addressed to them.  Byte accounting is estimated from a sample of the
 bucket so that shuffle volume can be reported without serialising everything.
 
-By default every bucket stays resident.  When the owning context runs
-memory-bounded (``EngineConfig.shuffle_memory_bytes`` > 0, tracked by a
+A bucket lives in one of two places: resident, as a Python list, or on
+disk, as a :class:`~repro.engine.memory.Span` of a frame file — spilled by
+this manager, written by a worker process or by the networked write path,
+or re-registered from a journal.  By default every bucket stays resident.
+When the owning context runs memory-bounded
+(``EngineConfig.shuffle_memory_bytes`` > 0, tracked by a
 :class:`~repro.engine.memory.MemoryManager`), writes that push the resident
 total over the budget spill the coldest buckets to a per-shuffle spill file
-(pickle-framed and codec-compressed, see :mod:`repro.engine.memory`); reads
-— full, ranged (``map_range=``) and streaming — transparently bring spilled
-buckets back.  Byte accounting always uses the map-side estimates measured
-at write time, so bounded and unbounded runs report identical shuffle
-metrics; with compression on, the estimates are scaled by the measured
-ratio of the active codec rather than a simulated constant.
+(see :mod:`repro.engine.memory`); reads — full, ranged (``map_range=``) and
+streaming — transparently bring spans back.  Byte accounting always uses
+the map-side estimates measured at write time, so bounded and unbounded
+runs report identical shuffle metrics; with compression on, the estimates
+are scaled by the measured ratio of the active codec rather than a
+simulated constant.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import random
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..errors import FetchFailedError, ShuffleCorruptionError, ShuffleError
-from .memory import (CODEC_NONE, MemoryManager, SpillFile, corrupt_payload,
-                     dump_frames, encode_payload, load_frames, resolve_codec,
+from .memory import (CODEC_NONE, MemoryManager, Span, SpillFile,
+                     corrupt_payload, encode_payload, load_span, resolve_codec,
                      should_corrupt)
+
+#: Reduce partition -> (span, estimated bytes): the map output one task
+#: registers, and (keyed by ``(map, reduce)``) a shuffle's span catalog.
+SpanMap = Dict[Any, Tuple[Span, int]]
 
 _SAMPLE_SIZE = 20
 #: Records in the (larger) sample used to *measure* the compression ratio.
@@ -92,6 +103,41 @@ def estimate_bytes(records: Sequence[Any], compressed: bool = True,
     return max(1, total)
 
 
+def write_buckets(writer: SpillFile, buckets: Dict[int, List[Any]],
+                  compression: bool,
+                  damage: Callable[[bytes], bytes]) -> SpanMap:
+    """Frame one map task's buckets into ``writer``, then close it.
+
+    Each bucket's size is the ``estimate_bytes`` measurement the resident
+    path records, so registering these spans reproduces the thread
+    backend's shuffle metrics exactly.  ``damage`` is the caller's seeded
+    corruption injector (see :meth:`SpillFile.append`).
+    """
+    with writer:
+        return {reduce_partition: (
+                    writer.append(records, damage),
+                    estimate_bytes(records, compression, writer.codec))
+                for reduce_partition, records in buckets.items()}
+
+
+@contextmanager
+def lost_map_output(shuffle_id: int, map_partition: int) -> Iterator[None]:
+    """Turn a damaged span read into the fetch failure the scheduler acts on.
+
+    A span that cannot be produced means one map partition's output is
+    lost; :class:`FetchFailedError` names it, so the scheduler invalidates
+    exactly that output and recomputes it from lineage rather than failing
+    the job or blindly retrying the reduce task against the same bytes.
+    """
+    try:
+        yield
+    except ShuffleCorruptionError as exc:
+        raise FetchFailedError(
+            f"lost map output {map_partition} of shuffle {shuffle_id}: "
+            f"{exc}", shuffle_id=shuffle_id,
+            map_partition=map_partition) from exc
+
+
 class ShuffleManager:
     """Stores map-side shuffle output, keyed by shuffle id and partition."""
 
@@ -126,33 +172,27 @@ class ShuffleManager:
         #: Zero-argument callable returning the context's spill directory
         #: (created lazily); ``None`` disables spilling entirely.
         self._spill_dir = spill_dir
-        #: Bucket key -> ``(offset, length, record_count)`` span in its
-        #: shuffle's spill file, for buckets currently on disk.
-        self._spilled: Dict[Tuple[int, int, int], Tuple[int, int, int]] = {}
+        #: Bucket key -> span, for every bucket on disk rather than in
+        #: ``_buckets`` (spilled here, or registered by a writer elsewhere).
+        self._spans: Dict[Tuple[int, int, int], Span] = {}
         #: Buckets whose records refused to pickle; they stay resident.
         self._unspillable: set = set()
-        self._spill_files: Dict[int, SpillFile] = {}
-        #: Estimated bytes of all resident (non-spilled) buckets.
+        #: Estimated bytes of all resident buckets, and of all spans.
         self._resident_bytes = 0
+        self._span_bytes = 0
         self._spill_count = 0
         self._spill_bytes = 0
         #: Seeded corruption fault injection (``EngineConfig.
-        #: corruption_rate``): each spill event draws a decision keyed by a
-        #: monotonic sequence number, so a re-spilled (recomputed) bucket is
-        #: not doomed to re-corrupt.
+        #: corruption_rate``): each framed bucket draws a decision keyed by
+        #: a monotonic sequence number, so a re-written (recomputed) bucket
+        #: is not doomed to re-corrupt.
         self._corruption_rate = corruption_rate
         self._seed = seed
-        self._spill_seq = 0
+        self._write_seq = itertools.count(1)
         #: Shuffle transport of the process backend; owns the frame files
-        #: that external (worker-written) map output lives in.  ``None`` on
-        #: the thread backend.
+        #: that worker-written map output lives in.  ``None`` on the thread
+        #: backend.
         self.transport = transport
-        #: Bucket key -> ``(path, offset, length, record_count)`` span for
-        #: buckets written by worker processes as transport frame files.
-        self._external: Dict[Tuple[int, int, int],
-                             Tuple[str, int, int, int]] = {}
-        #: Estimated bytes of all external buckets.
-        self._external_bytes = 0
         #: ``(shuffle_id, map_partition)`` -> producer identity (worker pid
         #: or ``"driver"``) of externally registered map output; health
         #: tracking uses it to blame fetch failures on the producer and to
@@ -170,24 +210,35 @@ class ShuffleManager:
         return ("shuffle-buckets", id(self))
 
     def _sync_memory(self) -> None:
-        """Mirror the resident bucket total into the memory manager."""
-        if self.memory is not None:
-            self.memory.reserve(self._memory_owner, self._resident_bytes)
+        """Mirror the bucket bytes this manager holds into the memory manager.
 
-    @property
-    def _external_owner(self) -> Tuple[str, int]:
-        return ("shuffle-external", id(self))
-
-    def _sync_external(self) -> None:
-        """Mirror the external bucket total into the memory manager.
-
-        External spans live on disk, so under a bounded budget they must
-        not consume it; in the unbounded default they stand in for the
-        resident buckets the thread backend would have held, which keeps
-        peak-residency accounting backend-invariant.
+        Spans live on disk, so under a bounded budget they must not consume
+        it; in the unbounded default (where nothing spills, so every span
+        was written elsewhere) they stand in for the resident buckets the
+        thread backend would have held, which keeps peak-residency
+        accounting backend-invariant.
         """
-        if self.memory is not None and not self.memory.bounded:
-            self.memory.reserve(self._external_owner, self._external_bytes)
+        if self.memory is not None:
+            held = self._resident_bytes
+            if not self.memory.bounded:
+                held += self._span_bytes
+            self.memory.reserve(self._memory_owner, held)
+
+    def _damage(self, kind: str) -> Callable[[bytes], bytes]:
+        """The seeded corruption injector for one framed bucket write.
+
+        Fault injection damages the bytes *on disk only* — the write-side
+        accounting stays truthful, and the read side must detect the damage.
+        """
+        def damage(payload: bytes) -> bytes:
+            key = f"{kind}:{next(self._write_seq)}"
+            if should_corrupt(self._seed, self._corruption_rate, key):
+                return corrupt_payload(payload, self._seed, key)
+            return payload
+        return damage
+
+    def _spill_path(self, shuffle_id: int) -> str:
+        return os.path.join(self._spill_dir(), f"shuffle-{shuffle_id}.spill")
 
     def resident_bytes(self) -> int:
         """Estimated bytes of the buckets currently held in memory."""
@@ -199,18 +250,29 @@ class ShuffleManager:
         with self._lock:
             return self._spill_count, self._spill_bytes
 
-    def _bucket_records_locked(self, key: Tuple[int, int, int]) -> int:
-        """Record count of one bucket wherever it lives (lock held)."""
-        bucket = self._buckets.get(key)
+    def _source_locked(self, key: Tuple[int, int, int]
+                       ) -> Union[List[Any], Span, None]:
+        """A bucket's records if resident, its span if on disk; ``None``
+        when it is absent or empty (lock held)."""
+        source = self._buckets.get(key) or self._spans.get(key)
+        if isinstance(source, Span) and not source.count:
+            return None
+        return source
+
+    def _drop_bucket_locked(self, key: Tuple[int, int, int]
+                            ) -> Tuple[int, int]:
+        """Forget one bucket wherever it lives; ``(bytes, records)`` it had."""
+        size = self._bucket_bytes.pop(key, 0)
+        self._unspillable.discard(key)
+        bucket = self._buckets.pop(key, None)
         if bucket is not None:
-            return len(bucket)
-        span = self._spilled.get(key)
+            self._resident_bytes -= size
+            return size, len(bucket)
+        span = self._spans.pop(key, None)
         if span is not None:
-            return span[2]
-        external = self._external.get(key)
-        if external is not None:
-            return external[3]
-        return 0
+            self._span_bytes -= size
+            return size, span.count
+        return size, 0
 
     # -- map side ------------------------------------------------------------
 
@@ -261,33 +323,24 @@ class ShuffleManager:
             stale_bytes = 0
             stale_records = 0
             for key, copied, size in staged:
-                previous = self._bucket_bytes.get(key)
-                if previous is not None:
-                    # a retried (or stage-retried) task overwrites its old
-                    # output: retract the stale attempt's contribution from
-                    # the per-shuffle totals so `bytes_written` and
-                    # `map_output_stats` never double-count; a previously
-                    # spilled span just goes stale in the append-only file
-                    stale_bytes += previous
-                    stale_records += self._bucket_records_locked(key)
-                    if key in self._buckets:
-                        self._resident_bytes -= previous
-                    if key in self._external:
-                        self._external_bytes -= previous
-                        del self._external[key]
-                self._spilled.pop(key, None)
-                self._unspillable.discard(key)
+                # a retried (or stage-retried) task overwrites its old
+                # output: retract the stale attempt's contribution from the
+                # per-shuffle totals so `bytes_written` and
+                # `map_output_stats` never double-count; a previous span
+                # just goes stale in its append-only file
+                previous, previous_records = self._drop_bucket_locked(key)
+                stale_bytes += previous
+                stale_records += previous_records
                 self._buckets[key] = copied
                 self._bucket_bytes[key] = size
                 self._resident_bytes += size
                 reduce_key = (shuffle_id, key[2])
                 self._reduce_bytes[reduce_key] = \
-                    self._reduce_bytes.get(reduce_key, 0) - (previous or 0) + size
+                    self._reduce_bytes.get(reduce_key, 0) - previous + size
             self._completed_maps[shuffle_id].add(map_partition)
             self._bytes_written[shuffle_id] += written - stale_bytes
             self._records_written[shuffle_id] += records_out - stale_records
             self._sync_memory()
-            self._sync_external()
             if task_context is not None and self.memory is not None:
                 task_context.note_peak(self.memory.used_bytes)
             self._spill_over_budget(task_context)
@@ -297,13 +350,13 @@ class ShuffleManager:
         """Spill the coldest buckets until the resident total fits the budget.
 
         Called with the manager lock held.  Victims are taken in bucket
-        insertion order (oldest write first); each is serialised as a
-        pickle-framed payload appended to its shuffle's spill file, its
-        records are dropped from memory, and its byte *estimate* stays on
-        record so read-side accounting is unchanged.  Buckets that refuse to
-        pickle are marked unspillable and stay resident.  Spilling performs
-        file I/O under the lock — the price of a consistent resident total;
-        the unbounded default path never reaches this method.
+        insertion order (oldest write first); each is framed onto its
+        shuffle's spill file, its records are dropped from memory, and its
+        byte *estimate* stays on record so read-side accounting is
+        unchanged.  Buckets that refuse to pickle are marked unspillable and
+        stay resident.  Spilling performs file I/O under the lock — the
+        price of a consistent resident total; the unbounded default path
+        never reaches this method.
         """
         if self.memory is None or not self.memory.bounded or \
                 self._spill_dir is None:
@@ -320,83 +373,56 @@ class ShuffleManager:
             if not bucket:
                 continue
             try:
-                payload = dump_frames(bucket, self.codec)
-            except Exception:
+                with SpillFile(self._spill_path(key[0]), self.codec) as spill:
+                    span = spill.append(bucket, self._damage("spill"))
+            except OSError:
+                raise
+            except Exception:  # records that refuse to pickle stay resident
                 self._unspillable.add(key)
                 continue
-            self._spill_seq += 1
-            if should_corrupt(self._seed, self._corruption_rate,
-                              f"spill:{self._spill_seq}"):
-                # fault injection: damage the payload *on disk only* — the
-                # write-side accounting stays truthful, and the read side
-                # must detect the damage via the frame CRC
-                payload = corrupt_payload(payload, self._seed,
-                                          f"spill:{self._spill_seq}")
-            spill_file = self._spill_files.get(key[0])
-            if spill_file is None:
-                spill_file = SpillFile(os.path.join(
-                    self._spill_dir(), f"shuffle-{key[0]}.spill"))
-                self._spill_files[key[0]] = spill_file
-            offset, length = spill_file.append(payload)
-            self._spilled[key] = (offset, length, len(bucket))
+            self._spans[key] = span
             del self._buckets[key]
-            self._resident_bytes -= self._bucket_bytes.get(key, 0)
+            size = self._bucket_bytes.get(key, 0)
+            self._resident_bytes -= size
+            self._span_bytes += size
             self._spill_count += 1
-            self._spill_bytes += length
+            self._spill_bytes += span.length
             if task_context is not None:
                 task_context.spills += 1
-                task_context.spill_bytes += length
+                task_context.spill_bytes += span.length
         self._sync_memory()
 
     def _write_networked_map_output(self, shuffle_id: int, map_partition: int,
                                     buckets: Dict[int, List[Any]],
                                     task_context=None) -> int:
-        """Frame one map task's buckets to transport files and register them.
+        """Frame one map task's buckets to a transport file and register it.
 
-        The networked twin of the resident write path: buckets are framed
-        (with the same measured byte estimates), optionally damaged by the
-        seeded corruption injector — keyed by a monotonic sequence so a
-        recomputed bucket draws a fresh decision — and registered as
-        external spans that every reader fetches over TCP.
+        The networked twin of the resident write path: every reader then
+        fetches the buckets over TCP.
         """
-        writer = self.transport.map_output_writer(shuffle_id, map_partition)
-        spans: Dict[int, Tuple[str, int, int, int, int]] = {}
-        try:
-            for reduce_partition, records in buckets.items():
-                size = estimate_bytes(records, self.compression, self.codec)
-                payload = dump_frames(records, self.codec)
-                with self._lock:
-                    self._spill_seq += 1
-                    seq = self._spill_seq
-                if should_corrupt(self._seed, self._corruption_rate,
-                                  f"transport:{seq}"):
-                    payload = corrupt_payload(payload, self._seed,
-                                              f"transport:{seq}")
-                offset, length = writer.append(payload)
-                spans[reduce_partition] = \
-                    (writer.path, offset, length, len(records), size)
-        finally:
-            writer.close()
+        spans = write_buckets(
+            self.transport.map_output_writer(shuffle_id, map_partition,
+                                             self.codec),
+            buckets, self.compression, self._damage("transport"))
         written = self.register_external_map_output(shuffle_id, map_partition,
                                                     spans, worker="driver")
         if task_context is not None and self.memory is not None:
             task_context.note_peak(self.memory.used_bytes)
         return written
 
-    def register_external_map_output(
-            self, shuffle_id: int, map_partition: int,
-            spans: Dict[int, Tuple[str, int, int, int, int]],
-            worker: Any = None) -> int:
-        """Adopt map output a worker process wrote as transport frame files.
+    def register_external_map_output(self, shuffle_id: int,
+                                     map_partition: int, spans: SpanMap,
+                                     worker: Any = None) -> int:
+        """Adopt map output another writer framed to disk.
 
-        ``spans`` maps each reduce partition to the ``(path, offset,
-        length, record_count, estimated_bytes)`` span of its pickle-framed
-        bucket; the bytes are the worker-side ``estimate_bytes`` measurement,
-        so read-side accounting matches the thread backend exactly.  Retried
-        map tasks overwrite their previous registration the same way
-        :meth:`write_map_output` overwrites resident buckets; the stale frame
-        file lives on until the shuffle is removed.  Returns the estimated
-        bytes written, mirroring :meth:`write_map_output`.
+        ``spans`` maps each reduce partition to ``(span, estimated bytes)``
+        (:func:`write_buckets`); the bytes are the writer-side
+        ``estimate_bytes`` measurement, so read-side accounting matches the
+        thread backend exactly.  Retried map tasks overwrite their previous
+        registration the same way :meth:`write_map_output` overwrites
+        resident buckets; the stale frame file lives on until the shuffle is
+        removed.  Returns the estimated bytes written, mirroring
+        :meth:`write_map_output`.
         """
         with self._lock:
             if shuffle_id not in self._expected_maps:
@@ -405,87 +431,67 @@ class ShuffleManager:
             records_out = 0
             stale_bytes = 0
             stale_records = 0
-            for reduce_partition, span in spans.items():
-                path, offset, length, count, size = span
+            for reduce_partition, (span, size) in spans.items():
                 key = (shuffle_id, map_partition, reduce_partition)
-                previous = self._bucket_bytes.get(key)
-                if previous is not None:
-                    # same retraction as `write_map_output`: a re-registered
-                    # map partition replaces, never adds to, the totals
-                    stale_bytes += previous
-                    stale_records += self._bucket_records_locked(key)
-                    if key in self._buckets:
-                        self._resident_bytes -= previous
-                        del self._buckets[key]
-                    if key in self._external:
-                        self._external_bytes -= previous
-                self._spilled.pop(key, None)
-                self._unspillable.discard(key)
-                self._external[key] = (path, offset, length, count)
+                # same retraction as `write_map_output`: a re-registered
+                # map partition replaces, never adds to, the totals
+                previous, previous_records = self._drop_bucket_locked(key)
+                stale_bytes += previous
+                stale_records += previous_records
+                self._spans[key] = span
                 self._bucket_bytes[key] = size
-                self._external_bytes += size
+                self._span_bytes += size
                 reduce_key = (shuffle_id, reduce_partition)
                 self._reduce_bytes[reduce_key] = \
-                    self._reduce_bytes.get(reduce_key, 0) - (previous or 0) + size
+                    self._reduce_bytes.get(reduce_key, 0) - previous + size
                 written += size
-                records_out += count
+                records_out += span.count
             self._completed_maps[shuffle_id].add(map_partition)
             if worker is not None:
                 self._producers[(shuffle_id, map_partition)] = worker
             self._bytes_written[shuffle_id] += written - stale_bytes
             self._records_written[shuffle_id] += records_out - stale_records
             self._sync_memory()
-            self._sync_external()
         return written
+
+    def _catalog_entries_locked(self, shuffle_id: int) -> List[
+            Tuple[Tuple[int, int], Union[List[Any], Span], int]]:
+        """``((map, reduce), bucket or span, bytes)`` of each non-empty bucket."""
+        self._check_readable(shuffle_id)
+        entries = []
+        for key, size in self._bucket_bytes.items():
+            if key[0] == shuffle_id:
+                source = self._source_locked(key)
+                if source is not None:
+                    entries.append(((key[1], key[2]), source, size))
+        return entries
 
     def export_catalog(self, shuffle_id: int) -> Dict[str, Any]:
         """Span catalog of one complete shuffle for worker-process reads.
 
         Returns ``{"maps": [map partitions in order], "buckets": {(map,
-        reduce): (path, offset, length, record_count, estimated_bytes)}}``.
-        External and spilled buckets are already framed on disk and export
-        their spans directly.  Resident buckets — only reachable when a
-        directly constructed manager mixed thread-side writes into a
-        process-backend read — are dumped to transport frame files on
-        demand, one file per bucket, swept with the shuffle; an unpicklable
-        resident bucket cannot cross the process boundary and the pickling
-        error propagates.
+        reduce): (span, estimated bytes)}}``.  Buckets already on disk
+        export their spans directly.  Resident buckets — only reachable when
+        a directly constructed manager mixed thread-side writes into a
+        process-backend read — are framed to transport files on demand, one
+        file per bucket, swept with the shuffle; an unpicklable resident
+        bucket cannot cross the process boundary and the pickling error
+        propagates.
         """
         with self._lock:
-            self._check_readable(shuffle_id)
+            entries = self._catalog_entries_locked(shuffle_id)
             maps = sorted(self._completed_maps[shuffle_id])
-            buckets: Dict[Tuple[int, int], Tuple[str, int, int, int, int]] = {}
-            resident: List[Tuple[Tuple[int, int], List[Any], int]] = []
-            for key, size in self._bucket_bytes.items():
-                if key[0] != shuffle_id:
-                    continue
-                entry = (key[1], key[2])
-                external = self._external.get(key)
-                if external is not None:
-                    if external[3] > 0:
-                        buckets[entry] = (external[0], external[1],
-                                          external[2], external[3], size)
-                    continue
-                span = self._spilled.get(key)
-                if span is not None:
-                    path = self._spill_files[shuffle_id].path
-                    buckets[entry] = (path, span[0], span[1], span[2], size)
-                    continue
-                bucket = self._buckets.get(key)
-                if bucket:
-                    resident.append((entry, bucket, size))
-        if resident:
-            if self.transport is None:
-                raise ShuffleError(
-                    f"shuffle {shuffle_id} holds resident buckets but no "
-                    f"transport is attached to export them")
-            for (map_partition, reduce_partition), bucket, size in resident:
-                writer = self.transport.map_output_writer(shuffle_id,
-                                                          map_partition)
-                offset, length = writer.append(dump_frames(bucket, self.codec))
-                writer.close()
-                buckets[(map_partition, reduce_partition)] = \
-                    (writer.path, offset, length, len(bucket), size)
+        buckets: SpanMap = {}
+        for (map_partition, reduce_partition), source, size in entries:
+            if not isinstance(source, Span):
+                if self.transport is None:
+                    raise ShuffleError(
+                        f"shuffle {shuffle_id} holds resident buckets but no "
+                        f"transport is attached to export them")
+                with self.transport.map_output_writer(
+                        shuffle_id, map_partition, self.codec) as writer:
+                    source = writer.append(source)
+            buckets[(map_partition, reduce_partition)] = (source, size)
         return {"maps": maps, "buckets": buckets}
 
     def export_durable_catalog(self, shuffle_id: int,
@@ -495,66 +501,40 @@ class ShuffleManager:
         The journaling twin of :meth:`export_catalog`: spans whose frame
         files already live under ``directory`` (the engine's checkpoint
         dir — where a durable transport roots its shuffle files) are
-        reused as-is; everything else — resident buckets, locally spilled
-        spans, external spans outside the durable root — is re-framed into
-        fsynced per-map files under ``directory/shuffle-<id>/``.  The
-        result is safe to record in the job journal: every path in it
-        survives a driver crash.
+        reused as-is; everything else — resident buckets, spilled spans,
+        spans outside the durable root — is re-framed into fsynced per-map
+        files under ``directory/shuffle-<id>/``.  The result is safe to
+        record in the job journal: every path in it survives a driver
+        crash.
         """
         prefix = os.path.abspath(directory) + os.sep
         with self._lock:
-            self._check_readable(shuffle_id)
+            entries = self._catalog_entries_locked(shuffle_id)
             maps = sorted(self._completed_maps[shuffle_id])
-            buckets: Dict[Tuple[int, int], Tuple[str, int, int, int, int]] = {}
-            pending: Dict[int, List[Tuple[int, List[Any],
-                                          Tuple[str, int, int], int]]] = {}
-            for key, size in self._bucket_bytes.items():
-                if key[0] != shuffle_id:
-                    continue
-                entry = (key[1], key[2])
-                external = self._external.get(key)
-                if external is not None:
-                    if external[3] == 0:
-                        continue
-                    if os.path.abspath(external[0]).startswith(prefix):
-                        buckets[entry] = (external[0], external[1],
-                                          external[2], external[3], size)
-                    else:
-                        pending.setdefault(key[1], []).append(
-                            (key[2], None,
-                             (external[0], external[1], external[2]), size))
-                    continue
-                span = self._spilled.get(key)
-                if span is not None:
-                    path = self._spill_files[shuffle_id].path
-                    pending.setdefault(key[1], []).append(
-                        (key[2], None, (path, span[0], span[1]), size))
-                    continue
-                bucket = self._buckets.get(key)
-                if bucket:
-                    pending.setdefault(key[1], []).append(
-                        (key[2], bucket, None, size))
+        buckets: SpanMap = {}
+        pending: Dict[int, List[Tuple[int, Union[List[Any], Span], int]]] = {}
+        for (map_partition, reduce_partition), source, size in entries:
+            if isinstance(source, Span) and \
+                    os.path.abspath(source.path).startswith(prefix):
+                buckets[(map_partition, reduce_partition)] = (source, size)
+            else:
+                pending.setdefault(map_partition, []).append(
+                    (reduce_partition, source, size))
         # re-framing happens outside the lock: resident buckets are
-        # immutable once written and spill/transport files append-only
-        from .memory import FrameFileWriter
+        # immutable once written and frame files append-only
         shuffle_dir = os.path.join(directory, f"shuffle-{shuffle_id}")
         for map_partition, items in sorted(pending.items()):
             os.makedirs(shuffle_dir, exist_ok=True)
             path = os.path.join(
                 shuffle_dir,
                 f"map-{map_partition}-{os.getpid()}-journal.data")
-            writer = FrameFileWriter(path)
-            try:
-                for reduce_partition, bucket, span, size in items:
-                    if bucket is None:
-                        bucket = load_frames(*span)
-                    offset, length = writer.append(
-                        dump_frames(bucket, self.codec))
+            with SpillFile(path, self.codec) as writer:
+                for reduce_partition, source, size in items:
+                    if isinstance(source, Span):
+                        source = load_span(source)
                     buckets[(map_partition, reduce_partition)] = \
-                        (path, offset, length, len(bucket), size)
-                writer.flush_and_sync()
-            finally:
-                writer.close()
+                        (writer.append(source), size)
+                writer.sync()
         return {"maps": maps, "buckets": buckets}
 
     # -- reduce side ----------------------------------------------------------
@@ -569,73 +549,46 @@ class ShuffleManager:
 
     def _bucket_refs(self, shuffle_id: int, reduce_partition: int,
                      map_range: Optional[Tuple[int, int]]):
-        """Snapshot (records-or-span, size) refs in map order; lock held.
+        """Snapshot ``(map partition, bucket or span, size)`` in map order.
 
-        Resident buckets contribute their (immutable) list reference,
-        spilled buckets the ``(path, offset, length)`` span of their framed
-        payload; either way the size is the write-side estimate.  Each ref
-        carries the map partition it came from so read-side integrity
-        failures can name the exact lost output, plus a flag marking
-        locally *spilled* spans — those never cross the transport and get
-        the cheap in-place re-read on corruption.
+        Called with the lock held.  Resident buckets contribute their
+        (immutable) list reference, on-disk buckets their span; either way
+        the size is the write-side estimate.  The map partition lets a
+        read-side integrity failure name the exact lost output.
         """
-        refs: List[Tuple[int, Optional[List[Any]],
-                         Optional[Tuple[str, int, int]], int, bool]] = []
+        refs: List[Tuple[int, Union[List[Any], Span], int]] = []
         for map_partition in sorted(self._completed_maps[shuffle_id]):
             if map_range is not None and \
                     not map_range[0] <= map_partition < map_range[1]:
                 continue
             key = (shuffle_id, map_partition, reduce_partition)
-            size = self._bucket_bytes.get(key, 0)
-            bucket = self._buckets.get(key)
-            if bucket:
-                refs.append((map_partition, bucket, None, size, False))
-                continue
-            span = self._spilled.get(key)
-            if span is not None:
-                spill_file = self._spill_files[shuffle_id]
-                refs.append((map_partition, None,
-                             (spill_file.path, span[0], span[1]), size, True))
-                continue
-            external = self._external.get(key)
-            if external is not None and external[3] > 0:
-                refs.append((map_partition, None,
-                             (external[0], external[1], external[2]),
-                             size, False))
+            source = self._source_locked(key)
+            if source is not None:
+                refs.append((map_partition, source,
+                             self._bucket_bytes.get(key, 0)))
         return refs
 
-    def _load_span(self, shuffle_id: int, map_partition: int,
-                   span: Tuple[str, int, int],
-                   spilled: bool = False) -> List[Any]:
-        """Load one framed bucket span, converting damage to a fetch failure.
+    def _load(self, shuffle_id: int, map_partition: int,
+              source: Union[List[Any], Span]) -> List[Any]:
+        """A resident bucket as is, or one span read back verified.
 
-        External spans go through the transport — a plain file read on the
-        local transport, a retried CRC-verified TCP fetch on the networked
-        one.  A locally *spilled* span gets one bounded in-place re-read
-        before escalating: a transient read glitch on the driver's own disk
-        does not warrant recomputing the map partition from lineage (the
-        cheap path).  A span that still cannot be produced means one map
-        partition's output is lost; :class:`FetchFailedError` names it so
-        the scheduler can invalidate exactly that output and recompute it
-        from lineage rather than failing the job or blindly retrying the
-        reduce task against the same damaged bytes.
+        With a transport the read goes through it — a plain file read on
+        the local transport, a retried TCP fetch on the networked one.
+        Without one, the span is on this machine's disk and gets one bounded
+        in-place re-read before escalating: a transient read glitch does not
+        warrant recomputing the map partition from lineage.
         """
-        try:
-            if spilled:
-                try:
-                    return load_frames(*span)
-                except ShuffleCorruptionError:
-                    with self._lock:
-                        self._fetch_retries += 1
-                    return load_frames(*span)
+        if not isinstance(source, Span):
+            return source
+        with lost_map_output(shuffle_id, map_partition):
             if self.transport is not None:
-                return self.transport.read_span(*span)
-            return load_frames(*span)
-        except ShuffleCorruptionError as exc:
-            raise FetchFailedError(
-                f"lost map output {map_partition} of shuffle {shuffle_id}: "
-                f"{exc}", shuffle_id=shuffle_id,
-                map_partition=map_partition) from exc
+                return self.transport.read_span(source)
+            try:
+                return load_span(source)
+            except ShuffleCorruptionError:
+                with self._lock:
+                    self._fetch_retries += 1
+                return load_span(source)
 
     def drain_fetch_retries(self) -> int:
         """Retried reads (local re-reads + network fetches) since last drain.
@@ -702,11 +655,8 @@ class ShuffleManager:
             refs = self._bucket_refs(shuffle_id, reduce_partition, map_range)
         records: List[Any] = []
         size = 0
-        for map_partition, bucket, span, bucket_size, spilled in refs:
-            if bucket is None:
-                bucket = self._load_span(shuffle_id, map_partition, span,
-                                         spilled)
-            records.extend(bucket)
+        for map_partition, source, bucket_size in refs:
+            records.extend(self._load(shuffle_id, map_partition, source))
             size += bucket_size
         return records, size
 
@@ -724,11 +674,8 @@ class ShuffleManager:
         with self._lock:
             self._check_readable(shuffle_id)
             refs = self._bucket_refs(shuffle_id, reduce_partition, map_range)
-        for map_partition, bucket, span, bucket_size, spilled in refs:
-            if bucket is None:
-                bucket = self._load_span(shuffle_id, map_partition, span,
-                                         spilled)
-            yield bucket, bucket_size
+        for map_partition, source, bucket_size in refs:
+            yield self._load(shuffle_id, map_partition, source), bucket_size
 
     def reduce_partition_bytes(self, shuffle_id: int) -> Dict[int, int]:
         """Per-reduce-partition byte totals of a shuffle's map output.
@@ -775,34 +722,23 @@ class ShuffleManager:
         them, so memory-bounded runs sample the very same records.
         """
         with self._lock:
-            entries: List[Tuple[Optional[List[Any]],
-                                Optional[Tuple[str, int, int]], int]] = []
-            keys = set(self._buckets) | set(self._spilled) | set(self._external)
-            for key in sorted(k for k in keys if k[0] == shuffle_id):
-                bucket = self._buckets.get(key)
-                if bucket:
-                    entries.append((bucket, None, len(bucket)))
-                    continue
-                span = self._spilled.get(key)
-                if span is not None and span[2] > 0:
-                    spill_file = self._spill_files[shuffle_id]
-                    entries.append(
-                        (None, (spill_file.path, span[0], span[1]), span[2]))
-                    continue
-                external = self._external.get(key)
-                if external is not None and external[3] > 0:
-                    entries.append((None, (external[0], external[1],
-                                           external[2]), external[3]))
-        total = sum(count for _, _, count in entries)
+            entries: List[Tuple[Union[List[Any], Span], int]] = []
+            for key in sorted(k for k in self._bucket_bytes
+                              if k[0] == shuffle_id):
+                source = self._source_locked(key)
+                if source:
+                    entries.append((source, source.count
+                                    if isinstance(source, Span)
+                                    else len(source)))
+        total = sum(count for _, count in entries)
         if total == 0 or size <= 0:
             return []
 
-        def materialise(entry):
-            bucket, span, _ = entry
-            if bucket is not None:
-                return bucket
+        def materialise(source):
+            if not isinstance(source, Span):
+                return source
             try:
-                return load_frames(*span)
+                return load_span(source)
             except ShuffleCorruptionError:
                 # sampling is advisory (statistics only): a damaged span
                 # contributes nothing here — the authoritative read path
@@ -811,8 +747,8 @@ class ShuffleManager:
 
         if total <= size:
             sample: List[Any] = []
-            for entry in entries:
-                sample.extend(materialise(entry))
+            for source, _ in entries:
+                sample.extend(materialise(source))
             return sample
         rng = random.Random(f"shuffle-sample:{shuffle_id}")
         positions = sorted(rng.sample(range(total), size))
@@ -820,12 +756,12 @@ class ShuffleManager:
         entry_index, offset = 0, 0
         loaded: Optional[List[Any]] = None
         for position in positions:
-            while position - offset >= entries[entry_index][2]:
-                offset += entries[entry_index][2]
+            while position - offset >= entries[entry_index][1]:
+                offset += entries[entry_index][1]
                 entry_index += 1
                 loaded = None
             if loaded is None:
-                loaded = materialise(entries[entry_index])
+                loaded = materialise(entries[entry_index][0])
             if position - offset < len(loaded):
                 sample.append(loaded[position - offset])
         return sample
@@ -855,14 +791,14 @@ class ShuffleManager:
                               map_partition: int) -> bool:
         """Drop one map partition's output after a fetch failure.
 
-        Removes every bucket the partition contributed — resident, spilled
-        or external — retracts its share of the per-shuffle and per-reduce
+        Removes every bucket the partition contributed, resident or on
+        disk, retracts its share of the per-shuffle and per-reduce
         byte/record totals, and un-marks the partition as completed so
         :meth:`is_complete` turns false and :meth:`missing_map_partitions`
         reports it.  The scheduler then recomputes just that partition from
         lineage and re-registers its output.  Stale spans in append-only
-        spill/transport files are simply abandoned (they are swept with the
-        shuffle).  Returns True when the partition had registered output.
+        frame files are simply abandoned (they are swept with the shuffle).
+        Returns True when the partition had registered output.
         """
         with self._lock:
             completed = self._completed_maps.get(shuffle_id)
@@ -871,19 +807,9 @@ class ShuffleManager:
             stale = [key for key in self._bucket_bytes
                      if key[0] == shuffle_id and key[1] == map_partition]
             for key in stale:
-                size = self._bucket_bytes[key]
+                size, records = self._drop_bucket_locked(key)
                 self._bytes_written[shuffle_id] -= size
-                self._records_written[shuffle_id] -= \
-                    self._bucket_records_locked(key)
-                if key in self._buckets:
-                    self._resident_bytes -= size
-                    del self._buckets[key]
-                if key in self._external:
-                    self._external_bytes -= size
-                    del self._external[key]
-                self._spilled.pop(key, None)
-                self._unspillable.discard(key)
-                del self._bucket_bytes[key]
+                self._records_written[shuffle_id] -= records
                 reduce_key = (shuffle_id, key[2])
                 remaining = self._reduce_bytes.get(reduce_key, 0) - size
                 if remaining > 0:
@@ -893,7 +819,6 @@ class ShuffleManager:
             completed.discard(map_partition)
             self._producers.pop((shuffle_id, map_partition), None)
             self._sync_memory()
-            self._sync_external()
             return True
 
     def missing_map_partitions(self, shuffle_id: int) -> List[int]:
@@ -915,20 +840,9 @@ class ShuffleManager:
         with self._lock:
             # delete only the matching keys; rebuilding the whole dict would
             # copy every other shuffle's entries under the lock
-            stale = [key for key in self._buckets if key[0] == shuffle_id]
-            for key in stale:
-                self._resident_bytes -= self._bucket_bytes.get(key, 0)
-                del self._buckets[key]
-            for key in [key for key in self._spilled if key[0] == shuffle_id]:
-                del self._spilled[key]
-            for key in [key for key in self._external if key[0] == shuffle_id]:
-                self._external_bytes -= self._bucket_bytes.get(key, 0)
-                del self._external[key]
             for key in [key for key in self._bucket_bytes
                         if key[0] == shuffle_id]:
-                del self._bucket_bytes[key]
-            self._unspillable = {key for key in self._unspillable
-                                 if key[0] != shuffle_id}
+                self._drop_bucket_locked(key)
             stale_reduce = [key for key in self._reduce_bytes
                             if key[0] == shuffle_id]
             for key in stale_reduce:
@@ -940,41 +854,43 @@ class ShuffleManager:
             for key in [key for key in self._producers
                         if key[0] == shuffle_id]:
                 del self._producers[key]
-            spill_file = self._spill_files.pop(shuffle_id, None)
-            if spill_file is not None:
-                spill_file.close()
+            self._remove_spill_file_locked(shuffle_id)
             self._sync_memory()
-            self._sync_external()
             # sweeps registered frame files and partial output of failed
             # map attempts alike
             if self.transport is not None:
                 self.transport.remove_shuffle(shuffle_id)
 
+    def _remove_spill_file_locked(self, shuffle_id: int) -> None:
+        # the spill directory exists once anything has spilled; asking for
+        # it before that would create it for nothing
+        if self._spill_count:
+            try:
+                os.remove(self._spill_path(shuffle_id))
+            except OSError:
+                pass
+
     def clear(self) -> None:
         """Discard every shuffle (used when an engine context shuts down)."""
         with self._lock:
-            if self.transport is not None and not self.transport.durable:
-                # a durable transport's frame files are recovery state:
-                # they must survive stop() so a restarted context can
-                # re-register them from the journal
-                for shuffle_id in self._expected_maps:
+            for shuffle_id in self._expected_maps:
+                self._remove_spill_file_locked(shuffle_id)
+                if self.transport is not None and not self.transport.durable:
+                    # a durable transport's frame files are recovery state:
+                    # they must survive stop() so a restarted context can
+                    # re-register them from the journal
                     self.transport.remove_shuffle(shuffle_id)
             self._buckets.clear()
+            self._spans.clear()
             self._bucket_bytes.clear()
             self._reduce_bytes.clear()
             self._completed_maps.clear()
             self._expected_maps.clear()
             self._bytes_written.clear()
             self._records_written.clear()
-            self._spilled.clear()
             self._unspillable.clear()
-            for spill_file in self._spill_files.values():
-                spill_file.close()
-            self._spill_files.clear()
-            self._external.clear()
-            self._external_bytes = 0
             self._producers.clear()
             self._fetch_retries = 0
             self._resident_bytes = 0
+            self._span_bytes = 0
             self._sync_memory()
-            self._sync_external()

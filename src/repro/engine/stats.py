@@ -420,9 +420,10 @@ class StatsEstimator:
             # checkpoint metadata records exact per-partition row counts
             entry = getattr(node.dataset, "_checkpoint", None)
             if entry is not None:
-                return StatsEstimate(rows=float(sum(entry.rows)),
-                                     size_bytes=float(entry.size_bytes),
-                                     exact=True)
+                return StatsEstimate(
+                    rows=float(sum(span.count for span in entry.spans)),
+                    size_bytes=float(sum(span.length for span in entry.spans)),
+                    exact=True)
             return self._leaf_stats(node)
         if isinstance(node, ProjectedScanNode):
             # a pruned scan is its source leaf shrunk by the projection: the

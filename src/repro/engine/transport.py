@@ -13,12 +13,13 @@ owns that movement:
 * a parallelised collection is framed into one *input* file the first time
   a stage ships it; payloads carry its per-partition spans, and both kinds
   of file are read where they lie (the shared directory), never fetched;
-* workers write each map task's buckets as pickle-framed payloads (the PR 5
-  spill-file format, see :mod:`repro.engine.memory`) into per-shuffle files
-  and report ``(path, offset, length)`` spans back with the task result;
-* reduce and ranged-skew reads stream the framed spans back with
-  :func:`~repro.engine.memory.load_frames` — the very code path spilled
-  buckets already use;
+* workers write each map task's buckets through the frame store's one
+  writer (:class:`~repro.engine.memory.SpillFile`) into per-shuffle files
+  and report the :class:`~repro.engine.memory.Span` of each back with the
+  task result;
+* reduce and ranged-skew reads bring spans back with
+  :func:`~repro.engine.memory.load_span` — the very read spilled buckets
+  use;
 * the transport removes a shuffle's files when the driver forgets the
   shuffle, which also sweeps partial output of failed stages.
 
@@ -39,7 +40,7 @@ import shutil
 import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
-from .memory import FrameFileWriter, load_frames
+from .memory import Span, SpillFile, check_count, load_span
 from .retry import RetryPolicy
 
 
@@ -62,18 +63,18 @@ class ShuffleTransport:
         """Drop a published stage payload (idempotent)."""
         raise NotImplementedError
 
-    def map_output_writer(self, shuffle_id: int,
-                          map_partition: int) -> FrameFileWriter:
+    def map_output_writer(self, shuffle_id: int, map_partition: int,
+                          codec: int) -> SpillFile:
         """Open a frame writer for one map task's output of one shuffle."""
         raise NotImplementedError
 
-    def input_writer(self, dataset_id: int) -> FrameFileWriter:
+    def input_writer(self, dataset_id: int) -> SpillFile:
         """Open a frame writer for the partitions of one parallelised input."""
         raise NotImplementedError
 
-    def read_span(self, path: str, offset: int, length: int) -> List[Any]:
+    def read_span(self, span: Span) -> List[Any]:
         """Read one registered span's records back (local file read here)."""
-        return load_frames(path, offset, length)
+        return load_span(span)
 
     def drain_fetch_retries(self) -> int:
         """Fetch retries accumulated since the last drain (0 when local)."""
@@ -129,18 +130,20 @@ class LocalDirShuffleTransport(ShuffleTransport):
         """Directory holding every frame file of one shuffle."""
         return os.path.join(self.root, f"shuffle-{shuffle_id}")
 
-    def map_output_writer(self, shuffle_id: int,
-                          map_partition: int) -> FrameFileWriter:
+    def map_output_writer(self, shuffle_id: int, map_partition: int,
+                          codec: int) -> SpillFile:
         directory = self.shuffle_dir(shuffle_id)
         os.makedirs(directory, exist_ok=True)
         name = self._unique_name(f"map-{map_partition}", ".data")
-        return FrameFileWriter(os.path.join(directory, name))
+        return SpillFile(os.path.join(directory, name), codec)
 
-    def input_writer(self, dataset_id: int) -> FrameFileWriter:
+    def input_writer(self, dataset_id: int) -> SpillFile:
+        """Uncompressed: inputs are read where they lie, by processes on this
+        machine, so a codec would only trade driver CPU for scratch disk."""
         directory = os.path.join(self.root, "inputs")
         os.makedirs(directory, exist_ok=True)
         name = self._unique_name(f"dataset-{dataset_id}", ".data")
-        return FrameFileWriter(os.path.join(directory, name))
+        return SpillFile(os.path.join(directory, name))
 
     def remove_shuffle(self, shuffle_id: int) -> None:
         shutil.rmtree(self.shuffle_dir(shuffle_id), ignore_errors=True)
@@ -215,13 +218,16 @@ class TcpShuffleTransport(LocalDirShuffleTransport):
         self._client = ShuffleFetchClient(self.address, self._policy,
                                           timeout_s)
 
-    def read_span(self, path: str, offset: int, length: int) -> List[Any]:
-        absolute = os.path.abspath(path)
+    def read_span(self, span: Span) -> List[Any]:
+        absolute = os.path.abspath(span.path)
         root = os.path.abspath(self.root)
         if not absolute.startswith(root + os.sep):
-            return load_frames(path, offset, length)
+            return load_span(span)
         relpath = os.path.relpath(absolute, root)
-        return self._client.fetch_records(relpath, offset, length)
+        records = self._client.fetch_records(relpath, span.offset,
+                                             span.length)
+        check_count(span, len(records))
+        return records
 
     def drain_fetch_retries(self) -> int:
         return self._client.drain_retries()
@@ -231,16 +237,14 @@ class TcpShuffleTransport(LocalDirShuffleTransport):
                 "timeout_s": self._timeout_s}
 
 
-def build_worker_transport(spec: Any, config: Any) -> LocalDirShuffleTransport:
+def build_worker_transport(spec: Dict[str, Any],
+                           config: Any) -> LocalDirShuffleTransport:
     """Rebuild a transport inside a forked worker from its pickled spec.
 
-    Accepts a bare root path (the pre-TCP initializer protocol) for
-    compatibility with payloads written by older drivers.  TCP workers get
-    their own fetch client configured from the engine knobs, so worker-side
-    reduce fetches retry and back off exactly like driver-side ones.
+    TCP workers get their own fetch client configured from the engine
+    knobs, so worker-side reduce fetches retry and back off exactly like
+    driver-side ones.
     """
-    if isinstance(spec, str):
-        return LocalDirShuffleTransport(spec)
     if spec.get("mode") == "tcp":
         policy = RetryPolicy(max_retries=config.fetch_max_retries,
                              backoff_s=config.fetch_backoff_s,

@@ -34,15 +34,14 @@ import traceback
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import (CheckpointCorruptionError, FetchFailedError,
-                      ShuffleCorruptionError)
+from ..errors import CheckpointCorruptionError, FetchFailedError
 from . import serializer
 from .dataset import TaskContext
 from .executor import (_TASK_COUNTERS, InjectedFailure, should_inject_crash,
                        should_inject_failure)
-from .memory import (CODEC_NONE, MemoryManager, corrupt_payload, dump_frames,
+from .memory import (CODEC_NONE, MemoryManager, corrupt_payload,
                      resolve_codec, should_corrupt)
-from .shuffle import ShuffleError, estimate_bytes
+from .shuffle import ShuffleError, lost_map_output, write_buckets
 from .storage import BlockStore
 from .transport import LocalDirShuffleTransport, build_worker_transport
 
@@ -55,13 +54,12 @@ class WorkerShuffleClient:
     """The worker's view of shuffle data: catalog reads, frame-file writes.
 
     Reads are driven by the *span catalog* the driver ships with each stage
-    payload: for every shuffle the stage reads, the ``(path, offset,
-    length, record count, estimated bytes)`` span of each pickle-framed
-    bucket.  Reads stream the frames back with
-    :func:`~repro.engine.memory.load_frames` and sum the write-side byte
-    estimates, exactly like the driver's ShuffleManager, so read accounting
-    is backend-invariant.  Writes frame each bucket into a transport file
-    and stash the spans for the task result to carry back to the driver.
+    payload: for every shuffle the stage reads, the ``(span, estimated
+    bytes)`` of each framed bucket.  Reads bring spans back through the
+    transport and sum the write-side byte estimates, exactly like the
+    driver's ShuffleManager, so read accounting is backend-invariant.
+    Writes frame each bucket into a transport file and stash the spans for
+    the task result to carry back to the driver.
     """
 
     def __init__(self, transport: LocalDirShuffleTransport, compression: bool,
@@ -111,38 +109,21 @@ class WorkerShuffleClient:
                 f"(read before all map outputs were written?)")
         return entry
 
-    def _spans(self, shuffle_id: int, reduce_partition: int,
-               map_range: Optional[Tuple[int, int]]):
+    def _read(self, shuffle_id: int, reduce_partition: int,
+              map_range: Optional[Tuple[int, int]]):
+        """``(records, estimated bytes)`` of each catalogued bucket, in map
+        order; a span that cannot be produced is a named fetch failure."""
         entry = self._entry(shuffle_id)
-        spans = []
         for map_partition in entry["maps"]:
             if map_range is not None and \
                     not map_range[0] <= map_partition < map_range[1]:
                 continue
-            span = entry["buckets"].get((map_partition, reduce_partition))
-            if span is not None:
-                spans.append((map_partition, span))
-        return spans
-
-    def _load_span(self, shuffle_id: int, map_partition: int, path: str,
-                   offset: int, length: int) -> List[Any]:
-        """Load one catalogued span; damage becomes a named fetch failure.
-
-        The read goes through the transport: a local file read on the
-        single-box transport, a retried CRC-verified TCP fetch on the
-        networked one.  Either way a span that cannot be produced is
-        reported as :class:`FetchFailedError` carrying ``(shuffle_id,
-        map_partition)`` — mirroring the driver-side ShuffleManager — so
-        the driver can invalidate exactly that map output and recompute it
-        from lineage.
-        """
-        try:
-            return self._transport.read_span(path, offset, length)
-        except ShuffleCorruptionError as exc:
-            raise FetchFailedError(
-                f"lost map output {map_partition} of shuffle {shuffle_id}: "
-                f"{exc}", shuffle_id=shuffle_id,
-                map_partition=map_partition) from exc
+            bucket = entry["buckets"].get((map_partition, reduce_partition))
+            if bucket is not None:
+                span, size = bucket
+                with lost_map_output(shuffle_id, map_partition):
+                    records = self._transport.read_span(span)
+                yield records, size
 
     # -- reduce side --------------------------------------------------------
 
@@ -152,20 +133,16 @@ class WorkerShuffleClient:
         """Return (records, estimated bytes) addressed to ``reduce_partition``."""
         records: List[Any] = []
         size = 0
-        for map_partition, (path, offset, length, _count, est) in \
-                self._spans(shuffle_id, reduce_partition, map_range):
-            records.extend(self._load_span(shuffle_id, map_partition,
-                                           path, offset, length))
-            size += est
+        for bucket, bucket_size in self._read(shuffle_id, reduce_partition,
+                                              map_range):
+            records.extend(bucket)
+            size += bucket_size
         return records, size
 
     def iter_reduce_input(self, shuffle_id: int, reduce_partition: int,
                           map_range: Optional[Tuple[int, int]] = None):
         """Stream ``(bucket records, estimated bytes)`` in map order."""
-        for map_partition, (path, offset, length, _count, est) in \
-                self._spans(shuffle_id, reduce_partition, map_range):
-            yield self._load_span(shuffle_id, map_partition,
-                                  path, offset, length), est
+        return self._read(shuffle_id, reduce_partition, map_range)
 
     # -- map side -----------------------------------------------------------
 
@@ -174,36 +151,24 @@ class WorkerShuffleClient:
                          task_context=None) -> int:
         """Frame one map task's buckets to a transport file; return est. bytes.
 
-        Byte accounting mirrors the driver's ``write_map_output``: every
-        bucket's size is the same ``estimate_bytes`` measurement the thread
-        backend records, so the driver-side registration reproduces
-        identical shuffle metrics.  The spans are kept on the client until
-        :meth:`take_map_output` hands them to the task result.
+        The spans are kept on the client until :meth:`take_map_output`
+        hands them to the task result.
         """
-        writer = self._transport.map_output_writer(shuffle_id, map_partition)
-        spans: Dict[int, Tuple[str, int, int, int, int]] = {}
-        written = 0
-        try:
-            for reduce_partition, records in buckets.items():
-                size = estimate_bytes(records, self.compression, self.codec)
-                payload = dump_frames(records, self.codec)
-                if self._corrupt_key is not None:
-                    # fault injection: damage the on-disk bytes of one
-                    # bucket; the span and its accounting stay truthful, so
-                    # only the read-side CRC can expose the loss
-                    payload = corrupt_payload(payload, self._seed,
-                                              self._corrupt_key)
-                    self._corrupt_key = None
-                offset, length = writer.append(payload)
-                spans[reduce_partition] = \
-                    (writer.path, offset, length, len(records), size)
-                written += size
-        finally:
-            writer.close()
+        spans = write_buckets(
+            self._transport.map_output_writer(shuffle_id, map_partition,
+                                              self.codec),
+            buckets, self.compression, self._damage)
         self._last_map_output = {"shuffle_id": shuffle_id,
                                  "map_partition": map_partition,
                                  "spans": spans}
-        return written
+        return sum(size for _, size in spans.values())
+
+    def _damage(self, payload: bytes) -> bytes:
+        """Fire this attempt's armed corruption, at most once."""
+        key, self._corrupt_key = self._corrupt_key, None
+        if key is None:
+            return payload
+        return corrupt_payload(payload, self._seed, key)
 
     def take_map_output(self) -> Optional[Dict[str, Any]]:
         """Pop the spans of the map output written since the last take."""
@@ -300,14 +265,14 @@ def _heartbeat_loop(directory: str, interval_s: float) -> None:
         time.sleep(interval_s)
 
 
-def initialize_worker(config_bytes: bytes, transport_spec: Any) -> None:
+def initialize_worker(config_bytes: bytes,
+                      transport_spec: Dict[str, Any]) -> None:
     """Process-pool initializer: build this worker's context once.
 
     ``transport_spec`` is the driver transport's
-    :meth:`~repro.engine.transport.ShuffleTransport.worker_spec` (a bare
-    root path from pre-TCP drivers is still accepted): TCP workers rebuild
-    a fetch client with the driver's retry knobs, local workers attach to
-    the shared directory.  When heartbeats are configured the worker also
+    :meth:`~repro.engine.transport.ShuffleTransport.worker_spec`: TCP
+    workers rebuild a fetch client with the driver's retry knobs, local
+    workers attach to the shared directory.  When heartbeats are configured the worker also
     starts its liveness thread here, before the first task runs.
     """
     global _STATE

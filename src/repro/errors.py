@@ -48,12 +48,13 @@ class ShuffleError(EngineError):
 
 
 class ShuffleCorruptionError(ShuffleError):
-    """A pickle-framed spill/transport payload failed its integrity check.
+    """A framed payload (spill, transport, checkpoint) failed its integrity check.
 
     Raised on the read path when a frame's CRC32 does not match its payload,
-    when a frame header is malformed (truncated file, flipped header bits)
-    or when a checksum-less legacy frame no longer unpickles.  The reader
-    never feeds a corrupt payload downstream.
+    when a frame header is malformed or checksum-less (truncated file,
+    flipped header bits), when the frames do not fill their span exactly,
+    or when a span yields a different record count than it recorded.  The
+    reader never feeds a corrupt payload downstream.
     """
 
     def __init__(self, message: str, path: str = "", offset: int = -1):

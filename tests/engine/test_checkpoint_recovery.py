@@ -36,7 +36,7 @@ from repro.engine.journal import (JOURNAL_NAME, JobJournal, atomic_write_bytes,
                                   load_journal_state,
                                   validate_checkpoint_entry,
                                   validate_shuffle_entry)
-from repro.engine.memory import CODEC_NONE, dump_frames, load_frames
+from repro.engine.memory import CODEC_NONE, Span, dump_frames
 from repro.engine.retry import RetryPolicy
 from repro.engine.scheduler import NodeHealthTracker
 from repro.engine.shuffle_server import (AddressInUseError, ShuffleFetchClient,
@@ -101,6 +101,9 @@ def test_load_journal_state_treats_damage_as_absence(tmp_path):
     # version-1 journals keyed shuffles by bare id — unsafe to resume from
     path.write_bytes(b'{"version": 1, "shuffles": {}, "checkpoints": {}}')
     assert load_journal_state(str(tmp_path)) is None
+    # version-3 journals recorded checkpoints as file lists, not spans
+    path.write_bytes(b'{"version": 3, "shuffles": {}, "checkpoints": {}}')
+    assert load_journal_state(str(tmp_path)) is None
     path.write_bytes(b'[1, 2, 3]')
     assert load_journal_state(str(tmp_path)) is None
 
@@ -111,11 +114,12 @@ def test_journal_records_reload_across_instances(tmp_path):
     journal.record_stage(0, "shuffle:0:map")
     journal.record_shuffle("shuffle:0", 0, 2, 1, {
         "maps": [0, 1],
-        "buckets": {(0, 0): ("a.data", 0, 10, 3, 10),
-                    (1, 0): ("b.data", 0, 12, 4, 12)},
+        "buckets": {(0, 0): (Span("a.data", 0, 10, 3), 10),
+                    (1, 0): (Span("b.data", 0, 12, 4), 12)},
     })
-    journal.record_checkpoint("ckpt-key", "totals", 2,
-                              ["p0.data", "p1.data"], [3, 4])
+    journal.record_checkpoint("ckpt-key", "totals",
+                              [Span("p0.data", 0, 9, 3),
+                               Span("p1.data", 0, 9, 4)])
     assert journal.drain_bytes_written() > 0
     assert journal.drain_bytes_written() == 0  # drained means drained
 
@@ -126,7 +130,11 @@ def test_journal_records_reload_across_instances(tmp_path):
     assert state["jobs"][0]["stages"] == ["shuffle:0:map"]
     assert state["shuffles"]["shuffle:0"]["num_maps"] == 2
     assert state["shuffles"]["shuffle:0"]["num_reduces"] == 1
-    assert state["checkpoints"]["ckpt-key"]["rows"] == [3, 4]
+    # both kinds of entry hold span records: a Span, then its coordinates
+    assert state["shuffles"]["shuffle:0"]["spans"][1] == \
+        ["b.data", 0, 12, 4, 1, 0, 12]
+    assert state["checkpoints"]["ckpt-key"]["spans"] == \
+        [["p0.data", 0, 9, 3], ["p1.data", 0, 9, 4]]
 
     reloaded.forget_shuffle("shuffle:0")
     reloaded.forget_checkpoint("ckpt-key")
@@ -155,13 +163,13 @@ def test_validate_shuffle_entry_drops_corrupt_maps_wholesale(tmp_path):
     good_len = _write_frames(good, [(1, "a"), (2, "b")])
     bad_len = _write_frames(bad, [(3, "c")])
     entry = {"shuffle_id": 0, "num_maps": 2, "maps": [0, 1],
-             "spans": [[0, 0, good, 0, good_len, 2, good_len],
-                       [1, 0, bad, 0, bad_len, 1, bad_len]]}
+             "spans": [[good, 0, good_len, 2, 0, 0, good_len],
+                       [bad, 0, bad_len, 1, 1, 0, bad_len]]}
 
     per_map, num_maps, invalid = validate_shuffle_entry(entry)
     assert num_maps == 2 and invalid == 0
     assert sorted(per_map) == [0, 1]
-    assert per_map[0][0] == (good, 0, good_len, 2, good_len)
+    assert per_map[0][0] == (Span(good, 0, good_len, 2), good_len)
 
     # flip a payload byte: the CRC check must reject the span and the
     # whole map partition with it — never serve a half-restored output
@@ -180,20 +188,20 @@ def test_validate_shuffle_entry_drops_corrupt_maps_wholesale(tmp_path):
 def test_validate_checkpoint_entry_is_all_or_nothing(tmp_path):
     p0 = str(tmp_path / "p0.data")
     p1 = str(tmp_path / "p1.data")
-    _write_frames(p0, [1, 2, 3])
-    _write_frames(p1, [4, 5])
-    entry = {"name": "ds", "num_partitions": 2, "files": [p0, p1],
-             "rows": [3, 2]}
-    assert validate_checkpoint_entry(entry) == (True, 0)
+    spans = [Span(p0, 0, _write_frames(p0, [1, 2, 3]), 3),
+             Span(p1, 0, _write_frames(p1, [4, 5]), 2)]
+    entry = {"name": "ds", "num_partitions": 2,
+             "spans": [list(span) for span in spans]}
+    assert validate_checkpoint_entry(entry) == (spans, 0)
 
     with open(p1, "r+b") as handle:  # truncate one partition
         handle.truncate(4)
-    assert validate_checkpoint_entry(entry) == (False, 1)
+    assert validate_checkpoint_entry(entry) == (None, 1)
 
-    assert validate_checkpoint_entry({"files": "not-a-list"}) == (False, 1)
+    assert validate_checkpoint_entry({"spans": "not-a-list"}) == (None, 1)
     assert validate_checkpoint_entry(
-        {"name": "ds", "num_partitions": 3, "files": [p0, p1],
-         "rows": [3, 2]}) == (False, 1)
+        {"name": "ds", "num_partitions": 3,
+         "spans": [list(span) for span in spans]}) == (None, 1)
 
 
 # -- Dataset.checkpoint() ------------------------------------------------------
@@ -337,8 +345,8 @@ def test_resume_with_corrupt_spans_recomputes_from_lineage(tmp_path):
     state = load_journal_state(str(root))
     assert state["shuffles"]
     for entry in state["shuffles"].values():
-        for span in entry["spans"]:
-            _flip_byte(span[2], span[3] + 4)
+        for path, offset, *_ in entry["spans"]:
+            _flip_byte(path, offset + 4)
 
     with make_engine("thread", root, recover_from=str(root)) as ctx:
         resumed = sorted(build_pipeline(ctx).collect())
@@ -464,23 +472,24 @@ def test_forget_unlinks_invalidated_files_inside_journal_root(tmp_path):
     span = tmp_path / "transport" / "shuffle-0" / "map-0.data"
     os.makedirs(span.parent)
     span.write_bytes(b"span bytes")
-    ckpt = tmp_path / "checkpoints" / "ds-0-part-0.data"
+    ckpt = tmp_path / "checkpoints" / "ds-0.data"
     os.makedirs(ckpt.parent)
     ckpt.write_bytes(b"ckpt bytes")
     outside = tmp_path.parent / "not-ours.data"
     outside.write_bytes(b"keep me")
     try:
         journal.record_shuffle("shuffle:0:sig", 0, 1, 1, {
-            "maps": [0], "buckets": {(0, 0): (str(span), 0, 10, 1, 10)}})
-        journal.record_checkpoint("ckpt-key", "ds", 2,
-                                  [str(ckpt), str(outside)], [1, 1])
+            "maps": [0], "buckets": {(0, 0): (Span(str(span), 0, 10, 1), 10)}})
+        journal.record_checkpoint("ckpt-key", "ds",
+                                  [Span(str(ckpt), 0, 10, 1),
+                                   Span(str(outside), 0, 7, 1)])
 
         # superseding an entry unlinks the files it no longer references
         replacement = span.parent / "map-0.attempt2.data"
         replacement.write_bytes(b"fresh")
         journal.record_shuffle("shuffle:0:sig", 0, 1, 1, {
             "maps": [0],
-            "buckets": {(0, 0): (str(replacement), 0, 5, 1, 5)}})
+            "buckets": {(0, 0): (Span(str(replacement), 0, 5, 1), 5)}})
         assert not span.exists() and replacement.exists()
 
         journal.forget_shuffle("shuffle:0:sig")

@@ -76,16 +76,17 @@ def test_frames_round_trip_and_carry_crc(tmp_path):
     assert load_frames(path, 0, len(payload)) == records
 
 
-def test_legacy_checksumless_frames_still_read_back(tmp_path):
-    """Frames written before the CRC era carry no checksum and must load."""
+def test_checksumless_frames_are_rejected(tmp_path):
+    """A frame without CRC_FLAG is corrupt: every writer sets the flag."""
     import pickle
-    records = [("legacy", i) for i in range(50)]
+    records = [("unchecked", i) for i in range(50)]
     raw = pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)
-    legacy = _HEADER.pack(CODEC_NONE, len(raw)) + raw  # no CRC_FLAG, no CRC
-    path = str(tmp_path / "legacy.bin")
+    unchecked = _HEADER.pack(CODEC_NONE, len(raw)) + raw  # no CRC_FLAG, no CRC
+    path = str(tmp_path / "unchecked.bin")
     with open(path, "wb") as handle:
-        handle.write(legacy)
-    assert load_frames(path, 0, len(legacy)) == records
+        handle.write(unchecked)
+    with pytest.raises(ShuffleCorruptionError, match="bad codec byte"):
+        load_frames(path, 0, len(unchecked))
 
 
 def test_bit_flip_is_detected_by_crc(tmp_path):
@@ -193,21 +194,15 @@ def test_retried_map_attempt_does_not_double_count():
 
 
 def test_retried_external_registration_does_not_double_count(tmp_path):
-    from repro.engine.memory import FrameFileWriter
-    from repro.engine.shuffle import estimate_bytes
+    from repro.engine.memory import SpillFile
+    from repro.engine.shuffle import write_buckets
 
     manager = ShuffleManager(compression=False)
     manager.register_shuffle(8, 1)
 
     def register(attempt: int):
-        writer = FrameFileWriter(str(tmp_path / f"map-0-a{attempt}.data"))
-        spans = {}
-        for reduce_partition, records in BUCKETS.items():
-            size = estimate_bytes(records, False, CODEC_NONE)
-            offset, length = writer.append(dump_frames(records, CODEC_NONE))
-            spans[reduce_partition] = (writer.path, offset, length,
-                                       len(records), size)
-        writer.close()
+        writer = SpillFile(str(tmp_path / f"map-0-a{attempt}.data"))
+        spans = write_buckets(writer, BUCKETS, False, lambda payload: payload)
         manager.register_external_map_output(8, 0, spans)
 
     register(0)

@@ -388,15 +388,15 @@ class TestSpillFrames:
         assert [r for frame in frames for r in frame] == records
 
     def test_spill_run_list_kind_streams(self, tmp_path):
-        run = SpillRun.spill(str(tmp_path), [3, 1, 2])
+        run = SpillRun.write(str(tmp_path), [3, 1, 2])
         assert run.kind == "list"
         assert list(run.iter_records()) == [3, 1, 2]
         run.delete()
-        assert not os.path.exists(run.path)
+        assert not os.path.exists(run.span.path)
         run.delete()  # idempotent
 
     def test_spill_run_dict_kind_rebuilds(self, tmp_path):
-        run = SpillRun.spill(str(tmp_path), {1: ["a"], 2: ["b", "c"]})
+        run = SpillRun.write(str(tmp_path), {1: ["a"], 2: ["b", "c"]})
         assert run.kind == "dict"
         assert run.load_dict() == {1: ["a"], 2: ["b", "c"]}
         run.delete()

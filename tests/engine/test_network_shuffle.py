@@ -25,7 +25,7 @@ from repro.config import EngineConfig
 from repro.engine import serializer
 from repro.engine import shuffle as shuffle_module
 from repro.engine.context import EngineContext
-from repro.engine.memory import CODEC_NONE, dump_frames
+from repro.engine.memory import CODEC_NONE, Span, dump_frames
 from repro.engine.retry import RetryPolicy
 from repro.engine.scheduler import NodeHealthTracker
 from repro.engine.shuffle_server import (ShuffleFetchClient, ShuffleServer,
@@ -287,9 +287,13 @@ def test_tcp_transport_serves_remote_spans_and_local_spills(server_root):
         transport = TcpShuffleTransport(root, server.address)
         assert transport.networked
         # a span under the transport root goes over the wire
-        assert transport.read_span(os.path.join(root, relpath),
-                                   0, length) == RECORDS
+        span = Span(os.path.join(root, relpath), 0, length, len(RECORDS))
+        assert transport.read_span(span) == RECORDS
         assert server.requests_served == 1
+        # and is count-checked like a local read: a span that claims more
+        # records than its frames hold is corrupt, even with every CRC good
+        with pytest.raises(ShuffleCorruptionError, match="expected 65"):
+            transport.read_span(span._replace(count=len(RECORDS) + 1))
         spec = transport.worker_spec()
         assert spec["mode"] == "tcp"
         assert tuple(spec["address"]) == tuple(server.address)
@@ -307,7 +311,8 @@ def test_tcp_transport_reads_foreign_paths_locally(tmp_path, server_root):
         payload = dump_frames(RECORDS, CODEC_NONE)
         local = tmp_path / "local-spill.data"
         local.write_bytes(payload)
-        assert transport.read_span(str(local), 0, len(payload)) == RECORDS
+        span = Span(str(local), 0, len(payload), len(RECORDS))
+        assert transport.read_span(span) == RECORDS
         assert server.requests_served == 0
     finally:
         server.stop()
@@ -321,8 +326,8 @@ def test_build_worker_transport_rebuilds_tcp_from_spec(server_root):
         spec = TcpShuffleTransport(root, server.address).worker_spec()
         rebuilt = build_worker_transport(spec, config)
         assert isinstance(rebuilt, TcpShuffleTransport)
-        assert rebuilt.read_span(os.path.join(root, relpath),
-                                 0, length) == RECORDS
+        span = Span(os.path.join(root, relpath), 0, length, len(RECORDS))
+        assert rebuilt.read_span(span) == RECORDS
     finally:
         server.stop()
 
@@ -333,9 +338,6 @@ def test_build_worker_transport_accepts_local_specs(tmp_path):
     rebuilt = build_worker_transport(spec, config)
     assert isinstance(rebuilt, LocalDirShuffleTransport)
     assert not rebuilt.networked
-    # pre-PR compatibility: a bare root string still builds a local transport
-    legacy = build_worker_transport(str(tmp_path), config)
-    assert isinstance(legacy, LocalDirShuffleTransport)
 
 
 # -- transport parity: every wide operator, both backends ----------------------
@@ -387,18 +389,18 @@ def test_spilled_span_gets_one_in_place_reread(monkeypatch):
     lineage recovery: the shuffle layer re-reads the span once in place
     (counted as a fetch retry), and only a *persistent* failure escalates
     to ``FetchFailedError``."""
-    real_load = shuffle_module.load_frames
+    real_load = shuffle_module.load_span
     glitched = []
 
-    def flaky_load(path, offset, length):
-        key = (path, offset)
-        if "spill" in os.path.basename(path) and key not in glitched:
+    def flaky_load(span):
+        key = (span.path, span.offset)
+        if "spill" in os.path.basename(span.path) and key not in glitched:
             glitched.append(key)
             raise ShuffleCorruptionError("transient read glitch",
-                                         path=path, offset=offset)
-        return real_load(path, offset, length)
+                                         path=span.path, offset=span.offset)
+        return real_load(span)
 
-    monkeypatch.setattr(shuffle_module, "load_frames", flaky_load)
+    monkeypatch.setattr(shuffle_module, "load_span", flaky_load)
     # a tiny cap forces every bucket through the spill file; the optimizer
     # is off so its (corruption-tolerant) statistics sampler does not
     # consume the one-shot glitches before the authoritative read does
@@ -419,19 +421,19 @@ def test_spilled_span_gets_one_in_place_reread(monkeypatch):
 
 def test_persistently_corrupt_spill_still_recovers_via_lineage(monkeypatch):
     """When the re-read fails too, the existing PR 8 ladder takes over."""
-    real_load = shuffle_module.load_frames
+    real_load = shuffle_module.load_span
 
-    def rotten_load(path, offset, length):
-        if "spill" in os.path.basename(path):
+    def rotten_load(span):
+        if "spill" in os.path.basename(span.path):
             raise ShuffleCorruptionError("persistent rot",
-                                         path=path, offset=offset)
-        return real_load(path, offset, length)
+                                         path=span.path, offset=span.offset)
+        return real_load(span)
 
     with make_engine("thread", transport="local", optimizer_rules=(),
                      shuffle_memory_bytes=128, max_stage_retries=8) as ctx:
         ds = ctx.parallelize(DATA, 4).reduce_by_key(lambda a, b: a + b, 4)
         # rot the spill reads only after the map stage has written them
-        monkeypatch.setattr(shuffle_module, "load_frames", rotten_load)
+        monkeypatch.setattr(shuffle_module, "load_span", rotten_load)
         with pytest.raises(Exception):
             ds.collect()
 

@@ -110,16 +110,16 @@ def test_each_input_partition_is_read_once_by_the_task_that_computes_it(
         tmp_path, monkeypatch):
     log = str(tmp_path / "reads.log")
     from repro.engine import dataset as dataset_module
-    load_frames = dataset_module.load_frames
+    load_span = dataset_module.load_span
 
-    def logging_load_frames(path, offset, length):
-        if os.sep + "inputs" + os.sep in path:
+    def logging_load_span(span):
+        if os.sep + "inputs" + os.sep in span.path:
             with open(log, "a") as handle:
-                handle.write(f"{os.getpid()} {offset}\n")
-        return load_frames(path, offset, length)
+                handle.write(f"{os.getpid()} {span.offset}\n")
+        return load_span(span)
 
     # patched before the pool forks, so every worker inherits it
-    monkeypatch.setattr(dataset_module, "load_frames", logging_load_frames)
+    monkeypatch.setattr(dataset_module, "load_span", logging_load_span)
     result, _, payloads = run_chain(5_000)
     assert result == expected_chain(5_000)
     (source,) = [ds for ds in shipped_graph(payloads[0])[0].values()
