@@ -189,7 +189,7 @@ def test_e17_columnar(benchmark):
                        args=(wide_rows, _project_two, True),
                        rounds=1, iterations=1)
 
-    auto_codec = codec_name(resolve_codec("auto", enabled=True))
+    auto_codec = codec_name(resolve_codec("auto"))
     headers = ["workload", "config", "wall ms / bytes", "vs baseline"]
     rows = [("scan+project+count", name, wall * 1000, row_wall / wall)
             for name, (_, _, wall, _) in measured.items()]

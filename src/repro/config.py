@@ -3,14 +3,112 @@
 The configuration is deliberately a plain, explicit dataclass: every knob a
 user can turn is a named field with a default, mirroring the style of
 ``SparkConf`` but without string-keyed magic.
+
+Each field is declared once, with :func:`knob`: its default, its value
+check, whether a campaign spec may set it (and under which deployment
+preference key), and whether the deployment model surfaces it as an
+optimizer hint.  :data:`ENGINE_KNOBS` is that declaration read back as a
+table, built once at import; validation, the deployment compiler's
+preference mapping, ``DeploymentModel.optimizer_hints`` and the type checks
+on preferences are all derived from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from operator import le
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import ConfigurationError
+
+
+#: What a deployment preference may be: its accepted types.
+Kind = Tuple[type, ...]
+
+#: Preference kinds, keyed by field annotation.  A float field also takes an
+#: int; a path is a string; the names in a list are checked by the field.
+KINDS: Dict[str, Kind] = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+    "Optional[str]": (str,),
+    "Tuple[str, ...]": (list, tuple),
+}
+
+
+def accepts(kind: Kind, value: Any) -> bool:
+    """Whether ``value`` is of ``kind``; a bool is never a number."""
+    if isinstance(value, bool):
+        return bool in kind
+    return isinstance(value, kind)
+
+
+#: A field's value rule: ``(test(value) -> bool, the rule in words)``.
+Check = Tuple[Callable[[Any], bool], str]
+
+
+def at_least(bound: int) -> Check:
+    """The value is at least ``bound``."""
+    return partial(le, bound), f">= {bound}"
+
+
+def one_of(*names: str) -> Check:
+    """The value is one of a fixed set of names."""
+    return names.__contains__, "one of " + ", ".join(map(repr, names))
+
+
+RATE: Check = (lambda value: 0.0 <= value < 1.0, "in [0, 1)")
+
+
+class Knob(NamedTuple):
+    """One configuration field, as every other layer sees it."""
+
+    name: str
+    kind: Kind
+    check: Optional[Check]
+    #: Deployment preference key a campaign spec sets it with, if any.
+    preference: Optional[str]
+    #: Whether ``DeploymentModel.optimizer_hints`` surfaces it.
+    hint: bool
+
+
+def knob(default: Any, check: Optional[Check] = None, *,
+         spec: Union[bool, str] = False, hint: bool = False) -> Any:
+    """Declare a configuration field.
+
+    ``spec=True`` lets a campaign's ``deployment`` preferences set the field
+    under its own name, a string under that key instead.
+    """
+    return field(default=default,
+                 metadata={"check": check, "spec": spec, "hint": hint})
+
+
+def _table(cls: type) -> Tuple[Knob, ...]:
+    """The knob declarations of a configuration dataclass, in field order."""
+    return tuple(
+        Knob(item.name, KINDS[item.type], item.metadata["check"],
+             item.name if item.metadata["spec"] is True
+             else item.metadata["spec"] or None, item.metadata["hint"])
+        for item in fields(cls) if item.metadata)
+
+
+def _checks(knobs: Tuple[Knob, ...]) -> Tuple[Tuple[str, Check], ...]:
+    return tuple((entry.name, entry.check) for entry in knobs if entry.check)
+
+
+def _validate(config: Any, checks: Tuple[Tuple[str, Check], ...]) -> None:
+    """Apply every field check; a value of the wrong type fails it too."""
+    for name, (test, rule) in checks:
+        value = getattr(config, name)
+        try:
+            if test(value):
+                continue
+        except TypeError:
+            pass
+        raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
+
 
 #: Rewrite rules of the logical-plan optimizer, in application order.
 #: ``EngineConfig.optimizer_rules`` may hold any subset; an empty tuple
@@ -46,22 +144,18 @@ class EngineConfig:
         Budget of the in-memory cache, in resident bytes (sampled
         ``sys.getsizeof`` of the cached records, not their pickled size).
         When exceeded the least recently used cached partitions are evicted.
-    shuffle_compression:
-        Whether spill and shuffle payloads are actually compressed on disk:
-        shuffle bucket spills, reduce-side external-merge runs and
-        process-backend transport frames are all written through the frame
-        codec selected by ``spill_codec``, and shuffle byte accounting
-        scales its estimates by the codec's *measured* compression ratio
-        (earlier revisions only simulated a constant 2.5x ratio in the
-        accounting).  Results are never affected, only on-disk bytes and
-        the reported byte metrics.
     spill_codec:
-        Which frame codec compresses spill and transport payloads when
-        ``shuffle_compression`` is on: ``"auto"`` (the default) prefers
-        ``lz4`` when the optional package is importable and falls back to
-        the stdlib ``zlib``; ``"zlib"``, ``"lz4"`` and ``"none"`` force a
-        specific codec.  Frames are self-describing (each carries its codec
-        in a header), so readers never consult this setting.
+        Which frame codec compresses spill and transport payloads — shuffle
+        bucket spills, reduce-side external-merge runs and process-backend
+        transport frames: ``"auto"`` (the default) prefers ``lz4`` when the
+        optional package is importable and falls back to the stdlib
+        ``zlib``; ``"zlib"`` and ``"lz4"`` force a specific codec, and
+        ``"none"`` writes frames uncompressed.  Shuffle byte accounting
+        scales its estimates by the codec's *measured* compression ratio
+        (``"none"`` reports uncompressed sizes).  Results are never
+        affected, only on-disk bytes and the reported byte metrics.  Frames
+        are self-describing (each carries its codec in a header), so
+        readers never consult this setting.
     failure_rate:
         Probability that any task fails spuriously; used by tests and by the
         fault-injection benchmarks.  ``0.0`` disables fault injection.  The
@@ -282,137 +376,60 @@ class EngineConfig:
         may differ.
     """
 
-    num_workers: int = 4
-    default_parallelism: int = 4
-    max_task_retries: int = 2
-    memory_budget_bytes: int = 256 * 1024 * 1024
-    shuffle_compression: bool = True
-    spill_codec: str = "auto"
-    failure_rate: float = 0.0
-    crash_failure_rate: float = 0.0
-    corruption_rate: float = 0.0
-    task_timeout_s: float = 0.0
-    max_stage_retries: int = 2
-    seed: int = 0
-    optimizer_rules: Tuple[str, ...] = KNOWN_OPTIMIZER_RULES
-    broadcast_threshold_bytes: int = 10 * 1024 * 1024
-    target_partition_bytes: int = 0
-    adaptive_enabled: bool = True
-    batch_size: int = 1024
-    skew_split_factor: int = 4
-    skew_min_partition_bytes: int = 32 * 1024 * 1024
-    shuffle_memory_bytes: int = 0
-    shuffle_transport: str = "local"
-    fetch_max_retries: int = 3
-    fetch_backoff_s: float = 0.05
-    fetch_timeout_s: float = 5.0
-    network_drop_rate: float = 0.0
-    network_delay_s: float = 0.0
-    heartbeat_interval_s: float = 0.0
-    heartbeat_timeout_s: float = 0.0
-    blacklist_failure_threshold: int = 0
-    blacklist_cooldown_s: float = 0.0
-    speculation_multiplier: float = 0.0
-    speculation_quantile: float = 0.75
-    executor_backend: str = "thread"
-    checkpoint_dir: Optional[str] = None
-    checkpoint_interval: int = 0
-    recover_from: Optional[str] = None
+    num_workers: int = knob(4, at_least(1))
+    default_parallelism: int = knob(4, at_least(1))
+    max_task_retries: int = knob(2, at_least(0), spec=True)
+    memory_budget_bytes: int = knob(256 * 1024 * 1024, at_least(0))
+    spill_codec: str = knob("auto", one_of("auto", "none", "zlib", "lz4"))
+    failure_rate: float = knob(0.0, RATE, spec=True)
+    crash_failure_rate: float = knob(0.0, RATE)
+    corruption_rate: float = knob(0.0, RATE)
+    task_timeout_s: float = knob(0.0, at_least(0))
+    max_stage_retries: int = knob(2, at_least(0))
+    seed: int = knob(0, spec=True)
+    optimizer_rules: Tuple[str, ...] = knob(KNOWN_OPTIMIZER_RULES)
+    broadcast_threshold_bytes: int = knob(10 * 1024 * 1024, at_least(0),
+                                          spec=True, hint=True)
+    target_partition_bytes: int = knob(0, at_least(0), spec=True, hint=True)
+    adaptive_enabled: bool = knob(True, spec="adaptive", hint=True)
+    batch_size: int = knob(1024, at_least(1), spec=True, hint=True)
+    skew_split_factor: int = knob(4, at_least(0), spec=True, hint=True)
+    skew_min_partition_bytes: int = knob(32 * 1024 * 1024, at_least(0),
+                                         spec=True, hint=True)
+    shuffle_memory_bytes: int = knob(0, at_least(0), spec=True, hint=True)
+    shuffle_transport: str = knob("local", one_of("local", "tcp"),
+                                  spec=True, hint=True)
+    fetch_max_retries: int = knob(3, at_least(0), spec=True, hint=True)
+    fetch_backoff_s: float = knob(0.05, at_least(0))
+    fetch_timeout_s: float = knob(5.0, (lambda value: value > 0, "> 0"))
+    network_drop_rate: float = knob(0.0, RATE)
+    network_delay_s: float = knob(0.0, at_least(0))
+    heartbeat_interval_s: float = knob(0.0, at_least(0))
+    heartbeat_timeout_s: float = knob(0.0, at_least(0))
+    blacklist_failure_threshold: int = knob(0, at_least(0), spec=True,
+                                            hint=True)
+    blacklist_cooldown_s: float = knob(0.0, at_least(0), spec=True, hint=True)
+    speculation_multiplier: float = knob(0.0, at_least(0), spec=True,
+                                         hint=True)
+    speculation_quantile: float = knob(
+        0.75, (lambda value: 0.0 < value <= 1.0, "in (0, 1]"))
+    executor_backend: str = knob("thread", one_of("thread", "process"),
+                                 spec=True, hint=True)
+    checkpoint_dir: Optional[str] = knob(None, spec=True, hint=True)
+    checkpoint_interval: int = knob(0, at_least(0), spec=True, hint=True)
+    recover_from: Optional[str] = knob(None, spec=True, hint=True)
 
     def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ConfigurationError("num_workers must be >= 1")
-        if self.default_parallelism < 1:
-            raise ConfigurationError("default_parallelism must be >= 1")
-        if self.max_task_retries < 0:
-            raise ConfigurationError("max_task_retries must be >= 0")
-        if self.memory_budget_bytes < 0:
-            raise ConfigurationError("memory_budget_bytes must be >= 0")
-        if not 0.0 <= self.failure_rate < 1.0:
-            raise ConfigurationError("failure_rate must be in [0, 1)")
-        if not 0.0 <= self.crash_failure_rate < 1.0:
-            raise ConfigurationError("crash_failure_rate must be in [0, 1)")
-        if not 0.0 <= self.corruption_rate < 1.0:
-            raise ConfigurationError("corruption_rate must be in [0, 1)")
-        if self.task_timeout_s < 0:
-            raise ConfigurationError(
-                "task_timeout_s must be >= 0 (0 disables task deadlines)")
-        if self.max_stage_retries < 0:
-            raise ConfigurationError(
-                "max_stage_retries must be >= 0 (0 disables stage-level "
-                "fault recovery)")
-        if self.broadcast_threshold_bytes < 0:
-            raise ConfigurationError("broadcast_threshold_bytes must be >= 0")
-        if self.target_partition_bytes < 0:
-            raise ConfigurationError("target_partition_bytes must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.skew_split_factor < 0:
-            raise ConfigurationError(
-                "skew_split_factor must be >= 0 (0 disables skew splitting)")
-        if self.skew_min_partition_bytes < 0:
-            raise ConfigurationError("skew_min_partition_bytes must be >= 0")
-        if self.shuffle_memory_bytes < 0:
-            raise ConfigurationError(
-                "shuffle_memory_bytes must be >= 0 (0 disables the budget)")
-        if self.shuffle_transport not in ("local", "tcp"):
-            raise ConfigurationError(
-                f"shuffle_transport must be 'local' or 'tcp', "
-                f"got {self.shuffle_transport!r}")
-        if self.fetch_max_retries < 0:
-            raise ConfigurationError(
-                "fetch_max_retries must be >= 0 (0 escalates to stage-level "
-                "recovery on the first fetch failure)")
-        if self.fetch_backoff_s < 0:
-            raise ConfigurationError("fetch_backoff_s must be >= 0")
-        if self.fetch_timeout_s <= 0:
-            raise ConfigurationError("fetch_timeout_s must be > 0")
-        if not 0.0 <= self.network_drop_rate < 1.0:
-            raise ConfigurationError("network_drop_rate must be in [0, 1)")
-        if self.network_delay_s < 0:
-            raise ConfigurationError("network_delay_s must be >= 0")
+        _validate(self, _ENGINE_CHECKS)
         if self.network_delay_s >= self.fetch_timeout_s and \
                 self.network_delay_s > 0:
             raise ConfigurationError(
                 "network_delay_s must be below fetch_timeout_s or every "
                 "fetch times out")
-        if self.heartbeat_interval_s < 0:
-            raise ConfigurationError(
-                "heartbeat_interval_s must be >= 0 (0 disables heartbeats)")
-        if self.heartbeat_timeout_s < 0:
-            raise ConfigurationError(
-                "heartbeat_timeout_s must be >= 0 (0 derives 4x the "
-                "heartbeat interval)")
-        if self.blacklist_failure_threshold < 0:
-            raise ConfigurationError(
-                "blacklist_failure_threshold must be >= 0 (0 disables "
-                "worker blacklisting)")
-        if self.blacklist_cooldown_s < 0:
-            raise ConfigurationError(
-                "blacklist_cooldown_s must be >= 0 (0 blacklists forever)")
-        if self.checkpoint_interval < 0:
-            raise ConfigurationError(
-                "checkpoint_interval must be >= 0 (0 leaves checkpointing "
-                "manual)")
         if self.checkpoint_interval > 0 and not self.checkpoint_dir:
             raise ConfigurationError(
                 "checkpoint_interval requires checkpoint_dir: automatic "
                 "checkpoints need a durable directory to land in")
-        if self.speculation_multiplier < 0:
-            raise ConfigurationError(
-                "speculation_multiplier must be >= 0 (0 disables "
-                "speculative execution)")
-        if not 0.0 < self.speculation_quantile <= 1.0:
-            raise ConfigurationError(
-                "speculation_quantile must be in (0, 1]")
-        if self.spill_codec not in ("auto", "none", "zlib", "lz4"):
-            raise ConfigurationError(
-                f"spill_codec must be 'auto', 'none', 'zlib' or 'lz4', "
-                f"got {self.spill_codec!r}")
-        if self.executor_backend not in ("thread", "process"):
-            raise ConfigurationError(
-                f"executor_backend must be 'thread' or 'process', "
-                f"got {self.executor_backend!r}")
         if isinstance(self.optimizer_rules, str):
             # tuple("pushdown") would explode into characters and produce a
             # baffling unknown-rules error; demand a proper sequence instead
@@ -448,42 +465,27 @@ class PlatformConfig:
         Whether every platform operation is written to the audit log.
     """
 
-    free_tier_max_jobs: int = 25
-    free_tier_max_rows: int = 100_000
-    free_tier_max_workers: int = 4
-    audit_enabled: bool = True
+    free_tier_max_jobs: int = knob(25, at_least(1))
+    free_tier_max_rows: int = knob(100_000, at_least(1))
+    free_tier_max_workers: int = knob(4, at_least(1))
+    audit_enabled: bool = knob(True)
 
     def __post_init__(self) -> None:
-        if self.free_tier_max_jobs < 1:
-            raise ConfigurationError("free_tier_max_jobs must be >= 1")
-        if self.free_tier_max_rows < 1:
-            raise ConfigurationError("free_tier_max_rows must be >= 1")
-        if self.free_tier_max_workers < 1:
-            raise ConfigurationError("free_tier_max_workers must be >= 1")
+        _validate(self, _PLATFORM_CHECKS)
 
     def with_overrides(self, **overrides: Any) -> "PlatformConfig":
         """Return a copy of this configuration with some fields replaced."""
         return replace(self, **overrides)
 
 
-@dataclass
-class RuntimeOptions:
-    """Free-form options attached to a single campaign execution.
-
-    These are the per-run knobs a trainee can tweak in the Labs without
-    changing the declarative specification (for instance the cluster profile
-    used for a what-if deployment).
-    """
-
-    cluster_profile: str = "local"
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-    def merged_with(self, other: Dict[str, Any]) -> "RuntimeOptions":
-        """Return new options whose ``extra`` dict is updated with ``other``."""
-        merged = dict(self.extra)
-        merged.update(other)
-        return RuntimeOptions(cluster_profile=self.cluster_profile, extra=merged)
-
+#: Every ``EngineConfig`` field, as declared.
+ENGINE_KNOBS = _table(EngineConfig)
+#: Deployment preference key -> knob, for the knobs a campaign spec may set.
+SPEC_KNOBS: Dict[str, Knob] = {entry.preference: entry
+                               for entry in ENGINE_KNOBS if entry.preference}
+#: The knobs ``DeploymentModel.optimizer_hints`` surfaces.
+HINT_KNOBS = tuple(entry for entry in ENGINE_KNOBS if entry.hint)
+_ENGINE_CHECKS = _checks(ENGINE_KNOBS)
+_PLATFORM_CHECKS = _checks(_table(PlatformConfig))
 
 DEFAULT_ENGINE_CONFIG = EngineConfig()
-DEFAULT_PLATFORM_CONFIG = PlatformConfig()

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..config import KNOWN_OPTIMIZER_RULES, EngineConfig
+from ..config import (KINDS, KNOWN_OPTIMIZER_RULES, SPEC_KNOBS, EngineConfig,
+                      Kind, accepts)
 from ..data.schemas import BUILTIN_SCHEMAS, Schema
-from ..errors import CompilationError, CompositionError
+from ..errors import CompilationError, CompositionError, ConfigurationError
 from ..governance.compliance import CampaignDescription, ComplianceChecker
 from ..governance.policies import BUILTIN_POLICIES, DataProtectionPolicy
 from ..services.base import ServiceMetadata
@@ -32,6 +33,45 @@ from .procedural import ProceduralModel, ServiceStep
 
 #: Tasks that need a train/test split preparation step.
 _SUPERVISED_TASKS = ("classification", "regression")
+
+#: Deployment preferences the compilers interpret themselves, by kind; every
+#: other preference key sets one engine knob (``repro.config.SPEC_KNOBS``).
+_DEPLOYMENT_KEYS: Dict[str, Kind] = {
+    "num_partitions": KINDS["int"],
+    "num_workers": KINDS["int"],
+    "cluster_profile": KINDS["str"],
+    "max_batches": KINDS["int"],
+    "export_table": KINDS["bool"],
+    "export_rows": KINDS["int"],
+    "optimizer": KINDS["bool"],
+    "optimizer_rules": KINDS["Tuple[str, ...]"],
+    "map_side_combine": KINDS["bool"],
+}
+
+
+def _engine_overrides(preferences: Dict[str, Any]) -> Dict[str, Any]:
+    """Check every deployment preference; return the engine knobs set.
+
+    An unknown key or a value of the wrong kind is a
+    :class:`ConfigurationError` naming ``deployment.<key>``; values are
+    range-checked by ``EngineConfig`` itself.  A number given for a float
+    knob becomes a float.
+    """
+    overrides: Dict[str, Any] = {}
+    for key, value in preferences.items():
+        knob = SPEC_KNOBS.get(key)
+        kind = knob.kind if knob is not None else _DEPLOYMENT_KEYS.get(key)
+        if kind is None:
+            raise ConfigurationError(
+                f"deployment.{key} is not a deployment preference; known: "
+                f"{sorted([*SPEC_KNOBS, *_DEPLOYMENT_KEYS])}")
+        if not accepts(kind, value):
+            names = " or ".join(type_.__name__ for type_ in kind)
+            raise ConfigurationError(f"deployment.{key} must be {names}, "
+                                     f"got {value!r}")
+        if knob is not None:
+            overrides[knob.name] = float(value) if float in kind else value
+    return overrides
 
 
 class DeclarativeToProcedural:
@@ -267,13 +307,14 @@ class DeclarativeToProcedural:
                         area="display", params={}, depends_on=tuple(depends_on),
                         rationale="indicator dashboard for run comparison"),
         ]
+        preferences = declarative.deployment_params
+        _engine_overrides(preferences)  # named errors before any use
         allow_export = not any(rule.requirement == "forbid_raw_export"
                                for rule in policy.rules)
-        if allow_export and declarative.deployment_params.get("export_table", False):
+        if allow_export and preferences.get("export_table", False):
             steps.append(ServiceStep(
                 step_id="table", service_name="display_table", area="display",
-                params={"max_rows": int(declarative.deployment_params.get(
-                    "export_rows", 100))},
+                params={"max_rows": preferences.get("export_rows", 100)},
                 depends_on=tuple(depends_on),
                 rationale="requested record-level export"))
         return steps
@@ -286,65 +327,38 @@ class ProceduralToDeployment:
     *optimizer hints*: the deployment layer's way of steering the engine's
     logical-plan optimizer (target partitions, map-side combining on/off,
     streaming micro-batch sizing) without touching the composed services.
+    Engine knobs a spec may set come from the table in :mod:`repro.config`;
+    only knobs the campaign actually sets are overridden, so engine
+    defaults stay in one place.
     """
 
     def compile(self, procedural: ProceduralModel,
                 declarative: DeclarativeModel) -> DeploymentModel:
         """Produce the deployment model for ``procedural``."""
         preferences = declarative.deployment_params
+        overrides = _engine_overrides(preferences)
         num_records = declarative.source.num_records
-        num_partitions = int(preferences.get("num_partitions", 0)) or \
+        num_partitions = preferences.get("num_partitions", 0) or \
             self._default_partitions(num_records)
-        num_workers = int(preferences.get("num_workers", 0)) or min(4, num_partitions)
-        optimizer_rules = self._optimizer_rules(preferences)
-        cost_overrides = self._cost_model_overrides(preferences)
+        num_workers = preferences.get("num_workers", 0) or min(4, num_partitions)
         engine_config = EngineConfig(
             num_workers=num_workers,
             default_parallelism=num_partitions,
-            max_task_retries=int(preferences.get("max_task_retries", 2)),
-            failure_rate=float(preferences.get("failure_rate", 0.0)),
-            seed=int(preferences.get("seed", 0)),
-            optimizer_rules=optimizer_rules,
-            **cost_overrides,
+            optimizer_rules=self._optimizer_rules(preferences),
+            **overrides,
         )
-        cluster_profile = str(preferences.get("cluster_profile", "local"))
         max_batches = preferences.get("max_batches")
         if declarative.source.streaming and max_batches is None:
             max_batches = max(1, num_records // declarative.source.batch_size)
-        optimizer_hints = {
-            "target_partitions": num_partitions,
-            "map_side_combine": "map_side_combine" in optimizer_rules,
-            "optimizer_rules": list(optimizer_rules),
-            "micro_batch_records": (declarative.source.batch_size
-                                    if declarative.source.streaming else None),
-            "broadcast_threshold_bytes": engine_config.broadcast_threshold_bytes,
-            "target_partition_bytes": engine_config.target_partition_bytes,
-            "adaptive": engine_config.adaptive_enabled,
-            "batch_size": engine_config.batch_size,
-            "skew_split_factor": engine_config.skew_split_factor,
-            "skew_min_partition_bytes": engine_config.skew_min_partition_bytes,
-            "shuffle_memory_bytes": engine_config.shuffle_memory_bytes,
-            "executor_backend": engine_config.executor_backend,
-            "shuffle_transport": engine_config.shuffle_transport,
-            "fetch_max_retries": engine_config.fetch_max_retries,
-            "speculation_multiplier": engine_config.speculation_multiplier,
-            "blacklist_failure_threshold":
-                engine_config.blacklist_failure_threshold,
-            "blacklist_cooldown_s": engine_config.blacklist_cooldown_s,
-            "checkpoint_dir": engine_config.checkpoint_dir,
-            "checkpoint_interval": engine_config.checkpoint_interval,
-            "recover_from": engine_config.recover_from,
-        }
         return DeploymentModel(
             procedural=procedural,
-            cluster_profile_name=cluster_profile,
+            cluster_profile_name=preferences.get("cluster_profile", "local"),
             engine_config=engine_config,
             num_partitions=num_partitions,
             region=declarative.region,
             streaming=declarative.source.streaming,
             batch_size=declarative.source.batch_size,
-            max_batches=int(max_batches) if max_batches is not None else None,
-            optimizer_hints=optimizer_hints,
+            max_batches=max_batches,
         )
 
     @staticmethod
@@ -358,87 +372,10 @@ class ProceduralToDeployment:
         """
         if not preferences.get("optimizer", True):
             return ()
-        explicit = preferences.get("optimizer_rules")
-        rules = [str(rule) for rule in explicit] if explicit is not None \
-            else list(KNOWN_OPTIMIZER_RULES)
+        rules = preferences.get("optimizer_rules", KNOWN_OPTIMIZER_RULES)
         if not preferences.get("map_side_combine", True):
             rules = [rule for rule in rules if rule != "map_side_combine"]
         return tuple(rules)
-
-    @staticmethod
-    def _cost_model_overrides(preferences: Dict[str, Any]) -> Dict[str, Any]:
-        """Cost-model and execution knobs of the engine's physical layer.
-
-        ``broadcast_threshold_bytes`` bounds the build side of a broadcast
-        join, ``target_partition_bytes`` turns on post-shuffle partition
-        coalescing, ``adaptive`` toggles mid-job re-optimization,
-        ``batch_size`` sets the engine's records per batch, and
-        ``skew_split_factor`` / ``skew_min_partition_bytes`` steer runtime
-        skew splitting of straggler reduce partitions, and
-        ``shuffle_memory_bytes`` caps resident shuffle state for
-        memory-bounded (spill-to-disk) execution, and ``executor_backend``
-        picks the task execution substrate (``"thread"`` or ``"process"``
-        multiprocessing workers).  ``shuffle_transport`` selects how reduce
-        tasks fetch map output (``"local"`` shared files or ``"tcp"``
-        networked fetches), ``fetch_max_retries`` bounds the per-span
-        retry/backoff loop of the networked fetch client,
-        ``speculation_multiplier`` arms speculative re-execution of
-        straggler tasks, and ``blacklist_failure_threshold`` is the number
-        of consecutive failures after which a worker stops receiving new
-        work (``blacklist_cooldown_s`` rehabilitates it after that many
-        seconds).  ``checkpoint_dir`` turns on the durable job journal,
-        ``checkpoint_interval`` automates checkpointing every N settled
-        shuffle stages, and ``recover_from`` resumes a campaign from a
-        previous run's journal.  Values are validated by
-        ``EngineConfig.__post_init__``; only knobs the campaign actually
-        sets are overridden, so engine defaults stay in one place.
-        """
-        overrides: Dict[str, Any] = {}
-        if "broadcast_threshold_bytes" in preferences:
-            overrides["broadcast_threshold_bytes"] = \
-                int(preferences["broadcast_threshold_bytes"])
-        if "target_partition_bytes" in preferences:
-            overrides["target_partition_bytes"] = \
-                int(preferences["target_partition_bytes"])
-        if "adaptive" in preferences:
-            overrides["adaptive_enabled"] = bool(preferences["adaptive"])
-        if "batch_size" in preferences:
-            overrides["batch_size"] = int(preferences["batch_size"])
-        if "skew_split_factor" in preferences:
-            overrides["skew_split_factor"] = \
-                int(preferences["skew_split_factor"])
-        if "skew_min_partition_bytes" in preferences:
-            overrides["skew_min_partition_bytes"] = \
-                int(preferences["skew_min_partition_bytes"])
-        if "shuffle_memory_bytes" in preferences:
-            overrides["shuffle_memory_bytes"] = \
-                int(preferences["shuffle_memory_bytes"])
-        if "executor_backend" in preferences:
-            overrides["executor_backend"] = \
-                str(preferences["executor_backend"])
-        if "shuffle_transport" in preferences:
-            overrides["shuffle_transport"] = \
-                str(preferences["shuffle_transport"])
-        if "fetch_max_retries" in preferences:
-            overrides["fetch_max_retries"] = \
-                int(preferences["fetch_max_retries"])
-        if "speculation_multiplier" in preferences:
-            overrides["speculation_multiplier"] = \
-                float(preferences["speculation_multiplier"])
-        if "blacklist_failure_threshold" in preferences:
-            overrides["blacklist_failure_threshold"] = \
-                int(preferences["blacklist_failure_threshold"])
-        if "blacklist_cooldown_s" in preferences:
-            overrides["blacklist_cooldown_s"] = \
-                float(preferences["blacklist_cooldown_s"])
-        if "checkpoint_dir" in preferences:
-            overrides["checkpoint_dir"] = str(preferences["checkpoint_dir"])
-        if "checkpoint_interval" in preferences:
-            overrides["checkpoint_interval"] = \
-                int(preferences["checkpoint_interval"])
-        if "recover_from" in preferences:
-            overrides["recover_from"] = str(preferences["recover_from"])
-        return overrides
 
     @staticmethod
     def _default_partitions(num_records: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..config import EngineConfig
+from ..config import HINT_KNOBS, EngineConfig
 from ..errors import DeploymentError
 from ..engine.simulator import BUILTIN_PROFILES, ClusterProfile
 from .procedural import ProceduralModel
@@ -30,10 +30,6 @@ class DeploymentModel:
     streaming: bool = False
     batch_size: int = 500
     max_batches: Optional[int] = None
-    #: Deployment-level steering of the engine's logical-plan optimizer:
-    #: target partitions, map-side combining, micro-batch sizing and the
-    #: exact rule set baked into ``engine_config.optimizer_rules``.
-    optimizer_hints: Dict[str, Any] = field(default_factory=dict)
     extra: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -60,90 +56,87 @@ class DeploymentModel:
         """Deployment name, derived from the procedural model."""
         return f"{self.procedural.name}@{self.cluster_profile_name}"
 
+    @property
+    def optimizer_hints(self) -> Dict[str, Any]:
+        """Deployment-level steering of the engine's logical-plan optimizer.
+
+        Target partitions, map-side combining, micro-batch sizing and the
+        optimizer rule set, plus every engine knob the configuration table
+        marks as a hint (keyed by its deployment preference), all read from
+        ``engine_config`` and the deployment's own bindings.
+        """
+        config = self.engine_config
+        hints: Dict[str, Any] = {
+            "target_partitions": self.num_partitions,
+            "map_side_combine": "map_side_combine" in config.optimizer_rules,
+            "micro_batch_records": self.batch_size if self.streaming else None,
+            "optimizer_rules": list(config.optimizer_rules),
+        }
+        for knob in HINT_KNOBS:
+            hints[knob.preference] = getattr(config, knob.name)
+        return hints
+
     def describe(self) -> str:
         """Human-readable deployment summary."""
+        config = self.engine_config
+        workers = config.num_workers
         mode = (f"streaming (batch size {self.batch_size})"
                 if self.streaming else "batch")
+        skew = config.skew_split_factor
+        memory_cap = config.shuffle_memory_bytes
+        speculation = config.speculation_multiplier
+        blacklist = config.blacklist_failure_threshold
+        cooldown = config.blacklist_cooldown_s
         lines = [
             f"Deployment model: {self.name}",
             f"  mode: {mode}",
             f"  region: {self.region}",
             f"  partitions: {self.num_partitions}",
-            f"  engine workers: {self.engine_config.num_workers}",
+            f"  engine workers: {workers}",
             f"  cluster profile: {self.cluster_profile_name} "
             f"({self.cluster_profile.num_workers} workers, "
             f"${self.cluster_profile.usd_per_hour}/h)",
+            "  optimizer: " + (", ".join(config.optimizer_rules)
+                               or "disabled"),
         ]
-        if self.optimizer_hints:
-            rules = self.optimizer_hints.get("optimizer_rules") or []
+        if config.broadcast_threshold_bytes:
             lines.append(
-                f"  optimizer: {', '.join(rules) if rules else 'disabled'}")
-            threshold = self.optimizer_hints.get("broadcast_threshold_bytes")
-            if threshold:
-                lines.append(f"  broadcast threshold: {threshold} bytes"
-                             f" (adaptive={'on' if self.optimizer_hints.get('adaptive') else 'off'})")
-            engine_batch = self.optimizer_hints.get("batch_size")
-            if engine_batch is not None:
-                lines.append(
-                    f"  vectorized execution: {engine_batch}-record batches")
-            skew_factor = self.optimizer_hints.get("skew_split_factor")
-            if skew_factor is not None:
-                lines.append(
-                    "  skew splitting: "
-                    + (f"up to {skew_factor} sub-reads per skewed partition"
-                       if skew_factor and skew_factor > 1
-                       else "off"))
-            memory_cap = self.optimizer_hints.get("shuffle_memory_bytes")
-            if memory_cap is not None:
-                lines.append(
-                    "  shuffle memory: "
-                    + (f"bounded at {memory_cap} bytes (spill-to-disk)"
-                       if memory_cap else "unbounded (fully resident)"))
-            backend = self.optimizer_hints.get("executor_backend")
-            if backend is not None:
-                lines.append(
-                    "  executor backend: "
-                    + (f"process ({self.engine_config.num_workers} "
-                       "worker processes, spill-file shuffle transport)"
-                       if backend == "process"
-                       else f"thread ({self.engine_config.num_workers} "
-                            "in-process workers)"))
-            transport = self.optimizer_hints.get("shuffle_transport")
-            if transport is not None:
-                retries = self.optimizer_hints.get("fetch_max_retries")
-                lines.append(
-                    "  shuffle transport: "
-                    + (f"tcp (networked fetches, up to {retries} "
-                       "retries per span)"
-                       if transport == "tcp"
-                       else "local (shared spill files)"))
-            speculation = self.optimizer_hints.get("speculation_multiplier")
-            if speculation is not None:
-                lines.append(
-                    "  speculative execution: "
-                    + (f"stragglers over {speculation}x median relaunched"
-                       if speculation else "off"))
-            blacklist = self.optimizer_hints.get("blacklist_failure_threshold")
-            if blacklist is not None:
-                cooldown = self.optimizer_hints.get("blacklist_cooldown_s")
-                lines.append(
-                    "  worker blacklisting: "
-                    + (f"after {blacklist} consecutive failures"
-                       + (f", rehabilitated after {cooldown}s"
-                          if cooldown else "")
-                       if blacklist else "off"))
-            checkpoint_dir = self.optimizer_hints.get("checkpoint_dir")
-            if checkpoint_dir:
-                interval = self.optimizer_hints.get("checkpoint_interval")
-                lines.append(
-                    f"  durable checkpoints: journaled under {checkpoint_dir}"
-                    + (f", auto every {interval} shuffle stages"
-                       if interval else " (manual Dataset.checkpoint())"))
-            recover_from = self.optimizer_hints.get("recover_from")
-            if recover_from:
-                lines.append(
-                    f"  recovery: resume from journal at {recover_from} "
-                    "(CRC-revalidated, lineage fallback)")
+                f"  broadcast threshold: {config.broadcast_threshold_bytes} "
+                f"bytes (adaptive={'on' if config.adaptive_enabled else 'off'})")
+        lines += [
+            f"  vectorized execution: {config.batch_size}-record batches",
+            "  skew splitting: "
+            + (f"up to {skew} sub-reads per skewed partition"
+               if skew > 1 else "off"),
+            "  shuffle memory: "
+            + (f"bounded at {memory_cap} bytes (spill-to-disk)"
+               if memory_cap else "unbounded (fully resident)"),
+            "  executor backend: "
+            + (f"process ({workers} worker processes, spill-file shuffle "
+               "transport)" if config.executor_backend == "process"
+               else f"thread ({workers} in-process workers)"),
+            "  shuffle transport: "
+            + (f"tcp (networked fetches, up to {config.fetch_max_retries} "
+               "retries per span)" if config.shuffle_transport == "tcp"
+               else "local (shared spill files)"),
+            "  speculative execution: "
+            + (f"stragglers over {speculation}x median relaunched"
+               if speculation else "off"),
+            "  worker blacklisting: "
+            + (f"after {blacklist} consecutive failures"
+               + (f", rehabilitated after {cooldown}s" if cooldown else "")
+               if blacklist else "off"),
+        ]
+        if config.checkpoint_dir:
+            lines.append(
+                f"  durable checkpoints: journaled under {config.checkpoint_dir}"
+                + (f", auto every {config.checkpoint_interval} shuffle stages"
+                   if config.checkpoint_interval
+                   else " (manual Dataset.checkpoint())"))
+        if config.recover_from:
+            lines.append(
+                f"  recovery: resume from journal at {config.recover_from} "
+                "(CRC-revalidated, lineage fallback)")
         lines.extend(["", self.procedural.describe()])
         return "\n".join(lines)
 
@@ -158,5 +151,5 @@ class DeploymentModel:
             "streaming": self.streaming,
             "batch_size": self.batch_size,
             "max_batches": self.max_batches,
-            "optimizer_hints": dict(self.optimizer_hints),
+            "optimizer_hints": self.optimizer_hints,
         }

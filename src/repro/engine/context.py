@@ -126,7 +126,6 @@ class EngineContext:
                 self._transport = LocalDirShuffleTransport(transport_root,
                                                            durable=durable)
         self.shuffle_manager = ShuffleManager(
-            compression=self.config.shuffle_compression,
             memory_manager=self.memory_manager,
             spill_dir=self.spill_dir,
             transport=self._transport,
@@ -234,9 +233,7 @@ class EngineContext:
         path = os.path.join(self.checkpoints_dir(), f"ds-{dataset.id}.data")
         partials = self.run_job(dataset, collect_partition,
                                 description=f"checkpoint:{dataset.name}")
-        codec = resolve_codec(self.config.spill_codec,
-                              self.config.shuffle_compression)
-        with SpillFile(path, codec) as writer:
+        with SpillFile(path, resolve_codec(self.config.spill_codec)) as writer:
             spans = [writer.append(records) for records in partials]
             writer.sync()
         self._install_checkpoint(dataset, CheckpointEntry(key, spans))

@@ -88,17 +88,15 @@ def codec_name(codec: int) -> str:
     return _CODEC_NAMES.get(codec, f"unknown-{codec}")
 
 
-def resolve_codec(name: str = "auto", enabled: bool = True) -> int:
+def resolve_codec(name: str = "auto") -> int:
     """Resolve a configured codec name to a frame codec id.
 
     ``auto`` prefers lz4 when the optional package is importable and falls
     back to the stdlib zlib otherwise; asking for ``lz4`` explicitly on a
     host without the package is a configuration error rather than a silent
-    downgrade.  ``enabled=False`` (compression switched off) always resolves
-    to :data:`CODEC_NONE`.
+    downgrade.  ``none`` (compression switched off) resolves to
+    :data:`CODEC_NONE`.
     """
-    if not enabled:
-        return CODEC_NONE
     key = (name or "auto").lower()
     if key == "auto":
         return CODEC_LZ4 if _lz4 is not None else CODEC_ZLIB

@@ -64,16 +64,17 @@ def _stride_sample(records: Sequence[Any], size: int) -> List[Any]:
     return [records[int(index * step)] for index in range(size)]
 
 
-def estimate_bytes(records: Sequence[Any], compressed: bool = True,
-                   codec: Optional[int] = None) -> int:
+def estimate_bytes(records: Sequence[Any], codec: Optional[int] = None) -> int:
     """Estimate the serialised size of ``records``.
 
     A small stride-sample across the whole sequence is pickled and the
-    average record size is extrapolated.  When ``compressed`` is true the
+    average record size is extrapolated.  Unless ``codec`` is
+    :data:`~repro.engine.memory.CODEC_NONE` (the uncompressed size) the
     extrapolation is scaled by a *measured* compression ratio: a larger
-    stride sample is pickled and run through the active frame codec (the
-    one spill and transport frames are actually written with), replacing the
-    constant 2.5x ratio earlier revisions merely simulated.  The ratio is
+    stride sample is pickled and run through ``codec`` (the frame codec
+    spill and transport frames are actually written with; ``None`` means
+    the ``auto`` one), replacing the constant 2.5x ratio earlier revisions
+    merely simulated.  The ratio is
     capped at 1.0 — tiny payloads where codec overhead wins never inflate
     the estimate above the uncompressed one.  Unpicklable records fall back
     to ``repr`` lengths; that fallback never applies compression — a
@@ -91,7 +92,7 @@ def estimate_bytes(records: Sequence[Any], compressed: bool = True,
         fallback = True
     per_record = max(1.0, sample_bytes / len(sample))
     total = int(per_record * len(records))
-    if compressed and not fallback:
+    if not fallback:
         if codec is None:
             codec = resolve_codec()
         if codec != CODEC_NONE:
@@ -104,7 +105,6 @@ def estimate_bytes(records: Sequence[Any], compressed: bool = True,
 
 
 def write_buckets(writer: SpillFile, buckets: Dict[int, List[Any]],
-                  compression: bool,
                   damage: Callable[[bytes], bytes]) -> SpanMap:
     """Frame one map task's buckets into ``writer``, then close it.
 
@@ -116,7 +116,7 @@ def write_buckets(writer: SpillFile, buckets: Dict[int, List[Any]],
     with writer:
         return {reduce_partition: (
                     writer.append(records, damage),
-                    estimate_bytes(records, compression, writer.codec))
+                    estimate_bytes(records, writer.codec))
                 for reduce_partition, records in buckets.items()}
 
 
@@ -141,8 +141,7 @@ def lost_map_output(shuffle_id: int, map_partition: int) -> Iterator[None]:
 class ShuffleManager:
     """Stores map-side shuffle output, keyed by shuffle id and partition."""
 
-    def __init__(self, compression: bool = True,
-                 memory_manager: Optional[MemoryManager] = None,
+    def __init__(self, memory_manager: Optional[MemoryManager] = None,
                  spill_dir=None, transport=None, codec: str = "auto",
                  corruption_rate: float = 0.0, seed: int = 0):
         self._lock = threading.Lock()
@@ -160,11 +159,10 @@ class ShuffleManager:
         self._expected_maps: Dict[int, int] = {}
         self._bytes_written: Dict[int, int] = {}
         self._records_written: Dict[int, int] = {}
-        self.compression = compression
         #: Resolved frame codec id; every spill-file and transport frame this
         #: manager writes is compressed with it, and ``estimate_bytes``
         #: measures its ratio so accounting matches the on-disk format.
-        self.codec = resolve_codec(codec, compression)
+        self.codec = resolve_codec(codec)
         #: Memory accounting: resident bucket bytes are reserved with the
         #: context's memory manager under one owner key; ``None`` keeps the
         #: manager optional for directly constructed ShuffleManagers.
@@ -313,7 +311,7 @@ class ShuffleManager:
         for reduce_partition, records in buckets.items():
             key = (shuffle_id, map_partition, reduce_partition)
             copied = list(records)
-            size = estimate_bytes(copied, self.compression, self.codec)
+            size = estimate_bytes(copied, self.codec)
             staged.append((key, copied, size))
             written += size
             records_out += len(copied)
@@ -403,7 +401,7 @@ class ShuffleManager:
         spans = write_buckets(
             self.transport.map_output_writer(shuffle_id, map_partition,
                                              self.codec),
-            buckets, self.compression, self._damage("transport"))
+            buckets, self._damage("transport"))
         written = self.register_external_map_output(shuffle_id, map_partition,
                                                     spans, worker="driver")
         if task_context is not None and self.memory is not None:

@@ -167,8 +167,7 @@ class StatsEstimator:
         self.shuffle_manager = shuffle_manager
         #: Resolved frame codec id, so leaf sampling measures the same
         #: compression ratio the shuffle manager's accounting uses.
-        self._codec = resolve_codec(getattr(config, "spill_codec", "auto"),
-                                    config.shuffle_compression)
+        self._codec = resolve_codec(config.spill_codec)
         #: The context's structural-signature -> physical dataset memo; lets
         #: the estimator resolve the physical form of *rewritten* nodes so
         #: their completed shuffles feed back into later optimizer runs.
@@ -563,8 +562,7 @@ class StatsEstimator:
             if memo is None:
                 memo = StatsEstimate(
                     rows=float(len(data)),
-                    size_bytes=float(estimate_bytes(
-                        data, self.config.shuffle_compression, self._codec)),
+                    size_bytes=float(estimate_bytes(data, self._codec)),
                     exact=True)
                 self._leaf_cache[ds.id] = memo
             return memo

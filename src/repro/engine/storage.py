@@ -22,6 +22,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
+from .memory import CODEC_NONE
 from .shuffle import _stride_sample, estimate_bytes
 
 #: Records measured per block by :func:`resident_bytes`.
@@ -197,7 +198,7 @@ class BlockStore:
         if any(block is None for block in blocks):
             return None
         return (sum(map(len, blocks)),
-                sum(estimate_bytes(block, compressed=False) for block in blocks))
+                sum(estimate_bytes(block, CODEC_NONE) for block in blocks))
 
     def snapshot_dataset(self, dataset_id: int,
                          num_partitions: int) -> Dict[int, List[Any]]:

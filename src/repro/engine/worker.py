@@ -62,11 +62,10 @@ class WorkerShuffleClient:
     the task result to carry back to the driver.
     """
 
-    def __init__(self, transport: LocalDirShuffleTransport, compression: bool,
+    def __init__(self, transport: LocalDirShuffleTransport,
                  codec: int = CODEC_NONE, corruption_rate: float = 0.0,
                  seed: int = 0):
         self._transport = transport
-        self.compression = compression
         #: Frame codec id; must match the driver's resolved codec so the
         #: spans a worker writes carry the same measured byte estimates the
         #: thread backend would have recorded.
@@ -157,7 +156,7 @@ class WorkerShuffleClient:
         spans = write_buckets(
             self._transport.map_output_writer(shuffle_id, map_partition,
                                               self.codec),
-            buckets, self.compression, self._damage)
+            buckets, self._damage)
         self._last_map_output = {"shuffle_id": shuffle_id,
                                  "map_partition": map_partition,
                                  "spans": spans}
@@ -213,8 +212,7 @@ class WorkerContext:
         self.memory_manager = MemoryManager(config.shuffle_memory_bytes)
         self.block_store = WorkerBlockStore(config.memory_budget_bytes)
         self.shuffle_manager = WorkerShuffleClient(
-            transport, config.shuffle_compression,
-            resolve_codec(config.spill_codec, config.shuffle_compression),
+            transport, resolve_codec(config.spill_codec),
             corruption_rate=config.corruption_rate, seed=config.seed)
         self._transport = transport
         self._spill_root: Optional[str] = None

@@ -334,27 +334,28 @@ def test_columnar_parity_process_backend(pipeline_name):
 
 class TestCodecResolution:
     def test_disabled_compression_resolves_to_none(self):
-        assert resolve_codec("auto", enabled=False) == CODEC_NONE
-        assert resolve_codec("zlib", enabled=False) == CODEC_NONE
+        # spill_codec="none" is the one way to switch compression off
+        assert resolve_codec("none") == CODEC_NONE
+        assert resolve_codec("NONE") == CODEC_NONE
 
     def test_auto_prefers_lz4_else_zlib(self):
-        resolved = resolve_codec("auto", enabled=True)
+        resolved = resolve_codec("auto")
         assert resolved == (CODEC_LZ4 if lz4_available() else CODEC_ZLIB)
 
     def test_explicit_codecs(self):
-        assert resolve_codec("none", enabled=True) == CODEC_NONE
-        assert resolve_codec("zlib", enabled=True) == CODEC_ZLIB
+        assert resolve_codec("none") == CODEC_NONE
+        assert resolve_codec("zlib") == CODEC_ZLIB
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_codec("snappy", enabled=True)
+            resolve_codec("snappy")
 
     def test_explicit_lz4_without_package_rejected(self):
         if lz4_available():  # pragma: no cover - depends on environment
-            assert resolve_codec("lz4", enabled=True) == CODEC_LZ4
+            assert resolve_codec("lz4") == CODEC_LZ4
         else:
             with pytest.raises(ConfigurationError):
-                resolve_codec("lz4", enabled=True)
+                resolve_codec("lz4")
 
     def test_config_validates_spill_codec(self):
         with pytest.raises(ConfigurationError):
@@ -395,11 +396,9 @@ class TestCompressedFrames:
     def test_measured_estimate_tracks_codec(self):
         records = [{"url": f"/api/items?page={i % 20}", "service": "frontend"}
                    for i in range(2000)]
-        plain = estimate_bytes(records, compressed=False)
-        packed = estimate_bytes(records, compressed=True, codec=CODEC_ZLIB)
-        unpacked = estimate_bytes(records, compressed=True, codec=CODEC_NONE)
+        plain = estimate_bytes(records, CODEC_NONE)
+        packed = estimate_bytes(records, CODEC_ZLIB)
         assert packed < plain / 2  # measured ratio, not the old constant
-        assert unpacked == plain  # codec none measures nothing away
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ BUCKETS = {0: [("a", i) for i in range(30)], 1: [("b", i) for i in range(15)]}
 
 
 def test_invalidate_map_output_unmarks_and_retracts():
-    manager = ShuffleManager(compression=False)
+    manager = ShuffleManager(codec="none")
     manager.register_shuffle(3, 2)
     manager.write_map_output(3, 0, BUCKETS)
     manager.write_map_output(3, 1, BUCKETS)
@@ -166,7 +166,7 @@ def test_invalidate_map_output_unmarks_and_retracts():
 
 
 def test_invalidate_unknown_partition_is_a_noop():
-    manager = ShuffleManager(compression=False)
+    manager = ShuffleManager(codec="none")
     manager.register_shuffle(4, 2)
     manager.write_map_output(4, 0, BUCKETS)
     assert not manager.invalidate_map_output(4, 1)  # never written
@@ -179,7 +179,7 @@ def test_invalidate_unknown_partition_is_a_noop():
 
 def test_retried_map_attempt_does_not_double_count():
     """A rewritten map partition replaces its totals instead of adding."""
-    manager = ShuffleManager(compression=False)
+    manager = ShuffleManager(codec="none")
     manager.register_shuffle(7, 2)
     manager.write_map_output(7, 0, BUCKETS)
     manager.write_map_output(7, 1, BUCKETS)
@@ -197,12 +197,12 @@ def test_retried_external_registration_does_not_double_count(tmp_path):
     from repro.engine.memory import SpillFile
     from repro.engine.shuffle import write_buckets
 
-    manager = ShuffleManager(compression=False)
+    manager = ShuffleManager(codec="none")
     manager.register_shuffle(8, 1)
 
     def register(attempt: int):
         writer = SpillFile(str(tmp_path / f"map-0-a{attempt}.data"))
-        spans = write_buckets(writer, BUCKETS, False, lambda payload: payload)
+        spans = write_buckets(writer, BUCKETS, lambda payload: payload)
         manager.register_external_map_output(8, 0, spans)
 
     register(0)

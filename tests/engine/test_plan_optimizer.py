@@ -334,11 +334,10 @@ class TestMapSideCombine:
                     .map(lambda x: (x % 10, 1))
                     .reduce_by_key(lambda a, b: a + b))
 
-        with make_engine(*KNOWN_OPTIMIZER_RULES,
-                         shuffle_compression=False) as ctx:
+        with make_engine(*KNOWN_OPTIMIZER_RULES, spill_codec="none") as ctx:
             optimized = sorted(pipeline(ctx).collect())
             optimized_bytes = ctx.metrics.jobs[-1].shuffle_bytes
-        with make_engine(shuffle_compression=False) as ctx:
+        with make_engine(spill_codec="none") as ctx:
             plain = sorted(pipeline(ctx).collect())
             plain_bytes = ctx.metrics.jobs[-1].shuffle_bytes
         assert optimized == plain

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.engine.memory import CODEC_NONE
 from repro.engine.shuffle import ShuffleManager, estimate_bytes
 from repro.engine.storage import BlockStore, resident_bytes
 from repro.errors import ShuffleError
@@ -20,27 +21,25 @@ class TestEstimateBytes:
         assert estimate_bytes([1, 2, 3]) > 0
 
     def test_scales_roughly_with_count(self):
-        small = estimate_bytes([{"a": 1}] * 10, compressed=False)
-        large = estimate_bytes([{"a": 1}] * 1000, compressed=False)
+        small = estimate_bytes([{"a": 1}] * 10, CODEC_NONE)
+        large = estimate_bytes([{"a": 1}] * 1000, CODEC_NONE)
         assert large > small * 50
 
     def test_compression_reduces_estimate(self):
         records = [{"field": i} for i in range(500)]
-        assert estimate_bytes(records, compressed=True) < \
-            estimate_bytes(records, compressed=False)
+        assert estimate_bytes(records) < estimate_bytes(records, CODEC_NONE)
 
     def test_unpicklable_fallback_skips_compression(self):
         """Regression: the repr-length fallback used to divide by the 2.5x
         compression ratio too, systematically undercounting unpicklable
         buckets — a repr is not a compressible serialised payload."""
         records = [lambda: None] * 200  # lambdas refuse to pickle
-        assert estimate_bytes(records, compressed=True) == \
-            estimate_bytes(records, compressed=False)
+        assert estimate_bytes(records) == estimate_bytes(records, CODEC_NONE)
 
     def test_unpicklable_fallback_counts_repr_lengths(self):
         records = [lambda: None] * 200
         per_record = len(repr(records[0]))
-        estimated = estimate_bytes(records, compressed=True)
+        estimated = estimate_bytes(records)
         assert estimated >= 200 * (per_record // 2)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine import EngineContext, plan_cost
+from repro.engine.memory import CODEC_NONE
 from repro.engine.shuffle import estimate_bytes
 from repro.engine.stats import (AGGREGATE_RATIO, FILTER_SELECTIVITY,
                                 KeyDistribution, StatsEstimate, format_bytes)
@@ -37,7 +38,7 @@ class TestEstimateBytes:
     def test_small_list_uses_every_record(self):
         records = ["x" * 50] * 5
         actual = len(pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL))
-        assert estimate_bytes(records, compressed=False) == pytest.approx(
+        assert estimate_bytes(records, CODEC_NONE) == pytest.approx(
             actual, rel=0.5)
 
     def test_stride_sampling_not_biased_by_sorted_data(self):
@@ -46,8 +47,8 @@ class TestEstimateBytes:
         records = [i for i in range(1000)] + \
             [("y%04d" % i) * 250 for i in range(1000)]  # distinct 2000-char rows
         actual = len(pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL))
-        estimated = estimate_bytes(records, compressed=False)
-        head_biased = estimate_bytes(records[:20], compressed=False) // len(
+        estimated = estimate_bytes(records, CODEC_NONE)
+        head_biased = estimate_bytes(records[:20], CODEC_NONE) // len(
             records[:20]) * len(records)
         assert head_biased < actual / 50  # what the old sampling reported
         assert actual / 2 <= estimated <= actual * 2
@@ -57,13 +58,12 @@ class TestEstimateBytes:
         # sample; the estimate stays in the right order of magnitude
         records = [1] * 900 + [("z%03d" % i) * 250 for i in range(100)]
         actual = len(pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL))
-        estimated = estimate_bytes(records, compressed=False)
+        estimated = estimate_bytes(records, CODEC_NONE)
         assert actual / 3 <= estimated <= actual * 3
 
     def test_compression_ratio_applied(self):
         records = list(range(1000))
-        assert estimate_bytes(records, compressed=True) < \
-            estimate_bytes(records, compressed=False)
+        assert estimate_bytes(records) < estimate_bytes(records, CODEC_NONE)
 
 
 # ---------------------------------------------------------------------------

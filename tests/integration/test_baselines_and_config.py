@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro.baselines.manual_pipeline import expert_basket_pipeline, expert_churn_pipeline
-from repro.config import EngineConfig, PlatformConfig, RuntimeOptions
+from repro.config import EngineConfig, PlatformConfig
 from repro.errors import ConfigurationError
 
 
@@ -54,12 +54,6 @@ class TestConfig:
     def test_platform_config_overrides(self):
         assert PlatformConfig().with_overrides(free_tier_max_jobs=3) \
             .free_tier_max_jobs == 3
-
-    def test_runtime_options_merge(self):
-        options = RuntimeOptions(cluster_profile="small-4", extra={"a": 1})
-        merged = options.merged_with({"b": 2})
-        assert merged.extra == {"a": 1, "b": 2}
-        assert options.extra == {"a": 1}
 
 
 class TestPublicSurface:
