@@ -214,7 +214,7 @@ class EngineContext:
         """Materialise ``dataset`` durably (behind ``Dataset.checkpoint``).
 
         Adopts the recovered checkpoint recorded under the same content
-        fingerprint when its spans still pass the verified read; otherwise
+        fingerprint when its spans still pass their CRC checks; otherwise
         runs one collection job and appends every partition to one fsynced
         frame file, recorded in the journal only once it is durable.
         Adoption needs no write access, so it is attempted before the

@@ -563,7 +563,8 @@ class ProcessExecutor:
             if map_output is not None and self._shuffle_manager is not None:
                 self._shuffle_manager.register_external_map_output(
                     map_output["shuffle_id"], map_output["map_partition"],
-                    map_output["spans"], worker=worker)
+                    map_output["spans"], worker=worker,
+                    sample=map_output["sample"])
             if self._memory is not None:
                 # fold the driver-tracked residency (external spans
                 # registered so far) into the worker-observed peak,

@@ -22,17 +22,23 @@ Both kinds of entry store a list of *span records*: a
 :class:`~repro.engine.memory.Span` ``[path, offset, length, count]``
 followed by its coordinates (``map, reduce, estimated bytes`` for a
 shuffle bucket; none for a checkpoint partition, whose index is its
-position).  Every update rewrites ``journal.json`` with tmp + rename +
-fsync discipline, so the journal on disk is always one complete, parseable
-document — a crashed write leaves the previous version intact.
+position).  A shuffle entry also lists each map's key sample under
+``"samples"`` as ``[path, offset, length, count, map]``.  Every update
+rewrites ``journal.json`` with tmp + rename + fsync discipline, so the
+journal on disk is always one complete, parseable document — a crashed
+write leaves the previous version intact.
 
 The journal is a **hint, never a correctness dependency**: a resumed
-context (``EngineConfig.recover_from``) revalidates every recorded span by
-actually re-reading it through the verified frame read before
-re-registering anything.  Corrupt, truncated or missing entries —
-including a damaged journal document itself — are dropped and counted
+context (``EngineConfig.recover_from``) revalidates every recorded span —
+every frame header and CRC, and that the frames fill the span exactly
+(:func:`~repro.engine.memory.verify_span`) — before re-registering
+anything.  Corrupt, truncated or missing entries — including a damaged
+journal document itself — are dropped and counted
 (``recovery_invalid_entries``); their partitions recompute from lineage
-exactly as if the journal had never existed.
+exactly as if the journal had never existed.  What validation does not
+decode (a record count, a codec byte flipped to another valid codec) the
+verified read every consumer goes through still catches, and the span
+recomputes from lineage then.
 """
 
 from __future__ import annotations
@@ -44,16 +50,17 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import ShuffleCorruptionError
 from .fingerprint import shuffle_fingerprint
-from .memory import Span, load_span
+from .memory import Span, verify_span
 
 #: On-disk journal document version; bumped on incompatible layout changes.
 #: Version 2 keyed shuffle entries by lineage signature instead of bare
 #: shuffle id; version 3 keys shuffles and checkpoints by the content
 #: fingerprint of :mod:`repro.engine.fingerprint`, which — unlike the
 #: ``repr(source)`` of version 2 — covers a source's seed, parameters and
-#: data; version 4 records checkpoints as span lists, like shuffles.  Older
-#: journals are discarded as a cold start.
-JOURNAL_VERSION = 4
+#: data; version 4 records checkpoints as span lists, like shuffles;
+#: version 5 records each shuffle map's key sample.  Older journals are
+#: discarded as a cold start.
+JOURNAL_VERSION = 5
 
 #: File name of the journal document inside ``checkpoint_dir``.
 JOURNAL_NAME = "journal.json"
@@ -166,18 +173,22 @@ class JobJournal:
 
         ``catalog`` is the :meth:`ShuffleManager.export_durable_catalog`
         result: ``{"maps": [...], "buckets": {(map, reduce): (span,
-        size)}}`` with every path durable.  A superseded entry's files that
-        the new catalog no longer references are unlinked, so repeated runs
-        over one ``checkpoint_dir`` do not accumulate orphaned frames.
+        size)}, "samples": {map: span}}`` with every path durable.  A
+        superseded entry's files that the new catalog no longer references
+        are unlinked, so repeated runs over one ``checkpoint_dir`` do not
+        accumulate orphaned frames.
         """
         spans = [[*span, m, r, size]
                  for (m, r), (span, size) in sorted(catalog["buckets"].items())]
+        samples = [[*span, m]
+                   for m, span in sorted(catalog.get("samples", {}).items())]
         self._record("shuffles", key, {
             "shuffle_id": shuffle_id,
             "num_maps": num_maps,
             "num_reduces": num_reduces,
             "maps": sorted(catalog["maps"]),
             "spans": spans,
+            "samples": samples,
         })
 
     def record_checkpoint(self, key: str, name: str,
@@ -222,8 +233,9 @@ class JobJournal:
     # -- plumbing ----------------------------------------------------------
 
     def _flush_locked(self) -> None:
-        payload = json.dumps(self._state, indent=0,
-                             sort_keys=True).encode("utf-8")
+        # compact and unindented: any indent forces the pure-Python encoder
+        payload = json.dumps(self._state, sort_keys=True,
+                             separators=(",", ":")).encode("utf-8")
         atomic_write_bytes(self.path, payload)
         self._bytes_written += len(payload)
 
@@ -266,7 +278,7 @@ def _entry_files(entry: Any) -> Set[str]:
     files: Set[str] = set()
     if not isinstance(entry, dict):
         return files
-    for record in entry.get("spans") or ():
+    for record in [*(entry.get("spans") or ()), *(entry.get("samples") or ())]:
         try:
             files.add(str(record[0]))
         except (TypeError, IndexError, KeyError):
@@ -297,16 +309,18 @@ def load_journal_state(directory: str) -> Optional[Dict[str, Any]]:
 
 
 def _valid_span(record: Any) -> Optional[Span]:
-    """Re-read one journalled span record; its span, or ``None`` if bad.
+    """Check one journalled span record; its span, or ``None`` if bad.
 
     The one validator both kinds of entry share: the record's leading
-    ``[path, offset, length, count]`` go through the verified read, so a
-    span counts as valid only when every CRC and the record count check.
+    ``[path, offset, length, count]`` go through :func:`verify_span`, so a
+    span counts as valid only when every frame header and CRC check and
+    the frames fill it exactly.  Nothing is decoded here; the record count
+    is checked by the read that consumes the span.
     """
     try:
         span = Span(str(record[0]), int(record[1]), int(record[2]),
                     int(record[3]))
-        load_span(span)
+        verify_span(span)
     except (OSError, ShuffleCorruptionError, TypeError, ValueError,
             IndexError, KeyError):
         return None
@@ -314,37 +328,49 @@ def _valid_span(record: Any) -> Optional[Span]:
 
 
 def validate_shuffle_entry(entry: Any) -> Tuple[Dict[int, Dict[int, tuple]],
-                                                int, int]:
-    """Revalidate one recorded shuffle's spans.
+                                                Dict[int, Span], int, int]:
+    """Revalidate one recorded shuffle's spans and key samples.
 
     Returns ``(per-map {reduce: (span, estimated bytes)} of fully valid map
-    partitions, num_maps, invalid span count)``; a map partition with *any*
-    bad span is dropped wholesale, so the resumed scheduler recomputes it
+    partitions, {map: key-sample span} of the same maps, num_maps, invalid
+    span count)``; a map partition with *any* bad span, its sample
+    included, is dropped wholesale, so the resumed scheduler recomputes it
     from lineage instead of serving a half-restored output.
     """
     try:
         num_maps = int(entry["num_maps"])
         records = list(entry["spans"])
+        sample_records = list(entry["samples"])
     except (KeyError, TypeError, ValueError):
-        return {}, 0, 1
+        return {}, {}, 0, 1
     per_map: Dict[int, Dict[int, tuple]] = {}
+    samples: Dict[int, Span] = {}
     bad_maps: set = set()
     invalid = 0
-    for record in records:
+    # a bucket record ends in (map, reduce, bytes), a sample record in (map)
+    for record, width in [(record, 3) for record in records] + \
+            [(record, 1) for record in sample_records]:
         try:
-            map_partition, reduce_partition, size = map(int, record[4:])
+            coordinates = [int(value) for value in record[4:]]
         except (TypeError, ValueError):
+            coordinates = []
+        if len(coordinates) != width:
             invalid += 1  # names no map partition to drop
             continue
+        map_partition = coordinates[0]
         span = _valid_span(record)
         if span is None:
             invalid += 1
             bad_maps.add(map_partition)
-            continue
-        per_map.setdefault(map_partition, {})[reduce_partition] = (span, size)
+        elif width == 1:
+            samples[map_partition] = span
+        else:
+            per_map.setdefault(map_partition, {})[coordinates[1]] = \
+                (span, coordinates[2])
     for map_partition in bad_maps:
         per_map.pop(map_partition, None)
-    return per_map, num_maps, invalid
+        samples.pop(map_partition, None)
+    return per_map, samples, num_maps, invalid
 
 
 def validate_checkpoint_entry(entry: Any) -> Tuple[Optional[List[Span]], int]:

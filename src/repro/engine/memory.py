@@ -30,6 +30,8 @@ read verifies it, requires the frames to fill the span exactly and checks
 the span's record count: a mismatch, a malformed or checksum-less header,
 or a span cut short raises :class:`~repro.errors.ShuffleCorruptionError`
 instead of feeding garbage — or too few records — downstream.
+:func:`verify_span` runs the same header, CRC and extent checks without
+decoding a payload, for callers that only need to know a span is intact.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import threading
 import uuid
 import zlib
 from typing import (Any, BinaryIO, Callable, Dict, Iterator, List, NamedTuple,
-                    Optional, Sequence)
+                    Optional, Sequence, Tuple)
 
 from ..errors import ConfigurationError, ShuffleCorruptionError
 
@@ -310,54 +312,75 @@ def iter_frames(path: str, offset: int, length: int) -> Iterator[List[Any]]:
     undecodable payload — raises :class:`~repro.errors.ShuffleCorruptionError`
     naming the file and frame offset, never yielding garbage records.
     """
+    with _open_frames(path, offset) as handle:
+        yield from _iter_frame_stream(handle, offset, length, path)
+
+
+def _open_frames(path: str, offset: int) -> BinaryIO:
+    """Open a frame file for reading; unreadable is corrupt."""
     try:
-        handle = open(path, "rb")
+        return open(path, "rb")
     except OSError as error:
         raise ShuffleCorruptionError(
             f"framed payload {path!r} is unreadable: {error}",
             path=path, offset=offset) from error
-    with handle:
-        yield from _iter_frame_stream(handle, offset, length, path)
+
+
+def _corrupt_frame(label: str, frame_offset: int,
+                   reason: str) -> ShuffleCorruptionError:
+    return ShuffleCorruptionError(
+        f"corrupt frame in {label!r} at offset {frame_offset}: {reason}",
+        path=label, offset=frame_offset)
+
+
+def _iter_payloads(handle: BinaryIO, offset: int, length: int,
+                   label: str) -> Iterator[Tuple[int, bytes, int]]:
+    """``(codec, payload, frame offset)`` of each frame, structure and CRC
+    checked, payload still encoded and pickled."""
+    handle.seek(offset)
+    end = offset + length
+    while handle.tell() < end:
+        frame_offset = handle.tell()
+        header = handle.read(_FRAME_HEADER.size)
+        if len(header) < _FRAME_HEADER.size:
+            raise _corrupt_frame(label, frame_offset, "truncated frame header")
+        flagged_codec, size = _FRAME_HEADER.unpack(header)
+        codec = flagged_codec & ~CRC_FLAG
+        if not flagged_codec & CRC_FLAG or codec not in _CODEC_NAMES:
+            raise _corrupt_frame(label, frame_offset,
+                                 f"bad codec byte {flagged_codec:#x}")
+        trailer = handle.read(_FRAME_CRC.size)
+        if len(trailer) < _FRAME_CRC.size:
+            raise _corrupt_frame(label, frame_offset,
+                                 "truncated frame checksum")
+        (expected_crc,) = _FRAME_CRC.unpack(trailer)
+        if handle.tell() + size > end:
+            raise _corrupt_frame(
+                label, frame_offset,
+                f"{size}-byte payload runs past the end of the span")
+        payload = handle.read(size)
+        if len(payload) < size:
+            raise _corrupt_frame(
+                label, frame_offset,
+                f"payload truncated to {len(payload)} of {size} bytes")
+        if zlib.crc32(payload) != expected_crc:
+            raise _corrupt_frame(label, frame_offset,
+                                 f"CRC32 mismatch over {size} payload bytes")
+        yield codec, payload, frame_offset
 
 
 def _iter_frame_stream(handle: BinaryIO, offset: int, length: int,
                        label: str) -> Iterator[List[Any]]:
     """Frame-decoding core shared by file and in-memory payload readers."""
-    handle.seek(offset)
-    end = offset + length
-    while handle.tell() < end:
-        frame_offset = handle.tell()
-
-        def corrupt(reason: str, cause: Exception = None):
-            error = ShuffleCorruptionError(
-                f"corrupt frame in {label!r} at offset {frame_offset}: "
-                f"{reason}", path=label, offset=frame_offset)
-            raise error from cause
-
-        header = handle.read(_FRAME_HEADER.size)
-        if len(header) < _FRAME_HEADER.size:
-            corrupt("truncated frame header")
-        flagged_codec, size = _FRAME_HEADER.unpack(header)
-        codec = flagged_codec & ~CRC_FLAG
-        if not flagged_codec & CRC_FLAG or codec not in _CODEC_NAMES:
-            corrupt(f"bad codec byte {flagged_codec:#x}")
-        trailer = handle.read(_FRAME_CRC.size)
-        if len(trailer) < _FRAME_CRC.size:
-            corrupt("truncated frame checksum")
-        (expected_crc,) = _FRAME_CRC.unpack(trailer)
-        if handle.tell() + size > end:
-            corrupt(f"{size}-byte payload runs past the end of the span")
-        payload = handle.read(size)
-        if len(payload) < size:
-            corrupt(f"payload truncated to {len(payload)} of {size} bytes")
-        if zlib.crc32(payload) != expected_crc:
-            corrupt(f"CRC32 mismatch over {size} payload bytes")
+    for codec, payload, frame_offset in _iter_payloads(handle, offset, length,
+                                                       label):
         try:
             batch = pickle.loads(decode_payload(payload, codec))
         except Exception as error:  # noqa: BLE001 - any decode failure is rot
             # the CRC covers the payload only: a flipped codec byte that
             # names another valid codec gets this far
-            corrupt(f"payload failed to decode: {error}", error)
+            raise _corrupt_frame(label, frame_offset,
+                                 f"payload failed to decode: {error}") from error
         yield batch
 
 
@@ -380,6 +403,21 @@ def load_span(span: Span) -> List[Any]:
     records = load_frames(span.path, span.offset, span.length)
     check_count(span, len(records))
     return records
+
+
+def verify_span(span: Span) -> None:
+    """The structural check: every header and CRC, frames filling the span.
+
+    Raises :class:`~repro.errors.ShuffleCorruptionError` on exactly the
+    damage :func:`load_span` finds before decoding, but never decompresses
+    or unpickles a payload, so it cannot see a codec byte flipped to
+    another valid codec or a wrong record count.  Journal revalidation
+    uses it; every consumer still reads through :func:`load_span`, which
+    catches the rest.
+    """
+    with _open_frames(span.path, span.offset) as handle:
+        for _ in _iter_payloads(handle, span.offset, span.length, span.path):
+            pass
 
 
 class SpillFile:

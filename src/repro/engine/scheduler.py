@@ -796,11 +796,14 @@ class DAGScheduler:
                                  job: JobMetrics) -> None:
         """Re-register a prior run's map output for this shuffle, if valid.
 
-        Every recorded span is CRC-revalidated by actually re-reading it; a
-        map partition with any bad span is dropped (and recomputed by the
-        normal missing-partition path), so the journal can only save work,
-        never corrupt a result.  A shuffle fully served by recovered spans
-        skips its map stage entirely and counts as a recovered stage.
+        Every recorded span, key samples included, is CRC-revalidated
+        without decoding it; a map partition with any bad span is dropped
+        (and recomputed by the normal missing-partition path), and damage
+        only decoding can reveal surfaces at the reduce read as a fetch
+        failure, which recomputes that map from lineage — so the journal
+        can only save work, never corrupt a result.  A shuffle fully served
+        by recovered spans skips its map stage entirely and counts as a
+        recovered stage.
         """
         if not self.recovered_shuffles:
             return
@@ -810,7 +813,7 @@ class DAGScheduler:
         entry = self.recovered_shuffles.pop(key, None)
         if entry is None:
             return
-        per_map, num_maps, invalid = validate_shuffle_entry(entry)
+        per_map, samples, num_maps, invalid = validate_shuffle_entry(entry)
         recorded_reduces = entry.get("num_reduces") \
             if isinstance(entry, dict) else None
         if num_maps != dependency.parent.num_partitions or \
@@ -830,7 +833,7 @@ class DAGScheduler:
         for map_partition, spans in sorted(per_map.items()):
             self.shuffle_manager.register_external_map_output(
                 dependency.shuffle_id, map_partition, spans,
-                worker="recovered")
+                worker="recovered", sample=samples.get(map_partition))
         if per_map and self.shuffle_manager.is_complete(dependency.shuffle_id):
             job.stages_recovered += 1
 

@@ -20,10 +20,18 @@ the map-side estimates measured at write time, so bounded and unbounded
 runs report identical shuffle metrics; with compression on, the estimates
 are scaled by the measured ratio of the active codec rather than a
 simulated constant.
+
+Every map task also keeps a bounded key sample of its own output
+(:func:`sample_map_output`) next to it — a list of references on the
+resident path, one more span in the map-output file where the buckets are
+framed — so the statistics layer estimates a shuffle's key distribution by
+reading samples, never by decoding the shuffle.  Samples are outside all
+byte, record and memory accounting.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 import pickle
@@ -41,6 +49,10 @@ from .memory import (CODEC_NONE, MemoryManager, Span, SpillFile,
 #: Reduce partition -> (span, estimated bytes): the map output one task
 #: registers, and (keyed by ``(map, reduce)``) a shuffle's span catalog.
 SpanMap = Dict[Any, Tuple[Span, int]]
+
+#: Records in one map task's key sample, and the most a key-distribution
+#: estimate decodes per map.
+KEY_SAMPLE_SIZE = 512
 
 _SAMPLE_SIZE = 20
 #: Records in the (larger) sample used to *measure* the compression ratio.
@@ -104,20 +116,67 @@ def estimate_bytes(records: Sequence[Any], codec: Optional[int] = None) -> int:
     return max(1, total)
 
 
-def write_buckets(writer: SpillFile, buckets: Dict[int, List[Any]],
-                  damage: Callable[[bytes], bytes]) -> SpanMap:
-    """Frame one map task's buckets into ``writer``, then close it.
+def sample_map_output(shuffle_id: int, map_partition: int,
+                      buckets: Dict[int, Sequence[Any]]) -> List[Any]:
+    """One map task's key sample: up to :data:`KEY_SAMPLE_SIZE` records.
 
-    Each bucket's size is the ``estimate_bytes`` measurement the resident
-    path records, so registering these spans reproduces the thread
-    backend's shuffle metrics exactly.  ``damage`` is the caller's seeded
-    corruption injector (see :meth:`SpillFile.append`).
+    The map's records are taken in reduce-partition order and the sample
+    is ``KEY_SAMPLE_SIZE`` seeded random positions among them — all of
+    them when the map wrote no more — kept in draw order, so every prefix
+    of the sample is itself a uniform sample (:meth:`ShuffleManager.
+    sample_records` reads prefixes).  The seed is the shuffle and map ids:
+    the sample is a function of the map's output alone, identical on
+    every backend, transport and memory budget and for every attempt.
     """
+    ordered = [buckets[reduce] for reduce in sorted(buckets) if buckets[reduce]]
+    ends = list(itertools.accumulate(len(records) for records in ordered))
+    if not ends:
+        return []
+    rng = random.Random(f"shuffle-sample:{shuffle_id}:{map_partition}")
+    sample = []
+    for position in rng.sample(range(ends[-1]), min(ends[-1], KEY_SAMPLE_SIZE)):
+        index = bisect.bisect_right(ends, position)
+        records = ordered[index]
+        sample.append(records[position - ends[index] + len(records)])
+    return sample
+
+
+def _largest_remainder(size: int, counts: Sequence[int]) -> List[int]:
+    """Split ``size`` slots over ``counts`` proportionally; every count
+    whole when they total no more than ``size``."""
+    total = sum(counts)
+    if total <= size:
+        return list(counts)
+    shares = [size * count // total for count in counts]
+    by_remainder = sorted(range(len(counts)),
+                          key=lambda index: -(size * counts[index] % total))
+    for index in by_remainder[:size - sum(shares)]:
+        shares[index] += 1
+    return shares
+
+
+def write_buckets(writer: SpillFile, shuffle_id: int, map_partition: int,
+                  buckets: Dict[int, List[Any]],
+                  damage: Callable[[bytes], bytes]
+                  ) -> Tuple[SpanMap, Optional[Span]]:
+    """Frame one map task's buckets and key sample into ``writer``.
+
+    Returns the bucket spans and the span of the map's key sample
+    (:func:`sample_map_output`, ``None`` when the map wrote no records),
+    appended last to the same file; the writer is closed.  Each bucket's
+    size is the ``estimate_bytes`` measurement the resident path records,
+    so registering these spans reproduces the thread backend's shuffle
+    metrics exactly.  ``damage`` is the caller's seeded corruption
+    injector (see :meth:`SpillFile.append`); it spares the sample, which
+    only feeds statistics.
+    """
+    sample = sample_map_output(shuffle_id, map_partition, buckets)
     with writer:
-        return {reduce_partition: (
-                    writer.append(records, damage),
-                    estimate_bytes(records, writer.codec))
-                for reduce_partition, records in buckets.items()}
+        spans = {reduce_partition: (
+                     writer.append(records, damage),
+                     estimate_bytes(records, writer.codec))
+                 for reduce_partition, records in buckets.items()}
+        return spans, writer.append(sample) if sample else None
 
 
 @contextmanager
@@ -173,6 +232,11 @@ class ShuffleManager:
         #: Bucket key -> span, for every bucket on disk rather than in
         #: ``_buckets`` (spilled here, or registered by a writer elsewhere).
         self._spans: Dict[Tuple[int, int, int], Span] = {}
+        #: ``(shuffle_id, map_partition)`` -> (records the map wrote, its
+        #: key sample): a resident list or a span.  Only maps that wrote
+        #: records have one; it is never counted as bucket bytes.
+        self._samples: Dict[Tuple[int, int],
+                            Tuple[int, Union[List[Any], Span]]] = {}
         #: Buckets whose records refused to pickle; they stay resident.
         self._unspillable: set = set()
         #: Estimated bytes of all resident buckets, and of all spans.
@@ -272,6 +336,15 @@ class ShuffleManager:
             return size, span.count
         return size, 0
 
+    def _set_sample_locked(self, shuffle_id: int, map_partition: int,
+                           records: int,
+                           sample: Union[List[Any], Span, None]) -> None:
+        """Install a map's key sample, replacing any earlier attempt's."""
+        if records and sample:
+            self._samples[(shuffle_id, map_partition)] = (records, sample)
+        else:
+            self._samples.pop((shuffle_id, map_partition), None)
+
     # -- map side ------------------------------------------------------------
 
     def register_shuffle(self, shuffle_id: int, num_map_partitions: int) -> None:
@@ -287,14 +360,14 @@ class ShuffleManager:
                          task_context=None) -> int:
         """Store the buckets produced by one map task; return bytes written.
 
-        Bucket copies and byte estimation (which pickles a sample of every
-        bucket) happen *outside* the global lock so concurrent map tasks
-        never serialise behind each other; the lock only guards the final
-        dictionary swap-in and counter updates.  Under a memory budget the
-        swap-in is followed — still under the lock — by spilling the coldest
-        buckets until the resident total fits again; ``task_context`` (when
-        given) receives the spill counters and the residency high-water
-        mark.
+        Bucket copies, byte estimation (which pickles a sample of every
+        bucket) and the map's key sample happen *outside* the global lock so
+        concurrent map tasks never serialise behind each other; the lock
+        only guards the final dictionary swap-in and counter updates.  Under
+        a memory budget the swap-in is followed — still under the lock — by
+        spilling the coldest buckets until the resident total fits again;
+        ``task_context`` (when given) receives the spill counters and the
+        residency high-water mark.
         """
         with self._lock:
             if shuffle_id not in self._expected_maps:
@@ -315,6 +388,8 @@ class ShuffleManager:
             staged.append((key, copied, size))
             written += size
             records_out += len(copied)
+        sample = sample_map_output(shuffle_id, map_partition,
+                                   {key[2]: copied for key, copied, _ in staged})
         with self._lock:
             if shuffle_id not in self._expected_maps:
                 raise ShuffleError(f"shuffle {shuffle_id} was never registered")
@@ -336,6 +411,8 @@ class ShuffleManager:
                 self._reduce_bytes[reduce_key] = \
                     self._reduce_bytes.get(reduce_key, 0) - previous + size
             self._completed_maps[shuffle_id].add(map_partition)
+            self._set_sample_locked(shuffle_id, map_partition, records_out,
+                                    sample)
             self._bytes_written[shuffle_id] += written - stale_bytes
             self._records_written[shuffle_id] += records_out - stale_records
             self._sync_memory()
@@ -398,22 +475,24 @@ class ShuffleManager:
         The networked twin of the resident write path: every reader then
         fetches the buckets over TCP.
         """
-        spans = write_buckets(
+        spans, sample = write_buckets(
             self.transport.map_output_writer(shuffle_id, map_partition,
                                              self.codec),
-            buckets, self._damage("transport"))
-        written = self.register_external_map_output(shuffle_id, map_partition,
-                                                    spans, worker="driver")
+            shuffle_id, map_partition, buckets, self._damage("transport"))
+        written = self.register_external_map_output(
+            shuffle_id, map_partition, spans, worker="driver", sample=sample)
         if task_context is not None and self.memory is not None:
             task_context.note_peak(self.memory.used_bytes)
         return written
 
     def register_external_map_output(self, shuffle_id: int,
                                      map_partition: int, spans: SpanMap,
-                                     worker: Any = None) -> int:
+                                     worker: Any = None,
+                                     sample: Optional[Span] = None) -> int:
         """Adopt map output another writer framed to disk.
 
         ``spans`` maps each reduce partition to ``(span, estimated bytes)``
+        and ``sample`` is the span of the map's key sample
         (:func:`write_buckets`); the bytes are the writer-side
         ``estimate_bytes`` measurement, so read-side accounting matches the
         thread backend exactly.  Retried map tasks overwrite their previous
@@ -445,6 +524,8 @@ class ShuffleManager:
                 written += size
                 records_out += span.count
             self._completed_maps[shuffle_id].add(map_partition)
+            self._set_sample_locked(shuffle_id, map_partition, records_out,
+                                    sample)
             if worker is not None:
                 self._producers[(shuffle_id, map_partition)] = worker
             self._bytes_written[shuffle_id] += written - stale_bytes
@@ -501,20 +582,34 @@ class ShuffleManager:
         dir — where a durable transport roots its shuffle files) are
         reused as-is; everything else — resident buckets, spilled spans,
         spans outside the durable root — is re-framed into fsynced per-map
-        files under ``directory/shuffle-<id>/``.  The result is safe to
-        record in the job journal: every path in it survives a driver
-        crash.
+        files under ``directory/shuffle-<id>/``.  Key samples go the same
+        way and come back as ``"samples": {map: span}``.  The result is
+        safe to record in the job journal: every path in it survives a
+        driver crash.
         """
         prefix = os.path.abspath(directory) + os.sep
         with self._lock:
             entries = self._catalog_entries_locked(shuffle_id)
             maps = sorted(self._completed_maps[shuffle_id])
+            # a sample rides in the slot of reduce partition ``None``
+            entries += [((map_partition, None), sample, 0)
+                        for (sid, map_partition), (_, sample)
+                        in self._samples.items() if sid == shuffle_id]
         buckets: SpanMap = {}
-        pending: Dict[int, List[Tuple[int, Union[List[Any], Span], int]]] = {}
+        samples: Dict[int, Span] = {}
+
+        def place(map_partition, reduce_partition, span, size):
+            if reduce_partition is None:
+                samples[map_partition] = span
+            else:
+                buckets[(map_partition, reduce_partition)] = (span, size)
+
+        pending: Dict[int, List[Tuple[Optional[int],
+                                      Union[List[Any], Span], int]]] = {}
         for (map_partition, reduce_partition), source, size in entries:
             if isinstance(source, Span) and \
                     os.path.abspath(source.path).startswith(prefix):
-                buckets[(map_partition, reduce_partition)] = (source, size)
+                place(map_partition, reduce_partition, source, size)
             else:
                 pending.setdefault(map_partition, []).append(
                     (reduce_partition, source, size))
@@ -530,10 +625,10 @@ class ShuffleManager:
                 for reduce_partition, source, size in items:
                     if isinstance(source, Span):
                         source = load_span(source)
-                    buckets[(map_partition, reduce_partition)] = \
-                        (writer.append(source), size)
+                    place(map_partition, reduce_partition,
+                          writer.append(source), size)
                 writer.sync()
-        return {"maps": maps, "buckets": buckets}
+        return {"maps": maps, "buckets": buckets, "samples": samples}
 
     # -- reduce side ----------------------------------------------------------
 
@@ -703,65 +798,45 @@ class ShuffleManager:
             return [(m, self._bucket_bytes.get((shuffle_id, m, reduce_partition), 0))
                     for m in range(expected)]
 
-    def sample_records(self, shuffle_id: int, size: int) -> List[Any]:
-        """A seeded random sample of up to ``size`` records across buckets.
+    def sample_records(self, shuffle_ids: Sequence[int],
+                       size: int) -> List[Any]:
+        """A stratified sample of up to ``size`` records of the map output
+        of every shuffle in ``shuffle_ids``.
 
         Used by the statistics layer to estimate key distributions (distinct
-        keys, heavy-hitter shares) of a completed shuffle's map output.  The
-        sample positions come from a deterministic seeded RNG rather than a
-        stride: striding over data whose keys repeat periodically (very
-        common in generated workloads) aliases onto a tiny subset of keys.
-        The bucket references are snapshotted under the lock — in sorted
-        bucket-key order, since dict order follows the nondeterministic
-        completion order of concurrent map tasks — and indexing happens
-        outside it, so identical runs sample identical records.  Spilled
-        buckets participate with the record counts captured at spill time
-        and are only loaded when a sampled position actually falls inside
-        them, so memory-bounded runs sample the very same records.
+        keys, heavy-hitter shares) of completed shuffles.  Each completed
+        map gets a share of ``size`` proportional to the records it wrote
+        (largest remainder) and contributes that prefix of its key sample
+        (:func:`sample_map_output`), so a share never exceeds the map's
+        sample while ``size <= KEY_SAMPLE_SIZE``; when all the maps together
+        wrote at most ``size`` records, every record comes back and the
+        distribution is exact.  Maps are taken in shuffle, then map order,
+        and each sample depends only on its map's output, so identical runs
+        — on any backend, transport or memory budget, cold or resumed —
+        sample identical records.  A sample span is decoded only when its
+        map has a share: at most ``KEY_SAMPLE_SIZE`` records per map, never
+        the shuffle itself.
         """
         with self._lock:
-            entries: List[Tuple[Union[List[Any], Span], int]] = []
-            for key in sorted(k for k in self._bucket_bytes
-                              if k[0] == shuffle_id):
-                source = self._source_locked(key)
-                if source:
-                    entries.append((source, source.count
-                                    if isinstance(source, Span)
-                                    else len(source)))
-        total = sum(count for _, count in entries)
-        if total == 0 or size <= 0:
-            return []
-
-        def materialise(source):
-            if not isinstance(source, Span):
-                return source
-            try:
-                return load_span(source)
-            except ShuffleCorruptionError:
-                # sampling is advisory (statistics only): a damaged span
-                # contributes nothing here — the authoritative read path
-                # will surface it as a fetch failure
-                return []
-
-        if total <= size:
-            sample: List[Any] = []
-            for source, _ in entries:
-                sample.extend(materialise(source))
-            return sample
-        rng = random.Random(f"shuffle-sample:{shuffle_id}")
-        positions = sorted(rng.sample(range(total), size))
-        sample = []
-        entry_index, offset = 0, 0
-        loaded: Optional[List[Any]] = None
-        for position in positions:
-            while position - offset >= entries[entry_index][1]:
-                offset += entries[entry_index][1]
-                entry_index += 1
-                loaded = None
-            if loaded is None:
-                loaded = materialise(entries[entry_index][0])
-            if position - offset < len(loaded):
-                sample.append(loaded[position - offset])
+            strata = [self._samples.get((shuffle_id, map_partition), (0, None))
+                      for shuffle_id in shuffle_ids
+                      for map_partition in sorted(
+                          self._completed_maps.get(shuffle_id, ()))]
+        shares = _largest_remainder(max(0, size),
+                                    [records for records, _ in strata])
+        sample: List[Any] = []
+        for (_, source), share in zip(strata, shares):
+            if not share:
+                continue
+            if isinstance(source, Span):
+                try:
+                    source = load_span(source)
+                except ShuffleCorruptionError:
+                    # sampling is advisory (statistics only): a damaged
+                    # sample contributes nothing — the authoritative read
+                    # path surfaces damaged map output as a fetch failure
+                    continue
+            sample.extend(source[:share])
         return sample
 
     # -- bookkeeping -----------------------------------------------------------
@@ -816,6 +891,7 @@ class ShuffleManager:
                     self._reduce_bytes.pop(reduce_key, None)
             completed.discard(map_partition)
             self._producers.pop((shuffle_id, map_partition), None)
+            self._samples.pop((shuffle_id, map_partition), None)
             self._sync_memory()
             return True
 
@@ -849,9 +925,9 @@ class ShuffleManager:
             self._expected_maps.pop(shuffle_id, None)
             self._bytes_written.pop(shuffle_id, None)
             self._records_written.pop(shuffle_id, None)
-            for key in [key for key in self._producers
-                        if key[0] == shuffle_id]:
-                del self._producers[key]
+            for owned in (self._producers, self._samples):
+                for key in [key for key in owned if key[0] == shuffle_id]:
+                    del owned[key]
             self._remove_spill_file_locked(shuffle_id)
             self._sync_memory()
             # sweeps registered frame files and partial output of failed
@@ -888,6 +964,7 @@ class ShuffleManager:
             self._records_written.clear()
             self._unspillable.clear()
             self._producers.clear()
+            self._samples.clear()
             self._fetch_retries = 0
             self._resident_bytes = 0
             self._span_bytes = 0

@@ -43,7 +43,7 @@ from .plan import (AggregateNode, BroadcastJoinNode, CheckpointScanNode,
                    ProjectedScanNode, ProjectNode, RepartitionNode, SampleNode,
                    SortNode, SourceNode, UnionNode)
 from .memory import resolve_codec
-from .shuffle import estimate_bytes
+from .shuffle import KEY_SAMPLE_SIZE, estimate_bytes
 
 # -- selectivity heuristics (applied when no actuals are available) ----------
 
@@ -62,8 +62,6 @@ DEFAULT_RECORD_BYTES = 64
 
 # -- key-distribution sampling ----------------------------------------------
 
-#: Records stride-sampled when estimating a key distribution.
-KEY_SAMPLE_SIZE = 512
 #: Heavy hitters tracked per distribution (the top-k keys by share).
 TOP_KEY_COUNT = 5
 #: When the sample's distinct share is at most this, keys repeat often
@@ -291,16 +289,16 @@ class StatsEstimator:
                    for dep in dependencies]
         if any(actual is None for actual in actuals):
             return None
-        cache_key = ("shuffle",) + tuple(dep.shuffle_id for dep in dependencies)
+        shuffle_ids = tuple(dep.shuffle_id for dep in dependencies)
+        cache_key = ("shuffle",) + shuffle_ids
         if cache_key not in self._key_cache:
-            total = sum(records for records, _ in actuals)
-            per_dep = max(1, KEY_SAMPLE_SIZE // len(dependencies))
-            sample = []
-            for dep in dependencies:
-                sample.extend(self.shuffle_manager.sample_records(
-                    dep.shuffle_id, per_dep))
+            # one stratified draw over every map of every side: each side
+            # is represented by its record count, so a hot key on a big
+            # side is not diluted by a tiny one
+            sample = self.shuffle_manager.sample_records(shuffle_ids,
+                                                         KEY_SAMPLE_SIZE)
             self._key_cache[cache_key] = self._distribution_from_sample(
-                sample, total, key_of)
+                sample, sum(records for records, _ in actuals), key_of)
         return self._key_cache[cache_key]
 
     def _source_key_distribution(self, node: LogicalNode, key_of

@@ -15,8 +15,9 @@ spans.  Workers deserialize it once, reattach the worker context to every
 dataset in the task graphs, and then answer
 ``run_stage_task(payload, index, attempt)`` calls with a plain result dict:
 the task value, the nine ``TaskContext`` counters, the spans of any map
-output written, and dirty cache blocks — so byte/spill/peak accounting flows
-back across the process boundary and job metrics stay backend-invariant.
+output written (its buckets and its key sample), and dirty cache blocks —
+so byte/spill/peak accounting flows back across the process boundary and
+job metrics stay backend-invariant.
 
 Fault injection runs *inside* the worker with the same seeded decision
 function the thread backend uses (``seed:task_id:attempt``), so a given
@@ -150,16 +151,16 @@ class WorkerShuffleClient:
                          task_context=None) -> int:
         """Frame one map task's buckets to a transport file; return est. bytes.
 
-        The spans are kept on the client until :meth:`take_map_output`
-        hands them to the task result.
+        The spans, and the span of the map's key sample, are kept on the
+        client until :meth:`take_map_output` hands them to the task result.
         """
-        spans = write_buckets(
+        spans, sample = write_buckets(
             self._transport.map_output_writer(shuffle_id, map_partition,
                                               self.codec),
-            buckets, self._damage)
+            shuffle_id, map_partition, buckets, self._damage)
         self._last_map_output = {"shuffle_id": shuffle_id,
                                  "map_partition": map_partition,
-                                 "spans": spans}
+                                 "spans": spans, "sample": sample}
         return sum(size for _, size in spans.values())
 
     def _damage(self, payload: bytes) -> bytes:

@@ -18,6 +18,7 @@ cases, and heartbeat-file cleanup after ``EngineContext.stop()``.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket
@@ -36,7 +37,8 @@ from repro.engine.journal import (JOURNAL_NAME, JobJournal, atomic_write_bytes,
                                   load_journal_state,
                                   validate_checkpoint_entry,
                                   validate_shuffle_entry)
-from repro.engine.memory import CODEC_NONE, Span, dump_frames
+from repro.engine.memory import (CODEC_NONE, CODEC_ZLIB, CRC_FLAG, Span,
+                                 dump_frames)
 from repro.engine.retry import RetryPolicy
 from repro.engine.scheduler import NodeHealthTracker
 from repro.engine.shuffle_server import (AddressInUseError, ShuffleFetchClient,
@@ -104,6 +106,9 @@ def test_load_journal_state_treats_damage_as_absence(tmp_path):
     # version-3 journals recorded checkpoints as file lists, not spans
     path.write_bytes(b'{"version": 3, "shuffles": {}, "checkpoints": {}}')
     assert load_journal_state(str(tmp_path)) is None
+    # version-4 shuffle entries carry no key samples
+    path.write_bytes(b'{"version": 4, "shuffles": {}, "checkpoints": {}}')
+    assert load_journal_state(str(tmp_path)) is None
     path.write_bytes(b'[1, 2, 3]')
     assert load_journal_state(str(tmp_path)) is None
 
@@ -162,27 +167,39 @@ def test_validate_shuffle_entry_drops_corrupt_maps_wholesale(tmp_path):
     bad = str(tmp_path / "map1.data")
     good_len = _write_frames(good, [(1, "a"), (2, "b")])
     bad_len = _write_frames(bad, [(3, "c")])
+    sample = str(tmp_path / "sample1.data")
+    sample_len = _write_frames(sample, [(3, "c")])
     entry = {"shuffle_id": 0, "num_maps": 2, "maps": [0, 1],
              "spans": [[good, 0, good_len, 2, 0, 0, good_len],
-                       [bad, 0, bad_len, 1, 1, 0, bad_len]]}
+                       [bad, 0, bad_len, 1, 1, 0, bad_len]],
+             "samples": [[good, 0, good_len, 2, 0],
+                         [sample, 0, sample_len, 1, 1]]}
 
-    per_map, num_maps, invalid = validate_shuffle_entry(entry)
+    per_map, samples, num_maps, invalid = validate_shuffle_entry(entry)
     assert num_maps == 2 and invalid == 0
-    assert sorted(per_map) == [0, 1]
+    assert sorted(per_map) == sorted(samples) == [0, 1]
     assert per_map[0][0] == (Span(good, 0, good_len, 2), good_len)
+    assert samples[1] == Span(sample, 0, sample_len, 1)
 
     # flip a payload byte: the CRC check must reject the span and the
     # whole map partition with it — never serve a half-restored output
     _flip_byte(bad, -1)
-    per_map, _, invalid = validate_shuffle_entry(entry)
+    per_map, samples, _, invalid = validate_shuffle_entry(entry)
     assert invalid == 1
-    assert sorted(per_map) == [0]
+    assert sorted(per_map) == sorted(samples) == [0]
 
     os.remove(bad)  # missing is just as invalid as corrupt
-    per_map, _, invalid = validate_shuffle_entry(entry)
+    per_map, _, _, invalid = validate_shuffle_entry(entry)
     assert invalid == 1 and sorted(per_map) == [0]
 
-    assert validate_shuffle_entry({"nonsense": True}) == ({}, 0, 1)
+    # a bad key sample drops its map like any other bad span of that map
+    _write_frames(bad, [(3, "c")])
+    _flip_byte(sample, -1)
+    per_map, samples, _, invalid = validate_shuffle_entry(entry)
+    assert invalid == 1
+    assert sorted(per_map) == sorted(samples) == [0]
+
+    assert validate_shuffle_entry({"nonsense": True}) == ({}, {}, 0, 1)
 
 
 def test_validate_checkpoint_entry_is_all_or_nothing(tmp_path):
@@ -350,6 +367,98 @@ def test_resume_with_corrupt_spans_recomputes_from_lineage(tmp_path):
 
     with make_engine("thread", root, recover_from=str(root)) as ctx:
         resumed = sorted(build_pipeline(ctx).collect())
+        summary = ctx.metrics.summary()
+    assert resumed == expected
+    assert summary["recovery_invalid_entries"] >= 1
+
+
+def _damage_span(record, damage):
+    """Damage one journalled span record's bytes (or the record itself)."""
+    path, offset, length = record[0], record[1], record[2]
+    if damage == "payload_bit_flip":
+        # header (codec byte + length) and CRC32 take the first 9 bytes
+        with open(path, "r+b") as handle:
+            handle.seek(offset + 9)
+            byte = handle.read(1)[0]
+            handle.seek(offset + 9)
+            handle.write(bytes([byte ^ 0x10]))
+    elif damage == "truncation":
+        os.truncate(path, offset + length - 1)
+    elif damage == "codec_byte":
+        # another *valid* codec: the CRC covers the payload, not the header
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            codec = handle.read(1)[0] & ~CRC_FLAG
+            handle.seek(offset)
+            other = CODEC_ZLIB if codec == CODEC_NONE else CODEC_NONE
+            handle.write(bytes([other | CRC_FLAG]))
+    else:  # "record_count": the count lives in the journal, not the file
+        record[3] += 1
+
+
+def _damage_journal(root, kind, damage):
+    """Damage the first non-empty span of the last shuffle (read by the
+    result stage) or of the checkpoint; rewrite the journal."""
+    state = load_journal_state(str(root))
+    if kind == "shuffles":
+        entry = max(state["shuffles"].values(),
+                    key=lambda entry: entry["shuffle_id"])
+    else:
+        (entry,) = state["checkpoints"].values()
+    _damage_span(next(record for record in entry["spans"] if record[3]),
+                 damage)
+    (root / JOURNAL_NAME).write_text(json.dumps(state))
+
+
+@pytest.mark.parametrize("damage", ["payload_bit_flip", "truncation"])
+def test_resume_rejects_damaged_payloads_at_validation(tmp_path, damage):
+    root = tmp_path / "ckpt"
+    with make_engine("thread", root) as ctx:
+        expected = sorted(build_pipeline(ctx).collect())
+    _damage_journal(root, "shuffles", damage)
+
+    with make_engine("thread", root, recover_from=str(root)) as ctx:
+        resumed = sorted(build_pipeline(ctx).collect())
+        summary = ctx.metrics.summary()
+    assert resumed == expected
+    assert summary["recovery_invalid_entries"] >= 1
+    # dropped before anything read it: the map recomputed as missing
+    assert summary["lost_map_outputs"] == 0
+    assert summary["recomputed_tasks"] == 0
+
+
+@pytest.mark.parametrize("damage", ["record_count", "codec_byte"])
+def test_resume_adopts_undecoded_damage_then_recomputes_at_the_read(
+        tmp_path, damage):
+    """Validation checks structure and CRCs only; what needs decoding is
+    caught by the read, which recomputes the map from lineage."""
+    root = tmp_path / "ckpt"
+    with make_engine("thread", root) as ctx:
+        expected = sorted(build_pipeline(ctx).collect())
+    _damage_journal(root, "shuffles", damage)
+
+    with make_engine("thread", root, recover_from=str(root)) as ctx:
+        resumed = sorted(build_pipeline(ctx).collect())
+        summary = ctx.metrics.summary()
+    assert resumed == expected
+    assert summary["recovery_invalid_entries"] == 0
+    assert summary["stages_recovered"] >= 1
+    assert summary["lost_map_outputs"] >= 1
+
+
+@pytest.mark.parametrize("damage", ["record_count", "codec_byte"])
+def test_resume_adopts_undecoded_checkpoint_damage_then_recomputes(
+        tmp_path, damage):
+    root = tmp_path / "ckpt"
+    with make_engine("thread", root) as ctx:
+        expected = sorted(build_pipeline(ctx).checkpoint().collect())
+    _damage_journal(root, "checkpoints", damage)
+
+    with make_engine("thread", root, recover_from=str(root)) as ctx:
+        ds = build_pipeline(ctx).checkpoint()
+        assert ds.has_checkpoint  # adopted: validation decoded nothing
+        resumed = sorted(ds.collect())
+        assert not ds.has_checkpoint  # the read raised, lineage took over
         summary = ctx.metrics.summary()
     assert resumed == expected
     assert summary["recovery_invalid_entries"] >= 1

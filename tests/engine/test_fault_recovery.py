@@ -202,8 +202,9 @@ def test_retried_external_registration_does_not_double_count(tmp_path):
 
     def register(attempt: int):
         writer = SpillFile(str(tmp_path / f"map-0-a{attempt}.data"))
-        spans = write_buckets(writer, BUCKETS, lambda payload: payload)
-        manager.register_external_map_output(8, 0, spans)
+        spans, sample = write_buckets(writer, 8, 0, BUCKETS,
+                                      lambda payload: payload)
+        manager.register_external_map_output(8, 0, spans, sample=sample)
 
     register(0)
     clean_stats = manager.map_output_stats(8)

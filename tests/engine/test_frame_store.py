@@ -71,6 +71,7 @@ def test_every_bit_flip_and_truncation_is_detected(tmp_path, codec):
     assert len(frame_boundaries(span)) == 3, "the span must hold three frames"
     assert load_span(span) == read_fetched(span, pristine) == RECORDS
 
+    frame_starts = [0] + frame_boundaries(span)[:-1]
     for position in range(len(pristine)):
         for bit in range(8):
             damaged = bytearray(pristine)
@@ -80,6 +81,15 @@ def test_every_bit_flip_and_truncation_is_detected(tmp_path, codec):
                 load_span(span)
             with pytest.raises(ShuffleCorruptionError):
                 read_fetched(span, bytes(damaged))
+            # the structural check misses only a codec byte that now names
+            # another valid codec: the CRC covers the payload alone
+            flagged = damaged[position]
+            if position in frame_starts and flagged & memory.CRC_FLAG and \
+                    flagged & ~memory.CRC_FLAG in memory._CODEC_NAMES:
+                memory.verify_span(span)
+            else:
+                with pytest.raises(ShuffleCorruptionError):
+                    memory.verify_span(span)
 
     for cut in range(len(pristine)):
         # the file loses its tail under an intact span...
@@ -88,10 +98,17 @@ def test_every_bit_flip_and_truncation_is_detected(tmp_path, codec):
             load_span(span)
         with pytest.raises(ShuffleCorruptionError):
             read_fetched(span, pristine[:cut])
+        with pytest.raises(ShuffleCorruptionError):
+            memory.verify_span(span)
         # ...or the span itself is cut short over an intact file
         path.write_bytes(pristine)
         with pytest.raises(ShuffleCorruptionError):
             load_span(span._replace(length=cut))
+        if cut in frame_starts:  # whole frames: only the count can tell
+            memory.verify_span(span._replace(length=cut))
+        else:
+            with pytest.raises(ShuffleCorruptionError):
+                memory.verify_span(span._replace(length=cut))
 
 
 @pytest.mark.parametrize("codec", CODECS, ids=codec_name)

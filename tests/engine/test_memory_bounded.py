@@ -317,7 +317,8 @@ def test_iter_reduce_input_streams_the_full_read(paired_managers):
 def test_sample_records_identical_after_spilling(paired_managers):
     capped, resident = paired_managers
     for size in (5, 50, 10_000):
-        assert capped.sample_records(3, size) == resident.sample_records(3, size)
+        assert capped.sample_records([3], size) == \
+            resident.sample_records([3], size)
 
 
 def test_unpicklable_buckets_stay_resident(tmp_path):

@@ -168,9 +168,9 @@ class TestRangedReduceReads:
 
     def test_sample_records_strides_across_buckets(self):
         manager = self.build()
-        sample = manager.sample_records(1, 4)
+        sample = manager.sample_records([1], 4)
         assert len(sample) == 4
-        everything = manager.sample_records(1, 1000)
+        everything = manager.sample_records([1], 1000)
         assert len(everything) == 12  # full coverage when sample >= total
         assert set(sample) <= set(everything)
 

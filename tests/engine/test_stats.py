@@ -214,6 +214,28 @@ class TestKeyDistributions:
             # and the group_by output cardinality follows the key count
             assert ds.plan.stats.rows == 3
 
+    def test_completed_cogroup_samples_sides_by_record_count(self):
+        """A 20-row side must not take half the sample from a 10k-row side.
+
+        Splitting the sample evenly across sides gave the small side's
+        one key 20 of 276 sampled records (7%, true share 0.2%) and diluted
+        the big side's hot key; slots now follow each side's records.
+        """
+        big = [(0 if i % 10 < 8 else i, i) for i in range(10_000)]
+        small = [(-1, "s")] * 20
+        with make_engine() as ctx:
+            # the UDF maps hide the sources: only the shuffles can be sampled
+            cogrouped = ctx.parallelize(big, 4).map(lambda kv: kv).cogroup(
+                ctx.parallelize(small, 2).map(lambda kv: kv), 4)
+            cogrouped.count()
+            ctx.optimizer.estimator.annotate(cogrouped.plan)
+            distribution = cogrouped.plan.key_stats
+        shares = dict(distribution.top_shares)
+        assert distribution.top_shares[0][0] == 0
+        assert distribution.max_share == pytest.approx(
+            0.8 * 10_000 / 10_020, abs=0.03)
+        assert shares.get(-1, 0.0) < 0.01
+
     def test_non_pair_source_yields_no_distribution(self):
         with make_engine() as ctx:
             ds = ctx.range(100, num_partitions=2).group_by_key(2)
