@@ -21,7 +21,7 @@ from .dataset import (CheckpointEntry, Dataset, ParallelCollectionDataset,
                       SourceDataset, collect_partition)
 from .journal import JobJournal, load_journal_state, validate_checkpoint_entry
 from .memory import MemoryManager, SpillFile, resolve_codec
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, PendingCounters
 from .optimizer import PlanOptimizer, lower_plan
 from .plan import SourceNode, render_plan
 from .scheduler import DAGScheduler
@@ -89,11 +89,9 @@ class EngineContext:
         #: Reentrancy guard: a checkpoint's own collection job must not
         #: trigger further automatic checkpoints.
         self._checkpointing = False
-        #: Recovery/checkpoint tallies the scheduler folds into the next
-        #: finished job's metrics (shared dict, drained there).
-        self.recovery_counters = {"checkpoints_written": 0,
-                                  "stages_recovered": 0,
-                                  "recovery_invalid_entries": 0}
+        #: Checkpoint and recovery tallies the scheduler folds into the
+        #: next finished job's metrics (shared, drained there).
+        self.pending_counters = PendingCounters()
         if self.config.recover_from:
             self._replay_journal(self.config.recover_from)
         if self.config.executor_backend == "process" or \
@@ -146,7 +144,7 @@ class EngineContext:
                                       transport=self._transport,
                                       journal=self._journal,
                                       recovered_shuffles=self._recovered_shuffles,
-                                      recovery_counters=self.recovery_counters,
+                                      pending_counters=self.pending_counters,
                                       checkpoint_hook=self._auto_checkpoint)
         #: Structural signature -> physical dataset, shared by plan lowering
         #: so sibling plans reuse identical rewritten subtrees (and their
@@ -191,7 +189,7 @@ class EngineContext:
         state = load_journal_state(directory)
         if state is None:
             # no parseable journal: cold start, count the degradation
-            self.recovery_counters["recovery_invalid_entries"] += 1
+            self.pending_counters.recovery_invalid_entries += 1
             return
         self._recovered_shuffles.update(state.get("shuffles", {}))
         self._recovered_checkpoints.update(state.get("checkpoints", {}))
@@ -237,7 +235,7 @@ class EngineContext:
             spans = [writer.append(records) for records in partials]
             writer.sync()
         self._install_checkpoint(dataset, CheckpointEntry(key, spans))
-        self.recovery_counters["checkpoints_written"] += 1
+        self.pending_counters.checkpoints_written += 1
         if self._journal is not None:
             self._journal.record_checkpoint(key, dataset.name, spans)
 
@@ -248,13 +246,12 @@ class EngineContext:
             return False
         spans, invalid = validate_checkpoint_entry(entry)
         if spans is None:
-            self.recovery_counters["recovery_invalid_entries"] += \
-                max(1, invalid)
+            self.pending_counters.recovery_invalid_entries += max(1, invalid)
             if self._journal is not None:
                 self._journal.forget_checkpoint(key)
             return False
         self._install_checkpoint(dataset, CheckpointEntry(key, spans))
-        self.recovery_counters["stages_recovered"] += 1
+        self.pending_counters.stages_recovered += 1
         return True
 
     def _install_checkpoint(self, dataset: Dataset,
@@ -275,7 +272,7 @@ class EngineContext:
         dataset._checkpoint = None
         dataset._executable = None
         self._cache_epoch += 1
-        self.recovery_counters["recovery_invalid_entries"] += 1
+        self.pending_counters.recovery_invalid_entries += 1
         if self._journal is not None and entry.key:
             self._journal.forget_checkpoint(entry.key)
         return True

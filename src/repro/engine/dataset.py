@@ -26,6 +26,7 @@ from . import plan as logical
 from .columnar import ColumnBatch
 from .fingerprint import dataset_fingerprint
 from .memory import CODEC_NONE, Span, SpillRun, load_span
+from .metrics import TaskContext
 from .partitioner import HashPartitioner, Partitioner, RangePartitioner, RoundRobinPartitioner
 
 
@@ -360,35 +361,6 @@ def join_display_name(how: str) -> str:
     if how.endswith("_outer"):
         return f"{how}_join"
     return how
-
-
-class TaskContext:
-    """Per-task mutable counters, filled in while a partition is computed."""
-
-    def __init__(self) -> None:
-        self.records_read = 0
-        self.records_written = 0
-        self.shuffle_bytes_read = 0
-        self.shuffle_bytes_written = 0
-        self.cache_hits = 0
-        #: Batches drained by the task.
-        self.batches_processed = 0
-        #: Spill events (shuffle buckets or reduce-side runs written to
-        #: disk) this task triggered, and the serialised bytes they moved.
-        self.spills = 0
-        self.spill_bytes = 0
-        #: High-water mark of memory-manager-tracked shuffle residency
-        #: observed while this task ran (resident buckets + merge partials).
-        self.peak_shuffle_bytes = 0
-        #: Networked-shuffle fetch attempts this task retried (transient
-        #: socket failures, dropped responses, wire-corrupt frames) before
-        #: succeeding; 0 on the local transport or a clean network.
-        self.fetch_retries = 0
-
-    def note_peak(self, used_bytes: int) -> None:
-        """Record one observation of the tracked shuffle residency."""
-        if used_bytes > self.peak_shuffle_bytes:
-            self.peak_shuffle_bytes = used_bytes
 
 
 def _note_memory_peak(ctx, task_context: TaskContext) -> None:

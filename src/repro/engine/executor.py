@@ -40,18 +40,8 @@ from ..errors import (CheckpointCorruptionError, FetchFailedError,
                       SerializationError, TaskError)
 from . import serializer
 from .dataset import (BroadcastDependency, LineageStub,
-                      ParallelCollectionDataset, ShuffleDependency,
-                      TaskContext)
-from .metrics import StageMetrics, TaskMetrics
-
-#: The ``TaskContext`` counters copied verbatim into ``TaskMetrics`` after a
-#: successful attempt — and, on the process backend, shipped back across the
-#: process boundary inside the task result dict.  One list, two backends:
-#: a counter added here flows through both.
-_TASK_COUNTERS = ("records_read", "records_written", "shuffle_bytes_read",
-                  "shuffle_bytes_written", "cache_hits", "batches_processed",
-                  "spills", "spill_bytes", "peak_shuffle_bytes",
-                  "fetch_retries")
+                      ParallelCollectionDataset, ShuffleDependency)
+from .metrics import StageMetrics, TaskContext, TaskMetrics
 
 #: Floor on the speculation threshold: tasks faster than this are never
 #: worth duplicating — the relaunch overhead exceeds any possible win.
@@ -189,8 +179,7 @@ class Executor:
                 last_error = error
                 continue
             metrics.duration_s = time.perf_counter() - started
-            for name in _TASK_COUNTERS:
-                setattr(metrics, name, getattr(task_context, name))
+            metrics.set_counters(task_context.counters())
             with self._metrics_lock:
                 stage.add_task(metrics)
             return TaskResult(task, value, metrics)
@@ -557,8 +546,7 @@ class ProcessExecutor:
         metrics = self._task_metrics(task, info)
         metrics.duration_s = outcome["duration_s"]
         if outcome["ok"]:
-            for name in _TASK_COUNTERS:
-                setattr(metrics, name, outcome["counters"].get(name, 0))
+            metrics.set_counters(outcome["counters"])
             map_output = outcome.get("map_output")
             if map_output is not None and self._shuffle_manager is not None:
                 self._shuffle_manager.register_external_map_output(

@@ -34,7 +34,7 @@ from .dataset import (BroadcastDependency, CoGroupedDataset, Dataset,
                       TaskContext)
 from .executor import Task, create_executor
 from .journal import shuffle_journal_key, validate_shuffle_entry
-from .metrics import JobMetrics, StageMetrics
+from .metrics import JobMetrics, PendingCounters, StageMetrics
 from .retry import RetryPolicy
 
 #: Upper bound on accepted adaptive re-plans per job; a backstop against a
@@ -286,7 +286,7 @@ class DAGScheduler:
                  metrics_registry, broadcast_builds: Optional[Dict] = None,
                  memory_manager=None, transport=None, journal=None,
                  recovered_shuffles: Optional[Dict] = None,
-                 recovery_counters: Optional[Dict] = None,
+                 pending_counters: Optional[PendingCounters] = None,
                  checkpoint_hook: Optional[Callable[[Dataset], None]] = None):
         self.config = config
         self.shuffle_manager = shuffle_manager
@@ -300,9 +300,10 @@ class DAGScheduler:
         #: stage that would recompute them is about to run.
         self.recovered_shuffles = recovered_shuffles \
             if recovered_shuffles is not None else {}
-        #: Context-owned recovery tallies, folded into each finishing job.
-        self.recovery_counters = recovery_counters \
-            if recovery_counters is not None else {}
+        #: Context-owned job counters (checkpoint and recovery tallies),
+        #: folded into each finishing job.
+        self.pending_counters = pending_counters \
+            if pending_counters is not None else PendingCounters()
         #: Context callback checkpointing a dataset after its shuffle
         #: settled (``checkpoint_interval`` automatic checkpoints).
         self.checkpoint_hook = checkpoint_hook
@@ -394,12 +395,7 @@ class DAGScheduler:
         finally:
             if self.journal is not None:
                 job.journal_bytes += self.journal.drain_bytes_written()
-            for name in ("checkpoints_written", "stages_recovered",
-                         "recovery_invalid_entries"):
-                pending = self.recovery_counters.get(name, 0)
-                if pending:
-                    setattr(job, name, getattr(job, name) + pending)
-                    self.recovery_counters[name] = 0
+            self.pending_counters.drain_into(job)
             # failed jobs are registered too, so their attempts stay inspectable
             job.finish()
             self.metrics_registry.register(job)
@@ -821,15 +817,11 @@ class DAGScheduler:
             # the signature key already rules out a different program, so
             # this is belt-and-braces against a hand-edited journal:
             # nothing recorded is trustworthy for this stage
-            self.recovery_counters["recovery_invalid_entries"] = \
-                self.recovery_counters.get("recovery_invalid_entries", 0) + 1
+            self.pending_counters.recovery_invalid_entries += 1
             if self.journal is not None:
                 self.journal.forget_shuffle(key)
             return
-        if invalid:
-            self.recovery_counters["recovery_invalid_entries"] = \
-                self.recovery_counters.get("recovery_invalid_entries", 0) + \
-                invalid
+        self.pending_counters.recovery_invalid_entries += invalid
         for map_partition, spans in sorted(per_map.items()):
             self.shuffle_manager.register_external_map_output(
                 dependency.shuffle_id, map_partition, spans,

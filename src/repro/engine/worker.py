@@ -14,10 +14,11 @@ blocks of the datasets they carry, and parallelised input as per-partition
 spans.  Workers deserialize it once, reattach the worker context to every
 dataset in the task graphs, and then answer
 ``run_stage_task(payload, index, attempt)`` calls with a plain result dict:
-the task value, the nine ``TaskContext`` counters, the spans of any map
-output written (its buckets and its key sample), and dirty cache blocks —
-so byte/spill/peak accounting flows back across the process boundary and
-job metrics stay backend-invariant.
+the task value, its ``TaskContext`` counters (one per task-level entry of
+the counter table, :data:`~repro.engine.metrics.COUNTERS`), the spans of
+any map output written (its buckets and its key sample), and dirty cache
+blocks — so byte/spill/peak accounting flows back across the process
+boundary and job metrics stay backend-invariant.
 
 Fault injection runs *inside* the worker with the same seeded decision
 function the thread backend uses (``seed:task_id:attempt``), so a given
@@ -37,11 +38,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import CheckpointCorruptionError, FetchFailedError
 from . import serializer
-from .dataset import TaskContext
-from .executor import (_TASK_COUNTERS, InjectedFailure, should_inject_crash,
+from .executor import (InjectedFailure, should_inject_crash,
                        should_inject_failure)
 from .memory import (CODEC_NONE, MemoryManager, corrupt_payload,
                      resolve_codec, should_corrupt)
+from .metrics import TaskContext
 from .shuffle import ShuffleError, lost_map_output, write_buckets
 from .storage import BlockStore
 from .transport import LocalDirShuffleTransport, build_worker_transport
@@ -383,14 +384,13 @@ def run_stage_task(payload_path: str, task_index: int,
             outcome["checkpoint_failed"] = (error.dataset_id, error.partition)
         return outcome
     # network fetches this task survived (TCP transport retries) become
-    # the task's fetch_retries counter, shipped with the other nine
+    # the task's fetch_retries counter, shipped with the others
     task_context.fetch_retries += state.ctx._transport.drain_fetch_retries()
     return {
         "ok": True,
         "duration_s": time.perf_counter() - started,
         "value": value,
-        "counters": {name: getattr(task_context, name)
-                     for name in _TASK_COUNTERS},
+        "counters": task_context.counters(),
         "map_output": state.ctx.shuffle_manager.take_map_output(),
         "blocks": state.ctx.block_store.drain_dirty(),
         "worker": os.getpid(),

@@ -1,13 +1,30 @@
-"""Metrics dataclasses: task/stage/job aggregation and merging."""
+"""Metrics dataclasses: task/stage/job aggregation and merging.
+
+The records are derived from one counter table, ``metrics.COUNTERS``; the
+introspection tests below check the table against the records it builds,
+the merge rule of every entry, and that a new counter is one entry.
+"""
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import inspect
+import itertools
+import pathlib
+import sys
 import time
+import types
 
 import pytest
 
-from repro.engine.metrics import (JobMetrics, MetricsRegistry, StageMetrics,
-                                  TaskMetrics, merge_job_metrics)
+from repro.config import EngineConfig
+from repro.engine import metrics
+from repro.engine.context import EngineContext
+from repro.engine.metrics import (COUNTERS, JOB, STAGE, TASK, JobMetrics,
+                                  MetricsRegistry, PendingCounters,
+                                  StageMetrics, TaskContext, TaskMetrics,
+                                  merge_job_metrics)
 
 
 def _task(duration=0.5, records=10, failed=False, shuffle_write=100):
@@ -110,3 +127,209 @@ class TestMergeAndRegistry:
         assert registry.summary()["num_jobs"] == 1
         registry.reset()
         assert registry.jobs == []
+
+
+def _slow_pair(key):
+    time.sleep(0.05)
+    return (key, f"dim-{key}")
+
+
+def _slow_add(a, b):
+    time.sleep(0.02)
+    return a + b
+
+
+class TestNestedJobWall:
+    """``summary()["wall_clock_s"]`` counts a nested job's time once.
+
+    A broadcast build side and an automatic checkpoint each run as a job of
+    their own inside the job that needs them; the summary's wall is the
+    length of the union of the jobs' intervals, not their sum.
+    """
+
+    SLACK_S = 0.02
+
+    def _check(self, ctx, action, nested_prefix):
+        started = time.perf_counter()
+        action()
+        elapsed = time.perf_counter() - started
+        jobs = ctx.metrics.jobs
+        nested = [job for job in jobs
+                  if job.description.startswith(nested_prefix)]
+        assert nested, [job.description for job in jobs]
+        assert max(job.wall_clock_s for job in nested) >= 0.1
+        wall = ctx.metrics.summary()["wall_clock_s"]
+        assert wall <= elapsed + self.SLACK_S
+        assert wall >= max(job.wall_clock_s for job in jobs)
+
+    def test_broadcast_build_side_counted_once(self):
+        config = EngineConfig(num_workers=2, default_parallelism=2, seed=1,
+                              broadcast_threshold_bytes=1 << 20)
+        with EngineContext(config) as ctx:
+            facts = ctx.parallelize([(i % 8, i) for i in range(80)], 2)
+            dimension = ctx.parallelize(range(8), 4).map(_slow_pair)
+            self._check(ctx, lambda: facts.join(dimension).collect(),
+                        "broadcast")
+
+    def test_automatic_checkpoint_counted_once(self, tmp_path):
+        config = EngineConfig(num_workers=2, default_parallelism=2, seed=1,
+                              checkpoint_dir=str(tmp_path),
+                              checkpoint_interval=1)
+        with EngineContext(config) as ctx:
+            pairs = ctx.parallelize([(i % 8, 1) for i in range(64)], 4)
+            self._check(ctx,
+                        lambda: pairs.reduce_by_key(_slow_add, 2).collect(),
+                        "checkpoint")
+
+    def test_wall_is_the_union_of_job_intervals(self):
+        jobs = []
+        for index, (start, end) in enumerate([(10.0, 11.0), (12.0, 12.5),
+                                              (12.2, 12.4), (12.3, 13.0)]):
+            job = JobMetrics(job_id=index, started_at=start)
+            job.finished_at = end
+            jobs.append(job)
+        assert merge_job_metrics(jobs)["wall_clock_s"] == pytest.approx(2.0)
+
+
+# -- the counter table -------------------------------------------------------
+
+RECORDS = {TASK: TaskMetrics, STAGE: StageMetrics, JOB: JobMetrics}
+
+#: Record fields that are not counters.
+IDENTITY = {
+    TASK: {"task_id", "stage_id", "partition_index", "attempt", "duration_s",
+           "failed", "timed_out", "speculative"},
+    STAGE: {"stage_id", "name", "is_shuffle_map", "duration_s",
+            "wall_clock_s", "tasks"},
+    JOB: {"job_id", "description", "started_at", "finished_at", "stages"},
+}
+
+
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _carried(level):
+    return [counter for counter in COUNTERS
+            if counter.level <= level <= counter.top]
+
+
+class TestCounterTable:
+    def test_names_are_unique_and_rules_known(self):
+        keys = [counter.key(JOB) for counter in _carried(JOB)]
+        assert len(keys) == len(set(keys))
+        assert len({c.name for c in COUNTERS}) == len(COUNTERS)
+        assert {c.merge for c in COUNTERS} <= set(metrics.MERGES)
+        assert [c.name for c in COUNTERS if c.merge == "max"] == \
+            ["peak_shuffle_bytes"]
+
+    @pytest.mark.parametrize("level", [TASK, STAGE, JOB])
+    def test_every_record_carries_exactly_its_counters(self, level):
+        expected = {counter.key(level) for counter in _carried(level)}
+        assert _field_names(RECORDS[level]) - IDENTITY[level] == expected
+
+    def test_task_context_holds_the_task_counters(self):
+        expected = {c.name for c in COUNTERS if c.level == TASK}
+        context = TaskContext()
+        assert set(context.counters()) == expected
+        assert all(value == 0 for value in context.counters().values())
+
+    def test_summary_and_job_record_carry_every_job_counter(self):
+        job = JobMetrics(job_id=0)
+        job.finish()
+        summary = merge_job_metrics([job])
+        for counter in _carried(JOB):
+            assert counter.key(JOB) in summary
+            assert counter.key(JOB) in job.as_dict()
+        assert list(job.as_dict())[2:] == list(summary)[1:]
+
+    def test_each_counter_merges_by_its_rule(self):
+        values = itertools.count(3, 7)
+        rule = {"sum": sum, "max": max}
+        jobs = []
+        for job_id in range(2):
+            job = JobMetrics(job_id=job_id)
+            for stage_id in range(2):
+                stage = StageMetrics(stage_id=stage_id)
+                tasks = []
+                for _ in range(3):
+                    task = TaskMetrics(task_id=f"t{len(tasks)}")
+                    for counter in _carried(TASK):
+                        setattr(task, counter.name, next(values))
+                    stage.add_task(task)
+                    tasks.append(task)
+                for counter in _carried(STAGE):
+                    if counter.level == TASK:
+                        assert getattr(stage, counter.name) == \
+                            rule[counter.merge](getattr(task, counter.name)
+                                                for task in tasks)
+                    else:
+                        setattr(stage, counter.name, next(values))
+                job.add_stage(stage)
+            for counter in _carried(JOB):
+                name = counter.key(JOB)
+                if counter.level < JOB:
+                    assert getattr(job, name) == rule[counter.merge](
+                        getattr(stage, counter.name) for stage in job.stages)
+                else:
+                    setattr(job, name, next(values))
+            job.finish()
+            jobs.append(job)
+        summary = merge_job_metrics(jobs)
+        for counter in _carried(JOB):
+            name = counter.key(JOB)
+            assert summary[name] == rule[counter.merge](
+                getattr(job, name) for job in jobs)
+        # the merges are not vacuous: max and sum disagree on these values
+        assert summary["peak_shuffle_bytes"] < sum(
+            job.peak_shuffle_bytes for job in jobs)
+
+    def test_pending_counters_fold_into_the_next_job(self):
+        pending = PendingCounters()
+        pending.checkpoints_written += 2
+        pending.recovery_invalid_entries += 1
+        job = JobMetrics(job_id=0, checkpoints_written=1)
+        pending.drain_into(job)
+        assert job.checkpoints_written == 3
+        assert job.recovery_invalid_entries == 1
+        assert pending == PendingCounters()
+        pending.drain_into(job)
+        assert job.checkpoints_written == 3
+
+    def test_a_new_counter_is_one_table_entry(self, monkeypatch):
+        source = inspect.getsource(metrics)
+        entry = '    Counter("widgets", TASK),\n'
+        patched = source.replace("COUNTERS = (\n", "COUNTERS = (\n" + entry, 1)
+        assert patched != source
+        module = types.ModuleType("metrics_with_widgets")
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        exec(compile(patched, metrics.__file__, "exec"), module.__dict__)
+
+        context = module.TaskContext()
+        context.widgets += 3
+        first = module.TaskMetrics(task_id="a")
+        first.set_counters(context.counters())
+        stage = module.StageMetrics(stage_id=0)
+        stage.add_task(first)
+        stage.add_task(module.TaskMetrics(task_id="b", widgets=4))
+        job = module.JobMetrics(job_id=0)
+        job.add_stage(stage)
+        job.finish()
+        assert first.as_dict()["widgets"] == 3
+        assert stage.as_dict()["widgets"] == 7
+        assert job.as_dict()["widgets"] == 7
+        assert module.merge_job_metrics([job, job])["widgets"] == 14
+
+    def test_no_counter_name_is_a_string_literal_outside_the_table(self):
+        names = {c.name for c in COUNTERS} | {c.key(JOB) for c in COUNTERS}
+        engine = pathlib.Path(metrics.__file__).parent
+        offenders = []
+        for path in sorted(engine.glob("*.py")):
+            if path.name == "metrics.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and \
+                        isinstance(node.value, str) and node.value in names:
+                    offenders.append(f"{path.name}:{node.lineno} "
+                                     f"{node.value!r}")
+        assert offenders == []
