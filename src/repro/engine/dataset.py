@@ -23,6 +23,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
 from ..errors import (CheckpointCorruptionError, PlanError,
                       ShuffleCorruptionError)
 from . import plan as logical
+from . import wide
 from .columnar import ColumnBatch
 from .fingerprint import dataset_fingerprint
 from .memory import CODEC_NONE, Span, SpillRun, load_span
@@ -85,259 +86,8 @@ def count_partition(batches: Iterable[List[Any]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shuffle building blocks
-#
-# These module-level factories build the map-side and reduce-side functions of
-# every wide transformation.  They are shared between the Dataset API (which
-# records the *unoptimized* physical form) and the plan optimizer's lowering
-# (which may pick a different physical form, e.g. map-side combining).
-#
-# A map-side function consumes one parent partition as its iterable of
-# batches and returns ``{reduce partition: [records]}``; the buckets do not
-# depend on how the records were batched, so shuffle contents and byte
-# accounting do not depend on the batch size.
+# Operator helpers
 # ---------------------------------------------------------------------------
-
-
-def record_bucketer(partitioner: Partitioner):
-    """Map side: bucket whole records by ``partitioner`` (repartition, sort).
-
-    The assignment function is taken per invocation
-    (:meth:`~repro.engine.partitioner.Partitioner.task_partition_for`) so
-    positional partitioners restart their rotation for every task attempt —
-    a recomputed map task rebuilds byte-identical buckets.
-    """
-
-    def map_side(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
-        partition_for = partitioner.task_partition_for()
-        buckets: Dict[int, List[Any]] = {}
-        setdefault = buckets.setdefault
-        for batch in batches:
-            for record in batch:
-                setdefault(partition_for(record), []).append(record)
-        return buckets
-
-    return map_side
-
-
-def key_bucketer(partitioner: Partitioner):
-    """Map side: bucket ``(key, value)`` pairs by key, without combining."""
-
-    def map_side(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
-        partition_for = partitioner.task_partition_for()
-        buckets: Dict[int, List[Any]] = {}
-        setdefault = buckets.setdefault
-        for batch in batches:
-            for key, value in batch:
-                setdefault(partition_for(key), []).append((key, value))
-        return buckets
-
-    return map_side
-
-
-def combining_map_side(create_combiner, merge_value, partitioner: Partitioner):
-    """Map side with per-key pre-aggregation (inserted by the optimizer)."""
-
-    def map_side(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
-        combined: Dict[Any, Any] = {}
-        for batch in batches:
-            for key, value in batch:
-                if key in combined:
-                    combined[key] = merge_value(combined[key], value)
-                else:
-                    combined[key] = create_combiner(value)
-        partition_for = partitioner.task_partition_for()
-        buckets: Dict[int, List[Any]] = {}
-        setdefault = buckets.setdefault
-        for key, combiner in combined.items():
-            setdefault(partition_for(key), []).append((key, combiner))
-        return buckets
-
-    return map_side
-
-
-def _fold_combiners(records: Iterable[Any], merge_combiners) -> Dict[Any, Any]:
-    """Merge ``(key, combiner)`` pairs into per-key combiners, in order.
-
-    The single fold shared by the full reduce and its per-slice form, so
-    the split path cannot drift from the unsplit semantics.
-    """
-    merged: Dict[Any, Any] = {}
-    for key, combiner in records:
-        if key in merged:
-            merged[key] = merge_combiners(merged[key], combiner)
-        else:
-            merged[key] = combiner
-    return merged
-
-
-def merge_combiners_reduce(merge_combiners):
-    """Reduce side matching :func:`combining_map_side`: merge combiners."""
-    def reduce_side(records: List[Any]) -> Iterable[Any]:
-        return _fold_combiners(records, merge_combiners).items()
-    return reduce_side
-
-
-# ---------------------------------------------------------------------------
-# Slice semantics for skew-aware sub-partition reads
-#
-# A skewed reduce partition can be served as several sub-reads over disjoint
-# map-output slices (``ShuffleManager.read_reduce_input(..., map_range=...)``).
-# Each wide operator that supports splitting supplies a ``(slice_reduce,
-# merge_slices)`` pair: ``slice_reduce`` applies the reduce semantics to one
-# slice's records, ``merge_slices`` folds the per-slice partials — in map
-# range order — into output identical to the unsplit reduce (same records,
-# same order).  Splits only ever fall *between* map slices, never inside one
-# map task's combined run for a key, so per-key grouping stays correct and
-# aggregations re-merge through their combiner.
-# ---------------------------------------------------------------------------
-
-
-def _merge_combiner_partials(merge_combiners, partials):
-    """Fold per-slice ``{key: combiner}`` dicts, preserving first-appearance
-    key order (identical to the unsplit single-pass fold)."""
-    merged: Dict[Any, Any] = {}
-    for partial in partials:
-        for key, combiner in partial.items():
-            if key in merged:
-                merged[key] = merge_combiners(merged[key], combiner)
-            else:
-                merged[key] = combiner
-    return merged.items()
-
-
-def combiner_slice_merge(merge_combiners):
-    """Slice semantics matching :func:`merge_combiners_reduce`."""
-    def slice_reduce(records: List[Any]) -> Dict[Any, Any]:
-        return _fold_combiners(records, merge_combiners)
-
-    def merge_slices(partials: List[Dict[Any, Any]]) -> Iterable[Any]:
-        return _merge_combiner_partials(merge_combiners, partials)
-
-    return slice_reduce, merge_slices
-
-
-def grouping_slice_merge():
-    """Slice semantics matching :func:`group_reduce` (per-key value lists)."""
-    def merge_slices(partials: List[Dict[Any, List[Any]]]) -> Iterable[Any]:
-        merged: Dict[Any, List[Any]] = {}
-        for partial in partials:
-            for key, values in partial.items():
-                existing = merged.get(key)
-                if existing is None:
-                    # the per-slice lists are throwaway: adopt, then extend
-                    merged[key] = values
-                else:
-                    existing.extend(values)
-        return merged.items()
-
-    return _group_pairs, merge_slices
-
-
-def distinct_slice_merge():
-    """Slice semantics matching :func:`distinct_reduce` (ordered dedupe)."""
-    def slice_reduce(records: List[Any]) -> List[Any]:
-        return list(distinct_reduce(records))
-
-    def merge_slices(partials: List[List[Any]]) -> List[Any]:
-        return list(distinct_reduce(itertools.chain.from_iterable(partials)))
-
-    return slice_reduce, merge_slices
-
-
-def sorted_slice_merge(key_func, ascending: bool):
-    """Slice semantics matching the sort reduce: sorted runs + stable merge.
-
-    ``heapq.merge`` is stable and prefers earlier iterables on ties, so
-    merging per-slice runs in map range order reproduces exactly what one
-    stable sort of the concatenated records would yield.
-    """
-    def slice_reduce(records: List[Any]) -> List[Any]:
-        return sorted(records, key=key_func, reverse=not ascending)
-
-    def merge_slices(partials: List[List[Any]]) -> List[Any]:
-        return list(heapq.merge(*partials, key=key_func,
-                                reverse=not ascending))
-
-    return slice_reduce, merge_slices
-
-
-def _fold_values(records: Iterable[Any], create_combiner,
-                 merge_value) -> Dict[Any, Any]:
-    """Fold raw ``(key, value)`` pairs into per-key combiners, in order."""
-    merged: Dict[Any, Any] = {}
-    for key, value in records:
-        if key in merged:
-            merged[key] = merge_value(merged[key], value)
-        else:
-            merged[key] = create_combiner(value)
-    return merged
-
-
-def fold_values_reduce(create_combiner, merge_value):
-    """Fold raw ``(key, value)`` pairs per key (matches :func:`key_bucketer`).
-
-    Works on any iterable, so it doubles as the narrow per-partition
-    aggregation used when the optimizer eliminates the shuffle.
-    """
-    def reduce_side(records: Iterable[Any]) -> Iterable[Any]:
-        return _fold_values(records, create_combiner, merge_value).items()
-    return reduce_side
-
-
-#: Narrow per-partition aggregation: same fold, applied to the partition
-#: iterator instead of fetched shuffle records.
-local_aggregate = fold_values_reduce
-
-
-def _group_pairs(records: Iterable[Any]) -> Dict[Any, List[Any]]:
-    """Group ``(key, value)`` pairs into per-key value lists, in order."""
-    grouped: Dict[Any, List[Any]] = {}
-    setdefault = grouped.setdefault
-    for key, value in records:
-        setdefault(key, []).append(value)
-    return grouped
-
-
-def group_reduce(records: Iterable[Any]) -> Iterable[Any]:
-    """Group ``(key, value)`` pairs; reduce side of ``group_by_key``."""
-    return _group_pairs(records).items()
-
-
-#: Narrow per-partition grouping (shuffle eliminated by the optimizer).
-local_group = group_reduce
-
-
-def distinct_map_side(partitioner: Partitioner):
-    """Map side of ``distinct``: de-duplicate locally, bucket by record."""
-
-    def map_side(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
-        partition_for = partitioner.task_partition_for()
-        buckets: Dict[int, List[Any]] = {}
-        setdefault = buckets.setdefault
-        seen = set()
-        for batch in batches:
-            for record in batch:
-                if record in seen:
-                    continue
-                seen.add(record)
-                setdefault(partition_for(record), []).append(record)
-        return buckets
-
-    return map_side
-
-
-def distinct_reduce(records: Iterable[Any]) -> Iterable[Any]:
-    """De-duplicate records; reduce side of ``distinct``."""
-    seen = set()
-    for record in records:
-        if record not in seen:
-            seen.add(record)
-            yield record
-
-
-#: Narrow per-partition distinct (shuffle eliminated by the optimizer).
-local_distinct = distinct_reduce
 
 
 def field_projector(fields: List[str]):
@@ -371,7 +121,7 @@ def _note_memory_peak(ctx, task_context: TaskContext) -> None:
 
 
 class _ExternalRunAccumulator:
-    """Run-spilling protocol shared by the memory-bounded reduce paths.
+    """Run-spilling protocol of the memory-bounded (external) reduce.
 
     Tracks the estimated bytes of the caller's current in-memory run
     against the per-task budget (reserving them with the memory manager),
@@ -508,26 +258,17 @@ class BroadcastDependency(Dependency):
         self.kind = kind
 
     def collect(self, iterator: Iterator[Any]) -> Any:
-        """Per-partition collection function, run as a result task."""
+        """Per-partition collection function, run as a result task: the
+        group fold, or the partition's key set."""
         if self.kind == "key_values":
-            grouped: Dict[Any, List[Any]] = {}
-            for key, value in iterator:
-                grouped.setdefault(key, []).append(value)
-            return grouped
+            return wide.GROUP.fold(iterator)
         return {key for key, _ in iterator}
 
     def assemble(self, partials: List[Any]) -> Any:
         """Merge the per-partition payloads into the broadcast value."""
         if self.kind == "key_values":
-            merged: Dict[Any, List[Any]] = {}
-            for partial in partials:
-                for key, values in partial.items():
-                    merged.setdefault(key, []).extend(values)
-            return merged
-        keys: set = set()
-        for partial in partials:
-            keys.update(partial)
-        return keys
+            return wide.GROUP.merge([partial.items() for partial in partials])
+        return set().union(*partials)
 
 
 # ---------------------------------------------------------------------------
@@ -942,30 +683,30 @@ class Dataset:
 
     # -- wide transformations -------------------------------------------------------
 
+    def _wide(self, node: logical.LogicalNode, *others: "Dataset") -> "Dataset":
+        """Build the wide operator ``node`` declares over this dataset (and
+        ``others``); the node becomes its plan when every parent has one."""
+        parents = [self, *others]
+        ds = wide_dataset(node, parents)
+        if all(parent.plan is not None for parent in parents):
+            node.dataset = node.origin_dataset = ds
+            ds.plan = node
+        return ds
+
     def repartition(self, num_partitions: int) -> "Dataset":
         """Redistribute records evenly over ``num_partitions`` via a shuffle."""
-        partitioner = RoundRobinPartitioner(num_partitions, seed=self.ctx.config.seed)
-        ds = ShuffledDataset(self, partitioner, record_bucketer(partitioner),
-                             name=f"repartition({num_partitions})")
-        return ds._attach_plan(logical.RepartitionNode, partitioner)
+        return self._wide(logical.RepartitionNode(self.plan, RoundRobinPartitioner(
+            num_partitions, seed=self.ctx.config.seed)))
 
     def distinct(self, num_partitions: Optional[int] = None) -> "Dataset":
         """Remove duplicate records (records must be hashable)."""
-        num_partitions = num_partitions or self.num_partitions
-        partitioner = HashPartitioner(num_partitions)
-        ds = ShuffledDataset(self, partitioner, distinct_map_side(partitioner),
-                             reduce_side=distinct_reduce, name="distinct",
-                             slices=distinct_slice_merge())
-        return ds._attach_plan(logical.DistinctNode, partitioner)
+        return self._wide(logical.DistinctNode(self.plan, HashPartitioner(
+            num_partitions or self.num_partitions)))
 
     def group_by_key(self, num_partitions: Optional[int] = None) -> "Dataset":
         """Group values sharing a key: ``(k, v) -> (k, [v, ...])``."""
-        num_partitions = num_partitions or self.num_partitions
-        partitioner = HashPartitioner(num_partitions)
-        ds = ShuffledDataset(self, partitioner, key_bucketer(partitioner),
-                             reduce_side=group_reduce, name="group_by_key",
-                             slices=grouping_slice_merge())
-        return ds._attach_plan(logical.GroupByKeyNode, partitioner)
+        return self._wide(logical.GroupByKeyNode(self.plan, HashPartitioner(
+            num_partitions or self.num_partitions)))
 
     def group_by(self, func: Callable[[Any], Any],
                  num_partitions: Optional[int] = None) -> "Dataset":
@@ -982,20 +723,9 @@ class Dataset:
         optimizer's ``map_side_combine`` rule (on by default) rewrites it to
         pre-aggregate on the map side, shrinking the shuffle.
         """
-        num_partitions = num_partitions or self.num_partitions
-        partitioner = HashPartitioner(num_partitions)
-        # no slice spec: an *uncombined* aggregation only executes when the
-        # map-side-combine rewrite is disabled, which signals the caller does
-        # not trust merge_combiners associativity — re-merging skew slices
-        # through it would make the same assumption, so such datasets report
-        # supports_slice_reads=False and are never split
-        ds = ShuffledDataset(
-            self, partitioner, key_bucketer(partitioner),
-            reduce_side=fold_values_reduce(create_combiner, merge_value),
-            name="combine_by_key")
-        return ds._attach_plan(logical.AggregateNode, create_combiner,
-                               merge_value, merge_combiners, partitioner,
-                               name="combine_by_key")
+        return self._wide(logical.AggregateNode(
+            self.plan, create_combiner, merge_value, merge_combiners,
+            HashPartitioner(num_partitions or self.num_partitions)))
 
     def reduce_by_key(self, func: Callable[[Any, Any], Any],
                       num_partitions: Optional[int] = None) -> "Dataset":
@@ -1027,15 +757,8 @@ class Dataset:
         partitioner = RangePartitioner.from_sample(sample, num_partitions,
                                                    key_func=key_func,
                                                    ascending=ascending)
-
-        def reduce_side(records: List[Any]) -> Iterable[Any]:
-            return sorted(records, key=key_func, reverse=not ascending)
-
-        ds = ShuffledDataset(self, partitioner, record_bucketer(partitioner),
-                             reduce_side=reduce_side, name="sort_by",
-                             slices=sorted_slice_merge(key_func, ascending))
-        return ds._attach_plan(logical.SortNode, key_func, ascending, partitioner,
-                               key_fields=key_fields)
+        return self._wide(logical.SortNode(self.plan, key_func, ascending,
+                                           partitioner, key_fields=key_fields))
 
     def sort_by_key(self, ascending: bool = True,
                     num_partitions: Optional[int] = None) -> "Dataset":
@@ -1046,9 +769,8 @@ class Dataset:
                 num_partitions: Optional[int] = None) -> "Dataset":
         """Group both datasets by key: ``(k, ([self values], [other values]))``."""
         num_partitions = num_partitions or max(self.num_partitions, other.num_partitions)
-        partitioner = HashPartitioner(num_partitions)
-        ds = CoGroupedDataset(self, other, partitioner)
-        return ds._attach_plan(logical.CoGroupNode, partitioner)
+        return self._wide(logical.CoGroupNode(
+            [self.plan, other.plan], HashPartitioner(num_partitions)), other)
 
     def _join_with(self, other: "Dataset", emit, how: str,
                    num_partitions: Optional[int]) -> "Dataset":
@@ -1682,345 +1404,172 @@ class CoalescedDataset(Dataset):
 
 # ---------------------------------------------------------------------------
 # Wide datasets
+#
+# Each wide transformation — repartition, sort, distinct, group, aggregate,
+# cogroup — is one declaration in the table of :mod:`repro.engine.wide`: a
+# fold over one run of records, an associative merge of partials in
+# map-range order and a finish.  The API methods and the optimizer's
+# lowering build it through :func:`wide_dataset`, and its map side, reduce,
+# narrow local form, skew split and external merge are all derived from
+# that declaration (:class:`ShuffledDataset`); the broadcast join groups
+# with the same group fold and merge.
 # ---------------------------------------------------------------------------
 
 
-class SplittableShuffleRead:
-    """Skew-split plumbing shared by the shuffle-reading datasets.
+def wide_dataset(node: logical.LogicalNode, parents: List[Dataset]) -> Dataset:
+    """Build the physical form of a wide logical node from its declaration.
 
-    The ``split_skewed_shuffle`` rule stamps a *split plan* — per reduce
-    partition, a list of ``(dependency_index, map_lo, map_hi)`` slice units —
-    onto the physical dataset once actual map-output bytes identify a
-    straggler partition.  The scheduler then runs one task per unit
-    (:meth:`read_slice`), merges the per-slice partials back in unit order
-    (:meth:`install_slice_result`) and the partition's normal compute
-    consumes the merged records instead of re-reading the whole shuffle.
-    Overrides are one-shot: each job's sub-read stage installs them fresh.
+    The one call through which the API methods and the optimizer's lowering
+    build every wide operator: the shuffled form, or — for a node the
+    ``shuffle_elim`` rule marked ``local`` — the narrow per-partition fold.
+    """
+    name, op = wide.OPERATORS[node.op](node)
+    if getattr(node, "local", False):
+        return MapPartitionsDataset(parents[0], wide.local_form(op)).set_name(
+            f"{name}(local)")
+    return ShuffledDataset(parents, node.partitioner, op, name)
+
+
+class ShuffledDataset(Dataset):
+    """A wide operator's partitions, read back from its shuffles and reduced.
+
+    One shuffle dependency per parent (a cogroup has two; dependency ``i``
+    tags its records with ``i``), all reduced by the operator's declaration
+    ``op`` (:class:`~repro.engine.wide.WideOperator`).  A partition is
+    reduced resident (one fold), memory-bounded (a fold per spilled run,
+    then the merge) or skew-split.  For the split, the
+    ``split_skewed_shuffle`` rule stamps ``split_plan`` — per reduce
+    partition, ``(dependency_index, map_lo, map_hi)`` slice units — once
+    actual map-output bytes identify a straggler; the scheduler runs one
+    task per unit (:meth:`read_slice`), merges the partials back in unit
+    order (:meth:`install_slice_result`) and the partition's compute serves
+    the merged records once.  Without a declared merge an operator is
+    never split or merged externally.
     """
 
-    def _init_split_state(self) -> None:
-        self._split_plan: Dict[int, List[Tuple[int, int, int]]] = {}
-        self._slice_results: Dict[int, Any] = {}
-
-    @property
-    def split_plan(self) -> Dict[int, List[Tuple[int, int, int]]]:
-        """Reduce partition -> slice units, empty when no skew was found."""
-        return self._split_plan
-
-    def set_split_plan(self, plan: Dict[int, List[Tuple[int, int, int]]]) -> None:
-        """Record the per-reduce-partition split plan (rule-stamped)."""
-        self._split_plan = {partition: list(units)
-                            for partition, units in plan.items()}
+    def __init__(self, parents: List[Dataset], partitioner: Partitioner,
+                 op: wide.WideOperator, name: str):
+        ctx = parents[0].ctx
+        dependencies = [
+            ShuffleDependency(parent, partitioner,
+                              wide.map_side(op, partitioner, tag),
+                              ctx._next_shuffle_id())
+            for tag, parent in enumerate(parents)]
+        super().__init__(ctx, partitioner.num_partitions, dependencies,
+                         name=name)
+        self._op = op
+        #: Folds one slice of reduce input — a map range, a spilled run or
+        #: the whole partition — into a partial.
+        self._slice_reduce = wide.slice_fold(op)
+        self.split_plan: Dict[int, List[Tuple[int, int, int]]] = {}
+        self._slice_results: Dict[int, List[Any]] = {}
 
     @property
     def supports_slice_reads(self) -> bool:
-        """Whether this dataset can serve a partition as merged sub-reads."""
-        raise NotImplementedError
+        """Whether a partition can be served as merged sub-reads."""
+        return self._op.merge is not None
 
-    def read_slice(self, partition: int, unit: Tuple[int, int, int],
-                   task_context: TaskContext) -> Any:
-        """Read one map-output slice and apply the per-slice reduction."""
-        raise NotImplementedError
-
-    def install_slice_result(self, partition: int, partials: List[Any]) -> None:
-        """Merge per-slice partials (in unit order) into the partition override."""
-        raise NotImplementedError
-
-    def _pop_override(self, partition: int):
-        return self._slice_results.pop(partition, None)
-
-
-class ShuffledDataset(Dataset, SplittableShuffleRead):
-    """A dataset whose partitions are produced by a shuffle.
-
-    ``slices`` optionally carries the ``(slice_reduce, merge_slices)`` pair
-    (see the slice-semantics factories above) that lets a skewed reduce
-    partition be computed as parallel sub-reads over disjoint map-output
-    slices with results identical to the unsplit read.
-    """
-
-    def __init__(self, parent: Dataset, partitioner: Partitioner,
-                 map_side: Callable[[Iterator[Any]], Dict[int, List[Any]]],
-                 reduce_side: Optional[Callable[[List[Any]], Iterable[Any]]] = None,
-                 name: str = "shuffle",
-                 slices: Optional[Tuple[Callable, Callable]] = None):
-        ctx = parent.ctx
-        shuffle_id = ctx._next_shuffle_id()
-        dependency = ShuffleDependency(parent, partitioner, map_side, shuffle_id)
-        super().__init__(ctx, partitioner.num_partitions, [dependency], name=name)
-        self._reduce_side = reduce_side
-        self._slice_reduce, self._merge_slices = slices or (None, None)
-        self._init_split_state()
-
-    @property
-    def shuffle_dependency(self) -> ShuffleDependency:
-        """The single shuffle dependency feeding this dataset."""
-        return self.dependencies[0]
-
-    @property
-    def supports_slice_reads(self) -> bool:
-        # a reduce-side-less shuffle (repartition) splits by concatenation;
-        # anything else needs explicit slice semantics
-        return self._reduce_side is None or self._merge_slices is not None
-
-    def read_slice(self, partition: int, unit: Tuple[int, int, int],
-                   task_context: TaskContext) -> Any:
-        _, map_lo, map_hi = unit
-        records, size = self.ctx.shuffle_manager.read_reduce_input(
-            self.shuffle_dependency.shuffle_id, partition,
-            map_range=(map_lo, map_hi))
-        task_context.shuffle_bytes_read += size
+    def _read(self, partition: int, task_context: TaskContext,
+              dependencies: List[ShuffleDependency],
+              map_range: Optional[Tuple[int, int]] = None) -> Iterable[Any]:
+        inputs = []
+        for dependency in dependencies:
+            records, size = self.ctx.shuffle_manager.read_reduce_input(
+                dependency.shuffle_id, partition, map_range=map_range)
+            task_context.shuffle_bytes_read += size
+            inputs.append(records)
         _note_memory_peak(self.ctx, task_context)
-        if self._slice_reduce is not None:
-            return self._slice_reduce(records)
-        return records
+        return inputs[0] if len(inputs) == 1 else \
+            itertools.chain.from_iterable(inputs)
+
+    def read_slice(self, partition: int, unit: Tuple[int, int, int],
+                   task_context: TaskContext) -> List[Any]:
+        """Fold one map-output slice; the partial travels finished."""
+        dep_index, map_lo, map_hi = unit
+        records = self._read(partition, task_context,
+                             [self.dependencies[dep_index]], (map_lo, map_hi))
+        return list(self._op.finish(self._slice_reduce(records)))
 
     def install_slice_result(self, partition: int, partials: List[Any]) -> None:
-        if self._merge_slices is not None:
-            merged = self._merge_slices(partials)
-        else:
-            merged = []
-            for partial in partials:
-                merged.extend(partial)
-        self._slice_results[partition] = merged
-
-    # -- memory-bounded external merge ----------------------------------------
+        """Merge per-slice partials (in unit order) into the override."""
+        self._slice_results[partition] = list(
+            self._op.finish(self._op.merge(partials)))
 
     def _external_merge_enabled(self) -> bool:
-        """Whether this partition read should run the spillable reduce.
-
-        Requires a bounded memory manager and a spill directory on the
-        context, plus per-operator slice-merge semantics (or no reduce side
-        at all — plain repartitions merge by concatenation).  Operators
-        without slice semantics (uncombined aggregations, whose combiner
-        associativity the caller distrusts) always reduce resident.
-        """
+        """A bounded memory manager, a spill directory and a merge."""
         memory = getattr(self.ctx, "memory_manager", None)
-        if memory is None or not memory.bounded or \
-                getattr(self.ctx, "spill_dir", None) is None:
-            return False
-        return self._reduce_side is None or self._merge_slices is not None
+        return self.supports_slice_reads and memory is not None and \
+            memory.bounded and getattr(self.ctx, "spill_dir", None) is not None
 
     def _compute_external(self, partition: int,
                           task_context: TaskContext) -> Iterable[Any]:
         """Memory-bounded reduce of one partition.
 
-        Buckets are streamed in map order (spilled buckets loaded one at a
-        time); records accumulate into an in-memory run whose estimated
-        bytes are reserved with the memory manager.  When a run outgrows
-        the per-task budget it is reduced with the operator's per-slice
-        semantics and spilled; the final output is the slice merge of the
-        spilled runs plus the resident tail — record-identical to the
-        resident reduce, because runs are consecutive chunks of the very
-        stream the resident path reduces in one pass.
+        Buckets are streamed in dependency and map order (spilled buckets
+        loaded one at a time); records accumulate into an in-memory run
+        whose estimated bytes are reserved with the memory manager.  When a
+        run outgrows the per-task budget it is folded and spilled; the
+        output is the merge of the spilled runs plus the resident tail —
+        record-identical to the resident reduce, because runs are
+        consecutive chunks of the very stream the resident path folds in
+        one pass.
         """
         ctx = self.ctx
         owner = ("task-merge", id(task_context), self.id, partition)
         accumulator = _ExternalRunAccumulator(ctx, task_context, owner)
+        finish, fold = self._op.finish, self._slice_reduce
         current: List[Any] = []
-
-        def close_run():
-            return self._slice_reduce(current) \
-                if self._slice_reduce is not None else current
-
-        try:
-            for bucket, size in ctx.shuffle_manager.iter_reduce_input(
-                    self.shuffle_dependency.shuffle_id, partition):
-                task_context.shuffle_bytes_read += size
-                current.extend(bucket)
-                accumulator.add_bytes(size)
-                if accumulator.maybe_spill(close_run):
-                    current = []
-            if not accumulator.runs:
-                # everything fit: reduce exactly like the resident path
-                accumulator.release()
-                return self._reduce(current)
-            tail = close_run()
-        except BaseException:
-            accumulator.cleanup()
-            raise
-        return self._drain_runs(accumulator, tail)
-
-    def _drain_runs(self, accumulator: _ExternalRunAccumulator,
-                    tail: Any) -> Iterator[Any]:
-        """Stream the slice merge of spilled runs + the resident tail.
-
-        Dict partials (grouping, combiner folds) are loaded one run at a
-        time; list partials (sorted runs, distinct runs, raw records) are
-        streamed frame by frame, which is what lets the sort's stable heap
-        merge run with one bounded batch per run resident.  Run files are
-        deleted — and the merge reservation released — when the stream is
-        exhausted (or closed).
-        """
-        runs = accumulator.runs
-        try:
-            if self._merge_slices is None:
-                merged: Iterable[Any] = itertools.chain(
-                    itertools.chain.from_iterable(
-                        run.iter_records() for run in runs),
-                    tail)
-            elif isinstance(tail, dict):
-                partials = itertools.chain(
-                    (run.load_dict() for run in runs), [tail])
-                merged = self._merge_slices(partials)
-            else:
-                streams = [run.iter_records() for run in runs] + [iter(tail)]
-                merged = self._merge_slices(streams)
-            for record in merged:
-                yield record
-        finally:
-            accumulator.cleanup()
-
-    def _reduce(self, records: List[Any]) -> Iterable[Any]:
-        return records if self._reduce_side is None \
-            else self._reduce_side(records)
-
-    def compute_batches(self, partition: int, task_context: TaskContext,
-                        batch_size: int) -> Iterator[List[Any]]:
-        # a skew-split partition was already reduced by its sub-read tasks
-        # (bytes were accounted there): serve the merged records as-is
-        reduced = self._pop_override(partition)
-        if reduced is None and self._external_merge_enabled():
-            reduced = self._compute_external(partition, task_context)
-        elif reduced is None:
-            records, size = self.ctx.shuffle_manager.read_reduce_input(
-                self.shuffle_dependency.shuffle_id, partition)
-            task_context.shuffle_bytes_read += size
-            _note_memory_peak(self.ctx, task_context)
-            reduced = self._reduce(records)
-        if isinstance(reduced, list):
-            return chunk_list(reduced, batch_size)
-        return chunk_iterator(reduced, batch_size)
-
-
-def _merge_cogroup_partials(partials) -> Dict[Any, Tuple[List[Any], List[Any]]]:
-    """Fold ``{key: ([left], [right])}`` partials, in order.
-
-    Shared by the skew-split slice merge and the memory-bounded run merge:
-    first-appearance key order and per-tag value order both reproduce what
-    one single-pass grouping of the concatenated input would yield.
-    """
-    merged: Dict[Any, Tuple[List[Any], List[Any]]] = {}
-    for partial in partials:
-        for key, (left_values, right_values) in partial.items():
-            slot = merged.get(key)
-            if slot is None:
-                merged[key] = (left_values, right_values)
-            else:
-                slot[0].extend(left_values)
-                slot[1].extend(right_values)
-    return merged
-
-
-class CoGroupedDataset(Dataset, SplittableShuffleRead):
-    """Shuffle-based cogroup of two key-value datasets."""
-
-    def __init__(self, left: Dataset, right: Dataset, partitioner: Partitioner):
-        ctx = left.ctx
-
-        def tagged_map_side(tag: int):
-            def map_side(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
-                partition_for = partitioner.task_partition_for()
-                buckets: Dict[int, List[Any]] = {}
-                setdefault = buckets.setdefault
-                for batch in batches:
-                    for key, value in batch:
-                        setdefault(partition_for(key), []).append((key, tag, value))
-                return buckets
-
-            return map_side
-
-        left_dep = ShuffleDependency(left, partitioner, tagged_map_side(0),
-                                     ctx._next_shuffle_id())
-        right_dep = ShuffleDependency(right, partitioner, tagged_map_side(1),
-                                      ctx._next_shuffle_id())
-        super().__init__(ctx, partitioner.num_partitions, [left_dep, right_dep],
-                         name="cogroup")
-        self._init_split_state()
-
-    @property
-    def supports_slice_reads(self) -> bool:
-        return True
-
-    def read_slice(self, partition: int, unit: Tuple[int, int, int],
-                   task_context: TaskContext) -> Dict[Any, Tuple[List[Any], List[Any]]]:
-        dep_index, map_lo, map_hi = unit
-        dependency = self.dependencies[dep_index]
-        records, size = self.ctx.shuffle_manager.read_reduce_input(
-            dependency.shuffle_id, partition, map_range=(map_lo, map_hi))
-        task_context.shuffle_bytes_read += size
-        _note_memory_peak(self.ctx, task_context)
-        grouped: Dict[Any, Tuple[List[Any], List[Any]]] = {}
-        for key, tag, value in records:
-            if key not in grouped:
-                grouped[key] = ([], [])
-            grouped[key][tag].append(value)
-        return grouped
-
-    def install_slice_result(self, partition: int, partials: List[Any]) -> None:
-        # partials arrive in unit order (left slices first, then right), so
-        # first-appearance key order and per-tag value order both match the
-        # unsplit read exactly
-        self._slice_results[partition] = _merge_cogroup_partials(partials)
-
-    def _external_merge_enabled(self) -> bool:
-        """Memory-bounded cogrouping needs a bounded manager + spill dir."""
-        memory = getattr(self.ctx, "memory_manager", None)
-        return memory is not None and memory.bounded and \
-            getattr(self.ctx, "spill_dir", None) is not None
-
-    def _compute_external(self, partition: int, task_context: TaskContext
-                          ) -> Dict[Any, Tuple[List[Any], List[Any]]]:
-        """Memory-bounded cogroup: bounded grouped partials, spilled runs.
-
-        Buckets stream in dependency order (left slices first, then right),
-        grouping into a bounded ``{key: ([left], [right])}`` partial that is
-        spilled whenever its estimated input bytes outgrow the per-task
-        budget; partials then re-merge in run order — first-appearance key
-        order and per-tag value order both match the resident single-pass
-        grouping exactly (the same argument as ``install_slice_result``).
-        """
-        ctx = self.ctx
-        owner = ("task-merge", id(task_context), self.id, partition)
-        accumulator = _ExternalRunAccumulator(ctx, task_context, owner)
-        current: Dict[Any, Tuple[List[Any], List[Any]]] = {}
         try:
             for dependency in self.dependencies:
                 for bucket, size in ctx.shuffle_manager.iter_reduce_input(
                         dependency.shuffle_id, partition):
                     task_context.shuffle_bytes_read += size
-                    for key, tag, value in bucket:
-                        slot = current.get(key)
-                        if slot is None:
-                            current[key] = slot = ([], [])
-                        slot[tag].append(value)
+                    current.extend(bucket)
                     accumulator.add_bytes(size)
-                    if accumulator.maybe_spill(lambda: current):
-                        current = {}
-            if not accumulator.runs:
-                return current
-            return _merge_cogroup_partials(itertools.chain(
-                (run.load_dict() for run in accumulator.runs), [current]))
+                    if accumulator.maybe_spill(lambda: finish(fold(current))):
+                        current = []
+            tail = finish(fold(current))
+        except BaseException:
+            accumulator.cleanup()
+            raise
+        if not accumulator.runs:
+            # everything fit: reduced exactly like the resident path
+            accumulator.release()
+            return tail
+        return self._drain_runs(accumulator, tail)
+
+    def _drain_runs(self, accumulator: _ExternalRunAccumulator,
+                    tail: Iterable[Any]) -> Iterator[Any]:
+        """Stream the merge of the spilled runs and the resident tail.
+
+        Every run streams back frame by frame.  The record-shaped merges
+        (sort's stable heap merge, distinct, concatenation) are lazy, so
+        they hold one frame per run; the keyed merges fold the runs into
+        one dict, a frame at a time.  The run streams are closed, the run
+        files deleted and the reservation released when the output is
+        exhausted or closed.
+        """
+        streams = [run.iter_records() for run in accumulator.runs]
+        try:
+            yield from self._op.finish(self._op.merge(streams + [tail]))
         finally:
+            for stream in streams:
+                stream.close()
             accumulator.cleanup()
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
-        grouped = self._pop_override(partition)
-        if grouped is None and self._external_merge_enabled():
-            grouped = self._compute_external(partition, task_context)
-        elif grouped is None:
-            grouped = {}
-            for dependency in self.dependencies:
-                records, size = self.ctx.shuffle_manager.read_reduce_input(
-                    dependency.shuffle_id, partition)
-                task_context.shuffle_bytes_read += size
-                for key, tag, value in records:
-                    if key not in grouped:
-                        grouped[key] = ([], [])
-                    grouped[key][tag].append(value)
-            _note_memory_peak(self.ctx, task_context)
-        return chunk_iterator(grouped.items(), batch_size)
+        # a skew-split partition was already reduced by its sub-read tasks
+        # (bytes were accounted there): serve the merged records as-is
+        reduced = self._slice_results.pop(partition, None)
+        if reduced is None and self._external_merge_enabled():
+            reduced = self._compute_external(partition, task_context)
+        elif reduced is None:
+            reduced = self._op.finish(self._slice_reduce(
+                self._read(partition, task_context, self.dependencies)))
+        if isinstance(reduced, list):
+            return chunk_list(reduced, batch_size)
+        return chunk_iterator(reduced, batch_size)
 
 
 def broadcast_preserves_build(how: str, build_side: str) -> bool:
@@ -2105,12 +1654,8 @@ class BroadcastJoinDataset(Dataset):
                 for key, values in build_map.items()
                 if key not in stream_keys), batch_size)
             return
-        # group the stream partition by key in first-appearance order
-        grouped: Dict[Any, List[Any]] = {}
-        setdefault = grouped.setdefault
-        for batch in stream.batch_iterator(partition, task_context):
-            for key, value in batch:
-                setdefault(key, []).append(value)
+        # the group fold of the stream partition: first-appearance order
+        grouped = wide.GROUP.fold(stream.iterator(partition, task_context))
         produced: List[Any] = []
         extend = produced.extend
         for key, values in grouped.items():

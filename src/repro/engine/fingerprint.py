@@ -64,7 +64,7 @@ _DATASET_SKIP_ATTRS = frozenset({
     "_executable_epoch", "_cache_mirrors", "_checkpoint", "_size_hint",
     "_fingerprint", "_share_key", "_share_origin",
     # derived from ``dependencies`` (union) or per-job runtime state
-    "_offsets", "_split_plan", "_slice_results", "_spans",
+    "_offsets", "split_plan", "_slice_results", "_spans",
     "_build_holder", "_stream_keys_holder", "_emits_unmatched_build",
 })
 

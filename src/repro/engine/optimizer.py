@@ -64,18 +64,19 @@ from __future__ import annotations
 
 import math
 import statistics
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import EngineConfig
 from ..errors import PlanError
 from . import dataset as physical
+from . import wide
 from .partitioner import HashPartitioner, RoundRobinPartitioner
 from .plan import (AggregateNode, BroadcastJoinNode, CheckpointScanNode,
-                   CoalesceNode, CoGroupNode, DistinctNode, FilterNode,
-                   FlatMapNode, FusedNode, GroupByKeyNode, JoinNode,
-                   LogicalNode, MapNode, MapPartitionsNode, PhysicalScanNode,
-                   ProjectedScanNode, ProjectNode, RepartitionNode, SampleNode,
-                   SortNode, SourceNode, UnionNode, output_partitioning)
+                   CoalesceNode, CoGroupNode, FilterNode, FlatMapNode,
+                   FusedNode, JoinNode, LocalizableNode, LogicalNode, MapNode,
+                   MapPartitionsNode, PhysicalScanNode, ProjectedScanNode,
+                   ProjectNode, RepartitionNode, SampleNode, SortNode,
+                   SourceNode, UnionNode, output_partitioning)
 from .stats import StatsEstimator
 
 #: Narrow per-record operators the ``fuse_narrow`` rule may collapse.
@@ -451,18 +452,11 @@ class PlanOptimizer:
     def _eliminate_shuffles(self, node: LogicalNode,
                             applied: List[str]) -> LogicalNode:
         def rule(n: LogicalNode) -> LogicalNode:
-            if isinstance(n, (AggregateNode, GroupByKeyNode)) and not n.local:
-                partitioning = output_partitioning(n.child)
-                if partitioning is not None and partitioning[0] == "key" and \
-                        partitioning[1] == n.partitioner:
-                    applied.append("shuffle_elim")
-                    return n.copy_with(local=True, variant=n.variant + "|local")
-            if isinstance(n, DistinctNode) and not n.local:
-                partitioning = output_partitioning(n.child)
-                if partitioning is not None and partitioning[0] == "record" and \
-                        partitioning[1] == n.partitioner:
-                    applied.append("shuffle_elim")
-                    return n.copy_with(local=True, variant=n.variant + "|local")
+            if isinstance(n, LocalizableNode) and not n.local and \
+                    output_partitioning(n.child) == (n.partitioned_by,
+                                                     n.partitioner):
+                applied.append("shuffle_elim")
+                return n.copy_with(local=True, variant=n.variant + "|local")
             return n
 
         return self._transform(node, rule)
@@ -560,13 +554,9 @@ class PlanOptimizer:
         if manager is None:
             return False
         ds = self.estimator._physical_of(node)
-        if isinstance(ds, physical.ShuffledDataset):
-            return manager.map_output_stats(
-                ds.shuffle_dependency.shuffle_id) is not None
-        if isinstance(ds, physical.CoGroupedDataset):
-            return all(manager.map_output_stats(dep.shuffle_id) is not None
-                       for dep in ds.dependencies)
-        return False
+        return isinstance(ds, physical.ShuffledDataset) and \
+            all(manager.map_output_stats(dep.shuffle_id) is not None
+                for dep in ds.dependencies)
 
     # -- rule: cost-based shuffle coalescing ---------------------------------
 
@@ -628,24 +618,17 @@ class PlanOptimizer:
             if not n.is_shuffle or n.is_cached:
                 continue
             ds = self.estimator._physical_of(n)
-            if isinstance(ds, physical.CoGroupedDataset):
-                dependencies = list(ds.dependencies)
-            elif isinstance(ds, physical.ShuffledDataset):
-                dependencies = [ds.shuffle_dependency]
-            else:
+            if not isinstance(ds, physical.ShuffledDataset) or \
+                    not ds.supports_slice_reads or \
+                    not self._shuffle_already_ran(n):
                 continue
-            if not ds.supports_slice_reads:
-                continue
-            if any(manager.map_output_stats(dep.shuffle_id) is None
-                   for dep in dependencies):
-                continue
-            plan = self._skew_split_plan(ds, dependencies, factor, min_bytes)
+            plan = self._skew_split_plan(ds, ds.dependencies, factor, min_bytes)
             if not plan:
                 continue
             n.skew_split = {partition: len(units)
                             for partition, units in plan.items()}
             if plan != ds.split_plan:
-                ds.set_split_plan(plan)
+                ds.split_plan = plan
                 applied.append("split_skewed_shuffle")
 
     def _skew_split_plan(self, ds, dependencies, factor: int, min_bytes: int
@@ -767,11 +750,7 @@ def _stamp_shuffle_estimates(node: LogicalNode, built) -> None:
     physical datasets from this point on, so the hints must be transferred
     here (original nodes are stamped directly by the statistics estimator).
     """
-    if isinstance(built, physical.ShuffledDataset) and node.children:
-        child_stats = node.children[0].stats
-        if child_stats is not None:
-            built.shuffle_dependency.estimated_bytes = child_stats.size_bytes
-    elif isinstance(built, physical.CoGroupedDataset):
+    if isinstance(built, physical.ShuffledDataset):
         for child, dependency in zip(node.children, built.dependencies):
             if child.stats is not None:
                 dependency.estimated_bytes = child.stats.size_bytes
@@ -813,66 +792,9 @@ def _build_physical(node: LogicalNode, ctx) -> "physical.Dataset":
     if isinstance(node, UnionNode):
         parents = [lower_plan(child, ctx) for child in node.children]
         return d.UnionDataset(ctx, parents)
-    if isinstance(node, RepartitionNode):
-        return d.ShuffledDataset(
-            lower_plan(node.child, ctx), node.partitioner,
-            d.record_bucketer(node.partitioner),
-            name=f"repartition({node.partitioner.num_partitions})")
-    if isinstance(node, SortNode):
-        key_func, ascending = node.key_func, node.ascending
-
-        def reduce_side(records):
-            return sorted(records, key=key_func, reverse=not ascending)
-
-        return d.ShuffledDataset(lower_plan(node.child, ctx), node.partitioner,
-                                 d.record_bucketer(node.partitioner),
-                                 reduce_side=reduce_side, name="sort_by",
-                                 slices=d.sorted_slice_merge(key_func,
-                                                             ascending))
-    if isinstance(node, DistinctNode):
-        parent = lower_plan(node.child, ctx)
-        if node.local:
-            built = d.MapPartitionsDataset(parent, d.local_distinct)
-            return built.set_name("distinct(local)")
-        return d.ShuffledDataset(parent, node.partitioner,
-                                 d.distinct_map_side(node.partitioner),
-                                 reduce_side=d.distinct_reduce, name="distinct",
-                                 slices=d.distinct_slice_merge())
-    if isinstance(node, GroupByKeyNode):
-        parent = lower_plan(node.child, ctx)
-        if node.local:
-            built = d.MapPartitionsDataset(parent, d.local_group)
-            return built.set_name("group_by_key(local)")
-        return d.ShuffledDataset(parent, node.partitioner,
-                                 d.key_bucketer(node.partitioner),
-                                 reduce_side=d.group_reduce,
-                                 name="group_by_key",
-                                 slices=d.grouping_slice_merge())
-    if isinstance(node, AggregateNode):
-        parent = lower_plan(node.child, ctx)
-        if node.local:
-            built = d.MapPartitionsDataset(
-                parent, d.local_aggregate(node.create_combiner, node.merge_value))
-            return built.set_name(f"{node.name}(local)")
-        if node.map_side_combine:
-            return d.ShuffledDataset(
-                parent, node.partitioner,
-                d.combining_map_side(node.create_combiner, node.merge_value,
-                                     node.partitioner),
-                reduce_side=d.merge_combiners_reduce(node.merge_combiners),
-                name=node.name,
-                slices=d.combiner_slice_merge(node.merge_combiners))
-        # uncombined (map_side_combine rewrite disabled): no slice spec, so
-        # the skew rule never re-merges through a distrusted merge_combiners
-        return d.ShuffledDataset(
-            parent, node.partitioner, d.key_bucketer(node.partitioner),
-            reduce_side=d.fold_values_reduce(node.create_combiner,
-                                             node.merge_value),
-            name=node.name)
-    if isinstance(node, CoGroupNode):
-        left = lower_plan(node.children[0], ctx)
-        right = lower_plan(node.children[1], ctx)
-        return d.CoGroupedDataset(left, right, node.partitioner)
+    if node.op in wide.OPERATORS:
+        parents = [lower_plan(child, ctx) for child in node.children]
+        return d.wide_dataset(node, parents)
     if isinstance(node, BroadcastJoinNode):
         left = lower_plan(node.children[0], ctx)
         right = lower_plan(node.children[1], ctx)

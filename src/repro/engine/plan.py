@@ -380,8 +380,16 @@ class SortNode(LogicalNode):
         return text
 
 
-class DistinctNode(LogicalNode):
-    op = "distinct"
+class LocalizableNode(LogicalNode):
+    """A keyed wide operator the ``shuffle_elim`` rule may run narrow.
+
+    ``local`` marks the shuffle-eliminated form: the input is already
+    partitioned by ``partitioner`` on what this operator routes by
+    (``partitioned_by``: the pair's key, or the whole record), so one fold
+    per partition suffices and no shuffle runs.
+    """
+
+    partitioned_by = "key"
 
     def __init__(self, child: LogicalNode, partitioner, dataset=None,
                  local: bool = False):
@@ -398,25 +406,16 @@ class DistinctNode(LogicalNode):
         return f"partitions={self.partitioner.num_partitions}, {mode}"
 
 
-class GroupByKeyNode(LogicalNode):
+class DistinctNode(LocalizableNode):
+    op = "distinct"
+    partitioned_by = "record"
+
+
+class GroupByKeyNode(LocalizableNode):
     op = "group_by_key"
 
-    def __init__(self, child: LogicalNode, partitioner, dataset=None,
-                 local: bool = False):
-        super().__init__([child], dataset=dataset)
-        self.partitioner = partitioner
-        self.local = local
 
-    @property
-    def is_shuffle(self) -> bool:  # type: ignore[override]
-        return not self.local
-
-    def details(self) -> str:
-        mode = "local" if self.local else "shuffle"
-        return f"partitions={self.partitioner.num_partitions}, {mode}"
-
-
-class AggregateNode(LogicalNode):
+class AggregateNode(LocalizableNode):
     """Per-key aggregation (``combine_by_key`` and everything built on it)."""
 
     op = "aggregate"
@@ -425,18 +424,12 @@ class AggregateNode(LogicalNode):
                  merge_combiners, partitioner, name: str = "combine_by_key",
                  dataset=None, map_side_combine: bool = False,
                  local: bool = False):
-        super().__init__([child], dataset=dataset)
+        super().__init__(child, partitioner, dataset=dataset, local=local)
         self.create_combiner = create_combiner
         self.merge_value = merge_value
         self.merge_combiners = merge_combiners
-        self.partitioner = partitioner
         self.name = name
         self.map_side_combine = map_side_combine
-        self.local = local
-
-    @property
-    def is_shuffle(self) -> bool:  # type: ignore[override]
-        return not self.local
 
     def details(self) -> str:
         attrs = [self.name, f"partitions={self.partitioner.num_partitions}"]
@@ -525,15 +518,11 @@ def output_partitioning(node: LogicalNode) -> Optional[Tuple[str, Any]]:
     and ``None`` when nothing can be guaranteed.  Local (shuffle-eliminated)
     aggregations preserve the partitioning of their input.
     """
-    if isinstance(node, (AggregateNode, GroupByKeyNode)):
-        if node.local:
-            return output_partitioning(node.child)
-        return ("key", node.partitioner)
-    if isinstance(node, DistinctNode):
-        if node.local:
-            return output_partitioning(node.child)
-        return ("record", node.partitioner)
-    return None
+    if not isinstance(node, LocalizableNode):
+        return None
+    if node.local:
+        return output_partitioning(node.child)
+    return (node.partitioned_by, node.partitioner)
 
 
 def render_plan(node: LogicalNode, indent: int = 0) -> List[str]:

@@ -29,9 +29,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..config import EngineConfig
 from ..errors import FetchFailedError
-from .dataset import (BroadcastDependency, CoGroupedDataset, Dataset,
-                      Dependency, ShuffleDependency, ShuffledDataset,
-                      TaskContext)
+from .dataset import (BroadcastDependency, Dataset, Dependency,
+                      ShuffleDependency, ShuffledDataset, TaskContext)
 from .executor import Task, create_executor
 from .journal import shuffle_journal_key, validate_shuffle_entry
 from .metrics import JobMetrics, PendingCounters, StageMetrics
@@ -696,7 +695,7 @@ class DAGScheduler:
             seen.add(node.id)
             if self._is_fully_cached(node) or node.has_checkpoint:
                 return
-            if isinstance(node, (ShuffledDataset, CoGroupedDataset)):
+            if isinstance(node, ShuffledDataset):
                 if node.split_plan and node.supports_slice_reads:
                     found.append(node)
                 return

@@ -36,9 +36,9 @@ from typing import Any, Optional, Tuple
 
 from ..config import EngineConfig
 from . import dataset as physical
-from .plan import (AggregateNode, BroadcastJoinNode, CheckpointScanNode,
-                   CoalesceNode, CoGroupNode, DistinctNode, FilterNode,
-                   FlatMapNode, FusedNode, GroupByKeyNode, JoinNode,
+from .plan import (BroadcastJoinNode, CheckpointScanNode, CoalesceNode,
+                   CoGroupNode, DistinctNode, FilterNode, FlatMapNode,
+                   FusedNode, GroupByKeyNode, JoinNode, LocalizableNode,
                    LogicalNode, MapNode, MapPartitionsNode, PhysicalScanNode,
                    ProjectedScanNode, ProjectNode, RepartitionNode, SampleNode,
                    SortNode, SourceNode, UnionNode)
@@ -200,8 +200,8 @@ class StatsEstimator:
         ds = self._physical_of(node)
         if not isinstance(ds, physical.ShuffledDataset):
             return None
-        dependency = ds.shuffle_dependency
-        actual = self.shuffle_manager.map_output_stats(dependency.shuffle_id)
+        actual = self.shuffle_manager.map_output_stats(
+            ds.dependencies[0].shuffle_id)
         if actual is None:
             return None
         records, size = actual
@@ -264,7 +264,7 @@ class StatsEstimator:
         if isinstance(node, DistinctNode):
             def key_of(record):
                 return record
-        elif isinstance(node, (AggregateNode, GroupByKeyNode, CoGroupNode)):
+        elif isinstance(node, (LocalizableNode, CoGroupNode)):
             def key_of(record):
                 return record[0]
         else:
@@ -279,12 +279,9 @@ class StatsEstimator:
         if self.shuffle_manager is None:
             return None
         ds = self._physical_of(node)
-        if isinstance(ds, physical.ShuffledDataset):
-            dependencies = [ds.shuffle_dependency]
-        elif isinstance(ds, physical.CoGroupedDataset):
-            dependencies = list(ds.dependencies)
-        else:
+        if not isinstance(ds, physical.ShuffledDataset):
             return None
+        dependencies = ds.dependencies
         actuals = [self.shuffle_manager.map_output_stats(dep.shuffle_id)
                    for dep in dependencies]
         if any(actual is None for actual in actuals):
@@ -371,7 +368,7 @@ class StatsEstimator:
             return
         ds = self._physical_of(node)
         if isinstance(ds, physical.ShuffledDataset):
-            ds.shuffle_dependency.estimated_bytes = child.size_bytes
+            ds.dependencies[0].estimated_bytes = child.size_bytes
 
     # -- estimation ---------------------------------------------------------
 
@@ -394,7 +391,7 @@ class StatsEstimator:
         if self.shuffle_manager is None:
             return
         ds = self._physical_of(node)
-        if not isinstance(ds, physical.CoGroupedDataset):
+        if not isinstance(ds, physical.ShuffledDataset):
             return
         for index, dependency in enumerate(ds.dependencies):
             actual = self.shuffle_manager.map_output_stats(dependency.shuffle_id)
@@ -430,9 +427,9 @@ class StatsEstimator:
                 if base is not None else None
 
         # shuffle operators: prefer the actual map output once it exists
-        if isinstance(node, (RepartitionNode, SortNode, DistinctNode,
-                             GroupByKeyNode, AggregateNode)) and node.is_shuffle:
-            if isinstance(node, (DistinctNode, GroupByKeyNode, AggregateNode)):
+        if isinstance(node, (RepartitionNode, SortNode, LocalizableNode)) \
+                and node.is_shuffle:
+            if isinstance(node, LocalizableNode):
                 node.key_stats = self.key_distribution(node)
             actual = self._shuffle_actual(node)
             self._stamp_shuffle_hint(node, child)
@@ -455,15 +452,12 @@ class StatsEstimator:
             return None  # arbitrary per-partition function: unknown output
         if isinstance(node, (RepartitionNode, SortNode)):
             return child
-        if isinstance(node, DistinctNode):
+        if isinstance(node, LocalizableNode):
             refined = self._keyed_output_estimate(node, child)
             if refined is not None:
                 return refined
-            return child.scaled(DISTINCT_RATIO) if child else None
-        if isinstance(node, (GroupByKeyNode, AggregateNode)):
-            refined = self._keyed_output_estimate(node, child)
-            if refined is not None:
-                return refined
+            if isinstance(node, DistinctNode):
+                return child.scaled(DISTINCT_RATIO) if child else None
             return child.scaled(AGGREGATE_RATIO, AGGREGATE_RATIO) if child else None
         if isinstance(node, CoGroupNode):
             node.key_stats = self.key_distribution(node)
@@ -500,8 +494,7 @@ class StatsEstimator:
         """
         distribution = node.key_stats
         if distribution is None or actual.rows <= 0 or \
-                not isinstance(node, (DistinctNode, GroupByKeyNode,
-                                      AggregateNode)):
+                not isinstance(node, LocalizableNode):
             return actual
         rows = min(actual.rows, distribution.distinct_keys)
         if rows <= 0:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_plan as reference
-from repro.config import EngineConfig
+from repro.config import KNOWN_OPTIMIZER_RULES, EngineConfig
 from repro.engine import serializer
 from repro.engine.context import EngineContext
 from repro.errors import ShuffleError
@@ -205,6 +205,33 @@ def test_wide_pipeline_matches_oracle(pipeline_name, backend):
         assert ds.collect() == reference.collect(ds)
 
 
+def _add(left, right):
+    return left + right
+
+
+#: Wide operators over an input the previous one already partitioned the
+#: same way: the ``shuffle_elim`` rule runs the second as its narrow local
+#: form (one fold per partition, no shuffle).
+LOCAL_PIPELINES = {
+    "reduce_then_reduce": lambda ds: ds.reduce_by_key(_add, 4)
+    .reduce_by_key(_add, 4),
+    "reduce_then_group": lambda ds: ds.reduce_by_key(_add, 4).group_by_key(4),
+    "distinct_then_distinct": lambda ds: ds.distinct(4).distinct(4),
+}
+
+
+@pytest.mark.parametrize("backend", ["thread",
+                                     pytest.param("process",
+                                                  marks=_needs_closures)])
+@pytest.mark.parametrize("pipeline_name", sorted(LOCAL_PIPELINES))
+def test_local_form_matches_oracle(pipeline_name, backend):
+    """A shuffle-eliminated local form is the oracle's answer, in order."""
+    with _ctx(1024, executor_backend=backend) as ctx:
+        ds = LOCAL_PIPELINES[pipeline_name](ctx.parallelize(DATA, 4))
+        assert "local" in ds.explain()
+        assert ds.collect() == reference.collect(ds)
+
+
 #: Narrow operators over ``(key, value)`` pairs the generated chains draw
 #: from; each keeps the pair shape the wide operator at the end expects.
 NARROW = {
@@ -224,12 +251,16 @@ class TestBatchProperties:
            chain=st.lists(st.sampled_from(sorted(NARROW)), max_size=4),
            pipeline_name=st.sampled_from(sorted(PIPELINES)),
            batch_size=st.sampled_from([1, 2, 3, 5, 7, 16, 1024]),
-           num_partitions=st.integers(1, 5))
+           num_partitions=st.integers(1, 5),
+           subset=st.sets(st.sampled_from(KNOWN_OPTIMIZER_RULES)))
     def test_pipeline_parity_property(self, data, chain, pipeline_name,
-                                      batch_size, num_partitions):
+                                      batch_size, num_partitions, subset):
         """Generated narrow chains ending in a wide operator equal the
-        oracle with every optimizer rule on and with the optimizer off."""
-        for rules in (EngineConfig().optimizer_rules, ()):
+        oracle with every optimizer rule on, with the optimizer off and
+        with a random subset of the rules on: each rule is a rewrite that
+        must preserve the result."""
+        drawn = tuple(rule for rule in KNOWN_OPTIMIZER_RULES if rule in subset)
+        for rules in (EngineConfig().optimizer_rules, (), drawn):
             with _ctx(batch_size, optimizer_rules=rules,
                       broadcast_threshold_bytes=0) as ctx:
                 ds = ctx.parallelize(data, num_partitions)

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from repro.config import EngineConfig
 from repro.engine.context import EngineContext
-from repro.engine.dataset import (combiner_slice_merge, distinct_slice_merge,
-                                  grouping_slice_merge, sorted_slice_merge)
+from repro.engine import wide
 from repro.engine.optimizer import _balanced_ranges
+from repro.engine.partitioner import HashPartitioner
+from repro.engine.plan import (AggregateNode, DistinctNode, GroupByKeyNode,
+                               SortNode)
 
 
 def split_engine(batch_size: int = 1024, **overrides) -> EngineContext:
@@ -244,40 +246,55 @@ def test_cached_split_dataset_serves_blocks_not_subreads():
 # -- slice-merge semantics in isolation --------------------------------------
 
 
+def split_merge(node, slices):
+    """Split ``node``'s reduce the way the engine does, by its declaration:
+    one fold per slice, then the merge of the finished slice partials."""
+    op = wide.OPERATORS[node.op](node)[1]
+    fold = wide.slice_fold(op)
+    partials = [list(op.finish(fold(part))) for part in slices]
+    return list(op.finish(op.merge(partials)))
+
+
+PARTITIONER = HashPartitioner(4)
+
+
 class TestSliceMergeFactories:
     def test_grouping_slices_match_single_pass(self):
-        slice_reduce, merge = grouping_slice_merge()
         slices = [[(1, "a"), (2, "b")], [(2, "c"), (3, "d")], [(1, "e")]]
-        merged = dict(merge([slice_reduce(part) for part in slices]))
+        merged = dict(split_merge(GroupByKeyNode(None, PARTITIONER), slices))
         assert merged == {1: ["a", "e"], 2: ["b", "c"], 3: ["d"]}
 
     def test_grouping_preserves_first_appearance_order(self):
-        slice_reduce, merge = grouping_slice_merge()
         slices = [[(9, 1)], [(2, 1), (9, 2)]]
-        keys = [key for key, _ in merge([slice_reduce(p) for p in slices])]
+        keys = [key for key, _ in
+                split_merge(GroupByKeyNode(None, PARTITIONER), slices)]
         assert keys == [9, 2]
 
     def test_combiner_slices_re_merge_through_combiner(self):
-        slice_reduce, merge = combiner_slice_merge(lambda a, b: a + b)
+        def add(a, b):
+            return a + b
+        # the map side combined: the slices hold (key, combiner) pairs
+        node = AggregateNode(None, lambda v: v, add, add, PARTITIONER,
+                             map_side_combine=True)
         slices = [[(1, 10), (2, 5)], [(1, 7)]]
-        assert dict(merge([slice_reduce(p) for p in slices])) == {1: 17, 2: 5}
+        assert dict(split_merge(node, slices)) == {1: 17, 2: 5}
 
     def test_distinct_slices_dedupe_across_slices(self):
-        slice_reduce, merge = distinct_slice_merge()
         slices = [[3, 1, 3, 2], [2, 4, 1]]
-        assert merge([slice_reduce(p) for p in slices]) == [3, 1, 2, 4]
+        assert split_merge(DistinctNode(None, PARTITIONER), slices) == \
+            [3, 1, 2, 4]
 
     def test_sorted_slices_merge_stably(self):
-        slice_reduce, merge = sorted_slice_merge(lambda pair: pair[0], True)
+        node = SortNode(None, lambda pair: pair[0], True, PARTITIONER)
         slices = [[(2, "s0a"), (1, "s0b")], [(1, "s1a"), (2, "s1b")]]
-        merged = merge([slice_reduce(p) for p in slices])
+        merged = split_merge(node, slices)
         # equal keys keep slice order (stable merge, earlier slice first)
         assert merged == [(1, "s0b"), (1, "s1a"), (2, "s0a"), (2, "s1b")]
 
     def test_sorted_slices_descending(self):
-        slice_reduce, merge = sorted_slice_merge(lambda v: v, False)
+        node = SortNode(None, lambda v: v, False, PARTITIONER)
         slices = [[9, 4, 1], [8, 3]]
-        assert merge([slice_reduce(p) for p in slices]) == [9, 8, 4, 3, 1]
+        assert split_merge(node, slices) == [9, 8, 4, 3, 1]
 
 
 class TestBalancedRanges:
