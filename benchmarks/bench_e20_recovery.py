@@ -2,8 +2,8 @@
 
 PR 10 made the *driver* expendable: a context configured with
 ``checkpoint_dir`` journals every settled shuffle's durable span catalog
-(and any ``Dataset.checkpoint()`` materialisation) with atomic
-tmp+rename+fsync writes, and a context started with ``recover_from``
+(and any ``Dataset.checkpoint()`` materialisation) as one appended,
+fsynced journal line, and a context started with ``recover_from``
 CRC-revalidates and re-adopts that state instead of recomputing it.
 This experiment prices both halves of that bargain: what journaling and
 checkpoint writes cost a fault-free run, and what the journal buys back

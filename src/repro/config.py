@@ -319,8 +319,8 @@ class EngineConfig:
         forever.
     checkpoint_dir:
         Durable directory for the recovery layer: the write-ahead job
-        journal (``engine/journal.py``) and checkpoint partition files are
-        written here with atomic tmp+rename+fsync discipline, and — when
+        journal (``engine/journal.py``, one appended line per record) and
+        checkpoint partition files are written and fsynced here, and — when
         set — shuffle transport frames are rooted here instead of the
         per-context temporary spill directory, so settled map-output spans
         survive a driver crash.  The directory is created on demand and is

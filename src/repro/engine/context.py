@@ -77,9 +77,6 @@ class EngineContext:
         if self.config.checkpoint_dir or self.config.recover_from:
             self._checkpoint_root = os.path.abspath(
                 self.config.checkpoint_dir or self.config.recover_from)
-        self._journal: Optional[JobJournal] = None
-        if self.config.checkpoint_dir:
-            self._journal = JobJournal(self._checkpoint_root)
         #: Journal entries replayed from ``recover_from``, keyed as the
         #: journal recorded them; validated lazily and popped on adoption.
         self._recovered_shuffles: dict = {}
@@ -94,6 +91,11 @@ class EngineContext:
         self.pending_counters = PendingCounters()
         if self.config.recover_from:
             self._replay_journal(self.config.recover_from)
+        # the writer opens after the replay: opening compacts the file, which
+        # would erase a damaged journal before the replay could count it
+        self._journal: Optional[JobJournal] = None
+        if self.config.checkpoint_dir:
+            self._journal = JobJournal(self._checkpoint_root)
         if self.config.executor_backend == "process" or \
                 self.config.shuffle_transport == "tcp":
             if self._checkpoint_root is not None:
@@ -191,8 +193,8 @@ class EngineContext:
             # no parseable journal: cold start, count the degradation
             self.pending_counters.recovery_invalid_entries += 1
             return
-        self._recovered_shuffles.update(state.get("shuffles", {}))
-        self._recovered_checkpoints.update(state.get("checkpoints", {}))
+        self._recovered_shuffles.update(state["shuffles"])
+        self._recovered_checkpoints.update(state["checkpoints"])
 
     def checkpoints_dir(self) -> str:
         """Directory for *writing* checkpoint partition files (created on use).

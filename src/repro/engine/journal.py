@@ -6,8 +6,6 @@ kill it and the map-output catalog, the block store and every completed
 stage die with it.  The journal closes that gap.  A context configured
 with ``EngineConfig.checkpoint_dir`` records, as execution progresses:
 
-* per job: the content fingerprint of the dataset it ran and the stage
-  graph as stages settle;
 * per completed shuffle: the full span catalog of its durable frame
   files, keyed by the shuffle id *and* the content fingerprint of the
   map-side lineage — operators, user-function bytecode and source content
@@ -23,17 +21,25 @@ Both kinds of entry store a list of *span records*: a
 followed by its coordinates (``map, reduce, estimated bytes`` for a
 shuffle bucket; none for a checkpoint partition, whose index is its
 position).  A shuffle entry also lists each map's key sample under
-``"samples"`` as ``[path, offset, length, count, map]``.  Every update
-rewrites ``journal.json`` with tmp + rename + fsync discipline, so the
-journal on disk is always one complete, parseable document — a crashed
-write leaves the previous version intact.
+``"samples"`` as ``[path, offset, length, count, map]``.
+
+``journal.json`` is an append-only file of compact JSON lines.  Line 1 is
+``{"version":6}``; every later line is one record, ``{"kind": "shuffles"
+| "checkpoints", "key": ..., "entry": {...} | null}``, appended and
+fsynced as a shuffle settles or a checkpoint is written (``null`` forgets
+the key).  Reading it back is a fold (:func:`load_journal_state`): the
+last record per key wins, and the first line that lacks its newline,
+fails to parse or is not a record ends the fold — an append cut short by
+a crash is the expected failure, not corruption.  Opening a journal
+rewrites it once, atomically, as the header plus its live records, which
+both compacts an old file and creates a new one.
 
 The journal is a **hint, never a correctness dependency**: a resumed
 context (``EngineConfig.recover_from``) revalidates every recorded span —
 every frame header and CRC, and that the frames fill the span exactly
 (:func:`~repro.engine.memory.verify_span`) — before re-registering
 anything.  Corrupt, truncated or missing entries — including a damaged
-journal document itself — are dropped and counted
+journal file itself — are dropped and counted
 (``recovery_invalid_entries``); their partitions recompute from lineage
 exactly as if the journal had never existed.  What validation does not
 decode (a record count, a codec byte flipped to another valid codec) the
@@ -52,18 +58,26 @@ from ..errors import ShuffleCorruptionError
 from .fingerprint import shuffle_fingerprint
 from .memory import Span, verify_span
 
-#: On-disk journal document version; bumped on incompatible layout changes.
+#: On-disk journal version; bumped on incompatible layout changes.
 #: Version 2 keyed shuffle entries by lineage signature instead of bare
 #: shuffle id; version 3 keys shuffles and checkpoints by the content
 #: fingerprint of :mod:`repro.engine.fingerprint`, which — unlike the
 #: ``repr(source)`` of version 2 — covers a source's seed, parameters and
 #: data; version 4 records checkpoints as span lists, like shuffles;
-#: version 5 records each shuffle map's key sample.  Older journals are
-#: discarded as a cold start.
-JOURNAL_VERSION = 5
+#: version 5 records each shuffle map's key sample; version 6 replaces the
+#: whole JSON document with one appended line per record.  Older journals
+#: are discarded as a cold start.
+JOURNAL_VERSION = 6
 
-#: File name of the journal document inside ``checkpoint_dir``.
+#: File name of the journal inside ``checkpoint_dir``.
 JOURNAL_NAME = "journal.json"
+
+#: The kinds of record; each is its own key space.
+KINDS = ("shuffles", "checkpoints")
+
+#: ``(kind, key) -> entry`` of the live records, in the order of their
+#: last records.
+_Live = Dict[Tuple[str, str], Dict[str, Any]]
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -114,15 +128,66 @@ def shuffle_journal_key(dependency) -> Optional[str]:
     return f"shuffle:{dependency.shuffle_id}:{fingerprint}"
 
 
-class JobJournal:
-    """Owns ``<checkpoint_dir>/journal.json`` and its atomic updates.
+def _line(**fields: Any) -> bytes:
+    # compact and unindented: any indent forces the pure-Python encoder
+    return json.dumps(fields, separators=(",", ":")).encode("utf-8") + b"\n"
 
-    All mutating methods are thread-safe and each performs one full atomic
-    rewrite of the document — journals stay small (signatures, span
-    coordinates and file names, never data), so whole-document rewrites
-    are simpler and safer than an append log that would need its own
-    torn-tail handling.  Byte counts of every rewrite accumulate and are
-    drained into the running job's ``journal_bytes`` metric.
+
+def _parse(line: bytes) -> Any:
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
+def _fold(blob: bytes) -> Optional[_Live]:
+    """Replay a journal file; ``None`` unless line 1 is the v6 header.
+
+    The last record per key wins and a ``null`` entry drops the key.  The
+    first line that lacks its newline, fails to parse or is not a record
+    ends the fold: everything before it stands.
+    """
+    lines = blob.split(b"\n")
+    # the piece after the last newline is a torn line, or empty
+    if len(lines) < 2 or _parse(lines[0]) != {"version": JOURNAL_VERSION}:
+        return None
+    live: _Live = {}
+    for line in lines[1:-1]:
+        record = _parse(line)
+        if not isinstance(record, dict) or \
+                set(record) != {"kind", "key", "entry"} or \
+                record["kind"] not in KINDS or \
+                not isinstance(record["key"], str) or \
+                not isinstance(record["entry"], (dict, type(None))):
+            break
+        slot = (record["kind"], record["key"])
+        live.pop(slot, None)
+        if record["entry"] is not None:
+            live[slot] = record["entry"]
+    return live
+
+
+def _read(path: str) -> Optional[_Live]:
+    try:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    except OSError:
+        return None
+    return _fold(blob)
+
+
+class JobJournal:
+    """Owns ``<checkpoint_dir>/journal.json`` and its appends.
+
+    Opening folds the file left by a previous run — keeping its entries
+    resumable across *repeated* crashes — and rewrites it once, atomically,
+    as the header plus those live records; that also cuts off a torn tail,
+    which a later append would otherwise extend into a line the fold
+    stops at, hiding every record after it.  From then on every change is
+    one appended, fsynced line; recording an entry equal to the live one
+    writes nothing.  All mutating methods are thread-safe.  Bytes written
+    accumulate and are drained into the running job's ``journal_bytes``
+    metric.
     """
 
     def __init__(self, directory: str):
@@ -130,42 +195,14 @@ class JobJournal:
         os.makedirs(self.directory, exist_ok=True)
         self.path = os.path.join(self.directory, JOURNAL_NAME)
         self._lock = threading.Lock()
-        self._bytes_written = 0
-        existing = load_journal_state(self.directory)
-        #: The live document.  Starting from the previous run's (parseable)
-        #: state keeps validated entries resumable across *repeated*
-        #: crashes; a fresh directory starts empty.
-        self._state: Dict[str, Any] = existing if existing is not None else {
-            "version": JOURNAL_VERSION,
-            "jobs": [],
-            "shuffles": {},
-            "checkpoints": {},
-        }
+        self._live: _Live = _read(self.path) or {}
+        payload = _line(version=JOURNAL_VERSION) + b"".join(
+            _line(kind=kind, key=key, entry=entry)
+            for (kind, key), entry in self._live.items())
+        atomic_write_bytes(self.path, payload)
+        self._bytes_written = len(payload)
 
     # -- recording ---------------------------------------------------------
-
-    def record_job(self, job_id: int, description: str,
-                   plan_signature: Optional[str]) -> None:
-        """Open a job entry: its id, description and lineage fingerprint."""
-        with self._lock:
-            self._state["jobs"].append({
-                "job_id": job_id,
-                "description": description,
-                "plan_signature": plan_signature,
-                "stages": [],
-            })
-            self._flush_locked()
-
-    def record_stage(self, job_id: int, stage_name: str) -> None:
-        """Append one settled stage to the job's recorded stage graph."""
-        with self._lock:
-            for entry in reversed(self._state["jobs"]):
-                if entry["job_id"] == job_id:
-                    entry["stages"].append(stage_name)
-                    break
-            else:
-                return
-            self._flush_locked()
 
     def record_shuffle(self, key: str, shuffle_id: int, num_maps: int,
                        num_reduces: int, catalog: Dict[str, Any]) -> None:
@@ -210,15 +247,23 @@ class JobJournal:
 
     def _record(self, kind: str, key: str,
                 entry: Optional[Dict[str, Any]]) -> None:
-        """Install (or, with ``None``, drop) one entry, then unlink the
-        files only the entry it replaced referenced."""
+        """Append one record (``None`` drops the key), then unlink the
+        files only the entry it replaced referenced — after the fsync, so
+        a crash never leaves a live record naming deleted files."""
+        slot = (kind, key)
         with self._lock:
-            previous = self._state[kind].pop(key, None)
-            if entry is not None:
-                self._state[kind][key] = entry
-            elif previous is None:
+            previous = self._live.get(slot)
+            if entry == previous:
                 return
-            self._flush_locked()
+            line = _line(kind=kind, key=key, entry=entry)
+            with open(self.path, "ab") as handle:
+                handle.write(line)
+                handle.flush()
+                os.fsync(handle.fileno())
+            self._bytes_written += len(line)
+            self._live.pop(slot, None)
+            if entry is not None:
+                self._live[slot] = entry
             if previous is not None:
                 self._unlink_stale_locked(_entry_files(previous))
 
@@ -232,22 +277,6 @@ class JobJournal:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _flush_locked(self) -> None:
-        # compact and unindented: any indent forces the pure-Python encoder
-        payload = json.dumps(self._state, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")
-        atomic_write_bytes(self.path, payload)
-        self._bytes_written += len(payload)
-
-    def _live_files_locked(self) -> Set[str]:
-        """Every file some current journal entry still references."""
-        live: Set[str] = set()
-        for entry in self._state["shuffles"].values():
-            live |= _entry_files(entry)
-        for entry in self._state["checkpoints"].values():
-            live |= _entry_files(entry)
-        return live
-
     def _unlink_stale_locked(self, dropped: Set[str]) -> None:
         """Best-effort deletion of files no journal entry references.
 
@@ -257,7 +286,9 @@ class JobJournal:
         inside the journal's own directory are ever touched, and only ones
         no surviving entry still points at.
         """
-        live = self._live_files_locked()
+        live: Set[str] = set()
+        for entry in self._live.values():
+            live |= _entry_files(entry)
         root = self.directory + os.sep
         for path in sorted(dropped - live):
             target = os.path.abspath(path)
@@ -276,8 +307,6 @@ class JobJournal:
 def _entry_files(entry: Any) -> Set[str]:
     """The durable file paths a shuffle or checkpoint entry references."""
     files: Set[str] = set()
-    if not isinstance(entry, dict):
-        return files
     for record in [*(entry.get("spans") or ()), *(entry.get("samples") or ())]:
         try:
             files.add(str(record[0]))
@@ -286,25 +315,19 @@ def _entry_files(entry: Any) -> Set[str]:
     return files
 
 
-def load_journal_state(directory: str) -> Optional[Dict[str, Any]]:
-    """Parse a journal document, or ``None`` when absent or damaged.
+def load_journal_state(directory: str) -> Optional[Dict[str, Dict[str, Any]]]:
+    """Fold a journal into ``{kind: {key: entry}}`` for every kind.
 
-    A truncated or otherwise unparseable journal is treated exactly like a
-    missing one — recovery degrades to a cold start — because the atomic
-    write discipline means damage can only come from outside the engine.
+    ``None`` when the file is absent or its first line is not the
+    version-6 header (an older journal, or garbage): recovery then
+    degrades to a counted cold start.  A torn tail only shortens the fold.
     """
-    path = os.path.join(directory, JOURNAL_NAME)
-    try:
-        with open(path, "rb") as handle:
-            state = json.loads(handle.read().decode("utf-8"))
-    except (OSError, ValueError):
+    live = _read(os.path.join(directory, JOURNAL_NAME))
+    if live is None:
         return None
-    if not isinstance(state, dict) or \
-            state.get("version") != JOURNAL_VERSION or \
-            not isinstance(state.get("shuffles"), dict) or \
-            not isinstance(state.get("checkpoints"), dict):
-        return None
-    state.setdefault("jobs", [])
+    state: Dict[str, Dict[str, Any]] = {kind: {} for kind in KINDS}
+    for (kind, key), entry in live.items():
+        state[kind][key] = entry
     return state
 
 

@@ -89,7 +89,9 @@ COUNTERS = (
     Counter("checkpoints_written", JOB),
     # shuffles and checkpoints a resumed run adopted from the journal
     Counter("stages_recovered", JOB),
-    Counter("journal_bytes", JOB),  # bytes of every journal rewrite
+    # bytes written to the journal: the compacted file at open, then
+    # every appended line
+    Counter("journal_bytes", JOB),
     # journal or checkpoint entries dropped at recovery (missing files,
     # failed CRCs); each degrades to lineage recomputation
     Counter("recovery_invalid_entries", JOB),

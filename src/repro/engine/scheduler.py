@@ -359,9 +359,6 @@ class DAGScheduler:
         whole-dataset jobs, since a replacement may change partitioning.
         """
         job = JobMetrics(job_id=next(self._job_counter), description=description)
-        if self.journal is not None:
-            self.journal.record_job(job.job_id, description,
-                                    dataset.fingerprint())
         try:
             dataset = self._execute_prerequisites(dataset, job, replanner)
             if partitions is None:
@@ -785,7 +782,7 @@ class DAGScheduler:
         if not self.shuffle_manager.is_complete(shuffle_id):
             self._execute_stage_with_recovery(job, parent, build_map_stage,
                                               register_failed=False)
-        self._journal_settled_shuffle(dependency, job, label)
+        self._journal_settled_shuffle(dependency)
 
     def _adopt_recovered_shuffle(self, dependency: ShuffleDependency,
                                  job: JobMetrics) -> None:
@@ -828,8 +825,7 @@ class DAGScheduler:
         if per_map and self.shuffle_manager.is_complete(dependency.shuffle_id):
             job.stages_recovered += 1
 
-    def _journal_settled_shuffle(self, dependency: ShuffleDependency,
-                                 job: JobMetrics, label: str) -> None:
+    def _journal_settled_shuffle(self, dependency: ShuffleDependency) -> None:
         """Record a settled shuffle's durable span catalog in the journal.
 
         The entry is keyed by :func:`shuffle_journal_key` — shuffle id plus
@@ -849,7 +845,6 @@ class DAGScheduler:
                 key, dependency.shuffle_id,
                 dependency.parent.num_partitions,
                 dependency.partitioner.num_partitions, catalog)
-        self.journal.record_stage(job.job_id, label)
 
     def _maybe_auto_checkpoint(self, dataset: Dataset,
                                dependency: ShuffleDependency) -> None:

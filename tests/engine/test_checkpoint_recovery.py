@@ -1,14 +1,14 @@
 """Durable checkpointing, the job journal, and driver-crash recovery.
 
 The contract under test: a context configured with ``checkpoint_dir``
-journals settled shuffles and materialised checkpoints with atomic
-tmp+rename+fsync writes, and a context started with ``recover_from``
-replays that journal — revalidating every recorded span and checkpoint
+journals each settled shuffle and materialised checkpoint as one
+appended, fsynced line, and a context started with ``recover_from``
+folds that journal — revalidating every recorded span and checkpoint
 file by CRC — so a driver killed with SIGKILL mid-job resumes with
 *byte-identical* results and ``stages_recovered > 0``, on both executor
 backends.  The journal is a hint, never a correctness dependency: a
-corrupted or truncated journal, span, or checkpoint file degrades to
-lineage recomputation with identical results — never a wrong answer.
+corrupted, torn or outdated journal, span, or checkpoint file degrades
+to lineage recomputation with identical results — never a wrong answer.
 
 Also covered here (same PR): ``NodeHealthTracker`` blacklist cooldown
 rehabilitation driven by a fake clock, ``ShuffleServer`` graceful
@@ -109,14 +109,23 @@ def test_load_journal_state_treats_damage_as_absence(tmp_path):
     # version-4 shuffle entries carry no key samples
     path.write_bytes(b'{"version": 4, "shuffles": {}, "checkpoints": {}}')
     assert load_journal_state(str(tmp_path)) is None
+    # version 5 was one whole JSON document, rewritten on every record
+    path.write_bytes(b'{"version":5,"jobs":[],"shuffles":{},"checkpoints":{}}')
+    assert load_journal_state(str(tmp_path)) is None
+    path.write_bytes(b'{"version":5,"jobs":[],"shuffles":{},"checkpoints":{}}\n')
+    assert load_journal_state(str(tmp_path)) is None
     path.write_bytes(b'[1, 2, 3]')
     assert load_journal_state(str(tmp_path)) is None
+    # a header cut before its newline is no header
+    path.write_bytes(b'{"version":6}')
+    assert load_journal_state(str(tmp_path)) is None
+    path.write_bytes(b'{"version":6}\n')
+    assert load_journal_state(str(tmp_path)) == {"shuffles": {},
+                                                 "checkpoints": {}}
 
 
 def test_journal_records_reload_across_instances(tmp_path):
     journal = JobJournal(str(tmp_path))
-    journal.record_job(0, "job-zero", "sig-0")
-    journal.record_stage(0, "shuffle:0:map")
     journal.record_shuffle("shuffle:0", 0, 2, 1, {
         "maps": [0, 1],
         "buckets": {(0, 0): (Span("a.data", 0, 10, 3), 10),
@@ -132,7 +141,7 @@ def test_journal_records_reload_across_instances(tmp_path):
     # repeated crashes must not lose entries the first run journaled
     reloaded = JobJournal(str(tmp_path))
     state = load_journal_state(reloaded.directory)
-    assert state["jobs"][0]["stages"] == ["shuffle:0:map"]
+    assert "jobs" not in state
     assert state["shuffles"]["shuffle:0"]["num_maps"] == 2
     assert state["shuffles"]["shuffle:0"]["num_reduces"] == 1
     # both kinds of entry hold span records: a Span, then its coordinates
@@ -145,6 +154,38 @@ def test_journal_records_reload_across_instances(tmp_path):
     reloaded.forget_checkpoint("ckpt-key")
     state = load_journal_state(reloaded.directory)
     assert state["shuffles"] == {} and state["checkpoints"] == {}
+
+
+def test_journal_appends_one_line_per_change(tmp_path):
+    path = tmp_path / JOURNAL_NAME
+    journal = JobJournal(str(tmp_path))
+    assert path.read_bytes() == b'{"version":6}\n'
+    first = [Span(str(tmp_path / "p0.data"), 0, 9, 3)]
+    journal.record_checkpoint("ckpt-key", "ds", first)
+    recorded = path.read_bytes()
+    header, line = recorded.splitlines()
+    assert json.loads(line) == {
+        "kind": "checkpoints", "key": "ckpt-key",
+        "entry": {"name": "ds", "num_partitions": 1,
+                  "spans": [[str(tmp_path / "p0.data"), 0, 9, 3]]}}
+    assert journal.drain_bytes_written() == len(recorded)
+
+    # the live entry again, or a key that is not live: nothing to write
+    journal.record_checkpoint("ckpt-key", "ds", first)
+    journal.forget_shuffle("shuffle:never")
+    assert path.read_bytes() == recorded
+    assert journal.drain_bytes_written() == 0
+
+    journal.record_checkpoint("ckpt-key", "ds",
+                              [Span(str(tmp_path / "p1.data"), 0, 9, 3)])
+    journal.forget_checkpoint("ckpt-key")
+    lines = path.read_bytes().splitlines()
+    assert len(lines) == 4 and json.loads(lines[-1])["entry"] is None
+    assert load_journal_state(str(tmp_path))["checkpoints"] == {}
+
+    # opening compacts the file to its live records: here, none
+    JobJournal(str(tmp_path))
+    assert path.read_bytes() == header + b"\n"
 
 
 def _write_frames(path, records):
@@ -353,6 +394,109 @@ def test_resume_from_garbage_journal_degrades_to_cold_start(tmp_path):
     assert summary["recovery_invalid_entries"] >= 1
 
 
+def test_resume_from_version_5_journal_degrades_to_cold_start(tmp_path):
+    """A whole-document journal is never misread, even when every entry
+    in it would still validate."""
+    root = tmp_path / "ckpt"
+    with make_engine("thread", root) as ctx:
+        expected = sorted(build_pipeline(ctx).collect())
+    state = load_journal_state(str(root))
+    assert len(state["shuffles"]) == 2
+    (root / JOURNAL_NAME).write_text(json.dumps(
+        {"version": 5, "jobs": [], **state}))
+    with make_engine("thread", root, recover_from=str(root)) as ctx:
+        result = sorted(build_pipeline(ctx).collect())
+        summary = ctx.metrics.summary()
+    assert result == expected
+    assert summary["stages_recovered"] == 0
+    assert summary["recovery_invalid_entries"] >= 1
+
+
+# -- the append-only journal: fold, torn tail, compaction ----------------------
+
+
+def test_torn_journal_tail_folds_to_its_complete_lines(tmp_path):
+    """A crash mid-append leaves a torn last line: every byte prefix of a
+    real run's journal folds exactly like its complete lines, and a resume
+    from a cut inside a record adopts the shuffles recorded before it."""
+    root = tmp_path / "ckpt"
+    with make_engine("thread", root) as ctx:
+        expected = sorted(build_pipeline(ctx).collect())
+    blob = (root / JOURNAL_NAME).read_bytes()
+    lines = blob.splitlines(keepends=True)
+    assert len(lines) == 3  # the header, then one line per settled shuffle
+    scratch = tmp_path / "prefix"
+    os.makedirs(scratch)
+
+    def fold(data):
+        (scratch / JOURNAL_NAME).write_bytes(data)
+        return load_journal_state(str(scratch))
+
+    for cut in range(len(blob) + 1):
+        prefix = blob[:cut]
+        complete = prefix[:prefix.rfind(b"\n") + 1]
+        state = fold(prefix)
+        assert state == fold(complete)
+        records = complete.count(b"\n") - 1
+        assert (state is None) == (records < 0)
+        assert state is None or len(state["shuffles"]) == records
+
+    for index in (1, 2):
+        start = len(b"".join(lines[:index]))
+        for cut in (start + len(lines[index]) // 2,
+                    start + len(lines[index]) - 1):  # all but the newline
+            (root / JOURNAL_NAME).write_bytes(blob[:cut])
+            # recover-only: the resume writes nothing under root
+            with make_engine("thread", recover_from=str(root)) as ctx:
+                resumed = sorted(build_pipeline(ctx).collect())
+                summary = ctx.metrics.summary()
+            assert resumed == expected
+            assert summary["stages_recovered"] == index - 1
+            assert summary["recovery_invalid_entries"] == 0
+
+    # a writer opening a torn journal cuts the tail off before it appends,
+    # so the record it writes next is not glued onto the torn line
+    (root / JOURNAL_NAME).write_bytes(blob[:-1])
+    with make_engine("thread", root, recover_from=str(root)) as ctx:
+        assert sorted(build_pipeline(ctx).collect()) == expected
+    assert len(load_journal_state(str(root))["shuffles"]) == 2
+
+
+def test_reopening_keeps_the_journal_the_size_of_its_live_entries(tmp_path):
+    """However many runs resume over one checkpoint_dir, the file holds
+    the header and one line per live entry: no run leaves a per-job trace."""
+    root = tmp_path / "ckpt"
+    sizes = []
+    for run in range(5):
+        with make_engine("thread", root,
+                         recover_from=str(root) if run else None) as ctx:
+            build_pipeline(ctx).collect()
+        sizes.append(os.path.getsize(root / JOURNAL_NAME))
+    assert sizes == [sizes[0]] * 5
+    state = load_journal_state(str(root))
+    lines = (root / JOURNAL_NAME).read_bytes().splitlines()
+    assert len(lines) == 1 + len(state["shuffles"]) + len(state["checkpoints"])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_resume_adopting_everything_leaves_the_journal_byte_identical(
+        tmp_path, backend):
+    root = tmp_path / "ckpt"
+    with make_engine(backend, root, checkpoint_interval=1) as ctx:
+        expected = sorted(build_pipeline(ctx).collect())
+    before = (root / JOURNAL_NAME).read_bytes()
+    with make_engine(backend, root, checkpoint_interval=1,
+                     recover_from=str(root)) as ctx:
+        resumed = sorted(build_pipeline(ctx).collect())
+        summary = ctx.metrics.summary()
+    assert resumed == expected
+    assert summary["stages_recovered"] > 0
+    assert summary["checkpoints_written"] == 0
+    assert (root / JOURNAL_NAME).read_bytes() == before
+    # the one rewrite that opened the journal, and no record after it
+    assert summary["journal_bytes"] == len(before)
+
+
 def test_resume_with_corrupt_spans_recomputes_from_lineage(tmp_path):
     root = tmp_path / "ckpt"
     with make_engine("thread", root) as ctx:
@@ -398,16 +542,19 @@ def _damage_span(record, damage):
 
 def _damage_journal(root, kind, damage):
     """Damage the first non-empty span of the last shuffle (read by the
-    result stage) or of the checkpoint; rewrite the journal."""
+    result stage) or of the checkpoint, then append the entry again: the
+    resume must fold to that superseding record."""
     state = load_journal_state(str(root))
     if kind == "shuffles":
-        entry = max(state["shuffles"].values(),
-                    key=lambda entry: entry["shuffle_id"])
+        key, entry = max(state["shuffles"].items(),
+                         key=lambda item: item[1]["shuffle_id"])
     else:
-        (entry,) = state["checkpoints"].values()
+        ((key, entry),) = state["checkpoints"].items()
     _damage_span(next(record for record in entry["spans"] if record[3]),
                  damage)
-    (root / JOURNAL_NAME).write_text(json.dumps(state))
+    with open(root / JOURNAL_NAME, "a") as handle:
+        handle.write(json.dumps({"kind": kind, "key": key, "entry": entry})
+                     + "\n")
 
 
 @pytest.mark.parametrize("damage", ["payload_bit_flip", "truncation"])
