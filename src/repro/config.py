@@ -184,13 +184,14 @@ class EngineConfig:
         spill frames under a bounded ``shuffle_memory_bytes``.  ``0.0``
         disables corruption injection.
     task_timeout_s:
-        Driver-side deadline, in seconds, on settling each process-backend
-        task.  A task whose result does not arrive in time is counted in
+        Driver-side deadline, in seconds, on settling each task attempt.
+        An attempt whose result does not arrive in time is counted in
         ``timed_out_tasks``, retried on a fresh submission (bounded by
-        ``max_task_retries``), and a late result from the abandoned attempt
-        is discarded — its map output is never registered.  ``0`` (the
-        default) disables deadlines; the thread backend ignores this knob
-        because an in-process task cannot be abandoned.
+        ``max_task_retries``, the same budget failures draw on), and its
+        late result is discarded.  The abandoned attempt keeps running: a
+        worker process's map output is never registered, a thread's may
+        still be written, replacing the winner's identical output.  ``0``
+        (the default) disables deadlines.
     max_stage_retries:
         How many times a stage may be re-executed for fault recovery before
         the job is aborted: lineage recomputation rounds after a
@@ -349,13 +350,13 @@ class EngineConfig:
         ``stages_recovered`` / ``recovery_invalid_entries``.  ``None``
         (the default) starts cold.
     speculation_multiplier:
-        Speculative execution (process backend): once a stage is at least
+        Speculative execution: once a stage is at least
         ``speculation_quantile`` complete, a running task older than
         ``speculation_multiplier`` times the median successful task runtime
         is re-launched as a duplicate attempt; the first result wins and
-        the loser's map-output spans are discarded unregistered.  Counted
-        in ``speculative_launches`` / ``speculative_wins``.  ``0`` (the
-        default) disables speculation.
+        the loser's result is discarded (its map output, if written at all,
+        replaces identical output).  Counted in ``speculative_launches`` /
+        ``speculative_wins``.  ``0`` (the default) disables speculation.
     speculation_quantile:
         Fraction of a stage's tasks that must have completed before
         stragglers are considered for speculative re-launch.

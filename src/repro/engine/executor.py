@@ -1,4 +1,4 @@
-"""Task executors: thread pool and forked worker processes.
+"""Task executors: one stage driver over a thread pool or worker processes.
 
 Tasks are Python callables operating on in-memory partitions.  What matters
 for the reproduction is that the execution exposes the same *shape* as a
@@ -16,20 +16,28 @@ extrapolate costs.  Two backends implement that shape behind one interface
     see :class:`_StageCut`) are pickled to the workers over a
     :class:`~repro.engine.transport.ShuffleTransport` and map output comes
     back as pickle-framed spill-file spans, so CPU-bound jobs get
-    real multi-core speedups while results, retries, fault injection and
-    metrics stay backend-invariant.
+    real multi-core speedups.
+
+Both run every attempt through :func:`run_attempt` and settle every
+attempt on the driver thread in one loop (:meth:`Executor._run_stage`), so
+retries, deadlines and speculation exist once and results, fault injection
+and metrics stay backend-invariant.  A backend differs only in how it
+builds its pool and submits one attempt.
 """
 
 from __future__ import annotations
 
+import collections
 import copy
 import math
 import multiprocessing
+import os
 import random
 import statistics
 import tempfile
 import threading
 import time
+import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -60,9 +68,8 @@ def should_inject_failure(config: EngineConfig, task_id: str,
                           attempt: int) -> bool:
     """Seeded per ``(seed, task id, attempt)`` fault-injection decision.
 
-    A module function rather than an executor method so worker processes
-    evaluate the *same* decision for the same attempt — fault injection is
-    deterministic across backends.
+    Drawn inside :func:`run_attempt`, which both backends run, so a given
+    attempt fails identically on both.
     """
     if config.failure_rate <= 0.0:
         return False
@@ -108,22 +115,122 @@ class TaskResult:
         self.metrics = metrics
 
 
-class Executor:
-    """Runs tasks on a thread pool, honouring retries and fault injection.
+def run_attempt(task: Task, attempt: int, config: EngineConfig,
+                hard_crash: bool = False,
+                task_context: Optional[TaskContext] = None) -> Dict[str, Any]:
+    """Run one attempt of ``task``; return its outcome as a plain dict.
 
-    The worker pool is created lazily on the first multi-task stage and then
-    lives for the executor's lifetime — stages no longer pay thread spawn and
-    join costs.  :meth:`shutdown` (called by ``EngineContext.stop``) releases
-    the threads.
+    The outcome is ``ok``, ``duration_s`` and either ``value`` plus the
+    ``TaskContext`` ``counters``, or ``error`` — (exception type name,
+    message, formatted traceback) — plus ``fetch_failed`` or
+    ``checkpoint_failed`` coordinates when the attempt lost shuffle output
+    or read a rotten checkpoint.  An injected crash raises *before* the
+    work on a thread; with ``hard_crash`` (a worker process) it kills the
+    process *after* the work, leaving the partial output a killed worker
+    leaves behind.
+    """
+    task_context = task_context or TaskContext()
+    started = time.perf_counter()
+    try:
+        if should_inject_failure(config, task.task_id, attempt):
+            raise InjectedFailure(
+                f"injected failure for {task.task_id} attempt {attempt}")
+        crash = should_inject_crash(config, task.task_id, attempt)
+        if crash and not hard_crash:
+            raise InjectedFailure(
+                f"injected crash for {task.task_id} attempt {attempt}")
+        value = task.run(task_context)
+        if crash:
+            os._exit(17)  # skips atexit sweepers on purpose
+    except Exception as error:  # noqa: BLE001 - settled by the driver
+        outcome = {"ok": False, "duration_s": time.perf_counter() - started,
+                   "error": (type(error).__name__, str(error),
+                             traceback.format_exc())}
+        if isinstance(error, FetchFailedError):
+            outcome["fetch_failed"] = (error.shuffle_id, error.map_partition)
+        elif isinstance(error, CheckpointCorruptionError):
+            outcome["checkpoint_failed"] = (error.dataset_id, error.partition)
+        return outcome
+    return {"ok": True, "duration_s": time.perf_counter() - started,
+            "value": value, "counters": task_context.counters()}
+
+
+class _Attempt:
+    """Driver-side record of one in-flight task attempt."""
+
+    __slots__ = ("index", "attempt", "speculative", "started")
+
+    def __init__(self, index: int, attempt: int, speculative: bool,
+                 started: float):
+        self.index = index
+        self.attempt = attempt
+        self.speculative = speculative
+        #: Driver clock at submission.  At most ``num_workers`` attempts are
+        #: in flight, so an attempt starts when it is submitted — unless an
+        #: abandoned attempt still holds its worker.
+        self.started = started
+
+
+class _StageDrive:
+    """Mutable state of one stage execution."""
+
+    def __init__(self, tasks: Sequence[Task], stage: StageMetrics):
+        self.tasks = tasks
+        self.stage = stage
+        #: Payload token of the process backend's published stage.
+        self.token: Optional[str] = None
+        self.completed: Dict[int, TaskResult] = {}
+        self.active: Dict[Any, _Attempt] = {}
+        #: Task indices waiting for a free slot; retries jump the queue.
+        self.pending = collections.deque(range(len(tasks)))
+        #: Failed or timed-out attempts per task index (the retry budget's
+        #: one ledger).
+        self.failures: List[int] = [0] * len(tasks)
+        #: Next attempt number per task index — monotonic so every
+        #: resubmission (retry, crash respawn, speculation) draws fresh
+        #: seeded fault decisions.
+        self.next_attempt: List[int] = [0] * len(tasks)
+        #: Task indices already speculated in the current pool generation.
+        self.speculated: set = set()
+        #: Durations of successful attempts (median feeds speculation).
+        self.durations: List[float] = []
+
+    def has_active(self, index: int) -> bool:
+        """Is any attempt of task ``index`` still in flight?"""
+        return any(info.index == index for info in self.active.values())
+
+    def restart(self) -> None:
+        """Forget a dead pool's attempts; queue every unfinished task."""
+        self.active.clear()
+        self.speculated.clear()
+        self.pending = collections.deque(
+            index for index in range(len(self.tasks))
+            if index not in self.completed)
+
+
+class Executor:
+    """Runs tasks on a thread pool, and holds the one stage driver.
+
+    The pool is created on the first stage and then lives for the
+    executor's lifetime; :meth:`shutdown` (called by
+    ``EngineContext.stop``) joins its threads, abandoned attempts
+    included.  Every attempt is settled on the driver thread, so stage
+    metrics need no lock.
     """
 
-    def __init__(self, config: EngineConfig):
+    def __init__(self, config: EngineConfig,
+                 clock: Callable[[], float] = time.perf_counter):
         self.config = config
-        # StageMetrics.add_task mutates unguarded aggregate fields; pool
-        # workers finish concurrently, so all mutation goes through this lock
-        self._metrics_lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
+        #: Clock of the running-time deadlines and speculation thresholds
+        #: (never of reported durations); injectable so tests can expire a
+        #: deadline without racing a sleep against it.
+        self._clock = clock
+        #: Worker health tracker; only worker processes have one.
+        self._health = None
+        self._pool = None
         self._pool_lock = threading.Lock()
+
+    # -- backend surface ----------------------------------------------------
 
     def _get_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
@@ -133,94 +240,195 @@ class Executor:
                     thread_name_prefix="repro-worker")
             return self._pool
 
+    def _submit(self, drive: _StageDrive, index: int, attempt: int):
+        return self._get_pool().submit(run_attempt, drive.tasks[index],
+                                       attempt, self.config)
+
+    def _absorb(self, outcome: Dict[str, Any],
+                metrics: Optional[TaskMetrics]) -> None:
+        """Fold a settled attempt's side effects into the driver.
+
+        ``metrics`` is ``None`` for the loser of a speculation race.  A
+        thread shares the driver's address space, so there is nothing to
+        fold.
+        """
+
     def shutdown(self) -> None:
-        """Release the persistent worker pool (idempotent)."""
+        """Join the pool (idempotent)."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def _should_inject_failure(self, task: Task, attempt: int) -> bool:
-        return should_inject_failure(self.config, task.task_id, attempt)
-
-    def _run_one(self, task: Task, stage: StageMetrics) -> TaskResult:
-        last_error: Exception | None = None
-        for attempt in range(self.config.max_task_retries + 1):
-            task_context = TaskContext()
-            metrics = TaskMetrics(task_id=task.task_id, stage_id=task.stage_id,
-                                  partition_index=task.partition, attempt=attempt)
-            started = time.perf_counter()
-            try:
-                if self._should_inject_failure(task, attempt):
-                    raise InjectedFailure(
-                        f"injected failure for {task.task_id} attempt {attempt}")
-                if should_inject_crash(self.config, task.task_id, attempt):
-                    # no process to kill on this backend: the crash knob
-                    # degrades to a plain retried failure, keeping the
-                    # attempt sequence seeded and the results identical
-                    raise InjectedFailure(
-                        f"injected crash for {task.task_id} attempt {attempt}")
-                value = task.run(task_context)
-            except (CheckpointCorruptionError, FetchFailedError):
-                # lost shuffle output or a rotten checkpoint file will not
-                # heal on retry — the same damaged bytes would be read
-                # again.  Record the failed attempt and let the driver
-                # invalidate the damaged state and recompute from lineage.
-                metrics.duration_s = time.perf_counter() - started
-                metrics.failed = True
-                with self._metrics_lock:
-                    stage.add_task(metrics)
-                raise
-            except Exception as error:  # noqa: BLE001 - retried below
-                metrics.duration_s = time.perf_counter() - started
-                metrics.failed = True
-                with self._metrics_lock:
-                    stage.add_task(metrics)
-                last_error = error
-                continue
-            metrics.duration_s = time.perf_counter() - started
-            metrics.set_counters(task_context.counters())
-            with self._metrics_lock:
-                stage.add_task(metrics)
-            return TaskResult(task, value, metrics)
-        raise TaskError(
-            f"task {task.task_id} failed after "
-            f"{self.config.max_task_retries + 1} attempts: {last_error}",
-            task_id=task.task_id, cause=last_error)
-
-    def execute_stage(self, tasks: Sequence[Task], stage: StageMetrics) -> List[TaskResult]:
-        """Run every task of a stage and return results in task order.
-
-        Single-task stages short-circuit the pool and run inline; every
-        other stage goes through the persistent pool (a one-worker pool
-        executes tasks sequentially in submission order, so ``num_workers=1``
-        stays deterministic).  ``stage.wall_clock_s`` is recorded identically
-        on both paths.
-        """
+    def execute_stage(self, tasks: Sequence[Task],
+                      stage: StageMetrics) -> List[TaskResult]:
+        """Run every task of a stage on the pool; results in task order."""
         started = time.perf_counter()
-        results: List[Tuple[int, TaskResult]] = []
-        if len(tasks) <= 1:
-            for index, task in enumerate(tasks):
-                results.append((index, self._run_one(task, stage)))
-        else:
-            pool = self._get_pool()
-            futures = [(index, pool.submit(self._run_one, task, stage))
-                       for index, task in enumerate(tasks)]
-            try:
-                for index, future in futures:
-                    results.append((index, future.result()))
-            except BaseException:
-                # the pool outlives the stage, so a failed stage must not
-                # leak stragglers into it: cancel what has not started and
-                # join what has, restoring the all-tasks-settled guarantee
-                # the per-stage pool's shutdown used to provide
-                for _, future in futures:
-                    future.cancel()
-                wait([future for _, future in futures])
-                raise
-        stage.wall_clock_s = time.perf_counter() - started
-        results.sort(key=lambda pair: pair[0])
-        return [result for _, result in results]
+        try:
+            return self._run_stage(_StageDrive(tasks, stage))
+        finally:
+            stage.wall_clock_s = time.perf_counter() - started
+
+    # -- the stage driver ---------------------------------------------------
+
+    def _run_stage(self, drive: _StageDrive) -> List[TaskResult]:
+        """Settle the stage's attempts until every task completes.
+
+        At most ``num_workers`` attempts are in flight, plus speculative
+        duplicates; a retry goes to the front of the queue, so a one-worker
+        pool runs each task's attempts back to back.  A stage that fails
+        cancels what has not started and joins what has — abandoned
+        attempts excepted — before the error propagates.
+        """
+        poll = None
+        if (self.config.task_timeout_s
+                or self.config.speculation_multiplier > 0
+                or (self._health is not None and self._health.watches_beats)):
+            poll = _POLL_S
+        try:
+            while len(drive.completed) < len(drive.tasks):
+                while drive.pending and \
+                        len(drive.active) < self.config.num_workers:
+                    self._launch(drive, drive.pending.popleft())
+                done, _ = wait(list(drive.active), timeout=poll,
+                               return_when=FIRST_COMPLETED)
+                for future in done:
+                    self._settle(drive, drive.active.pop(future),
+                                 future.result())
+                self._enforce_deadlines(drive)
+                self._launch_speculations(drive)
+                if self._health is not None:
+                    self._health.check_heartbeats()
+        except BaseException:
+            for future in drive.active:
+                future.cancel()
+            wait(list(drive.active))
+            raise
+        return [drive.completed[index] for index in range(len(drive.tasks))]
+
+    def _launch(self, drive: _StageDrive, index: int,
+                speculative: bool = False) -> None:
+        """Submit the next attempt of task ``index``."""
+        attempt = drive.next_attempt[index]
+        drive.next_attempt[index] = attempt + 1
+        # the clock is read first: an attempt must not start before its
+        # deadline does
+        info = _Attempt(index, attempt, speculative, self._clock())
+        future = self._submit(drive, index, attempt)
+        drive.active[future] = info
+
+    @staticmethod
+    def _attempt_metrics(drive: _StageDrive, info: _Attempt,
+                         **fields: Any) -> TaskMetrics:
+        task = drive.tasks[info.index]
+        return TaskMetrics(task_id=task.task_id, stage_id=task.stage_id,
+                           partition_index=task.partition,
+                           attempt=info.attempt, speculative=info.speculative,
+                           **fields)
+
+    def _settle(self, drive: _StageDrive, info: _Attempt,
+                outcome: Dict[str, Any]) -> None:
+        """Fold one finished attempt into the stage.
+
+        The first result of a task wins; a later one (a speculation loser)
+        only reaches :meth:`_absorb`.  A lost map output or a corrupt
+        checkpoint will not heal on a retry — the same damaged bytes would
+        be read again — so it goes straight to the scheduler, which
+        recomputes it from lineage; any other failure is charged to the
+        task's retry budget.
+        """
+        if info.index in drive.completed:
+            self._absorb(outcome, None)
+            return
+        metrics = self._attempt_metrics(drive, info,
+                                        duration_s=outcome["duration_s"],
+                                        failed=not outcome["ok"])
+        if outcome["ok"]:
+            metrics.set_counters(outcome["counters"])
+        self._absorb(outcome, metrics)
+        drive.stage.add_task(metrics)
+        if outcome["ok"]:
+            drive.stage.speculative_wins += info.speculative
+            drive.durations.append(metrics.duration_s)
+            drive.completed[info.index] = TaskResult(
+                drive.tasks[info.index], outcome["value"], metrics)
+            return
+        _, message, trace = outcome["error"]
+        if "fetch_failed" in outcome:
+            raise FetchFailedError(message, *outcome["fetch_failed"])
+        if "checkpoint_failed" in outcome:
+            raise CheckpointCorruptionError(message,
+                                            *outcome["checkpoint_failed"])
+        self._charge(drive, info.index, message, RuntimeError(trace))
+
+    def _charge(self, drive: _StageDrive, index: int, reason: str,
+                cause: Optional[Exception] = None) -> None:
+        """Charge one failed or timed-out attempt to the task's budget.
+
+        The budget is only *enforced* once no other attempt of the task is
+        in flight, so a speculative duplicate gets to finish what the
+        original could not; otherwise the task is retried next.
+        """
+        drive.failures[index] += 1
+        if drive.has_active(index):
+            return
+        if drive.failures[index] > self.config.max_task_retries:
+            task = drive.tasks[index]
+            raise TaskError(f"task {task.task_id} failed after "
+                            f"{drive.failures[index]} attempts: {reason}",
+                            task_id=task.task_id, cause=cause)
+        drive.pending.appendleft(index)
+
+    def _enforce_deadlines(self, drive: _StageDrive) -> None:
+        """Abandon attempts that overran ``task_timeout_s``.
+
+        An abandoned attempt keeps running, but its future is dropped: its
+        result is never settled.  A thread attempt may still write its map
+        output; a retried map attempt replaces, never adds to, the shuffle
+        totals, so that late write is harmless.
+        """
+        timeout = self.config.task_timeout_s
+        if not timeout:
+            return
+        now = self._clock()
+        for future, info in list(drive.active.items()):
+            if now - info.started <= timeout:
+                continue
+            future.cancel()
+            del drive.active[future]
+            if info.index in drive.completed:
+                continue
+            drive.stage.add_task(self._attempt_metrics(
+                drive, info, duration_s=timeout, failed=True, timed_out=True))
+            self._charge(drive, info.index, f"exceeded its {timeout}s deadline")
+
+    def _launch_speculations(self, drive: _StageDrive) -> None:
+        """Duplicate stragglers once most of the stage has finished.
+
+        Armed only past the ``speculation_quantile`` completion mark so the
+        median runtime is a meaningful baseline; an attempt running longer
+        than ``speculation_multiplier``× that median (floored at
+        ``_SPECULATION_MIN_S``) gets one duplicate per pool generation,
+        submitted with a fresh attempt number.  First result wins.
+        """
+        multiplier = self.config.speculation_multiplier
+        total = len(drive.tasks)
+        if multiplier <= 0 or total <= 1 or not drive.durations:
+            return
+        needed = max(1, math.ceil(total * self.config.speculation_quantile))
+        if len(drive.completed) < needed:
+            return
+        threshold = max(multiplier * statistics.median(drive.durations),
+                        _SPECULATION_MIN_S)
+        now = self._clock()
+        for info in list(drive.active.values()):
+            if info.speculative or info.index in drive.speculated or \
+                    info.index in drive.completed or \
+                    now - info.started <= threshold:
+                continue
+            drive.speculated.add(info.index)
+            self._launch(drive, info.index, speculative=True)
+            drive.stage.speculative_launches += 1
 
 
 class _StageCut:
@@ -358,34 +566,25 @@ def _diagnose_unpicklable(tasks: Sequence[Task], datasets: List[Any],
     return f"cannot ship stage to worker processes: {error}"
 
 
-class ProcessExecutor:
+class ProcessExecutor(Executor):
     """Runs tasks on forked worker processes — the multi-core backend.
 
-    Same interface and observable behaviour as :class:`Executor`; the
+    Same stage driver and observable behaviour as :class:`Executor`; the
     differences are mechanical.  Each stage is serialized once into a
     payload (task graphs cut at satisfied shuffle, broadcast and checkpoint
     boundaries, the span catalog of the shuffles they read, the cached
     blocks of the datasets they carry) published through the shuffle
-    transport; workers run
-    tasks out of that payload and return plain dicts carrying the value,
-    the ``TaskContext`` counters, map-output spans and dirty cache blocks.
-    The driver settles results in submission order: it registers map
-    output with the shuffle manager, adopts cached blocks, folds worker
-    peaks with the driver-tracked residency, and drives the retry loop —
-    fault injection is evaluated *inside* the worker with the same seeded
-    decision as the thread backend, so a given attempt fails identically
-    on both.
+    transport; workers run :func:`run_attempt` out of that payload and
+    return its outcome plus map-output spans, dirty cache blocks and their
+    pid, which :meth:`_absorb` registers with the shuffle manager, the
+    block store and the health tracker.
     """
 
     def __init__(self, config: EngineConfig, shuffle_manager=None,
                  block_store=None, memory_manager=None, transport=None,
                  health_tracker=None,
                  clock: Callable[[], float] = time.perf_counter):
-        self.config = config
-        #: Clock of the running-time deadlines and speculation thresholds
-        #: (never of reported durations); injectable so tests can expire a
-        #: deadline without racing a sleep against it.
-        self._clock = clock
+        super().__init__(config, clock)
         self._shuffle_manager = shuffle_manager
         self._block_store = block_store
         self._memory = memory_manager
@@ -400,8 +599,6 @@ class ProcessExecutor:
         else:
             self._owns_transport = False
         self._transport = transport
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
         #: Worker pids observed in settled outcomes of the current pool —
         #: the blacklist check recycles the pool when one of them goes bad
         #: (a ``ProcessPoolExecutor`` cannot route around a single worker).
@@ -426,6 +623,11 @@ class ProcessExecutor:
                               self._transport.worker_spec()))
             return self._pool
 
+    def _submit(self, drive: _StageDrive, index: int, attempt: int):
+        from . import worker as worker_runtime
+        return self._get_pool().submit(worker_runtime.run_stage_task,
+                                       drive.token, index, attempt)
+
     def _discard_pool(self) -> None:
         with self._pool_lock:
             pool, self._pool = self._pool, None
@@ -448,10 +650,7 @@ class ProcessExecutor:
 
     def shutdown(self) -> None:
         """Join the worker processes (idempotent)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        super().shutdown()
         if self._owns_transport:
             self._transport.cleanup()
 
@@ -508,45 +707,24 @@ class ProcessExecutor:
 
     # -- result settlement --------------------------------------------------
 
-    def _adopt_blocks(self, blocks) -> None:
-        if not blocks or self._block_store is None:
-            return
-        for (dataset_id, partition), records in blocks.items():
-            self._block_store.put(dataset_id, partition, records)
+    def _absorb(self, outcome: Dict[str, Any],
+                metrics: Optional[TaskMetrics]) -> None:
+        """Fold a worker's outcome into the driver's stores.
 
-    def _task_metrics(self, task: Task, info: "_Attempt") -> TaskMetrics:
-        return TaskMetrics(task_id=task.task_id, stage_id=task.stage_id,
-                           partition_index=task.partition,
-                           attempt=info.attempt, speculative=info.speculative)
-
-    def _settle_attempt(self, outcome: Dict[str, Any], info: "_Attempt",
-                        drive: "_StageDrive") -> None:
-        """Fold one finished attempt into the stage.
-
-        Losers of a speculation race (their index already settled) only
-        donate their cached blocks — no metrics, no map-output
-        registration, no value: first result wins and the duplicate's
-        spans are simply never registered (the PR 8 replace-not-double-
-        count accounting makes a late registration harmless anyway, but
-        discarding is cleaner).  Failures consume one unit of the task's
-        retry budget; the budget is only *enforced* when no other attempt
-        of the task is still in flight, so a speculative duplicate gets to
-        finish what the original could not.
+        Blocks cached before a failure, or by a speculation loser, stay
+        cached, as on the thread backend where the driver store is written
+        directly.  Only a winner registers its map output: a loser's spans
+        are simply never registered.  A task failure strikes the worker's
+        health; a lost span is charged to its *producer* by the scheduler.
         """
-        task = drive.tasks[info.index]
-        worker = outcome.get("worker")
-        if worker is not None:
-            self._pool_pids.add(worker)
-        # blocks cached before a failure (or by a speculation loser) stay
-        # cached, as on the thread backend where the driver store is
-        # written directly
-        self._adopt_blocks(outcome.get("blocks"))
-        if info.index in drive.completed:
+        worker = outcome["worker"]
+        self._pool_pids.add(worker)
+        if self._block_store is not None:
+            for (dataset_id, partition), records in outcome["blocks"].items():
+                self._block_store.put(dataset_id, partition, records)
+        if metrics is None:
             return
-        metrics = self._task_metrics(task, info)
-        metrics.duration_s = outcome["duration_s"]
         if outcome["ok"]:
-            metrics.set_counters(outcome["counters"])
             map_output = outcome.get("map_output")
             if map_output is not None and self._shuffle_manager is not None:
                 self._shuffle_manager.register_external_map_output(
@@ -556,260 +734,54 @@ class ProcessExecutor:
             if self._memory is not None:
                 # fold the driver-tracked residency (external spans
                 # registered so far) into the worker-observed peak,
-                # mirroring the write-time samples the thread backend's
-                # tasks take while buckets accumulate
+                # mirroring the write-time samples thread tasks take
                 metrics.peak_shuffle_bytes = max(
                     metrics.peak_shuffle_bytes, self._memory.used_bytes)
-            drive.stage.add_task(metrics)
-            if info.speculative:
-                drive.stage.speculative_wins += 1
-            if self._health is not None and worker is not None:
+            if self._health is not None:
                 self._health.record_success(worker)
-            drive.durations.append(metrics.duration_s)
-            drive.completed[info.index] = TaskResult(task, outcome["value"],
-                                                     metrics)
-            return
-        metrics.failed = True
-        drive.stage.add_task(metrics)
-        kind, message, trace = outcome["error"]
-        fetch_failed = outcome.get("fetch_failed")
-        if fetch_failed is not None:
-            # same rule as the thread backend: a lost map output will not
-            # heal on a task retry, so hand it straight to the scheduler
-            # for lineage recomputation.  The *producer* of the damaged
-            # span takes the health strike, not this reader — the
-            # scheduler knows who that is.
-            raise FetchFailedError(message,
-                                   shuffle_id=fetch_failed[0],
-                                   map_partition=fetch_failed[1])
-        checkpoint_failed = outcome.get("checkpoint_failed")
-        if checkpoint_failed is not None:
-            # a corrupt checkpoint file reads identically on every retry;
-            # rethrow with coordinates so the driver drops the checkpoint
-            # and re-runs the job from lineage
-            raise CheckpointCorruptionError(message,
-                                            dataset_id=checkpoint_failed[0],
-                                            partition=checkpoint_failed[1])
-        if self._health is not None and worker is not None:
+        elif self._health is not None and "fetch_failed" not in outcome \
+                and "checkpoint_failed" not in outcome:
             self._health.record_failure(worker, kind="task")
-        drive.failures[info.index] += 1
-        if drive.failures[info.index] > self.config.max_task_retries:
-            if drive.has_active(info.index):
-                return  # a speculative duplicate may still settle the task
-            raise TaskError(
-                f"task {task.task_id} failed after "
-                f"{drive.failures[info.index]} attempts: {message}",
-                task_id=task.task_id,
-                cause=RuntimeError(f"{kind} in worker process:\n{trace}"))
-        if not drive.has_active(info.index):
-            drive.submit(info.index)
-
-    def _enforce_deadlines(self, drive: "_StageDrive") -> None:
-        """Abandon attempts that overran ``task_timeout_s`` while running.
-
-        The deadline clock starts when the attempt begins *executing* (not
-        when it is queued behind a busy pool), so a deep stage on a small
-        pool never times out tasks that were merely waiting their turn.
-        An abandoned attempt keeps running in the worker, but its future
-        is dropped from the drive: the result is never consumed, its
-        map-output spans never register, its value is discarded.
-        """
-        timeout = self.config.task_timeout_s
-        if not timeout:
-            return
-        now = self._clock()
-        for future, info in list(drive.active.items()):
-            if info.started is None or now - info.started <= timeout:
-                continue
-            future.cancel()
-            del drive.active[future]
-            if info.index in drive.completed:
-                continue
-            task = drive.tasks[info.index]
-            metrics = self._task_metrics(task, info)
-            metrics.duration_s = timeout
-            metrics.failed = True
-            metrics.timed_out = True
-            drive.stage.add_task(metrics)
-            drive.failures[info.index] += 1
-            if drive.failures[info.index] > self.config.max_task_retries:
-                if drive.has_active(info.index):
-                    continue
-                raise TaskError(
-                    f"task {task.task_id} exceeded its {timeout}s deadline "
-                    f"on {drive.failures[info.index]} attempts",
-                    task_id=task.task_id)
-            if not drive.has_active(info.index):
-                drive.submit(info.index)
-
-    def _launch_speculations(self, drive: "_StageDrive") -> None:
-        """Duplicate stragglers once most of the stage has finished.
-
-        Armed only past the ``speculation_quantile`` completion mark so the
-        median runtime is a meaningful baseline; an attempt running longer
-        than ``speculation_multiplier``× that median (floored at
-        ``_SPECULATION_MIN_S``) gets one duplicate per pool generation,
-        submitted with a fresh attempt number.  First result wins.
-        """
-        multiplier = self.config.speculation_multiplier
-        total = len(drive.tasks)
-        if multiplier <= 0 or total <= 1 or not drive.durations:
-            return
-        needed = max(1, math.ceil(total * self.config.speculation_quantile))
-        if len(drive.completed) < needed:
-            return
-        threshold = max(multiplier * statistics.median(drive.durations),
-                        _SPECULATION_MIN_S)
-        now = self._clock()
-        for future, info in list(drive.active.items()):
-            if info.speculative or info.index in drive.speculated:
-                continue
-            if info.index in drive.completed:
-                continue
-            if info.started is None or now - info.started <= threshold:
-                continue
-            drive.speculated.add(info.index)
-            drive.submit(info.index, speculative=True)
-            drive.stage.speculative_launches += 1
 
     def execute_stage(self, tasks: Sequence[Task],
                       stage: StageMetrics) -> List[TaskResult]:
-        """Run every task of a stage on the worker pool; results in task order.
-
-        The driver settles attempts as they finish (``FIRST_COMPLETED``
-        waits), resubmits retries against the published payload, enforces
-        running-time deadlines, launches speculative duplicates for
-        stragglers, and discards the payload file when the stage settles.
+        """Publish the stage, run it on the worker pool; results in task order.
 
         A worker that dies hard (injected crash, OOM kill) breaks the whole
         :class:`ProcessPoolExecutor`; rather than failing the job the stage
         forks a fresh pool and resubmits only its unfinished tasks, each on
         a fresh attempt number so seeded fault decisions are re-drawn.  Up
         to ``max_stage_retries`` such respawns are tolerated per stage, each
-        counted in ``stage.retries``.
+        counted in ``stage.retries``.  The payload file is discarded when
+        the stage settles.
         """
         started = time.perf_counter()
-        if not tasks:
-            stage.wall_clock_s = time.perf_counter() - started
-            return []
-        if self._health is not None:
-            self._health.check_heartbeats()
-            self._recycle_blacklisted_pool()
-        token = self._publish_stage(tasks)
-        drive = _StageDrive(self, tasks, stage, token)
+        drive = _StageDrive(tasks, stage)
         try:
+            if tasks:
+                if self._health is not None:
+                    self._health.check_heartbeats()
+                    self._recycle_blacklisted_pool()
+                drive.token = self._publish_stage(tasks)
             pool_crashes = 0
-            while len(drive.completed) < len(tasks):
-                drive.pool = self._get_pool()
-                drive.active.clear()
-                drive.speculated.clear()
+            while True:
                 try:
-                    # submits stay inside the handler's reach: a crash in a
-                    # *previous* stage attempt can leave the shared pool
-                    # broken, surfacing only when the next submit is made
-                    for index in range(len(tasks)):
-                        if index not in drive.completed:
-                            drive.submit(index)
-                    self._drive(drive)
+                    # a crash in a *previous* stage can leave the shared
+                    # pool broken, surfacing only at this stage's submit
+                    return self._run_stage(drive)
                 except BrokenProcessPool:
-                    # every unfinished future of the dead pool is lost;
-                    # tasks settled before the crash keep their results and
-                    # their registered map output
+                    # tasks settled before the crash keep their results
+                    # and their registered map output
                     self._discard_pool()
                     pool_crashes += 1
                     if pool_crashes > self.config.max_stage_retries:
                         raise
-                    # resubmission draws from the monotonic next_attempt
-                    # counters, so the respawned generation re-runs every
-                    # unfinished task on a fresh attempt number and fresh
-                    # seeded fault decisions
                     stage.retries += 1
-                except BaseException:
-                    for future in drive.active:
-                        future.cancel()
-                    wait(list(drive.active))
-                    raise
+                    drive.restart()
         finally:
-            self._transport.discard_stage(token)
+            if drive.token is not None:
+                self._transport.discard_stage(drive.token)
             stage.wall_clock_s = time.perf_counter() - started
-        return [drive.completed[index] for index in range(len(tasks))]
-
-    def _drive(self, drive: "_StageDrive") -> None:
-        """Settle the stage's in-flight attempts until every task completes."""
-        poll = None
-        if (self.config.task_timeout_s
-                or self.config.speculation_multiplier > 0
-                or (self._health is not None and self._health.watches_beats)):
-            poll = _POLL_S
-        while len(drive.completed) < len(drive.tasks):
-            done, _ = wait(list(drive.active), timeout=poll,
-                           return_when=FIRST_COMPLETED)
-            for future in done:
-                info = drive.active.pop(future)
-                # a dead pool surfaces here as BrokenProcessPool and is
-                # handled one frame up; anything else is a driver bug
-                self._settle_attempt(future.result(), info, drive)
-            # the deadline/speculation clock starts when an attempt begins
-            # *executing*, not when it is queued behind a busy pool
-            now = self._clock()
-            for future, info in drive.active.items():
-                if info.started is None and future.running():
-                    info.started = now
-            self._enforce_deadlines(drive)
-            self._launch_speculations(drive)
-            if self._health is not None:
-                self._health.check_heartbeats()
-
-
-class _Attempt:
-    """Driver-side record of one in-flight task attempt."""
-
-    __slots__ = ("index", "attempt", "speculative", "started")
-
-    def __init__(self, index: int, attempt: int, speculative: bool):
-        self.index = index
-        self.attempt = attempt
-        self.speculative = speculative
-        #: ``perf_counter`` stamp of the first poll that saw the future
-        #: running; ``None`` while queued (deadlines and speculation only
-        #: measure execution time, never queue time).
-        self.started: Optional[float] = None
-
-
-class _StageDrive:
-    """Mutable state of one stage execution on the process backend."""
-
-    def __init__(self, executor: "ProcessExecutor", tasks: Sequence[Task],
-                 stage: StageMetrics, token: str):
-        self.tasks = tasks
-        self.stage = stage
-        self.token = token
-        self.pool: Optional[ProcessPoolExecutor] = None
-        self.completed: Dict[int, TaskResult] = {}
-        self.active: Dict[Any, _Attempt] = {}
-        #: Failed attempts per task index (the retry budget's ledger).
-        self.failures: List[int] = [0] * len(tasks)
-        #: Next attempt number per task index — monotonic so every
-        #: resubmission (retry, crash respawn, speculation) draws fresh
-        #: seeded fault decisions.
-        self.next_attempt: List[int] = [0] * len(tasks)
-        #: Task indices already speculated in the current pool generation.
-        self.speculated: set = set()
-        #: Durations of successful attempts (median feeds speculation).
-        self.durations: List[float] = []
-
-    def has_active(self, index: int) -> bool:
-        """Is any attempt of task ``index`` still in flight?"""
-        return any(info.index == index for info in self.active.values())
-
-    def submit(self, index: int, speculative: bool = False) -> None:
-        """Submit the next attempt of task ``index`` to the current pool."""
-        from . import worker as worker_runtime
-        attempt = self.next_attempt[index]
-        self.next_attempt[index] = attempt + 1
-        future = self.pool.submit(worker_runtime.run_stage_task,
-                                  self.token, index, attempt)
-        self.active[future] = _Attempt(index, attempt, speculative)
 
 
 def create_executor(config: EngineConfig, shuffle_manager=None,

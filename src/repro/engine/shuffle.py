@@ -378,44 +378,14 @@ class ShuffleManager:
             # cross the wire and the whole retry/CRC ladder is exercised
             return self._write_networked_map_output(shuffle_id, map_partition,
                                                     buckets, task_context)
-        staged: List[Tuple[Tuple[int, int, int], List[Any], int]] = []
-        written = 0
-        records_out = 0
-        for reduce_partition, records in buckets.items():
-            key = (shuffle_id, map_partition, reduce_partition)
-            copied = list(records)
-            size = estimate_bytes(copied, self.codec)
-            staged.append((key, copied, size))
-            written += size
-            records_out += len(copied)
-        sample = sample_map_output(shuffle_id, map_partition,
-                                   {key[2]: copied for key, copied, _ in staged})
+        copies = {reduce_partition: list(records)
+                  for reduce_partition, records in buckets.items()}
+        sample = sample_map_output(shuffle_id, map_partition, copies)
+        entries = [(reduce_partition, copied, estimate_bytes(copied, self.codec))
+                   for reduce_partition, copied in copies.items()]
         with self._lock:
-            if shuffle_id not in self._expected_maps:
-                raise ShuffleError(f"shuffle {shuffle_id} was never registered")
-            stale_bytes = 0
-            stale_records = 0
-            for key, copied, size in staged:
-                # a retried (or stage-retried) task overwrites its old
-                # output: retract the stale attempt's contribution from the
-                # per-shuffle totals so `bytes_written` and
-                # `map_output_stats` never double-count; a previous span
-                # just goes stale in its append-only file
-                previous, previous_records = self._drop_bucket_locked(key)
-                stale_bytes += previous
-                stale_records += previous_records
-                self._buckets[key] = copied
-                self._bucket_bytes[key] = size
-                self._resident_bytes += size
-                reduce_key = (shuffle_id, key[2])
-                self._reduce_bytes[reduce_key] = \
-                    self._reduce_bytes.get(reduce_key, 0) - previous + size
-            self._completed_maps[shuffle_id].add(map_partition)
-            self._set_sample_locked(shuffle_id, map_partition, records_out,
-                                    sample)
-            self._bytes_written[shuffle_id] += written - stale_bytes
-            self._records_written[shuffle_id] += records_out - stale_records
-            self._sync_memory()
+            written = self._install_map_output_locked(
+                shuffle_id, map_partition, entries, sample)
             if task_context is not None and self.memory is not None:
                 task_context.note_peak(self.memory.used_bytes)
             self._spill_over_budget(task_context)
@@ -502,35 +472,52 @@ class ShuffleManager:
         :meth:`write_map_output`.
         """
         with self._lock:
-            if shuffle_id not in self._expected_maps:
-                raise ShuffleError(f"shuffle {shuffle_id} was never registered")
-            written = 0
-            records_out = 0
-            stale_bytes = 0
-            stale_records = 0
-            for reduce_partition, (span, size) in spans.items():
-                key = (shuffle_id, map_partition, reduce_partition)
-                # same retraction as `write_map_output`: a re-registered
-                # map partition replaces, never adds to, the totals
-                previous, previous_records = self._drop_bucket_locked(key)
-                stale_bytes += previous
-                stale_records += previous_records
-                self._spans[key] = span
-                self._bucket_bytes[key] = size
+            return self._install_map_output_locked(
+                shuffle_id, map_partition,
+                [(reduce_partition, span, size)
+                 for reduce_partition, (span, size) in spans.items()],
+                sample, worker)
+
+    def _install_map_output_locked(
+            self, shuffle_id: int, map_partition: int,
+            entries: List[Tuple[int, Union[List[Any], Span], int]],
+            sample: Union[List[Any], Span, None], worker: Any = None) -> int:
+        """Install one map attempt's ``(reduce, records or span, bytes)``
+        buckets and key sample; return the bytes written (lock held).
+
+        A retried, recomputed or late duplicate attempt replaces its map
+        partition's earlier output: the stale buckets are retracted from the
+        per-shuffle totals, so `bytes_written` and `map_output_stats` never
+        double-count (a stale span just goes stale in its append-only file).
+        """
+        if shuffle_id not in self._expected_maps:
+            raise ShuffleError(f"shuffle {shuffle_id} was never registered")
+        written = records_out = stale_bytes = stale_records = 0
+        for reduce_partition, source, size in entries:
+            key = (shuffle_id, map_partition, reduce_partition)
+            previous, previous_records = self._drop_bucket_locked(key)
+            stale_bytes += previous
+            stale_records += previous_records
+            self._bucket_bytes[key] = size
+            if isinstance(source, Span):
+                self._spans[key] = source
                 self._span_bytes += size
-                reduce_key = (shuffle_id, reduce_partition)
-                self._reduce_bytes[reduce_key] = \
-                    self._reduce_bytes.get(reduce_key, 0) - previous + size
-                written += size
-                records_out += span.count
-            self._completed_maps[shuffle_id].add(map_partition)
-            self._set_sample_locked(shuffle_id, map_partition, records_out,
-                                    sample)
-            if worker is not None:
-                self._producers[(shuffle_id, map_partition)] = worker
-            self._bytes_written[shuffle_id] += written - stale_bytes
-            self._records_written[shuffle_id] += records_out - stale_records
-            self._sync_memory()
+                records_out += source.count
+            else:
+                self._buckets[key] = source
+                self._resident_bytes += size
+                records_out += len(source)
+            reduce_key = (shuffle_id, reduce_partition)
+            self._reduce_bytes[reduce_key] = \
+                self._reduce_bytes.get(reduce_key, 0) - previous + size
+            written += size
+        self._completed_maps[shuffle_id].add(map_partition)
+        self._set_sample_locked(shuffle_id, map_partition, records_out, sample)
+        if worker is not None:
+            self._producers[(shuffle_id, map_partition)] = worker
+        self._bytes_written[shuffle_id] += written - stale_bytes
+        self._records_written[shuffle_id] += records_out - stale_records
+        self._sync_memory()
         return written
 
     def _catalog_entries_locked(self, shuffle_id: int) -> List[

@@ -14,15 +14,12 @@ blocks of the datasets they carry, and parallelised input as per-partition
 spans.  Workers deserialize it once, reattach the worker context to every
 dataset in the task graphs, and then answer
 ``run_stage_task(payload, index, attempt)`` calls with a plain result dict:
-the task value, its ``TaskContext`` counters (one per task-level entry of
-the counter table, :data:`~repro.engine.metrics.COUNTERS`), the spans of
-any map output written (its buckets and its key sample), and dirty cache
-blocks — so byte/spill/peak accounting flows back across the process
-boundary and job metrics stay backend-invariant.
-
-Fault injection runs *inside* the worker with the same seeded decision
-function the thread backend uses (``seed:task_id:attempt``), so a given
-attempt fails identically on both backends.
+the outcome of :func:`~repro.engine.executor.run_attempt` — the attempt
+body the thread backend runs too, seeded fault injection included — plus
+the spans of any map output written (its buckets and its key sample),
+dirty cache blocks and the worker's pid, so byte/spill/peak accounting
+flows back across the process boundary and job metrics stay
+backend-invariant.
 """
 
 from __future__ import annotations
@@ -32,14 +29,11 @@ import os
 import shutil
 import threading
 import time
-import traceback
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import CheckpointCorruptionError, FetchFailedError
 from . import serializer
-from .executor import (InjectedFailure, should_inject_crash,
-                       should_inject_failure)
+from .executor import run_attempt
 from .memory import (CODEC_NONE, MemoryManager, corrupt_payload,
                      resolve_codec, should_corrupt)
 from .metrics import TaskContext
@@ -336,62 +330,30 @@ def run_stage_task(payload_path: str, task_index: int,
                    attempt: int) -> Dict[str, Any]:
     """Run one task of a published stage payload; return a plain result dict.
 
-    The dict is the cross-process task protocol: ``ok``, ``duration_s``,
-    and either ``error`` (exception type name, message, formatted traceback)
-    or ``value`` plus the counters, map-output spans and dirty cache blocks
-    the driver folds back into its own metrics, shuffle manager and block
-    store.  Failed attempts still return their dirty blocks — on the thread
-    backend a block cached before the failure stays cached too.
+    The dict is the cross-process task protocol: the
+    :func:`~repro.engine.executor.run_attempt` outcome plus what only a
+    worker has — the map-output spans of a successful attempt, the dirty
+    cache blocks and the worker's pid.  Failed attempts still return their
+    dirty blocks — on the thread backend a block cached before the failure
+    stays cached too.
     """
     state = _STATE
     if state is None:
         raise RuntimeError("worker process was not initialized")
     payload = _load_payload(state, payload_path)
     task = payload["tasks"][task_index]
+    client = state.ctx.shuffle_manager
+    client.begin_task(task.task_id, attempt, payload["catalog"])
     task_context = TaskContext()
-    state.ctx.shuffle_manager.begin_task(task.task_id, attempt,
-                                         payload["catalog"])
-    started = time.perf_counter()
-    try:
-        if should_inject_failure(state.ctx.config, task.task_id, attempt):
-            raise InjectedFailure(
-                f"injected failure for {task.task_id} attempt {attempt}")
-        value = task.run(task_context)
-        if should_inject_crash(state.ctx.config, task.task_id, attempt):
-            # hard death *after* the work: the task has already written
-            # transport frames and cached blocks, none of which ever reach
-            # the driver — exactly the partial-output mess a killed worker
-            # leaves behind.  ``os._exit`` skips atexit sweepers on purpose.
-            os._exit(17)
-    except Exception as error:  # noqa: BLE001 - crosses the process boundary
-        state.ctx.shuffle_manager.take_map_output()  # drop partial spans
-        state.ctx._transport.drain_fetch_retries()  # don't leak into next task
-        outcome = {
-            "ok": False,
-            "duration_s": time.perf_counter() - started,
-            "error": (type(error).__name__, str(error),
-                      traceback.format_exc()),
-            "blocks": state.ctx.block_store.drain_dirty(),
-            "worker": os.getpid(),
-        }
-        if isinstance(error, FetchFailedError):
-            # structured coordinates survive the boundary so the driver can
-            # rethrow a real FetchFailedError for the scheduler
-            outcome["fetch_failed"] = (error.shuffle_id, error.map_partition)
-        elif isinstance(error, CheckpointCorruptionError):
-            # likewise for a rotten checkpoint file: the driver invalidates
-            # the checkpoint and re-runs the job from lineage
-            outcome["checkpoint_failed"] = (error.dataset_id, error.partition)
-        return outcome
-    # network fetches this task survived (TCP transport retries) become
-    # the task's fetch_retries counter, shipped with the others
+    outcome = run_attempt(task, attempt, state.ctx.config, hard_crash=True,
+                          task_context=task_context)
+    # a failed attempt's partial spans are dropped; fetches this task
+    # survived (TCP transport retries) must not leak into the next task
+    map_output = client.take_map_output()
     task_context.fetch_retries += state.ctx._transport.drain_fetch_retries()
-    return {
-        "ok": True,
-        "duration_s": time.perf_counter() - started,
-        "value": value,
-        "counters": task_context.counters(),
-        "map_output": state.ctx.shuffle_manager.take_map_output(),
-        "blocks": state.ctx.block_store.drain_dirty(),
-        "worker": os.getpid(),
-    }
+    if outcome["ok"]:
+        outcome["counters"] = task_context.counters()
+        outcome["map_output"] = map_output
+    outcome["blocks"] = state.ctx.block_store.drain_dirty()
+    outcome["worker"] = os.getpid()
+    return outcome

@@ -13,8 +13,10 @@ retries the consuming stage.  Recovery must be visible in the job metrics
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import struct
+import threading
 import time
 
 import pytest
@@ -523,20 +525,86 @@ def test_fetch_failure_without_retries_propagates():
 
 
 # -- task deadlines ------------------------------------------------------------
+#
+# Deadlines are enforced by the one stage driver both backends share.  The
+# thread-backend cases run on an injected clock and a ``threading.Event``
+# gate — no marker files, no sleeps raced against a timeout; one
+# process-backend case of each stays on marker files, which cross the
+# process boundary.
+
+
+def _attempts_parked_clock(parked: list):
+    """10,000 s per parked attempt: every attempt is submitted before it
+    parks, so each park expires every earlier deadline of 600 s."""
+    return lambda: 10_000.0 * len(parked)
+
+
+def test_task_deadline_abandons_and_retries():
+    """A running attempt that overruns its deadline is dropped and retried.
+
+    The first attempt parks on a gate; parking moves the injected clock past
+    the deadline, and the retry (which finds the attempt parked and returns
+    at once) opens the gate — so the parked attempt's late result
+    demonstrably arrives after the task settled.
+    """
+    parked, gate = [], threading.Event()
+
+    def park_once(pair):
+        if pair[1] == 0:
+            if parked:
+                gate.set()
+            else:
+                parked.append(pair)
+                gate.wait(60.0)
+        return pair
+
+    with make_engine("thread", task_timeout_s=600.0,
+                     default_parallelism=1) as ctx:
+        ctx.scheduler.executor._clock = _attempts_parked_clock(parked)
+        data = [(i % 2, i) for i in range(20)]
+        result = ctx.parallelize(data, 1).map(park_once).collect()
+        job = ctx.metrics.jobs[-1]
+    assert gate.is_set(), "the retry never ran"
+    assert result == data, \
+        "the late attempt's result must be discarded, not merged"
+    assert job.timed_out_tasks == 1
+    timed_out = [task for stage in job.stages for task in stage.tasks
+                 if task.timed_out]
+    assert len(timed_out) == 1 and timed_out[0].failed
+    assert [task.attempt for stage in job.stages for task in stage.tasks] \
+        == [0, 1]
+
+
+def test_task_deadline_exhaustion_raises():
+    """Timeouts draw on the same retry budget as failures."""
+    parked, gate = [], threading.Event()
+
+    def always_parked(pair):
+        if pair[1] == 1:
+            parked.append(pair)
+            gate.wait(60.0)
+        return pair
+
+    with make_engine("thread", task_timeout_s=600.0, max_task_retries=1,
+                     default_parallelism=1) as ctx:
+        ctx.scheduler.executor._clock = _attempts_parked_clock(parked)
+        try:
+            with pytest.raises(TaskError) as excinfo:
+                ctx.parallelize([(0, 1), (1, 2)], 1).map(always_parked) \
+                    .collect()
+        finally:
+            gate.set()
+    assert "failed after 2 attempts" in str(excinfo.value)
+    assert "deadline" in str(excinfo.value)
+    assert len(parked) == 2
 
 
 @needs_closures
-def test_task_deadline_abandons_and_retries(tmp_path):
-    """A running attempt that overruns its deadline is dropped and retried.
-
-    Nothing here races a sleep against a timeout: the first attempt parks
-    on a release file after raising its marker, the deadline expires on an
-    *injected* clock that leaps forward once the marker is up, and the
-    retry (which finds the marker and returns at once) is what releases
-    the parked attempt — so its late result demonstrably arrives after the
-    task settled.  The deadline itself is far longer than any scheduling
-    delay a loaded host can add to the retry.
-    """
+def test_task_deadline_abandons_and_retries_process(tmp_path):
+    """Process backend: the first attempt parks on a release file after
+    raising its marker, the deadline expires on an *injected* clock that
+    leaps forward once the marker is up, and the retry (which finds the
+    marker and returns at once) is what releases the parked attempt."""
     marker = str(tmp_path / "first-attempt-running")
     release = str(tmp_path / "release")
 
@@ -552,16 +620,11 @@ def test_task_deadline_abandons_and_retries(tmp_path):
                     time.sleep(0.01)
         return pair
 
-    seen_marker = [0]
-
     def clock():
-        # the driver reads the clock twice per settle-loop pass: once to
-        # stamp attempts it finds running, once to enforce deadlines.  The
-        # first two reads that see the marker stay on real time, so the
-        # parked attempt is certainly stamped before time leaps.
-        if os.path.exists(marker):
-            seen_marker[0] += 1
-        return time.perf_counter() + (10_000.0 if seen_marker[0] > 2 else 0.0)
+        # an attempt's deadline starts at its submission, before it can
+        # raise the marker, so the leap expires the parked attempt only
+        return time.perf_counter() + \
+            (10_000.0 if os.path.exists(marker) else 0.0)
 
     with make_engine("process", task_timeout_s=600.0, num_workers=2,
                      default_parallelism=1) as ctx:
@@ -579,12 +642,12 @@ def test_task_deadline_abandons_and_retries(tmp_path):
 
 
 @needs_closures
-def test_task_deadline_exhaustion_raises(tmp_path):
+def test_task_deadline_exhaustion_raises_process():
     def always_slow(pair):
-        time.sleep(3.0)
+        time.sleep(1.0)
         return pair
 
-    with make_engine("process", task_timeout_s=0.5, max_task_retries=1,
+    with make_engine("process", task_timeout_s=0.25, max_task_retries=1,
                      default_parallelism=2) as ctx:
         with pytest.raises(TaskError) as excinfo:
             ctx.parallelize([(0, 1), (1, 2)], 2).map(always_slow).collect()
@@ -648,6 +711,83 @@ def test_no_leak_after_failed_job_thread_backend():
         ctx.stop()
     if root is not None:
         assert not os.path.isdir(root)
+
+
+# -- no pool thread or process outlives stop() --------------------------------
+#
+# The first case of the leak fixture: whatever path a stage took — failed,
+# an attempt abandoned at its deadline, a speculation race lost — once the
+# context stops, no pool thread and no pool child process is left behind.
+# Abandoned attempts and losers are still running when their stage
+# settles, so ``stop()`` must join them.
+
+#: How long the first attempt stalls: far past the 0.25 s deadline and the
+#: speculation threshold even on a loaded host; ``stop()`` waits it out.
+_STALL_S = 2.0
+
+
+def _fail_a_stage(ctx, marker):
+    def explode(pair):
+        if pair[1] == 799:
+            raise ValueError("boom")
+        return pair
+
+    with pytest.raises(TaskError):
+        ctx.parallelize(DATA, 4).map(explode).group_by_key(4).collect()
+
+
+def _abandon_an_attempt(ctx, marker):
+    def stall_once(pair):
+        if pair[1] == 0 and not os.path.exists(marker):
+            open(marker, "w").close()
+            time.sleep(_STALL_S)
+        return pair
+
+    data = [(i % 2, i) for i in range(20)]
+    assert ctx.parallelize(data, 2).map(stall_once).collect() == data
+    assert ctx.metrics.jobs[-1].timed_out_tasks >= 1
+
+
+def _lose_a_speculation_race(ctx, marker):
+    def straggle(x):
+        if x == 0 and not os.path.exists(marker):
+            open(marker, "w").close()
+            time.sleep(_STALL_S)
+        return (x % 3, x)
+
+    ds = ctx.parallelize(range(40), 4).map(straggle) \
+        .reduce_by_key(lambda a, b: a + b)
+    assert sorted(ds.collect()) == [(0, 273), (1, 247), (2, 260)]
+    assert ctx.metrics.jobs[-1].speculative_wins >= 1
+
+
+LEAK_PATHS = {
+    "failed_stage": ({"max_task_retries": 0}, _fail_a_stage),
+    "timed_out_attempt": ({"task_timeout_s": 0.25}, _abandon_an_attempt),
+    "speculation_loser": ({"num_workers": 3, "speculation_multiplier": 2.0,
+                           "speculation_quantile": 0.5},
+                          _lose_a_speculation_race),
+}
+
+
+@pytest.mark.parametrize("path", sorted(LEAK_PATHS))
+@pytest.mark.parametrize("backend",
+                         ["thread",
+                          pytest.param("process", marks=needs_closures)])
+def test_stop_leaks_no_pool_thread_or_process(backend, path, tmp_path):
+    threads = set(threading.enumerate())
+    children = {child.pid for child in multiprocessing.active_children()}
+    overrides, drive = LEAK_PATHS[path]
+    ctx = make_engine(backend, **overrides)
+    try:
+        drive(ctx, str(tmp_path / "marker"))
+    finally:
+        ctx.stop()
+    assert [thread.name for thread in threading.enumerate()
+            if thread not in threads
+            and thread.name.startswith("repro-worker")] == []
+    assert [child.pid for child in multiprocessing.active_children()
+            if child.pid not in children] == []
 
 
 # -- property: single-fault runs are observably fault-free ---------------------

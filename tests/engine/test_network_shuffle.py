@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import os
 import socket
+import threading
 import time
 
 import pytest
 
 from repro.config import EngineConfig
+from repro.core.compiler import CampaignCompiler
 from repro.engine import serializer
 from repro.engine import shuffle as shuffle_module
 from repro.engine.context import EngineContext
@@ -522,11 +524,135 @@ def test_blacklisting_engages_and_results_survive():
     assert result == expected
 
 
-@needs_closures
-def test_speculation_beats_an_injected_straggler(tmp_path):
+def _add(a, b):
+    return a + b
+
+
+def _straggler_pipeline(ctx, straggle):
+    return ctx.parallelize(range(40), 4).map(straggle).reduce_by_key(_add)
+
+
+def _parked_straggler():
+    """A map function whose first call for ``0`` parks on a gate, and the
+    injected clock that reads 10,000 s once it has parked.  The straggler
+    is submitted before it parks, so it — and any attempt submitted before
+    it parked — is past every speculation threshold; its duplicate (the
+    second call for ``0``) passes straight through."""
+    parked, gate = threading.Event(), threading.Event()
+
+    def straggle(x):
+        if x == 0 and not parked.is_set():
+            parked.set()
+            gate.wait(60.0)
+        return (x % 3, x)
+
+    return straggle, gate, lambda: 10_000.0 if parked.is_set() else 0.0
+
+
+def _speculating_engine(**overrides):
+    return make_engine("thread", transport="local", num_workers=3,
+                       speculation_multiplier=2.0, speculation_quantile=0.5,
+                       seed=3, **overrides)
+
+
+def test_speculation_beats_an_injected_straggler():
     """One task stalls on its first attempt; past the completion quantile
     the driver launches a duplicate, the duplicate wins, and the result is
     identical to an unspeculated run."""
+    straggle, gate, clock = _parked_straggler()
+    with _speculating_engine() as ctx:
+        ctx.scheduler.executor._clock = clock
+        try:
+            result = sorted(_straggler_pipeline(ctx, straggle).collect())
+        finally:
+            gate.set()
+        job = ctx.metrics.jobs[-1]
+        assert job.speculative_launches >= 1
+        assert job.speculative_wins >= 1
+    with make_engine("thread", transport="local") as ctx:
+        expected = sorted(_straggler_pipeline(
+            ctx, lambda x: (x % 3, x)).collect())
+    assert result == expected
+
+
+def test_a_spec_setting_only_speculation_multiplier_speculates():
+    """The campaign-spec knob works on the default (thread) backend, as the
+    deployment description promises."""
+    deployment = CampaignCompiler().compile({
+        "name": "speculation", "policy": "open_data",
+        "source": {"scenario": "churn", "num_records": 200},
+        "deployment": {"speculation_multiplier": 2.0},
+        "goals": [{"id": "g", "task": "descriptive",
+                   "params": {"fields": ["monthly_charges"]}}],
+    }).deployment
+    config = deployment.engine_config
+    assert config.executor_backend == "thread"
+    assert "stragglers over 2.0x median relaunched" in deployment.describe()
+    straggle, gate, clock = _parked_straggler()
+    with EngineContext(config) as ctx:
+        ctx.scheduler.executor._clock = clock
+        try:
+            result = sorted(_straggler_pipeline(ctx, straggle).collect())
+        finally:
+            gate.set()
+        job = ctx.metrics.jobs[-1]
+    assert job.speculative_launches >= 1
+    assert job.speculative_wins >= 1
+    assert result == [(0, 273), (1, 247), (2, 260)]
+
+
+def test_late_speculation_loser_write_is_idempotent():
+    """A thread attempt cannot be killed: the loser of a speculation race
+    finishes ``write_map_output`` after the winner settled, replacing the
+    winner's identical buckets.  Replace-not-add accounting makes that
+    harmless — a second action over the same shuffle reads the same
+    records, and the shuffle totals and job metrics equal an unspeculated
+    run's."""
+    def run(engine, straggle, gate=None, clock=None):
+        late_write = threading.Event()
+        with engine as ctx:
+            manager = ctx.shuffle_manager
+            write = manager.write_map_output
+            writes = []
+
+            def counted_write(shuffle_id, map_partition, *args, **kwargs):
+                written = write(shuffle_id, map_partition, *args, **kwargs)
+                writes.append(map_partition)
+                if writes.count(0) == 2:
+                    late_write.set()
+                return written
+
+            manager.write_map_output = counted_write
+            if clock is not None:
+                ctx.scheduler.executor._clock = clock
+            ds = _straggler_pipeline(ctx, straggle)
+            try:
+                first = sorted(ds.collect())
+            finally:
+                if gate is not None:
+                    gate.set()
+            if gate is not None:
+                assert late_write.wait(60.0), "the loser's write must land"
+                assert ctx.metrics.jobs[0].speculative_wins >= 1
+            second = sorted(ds.collect())
+            return ([first, second],
+                    [(job.shuffle_bytes, job.records_written)
+                     for job in ctx.metrics.jobs],
+                    [(manager.bytes_written(shuffle_id),
+                      manager.map_output_stats(shuffle_id),
+                      manager.reduce_partition_bytes(shuffle_id))
+                     for shuffle_id in sorted(manager._expected_maps)])
+
+    speculated = run(_speculating_engine(), *_parked_straggler())
+    plain = run(make_engine("thread", transport="local", num_workers=3,
+                            seed=3), lambda x: (x % 3, x))
+    assert speculated == plain
+
+
+@needs_closures
+def test_speculation_beats_an_injected_straggler_process(tmp_path):
+    """Process backend: the same race on real time, the straggler's first
+    attempt sleeping behind a marker file."""
     marker = str(tmp_path / "straggled-once")
 
     def straggle(x):
@@ -539,16 +665,13 @@ def test_speculation_beats_an_injected_straggler(tmp_path):
     with make_engine("process", transport="local", num_workers=3,
                      speculation_multiplier=2.0, speculation_quantile=0.5,
                      seed=3) as ctx:
-        ds = (ctx.parallelize(range(40), 4).map(straggle)
-              .reduce_by_key(lambda a, b: a + b))
-        result = sorted(ds.collect())
+        result = sorted(_straggler_pipeline(ctx, straggle).collect())
         job = ctx.metrics.jobs[-1]
         assert job.speculative_launches >= 1
         assert job.speculative_wins >= 1
     with make_engine("thread", transport="local") as ctx:
-        expected = sorted(ctx.parallelize(range(40), 4)
-                          .map(lambda x: (x % 3, x))
-                          .reduce_by_key(lambda a, b: a + b).collect())
+        expected = sorted(_straggler_pipeline(
+            ctx, lambda x: (x % 3, x)).collect())
     assert result == expected
 
 
