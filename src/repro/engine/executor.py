@@ -38,7 +38,7 @@ import tempfile
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -165,9 +165,10 @@ class _Attempt:
         self.index = index
         self.attempt = attempt
         self.speculative = speculative
-        #: Driver clock at submission.  At most ``num_workers`` attempts are
-        #: in flight, so an attempt starts when it is submitted — unless an
-        #: abandoned attempt still holds its worker.
+        #: Driver clock at submission.  Under a deadline or speculation at
+        #: most ``num_workers`` attempts are in flight, so an attempt starts
+        #: when it is submitted — unless an abandoned attempt still holds
+        #: its worker.
         self.started = started
 
 
@@ -240,9 +241,21 @@ class Executor:
                     thread_name_prefix="repro-worker")
             return self._pool
 
+    @property
+    def _timed(self) -> bool:
+        """Does a deadline or speculation watch attempts' running time?"""
+        return bool(self.config.task_timeout_s
+                    or self.config.speculation_multiplier > 0)
+
     def _submit(self, drive: _StageDrive, index: int, attempt: int):
-        return self._get_pool().submit(run_attempt, drive.tasks[index],
-                                       attempt, self.config)
+        task = drive.tasks[index]
+        if len(drive.tasks) == 1 and not self._timed:
+            # nothing to overlap and no clock to watch: the driver runs it,
+            # saving the two thread hand-offs of a pool round trip
+            future = Future()
+            future.set_result(run_attempt(task, attempt, self.config))
+            return future
+        return self._get_pool().submit(run_attempt, task, attempt, self.config)
 
     def _absorb(self, outcome: Dict[str, Any],
                 metrics: Optional[TaskMetrics]) -> None:
@@ -274,21 +287,24 @@ class Executor:
     def _run_stage(self, drive: _StageDrive) -> List[TaskResult]:
         """Settle the stage's attempts until every task completes.
 
-        At most ``num_workers`` attempts are in flight, plus speculative
-        duplicates; a retry goes to the front of the queue, so a one-worker
-        pool runs each task's attempts back to back.  A stage that fails
-        cancels what has not started and joins what has — abandoned
-        attempts excepted — before the error propagates.
+        Deadlines and speculation time an attempt from its submission, and
+        a one-worker pool runs in submission order, so those keep at most
+        ``num_workers`` attempts in flight (plus speculative duplicates)
+        and a retry, at the front of the queue, runs next.  Otherwise the
+        whole stage is queued at once, so a worker never idles while the
+        driver wakes to refill it.  A stage that fails cancels what has not
+        started and joins what has — abandoned attempts excepted — before
+        the error propagates.
         """
+        slots = self.config.num_workers \
+            if self._timed or self.config.num_workers == 1 else len(drive.tasks)
         poll = None
-        if (self.config.task_timeout_s
-                or self.config.speculation_multiplier > 0
-                or (self._health is not None and self._health.watches_beats)):
+        if self._timed or (self._health is not None
+                           and self._health.watches_beats):
             poll = _POLL_S
         try:
             while len(drive.completed) < len(drive.tasks):
-                while drive.pending and \
-                        len(drive.active) < self.config.num_workers:
+                while drive.pending and len(drive.active) < slots:
                     self._launch(drive, drive.pending.popleft())
                 done, _ = wait(list(drive.active), timeout=poll,
                                return_when=FIRST_COMPLETED)

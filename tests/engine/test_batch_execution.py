@@ -293,14 +293,10 @@ class TestExecutorPool:
             ctx.range(50, num_partitions=4).count()
             assert executor._pool is pool, "the pool must be reused, not rebuilt"
 
-    def test_single_task_stages_reuse_the_pool(self):
+    def test_single_task_stage_does_not_build_a_pool(self):
         with _ctx(batch_size=64) as ctx:
-            executor = ctx.scheduler.executor
             ctx.range(10, num_partitions=1).count()
-            pool = executor._pool
-            assert pool is not None, "a single-task stage runs on the pool too"
-            ctx.range(10, num_partitions=1).count()
-            assert executor._pool is pool, "the pool must be reused, not rebuilt"
+            assert ctx.scheduler.executor._pool is None
 
     def test_stop_shuts_the_pool_down(self):
         ctx = _ctx(batch_size=64)
