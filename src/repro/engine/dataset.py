@@ -14,9 +14,13 @@ runs a job through its scheduler and executor.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import math
+import operator
 import random
+from collections import Counter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Tuple)
 
@@ -83,6 +87,57 @@ def collect_partition(batches: Iterable[List[Any]]) -> List[Any]:
 def count_partition(batches: Iterable[List[Any]]) -> int:
     """Result-side of ``count``: tally the partition's records."""
     return sum(map(len, batches))
+
+
+# The numeric actions below fold each batch with one C-level builtin per
+# accumulator.  Builtin ``sum``/``min``/``max`` apply the same two-argument
+# operations, in the same order, as the per-record folds they replace, so
+# the results are those folds' bit for bit -- except that from CPython 3.12
+# ``sum`` compensates float addition, so a float total may differ from the
+# plain left-to-right fold in its last bits.
+
+
+@batch_action
+def count_values_partition(batches: Iterable[List[Any]]) -> Counter:
+    """Result-side of ``count_by_value``: records to multiplicities."""
+    counts: Counter = Counter()
+    for batch in batches:
+        counts.update(batch)
+    return counts
+
+
+def sum_partition(start: Any):
+    """Result-side of ``sum``/``mean``: ``(fold of + from start, count)``."""
+    @batch_action
+    def partition(batches: Iterable[List[Any]]) -> Tuple[Any, int]:
+        total, count = start, 0
+        for batch in batches:
+            total = sum(batch, total)
+            count += len(batch)
+        return total, count
+    return partition
+
+
+@batch_action
+def stats_partition(batches: Iterable[List[Any]]) -> Tuple:
+    """Result-side of ``stats``: ``(count, total, total_sq, min, max, nan)``.
+
+    Chaining the running extreme in front of a batch reproduces the
+    sequential two-argument ``min``/``max`` fold exactly.  ``nan`` says the
+    partition holds a NaN; only a batch that leaves the total NaN (a NaN,
+    or ``inf`` meeting ``-inf``) is scanned for one.
+    """
+    count, total, total_sq, minimum, maximum, nan = 0, 0.0, 0.0, None, None, False
+    for batch in batches:
+        lows, highs = ((minimum,), (maximum,)) if count else ((), ())
+        minimum = min(itertools.chain(lows, batch), default=None)
+        maximum = max(itertools.chain(highs, batch), default=None)
+        count += len(batch)
+        total = sum(batch, total)
+        total_sq = sum(map(operator.mul, batch, batch), total_sq)
+        if total != total and not nan:
+            nan = any(value != value for value in batch)
+    return count, total, total_sq, minimum, maximum, nan
 
 
 # ---------------------------------------------------------------------------
@@ -852,12 +907,11 @@ class Dataset:
 
     def count_by_value(self) -> Dict[Any, int]:
         """Return a dict mapping each distinct record to its multiplicity."""
-        def count_partition(iterator: Iterator[Any]) -> Dict[Any, int]:
-            counts: Dict[Any, int] = {}
-            for record in iterator:
-                counts[record] = counts.get(record, 0) + 1
-            return counts
-        partials = self.ctx.run_job(self, count_partition,
+        return self._merged_counts(count_values_partition)
+
+    def _merged_counts(self, kernel) -> Dict[Any, int]:
+        """Run a ``count_by_value`` job and merge its per-partition counts."""
+        partials = self.ctx.run_job(self, kernel,
                                     description=f"count_by_value {self.name}")
         merged: Dict[Any, int] = {}
         for partial in partials:
@@ -954,14 +1008,17 @@ class Dataset:
 
     def sum(self) -> float:
         """Sum numeric records."""
-        return self.fold(0, lambda acc, record: acc + record)
+        partials = self.ctx.run_job(self, sum_partition(0),
+                                    description=f"fold {self.name}")
+        return functools.reduce(operator.add, [total for total, _ in partials])
 
     def mean(self) -> float:
         """Arithmetic mean of numeric records."""
-        total, count = self.aggregate(
-            (0.0, 0),
-            lambda acc, record: (acc[0] + record, acc[1] + 1),
-            lambda left, right: (left[0] + right[0], left[1] + right[1]))
+        partials = self.ctx.run_job(self, sum_partition(0.0),
+                                    description=f"aggregate {self.name}")
+        total, count = functools.reduce(
+            lambda left, right: (left[0] + right[0], left[1] + right[1]),
+            partials, (0.0, 0))
         if count == 0:
             raise PlanError(f"cannot take the mean of empty dataset {self.name}")
         return total / count
@@ -977,28 +1034,32 @@ class Dataset:
         return self.reduce(lambda left, right: left if key(left) >= key(right) else right)
 
     def stats(self) -> Dict[str, float]:
-        """Count, mean, min, max, variance and stdev of numeric records."""
-        def seq(acc, value):
-            count, total, total_sq, minimum, maximum = acc
-            return (count + 1, total + value, total_sq + value * value,
-                    value if minimum is None else min(minimum, value),
-                    value if maximum is None else max(maximum, value))
+        """Count, mean, min, max, variance, stdev and sum of numeric records.
 
+        Non-finite input never yields a finite-looking answer: one NaN
+        record makes every statistic but ``count`` NaN, and an infinite
+        record (with no NaN) leaves ``variance`` and ``stdev`` NaN.
+        """
         def comb(left, right):
             if left[0] == 0:
                 return right
             if right[0] == 0:
                 return left
             return (left[0] + right[0], left[1] + right[1], left[2] + right[2],
-                    min(left[3], right[3]), max(left[4], right[4]))
+                    min(left[3], right[3]), max(left[4], right[4]),
+                    left[5] or right[5])
 
-        count, total, total_sq, minimum, maximum = self.aggregate(
-            (0, 0.0, 0.0, None, None), seq, comb)
+        partials = self.ctx.run_job(self, stats_partition,
+                                    description=f"aggregate {self.name}")
+        count, total, total_sq, minimum, maximum, nan = functools.reduce(
+            comb, partials, (0, 0.0, 0.0, None, None, False))
         if count == 0:
             return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
                     "variance": 0.0, "stdev": 0.0, "sum": 0.0}
+        if nan:
+            minimum = maximum = math.nan
         mean = total / count
-        variance = max(0.0, total_sq / count - mean * mean)
+        variance = max(total_sq / count - mean * mean, 0.0)
         return {"count": count, "mean": mean, "min": minimum, "max": maximum,
                 "variance": variance, "stdev": variance ** 0.5, "sum": total}
 
@@ -1025,24 +1086,41 @@ class Dataset:
                 yield record
 
     def histogram(self, buckets: int) -> Tuple[List[float], List[int]]:
-        """Histogram of numeric records over equally sized buckets."""
+        """Histogram of numeric records over equally sized buckets.
+
+        Returns ``buckets + 1`` edges from ``min`` to ``max`` and one count
+        per bucket, the last bucket closed (``[min, max], [count]`` when
+        every record is equal).  Two jobs: ``stats`` for the
+        range, then one counting the raw bucket index of every record,
+        clamped to ``[0, buckets - 1]`` once per distinct index.  A range
+        that is not finite (a NaN or infinite record, or ``max - min``
+        overflowing) or too narrow to split into non-zero bucket widths is
+        a ``PlanError``, raised before the counting job.
+        """
         if buckets < 1:
             raise PlanError("histogram needs at least one bucket")
         statistics = self.stats()
         if statistics["count"] == 0:
             return [], []
         low, high = statistics["min"], statistics["max"]
+        width = (high - low) / buckets
+        if not (width < math.inf and (width or low == high)):
+            raise PlanError(f"histogram of dataset {self.name} needs a finite "
+                            f"range {buckets} buckets can split, got min "
+                            f"{low} and max {high}")
         if low == high:
             return [low, high], [int(statistics["count"])]
-        width = (high - low) / buckets
         edges = [low + i * width for i in range(buckets + 1)]
 
-        def bucket_of(value: float) -> int:
-            index = int((value - low) / width)
-            return min(buckets - 1, max(0, index))
+        @batch_action
+        def index_partition(batches: Iterable[List[Any]]) -> Counter:
+            return count_values_partition(
+                [int((value - low) / width) for value in batch]
+                for batch in batches)
 
-        counts_by_bucket = self.map(bucket_of).count_by_value()
-        counts = [counts_by_bucket.get(i, 0) for i in range(buckets)]
+        counts = [0] * buckets
+        for index, count in self._merged_counts(index_partition).items():
+            counts[min(buckets - 1, max(0, index))] += count
         return edges, counts
 
     # -- helpers -----------------------------------------------------------------
