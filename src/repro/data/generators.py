@@ -17,12 +17,21 @@ Labs "trial and error") genuinely differ in quality:
 All generators are deterministic given ``seed`` and support generating an
 arbitrary index range, which lets a :class:`repro.data.sources.GeneratorSource`
 partition the data without materialising it twice.
+
+Every record draws from its own string-seeded ``random.Random``.  The draws
+go through the kernels below instead of ``randint``/``choice``/``choices``/
+``uniform``: each is the standard library's own expansion of that call, so
+it consumes the Mersenne Twister stream identically and the records are the
+same to the last bit, without three Python frames per integer draw
+(``tests/data/test_generator_draws.py`` holds the original call forms as
+its reference).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from itertools import accumulate
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
@@ -36,12 +45,31 @@ _REGIONS = ("north", "south", "east", "west", "centre")
 
 
 def _cumulative(weights: Iterable[float]) -> tuple:
-    """Running totals for ``random.choices(..., cum_weights=)``.
+    """Running totals of the weights, for :func:`_pick`.
 
-    ``choices`` builds this same list from ``weights=`` on every call; passing
-    it precomputed draws the identical value without the per-record re-sum.
+    ``random.choices`` builds this same list from ``weights=`` on every call;
+    precomputed, the draw is identical without the per-record re-sum.
     """
     return tuple(accumulate(weights))
+
+
+def _below(getrandbits, n: int) -> int:
+    """``Random._randbelow(n)``: a uniform int in ``[0, n)``.
+
+    The draw under ``randrange(a, b)`` (``a + _below(b - a)``), ``randint(a,
+    b)`` (``randrange(a, b + 1)``) and ``choice(seq)`` (``seq[_below(len)]``).
+    """
+    bits = n.bit_length()
+    drawn = getrandbits(bits)
+    while drawn >= n:
+        drawn = getrandbits(bits)
+    return drawn
+
+
+def _pick(random, population, cum_weights: tuple):
+    """``Random.choices(population, cum_weights=cum_weights)[0]``."""
+    return population[bisect(cum_weights, random() * cum_weights[-1],
+                             0, len(cum_weights) - 1)]
 
 
 def _sigmoid(x: float) -> float:
@@ -99,14 +127,15 @@ class ChurnDataGenerator(DataGenerator):
 
     def generate_record(self, index: int) -> Record:
         rng = self._rng(index)
-        age = rng.randint(18, 90)
-        tenure = rng.randint(1, 72)
-        contract = rng.choices(self.CONTRACTS, cum_weights=self._CONTRACT_CUM_WEIGHTS)[0]
-        payment = rng.choice(self.PAYMENTS)
-        monthly = round(rng.uniform(15.0, 120.0), 2)
-        total = round(monthly * tenure * rng.uniform(0.9, 1.05), 2)
-        support_calls = min(12, int(rng.expovariate(0.55)))
-        data_usage = round(rng.uniform(0.5, 60.0), 2)
+        random, bits = rng.random, rng.getrandbits
+        age = 18 + _below(bits, 73)
+        tenure = 1 + _below(bits, 72)
+        contract = _pick(random, self.CONTRACTS, self._CONTRACT_CUM_WEIGHTS)
+        payment = self.PAYMENTS[_below(bits, len(self.PAYMENTS))]
+        monthly = round(15.0 + (120.0 - 15.0) * random(), 2)
+        total = round(monthly * tenure * (0.9 + (1.05 - 0.9) * random()), 2)
+        support_calls = min(12, int(-math.log(1.0 - random()) / 0.55))
+        data_usage = round(0.5 + (60.0 - 0.5) * random(), 2)
         score = (
             self.churn_base_rate
             + 1.6 * (contract == "monthly")
@@ -115,11 +144,11 @@ class ChurnDataGenerator(DataGenerator):
             + 0.012 * monthly
             - 0.08 * (payment == "bank_transfer")
         )
-        churned = int(rng.random() < _sigmoid(score))
+        churned = int(random() < _sigmoid(score))
         return {
             "customer_id": f"C{index:07d}",
             "age": age,
-            "region": _REGIONS[rng.randrange(len(_REGIONS))],
+            "region": _REGIONS[_below(bits, len(_REGIONS))],
             "tenure_months": tenure,
             "contract_type": contract,
             "payment_method": payment,
@@ -166,16 +195,17 @@ class EnergyDataGenerator(DataGenerator):
         household_size = self._household_size(meter)
         base_load = 0.25 + 0.15 * household_size
         daily = 1.0 + 0.8 * math.sin((hour_of_day - 7) / 24.0 * 2 * math.pi) ** 2
-        kwh = base_load * daily * rng.uniform(0.85, 1.15)
+        random = rng.random
+        kwh = base_load * daily * (0.85 + (1.15 - 0.85) * random())
         voltage = rng.gauss(230.0, 2.5)
         is_anomaly = 0
-        if rng.random() < self.anomaly_rate:
+        if random() < self.anomaly_rate:
             is_anomaly = 1
-            if rng.random() < 0.5:
-                kwh *= rng.uniform(4.0, 8.0)      # consumption spike
+            if random() < 0.5:
+                kwh *= 4.0 + (8.0 - 4.0) * random()      # consumption spike
             else:
-                kwh *= rng.uniform(0.0, 0.05)     # outage
-                voltage = rng.uniform(0.0, 40.0)
+                kwh *= 0.0 + (0.05 - 0.0) * random()     # outage
+                voltage = 0.0 + (40.0 - 0.0) * random()
         return {
             "meter_id": f"M{meter:05d}",
             "timestamp": float(1_500_000_000 + hour_index * 3600),
@@ -211,28 +241,29 @@ class WebLogGenerator(DataGenerator):
 
     def generate_record(self, index: int) -> Record:
         rng = self._rng(index)
-        url_rank = rng.choices(range(self.num_urls), cum_weights=self._url_cum_weights)[0]
+        random, bits = rng.random, rng.getrandbits
+        url_rank = _pick(random, range(self.num_urls), self._url_cum_weights)
         service = self.SERVICES[url_rank % len(self.SERVICES)]
-        method = rng.choices(self.METHODS, cum_weights=self._METHOD_CUM_WEIGHTS)[0]
+        method = _pick(random, self.METHODS, self._METHOD_CUM_WEIGHTS)
         base_latency = {"frontend": 35.0, "catalog": 60.0, "cart": 45.0,
                         "payment": 140.0, "auth": 25.0}[service]
         latency = max(1.0, rng.gauss(base_latency, base_latency * 0.3))
         in_error_burst = (index % self.error_burst_every) < 12 and service == "payment"
         if in_error_burst:
-            status = rng.choice((500, 502, 503))
-            latency *= rng.uniform(3.0, 8.0)
+            status = (500, 502, 503)[_below(bits, 3)]
+            latency *= 3.0 + (8.0 - 3.0) * random()
         else:
-            status = rng.choices((200, 301, 404, 500), cum_weights=self._STATUS_CUM_WEIGHTS)[0]
-        has_user = rng.random() < 0.7
+            status = _pick(random, (200, 301, 404, 500), self._STATUS_CUM_WEIGHTS)
+        has_user = random() < 0.7
         return {
             "timestamp": float(1_600_000_000 + index),
-            "ip": f"10.{rng.randint(0, 255)}.{rng.randint(0, 255)}.{rng.randint(1, 254)}",
-            "user_id": f"U{rng.randrange(self.num_users):06d}" if has_user else None,
+            "ip": f"10.{_below(bits, 256)}.{_below(bits, 256)}.{1 + _below(bits, 254)}",
+            "user_id": f"U{_below(bits, self.num_users):06d}" if has_user else None,
             "url": f"/api/v1/resource/{url_rank}",
             "method": method,
             "status": status,
             "latency_ms": round(latency, 2),
-            "bytes": rng.randint(200, 50_000),
+            "bytes": 200 + _below(bits, 50_000 - 200 + 1),
             "service": service,
         }
 
@@ -272,16 +303,17 @@ class RetailTransactionGenerator(DataGenerator):
         size = max(1, min(len(self.PRODUCTS),
                           int(rng.gauss(self.mean_basket_size, 1.5))))
         basket = set(rng.sample(self.PRODUCTS, size))
+        random, bits = rng.random, rng.getrandbits
         for antecedent, consequent, probability in self.EMBEDDED_RULES:
-            if antecedent in basket and rng.random() < probability:
+            if antecedent in basket and random() < probability:
                 basket.add(consequent)
         basket_list = sorted(basket)
         total = round(sum(self.PRICES[product] for product in basket_list), 2)
         return {
             "transaction_id": f"T{index:08d}",
-            "customer_id": f"C{rng.randrange(self.num_customers):06d}",
+            "customer_id": f"C{_below(bits, self.num_customers):06d}",
             "timestamp": float(1_580_000_000 + index * 37),
-            "store": self.STORES[rng.randrange(len(self.STORES))],
+            "store": self.STORES[_below(bits, len(self.STORES))],
             "basket": basket_list,
             "total_amount": total,
         }
@@ -305,21 +337,22 @@ class PatientRecordGenerator(DataGenerator):
 
     def generate_record(self, index: int) -> Record:
         rng = self._rng(index)
+        random, bits = rng.random, rng.getrandbits
         age = min(99, max(0, int(rng.gauss(58, 19))))
-        diagnosis = rng.choices(self.DIAGNOSES, cum_weights=self._DIAGNOSIS_CUM_WEIGHTS)[0]
-        length_of_stay = max(1, int(rng.expovariate(1 / 5.0)))
-        cost = round(800.0 * length_of_stay * rng.uniform(0.8, 1.6)
+        diagnosis = _pick(random, self.DIAGNOSES, self._DIAGNOSIS_CUM_WEIGHTS)
+        length_of_stay = max(1, int(-math.log(1.0 - random()) / (1 / 5.0)))
+        cost = round(800.0 * length_of_stay * (0.8 + (1.6 - 0.8) * random())
                      + 2500.0 * (diagnosis == "oncology"), 2)
         score = (-2.2 + 0.025 * age + 0.09 * length_of_stay
                  + 0.7 * (diagnosis in ("cardiac", "oncology")))
-        readmitted = int(rng.random() < _sigmoid(score))
+        readmitted = int(random() < _sigmoid(score))
         # zip codes are spread over several districts so that each truncation
         # level of the anonymiser merges only some of them (a gradual lattice)
-        district = rng.randrange(self.num_zip_codes)
+        district = _below(bits, self.num_zip_codes)
         return {
             "patient_id": f"P{index:07d}",
             "age": age,
-            "gender": rng.choices(self.GENDERS, cum_weights=self._GENDER_CUM_WEIGHTS)[0],
+            "gender": _pick(random, self.GENDERS, self._GENDER_CUM_WEIGHTS),
             "zip_code": f"{20000 + district * 137 % 9000 + 137:05d}",
             "diagnosis": diagnosis,
             "length_of_stay": length_of_stay,

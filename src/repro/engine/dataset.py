@@ -416,44 +416,67 @@ class Dataset:
         """One partition of a persisted dataset as a list, or ``None``.
 
         Looks in the context's own store (``cache()``), then — on a local
-        miss — in the borrowed one (:meth:`share`), and otherwise computes
-        the partition and leaves it wherever it is wanted.  ``None`` means
-        nobody keeps this block (a shared-only dataset whose key the
+        miss — in the borrowed one (:meth:`share`) for the pieces the
+        partition is kept as there (:meth:`_share_pieces`), and computes
+        the missing ones, leaving each wherever it is wanted.  The partition
+        is one hit however many of its pieces were stored.  ``None`` means
+        nobody keeps any of it (a shared-only dataset whose keys the
         borrowed store declines): the caller streams it as if unmarked.
         """
         local = self.ctx.block_store if self.is_cached else None
-        shared = self.ctx.shared_blocks if self._share_key is not None else None
         cached = local.get(self.id, partition) if local is not None else None
-        if cached is None and shared is not None:
-            cached = shared.get(self._share_key, partition)
-            if cached is not None:
-                self.ctx.note_shared_hit(
-                    self._share_key,
-                    shared.origin_of(self._share_key, partition))
-                if local is not None:
-                    local.put(self.id, partition, cached)
         if cached is not None:
             task_context.cache_hits += 1
             # records served from a store are reads, like source reads
             task_context.records_read += len(cached)
             return cached
-        publish = shared is not None and \
-            shared.admits(self._share_key, partition)
-        if local is None and not publish:
+        shared = self.ctx.shared_blocks if self._share_key is not None else None
+        key, pieces = self._share_pieces(partition) if shared is not None \
+            else (None, [partition])
+        blocks = [shared.get(key, piece) if shared is not None else None
+                  for piece in pieces]
+        stored = [piece for piece, block in zip(pieces, blocks)
+                  if block is not None]
+        admitted = {piece for piece, block in zip(pieces, blocks)
+                    if block is None and shared is not None
+                    and shared.admits(key, piece)}
+        if local is None and not stored and not admitted:
             return None
-        if self.has_checkpoint:
-            records = self._checkpoint_records(partition, task_context)
-        else:
-            records = collect_partition(self.compute_batches(
-                partition, task_context, self.ctx.config.batch_size))
+        if stored:
+            task_context.cache_hits += 1
+            self.ctx.note_shared_hit(key, shared.origin_of(key, stored[0]))
+        written = 0
+        for position, piece in enumerate(pieces):
+            if blocks[position] is not None:
+                task_context.records_read += len(blocks[position])
+                continue
+            blocks[position] = self._compute_piece(piece, task_context)
+            if piece in admitted:
+                shared.put(key, piece, blocks[position],
+                           origin=self._share_origin)
+            if piece in admitted or local is not None:
+                # materialising into a store is written output
+                written += len(blocks[position])
+        records = blocks[0] if len(blocks) == 1 else \
+            [record for block in blocks for record in block]
         if local is not None:
             local.put(self.id, partition, records)
-        if publish:
-            shared.put(self._share_key, partition, records,
-                       origin=self._share_origin)
-        # caching materialises the partition: that is written output
-        task_context.records_written += len(records)
+        task_context.records_written += written
         return records
+
+    def _share_pieces(self, partition: int) -> Tuple[Any, List[Any]]:
+        """The borrowed store's key for this dataset and the pieces one
+        partition is kept as there: by default the whole partition, under
+        its number."""
+        return self._share_key, [partition]
+
+    def _compute_piece(self, piece: Any,
+                       task_context: TaskContext) -> List[Any]:
+        """Compute one piece (:meth:`_share_pieces`) as a list."""
+        if self.has_checkpoint:
+            return self._checkpoint_records(piece, task_context)
+        return collect_partition(self.compute_batches(
+            piece, task_context, self.ctx.config.batch_size))
 
     def batch_iterator(self, partition: int,
                        task_context: TaskContext) -> Iterator[List[Any]]:
@@ -1252,6 +1275,25 @@ class SourceDataset(Dataset):
         names = self._columns
         return ({name: record.get(name) for name in names}
                 for record in records)
+
+    def _share_pieces(self, partition: int) -> Tuple[Any, List[Any]]:
+        """A full-width scan of a range-addressable source is kept as pieces
+        ``(lo, hi)`` under the source's ``range_identity()``
+        (``DataSource.pieces``), so another record count or partition count
+        of the same generator is served the range they have in common."""
+        identity = self._source.range_identity() \
+            if self._columns is None else None
+        if identity is None:
+            return super()._share_pieces(partition)
+        return identity, self._source.pieces(partition, self.num_partitions)
+
+    def _compute_piece(self, piece: Any,
+                       task_context: TaskContext) -> List[Any]:
+        if not isinstance(piece, tuple):
+            return super()._compute_piece(piece, task_context)
+        records = list(self._source.read_range(*piece))
+        task_context.records_read += len(records)
+        return records
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:

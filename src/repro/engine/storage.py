@@ -58,16 +58,19 @@ def resident_bytes(records: List[Any]) -> int:
     A stride sample is measured with ``sys.getsizeof`` over containers, keys
     and values — objects the sampled records share (interned field names,
     small integers) counted once — and extrapolated; the list's own pointer
-    array is added exactly.  Pickled size, the previous measure, came out
-    near 85 bytes per scenario record against roughly 600 resident, so a
-    budget enforced with it held about seven times what it said.
+    array is added exactly, as the copy a store keeps has it (not with the
+    spare capacity of a list grown by appends).  Pickled size, the previous
+    measure, came out near 85 bytes per scenario record against roughly 600
+    resident, so a budget enforced with it held about seven times what it
+    said.
     """
+    array = sys.getsizeof(list(records))
     if not records:
-        return sys.getsizeof(records)
+        return array
     sample = _stride_sample(records, _RESIDENT_SAMPLE_SIZE)
     seen: Set[int] = set()
     sampled = sum(_deep_sizeof(record, seen) for record in sample)
-    return sys.getsizeof(records) + sampled * len(records) // len(sample)
+    return array + sampled * len(records) // len(sample)
 
 
 class StorageLevel:

@@ -6,8 +6,9 @@ import pytest
 
 from repro.data.generators import ChurnDataGenerator
 from repro.data.schemas import CHURN_SCHEMA, RETAIL_SCHEMA
-from repro.data.sources import (CSVFileSource, GeneratorSource, GeneratorStreamSource,
-                                InMemorySource, ReplayStreamSource, write_csv)
+from repro.data.sources import (PIECE_RECORDS, CSVFileSource, GeneratorSource,
+                                GeneratorStreamSource, InMemorySource,
+                                ReplayStreamSource, write_csv)
 from repro.errors import SourceError
 
 
@@ -55,6 +56,63 @@ class TestGeneratorSource:
         source = GeneratorSource(ChurnDataGenerator(seed=1), 200)
         ds = engine.from_source(source, 4)
         assert ds.count() == 200
+
+
+class TestPartitionBounds:
+    """A partition that does not exist is a SourceError naming the source,
+    from every source, before any record is read."""
+
+    def sources(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text("a\n" + "\n".join(map(str, range(100))), encoding="utf-8")
+        return [GeneratorSource(ChurnDataGenerator(seed=3), 100, name="gen"),
+                InMemorySource("mem", [{"v": i} for i in range(100)], CHURN_SCHEMA),
+                CSVFileSource(str(path), name="csv")]
+
+    @pytest.mark.parametrize("partition,num_partitions", [
+        (5, 4),    # beyond the last: used to yield C0000125... past num_records
+        (4, 4),
+        (0, 0),    # used to raise a bare ZeroDivisionError
+        (-1, 4),   # used to surface the generator's DataError
+    ])
+    def test_a_missing_partition_is_a_named_source_error(
+            self, tmp_path, partition, num_partitions):
+        for source in self.sources(tmp_path):
+            with pytest.raises(SourceError, match=repr(source.name)):
+                source.read_partition(partition, num_partitions)
+
+    def test_in_memory_columns_check_the_partition_too(self):
+        source = InMemorySource("mem", [{"v": i} for i in range(10)], CHURN_SCHEMA)
+        with pytest.raises(SourceError, match="'mem'"):
+            source.read_partition_columns(3, 3, ["age"])
+
+    def test_bounds_tile_the_records(self):
+        source = InMemorySource("mem", [])
+        bounds = [source.partition_bounds(p, 3, 10) for p in range(3)]
+        assert bounds == [(0, 3), (3, 6), (6, 10)]
+
+    def test_pieces_cut_each_partition_at_multiples_of_the_piece_size(self):
+        size = PIECE_RECORDS
+        source = GeneratorSource(ChurnDataGenerator(), 3 * size)
+        assert source.pieces(0, 2) == [(0, size), (size, 3 * size // 2)]
+        assert source.pieces(1, 2) == [(3 * size // 2, 2 * size),
+                                       (2 * size, 3 * size)]
+        assert source.pieces(0, 3 * size + 1) == []  # an empty partition
+
+    def test_range_identity_ignores_only_the_record_count(self):
+        small = GeneratorSource(ChurnDataGenerator(seed=3), 100)
+        large = GeneratorSource(ChurnDataGenerator(seed=3), 900)
+        assert small.range_identity() == large.range_identity()
+        assert len(small.range_identity()) == 64
+        assert small.fingerprint() != large.fingerprint()
+        assert small.range_identity() not in (small.fingerprint(),
+                                              large.fingerprint())
+        assert GeneratorSource(ChurnDataGenerator(seed=4), 100).range_identity() \
+            != small.range_identity()
+        assert InMemorySource("mem", [{"v": 1}]).range_identity() is None
+        assert list(large.read_range(40, 60)) == list(small.read_range(40, 60))
+        with pytest.raises(SourceError, match="no records"):
+            small.read_range(90, 110)
 
 
 class TestCSVSource:

@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 
 from repro.config import EngineConfig
 from repro.data.generators import ChurnDataGenerator, DataGenerator
-from repro.data.sources import GeneratorSource
+from repro.data.sources import PIECE_RECORDS, GeneratorSource
 from repro.engine.context import EngineContext
-from repro.engine.dataset import Dataset, ShuffleDependency, TaskContext
+from repro.engine.dataset import (Dataset, ShuffleDependency, SourceDataset,
+                                  TaskContext)
 from repro.engine.storage import BlockStore, resident_bytes
 from repro.labs.catalog import build_default_challenges
 from repro.labs.challenge import DesignOption
@@ -196,7 +197,6 @@ PREFIX_MISSES = {
 #: Changes to the input itself: nothing of the base trial may be served.
 SOURCE_MISSES = {
     "generator seed": (None, step_params("ingest", seed=8)),
-    "num_records": (spec_change(source={"num_records": 500}), None),
 }
 
 
@@ -266,6 +266,62 @@ def test_a_changed_input_misses_everything(base_platform, what):
     assert len(platform.shared_blocks.dataset_ids() - keys) == 2
 
 
+def counting_churn_records(monkeypatch):
+    """The indexes of every churn record generated from now on."""
+    calls = []
+    generate_record = ChurnDataGenerator.generate_record
+
+    def counting(self, index):
+        calls.append(index)
+        return generate_record(self, index)
+
+    monkeypatch.setattr(ChurnDataGenerator, "generate_record", counting)
+    return calls
+
+
+def volume_spec(pieces, num_partitions):
+    spec = protected_churn_spec(num_records=pieces * PIECE_RECORDS)
+    spec["deployment"]["num_partitions"] = num_partitions
+    return spec
+
+
+#: (what changes, base (pieces, partitions), trial (pieces, partitions)):
+#: the generator is the same, so the trial is served every piece of the
+#: range it shares with the base and generates only what lies beyond it.
+VOLUME_CHANGES = {
+    "fewer records": ((4, 2), (2, 2)),
+    "more records": ((4, 2), (6, 2)),
+    "partition count 4 -> 8": ((8, 4), (8, 8)),
+}
+
+
+@pytest.mark.parametrize("what", sorted(VOLUME_CHANGES))
+def test_a_changed_volume_generates_only_the_records_it_does_not_share(
+        monkeypatch, what):
+    base, trial = VOLUME_CHANGES[what]
+    platform = BDAaaSPlatform()
+    run_until_admitted(platform, volume_spec(*base))
+    keys = platform.shared_blocks.dataset_ids()
+    assert len(keys) == 2, "source pieces and analytics input"
+    calls = counting_churn_records(monkeypatch)
+    run, served = run_until_admitted(platform, volume_spec(*trial))
+    held = base[0] * PIECE_RECORDS
+    beyond = range(held, max(held, trial[0] * PIECE_RECORDS))
+    # a record beyond the base is generated on the first run (its piece is
+    # declined and streamed) and on the second (admitted and stored), and
+    # not one record of the shared range is generated at all
+    assert sorted(calls) == sorted([*beyond, *beyond])
+    assert len(served) == 1 and served < keys, \
+        "of the base trial, only the source pieces may be served"
+    assert run.reused_blocks == trial[1], \
+        "one served block per partition, whatever its piece count"
+    assert len(platform.shared_blocks.dataset_ids() - keys) == 1, \
+        "the trial keys one new analytics input"
+    cold, _ = run_until_admitted(BDAaaSPlatform(), volume_spec(*trial))
+    assert clock_free(run) == clock_free(cold)
+    assert run.indicator("records_processed") == trial[0] * PIECE_RECORDS
+
+
 def test_changing_only_the_model_stops_generating_records(monkeypatch):
     """Counted, not timed.  Admission is on the second request, so the
     first two trials generate; from the third on nothing is generated."""
@@ -316,6 +372,9 @@ def test_no_service_mutates_a_shared_block(monkeypatch):
         marked = share(self, origin)
         if marked._share_key is not None:
             lineages[marked._share_key] = marked
+            if isinstance(marked, SourceDataset) and \
+                    marked._source.range_identity() is not None:
+                lineages[marked._source.range_identity()] = marked
         return marked
 
     monkeypatch.setattr(BlockStore, "put", recording_put)
@@ -345,22 +404,27 @@ def test_no_service_mutates_a_shared_block(monkeypatch):
     for store in stores:
         for fingerprint in store.dataset_ids():
             dataset = lineages[fingerprint]
-            for partition in range(dataset.num_partitions):
-                block = store.get(fingerprint, partition)
+            # a partition number, or a source piece's (lo, hi)
+            for key in [key for stored, key in published
+                        if stored == fingerprint]:
+                block = store.get(fingerprint, key)
                 if block is None:
                     continue
                 checked += 1
-                assert content_digest(block) == \
-                    published[(fingerprint, partition)]
-                if narrow(dataset):
+                assert content_digest(block) == published[(fingerprint, key)]
+                if isinstance(key, tuple):
+                    # a piece of a generated source: its range, afresh
+                    fresh = list(dataset._source.generator.generate_range(*key))
+                elif narrow(dataset):
                     # the context is stopped and has let go of the store:
                     # compute_batches() walks the closures down to the
                     # generator
                     fresh = list(itertools.chain.from_iterable(
-                        dataset.compute_batches(partition, TaskContext(),
-                                                1024)))
-                    assert content_digest(fresh) == content_digest(block)
-                    recomputed += 1
+                        dataset.compute_batches(key, TaskContext(), 1024)))
+                else:
+                    continue
+                assert content_digest(fresh) == content_digest(block)
+                recomputed += 1
     assert checked >= 30 and recomputed >= 30
 
 
@@ -436,9 +500,14 @@ def test_racing_publishers_leave_one_block_per_key():
     assert not errors
     assert results == [expected] * 4
     stats = store.stats()
-    assert stats["blocks"] == 8 and len(store.dataset_ids()) == 1
-    fingerprint, = store.dataset_ids()
-    blocks = [store.get(fingerprint, partition) for partition in range(8)]
+    # the partition bounds, cut again at every multiple of PIECE_RECORDS
+    cuts = sorted({800 * partition // 8 for partition in range(9)}
+                  | set(range(0, 800, PIECE_RECORDS)))
+    pieces = list(zip(cuts, cuts[1:]))
+    assert stats["blocks"] == len(pieces) and len(store.dataset_ids()) == 1
+    identity, = store.dataset_ids()
+    assert identity == source.range_identity()
+    blocks = [store.get(identity, piece) for piece in pieces]
     assert [record for block in blocks for record in block] == expected
     assert stats["bytes_stored"] == sum(map(resident_bytes, blocks))
     with EngineContext(config, shared_blocks=store) as ctx:
