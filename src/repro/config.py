@@ -110,6 +110,9 @@ def _validate(config: Any, checks: Tuple[Tuple[str, Check], ...]) -> None:
         raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
 
 
+#: Connect/read timeout, in seconds, of one TCP shuffle fetch attempt.
+FETCH_TIMEOUT_S = 5.0
+
 #: Rewrite rules of the logical-plan optimizer, in application order.
 #: ``EngineConfig.optimizer_rules`` may hold any subset; an empty tuple
 #: disables the optimizer entirely and actions execute the plan the Dataset
@@ -193,11 +196,14 @@ class EngineConfig:
         still be written, replacing the winner's identical output.  ``0``
         (the default) disables deadlines.
     max_stage_retries:
-        How many times a stage may be re-executed for fault recovery before
-        the job is aborted: lineage recomputation rounds after a
-        ``FetchFailedError`` and pool-respawn resubmissions after a worker
-        crash (``BrokenProcessPool``) both count against it, independently
-        per stage.  ``0`` disables stage-level recovery and the first lost
+        The stage ledger's budget (``retry.policy(config, "stage")``): how
+        many times each of the stage-level recoveries may run for one
+        stage before the job is aborted.  The scheduler may heal lost map
+        output and rerun a stage this many times; each of those runs may
+        respawn a broken process pool and resubmit its unfinished tasks
+        this many times.  Every such rerun counts in ``stage_retries``.  A
+        corrupt checkpoint is not charged here: dropping it bounds its
+        recovery.  ``0`` disables stage-level recovery and the first lost
         output or crashed pool fails the job.
     seed:
         Seed for the engine's own random decisions (fault injection,
@@ -278,9 +284,6 @@ class EngineConfig:
         ``n`` sleeps ``fetch_backoff_s * 2**n`` (capped, with deterministic
         ±50% jitter keyed on the engine seed and fetch coordinates).  ``0``
         retries immediately.
-    fetch_timeout_s:
-        Connect/read timeout, in seconds, of one TCP fetch attempt.  Must
-        exceed ``network_delay_s`` or every fetch times out.
     network_drop_rate:
         Probability that the shuffle server drops a fetch (closes the
         connection without replying), seeded per ``(request, attempt)`` so
@@ -288,27 +291,31 @@ class EngineConfig:
         ladder deterministically; ``0.0`` disables drop injection.
     network_delay_s:
         Fixed per-request delay, in seconds, the shuffle server sleeps
-        before serving a fetch — simulated network latency.  ``0`` serves
-        immediately.
+        before serving a fetch — simulated network latency.  Must stay
+        below :data:`FETCH_TIMEOUT_S` or every fetch times out.  ``0``
+        serves immediately.
     heartbeat_interval_s:
         Interval at which process-backend workers write heartbeat files
         under the transport root for the driver's
         :class:`~repro.engine.scheduler.NodeHealthTracker` to check
         between stages.  ``0`` (the default) disables heartbeats.
     heartbeat_timeout_s:
-        Age beyond which a worker's heartbeat file counts as stale and
-        the worker is blacklisted directly — the timeout already encodes
-        several missed beats, independent of
-        ``blacklist_failure_threshold``.  ``0`` (the default) derives
+        Age beyond which a live pool worker's heartbeat file counts as
+        stale and the worker is blacklisted directly — the timeout already
+        encodes several missed beats, independent of
+        ``blacklist_failure_threshold``.  The beat files of a discarded
+        pool's workers never count.  ``0`` (the default) derives
         ``4 * heartbeat_interval_s``.
     blacklist_failure_threshold:
-        Consecutive worker-attributed failures (task failures, or fetch
-        failures charged to the span's producer; successes reset the
-        count) after which a worker is blacklisted: its pool is recycled at the next stage boundary so no
-        further tasks schedule onto it, its registered map outputs are
-        invalidated and proactively recomputed from lineage, and the job's
-        ``blacklisted_workers`` counter ticks.  ``0`` (the default)
-        disables blacklisting.
+        Consecutive strikes against a worker process (its task errors, or
+        lost map output it produced; successes reset the count) after
+        which it is blacklisted: its pool is recycled at the next stage
+        boundary so no further tasks schedule onto it, its registered map
+        outputs are invalidated and proactively recomputed from lineage,
+        and the job's ``blacklisted_workers`` counter ticks.  Only a
+        worker process's pid takes strikes: map output registered by the
+        driver or adopted from the journal never does.  ``0`` (the
+        default) disables blacklisting.
     blacklist_cooldown_s:
         Rehabilitation window for blacklisted workers: a worker stays
         blacklisted for this many seconds and is then eligible again with
@@ -402,7 +409,6 @@ class EngineConfig:
                                   spec=True, hint=True)
     fetch_max_retries: int = knob(3, at_least(0), spec=True, hint=True)
     fetch_backoff_s: float = knob(0.05, at_least(0))
-    fetch_timeout_s: float = knob(5.0, (lambda value: value > 0, "> 0"))
     network_drop_rate: float = knob(0.0, RATE)
     network_delay_s: float = knob(0.0, at_least(0))
     heartbeat_interval_s: float = knob(0.0, at_least(0))
@@ -422,11 +428,10 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         _validate(self, _ENGINE_CHECKS)
-        if self.network_delay_s >= self.fetch_timeout_s and \
-                self.network_delay_s > 0:
+        if self.network_delay_s >= FETCH_TIMEOUT_S:
             raise ConfigurationError(
-                "network_delay_s must be below fetch_timeout_s or every "
-                "fetch times out")
+                f"network_delay_s must be below the {FETCH_TIMEOUT_S}s fetch "
+                "timeout or every fetch times out")
         if self.checkpoint_interval > 0 and not self.checkpoint_dir:
             raise ConfigurationError(
                 "checkpoint_interval requires checkpoint_dir: automatic "

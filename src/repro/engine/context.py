@@ -26,7 +26,7 @@ from .optimizer import PlanOptimizer, lower_plan
 from .plan import SourceNode, render_plan
 from .scheduler import DAGScheduler
 from .shuffle import ShuffleManager
-from .retry import RetryPolicy
+from .retry import policy
 from .shuffle_server import ShuffleServer
 from .storage import BlockStore
 from .transport import LocalDirShuffleTransport, TcpShuffleTransport
@@ -117,11 +117,7 @@ class EngineContext:
                     seed=self.config.seed)
                 self._transport = TcpShuffleTransport(
                     transport_root, self._shuffle_server.address,
-                    policy=RetryPolicy(
-                        max_retries=self.config.fetch_max_retries,
-                        backoff_s=self.config.fetch_backoff_s,
-                        seed=self.config.seed),
-                    timeout_s=self.config.fetch_timeout_s, durable=durable)
+                    policy=policy(self.config, "fetch"), durable=durable)
             else:
                 self._transport = LocalDirShuffleTransport(transport_root,
                                                            durable=durable)

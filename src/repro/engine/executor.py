@@ -32,7 +32,6 @@ import copy
 import math
 import multiprocessing
 import os
-import random
 import statistics
 import tempfile
 import threading
@@ -44,12 +43,14 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import EngineConfig
-from ..errors import (CheckpointCorruptionError, FetchFailedError,
-                      SerializationError, TaskError)
+from ..errors import SerializationError, TaskError
 from . import serializer
 from .dataset import (BroadcastDependency, LineageStub,
                       ParallelCollectionDataset, ShuffleDependency)
 from .metrics import StageMetrics, TaskContext, TaskMetrics
+from .memory import should_inject
+from .retry import (FAILURES, InjectedCrash, InjectedFailure,
+                    NodeHealthTracker, attempt_failure, policy)
 
 #: Floor on the speculation threshold: tasks faster than this are never
 #: worth duplicating — the relaunch overhead exceeds any possible win.
@@ -58,39 +59,6 @@ _SPECULATION_MIN_S = 0.05
 #: Poll interval for the settle loop when deadlines, speculation or
 #: heartbeat checks need the driver to wake up between task completions.
 _POLL_S = 0.02
-
-
-class InjectedFailure(RuntimeError):
-    """Raised by the fault injector to simulate a spurious task failure."""
-
-
-def should_inject_failure(config: EngineConfig, task_id: str,
-                          attempt: int) -> bool:
-    """Seeded per ``(seed, task id, attempt)`` fault-injection decision.
-
-    Drawn inside :func:`run_attempt`, which both backends run, so a given
-    attempt fails identically on both.
-    """
-    if config.failure_rate <= 0.0:
-        return False
-    rng = random.Random(f"{config.seed}:{task_id}:{attempt}")
-    return rng.random() < config.failure_rate
-
-
-def should_inject_crash(config: EngineConfig, task_id: str,
-                        attempt: int) -> bool:
-    """Seeded decision for ``crash_failure_rate`` (hard worker death).
-
-    Keyed separately from :func:`should_inject_failure` (note the
-    ``crash:`` tag) so enabling one knob never perturbs the other's
-    decisions.  On the process backend a hit makes the worker ``os._exit``
-    mid-task; the thread backend degrades it to an ordinary injected
-    failure since a thread cannot lose its process.
-    """
-    if config.crash_failure_rate <= 0.0:
-        return False
-    rng = random.Random(f"{config.seed}:crash:{task_id}:{attempt}")
-    return rng.random() < config.crash_failure_rate
 
 
 class Task:
@@ -120,37 +88,38 @@ def run_attempt(task: Task, attempt: int, config: EngineConfig,
                 task_context: Optional[TaskContext] = None) -> Dict[str, Any]:
     """Run one attempt of ``task``; return its outcome as a plain dict.
 
-    The outcome is ``ok``, ``duration_s`` and either ``value`` plus the
+    Fault injection is drawn here, which both backends run, so a given
+    attempt fails identically on both: ``failure_rate`` per ``(seed, task
+    id, attempt)``, and ``crash_failure_rate`` under its own ``crash:`` tag
+    so enabling one knob never perturbs the other's decisions.  The
+    outcome is ``ok``, ``duration_s`` and either ``value`` plus the
     ``TaskContext`` ``counters``, or ``error`` — (exception type name,
-    message, formatted traceback) — plus ``fetch_failed`` or
-    ``checkpoint_failed`` coordinates when the attempt lost shuffle output
-    or read a rotten checkpoint.  An injected crash raises *before* the
-    work on a thread; with ``hard_crash`` (a worker process) it kills the
-    process *after* the work, leaving the partial output a killed worker
-    leaves behind.
+    message, formatted traceback) — plus ``failure``: the kind of
+    :data:`~repro.engine.retry.FAILURES` it signals and its coordinates.
+    An injected crash raises *before* the work on a thread; with
+    ``hard_crash`` (a worker process) it kills the process *after* the
+    work, leaving the partial output a killed worker leaves behind.
     """
     task_context = task_context or TaskContext()
     started = time.perf_counter()
+    key = f"{task.task_id}:{attempt}"
     try:
-        if should_inject_failure(config, task.task_id, attempt):
+        if should_inject(config.seed, config.failure_rate, key):
             raise InjectedFailure(
                 f"injected failure for {task.task_id} attempt {attempt}")
-        crash = should_inject_crash(config, task.task_id, attempt)
+        crash = should_inject(config.seed, config.crash_failure_rate,
+                              f"crash:{key}")
         if crash and not hard_crash:
-            raise InjectedFailure(
+            raise InjectedCrash(
                 f"injected crash for {task.task_id} attempt {attempt}")
         value = task.run(task_context)
         if crash:
             os._exit(17)  # skips atexit sweepers on purpose
     except Exception as error:  # noqa: BLE001 - settled by the driver
-        outcome = {"ok": False, "duration_s": time.perf_counter() - started,
-                   "error": (type(error).__name__, str(error),
-                             traceback.format_exc())}
-        if isinstance(error, FetchFailedError):
-            outcome["fetch_failed"] = (error.shuffle_id, error.map_partition)
-        elif isinstance(error, CheckpointCorruptionError):
-            outcome["checkpoint_failed"] = (error.dataset_id, error.partition)
-        return outcome
+        return {"ok": False, "duration_s": time.perf_counter() - started,
+                "error": (type(error).__name__, str(error),
+                          traceback.format_exc()),
+                "failure": attempt_failure(error)}
     return {"ok": True, "duration_s": time.perf_counter() - started,
             "value": value, "counters": task_context.counters()}
 
@@ -220,14 +189,26 @@ class Executor:
     """
 
     def __init__(self, config: EngineConfig,
-                 clock: Callable[[], float] = time.perf_counter):
+                 clock: Callable[[], float] = time.perf_counter,
+                 heartbeat_dir: Optional[Callable[[], str]] = None):
         self.config = config
         #: Clock of the running-time deadlines and speculation thresholds
         #: (never of reported durations); injectable so tests can expire a
         #: deadline without racing a sleep against it.
         self._clock = clock
-        #: Worker health tracker; only worker processes have one.
-        self._health = None
+        self._attempts = policy(config, "attempt")
+        beat_s = config.heartbeat_interval_s
+        #: The worker ledger.  Only worker processes beat (``heartbeat_dir``)
+        #: or take strikes (a thread settles no pid).
+        self.health = NodeHealthTracker(
+            failure_threshold=config.blacklist_failure_threshold,
+            heartbeat_timeout_s=(config.heartbeat_timeout_s or 4 * beat_s)
+            if beat_s > 0 else 0.0,
+            heartbeat_dir=heartbeat_dir,
+            blacklist_cooldown_s=config.blacklist_cooldown_s)
+        #: Worker pids seen in settled outcomes of the live pool; a thread
+        #: pool has none.
+        self._pool_pids: set = set()
         self._pool = None
         self._pool_lock = threading.Lock()
 
@@ -298,10 +279,7 @@ class Executor:
         """
         slots = self.config.num_workers \
             if self._timed or self.config.num_workers == 1 else len(drive.tasks)
-        poll = None
-        if self._timed or (self._health is not None
-                           and self._health.watches_beats):
-            poll = _POLL_S
+        poll = _POLL_S if self._timed or self.health.watches_beats else None
         try:
             while len(drive.completed) < len(drive.tasks):
                 while drive.pending and len(drive.active) < slots:
@@ -313,8 +291,7 @@ class Executor:
                                  future.result())
                 self._enforce_deadlines(drive)
                 self._launch_speculations(drive)
-                if self._health is not None:
-                    self._health.check_heartbeats()
+                self.health.check_heartbeats(self._pool_pids)
         except BaseException:
             for future in drive.active:
                 future.cancel()
@@ -347,11 +324,11 @@ class Executor:
         """Fold one finished attempt into the stage.
 
         The first result of a task wins; a later one (a speculation loser)
-        only reaches :meth:`_absorb`.  A lost map output or a corrupt
-        checkpoint will not heal on a retry — the same damaged bytes would
-        be read again — so it goes straight to the scheduler, which
-        recomputes it from lineage; any other failure is charged to the
-        task's retry budget.
+        only reaches :meth:`_absorb`.  A failure whose ledger is the stage
+        (lost map output, a corrupt checkpoint) will not heal on a retry —
+        the same damaged bytes would be read again — so it is raised to the
+        scheduler, which recomputes it from lineage; any other failure is
+        charged to the task's retry budget.
         """
         if info.index in drive.completed:
             self._absorb(outcome, None)
@@ -370,11 +347,10 @@ class Executor:
                 drive.tasks[info.index], outcome["value"], metrics)
             return
         _, message, trace = outcome["error"]
-        if "fetch_failed" in outcome:
-            raise FetchFailedError(message, *outcome["fetch_failed"])
-        if "checkpoint_failed" in outcome:
-            raise CheckpointCorruptionError(message,
-                                            *outcome["checkpoint_failed"])
+        kind, coordinates = outcome["failure"]
+        failure = FAILURES[kind]
+        if failure.ledger == "stage":
+            raise failure.detect[0](message, **coordinates)
         self._charge(drive, info.index, message, RuntimeError(trace))
 
     def _charge(self, drive: _StageDrive, index: int, reason: str,
@@ -388,7 +364,7 @@ class Executor:
         drive.failures[index] += 1
         if drive.has_active(index):
             return
-        if drive.failures[index] > self.config.max_task_retries:
+        if drive.failures[index] > self._attempts.max_retries:
             task = drive.tasks[index]
             raise TaskError(f"task {task.task_id} failed after "
                             f"{drive.failures[index]} attempts: {reason}",
@@ -598,27 +574,19 @@ class ProcessExecutor(Executor):
 
     def __init__(self, config: EngineConfig, shuffle_manager=None,
                  block_store=None, memory_manager=None, transport=None,
-                 health_tracker=None,
                  clock: Callable[[], float] = time.perf_counter):
-        super().__init__(config, clock)
-        self._shuffle_manager = shuffle_manager
-        self._block_store = block_store
-        self._memory = memory_manager
-        self._health = health_tracker
+        self._owns_transport = transport is None
         if transport is None:
             # directly constructed executors (no engine context) still need
             # somewhere for payloads and map output to live
             from .transport import LocalDirShuffleTransport
             transport = LocalDirShuffleTransport(
                 tempfile.mkdtemp(prefix="repro-transport-"))
-            self._owns_transport = True
-        else:
-            self._owns_transport = False
+        super().__init__(config, clock, heartbeat_dir=transport.heartbeat_dir)
+        self._shuffle_manager = shuffle_manager
+        self._block_store = block_store
+        self._memory = memory_manager
         self._transport = transport
-        #: Worker pids observed in settled outcomes of the current pool —
-        #: the blacklist check recycles the pool when one of them goes bad
-        #: (a ``ProcessPoolExecutor`` cannot route around a single worker).
-        self._pool_pids: set = set()
 
     # -- pool lifecycle -----------------------------------------------------
 
@@ -650,19 +618,6 @@ class ProcessExecutor(Executor):
             self._pool_pids.clear()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-
-    def _recycle_blacklisted_pool(self) -> None:
-        """Replace the pool when a blacklisted worker is (or may be) in it.
-
-        A ``ProcessPoolExecutor`` offers no per-worker routing, so "stop
-        scheduling onto a blacklisted worker" means forking a fresh pool at
-        the next stage boundary; settled tasks keep their results, and the
-        blacklisted process is simply no longer there to receive work.
-        """
-        if self._health is None or not self._health.blacklisted:
-            return
-        if any(self._health.is_blacklisted(pid) for pid in self._pool_pids):
-            self._discard_pool()
 
     def shutdown(self) -> None:
         """Join the worker processes (idempotent)."""
@@ -730,8 +685,9 @@ class ProcessExecutor(Executor):
         Blocks cached before a failure, or by a speculation loser, stay
         cached, as on the thread backend where the driver store is written
         directly.  Only a winner registers its map output: a loser's spans
-        are simply never registered.  A task failure strikes the worker's
-        health; a lost span is charged to its *producer* by the scheduler.
+        are simply never registered.  A failure whose ledger is the worker
+        strikes it; a lost span is charged to its *producer* by the
+        scheduler.
         """
         worker = outcome["worker"]
         self._pool_pids.add(worker)
@@ -753,11 +709,9 @@ class ProcessExecutor(Executor):
                 # mirroring the write-time samples thread tasks take
                 metrics.peak_shuffle_bytes = max(
                     metrics.peak_shuffle_bytes, self._memory.used_bytes)
-            if self._health is not None:
-                self._health.record_success(worker)
-        elif self._health is not None and "fetch_failed" not in outcome \
-                and "checkpoint_failed" not in outcome:
-            self._health.record_failure(worker, kind="task")
+            self.health.record_success(worker)
+        elif FAILURES[outcome["failure"][0]].ledger == "worker":
+            self.health.record_failure(worker)
 
     def execute_stage(self, tasks: Sequence[Task],
                       stage: StageMetrics) -> List[TaskResult]:
@@ -766,34 +720,40 @@ class ProcessExecutor(Executor):
         A worker that dies hard (injected crash, OOM kill) breaks the whole
         :class:`ProcessPoolExecutor`; rather than failing the job the stage
         forks a fresh pool and resubmits only its unfinished tasks, each on
-        a fresh attempt number so seeded fault decisions are re-drawn.  Up
-        to ``max_stage_retries`` such respawns are tolerated per stage, each
-        counted in ``stage.retries``.  The payload file is discarded when
-        the stage settles.
+        a fresh attempt number so seeded fault decisions are re-drawn.  The
+        stage ledger's policy bounds the respawns per stage, each counted
+        in ``stage.retries``.  The payload file is discarded when the stage
+        settles.
         """
         started = time.perf_counter()
         drive = _StageDrive(tasks, stage)
+
+        def run(attempt: int) -> List[TaskResult]:
+            try:
+                # a crash in a *previous* stage can leave the shared pool
+                # broken, surfacing only at this stage's submit
+                return self._run_stage(drive)
+            except BrokenProcessPool:
+                # tasks settled before the crash keep their results and
+                # their registered map output
+                self._discard_pool()
+                raise
+
+        def respawn(attempt: int, error: BaseException) -> None:
+            stage.retries += 1
+            drive.restart()
+
         try:
             if tasks:
-                if self._health is not None:
-                    self._health.check_heartbeats()
-                    self._recycle_blacklisted_pool()
-                drive.token = self._publish_stage(tasks)
-            pool_crashes = 0
-            while True:
-                try:
-                    # a crash in a *previous* stage can leave the shared
-                    # pool broken, surfacing only at this stage's submit
-                    return self._run_stage(drive)
-                except BrokenProcessPool:
-                    # tasks settled before the crash keep their results
-                    # and their registered map output
+                self.health.check_heartbeats(self._pool_pids)
+                # a pool cannot route around one worker: "stop scheduling
+                # onto a blacklisted worker" means forking a fresh pool at
+                # the stage boundary
+                if not self.health.blacklisted.isdisjoint(self._pool_pids):
                     self._discard_pool()
-                    pool_crashes += 1
-                    if pool_crashes > self.config.max_stage_retries:
-                        raise
-                    stage.retries += 1
-                    drive.restart()
+                drive.token = self._publish_stage(tasks)
+            return policy(self.config, "stage").run(
+                run, retry_on=FAILURES["broken_pool"].detect, on_retry=respawn)
         finally:
             if drive.token is not None:
                 self._transport.discard_stage(drive.token)
@@ -801,8 +761,7 @@ class ProcessExecutor(Executor):
 
 
 def create_executor(config: EngineConfig, shuffle_manager=None,
-                    block_store=None, memory_manager=None, transport=None,
-                    health_tracker=None):
+                    block_store=None, memory_manager=None, transport=None):
     """Build the executor ``config.executor_backend`` selects.
 
     The thread backend ignores the collaborator arguments — it shares the
@@ -812,6 +771,5 @@ def create_executor(config: EngineConfig, shuffle_manager=None,
         return ProcessExecutor(config, shuffle_manager=shuffle_manager,
                                block_store=block_store,
                                memory_manager=memory_manager,
-                               transport=transport,
-                               health_tracker=health_tracker)
+                               transport=transport)
     return Executor(config)

@@ -137,19 +137,20 @@ def decode_payload(payload: bytes, codec: int) -> bytes:
 # -- corruption fault injection ----------------------------------------------
 
 
-def should_corrupt(seed: int, rate: float, key: str) -> bool:
-    """Seeded per-write corruption decision (``EngineConfig.corruption_rate``).
+def should_inject(seed: int, rate: float, key: str) -> bool:
+    """Seeded fault-injection decision, drawn with probability ``rate``.
 
-    Mirrors the executor's ``should_inject_failure`` discipline: the
-    decision is a pure function of ``(seed, key)``, so identical runs
-    corrupt identical writes and a *re*-written payload (recomputed map
-    output, re-spilled bucket — both carry a fresh key) draws a fresh
-    decision instead of rotting forever.
+    The decision is a pure function of ``(seed, key)``, so identical runs
+    inject identical faults, while a retried attempt or a *re*-written
+    payload (recomputed map output, re-spilled bucket — both carry a fresh
+    key) draws a fresh decision instead of failing forever.
     """
-    if rate <= 0.0:
-        return False
-    rng = random.Random(f"{seed}:corrupt:{key}")
-    return rng.random() < rate
+    return rate > 0.0 and random.Random(f"{seed}:{key}").random() < rate
+
+
+def should_corrupt(seed: int, rate: float, key: str) -> bool:
+    """Seeded per-write decision of ``EngineConfig.corruption_rate``."""
+    return should_inject(seed, rate, f"corrupt:{key}")
 
 
 def corrupt_payload(payload: bytes, seed: int, key: str) -> bytes:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from types import SimpleNamespace
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 #: The levels a counter can be incremented at, lowest first.
@@ -96,6 +97,11 @@ COUNTERS = (
     # failed CRCs); each degrades to lineage recomputation
     Counter("recovery_invalid_entries", JOB),
 )
+
+
+#: Every counter as an attribute named after its run-summary key
+#: (``COUNTER.stage_retries``), for code that names one counter.
+COUNTER = SimpleNamespace(**{counter.key(JOB): counter for counter in COUNTERS})
 
 
 def _fold_plan(level: int, source: int) -> List[Any]:

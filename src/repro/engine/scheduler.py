@@ -22,10 +22,8 @@ expensive stages it can cancel.
 from __future__ import annotations
 
 import itertools
-import os
-import threading
-import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..config import EngineConfig
 from ..errors import FetchFailedError
@@ -34,7 +32,8 @@ from .dataset import (BroadcastDependency, Dataset, Dependency,
 from .executor import Task, create_executor
 from .journal import shuffle_journal_key, validate_shuffle_entry
 from .metrics import JobMetrics, PendingCounters, StageMetrics
-from .retry import RetryPolicy
+from .retry import FAILURES, policy
+from .retry import NodeHealthTracker  # noqa: F401 - still importable here
 
 #: Upper bound on accepted adaptive re-plans per job; a backstop against a
 #: (buggy) replanner oscillating between plan shapes forever.
@@ -48,149 +47,26 @@ _MAX_ADAPTIVE_REPLANS = 20
 _BROADCAST_BUILDS_LIMIT = 64
 
 
-class NodeHealthTracker:
-    """Driver-side ledger of worker health: strikes, beats, blacklist.
+def _shuffle_edges(lineage: Dataset, seen: Optional[set] = None
+                   ) -> Iterator[Tuple[Dataset, ShuffleDependency]]:
+    """Every ``(dataset, shuffle dependency)`` edge in ``lineage``, depth
+    first in dependency order."""
+    seen = set() if seen is None else seen
+    if lineage.id in seen:
+        return
+    seen.add(lineage.id)
+    for dependency in lineage.dependencies:
+        if isinstance(dependency, ShuffleDependency):
+            yield lineage, dependency
+        yield from _shuffle_edges(dependency.parent, seen)
 
-    Two signals feed it.  *Failure strikes*: the executor reports each
-    worker-attributed task failure (and the scheduler each fetch failure,
-    against the span's producer); ``blacklist_failure_threshold``
-    consecutive strikes — a success resets the count — blacklist the
-    worker.  *Heartbeats*: pool workers touch a per-pid file every
-    ``heartbeat_interval_s``; a file stale beyond ``heartbeat_timeout_s``
-    blacklists its worker directly (the timeout already encodes several
-    missed beats).  Blacklisted workers are removed from scheduling (the
-    executor recycles its pool) and their map outputs are proactively
-    invalidated and recomputed by the scheduler, which drains
-    :meth:`drain_new` between stages.  All methods are thread-safe.
 
-    With ``blacklist_cooldown_s > 0`` a blacklisting is a sentence, not a
-    verdict: once the cooldown elapses the worker is rehabilitated — it
-    leaves the blacklist with a clean strike ledger and may be scheduled
-    again.  A transient environmental glitch (disk-full, GC pause storms)
-    thus cannot permanently shrink the pool, while a genuinely sick node
-    that keeps failing simply earns its next sentence.  Expiry is checked
-    lazily against the injected clock on every query, so tests can drive
-    it with a fake clock.
-    """
-
-    def __init__(self, failure_threshold: int = 0,
-                 heartbeat_timeout_s: float = 0.0,
-                 heartbeat_dir: Optional[Callable[[], str]] = None,
-                 clock: Callable[[], float] = time.time,
-                 blacklist_cooldown_s: float = 0.0):
-        self.failure_threshold = failure_threshold
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.blacklist_cooldown_s = blacklist_cooldown_s
-        self._heartbeat_dir = heartbeat_dir
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._strikes: Dict[Any, int] = {}
-        self._blacklist: set = set()
-        self._new: List[Any] = []
-        #: worker -> clock time at which its blacklisting expires.
-        self._expiry: Dict[Any, float] = {}
-
-    @property
-    def strikes_enabled(self) -> bool:
-        """True when repeated failures can blacklist a worker."""
-        return self.failure_threshold > 0
-
-    @property
-    def watches_beats(self) -> bool:
-        """True when heartbeat staleness is being monitored."""
-        return self.heartbeat_timeout_s > 0 and self._heartbeat_dir is not None
-
-    def _add_to_blacklist(self, worker: Any) -> bool:
-        """Blacklist ``worker`` (lock held); True if newly added."""
-        if worker in self._blacklist:
-            return False
-        self._blacklist.add(worker)
-        self._new.append(worker)
-        self._strikes.pop(worker, None)
-        if self.blacklist_cooldown_s > 0:
-            self._expiry[worker] = self._clock() + self.blacklist_cooldown_s
-        return True
-
-    def _release_expired_locked(self) -> List[Any]:
-        """Rehabilitate workers whose cooldown elapsed (lock held)."""
-        if not self._expiry:
-            return []
-        now = self._clock()
-        released = [worker for worker, expires_at in self._expiry.items()
-                    if expires_at <= now]
-        for worker in released:
-            del self._expiry[worker]
-            self._blacklist.discard(worker)
-            # a rehabilitated worker starts with a clean ledger — stale
-            # strikes from before the sentence must not instantly re-convict
-            self._strikes.pop(worker, None)
-        return released
-
-    def record_failure(self, worker: Any, kind: str = "task") -> bool:
-        """Count one failure against ``worker``; True if it got blacklisted.
-
-        ``kind`` ("task" or "fetch") is informational — both feed the same
-        consecutive-strike count, per the issue's "repeated fetch/task
-        failures" rule.
-        """
-        if not self.strikes_enabled or worker is None:
-            return False
-        with self._lock:
-            self._release_expired_locked()
-            if worker in self._blacklist:
-                return False
-            self._strikes[worker] = self._strikes.get(worker, 0) + 1
-            if self._strikes[worker] >= self.failure_threshold:
-                return self._add_to_blacklist(worker)
-        return False
-
-    def record_success(self, worker: Any) -> None:
-        """A completed task resets the worker's consecutive-failure count."""
-        with self._lock:
-            self._strikes.pop(worker, None)
-
-    def is_blacklisted(self, worker: Any) -> bool:
-        with self._lock:
-            self._release_expired_locked()
-            return worker in self._blacklist
-
-    @property
-    def blacklisted(self) -> set:
-        """Snapshot of every blacklisted worker identity."""
-        with self._lock:
-            self._release_expired_locked()
-            return set(self._blacklist)
-
-    def drain_new(self) -> List[Any]:
-        """Workers blacklisted since the last drain (scheduler absorbs them)."""
-        with self._lock:
-            new, self._new = self._new, []
-            return new
-
-    def check_heartbeats(self) -> List[Any]:
-        """Blacklist workers whose beat file went stale; returns them."""
-        if not self.watches_beats:
-            return []
-        with self._lock:
-            self._release_expired_locked()
-        try:
-            entries = list(os.scandir(self._heartbeat_dir()))
-        except OSError:
-            return []
-        now = self._clock()
-        stale: List[Any] = []
-        for entry in entries:
-            try:
-                pid = int(entry.name)
-                mtime = entry.stat().st_mtime
-            except (ValueError, OSError):
-                continue
-            if now - mtime <= self.heartbeat_timeout_s:
-                continue
-            with self._lock:
-                if self._add_to_blacklist(pid):
-                    stale.append(pid)
-        return stale
+def _find_shuffle(lineage: Dataset, shuffle_id: int
+                  ) -> Optional[Tuple[Dataset, ShuffleDependency]]:
+    """The dataset in ``lineage`` reading shuffle ``shuffle_id``, and its
+    dependency on it."""
+    return next((edge for edge in _shuffle_edges(lineage)
+                 if edge[1].shuffle_id == shuffle_id), None)
 
 
 def _counted_batches(batches: Iterator[List[Any]],
@@ -312,36 +188,13 @@ class DAGScheduler:
         #: against the same build side skip the nested collection job.
         self.broadcast_builds = broadcast_builds if broadcast_builds is not None \
             else {}
-        #: Worker health ledger; only the process backend has workers whose
-        #: identity (a pid) outlives a task, so only it gets a tracker —
-        #: and only when a health knob is actually on.  Heartbeat watching
-        #: additionally needs a shared transport for the beat files.
-        self.health: Optional[NodeHealthTracker] = None
-        if config.executor_backend == "process" and \
-                (config.blacklist_failure_threshold > 0
-                 or config.heartbeat_interval_s > 0):
-            timeout = config.heartbeat_timeout_s or \
-                4 * config.heartbeat_interval_s
-            self.health = NodeHealthTracker(
-                failure_threshold=config.blacklist_failure_threshold,
-                heartbeat_timeout_s=(timeout if config.heartbeat_interval_s > 0
-                                     and transport is not None else 0.0),
-                heartbeat_dir=(transport.heartbeat_dir
-                               if transport is not None else None),
-                blacklist_cooldown_s=config.blacklist_cooldown_s)
-        #: Shared retry policy bounding the fetch-failure/lineage-recompute
-        #: loop; no backoff — the recompute itself is the wait.
-        self.stage_retry_policy = RetryPolicy(
-            max_retries=config.max_stage_retries, backoff_s=0.0,
-            seed=config.seed)
         #: Thread or process executor per ``config.executor_backend``; the
         #: process backend needs the scheduler's collaborators to publish
         #: payloads and settle worker results on the driver side.
         self.executor = create_executor(config, shuffle_manager=shuffle_manager,
                                         block_store=block_store,
                                         memory_manager=memory_manager,
-                                        transport=transport,
-                                        health_tracker=self.health)
+                                        transport=transport)
         self._job_counter = itertools.count()
         self._stage_counter = itertools.count()
 
@@ -405,19 +258,9 @@ class DAGScheduler:
         disk — only pins memory and spill files.  Complete shuffles are
         kept; their reuse across jobs is unchanged.
         """
-        seen: set = set()
-
-        def walk(node: Dataset) -> None:
-            if node.id in seen:
-                return
-            seen.add(node.id)
-            for dependency in node.dependencies:
-                if isinstance(dependency, ShuffleDependency) and \
-                        not self.shuffle_manager.is_complete(dependency.shuffle_id):
-                    self.shuffle_manager.remove_shuffle(dependency.shuffle_id)
-                walk(dependency.parent)
-
-        walk(dataset)
+        for _, dependency in _shuffle_edges(dataset):
+            if not self.shuffle_manager.is_complete(dependency.shuffle_id):
+                self.shuffle_manager.remove_shuffle(dependency.shuffle_id)
 
     # -- lineage-based fault recovery -----------------------------------------
 
@@ -440,11 +283,12 @@ class DAGScheduler:
         preserves each call site's historical accounting (failed result and
         skew stages are registered, failed map stages are not).
 
-        The loop itself is the shared :class:`~repro.engine.retry.RetryPolicy`
-        (``max_stage_retries`` attempts, no backoff): recovery — absorbing
-        any newly blacklisted workers, then recomputing the lost output —
-        runs in the policy's ``on_retry`` hook, so an unrecoverable loss
-        (unreachable lineage) aborts the loop by raising out of the hook.
+        The loop itself is the stage ledger's
+        :class:`~repro.engine.retry.RetryPolicy`: recovery — absorbing any
+        newly blacklisted workers, striking the lost span's producer, then
+        healing the lost output — runs in the policy's ``on_retry`` hook, so
+        an unrecoverable loss (unreachable lineage) aborts the loop by
+        raising out of the hook.
         """
 
         def attempt_stage(attempt: int) -> List[Any]:
@@ -467,88 +311,58 @@ class DAGScheduler:
             self._absorb_health(job, lineage)
             return results
 
-        def recover(attempt: int, error: BaseException) -> None:
+        def recover(attempt: int, error: FetchFailedError) -> None:
             job.stage_retries += 1
             self._absorb_health(job, lineage)
-            self._recover_lost_output(job, lineage, error)
+            lost = (error.shuffle_id, error.map_partition)
+            if _find_shuffle(lineage, error.shuffle_id) is None:
+                # not reachable from this lineage (stale context state):
+                # nothing to recompute from
+                raise error
+            # the producer of the unreadable span takes a strike: repeated
+            # lost output is how a worker serving rotten bytes gets
+            # blacklisted.  Only a worker process's pid is ever struck —
+            # never "driver" or "recovered"
+            producer = self.shuffle_manager.producer_of(*lost)
+            if isinstance(producer, int):
+                self.executor.health.record_failure(producer)
+            self._heal(job, lineage, [lost])
 
-        return self.stage_retry_policy.run(
-            attempt_stage, retry_on=(FetchFailedError,), on_retry=recover)
+        return policy(self.config, "stage").run(
+            attempt_stage, retry_on=FAILURES["lost_output"].detect,
+            on_retry=recover)
 
     def _absorb_health(self, job: JobMetrics, lineage: Dataset) -> None:
         """Fold newly blacklisted workers into the job and heal their output.
 
-        Every map output a blacklisted worker produced is invalidated
-        (suspect bytes must not be read again) and — when the owning
-        shuffle is reachable from the current lineage — recomputed
-        immediately, so the next stage never trips over a half-invalidated
-        shuffle.  Shuffles outside this lineage simply turn incomplete and
-        heal lazily when a later job's prerequisite walk re-runs their
-        missing partitions.
+        Suspect bytes must not be read again, so every map output a
+        blacklisted worker produced is lost.
         """
-        if self.health is None:
-            return
-        for worker in self.health.drain_new():
+        for worker in self.executor.health.drain_new():
             job.blacklisted_workers += 1
-            lost = self.shuffle_manager.invalidate_worker_outputs(worker)
-            job.lost_map_outputs += len(lost)
-            for shuffle_id in sorted({sid for sid, _ in lost}):
-                dependency = self._find_shuffle_dependency(lineage, shuffle_id)
-                if dependency is None:
-                    continue
-                missing = self.shuffle_manager.missing_map_partitions(
-                    shuffle_id)
-                job.recomputed_tasks += len(missing)
-                self._run_shuffle_stage(dependency, job, recompute=True)
+            self._heal(job, lineage, self.shuffle_manager.outputs_of(worker))
 
-    def _find_shuffle_dependency(self, lineage: Dataset,
-                                 shuffle_id: int) -> Optional[ShuffleDependency]:
-        """The lineage's shuffle dependency feeding ``shuffle_id``, if any."""
-        seen: set = set()
+    def _heal(self, job: JobMetrics, lineage: Dataset,
+              lost: List[Tuple[int, int]]) -> None:
+        """Invalidate lost ``(shuffle_id, map_partition)`` outputs, count
+        them, and recompute the missing map partitions from lineage.
 
-        def walk(node: Dataset) -> Optional[ShuffleDependency]:
-            if node.id in seen:
-                return None
-            seen.add(node.id)
-            for dependency in node.dependencies:
-                if isinstance(dependency, ShuffleDependency) and \
-                        dependency.shuffle_id == shuffle_id:
-                    return dependency
-                found = walk(dependency.parent)
-                if found is not None:
-                    return found
-            return None
-
-        return walk(lineage)
-
-    def _recover_lost_output(self, job: JobMetrics, lineage: Dataset,
-                             error: FetchFailedError) -> None:
-        """Restore one lost map output by re-running it from lineage.
-
-        Drops the stale span from the shuffle manager, then executes a
-        shuffle-map stage over only the missing map partitions of that
-        shuffle.  The recompute reads its own upstream shuffles through the
-        same recovery wrapper, so a corrupt ancestor is healed recursively
-        (bounded by lineage depth times ``max_stage_retries``).
+        Only the stale spans are dropped, and a recompute runs a shuffle-map
+        stage over just the missing partitions; it reads its own upstream
+        shuffles through the same recovery wrapper, so a corrupt ancestor is
+        healed recursively.  A shuffle this lineage does not reach simply
+        turns incomplete and heals lazily, when a later job's prerequisite
+        walk re-runs its missing partitions.
         """
-        dependency = self._find_shuffle_dependency(lineage, error.shuffle_id)
-        if dependency is None:
-            # the lost shuffle is not reachable from this lineage (stale
-            # context state); nothing to recompute from
-            raise error
-        if self.health is not None:
-            # the *producer* of the unreadable span takes the health strike
-            # — repeated fetch failures against one worker's output are how
-            # a node serving rotten bytes gets blacklisted
-            producer = self.shuffle_manager.producer_of(error.shuffle_id,
-                                                        error.map_partition)
-            self.health.record_failure(producer, kind="fetch")
-        self.shuffle_manager.invalidate_map_output(error.shuffle_id,
-                                                   error.map_partition)
-        job.lost_map_outputs += 1
-        missing = self.shuffle_manager.missing_map_partitions(error.shuffle_id)
-        job.recomputed_tasks += len(missing)
-        self._run_shuffle_stage(dependency, job, recompute=True)
+        for key in lost:
+            self.shuffle_manager.invalidate_map_output(*key)
+        job.lost_map_outputs += len(lost)
+        for shuffle_id in sorted({shuffle_id for shuffle_id, _ in lost}):
+            found = _find_shuffle(lineage, shuffle_id)
+            if found is not None:
+                job.recomputed_tasks += len(
+                    self.shuffle_manager.missing_map_partitions(shuffle_id))
+                self._run_shuffle_stage(found[1], job, recompute=True)
 
     # -- shuffle stages ----------------------------------------------------------
 
@@ -861,29 +675,9 @@ class DAGScheduler:
         self._settled_shuffles += 1
         if self._settled_shuffles % interval:
             return
-        consumer = self._find_shuffle_consumer(dataset, dependency.shuffle_id)
-        if consumer is not None:
-            self.checkpoint_hook(consumer)
-
-    def _find_shuffle_consumer(self, lineage: Dataset,
-                               shuffle_id: int) -> Optional[Dataset]:
-        """The dataset in ``lineage`` reading shuffle ``shuffle_id``."""
-        seen: set = set()
-
-        def walk(node: Dataset) -> Optional[Dataset]:
-            if node.id in seen:
-                return None
-            seen.add(node.id)
-            for dependency in node.dependencies:
-                if isinstance(dependency, ShuffleDependency) and \
-                        dependency.shuffle_id == shuffle_id:
-                    return node
-                found = walk(dependency.parent)
-                if found is not None:
-                    return found
-            return None
-
-        return walk(lineage)
+        found = _find_shuffle(dataset, dependency.shuffle_id)
+        if found is not None:
+            self.checkpoint_hook(found[0])
 
     # -- introspection ------------------------------------------------------------
 

@@ -255,10 +255,11 @@ class ShuffleManager:
         #: that worker-written map output lives in.  ``None`` on the thread
         #: backend.
         self.transport = transport
-        #: ``(shuffle_id, map_partition)`` -> producer identity (worker pid
-        #: or ``"driver"``) of externally registered map output; health
-        #: tracking uses it to blame fetch failures on the producer and to
-        #: invalidate a blacklisted worker's outputs wholesale.
+        #: ``(shuffle_id, map_partition)`` -> producer identity (worker pid,
+        #: ``"driver"`` or, for journal adoption, ``"recovered"``) of
+        #: externally registered map output; the scheduler strikes a lost
+        #: span's producer when it is a worker pid and heals a blacklisted
+        #: worker's outputs wholesale.
         self._producers: Dict[Tuple[int, int], Any] = {}
         #: Local re-reads of spilled spans that healed a transient
         #: corruption read (drained into stage metrics alongside the
@@ -687,21 +688,12 @@ class ShuffleManager:
         with self._lock:
             return self._producers.get((shuffle_id, map_partition))
 
-    def invalidate_worker_outputs(self, worker: Any) -> List[Tuple[int, int]]:
-        """Drop every map output a (blacklisted) worker produced.
-
-        Returns the ``(shuffle_id, map_partition)`` pairs actually
-        invalidated so the scheduler can count the loss and recompute the
-        affected shuffles proactively instead of waiting for reads to fail.
-        """
+    def outputs_of(self, worker: Any) -> List[Tuple[int, int]]:
+        """``(shuffle_id, map_partition)`` of every registered map output
+        ``worker`` produced."""
         with self._lock:
-            owned = [key for key, who in self._producers.items()
-                     if who == worker]
-        lost = []
-        for shuffle_id, map_partition in owned:
-            if self.invalidate_map_output(shuffle_id, map_partition):
-                lost.append((shuffle_id, map_partition))
-        return lost
+            return [key for key, who in self._producers.items()
+                    if who == worker]
 
     def _check_readable(self, shuffle_id: int) -> None:
         if shuffle_id not in self._expected_maps:

@@ -44,9 +44,10 @@ import threading
 import time
 from typing import List, Optional, Tuple
 
+from ..config import FETCH_TIMEOUT_S, EngineConfig
 from ..errors import ShuffleCorruptionError
 from .memory import corrupt_payload, load_frames_bytes, should_corrupt
-from .retry import RetryPolicy
+from .retry import FAILURES, RetryPolicy, policy
 
 #: Request header: magic, attempt, offset, length, relpath byte length.
 _REQUEST = struct.Struct("<4sBqqH")
@@ -137,18 +138,17 @@ class ShuffleServer:
         self._thread.start()
 
     def _bind(self, host: str, port: int,
-              policy: Optional[RetryPolicy]) -> socket.socket:
+              bind_policy: Optional[RetryPolicy]) -> socket.socket:
         """Bind and listen, retrying a taken port with bounded backoff.
 
         A fixed ``port`` (multi-context test rigs, quick restarts into a
         lingering TIME_WAIT socket) can transiently collide; retrying under
-        the shared :class:`RetryPolicy` rides that out.  Any other bind
-        error — permissions, bad interface — is not retried.  Exhaustion
-        raises :class:`AddressInUseError`.
+        the declared bind policy (:func:`~repro.engine.retry.policy`) rides
+        that out.  Any other bind error — permissions, bad interface — is
+        not retried.  Exhaustion raises :class:`AddressInUseError`.
         """
-        if policy is None:
-            policy = RetryPolicy(max_retries=4, backoff_s=0.05,
-                                 max_backoff_s=0.5, seed=self._seed)
+        if bind_policy is None:
+            bind_policy = policy(EngineConfig(seed=self._seed), "bind")
 
         def bind_once(attempt: int) -> socket.socket:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -165,8 +165,8 @@ class ShuffleServer:
                 raise
             return sock
 
-        return policy.run(bind_once, key=f"bind:{host}:{port}",
-                          retry_on=(AddressInUseError,))
+        return bind_policy.run(bind_once, key=f"bind:{host}:{port}",
+                               retry_on=(AddressInUseError,))
 
     def _accept_loop(self) -> None:
         while True:
@@ -284,7 +284,7 @@ class ShuffleFetchClient:
 
     def __init__(self, address: Tuple[str, int],
                  policy: Optional[RetryPolicy] = None,
-                 timeout_s: float = 5.0) -> None:
+                 timeout_s: float = FETCH_TIMEOUT_S) -> None:
         self._address = (address[0], int(address[1]))
         self._policy = policy if policy is not None else RetryPolicy()
         self._timeout_s = timeout_s
@@ -349,10 +349,8 @@ class ShuffleFetchClient:
         try:
             return self._policy.run(
                 attempt_fetch, key=key,
-                retry_on=(OSError, ShuffleCorruptionError),
+                retry_on=FAILURES["fetch_error"].detect,
                 on_retry=self._count_retry)
-        except ShuffleCorruptionError:
-            raise
         except OSError as error:
             raise ShuffleCorruptionError(
                 f"fetch of {label!r} failed after "

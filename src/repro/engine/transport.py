@@ -41,7 +41,7 @@ import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 from .memory import Span, SpillFile, check_count, load_span
-from .retry import RetryPolicy
+from .retry import RetryPolicy, policy
 
 
 class ShuffleTransport:
@@ -208,15 +208,11 @@ class TcpShuffleTransport(LocalDirShuffleTransport):
     networked = True
 
     def __init__(self, root: str, address: Tuple[str, int],
-                 policy: Optional[RetryPolicy] = None,
-                 timeout_s: float = 5.0, durable: bool = False):
+                 policy: Optional[RetryPolicy] = None, durable: bool = False):
         super().__init__(root, durable=durable)
         from .shuffle_server import ShuffleFetchClient
         self.address = (address[0], int(address[1]))
-        self._policy = policy if policy is not None else RetryPolicy()
-        self._timeout_s = timeout_s
-        self._client = ShuffleFetchClient(self.address, self._policy,
-                                          timeout_s)
+        self._client = ShuffleFetchClient(self.address, policy)
 
     def read_span(self, span: Span) -> List[Any]:
         absolute = os.path.abspath(span.path)
@@ -233,24 +229,19 @@ class TcpShuffleTransport(LocalDirShuffleTransport):
         return self._client.drain_retries()
 
     def worker_spec(self) -> Dict[str, Any]:
-        return {"mode": "tcp", "root": self.root, "address": list(self.address),
-                "timeout_s": self._timeout_s}
+        return {"mode": "tcp", "root": self.root,
+                "address": list(self.address)}
 
 
 def build_worker_transport(spec: Dict[str, Any],
                            config: Any) -> LocalDirShuffleTransport:
     """Rebuild a transport inside a forked worker from its pickled spec.
 
-    TCP workers get their own fetch client configured from the engine
-    knobs, so worker-side reduce fetches retry and back off exactly like
+    TCP workers get their own fetch client under the fetch ledger's
+    policy, so worker-side reduce fetches retry and back off exactly like
     driver-side ones.
     """
     if spec.get("mode") == "tcp":
-        policy = RetryPolicy(max_retries=config.fetch_max_retries,
-                             backoff_s=config.fetch_backoff_s,
-                             seed=config.seed)
         return TcpShuffleTransport(spec["root"], tuple(spec["address"]),
-                                   policy=policy,
-                                   timeout_s=spec.get("timeout_s",
-                                                      config.fetch_timeout_s))
+                                   policy=policy(config, "fetch"))
     return LocalDirShuffleTransport(spec["root"])

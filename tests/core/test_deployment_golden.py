@@ -6,7 +6,10 @@ and everything else is derived.  These digests were recorded on the commit
 before that change, so the derived compile must reproduce, for every spec
 below, the exact ``describe()`` text, the ``as_dict()`` payload and the
 resolved engine configuration (without ``shuffle_compression``, the field
-the same change folded into ``spill_codec="none"``).
+the same change folded into ``spill_codec="none"``, and without
+``fetch_timeout_s``, later folded into the ``FETCH_TIMEOUT_S`` constant; the
+configuration column was re-recorded with that exclusion on the commit
+before the fold).
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def digests(spec):
     deployment = CampaignCompiler().compile(spec).deployment
     config = {item.name: getattr(deployment.engine_config, item.name)
               for item in dataclasses.fields(deployment.engine_config)
-              if item.name != "shuffle_compression"}
+              if item.name not in ("shuffle_compression", "fetch_timeout_s")}
     texts = (deployment.describe(),
              json.dumps(deployment.as_dict(), sort_keys=True),
              json.dumps(config, sort_keys=True))
@@ -90,167 +93,167 @@ def digests(spec):
 #: ``name -> (describe, as_dict, engine_config)`` sha256 prefixes.
 RECORDED = {
     "churn-retention:logistic+core+recent":
-        ("3159573345a0c540", "a97242e8e33d9726", "d0b3ee26cd754e06"),
+        ("3159573345a0c540", "a97242e8e33d9726", "e89bd67636ff26a8"),
     "churn-retention:logistic+core+full":
-        ("9a46873fd1aaf2a2", "d5df28bd2c0da603", "f4d81742d4befc50"),
+        ("9a46873fd1aaf2a2", "d5df28bd2c0da603", "4e64ba731888764d"),
     "churn-retention:logistic+normalized+recent":
-        ("9f9587d35597cc65", "5c71635db0cf6942", "d0b3ee26cd754e06"),
+        ("9f9587d35597cc65", "5c71635db0cf6942", "e89bd67636ff26a8"),
     "churn-retention:logistic+normalized+full":
-        ("79e8487e49541ba7", "3eb98daf4aa97e6a", "f4d81742d4befc50"),
+        ("79e8487e49541ba7", "3eb98daf4aa97e6a", "4e64ba731888764d"),
     "churn-retention:logistic+minimal+recent":
-        ("3159573345a0c540", "e6183bff7e9b217e", "d0b3ee26cd754e06"),
+        ("3159573345a0c540", "e6183bff7e9b217e", "e89bd67636ff26a8"),
     "churn-retention:logistic+minimal+full":
-        ("9a46873fd1aaf2a2", "1ad7fe281f27e439", "f4d81742d4befc50"),
+        ("9a46873fd1aaf2a2", "1ad7fe281f27e439", "4e64ba731888764d"),
     "churn-retention:tree+core+recent":
-        ("02efdde57d64296c", "cf49a3faf777434c", "d0b3ee26cd754e06"),
+        ("02efdde57d64296c", "cf49a3faf777434c", "e89bd67636ff26a8"),
     "churn-retention:tree+core+full":
-        ("94e72c7eb2b0f780", "4fb5f067a3145087", "f4d81742d4befc50"),
+        ("94e72c7eb2b0f780", "4fb5f067a3145087", "4e64ba731888764d"),
     "churn-retention:tree+normalized+recent":
-        ("9f9da7bd3dc51eb2", "3abb97a2ed6cfb51", "d0b3ee26cd754e06"),
+        ("9f9da7bd3dc51eb2", "3abb97a2ed6cfb51", "e89bd67636ff26a8"),
     "churn-retention:tree+normalized+full":
-        ("cc7075e82a118b3c", "c847913d6c1fdb2d", "f4d81742d4befc50"),
+        ("cc7075e82a118b3c", "c847913d6c1fdb2d", "4e64ba731888764d"),
     "churn-retention:tree+minimal+recent":
-        ("02efdde57d64296c", "b2dc3e70607b271a", "d0b3ee26cd754e06"),
+        ("02efdde57d64296c", "b2dc3e70607b271a", "e89bd67636ff26a8"),
     "churn-retention:tree+minimal+full":
-        ("94e72c7eb2b0f780", "43c5ca673eeae24d", "f4d81742d4befc50"),
+        ("94e72c7eb2b0f780", "43c5ca673eeae24d", "4e64ba731888764d"),
     "churn-retention:bayes+core+recent":
-        ("87945cfbc65f77cc", "14ce00526a0ac782", "d0b3ee26cd754e06"),
+        ("87945cfbc65f77cc", "14ce00526a0ac782", "e89bd67636ff26a8"),
     "churn-retention:bayes+core+full":
-        ("f75a612c81642987", "f7ca4d56f2924a7e", "f4d81742d4befc50"),
+        ("f75a612c81642987", "f7ca4d56f2924a7e", "4e64ba731888764d"),
     "churn-retention:bayes+normalized+recent":
-        ("04052091d5babd18", "5c03278d0d943e5d", "d0b3ee26cd754e06"),
+        ("04052091d5babd18", "5c03278d0d943e5d", "e89bd67636ff26a8"),
     "churn-retention:bayes+normalized+full":
-        ("2e26bdeba9666e44", "8fb1d76b7081d629", "f4d81742d4befc50"),
+        ("2e26bdeba9666e44", "8fb1d76b7081d629", "4e64ba731888764d"),
     "churn-retention:bayes+minimal+recent":
-        ("87945cfbc65f77cc", "1843030398835e96", "d0b3ee26cd754e06"),
+        ("87945cfbc65f77cc", "1843030398835e96", "e89bd67636ff26a8"),
     "churn-retention:bayes+minimal+full":
-        ("f75a612c81642987", "275a937c7f927209", "f4d81742d4befc50"),
+        ("f75a612c81642987", "275a937c7f927209", "4e64ba731888764d"),
     "churn-retention:baseline+core+recent":
-        ("6d40b0f5cd8d3f45", "ac5a5db82cbbc7e1", "d0b3ee26cd754e06"),
+        ("6d40b0f5cd8d3f45", "ac5a5db82cbbc7e1", "e89bd67636ff26a8"),
     "churn-retention:baseline+core+full":
-        ("710eafdef997c892", "9b688f65502dcb25", "f4d81742d4befc50"),
+        ("710eafdef997c892", "9b688f65502dcb25", "4e64ba731888764d"),
     "churn-retention:baseline+normalized+recent":
-        ("209a62f26e832100", "f8efc48b7e737d60", "d0b3ee26cd754e06"),
+        ("209a62f26e832100", "f8efc48b7e737d60", "e89bd67636ff26a8"),
     "churn-retention:baseline+normalized+full":
-        ("625d6d093cea1510", "24cdb256cddca53e", "f4d81742d4befc50"),
+        ("625d6d093cea1510", "24cdb256cddca53e", "4e64ba731888764d"),
     "churn-retention:baseline+minimal+recent":
-        ("6d40b0f5cd8d3f45", "acd9097ca94b6c2c", "d0b3ee26cd754e06"),
+        ("6d40b0f5cd8d3f45", "acd9097ca94b6c2c", "e89bd67636ff26a8"),
     "churn-retention:baseline+minimal+full":
-        ("710eafdef997c892", "af89ed7bfa1f1d39", "f4d81742d4befc50"),
+        ("710eafdef997c892", "af89ed7bfa1f1d39", "4e64ba731888764d"),
     "energy-anomaly:zscore+global+batch":
-        ("8d7558376dfdcf0e", "123628cbf790fd57", "d0b3ee26cd754e06"),
+        ("8d7558376dfdcf0e", "123628cbf790fd57", "e89bd67636ff26a8"),
     "energy-anomaly:zscore+global+streaming":
-        ("0a02cc5e0e0e64df", "5ad8c40ba98b9f6c", "d0b3ee26cd754e06"),
+        ("0a02cc5e0e0e64df", "5ad8c40ba98b9f6c", "e89bd67636ff26a8"),
     "energy-anomaly:zscore+per-household+batch":
-        ("8d7558376dfdcf0e", "211d10913a8b0182", "d0b3ee26cd754e06"),
+        ("8d7558376dfdcf0e", "211d10913a8b0182", "e89bd67636ff26a8"),
     "energy-anomaly:zscore+per-household+streaming":
-        ("0a02cc5e0e0e64df", "375e790a8b5b0ddf", "d0b3ee26cd754e06"),
+        ("0a02cc5e0e0e64df", "375e790a8b5b0ddf", "e89bd67636ff26a8"),
     "energy-anomaly:zscore-sensitive+global+batch":
-        ("8d7558376dfdcf0e", "2503c52baa8f1fa1", "d0b3ee26cd754e06"),
+        ("8d7558376dfdcf0e", "2503c52baa8f1fa1", "e89bd67636ff26a8"),
     "energy-anomaly:zscore-sensitive+global+streaming":
-        ("0a02cc5e0e0e64df", "87eba533acf48e3d", "d0b3ee26cd754e06"),
+        ("0a02cc5e0e0e64df", "87eba533acf48e3d", "e89bd67636ff26a8"),
     "energy-anomaly:zscore-sensitive+per-household+batch":
-        ("8d7558376dfdcf0e", "407ce5a00a4bc8fe", "d0b3ee26cd754e06"),
+        ("8d7558376dfdcf0e", "407ce5a00a4bc8fe", "e89bd67636ff26a8"),
     "energy-anomaly:zscore-sensitive+per-household+streaming":
-        ("0a02cc5e0e0e64df", "520f56767cd1f05c", "d0b3ee26cd754e06"),
+        ("0a02cc5e0e0e64df", "520f56767cd1f05c", "e89bd67636ff26a8"),
     "energy-anomaly:iqr+global+batch":
-        ("255a717b9b618e3d", "dfde96dd3124d2bb", "d0b3ee26cd754e06"),
+        ("255a717b9b618e3d", "dfde96dd3124d2bb", "e89bd67636ff26a8"),
     "energy-anomaly:iqr+global+streaming":
-        ("0c772f33b4d2fd5f", "dcd9ca4098fdb503", "d0b3ee26cd754e06"),
+        ("0c772f33b4d2fd5f", "dcd9ca4098fdb503", "e89bd67636ff26a8"),
     "energy-anomaly:iqr+per-household+batch":
-        ("255a717b9b618e3d", "fb5a0d6afa78fd44", "d0b3ee26cd754e06"),
+        ("255a717b9b618e3d", "fb5a0d6afa78fd44", "e89bd67636ff26a8"),
     "energy-anomaly:iqr+per-household+streaming":
-        ("0c772f33b4d2fd5f", "b3763a3eca92bab7", "d0b3ee26cd754e06"),
+        ("0c772f33b4d2fd5f", "b3763a3eca92bab7", "e89bd67636ff26a8"),
     "market-basket:balanced+month":
-        ("a83a89ea125a4df0", "a26ff5ea0dbd37a7", "d0b3ee26cd754e06"),
+        ("a83a89ea125a4df0", "a26ff5ea0dbd37a7", "e89bd67636ff26a8"),
     "market-basket:balanced+quarter":
-        ("cddd6c73fa461a51", "60e04195c6db89e0", "f4d81742d4befc50"),
+        ("cddd6c73fa461a51", "60e04195c6db89e0", "4e64ba731888764d"),
     "market-basket:strict+month":
-        ("a83a89ea125a4df0", "fa28dc0436e58d0e", "d0b3ee26cd754e06"),
+        ("a83a89ea125a4df0", "fa28dc0436e58d0e", "e89bd67636ff26a8"),
     "market-basket:strict+quarter":
-        ("cddd6c73fa461a51", "8e3c886314027ca4", "f4d81742d4befc50"),
+        ("cddd6c73fa461a51", "8e3c886314027ca4", "4e64ba731888764d"),
     "market-basket:permissive+month":
-        ("a83a89ea125a4df0", "4d30ac1729fd853b", "d0b3ee26cd754e06"),
+        ("a83a89ea125a4df0", "4d30ac1729fd853b", "e89bd67636ff26a8"),
     "market-basket:permissive+quarter":
-        ("cddd6c73fa461a51", "fd3a2566e6ee0b02", "f4d81742d4befc50"),
+        ("cddd6c73fa461a51", "fd3a2566e6ee0b02", "4e64ba731888764d"),
     "patient-privacy:strict+classify":
-        ("775b138361fcfa57", "d02f73e0b84410a3", "d0b3ee26cd754e06"),
+        ("775b138361fcfa57", "d02f73e0b84410a3", "e89bd67636ff26a8"),
     "patient-privacy:strict+cost-model":
-        ("c9bcabf826dd1fc1", "81302bbe1852657e", "d0b3ee26cd754e06"),
+        ("c9bcabf826dd1fc1", "81302bbe1852657e", "e89bd67636ff26a8"),
     "patient-privacy:stronger+classify":
-        ("775b138361fcfa57", "282630e699db8a22", "d0b3ee26cd754e06"),
+        ("775b138361fcfa57", "282630e699db8a22", "e89bd67636ff26a8"),
     "patient-privacy:stronger+cost-model":
-        ("c9bcabf826dd1fc1", "96fb58ad927e928a", "d0b3ee26cd754e06"),
+        ("c9bcabf826dd1fc1", "96fb58ad927e928a", "e89bd67636ff26a8"),
     "patient-privacy:weak+classify":
-        ("542773d3f2b254e3", "7fc08956c847b623", "d0b3ee26cd754e06"),
+        ("542773d3f2b254e3", "7fc08956c847b623", "e89bd67636ff26a8"),
     "patient-privacy:weak+cost-model":
-        ("11b0b882475b2d6f", "539810276b049be0", "d0b3ee26cd754e06"),
+        ("11b0b882475b2d6f", "539810276b049be0", "e89bd67636ff26a8"),
     "web-operations:latency+local+day":
-        ("774c03ef75218660", "aaa10204156b9f6f", "d0b3ee26cd754e06"),
+        ("774c03ef75218660", "aaa10204156b9f6f", "e89bd67636ff26a8"),
     "web-operations:latency+local+week":
-        ("2494eb405aaff6ab", "1880913d37c30677", "f4d81742d4befc50"),
+        ("2494eb405aaff6ab", "1880913d37c30677", "4e64ba731888764d"),
     "web-operations:latency+small-cluster+day":
-        ("3529da7391e6aa93", "bdeb3d7f76ced41a", "f4d81742d4befc50"),
+        ("3529da7391e6aa93", "bdeb3d7f76ced41a", "4e64ba731888764d"),
     "web-operations:latency+small-cluster+week":
-        ("3529da7391e6aa93", "83d9066c3220ac1b", "f4d81742d4befc50"),
+        ("3529da7391e6aa93", "83d9066c3220ac1b", "4e64ba731888764d"),
     "web-operations:top-urls+local+day":
-        ("c3cf51b42462f155", "8b247a1ed4da58e0", "d0b3ee26cd754e06"),
+        ("c3cf51b42462f155", "8b247a1ed4da58e0", "e89bd67636ff26a8"),
     "web-operations:top-urls+local+week":
-        ("d8841cc204c237bb", "712d9ff52552f1d3", "f4d81742d4befc50"),
+        ("d8841cc204c237bb", "712d9ff52552f1d3", "4e64ba731888764d"),
     "web-operations:top-urls+small-cluster+day":
-        ("a65b0be201d50e6d", "226009a39014a155", "f4d81742d4befc50"),
+        ("a65b0be201d50e6d", "226009a39014a155", "4e64ba731888764d"),
     "web-operations:top-urls+small-cluster+week":
-        ("a65b0be201d50e6d", "918e556a5ebf1661", "f4d81742d4befc50"),
+        ("a65b0be201d50e6d", "918e556a5ebf1661", "4e64ba731888764d"),
     "web-operations:latency-anomalies+local+day":
-        ("0d71755374af81e7", "ab45f8d51f15fb68", "d0b3ee26cd754e06"),
+        ("0d71755374af81e7", "ab45f8d51f15fb68", "e89bd67636ff26a8"),
     "web-operations:latency-anomalies+local+week":
-        ("36fb8a65ab7be587", "a073f22f1705efc2", "f4d81742d4befc50"),
+        ("36fb8a65ab7be587", "a073f22f1705efc2", "4e64ba731888764d"),
     "web-operations:latency-anomalies+small-cluster+day":
-        ("46d1c2df76dec744", "df9ddf73a7ef1203", "f4d81742d4befc50"),
+        ("46d1c2df76dec744", "df9ddf73a7ef1203", "4e64ba731888764d"),
     "web-operations:latency-anomalies+small-cluster+week":
-        ("46d1c2df76dec744", "897f9f89fd2c615c", "f4d81742d4befc50"),
+        ("46d1c2df76dec744", "897f9f89fd2c615c", "4e64ba731888764d"),
     "streaming":
-        ("8710084f01b384ce", "8f4af6dedae647ce", "d0b3ee26cd754e06"),
+        ("8710084f01b384ce", "8f4af6dedae647ce", "e89bd67636ff26a8"),
     "set:broadcast_threshold_bytes":
-        ("98525ab9b39073d2", "d35b4ef7e32adc9d", "9cdfc4010e1985f2"),
+        ("98525ab9b39073d2", "d35b4ef7e32adc9d", "0924419dd3f6e366"),
     "set:target_partition_bytes":
-        ("d8ba3c1bb647335d", "77de4a04a0cf650c", "14f1c13a70f48e5d"),
+        ("d8ba3c1bb647335d", "77de4a04a0cf650c", "18ca80d2f69106a2"),
     "set:adaptive":
-        ("a8dd84c648facd4f", "335cce686e6d145b", "3e735f4184f93b0d"),
+        ("a8dd84c648facd4f", "335cce686e6d145b", "9ee1cb2a6c7ac8df"),
     "set:batch_size":
-        ("a4016fa59d58b1cb", "24cfe95c0eae464e", "81c8d0b342101259"),
+        ("a4016fa59d58b1cb", "24cfe95c0eae464e", "6c3f167bef804619"),
     "set:skew_split_factor":
-        ("c026757b1691f19b", "0d4f7f8e4de4ea90", "4abfab59b59d1319"),
+        ("c026757b1691f19b", "0d4f7f8e4de4ea90", "cef54a6c3c7e4ec3"),
     "set:skew_min_partition_bytes":
-        ("d8ba3c1bb647335d", "2fb2fd012dd5c2a7", "58495e90dbd4df8d"),
+        ("d8ba3c1bb647335d", "2fb2fd012dd5c2a7", "df26b374f057e288"),
     "set:shuffle_memory_bytes":
-        ("fb9080c3f32dcbdd", "f4b158f407bac162", "2af35cc277e111aa"),
+        ("fb9080c3f32dcbdd", "f4b158f407bac162", "2f2285603ca9062a"),
     "set:executor_backend":
-        ("3a6ac8a380085aad", "5fda50061d38dab6", "274fa7a20e0d7c1e"),
+        ("3a6ac8a380085aad", "5fda50061d38dab6", "9d552d3076a118c2"),
     "set:shuffle_transport":
-        ("227681048f4141c9", "950326dd5d392d49", "896db771cda4e1f3"),
+        ("227681048f4141c9", "950326dd5d392d49", "8175d14a3c75d97e"),
     "set:fetch_max_retries":
-        ("d8ba3c1bb647335d", "4cba73049253b2c4", "977b9e6824e81211"),
+        ("d8ba3c1bb647335d", "4cba73049253b2c4", "52c3a97308e2d37f"),
     "set:speculation_multiplier":
-        ("ff4663a98ae3f1bb", "510ea07e2568dd14", "616e72a3d88e5245"),
+        ("ff4663a98ae3f1bb", "510ea07e2568dd14", "f2df53eb636ec358"),
     "set:blacklist_failure_threshold":
-        ("d573b82043830445", "75428292bbdafdb2", "c8547e6444709913"),
+        ("d573b82043830445", "75428292bbdafdb2", "fce0178d5e09030f"),
     "set:blacklist_cooldown_s":
-        ("d8ba3c1bb647335d", "675000f995aee7aa", "415a48daac353fe1"),
+        ("d8ba3c1bb647335d", "675000f995aee7aa", "e5940ae3c3bc9310"),
     "set:checkpoint_dir":
-        ("af1be9cbf042ea59", "178b65f59b558f8f", "5a228f5e001805de"),
+        ("af1be9cbf042ea59", "178b65f59b558f8f", "8bd1c8c54522dc40"),
     "set:checkpoint_interval":
-        ("2e6cd96a1d638a77", "9401bc82cef53e38", "cb311935e3005444"),
+        ("2e6cd96a1d638a77", "9401bc82cef53e38", "20019398aafa87d5"),
     "set:recover_from":
-        ("485863d38a19fd6e", "0dcfa9f90ff2e427", "7c0037f1284da39a"),
+        ("485863d38a19fd6e", "0dcfa9f90ff2e427", "95cae618a4934785"),
     "set:max_task_retries":
-        ("d8ba3c1bb647335d", "49dcb646b02ee873", "1f8421b74a4f6974"),
+        ("d8ba3c1bb647335d", "49dcb646b02ee873", "e8446bdc6027fd18"),
     "set:failure_rate":
-        ("d8ba3c1bb647335d", "49dcb646b02ee873", "aa2ea10e979aa1da"),
+        ("d8ba3c1bb647335d", "49dcb646b02ee873", "ae9b3bf8bfe7cb32"),
     "set:seed":
-        ("d8ba3c1bb647335d", "49dcb646b02ee873", "c23e1322841f1f3c"),
+        ("d8ba3c1bb647335d", "49dcb646b02ee873", "67ac21f18c2691a4"),
     "set:all":
-        ("b4f55029bba8312b", "dbd9fb9c2d674dbe", "5ef0b816677e7f20"),
+        ("b4f55029bba8312b", "dbd9fb9c2d674dbe", "64f204060861ca89"),
 }
 
 CORPUS = dict(corpus())
