@@ -65,9 +65,13 @@ from .memory import Span, verify_span
 #: ``repr(source)`` of version 2 — covers a source's seed, parameters and
 #: data; version 4 records checkpoints as span lists, like shuffles;
 #: version 5 records each shuffle map's key sample; version 6 replaces the
-#: whole JSON document with one appended line per record.  Older journals
-#: are discarded as a cold start.
-JOURNAL_VERSION = 6
+#: whole JSON document with one appended line per record; version 7 marks
+#: the hash placement under which equal keys share a partition across
+#: numeric types (``True``/``1``/``1.0``, ``-1.0``/``-1``) and NaN has one
+#: partition — a shuffle output adopted from an older journal would split
+#: such keys from the ones recomputed now.  Older journals are discarded as
+#: a cold start.
+JOURNAL_VERSION = 7
 
 #: File name of the journal inside ``checkpoint_dir``.
 JOURNAL_NAME = "journal.json"

@@ -2,6 +2,17 @@
 
 They are used by every wide (shuffle) transformation: ``group_by_key``,
 ``reduce_by_key``, ``join``, ``distinct``, ``sort_by`` and ``repartition``.
+
+Placement contract: keys that compare equal share a partition, whatever
+their numeric type — ``1``, ``True`` and ``1.0`` are one key to every keyed
+operator, as they are to a Python dict — and every NaN key lands in one
+partition, on every attempt and in every process.
+
+A map task places a whole batch at once with the function
+:meth:`Partitioner.task_partitions_of` returns; by definition it equals
+mapping the per-task assignment (:meth:`Partitioner.task_partition_for`)
+over the keys, and :meth:`Partitioner.partition_for` stays the per-key
+definition.
 """
 
 from __future__ import annotations
@@ -19,16 +30,19 @@ def _stable_hash(value: Any) -> int:
 
     Python's built-in ``hash`` is randomised per process for strings; the
     engine needs run-to-run stable placement so that tests and benchmarks are
-    reproducible.  Tuples and frozensets are hashed structurally.
+    reproducible.  Tuples and frozensets are hashed structurally.  Equal keys
+    hash alike across numeric types: a ``bool`` or an integral float hashes
+    as the int it equals, and NaN (whose built-in hash is its object
+    identity) hashes to 0.
     """
     if value is None:
         return 0
-    if isinstance(value, bool):
-        return int(value) + 1
     if isinstance(value, int):
         return value & 0x7FFFFFFF
     if isinstance(value, float):
-        return hash(value) & 0x7FFFFFFF
+        if value.is_integer():
+            return int(value) & 0x7FFFFFFF
+        return 0 if value != value else hash(value) & 0x7FFFFFFF
     if isinstance(value, str):
         acc = 2166136261
         for ch in value:
@@ -76,6 +90,12 @@ class Partitioner:
         """
         return self.partition_for
 
+    def task_partitions_of(self) -> Callable[[Sequence[Any]], List[int]]:
+        """Return the batch form of :meth:`task_partition_for`: one task's
+        function from a batch of keys to their partition indices."""
+        assign = self.task_partition_for()
+        return lambda keys: list(map(assign, keys))
+
     def fingerprint(self) -> Optional[str]:
         """Content identity: the class and every attribute.
 
@@ -97,6 +117,17 @@ class HashPartitioner(Partitioner):
 
     def partition_for(self, key: Any) -> int:
         return _stable_hash(key) % self.num_partitions
+
+    def task_partitions_of(self) -> Callable[[Sequence[Any]], List[int]]:
+        return self._partitions_of
+
+    def _partitions_of(self, keys: Sequence[Any]) -> List[int]:
+        # the batch's key types are read at C level: an all-int batch (bool
+        # is its own type) hashes inline, any other one per key
+        n = self.num_partitions
+        if set(map(type, keys)) == {int}:
+            return [(key & 0x7FFFFFFF) % n for key in keys]
+        return [_stable_hash(key) % n for key in keys]
 
     def __repr__(self) -> str:
         return f"HashPartitioner({self.num_partitions})"
@@ -138,6 +169,14 @@ class RangePartitioner(Partitioner):
         if not self.ascending:
             index = len(self.boundaries) - index
         return max(0, min(self.num_partitions - 1, index))
+
+    def task_partitions_of(self) -> Callable[[Sequence[Any]], List[int]]:
+        if not self.ascending or len(self.boundaries) >= self.num_partitions:
+            return super().task_partitions_of()
+        # ascending with at most n - 1 boundaries: the index needs no clamp
+        boundaries, bisect_right = self.boundaries, bisect.bisect_right
+        return lambda keys: [bisect_right(boundaries, projected)
+                             for projected in map(self.key_func, keys)]
 
     def __repr__(self) -> str:
         return (f"RangePartitioner({self.num_partitions}, "

@@ -98,7 +98,8 @@ def estimate_bytes(records: Sequence[Any], codec: Optional[int] = None) -> int:
     sample = _stride_sample(records, _SAMPLE_SIZE)
     fallback = False
     try:
-        sample_bytes = len(pickle.dumps(sample, protocol=pickle.HIGHEST_PROTOCOL))
+        raw = pickle.dumps(sample, protocol=pickle.HIGHEST_PROTOCOL)
+        sample_bytes = len(raw)
     except Exception:
         sample_bytes = sum(len(repr(record)) for record in sample)
         fallback = True
@@ -108,9 +109,10 @@ def estimate_bytes(records: Sequence[Any], codec: Optional[int] = None) -> int:
         if codec is None:
             codec = resolve_codec()
         if codec != CODEC_NONE:
-            ratio_sample = _stride_sample(records, _RATIO_SAMPLE_SIZE)
-            raw = pickle.dumps(ratio_sample,
-                               protocol=pickle.HIGHEST_PROTOCOL)
+            if len(records) > _SAMPLE_SIZE:
+                # a smaller bucket is its own ratio sample, pickled above
+                raw = pickle.dumps(_stride_sample(records, _RATIO_SAMPLE_SIZE),
+                                   protocol=pickle.HIGHEST_PROTOCOL)
             ratio = min(1.0, len(encode_payload(raw, codec)) / max(1, len(raw)))
             total = int(total * ratio)
     return max(1, total)

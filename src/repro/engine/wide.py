@@ -41,6 +41,7 @@ and closure cells.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
@@ -64,6 +65,11 @@ class WideOperator(NamedTuple):
     combine: bool = False
 
 
+#: What a keyed fold's single ``dict.get`` probe returns for a new key (a
+#: combiner may be any value, ``None`` included).
+_MISSING = object()
+
+
 def _identity(value: Any) -> Any:
     return value
 
@@ -85,14 +91,18 @@ def _first_appearances(streams: List[Iterable[Any]]) -> Iterator[Any]:
 
 
 def _distinct(records: Iterable[Any]) -> List[Any]:
-    return list(_first_appearances([records]))
+    return list(dict.fromkeys(records))
 
 
 def _group(pairs: Iterable[Any]) -> Dict[Any, List[Any]]:
     grouped: Dict[Any, List[Any]] = {}
-    setdefault = grouped.setdefault
+    get = grouped.get
     for key, value in pairs:
-        setdefault(key, []).append(value)
+        values = get(key)
+        if values is None:
+            grouped[key] = [value]
+        else:
+            values.append(value)
     return grouped
 
 
@@ -110,12 +120,12 @@ def _merge_by_key(merge_combiners, streams: List[Iterable[Any]]) -> Dict[Any, An
     """Merge ``(key, combiner)`` streams in order: first-appearance key
     order, each key's combiners merged left to right."""
     merged: Dict[Any, Any] = {}
+    get = merged.get
     for stream in streams:
         for key, combiner in stream:
-            if key in merged:
-                merged[key] = merge_combiners(merged[key], combiner)
-            else:
-                merged[key] = combiner
+            current = get(key, _MISSING)
+            merged[key] = (combiner if current is _MISSING
+                           else merge_combiners(current, combiner))
     return merged
 
 
@@ -150,11 +160,11 @@ def _aggregate(create_combiner, merge_value, merge_combiners,
                trusted: bool) -> WideOperator:
     def fold(pairs: Iterable[Any]) -> Dict[Any, Any]:
         folded: Dict[Any, Any] = {}
+        get = folded.get
         for key, value in pairs:
-            if key in folded:
-                folded[key] = merge_value(folded[key], value)
-            else:
-                folded[key] = create_combiner(value)
+            combiner = get(key, _MISSING)
+            folded[key] = (create_combiner(value) if combiner is _MISSING
+                           else merge_value(combiner, value))
         return folded
 
     merge = functools.partial(_merge_by_key, merge_combiners) if trusted else None
@@ -215,28 +225,32 @@ def map_side(op: WideOperator, partitioner, tag: int):
     """The map side of dependency ``tag``: fold if combining, then bucket.
 
     Consumes one parent partition's batches and returns ``{reduce
-    partition: [records]}``; the buckets do not depend on how the records
-    were batched.  The assignment function is taken per invocation
-    (:meth:`~repro.engine.partitioner.Partitioner.task_partition_for`), so
+    partition: [records]}`` in the order the partitions first appear (spill
+    victims are chosen in that order); the buckets do not depend on how the
+    records were batched.  Each batch is placed at once: the partitioner
+    turns its keys into a pid list and every row is appended to its
+    partition's bucket.  The placement function is taken per invocation
+    (:meth:`~repro.engine.partitioner.Partitioner.task_partitions_of`), so
     a recomputed map task rebuilds byte-identical buckets.
     """
 
-    def bucket(batches: Iterable[List[Any]]) -> Dict[int, List[Any]]:
-        records: Iterable[Any] = itertools.chain.from_iterable(batches)
+    def bucket(batches: Iterable[Iterable[Any]]) -> Dict[int, List[Any]]:
         if op.combine:
-            records = op.finish(op.fold(records))
-        partition_for = partitioner.task_partition_for()
+            batches = [op.finish(op.fold(itertools.chain.from_iterable(batches)))]
+        partitions_of = partitioner.task_partitions_of()
         buckets: Dict[int, List[Any]] = {}
-        setdefault = buckets.setdefault
-        if op.route == RECORD:
-            for record in records:
-                setdefault(partition_for(record), []).append(record)
-        elif op.route == KEY:
-            for key, value in records:
-                setdefault(partition_for(key), []).append((key, value))
-        else:
-            for key, value in records:
-                setdefault(partition_for(key), []).append((key, tag, value))
+        for batch in batches:
+            rows = batch if type(batch) is list else list(batch)
+            keys = rows if op.route == RECORD else [key for key, _ in rows]
+            if op.route == TAGGED:
+                rows = [(key, tag, value) for key, value in rows]
+            elif op.route == KEY and set(map(type, rows)) != {tuple}:
+                rows = [(key, value) for key, value in rows]
+            pids = partitions_of(keys)
+            for pid in dict.fromkeys(pids):
+                buckets.setdefault(pid, [])
+            collections.deque(map(list.append, map(buckets.__getitem__, pids),
+                                  rows), maxlen=0)
         return buckets
 
     return bucket

@@ -116,10 +116,14 @@ def test_load_journal_state_treats_damage_as_absence(tmp_path):
     assert load_journal_state(str(tmp_path)) is None
     path.write_bytes(b'[1, 2, 3]')
     assert load_journal_state(str(tmp_path)) is None
-    # a header cut before its newline is no header
-    path.write_bytes(b'{"version":6}')
-    assert load_journal_state(str(tmp_path)) is None
+    # version-6 shuffle outputs placed bool, integral-float and NaN keys
+    # apart from the equal keys a resumed run places now
     path.write_bytes(b'{"version":6}\n')
+    assert load_journal_state(str(tmp_path)) is None
+    # a header cut before its newline is no header
+    path.write_bytes(b'{"version":7}')
+    assert load_journal_state(str(tmp_path)) is None
+    path.write_bytes(b'{"version":7}\n')
     assert load_journal_state(str(tmp_path)) == {"shuffles": {},
                                                  "checkpoints": {}}
 
@@ -159,7 +163,7 @@ def test_journal_records_reload_across_instances(tmp_path):
 def test_journal_appends_one_line_per_change(tmp_path):
     path = tmp_path / JOURNAL_NAME
     journal = JobJournal(str(tmp_path))
-    assert path.read_bytes() == b'{"version":6}\n'
+    assert path.read_bytes() == b'{"version":7}\n'
     first = [Span(str(tmp_path / "p0.data"), 0, 9, 3)]
     journal.record_checkpoint("ckpt-key", "ds", first)
     recorded = path.read_bytes()
