@@ -18,7 +18,7 @@ from ..config import DEFAULT_ENGINE_CONFIG, EngineConfig
 from ..errors import (CheckpointCorruptionError, ConfigurationError,
                       EngineError, SourceError)
 from .dataset import (CheckpointEntry, Dataset, ParallelCollectionDataset,
-                      SourceDataset, collect_partition)
+                      SourceDataset)
 from .journal import JobJournal, load_journal_state, validate_checkpoint_entry
 from .memory import MemoryManager, SpillFile, resolve_codec
 from .metrics import MetricsRegistry, PendingCounters
@@ -227,8 +227,7 @@ class EngineContext:
         if self._adopt_recovered_checkpoint(dataset, key):
             return
         path = os.path.join(self.checkpoints_dir(), f"ds-{dataset.id}.data")
-        partials = self.run_job(dataset, collect_partition,
-                                description=f"checkpoint:{dataset.name}")
+        partials = dataset._run("checkpoint")
         with SpillFile(path, resolve_codec(self.config.spill_codec)) as writer:
             spans = [writer.append(records) for records in partials]
             writer.sync()

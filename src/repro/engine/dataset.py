@@ -3,24 +3,26 @@
 A :class:`Dataset` is an immutable description of a distributed collection:
 it knows how many partitions it has, which parent datasets it derives from,
 and how to compute one of its partitions given its parents.  Narrow
-transformations (``map``, ``filter`` ...) are pipelined inside a single task;
-wide transformations (``group_by_key``, ``join``, ``sort_by`` ...) introduce a
-shuffle boundary handled by the scheduler.
+transformations are pipelined inside a single task: every ``map``,
+``filter``, ``flat_map`` and ``project`` is a :class:`FusedDataset` (one
+stage, or a chain the optimizer fused); wide transformations
+(``group_by_key``, ``join``, ``sort_by`` ...) are declared in
+:data:`repro.engine.wide.OPERATORS` and introduce a shuffle boundary handled
+by the scheduler.
 
 Nothing is computed until an *action* (``collect``, ``count``, ``reduce`` ...)
-is invoked, at which point the owning :class:`repro.engine.context.EngineContext`
-runs a job through its scheduler and executor.
+is invoked.  Each action is one row of :data:`repro.engine.wide.ACTIONS`,
+run by :meth:`Dataset._run` as one job of its kernel through the owning
+:class:`repro.engine.context.EngineContext` (its scheduler and executor), a
+fold of its merge and its finish.
 """
 
 from __future__ import annotations
 
-import functools
-import heapq
+import copy
 import itertools
 import math
-import operator
 import random
-from collections import Counter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Tuple)
 
@@ -33,6 +35,8 @@ from .fingerprint import dataset_fingerprint
 from .memory import CODEC_NONE, Span, SpillRun, load_span
 from .metrics import TaskContext
 from .partitioner import HashPartitioner, Partitioner, RangePartitioner, RoundRobinPartitioner
+from .wide import (batch_action, collect_partition, count_values_partition,  # noqa: F401
+                   stats_partition, sum_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +46,10 @@ from .partitioner import HashPartitioner, Partitioner, RangePartitioner, RoundRo
 # at most ``EngineConfig.batch_size`` records (or, from a pruned scan,
 # :class:`~repro.engine.columnar.ColumnBatch` vectors).  Every operator
 # computes a partition one way, ``Dataset.compute_batches``; a consumer that
-# wants records (a ``map_partitions`` UDF, an action without a batch form)
-# gets the batches flattened by ``Dataset.iterator``.
+# wants records (a ``map_partitions`` UDF, a plain ``run_job`` function)
+# gets the batches flattened by ``Dataset.iterator``.  Every action is a row
+# of :data:`repro.engine.wide.ACTIONS` whose batch kernel gets the batches
+# themselves (the kernels are re-exported here).
 # ---------------------------------------------------------------------------
 
 
@@ -61,83 +67,6 @@ def chunk_iterator(iterator: Iterator[Any], batch_size: int) -> Iterator[List[An
         if not batch:
             return
         yield batch
-
-
-def batch_action(func: Callable[[Iterator[List[Any]]], Any]):
-    """Mark an action's partition function as consuming batches.
-
-    A result task hands such a function the partition's batch iterator;
-    every other action function receives the flattened records.
-    """
-    func.consumes_batches = True
-    return func
-
-
-@batch_action
-def collect_partition(batches: Iterable[List[Any]]) -> List[Any]:
-    """Result-side of ``collect``: materialise the partition."""
-    records: List[Any] = []
-    extend = records.extend
-    for batch in batches:
-        extend(batch)
-    return records
-
-
-@batch_action
-def count_partition(batches: Iterable[List[Any]]) -> int:
-    """Result-side of ``count``: tally the partition's records."""
-    return sum(map(len, batches))
-
-
-# The numeric actions below fold each batch with one C-level builtin per
-# accumulator.  Builtin ``sum``/``min``/``max`` apply the same two-argument
-# operations, in the same order, as the per-record folds they replace, so
-# the results are those folds' bit for bit -- except that from CPython 3.12
-# ``sum`` compensates float addition, so a float total may differ from the
-# plain left-to-right fold in its last bits.
-
-
-@batch_action
-def count_values_partition(batches: Iterable[List[Any]]) -> Counter:
-    """Result-side of ``count_by_value``: records to multiplicities."""
-    counts: Counter = Counter()
-    for batch in batches:
-        counts.update(batch)
-    return counts
-
-
-def sum_partition(start: Any):
-    """Result-side of ``sum``/``mean``: ``(fold of + from start, count)``."""
-    @batch_action
-    def partition(batches: Iterable[List[Any]]) -> Tuple[Any, int]:
-        total, count = start, 0
-        for batch in batches:
-            total = sum(batch, total)
-            count += len(batch)
-        return total, count
-    return partition
-
-
-@batch_action
-def stats_partition(batches: Iterable[List[Any]]) -> Tuple:
-    """Result-side of ``stats``: ``(count, total, total_sq, min, max, nan)``.
-
-    Chaining the running extreme in front of a batch reproduces the
-    sequential two-argument ``min``/``max`` fold exactly.  ``nan`` says the
-    partition holds a NaN; only a batch that leaves the total NaN (a NaN,
-    or ``inf`` meeting ``-inf``) is scanned for one.
-    """
-    count, total, total_sq, minimum, maximum, nan = 0, 0.0, 0.0, None, None, False
-    for batch in batches:
-        lows, highs = ((minimum,), (maximum,)) if count else ((), ())
-        minimum = min(itertools.chain(lows, batch), default=None)
-        maximum = max(itertools.chain(highs, batch), default=None)
-        count += len(batch)
-        total = sum(batch, total)
-        total_sq = sum(map(operator.mul, batch, batch), total_sq)
-        if total != total and not nan:
-            nan = any(value != value for value in batch)
-    return count, total, total_sq, minimum, maximum, nan
 
 
 # ---------------------------------------------------------------------------
@@ -294,36 +223,16 @@ class BroadcastDependency(Dependency):
     """The child needs the *whole* parent collected into a driver-side value.
 
     The DAG scheduler fills the :class:`Broadcast` holder (running the parent
-    as a nested job) before any task of the child executes.  ``kind`` selects
-    what is collected from the parent's key-value records:
-
-    ``key_values``
-        ``{key: [value, ...]}`` — the hash table of a broadcast join build side.
-    ``key_set``
-        ``{key, ...}`` — used to emit unmatched build-side rows of outer joins.
+    as a nested job) before any task of the child executes, collecting it
+    with the row ``action`` of :data:`~repro.engine.wide.ACTIONS`:
+    ``key_values``, the hash table of a broadcast join build side, or
+    ``key_set``, used to emit unmatched build-side rows of outer joins.
     """
 
-    KINDS = ("key_values", "key_set")
-
-    def __init__(self, parent: "Dataset", holder: Broadcast, kind: str):
+    def __init__(self, parent: "Dataset", holder: Broadcast, action: str):
         super().__init__(parent)
-        if kind not in self.KINDS:
-            raise PlanError(f"unknown broadcast collection kind {kind!r}")
         self.holder = holder
-        self.kind = kind
-
-    def collect(self, iterator: Iterator[Any]) -> Any:
-        """Per-partition collection function, run as a result task: the
-        group fold, or the partition's key set."""
-        if self.kind == "key_values":
-            return wide.GROUP.fold(iterator)
-        return {key for key, _ in iterator}
-
-    def assemble(self, partials: List[Any]) -> Any:
-        """Merge the per-partition payloads into the broadcast value."""
-        if self.kind == "key_values":
-            return wide.GROUP.merge([partial.items() for partial in partials])
-        return set().union(*partials)
+        self.action = action
 
 
 # ---------------------------------------------------------------------------
@@ -655,16 +564,18 @@ class Dataset:
 
     def map(self, func: Callable[[Any], Any]) -> "Dataset":
         """Apply ``func`` to every record."""
-        return MappedDataset(self, func)._attach_plan(logical.MapNode, func)
+        return FusedDataset(self, [("map", func)])._attach_plan(
+            logical.MapNode, func)
 
     def filter(self, predicate: Callable[[Any], bool]) -> "Dataset":
         """Keep only the records for which ``predicate`` is true."""
-        return FilteredDataset(self, predicate)._attach_plan(
+        return FusedDataset(self, [("filter", predicate)])._attach_plan(
             logical.FilterNode, predicate)
 
     def flat_map(self, func: Callable[[Any], Iterable[Any]]) -> "Dataset":
         """Apply ``func`` to every record and flatten the resulting iterables."""
-        return FlatMappedDataset(self, func)._attach_plan(logical.FlatMapNode, func)
+        return FusedDataset(self, [("flat_map", func)])._attach_plan(
+            logical.FlatMapNode, func)
 
     def project(self, fields: Iterable[str]) -> "Dataset":
         """Keep only the listed fields of dict records.
@@ -673,9 +584,8 @@ class Dataset:
         optimizer, which can push it below shuffle boundaries.
         """
         fields = list(fields)
-        ds = MappedDataset(self, field_projector(fields))
-        ds.name = "project"
-        return ds._attach_plan(logical.ProjectNode, fields)
+        return FusedDataset(self, [("project", field_projector(fields))])._attach_plan(
+            logical.ProjectNode, fields)
 
     def map_partitions(self, func: Callable[[Iterator[Any]], Iterable[Any]]) -> "Dataset":
         """Apply ``func`` to the whole iterator of each partition."""
@@ -708,11 +618,8 @@ class Dataset:
         must not shift records between partitions under the offsets.
         """
         pinned = self.ctx._executable_for(self)
-        sizes = self.ctx.run_job(self, count_partition,
-                                 description=f"zip_with_index sizes of {self.name}")
-        offsets = [0]
-        for size in sizes[:-1]:
-            offsets.append(offsets[-1] + size)
+        sizes = self._run("zip_with_index")
+        offsets = [0, *itertools.accumulate(sizes[:-1])]
 
         def add_index(index: int, iterator: Iterator[Any]) -> Iterator[Any]:
             for position, record in enumerate(iterator):
@@ -813,9 +720,14 @@ class Dataset:
     def aggregate_by_key(self, zero: Any, seq_func: Callable[[Any, Any], Any],
                          comb_func: Callable[[Any, Any], Any],
                          num_partitions: Optional[int] = None) -> "Dataset":
-        """Aggregate the values of each key starting from a neutral element."""
-        return self.combine_by_key(lambda value: seq_func(zero, value),
-                                   seq_func, comb_func, num_partitions)
+        """Aggregate the values of each key starting from a neutral element.
+
+        Every key starts from its own deep copy of ``zero``, so a mutable
+        zero is never shared between keys.
+        """
+        return self.combine_by_key(
+            lambda value: seq_func(copy.deepcopy(zero), value),
+            seq_func, comb_func, num_partitions)
 
     def sort_by(self, key_func: Callable[[Any], Any], ascending: bool = True,
                 num_partitions: Optional[int] = None,
@@ -912,11 +824,17 @@ class Dataset:
 
     # -- actions ----------------------------------------------------------------
 
+    def _run(self, action: str, *args: Any,
+             partitions: Optional[List[int]] = None) -> Any:
+        """The one action runner: the row ``action`` of
+        :data:`~repro.engine.wide.ACTIONS`, declared with ``args``, run as
+        one job of its kernel, a fold of its merge and its finish."""
+        return wide.ACTIONS[action](*args).run(self.ctx.run_job, self,
+                                               partitions)
+
     def collect(self) -> List[Any]:
         """Return every record as a local list."""
-        partitions = self.ctx.run_job(self, collect_partition,
-                                      description=f"collect {self.name}")
-        return list(itertools.chain.from_iterable(partitions))
+        return self._run("collect")
 
     def collect_as_map(self) -> Dict[Any, Any]:
         """Collect key-value pairs into a dict (later keys overwrite earlier)."""
@@ -924,23 +842,11 @@ class Dataset:
 
     def count(self) -> int:
         """Return the number of records."""
-        partitions = self.ctx.run_job(self, count_partition,
-                                      description=f"count {self.name}")
-        return sum(partitions)
+        return self._run("count")
 
     def count_by_value(self) -> Dict[Any, int]:
         """Return a dict mapping each distinct record to its multiplicity."""
-        return self._merged_counts(count_values_partition)
-
-    def _merged_counts(self, kernel) -> Dict[Any, int]:
-        """Run a ``count_by_value`` job and merge its per-partition counts."""
-        partials = self.ctx.run_job(self, kernel,
-                                    description=f"count_by_value {self.name}")
-        merged: Dict[Any, int] = {}
-        for partial in partials:
-            for key, value in partial.items():
-                merged[key] = merged.get(key, 0) + value
-        return merged
+        return self._run("count_by_value")
 
     def count_by_key(self) -> Dict[Any, int]:
         """Count records per key of a key-value dataset."""
@@ -955,106 +861,57 @@ class Dataset:
 
     def take(self, n: int) -> List[Any]:
         """Return the first ``n`` records, scanning as few partitions as possible."""
-        if n <= 0:
-            return []
         collected: List[Any] = []
         for partition in range(self.num_partitions):
-            needed = n - len(collected)
-            if needed <= 0:
+            if len(collected) >= n:
                 break
-            results = self.ctx.run_job(
-                self, lambda it, needed=needed: list(itertools.islice(it, needed)),
-                partitions=[partition], description=f"take {self.name}")
-            collected.extend(results[0])
-        return collected[:n]
+            collected += self._run("take", n - len(collected),
+                                   partitions=[partition])
+        return collected
 
     def top(self, n: int, key: Callable[[Any], Any] = None) -> List[Any]:
         """Return the ``n`` largest records according to ``key``."""
-        def top_partition(iterator: Iterator[Any]) -> List[Any]:
-            return heapq.nlargest(n, iterator, key=key)
-        partials = self.ctx.run_job(self, top_partition,
-                                    description=f"top {self.name}")
-        return heapq.nlargest(n, itertools.chain.from_iterable(partials), key=key)
+        return self._run("top", n, key)
 
     def reduce(self, func: Callable[[Any, Any], Any]) -> Any:
         """Reduce all records with an associative binary function."""
-        def reduce_partition(iterator: Iterator[Any]) -> List[Any]:
-            accumulator = None
-            empty = True
-            for record in iterator:
-                if empty:
-                    accumulator = record
-                    empty = False
-                else:
-                    accumulator = func(accumulator, record)
-            return [] if empty else [accumulator]
-        partials = self.ctx.run_job(self, reduce_partition,
-                                    description=f"reduce {self.name}")
-        flattened = list(itertools.chain.from_iterable(partials))
-        if not flattened:
-            raise PlanError(f"cannot reduce empty dataset {self.name}")
-        accumulator = flattened[0]
-        for value in flattened[1:]:
-            accumulator = func(accumulator, value)
-        return accumulator
+        return self._run("reduce", func)
 
     def fold(self, zero: Any, func: Callable[[Any, Any], Any]) -> Any:
-        """Reduce with a neutral element (safe on empty datasets)."""
-        def fold_partition(iterator: Iterator[Any]) -> Any:
-            accumulator = zero
-            for record in iterator:
-                accumulator = func(accumulator, record)
-            return accumulator
-        partials = self.ctx.run_job(self, fold_partition,
-                                    description=f"fold {self.name}")
-        # combine the per-partition results without re-applying the zero value,
-        # so fold(z, f) over an empty dataset returns z exactly once
-        accumulator = partials[0]
-        for value in partials[1:]:
-            accumulator = func(accumulator, value)
-        return accumulator
+        """Reduce with a neutral element (safe on empty datasets).
+
+        Each partition folds into its own deep copy of ``zero``; the
+        partition results are combined without re-applying it, so over an
+        empty dataset the answer is the zero exactly once.
+        """
+        return self._run("fold", zero, func)
 
     def aggregate(self, zero: Any, seq_func: Callable[[Any, Any], Any],
                   comb_func: Callable[[Any, Any], Any]) -> Any:
-        """Aggregate with different intra- and inter-partition functions."""
-        def aggregate_partition(iterator: Iterator[Any]) -> Any:
-            accumulator = zero
-            for record in iterator:
-                accumulator = seq_func(accumulator, record)
-            return accumulator
-        partials = self.ctx.run_job(self, aggregate_partition,
-                                    description=f"aggregate {self.name}")
-        accumulator = zero
-        for value in partials:
-            accumulator = comb_func(accumulator, value)
-        return accumulator
+        """Aggregate with different intra- and inter-partition functions.
+
+        Each partition, and the driver's combination of the partition
+        results, starts from its own deep copy of ``zero``.
+        """
+        return self._run("aggregate", zero, seq_func, comb_func)
 
     def sum(self) -> float:
         """Sum numeric records."""
-        partials = self.ctx.run_job(self, sum_partition(0),
-                                    description=f"fold {self.name}")
-        return functools.reduce(operator.add, [total for total, _ in partials])
+        return self._run("sum")
 
     def mean(self) -> float:
         """Arithmetic mean of numeric records."""
-        partials = self.ctx.run_job(self, sum_partition(0.0),
-                                    description=f"aggregate {self.name}")
-        total, count = functools.reduce(
-            lambda left, right: (left[0] + right[0], left[1] + right[1]),
-            partials, (0.0, 0))
-        if count == 0:
-            raise PlanError(f"cannot take the mean of empty dataset {self.name}")
-        return total / count
+        return self._run("mean")
 
     def min(self, key: Callable[[Any], Any] = None) -> Any:
-        """Smallest record."""
-        key = key or (lambda value: value)
-        return self.reduce(lambda left, right: left if key(left) <= key(right) else right)
+        """Smallest record: the first of equal ones, or, like ``stats()``,
+        the first record whose key is NaN when there is one."""
+        return self._run("min", key)
 
     def max(self, key: Callable[[Any], Any] = None) -> Any:
-        """Largest record."""
-        key = key or (lambda value: value)
-        return self.reduce(lambda left, right: left if key(left) >= key(right) else right)
+        """Largest record: the first of equal ones, or, like ``stats()``,
+        the first record whose key is NaN when there is one."""
+        return self._run("max", key)
 
     def stats(self) -> Dict[str, float]:
         """Count, mean, min, max, variance, stdev and sum of numeric records.
@@ -1063,28 +920,7 @@ class Dataset:
         record makes every statistic but ``count`` NaN, and an infinite
         record (with no NaN) leaves ``variance`` and ``stdev`` NaN.
         """
-        def comb(left, right):
-            if left[0] == 0:
-                return right
-            if right[0] == 0:
-                return left
-            return (left[0] + right[0], left[1] + right[1], left[2] + right[2],
-                    min(left[3], right[3]), max(left[4], right[4]),
-                    left[5] or right[5])
-
-        partials = self.ctx.run_job(self, stats_partition,
-                                    description=f"aggregate {self.name}")
-        count, total, total_sq, minimum, maximum, nan = functools.reduce(
-            comb, partials, (0, 0.0, 0.0, None, None, False))
-        if count == 0:
-            return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                    "variance": 0.0, "stdev": 0.0, "sum": 0.0}
-        if nan:
-            minimum = maximum = math.nan
-        mean = total / count
-        variance = max(total_sq / count - mean * mean, 0.0)
-        return {"count": count, "mean": mean, "min": minimum, "max": maximum,
-                "variance": variance, "stdev": variance ** 0.5, "sum": total}
+        return self._run("stats")
 
     def lookup(self, key: Any) -> List[Any]:
         """Return every value associated with ``key`` in a key-value dataset."""
@@ -1092,21 +928,12 @@ class Dataset:
 
     def foreach(self, func: Callable[[Any], None]) -> None:
         """Apply a side-effecting function to every record."""
-        def run_partition(iterator: Iterator[Any]) -> int:
-            count = 0
-            for record in iterator:
-                func(record)
-                count += 1
-            return count
-        self.ctx.run_job(self, run_partition, description=f"foreach {self.name}")
+        self._run("foreach", func)
 
     def to_local_iterator(self) -> Iterator[Any]:
         """Iterate over all records partition by partition."""
         for partition in range(self.num_partitions):
-            results = self.ctx.run_job(self, list, partitions=[partition],
-                                       description=f"to_local_iterator {self.name}")
-            for record in results[0]:
-                yield record
+            yield from self._run("to_local_iterator", partitions=[partition])
 
     def histogram(self, buckets: int) -> Tuple[List[float], List[int]]:
         """Histogram of numeric records over equally sized buckets.
@@ -1134,17 +961,7 @@ class Dataset:
         if low == high:
             return [low, high], [int(statistics["count"])]
         edges = [low + i * width for i in range(buckets + 1)]
-
-        @batch_action
-        def index_partition(batches: Iterable[List[Any]]) -> Counter:
-            return count_values_partition(
-                [int((value - low) / width) for value in batch]
-                for batch in batches)
-
-        counts = [0] * buckets
-        for index, count in self._merged_counts(index_partition).items():
-            counts[min(buckets - 1, max(0, index))] += count
-        return edges, counts
+        return edges, self._run("histogram", low, width, buckets)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -1311,66 +1128,6 @@ class SourceDataset(Dataset):
             yield batch
 
 
-class MappedDataset(Dataset):
-    """Result of :meth:`Dataset.map`."""
-
-    def __init__(self, parent: Dataset, func: Callable[[Any], Any]):
-        super().__init__(parent.ctx, parent.num_partitions,
-                         [NarrowDependency(parent)], name="map")
-        self._func = func
-
-    def compute_batches(self, partition: int, task_context: TaskContext,
-                        batch_size: int) -> Iterator[List[Any]]:
-        func = self._func
-        fields = getattr(func, "projection_fields", None)
-        parent = self.dependencies[0].parent
-        for batch in parent.batch_iterator(partition, task_context):
-            if fields is not None and isinstance(batch, ColumnBatch) and \
-                    batch.has_fields(fields):
-                # pure field selection over a columnar batch: select column
-                # references instead of building a dict per record
-                yield batch.project(fields)
-            else:
-                yield list(map(func, batch))
-
-
-class FilteredDataset(Dataset):
-    """Result of :meth:`Dataset.filter`."""
-
-    def __init__(self, parent: Dataset, predicate: Callable[[Any], bool]):
-        super().__init__(parent.ctx, parent.num_partitions,
-                         [NarrowDependency(parent)], name="filter")
-        self._predicate = predicate
-
-    def compute_batches(self, partition: int, task_context: TaskContext,
-                        batch_size: int) -> Iterator[List[Any]]:
-        predicate = self._predicate
-        parent = self.dependencies[0].parent
-        for batch in parent.batch_iterator(partition, task_context):
-            kept = list(filter(predicate, batch))
-            if kept:
-                yield kept
-
-
-class FlatMappedDataset(Dataset):
-    """Result of :meth:`Dataset.flat_map`."""
-
-    def __init__(self, parent: Dataset, func: Callable[[Any], Iterable[Any]]):
-        super().__init__(parent.ctx, parent.num_partitions,
-                         [NarrowDependency(parent)], name="flat_map")
-        self._func = func
-
-    def compute_batches(self, partition: int, task_context: TaskContext,
-                        batch_size: int) -> Iterator[List[Any]]:
-        # expansion is streamed at C level and re-chunked: materialising a
-        # whole input batch's expansion in one list trashes allocator
-        # locality when records fan out (e.g. join emission after cogroup)
-        parent = self.dependencies[0].parent
-        records = itertools.chain.from_iterable(
-            map(self._func, parent.iterator(partition, task_context)))
-        return chunk_iterator(records, batch_size)
-
-
 class MapPartitionsDataset(Dataset):
     """Result of :meth:`Dataset.map_partitions`."""
 
@@ -1392,25 +1149,30 @@ class MapPartitionsDataset(Dataset):
         return chunk_iterator(produced, batch_size)
 
 
+#: How one narrow stage of a :class:`FusedDataset` applies to records.
+_STAGE = {"map": map, "project": map, "filter": filter,
+          "flat_map": lambda func, records: itertools.chain.from_iterable(
+              map(func, records))}
+
+
 class FusedDataset(Dataset):
-    """A chain of narrow operators evaluated as one physical operator.
+    """Narrow per-record operators evaluated as one physical operator.
 
-    Built by the optimizer's ``fuse_narrow`` rule from a chain of logical
-    map/filter/flat_map/project nodes.  ``stages`` is a list of
-    ``(kind, func)`` pairs applied bottom-to-top over the parent iterator, so
-    one task evaluates the whole pipeline without intermediate datasets.
+    Every ``map``, ``filter``, ``flat_map`` and ``project`` is one: a single
+    stage, named after its kind, when the API builds it or a lone logical
+    node lowers, and a chain named ``fused(...)`` when the optimizer's
+    ``fuse_narrow`` rule collapsed several nodes.  ``stages`` is a list of
+    ``(kind, func)`` pairs applied bottom-to-top over the parent's batches,
+    so one task evaluates the whole pipeline without intermediate datasets.
     """
-
-    _KINDS = ("map", "filter", "flat_map", "project")
 
     def __init__(self, parent: Dataset, stages: List[Tuple[str, Callable]],
                  name: str = ""):
+        kinds = [kind for kind, _ in stages]
         super().__init__(parent.ctx, parent.num_partitions,
                          [NarrowDependency(parent)],
-                         name=name or f"fused({'+'.join(k for k, _ in stages)})")
-        for kind, _ in stages:
-            if kind not in self._KINDS:
-                raise PlanError(f"cannot fuse operator kind {kind!r}")
+                         name=name or (kinds[0] if len(kinds) == 1
+                                       else f"fused({'+'.join(kinds)})"))
         self._stages = list(stages)
 
     def compute_batches(self, partition: int, task_context: TaskContext,
@@ -1418,18 +1180,14 @@ class FusedDataset(Dataset):
         parent = self.dependencies[0].parent
         stages = self._stages
         if any(kind == "flat_map" for kind, _ in stages):
-            # expansions stream at C level and re-chunk (see
-            # FlatMappedDataset.compute_batches); the parent still feeds
-            # the chain batch-at-a-time
-            iterator = parent.iterator(partition, task_context)
+            # expansions stream at C level and re-chunk: materialising a
+            # whole input batch's expansion in one list trashes allocator
+            # locality when records fan out (e.g. join emission after
+            # cogroup); the parent still feeds the chain batch-at-a-time
+            records = parent.iterator(partition, task_context)
             for kind, func in stages:
-                if kind in ("map", "project"):
-                    iterator = map(func, iterator)
-                elif kind == "filter":
-                    iterator = filter(func, iterator)
-                else:  # flat_map
-                    iterator = itertools.chain.from_iterable(map(func, iterator))
-            yield from chunk_iterator(iterator, batch_size)
+                records = _STAGE[kind](func, records)
+            yield from chunk_iterator(records, batch_size)
             return
         # the whole fused chain is composed into one C-level map/filter
         # pipeline evaluated per batch: a single output list per batch, no
@@ -1446,15 +1204,10 @@ class FusedDataset(Dataset):
                     break
                 chain = chain.project(fields)
                 index += 1
-            if index == len(stages):
-                if len(chain):
-                    yield chain
-                continue
             for kind, func in stages[index:]:
-                chain = filter(func, chain) if kind == "filter" \
-                    else map(func, chain)
-            produced = list(chain)
-            if produced:
+                chain = _STAGE[kind](func, chain)
+            produced = chain if index == len(stages) else list(chain)
+            if len(produced):
                 yield produced
 
 

@@ -251,7 +251,7 @@ def object_fingerprint(obj: Any, skip: Iterable[str] = (),
 def _dependency_signature(dependency: Any) -> tuple:
     partitioner = getattr(dependency, "partitioner", None)
     map_side = getattr(dependency, "map_side", None)
-    return (type(dependency).__name__, getattr(dependency, "kind", None),
+    return (type(dependency).__name__, getattr(dependency, "action", None),
             value_fingerprint(partitioner), value_fingerprint(map_side),
             value_fingerprint(dependency.parent))
 
@@ -261,7 +261,7 @@ def dataset_fingerprint(dataset: Any) -> Optional[str]:
 
     Covers the operator class, every semantic attribute (partition count,
     functions, parameters, in-memory data, the source's own fingerprint)
-    and, per dependency, its kind, partitioner, map-side function and the
+    and, per dependency, its action, partitioner, map-side function and the
     parent's fingerprint.  Memoised on the dataset: a lineage is immutable.
     """
     memo = dataset.__dict__.get("_fingerprint", _UNSET)

@@ -695,16 +695,10 @@ class PlanOptimizer:
 
 
 def _stage_of(node: LogicalNode):
-    """The ``(kind, func)`` pair of one fused narrow stage."""
-    if isinstance(node, MapNode):
-        return ("map", node.func)
-    if isinstance(node, FilterNode):
-        return ("filter", node.predicate)
-    if isinstance(node, FlatMapNode):
-        return ("flat_map", node.func)
+    """The ``(kind, func)`` pair of one narrow node: its ``op`` and function."""
     if isinstance(node, ProjectNode):
         return ("project", physical.field_projector(node.fields))
-    raise PlanError(f"operator {node.op!r} cannot be fused")
+    return (node.op, node.predicate if isinstance(node, FilterNode) else node.func)
 
 
 def lower_plan(node: LogicalNode, ctx) -> "physical.Dataset":
@@ -767,16 +761,11 @@ def _build_physical(node: LogicalNode, ctx) -> "physical.Dataset":
         # leaves always carry their physical dataset; reaching this branch
         # means the plan was built by hand without one
         raise PlanError(f"cannot lower {node.op} node without a physical dataset")
-    if isinstance(node, MapNode):
-        return d.MappedDataset(lower_plan(node.child, ctx), node.func)
-    if isinstance(node, FilterNode):
-        return d.FilteredDataset(lower_plan(node.child, ctx), node.predicate)
-    if isinstance(node, FlatMapNode):
-        return d.FlatMappedDataset(lower_plan(node.child, ctx), node.func)
-    if isinstance(node, ProjectNode):
-        parent = lower_plan(node.child, ctx)
-        built = d.MappedDataset(parent, d.field_projector(node.fields))
-        return built.set_name("project")
+    if isinstance(node, _FUSABLE + (FusedNode,)):
+        # one stage per narrow node; a fused chain is named after its kinds
+        stages = node.stages if isinstance(node, FusedNode) else [node]
+        return d.FusedDataset(lower_plan(node.child, ctx),
+                              [_stage_of(stage) for stage in stages])
     if isinstance(node, MapPartitionsNode):
         return d.MapPartitionsDataset(lower_plan(node.child, ctx), node.func,
                                       with_index=node.with_index)
@@ -786,9 +775,6 @@ def _build_physical(node: LogicalNode, ctx) -> "physical.Dataset":
     if isinstance(node, CoalesceNode):
         return d.CoalescedDataset(lower_plan(node.child, ctx),
                                   node.num_partitions)
-    if isinstance(node, FusedNode):
-        stages = [_stage_of(stage) for stage in node.stages]
-        return d.FusedDataset(lower_plan(node.child, ctx), stages)
     if isinstance(node, UnionNode):
         parents = [lower_plan(child, ctx) for child in node.children]
         return d.UnionDataset(ctx, parents)
@@ -805,7 +791,7 @@ def _build_physical(node: LogicalNode, ctx) -> "physical.Dataset":
         return d.BroadcastJoinDataset(stream, build, node.emit, node.how,
                                       node.broadcast_side)
     if isinstance(node, JoinNode):
-        parent = lower_plan(node.child, ctx)
-        return d.FlatMappedDataset(parent, node.emit).set_name(
-            d.join_display_name(node.how))
+        return d.FusedDataset(lower_plan(node.child, ctx),
+                              [("flat_map", node.emit)],
+                              d.join_display_name(node.how))
     raise PlanError(f"cannot lower unknown logical node {node.op!r}")

@@ -321,7 +321,9 @@ class FusedNode(LogicalNode):
 
     ``stages`` holds the original narrow nodes bottom-to-top; lowering turns
     them into a single :class:`~repro.engine.dataset.FusedDataset` so one task
-    evaluates the whole chain without intermediate dataset objects.
+    evaluates the whole chain without intermediate dataset objects.  A lone
+    map, filter, flat_map or project node lowers to a ``FusedDataset`` too,
+    with one stage: the fused form differs only in having several.
     """
 
     op = "fused"

@@ -27,6 +27,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 
 from ..config import EngineConfig
 from ..errors import FetchFailedError
+from . import wide
 from .dataset import (BroadcastDependency, Dataset, Dependency,
                       ShuffleDependency, ShuffledDataset, TaskContext)
 from .executor import Task, create_executor
@@ -459,22 +460,22 @@ class DAGScheduler:
                         job: JobMetrics) -> None:
         """Collect a broadcast input, reusing a prior job's collection.
 
-        Collected build sides are cached per ``(build dataset id, kind)``:
+        The collection is the dependency's row of
+        :data:`~repro.engine.wide.ACTIONS`, and collected build sides are
+        cached per ``(build dataset id, row name)``:
         datasets are immutable, so a later join against the same build side
         can skip the nested collection job entirely.  The context
         invalidates entries when the build dataset is unpersisted and on
         shutdown.  Cached values are shared read-only by every consumer.
         """
         parent = dependency.parent
-        cache_key = (parent.id, dependency.kind)
+        cache_key = (parent.id, dependency.action)
         cached = self.broadcast_builds.get(cache_key)
         if cached is not None:
             dependency.holder.set(cached)
             job.broadcast_reuses += 1
             return
-        partials = self.run_job(parent, dependency.collect,
-                                description=f"broadcast {parent.name}")
-        value = dependency.assemble(partials)
+        value = wide.ACTIONS[dependency.action]().run(self.run_job, parent)
         self.broadcast_builds[cache_key] = value
         if len(self.broadcast_builds) > _BROADCAST_BUILDS_LIMIT:
             # drop the oldest half (dict preserves insertion order)
@@ -695,7 +696,7 @@ class DAGScheduler:
                 if isinstance(dependency, ShuffleDependency):
                     marker = "(shuffle)"
                 elif isinstance(dependency, BroadcastDependency):
-                    marker = f"(broadcast {dependency.kind})"
+                    marker = f"(broadcast {dependency.action})"
                 if marker:
                     lines.append(f"{indent}  {marker}")
                 walk(dependency.parent, depth + 1)

@@ -1,4 +1,4 @@
-"""The wide-operator algebra: every shuffle operator as a fold and a merge.
+"""The fold-and-merge algebra: every shuffle operator and every action.
 
 A wide operator is declared once, in :data:`OPERATORS`, as a
 :class:`WideOperator`:
@@ -37,16 +37,30 @@ result — travels as its finished records, which is exactly what ``merge``
 consumes.  Declarations are tuples of plain functions so the lineage
 fingerprint (:mod:`repro.engine.fingerprint`) identifies them by bytecode
 and closure cells.
+
+An action is declared once too, in :data:`ACTIONS`, as an :class:`Action`:
+the job description, a batch ``kernel`` folding one partition into a
+partial, an associative ``merge`` of two partials on the driver and a
+``finish`` turning the merged partial into the answer -- or into the
+``PlanError`` of an empty dataset.  :meth:`Action.run` is the one runner:
+one job of the kernel, a left fold of ``merge`` over the partials in
+partition order, then ``finish``.  Every ``Dataset`` action, the broadcast
+build and the checkpoint collection run through it.
 """
 
 from __future__ import annotations
 
 import collections
+import copy
 import functools
 import heapq
 import itertools
+import operator
+from collections import Counter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Tuple)
+
+from ..errors import PlanError
 
 #: How a map task routes records to reduce partitions: whole records by
 #: the record, ``(key, value)`` pairs by the key, or pairs by the key with
@@ -254,3 +268,266 @@ def map_side(op: WideOperator, partitioner, tag: int):
         return buckets
 
     return bucket
+
+
+# ---------------------------------------------------------------------------
+# Actions
+#
+# A kernel gets the partition's batches: plain lists of records, or columnar
+# batches, which iterate as rows.  The numeric kernels fold each batch with
+# one C-level builtin per accumulator; builtin ``sum``/``min``/``max`` apply
+# the same two-argument operations, in the same order, as a per-record fold,
+# so the results are that fold's bit for bit -- except that from CPython
+# 3.12 ``sum`` compensates float addition, so a float total may differ from
+# the plain left-to-right fold in its last bits.
+# ---------------------------------------------------------------------------
+
+
+def batch_action(func: Callable[[Iterator[List[Any]]], Any]):
+    """Mark an action's partition function as consuming batches.
+
+    A result task hands such a function the partition's batch iterator;
+    every other action function receives the flattened records.
+    """
+    func.consumes_batches = True
+    return func
+
+
+def _records(batches: Iterable[Iterable[Any]]) -> Iterator[Any]:
+    return itertools.chain.from_iterable(batches)
+
+
+@batch_action
+def collect_partition(batches: Iterable[List[Any]]) -> List[Any]:
+    """Result-side of ``collect``: materialise the partition."""
+    records: List[Any] = []
+    extend = records.extend
+    for batch in batches:
+        extend(batch)
+    return records
+
+
+@batch_action
+def count_partition(batches: Iterable[List[Any]]) -> int:
+    """Result-side of ``count``: tally the partition's records."""
+    return sum(map(len, batches))
+
+
+@batch_action
+def count_values_partition(batches: Iterable[List[Any]]) -> Counter:
+    """Result-side of ``count_by_value``: records to multiplicities."""
+    return Counter(_records(batches))
+
+
+def sum_partition(start: Any):
+    """Result-side of ``sum``/``mean``: ``(fold of + from start, count)``."""
+    @batch_action
+    def partition(batches: Iterable[List[Any]]) -> Tuple[Any, int]:
+        total, count = start, 0
+        for batch in batches:
+            total = sum(batch, total)
+            count += len(batch)
+        return total, count
+    return partition
+
+
+@batch_action
+def stats_partition(batches: Iterable[List[Any]]) -> Tuple:
+    """Result-side of ``stats``: ``(count, total, total_sq, min, max, nan)``.
+
+    Chaining the running extreme in front of a batch reproduces the
+    sequential two-argument ``min``/``max`` fold exactly.  ``nan`` says the
+    partition holds a NaN; only a batch that leaves the total NaN (a NaN,
+    or ``inf`` meeting ``-inf``) is scanned for one.
+    """
+    count, total, total_sq, minimum, maximum, nan = 0, 0.0, 0.0, None, None, False
+    for batch in batches:
+        lows, highs = ((minimum,), (maximum,)) if count else ((), ())
+        minimum = min(itertools.chain(lows, batch), default=None)
+        maximum = max(itertools.chain(highs, batch), default=None)
+        count += len(batch)
+        total = sum(batch, total)
+        total_sq = sum(map(operator.mul, batch, batch), total_sq)
+        if total != total and not nan:
+            nan = any(value != value for value in batch)
+    return count, total, total_sq, minimum, maximum, nan
+
+
+class Action(NamedTuple):
+    """One action's meaning (see the module docstring)."""
+
+    #: The job description; ``{}`` stands for the dataset name.
+    job: str
+    #: One partition's batches -> its partial (run as a batch action).
+    kernel: Callable[[Iterator[List[Any]]], Any]
+    #: Two partials, the earlier partitions' first -> one partial.
+    merge: Callable[[Any, Any], Any]
+    #: ``(merged partial, dataset name)`` -> the answer.
+    finish: Callable[[Any, str], Any]
+
+    def run(self, run_job: Callable[..., List[Any]], dataset: Any,
+            partitions: Optional[List[int]] = None) -> Any:
+        """Run the action over ``dataset`` through ``run_job`` (a context's
+        or a scheduler's); ``partitions`` restricts the job."""
+        partials = run_job(dataset, batch_action(self.kernel),
+                           partitions=partitions,
+                           description=self.job.format(dataset.name))
+        return self.finish(functools.reduce(self.merge, partials), dataset.name)
+
+
+def _keep(partial: Any, *_: Any) -> Any:
+    """The partial itself: a finish, or the merge of partials that are
+    all ``None``."""
+    return partial
+
+
+def _add_pairs(left: Tuple[Any, Any], right: Tuple[Any, Any]) -> Tuple[Any, Any]:
+    return left[0] + right[0], left[1] + right[1]
+
+
+def _each(kernel: Callable[[Iterator[List[Any]]], Any]):
+    """``kernel`` with its result kept per partition: the merged partial is
+    the list of the partition results."""
+    return lambda batches: [kernel(batches)]
+
+
+def _fold_partition(zero: Any, func: Callable[[Any, Any], Any]):
+    """Fold a partition's records into its own deep copy of ``zero``."""
+    return lambda batches: functools.reduce(
+        func, _records(batches), copy.deepcopy(zero))
+
+
+def _reduce(func: Callable[[Any, Any], Any]) -> Action:
+    """``reduce``: each partition's one reduced value, if it has records,
+    reduced again on the driver in partition order."""
+    def kernel(batches: Iterable[List[Any]]) -> List[Any]:
+        records = _records(batches)
+        return [functools.reduce(func, records, first)
+                for first in itertools.islice(records, 1)]
+
+    def finish(values: List[Any], name: str) -> Any:
+        if not values:
+            raise PlanError(f"cannot reduce empty dataset {name}")
+        return functools.reduce(func, values)
+
+    return Action("reduce {}", kernel, _extend, finish)
+
+
+def _first_extreme(keeps: Callable[[Any, Any], bool], key: Optional[Callable]):
+    """The reduce function of ``min`` (``keeps`` is ``<=``) and ``max``
+    (``>=``): the first record whose key is NaN, else the first extreme
+    one -- the answer ``stats()`` gives."""
+    key = key or _identity
+
+    def choose(left: Any, right: Any) -> Any:
+        held, challenger = key(left), key(right)
+        return left if held != held or (
+            challenger == challenger and keeps(held, challenger)) else right
+
+    return choose
+
+
+def _top(n: int, key: Optional[Callable[[Any], Any]]) -> Action:
+    # nlargest is stable, so a left fold of pairwise top-n equals the top n
+    # of the concatenation: earlier partitions win ties
+    return Action(
+        "top {}", lambda batches: heapq.nlargest(n, _records(batches), key=key),
+        lambda left, right: heapq.nlargest(n, left + right, key=key), _keep)
+
+
+def _foreach(func: Callable[[Any], None]) -> Action:
+    def kernel(batches: Iterable[List[Any]]) -> None:
+        for record in _records(batches):
+            func(record)
+    return Action("foreach {}", kernel, _keep, _keep)
+
+
+def _finish_stats(partial: Tuple, name: str) -> Dict[str, float]:
+    count, total, total_sq, minimum, maximum, nan = partial
+    if count == 0:
+        return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
+                "variance": 0.0, "stdev": 0.0, "sum": 0.0}
+    if nan:
+        minimum = maximum = float("nan")
+    mean = total / count
+    variance = max(total_sq / count - mean * mean, 0.0)
+    return {"count": count, "mean": mean, "min": minimum, "max": maximum,
+            "variance": variance, "stdev": variance ** 0.5, "sum": total}
+
+
+def _merge_stats(left: Tuple, right: Tuple) -> Tuple:
+    if left[0] == 0:
+        return right
+    if right[0] == 0:
+        return left
+    return (left[0] + right[0], left[1] + right[1], left[2] + right[2],
+            min(left[3], right[3]), max(left[4], right[4]), left[5] or right[5])
+
+
+def _finish_mean(partial: Tuple[Any, int], name: str) -> float:
+    if partial[1] == 0:
+        raise PlanError(f"cannot take the mean of empty dataset {name}")
+    return partial[0] / partial[1]
+
+
+def _histogram(low: float, width: float, buckets: int) -> Action:
+    """The counting job of ``histogram``: each record's raw bucket index,
+    counted, then clamped to ``[0, buckets - 1]`` once per distinct index."""
+    def finish(counts: Counter, name: str) -> List[int]:
+        per_bucket = [0] * buckets
+        for index, count in counts.items():
+            per_bucket[min(buckets - 1, max(0, index))] += count
+        return per_bucket
+
+    return Action("count_by_value {}", lambda batches: count_values_partition(
+        [int((value - low) / width) for value in batch] for batch in batches),
+        operator.iadd, finish)
+
+
+#: The actions by name: each entry takes the action's parameters and
+#: returns its declaration.  ``key_values`` (a broadcast join's build-side
+#: hash table) and ``key_set`` (the keys of its stream side, for unmatched
+#: build rows) are what a ``BroadcastDependency`` collects; ``checkpoint``
+#: and ``zip_with_index`` keep one partial per partition.
+ACTIONS: Dict[str, Callable[..., Action]] = {
+    "collect": lambda: Action("collect {}", collect_partition, _extend, _keep),
+    "to_local_iterator": lambda: Action(
+        "to_local_iterator {}", collect_partition, _extend, _keep),
+    "count": lambda: Action("count {}", count_partition, operator.add, _keep),
+    "count_by_value": lambda: Action(
+        "count_by_value {}", count_values_partition, operator.iadd,
+        lambda counts, name: dict(counts)),
+    # pulls only the batches the first n records sit in
+    "take": lambda n: Action(
+        "take {}", lambda batches: list(itertools.islice(_records(batches), n)),
+        _extend, _keep),
+    "top": _top,
+    "reduce": _reduce,
+    "min": lambda key=None: _reduce(_first_extreme(operator.le, key)),
+    "max": lambda key=None: _reduce(_first_extreme(operator.ge, key)),
+    "fold": lambda zero, func: Action(
+        "fold {}", _fold_partition(zero, func), func, _keep),
+    # the partition results meet a fresh zero on the driver, in order
+    "aggregate": lambda zero, seq_func, comb_func: Action(
+        "aggregate {}", _each(_fold_partition(zero, seq_func)), _extend,
+        lambda partials, name: functools.reduce(comb_func, partials,
+                                                copy.deepcopy(zero))),
+    "sum": lambda: Action("fold {}", sum_partition(0), _add_pairs,
+                          lambda partial, name: partial[0]),
+    "mean": lambda: Action("aggregate {}", sum_partition(0.0), _add_pairs,
+                           _finish_mean),
+    "stats": lambda: Action("aggregate {}", stats_partition, _merge_stats,
+                            _finish_stats),
+    "histogram": _histogram,
+    "foreach": _foreach,
+    "zip_with_index": lambda: Action(
+        "zip_with_index sizes of {}", _each(count_partition), _extend, _keep),
+    "checkpoint": lambda: Action(
+        "checkpoint:{}", _each(collect_partition), _extend, _keep),
+    "key_values": lambda: Action(
+        "broadcast {}", lambda batches: GROUP.fold(_records(batches)),
+        lambda left, right: GROUP.merge([left.items(), right.items()]), _keep),
+    "key_set": lambda: Action(
+        "broadcast {}", lambda batches: {key for key, _ in _records(batches)},
+        operator.ior, _keep),
+}
