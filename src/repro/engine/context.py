@@ -401,18 +401,13 @@ class EngineContext:
         Invoked by the scheduler after each completed shuffle-map stage; the
         statistics layer then sees the stage's actual map-output sizes, so
         the cost-based rules may pick a different execution shape for the
-        not-yet-executed suffix of the plan.  Unchanged decisions lower to
-        the memoised physical objects, making the callback a no-op.
+        not-yet-executed suffix of the plan.  It drops the memo and plans
+        again; unchanged decisions lower to the memoised physical objects,
+        making the callback a no-op.
         """
         def replan() -> Dataset:
-            result = self.optimizer.optimize(dataset.plan)
-            if result.changed:
-                executable = lower_plan(result.plan, self)
-            else:
-                executable = dataset
-            dataset._executable = executable
-            dataset._executable_epoch = self._cache_epoch
-            return executable
+            dataset._executable = None
+            return self._executable_for(dataset)
 
         return replan
 

@@ -74,22 +74,8 @@ def chunk_iterator(iterator: Iterator[Any], batch_size: int) -> Iterator[List[An
 # ---------------------------------------------------------------------------
 
 
-def field_projector(fields: List[str]):
-    """Record function of ``project``: keep only the listed dict fields.
-
-    The ``projection_fields`` marker lets batch kernels recognise the
-    function as a pure field selection and run it as a
-    :meth:`~repro.engine.columnar.ColumnBatch.project` column-reference
-    operation when the incoming batch is columnar.
-    """
-    def project(record: Any) -> Dict[str, Any]:
-        return {name: record.get(name) for name in fields}
-    project.projection_fields = tuple(fields)
-    return project
-
-
 def join_display_name(how: str) -> str:
-    """The dataset name of a join variant (shared by API and lowering)."""
+    """The dataset name of a join variant."""
     if how == "inner":
         return "join"
     if how.endswith("_outer"):
@@ -266,7 +252,8 @@ class Dataset:
         self.name = name or type(self).__name__
         self.is_cached = False
         #: Logical plan node recorded by the API method that built this
-        #: dataset; ``None`` for physical datasets built by plan lowering.
+        #: dataset (:meth:`_derive`); ``None`` for physical datasets built
+        #: by plan lowering.
         self.plan: Optional[logical.LogicalNode] = None
         #: Memoised physical dataset actions execute (set by the context),
         #: valid while the context's cache epoch is unchanged.
@@ -414,20 +401,26 @@ class Dataset:
         self.name = name
         return self
 
-    def _attach_plan(self, node_cls, *args, **kwargs) -> "Dataset":
-        """Record the logical node describing how this dataset was built.
+    def _derive(self, node: logical.LogicalNode, *others: "Dataset") -> "Dataset":
+        """The dataset of the logical ``node`` over this dataset and ``others``.
 
-        Called by the API transformation methods; when the parent has no plan
-        (datasets built directly by plan lowering) the plan stays ``None`` and
-        actions on this dataset run its physical form verbatim.
+        Every API transformation records its node over its inputs' plans
+        and builds it here, through :func:`build`.  The node becomes the
+        new dataset's plan when none of its children is ``None``; over a
+        dataset without a plan (one built by plan lowering) the plan stays
+        ``None`` and actions run the physical form verbatim.  Datasets of
+        two engine contexts never combine: one context's scheduler cannot
+        run the other's shuffles.
         """
-        parents_plans = [dep.parent.plan for dep in self.dependencies]
-        if all(p is not None for p in parents_plans):
-            if len(parents_plans) == 1:
-                self.plan = node_cls(parents_plans[0], *args, dataset=self, **kwargs)
-            else:
-                self.plan = node_cls(parents_plans, *args, dataset=self, **kwargs)
-        return self
+        for other in others:
+            if other.ctx is not self.ctx:
+                raise PlanError(f"cannot combine {self!r} with {other!r}: the "
+                                f"datasets belong to different engine contexts")
+        ds = build(node, [self, *others])
+        if all(child is not None for child in node.children):
+            node.dataset = node.origin_dataset = ds
+            ds.plan = node
+        return ds
 
     def explain(self) -> str:
         """Render the logical, optimized and physical plans of this dataset.
@@ -564,18 +557,15 @@ class Dataset:
 
     def map(self, func: Callable[[Any], Any]) -> "Dataset":
         """Apply ``func`` to every record."""
-        return FusedDataset(self, [("map", func)])._attach_plan(
-            logical.MapNode, func)
+        return self._derive(logical.MapNode(self.plan, func))
 
     def filter(self, predicate: Callable[[Any], bool]) -> "Dataset":
         """Keep only the records for which ``predicate`` is true."""
-        return FusedDataset(self, [("filter", predicate)])._attach_plan(
-            logical.FilterNode, predicate)
+        return self._derive(logical.FilterNode(self.plan, predicate))
 
     def flat_map(self, func: Callable[[Any], Iterable[Any]]) -> "Dataset":
         """Apply ``func`` to every record and flatten the resulting iterables."""
-        return FusedDataset(self, [("flat_map", func)])._attach_plan(
-            logical.FlatMapNode, func)
+        return self._derive(logical.FlatMapNode(self.plan, func))
 
     def project(self, fields: Iterable[str]) -> "Dataset":
         """Keep only the listed fields of dict records.
@@ -583,31 +573,27 @@ class Dataset:
         Unlike a plain :meth:`map`, a projection is transparent to the
         optimizer, which can push it below shuffle boundaries.
         """
-        fields = list(fields)
-        return FusedDataset(self, [("project", field_projector(fields))])._attach_plan(
-            logical.ProjectNode, fields)
+        return self._derive(logical.ProjectNode(self.plan, fields))
 
     def map_partitions(self, func: Callable[[Iterator[Any]], Iterable[Any]]) -> "Dataset":
         """Apply ``func`` to the whole iterator of each partition."""
-        return MapPartitionsDataset(self, func)._attach_plan(
-            logical.MapPartitionsNode, func)
+        return self._derive(logical.MapPartitionsNode(self.plan, func))
 
     def map_partitions_with_index(
             self, func: Callable[[int, Iterator[Any]], Iterable[Any]]) -> "Dataset":
         """Like :meth:`map_partitions` but ``func`` also receives the partition index."""
-        return MapPartitionsDataset(self, func, with_index=True)._attach_plan(
-            logical.MapPartitionsNode, func, with_index=True)
+        return self._derive(logical.MapPartitionsNode(self.plan, func,
+                                                      with_index=True))
 
     def union(self, other: "Dataset") -> "Dataset":
         """Concatenate two datasets (partitions are appended, not merged)."""
-        return UnionDataset(self.ctx, [self, other])._attach_plan(logical.UnionNode)
+        return self._derive(logical.UnionNode([self.plan, other.plan]), other)
 
     def sample(self, fraction: float, seed: int = 0) -> "Dataset":
         """Return a random sample of approximately ``fraction`` of the records."""
         if not 0.0 <= fraction <= 1.0:
             raise PlanError("sample fraction must be in [0, 1]")
-        return SampleDataset(self, fraction, seed)._attach_plan(
-            logical.SampleNode, fraction, seed)
+        return self._derive(logical.SampleNode(self.plan, fraction, seed))
 
     def zip_with_index(self) -> "Dataset":
         """Pair each record with its global index (triggers a size job).
@@ -625,12 +611,9 @@ class Dataset:
             for position, record in enumerate(iterator):
                 yield (record, offsets[index] + position)
 
-        ds = MapPartitionsDataset(pinned, add_index, with_index=True)
-        ds.name = "zip_with_index"
-        ds.plan = logical.MapPartitionsNode(
-            logical.PhysicalScanNode(pinned), add_index, with_index=True,
-            dataset=ds)
-        return ds
+        return pinned._derive(logical.MapPartitionsNode(
+            logical.PhysicalScanNode(pinned), add_index,
+            with_index=True)).set_name("zip_with_index")
 
     def key_by(self, func: Callable[[Any], Any]) -> "Dataset":
         """Turn each record ``r`` into the pair ``(func(r), r)``."""
@@ -659,8 +642,7 @@ class Dataset:
             raise PlanError("coalesce needs at least one partition")
         if num_partitions >= self.num_partitions:
             return self
-        return CoalescedDataset(self, num_partitions)._attach_plan(
-            logical.CoalesceNode, num_partitions)
+        return self._derive(logical.CoalesceNode(self.plan, num_partitions))
 
     def glom(self) -> "Dataset":
         """Turn each partition into a single list record."""
@@ -668,29 +650,19 @@ class Dataset:
 
     # -- wide transformations -------------------------------------------------------
 
-    def _wide(self, node: logical.LogicalNode, *others: "Dataset") -> "Dataset":
-        """Build the wide operator ``node`` declares over this dataset (and
-        ``others``); the node becomes its plan when every parent has one."""
-        parents = [self, *others]
-        ds = wide_dataset(node, parents)
-        if all(parent.plan is not None for parent in parents):
-            node.dataset = node.origin_dataset = ds
-            ds.plan = node
-        return ds
-
     def repartition(self, num_partitions: int) -> "Dataset":
         """Redistribute records evenly over ``num_partitions`` via a shuffle."""
-        return self._wide(logical.RepartitionNode(self.plan, RoundRobinPartitioner(
+        return self._derive(logical.RepartitionNode(self.plan, RoundRobinPartitioner(
             num_partitions, seed=self.ctx.config.seed)))
 
     def distinct(self, num_partitions: Optional[int] = None) -> "Dataset":
         """Remove duplicate records (records must be hashable)."""
-        return self._wide(logical.DistinctNode(self.plan, HashPartitioner(
+        return self._derive(logical.DistinctNode(self.plan, HashPartitioner(
             num_partitions or self.num_partitions)))
 
     def group_by_key(self, num_partitions: Optional[int] = None) -> "Dataset":
         """Group values sharing a key: ``(k, v) -> (k, [v, ...])``."""
-        return self._wide(logical.GroupByKeyNode(self.plan, HashPartitioner(
+        return self._derive(logical.GroupByKeyNode(self.plan, HashPartitioner(
             num_partitions or self.num_partitions)))
 
     def group_by(self, func: Callable[[Any], Any],
@@ -708,7 +680,7 @@ class Dataset:
         optimizer's ``map_side_combine`` rule (on by default) rewrites it to
         pre-aggregate on the map side, shrinking the shuffle.
         """
-        return self._wide(logical.AggregateNode(
+        return self._derive(logical.AggregateNode(
             self.plan, create_combiner, merge_value, merge_combiners,
             HashPartitioner(num_partitions or self.num_partitions)))
 
@@ -747,7 +719,7 @@ class Dataset:
         partitioner = RangePartitioner.from_sample(sample, num_partitions,
                                                    key_func=key_func,
                                                    ascending=ascending)
-        return self._wide(logical.SortNode(self.plan, key_func, ascending,
+        return self._derive(logical.SortNode(self.plan, key_func, ascending,
                                            partitioner, key_fields=key_fields))
 
     def sort_by_key(self, ascending: bool = True,
@@ -759,17 +731,14 @@ class Dataset:
                 num_partitions: Optional[int] = None) -> "Dataset":
         """Group both datasets by key: ``(k, ([self values], [other values]))``."""
         num_partitions = num_partitions or max(self.num_partitions, other.num_partitions)
-        return self._wide(logical.CoGroupNode(
+        return self._derive(logical.CoGroupNode(
             [self.plan, other.plan], HashPartitioner(num_partitions)), other)
 
     def _join_with(self, other: "Dataset", emit, how: str,
                    num_partitions: Optional[int]) -> "Dataset":
         """Common shape of every join: cogroup, then emit matched pairs."""
         cogrouped = self.cogroup(other, num_partitions)
-        ds = cogrouped.flat_map(emit).set_name(join_display_name(how))
-        if cogrouped.plan is not None:
-            ds.plan = logical.JoinNode(cogrouped.plan, emit, how, dataset=ds)
-        return ds
+        return cogrouped._derive(logical.JoinNode(cogrouped.plan, emit, how))
 
     def join(self, other: "Dataset",
              num_partitions: Optional[int] = None) -> "Dataset":
@@ -1214,11 +1183,9 @@ class FusedDataset(Dataset):
 class UnionDataset(Dataset):
     """Concatenation of several datasets."""
 
-    def __init__(self, ctx, parents: List[Dataset]):
-        if not parents:
-            raise PlanError("union needs at least one parent")
+    def __init__(self, parents: List[Dataset]):
         num_partitions = sum(parent.num_partitions for parent in parents)
-        super().__init__(ctx, num_partitions,
+        super().__init__(parents[0].ctx, num_partitions,
                          [NarrowDependency(parent) for parent in parents],
                          name="union")
         #: Union partition -> (dependency index, parent partition).  Parents
@@ -1281,26 +1248,11 @@ class CoalescedDataset(Dataset):
 # Each wide transformation — repartition, sort, distinct, group, aggregate,
 # cogroup — is one declaration in the table of :mod:`repro.engine.wide`: a
 # fold over one run of records, an associative merge of partials in
-# map-range order and a finish.  The API methods and the optimizer's
-# lowering build it through :func:`wide_dataset`, and its map side, reduce,
-# narrow local form, skew split and external merge are all derived from
-# that declaration (:class:`ShuffledDataset`); the broadcast join groups
-# with the same group fold and merge.
+# map-range order and a finish.  :func:`build` makes it a
+# :class:`ShuffledDataset`, whose map side, reduce, skew split and external
+# merge are all derived from that declaration, or its narrow local form;
+# the broadcast join groups with the same group fold and merge.
 # ---------------------------------------------------------------------------
-
-
-def wide_dataset(node: logical.LogicalNode, parents: List[Dataset]) -> Dataset:
-    """Build the physical form of a wide logical node from its declaration.
-
-    The one call through which the API methods and the optimizer's lowering
-    build every wide operator: the shuffled form, or — for a node the
-    ``shuffle_elim`` rule marked ``local`` — the narrow per-partition fold.
-    """
-    name, op = wide.OPERATORS[node.op](node)
-    if getattr(node, "local", False):
-        return MapPartitionsDataset(parents[0], wide.local_form(op)).set_name(
-            f"{name}(local)")
-    return ShuffledDataset(parents, node.partitioner, op, name)
 
 
 class ShuffledDataset(Dataset):
@@ -1539,3 +1491,51 @@ class BroadcastJoinDataset(Dataset):
                 extend = produced.extend
         if produced:
             yield produced
+
+
+# ---------------------------------------------------------------------------
+# The builder
+# ---------------------------------------------------------------------------
+
+
+def build(node: logical.LogicalNode, parents: List[Dataset]) -> Dataset:
+    """The physical dataset of the logical ``node`` over ``parents``.
+
+    The one place a logical node becomes a physical dataset: the API
+    methods build every transformation through it (:meth:`Dataset._derive`)
+    and plan lowering every rewritten node.  ``parents`` are the physical
+    datasets of the node's children, in order.  Narrow per-record nodes
+    and fused chains are one :class:`FusedDataset`, a shuffle join's
+    emission too; wide nodes come from their declaration in
+    :data:`repro.engine.wide.OPERATORS`, shuffled or — for a node the
+    ``shuffle_elim`` rule marked ``local`` — as the narrow per-partition
+    fold.
+    """
+    if node.op in wide.OPERATORS:
+        name, op = wide.OPERATORS[node.op](node)
+        if getattr(node, "local", False):
+            return MapPartitionsDataset(parents[0], wide.local_form(op)) \
+                .set_name(f"{name}(local)")
+        return ShuffledDataset(parents, node.partitioner, op, name)
+    if node.op in _STAGE or isinstance(node, logical.FusedNode):
+        return FusedDataset(parents[0], [
+            (stage.op, stage.func) for stage in getattr(node, "stages", [node])])
+    if isinstance(node, logical.JoinNode):
+        return FusedDataset(parents[0], [("flat_map", node.emit)],
+                            join_display_name(node.how))
+    if isinstance(node, logical.BroadcastJoinNode):
+        stream, broadcast = parents if node.broadcast_side == "right" \
+            else parents[::-1]
+        return BroadcastJoinDataset(stream, broadcast, node.emit, node.how,
+                                    node.broadcast_side)
+    if isinstance(node, logical.MapPartitionsNode):
+        return MapPartitionsDataset(parents[0], node.func,
+                                    with_index=node.with_index)
+    if isinstance(node, logical.SampleNode):
+        return SampleDataset(parents[0], node.fraction, node.seed)
+    if isinstance(node, logical.CoalesceNode):
+        return CoalescedDataset(parents[0], node.num_partitions)
+    if isinstance(node, logical.UnionNode):
+        return UnionDataset(parents)
+    raise PlanError(f"cannot build logical node {node.op!r} without a "
+                    f"physical dataset")

@@ -67,17 +67,14 @@ import statistics
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import EngineConfig
-from ..errors import PlanError
 from . import dataset as physical
-from . import wide
 from .partitioner import HashPartitioner, RoundRobinPartitioner
 from .plan import (AggregateNode, BroadcastJoinNode, CheckpointScanNode,
-                   CoalesceNode, CoGroupNode, FilterNode, FlatMapNode,
-                   FusedNode, JoinNode, LocalizableNode, LogicalNode, MapNode,
-                   MapPartitionsNode, PhysicalScanNode, ProjectedScanNode,
-                   ProjectNode, RepartitionNode, SampleNode, SortNode,
-                   SourceNode, UnionNode, output_partitioning)
-from .stats import StatsEstimator
+                   CoGroupNode, FilterNode, FlatMapNode, FusedNode, JoinNode,
+                   LocalizableNode, LogicalNode, MapNode, PhysicalScanNode,
+                   ProjectedScanNode, ProjectNode, RepartitionNode, SortNode,
+                   SourceNode, output_partitioning)
+from .stats import StatsEstimator, stamp_shuffle_hints
 
 #: Narrow per-record operators the ``fuse_narrow`` rule may collapse.
 _FUSABLE = (MapNode, FilterNode, FlatMapNode, ProjectNode)
@@ -694,28 +691,30 @@ class PlanOptimizer:
 # ---------------------------------------------------------------------------
 
 
-def _stage_of(node: LogicalNode):
-    """The ``(kind, func)`` pair of one narrow node: its ``op`` and function."""
-    if isinstance(node, ProjectNode):
-        return ("project", physical.field_projector(node.fields))
-    return (node.op, node.predicate if isinstance(node, FilterNode) else node.func)
-
-
 def lower_plan(node: LogicalNode, ctx) -> "physical.Dataset":
     """Turn an optimized logical plan into a runnable physical dataset.
 
-    Original (unrewritten) nodes lower to the physical dataset the API built;
-    rewritten nodes are constructed once per context and shared across plans
-    via their structural signature, so repeated actions — and sibling
-    datasets sharing a lineage prefix — reuse the same shuffles and caches.
+    Original (unrewritten) nodes lower to the physical dataset the API built.
+    A rewritten node is built by :func:`~repro.engine.dataset.build` over
+    its lowered children (a pruned scan straight from its source), gets its
+    shuffle-size hints, and is shared across plans via its structural
+    signature, so repeated actions — and sibling datasets sharing a lineage
+    prefix — reuse the same shuffles and caches.
     """
     if node.dataset is not None:
         return node.dataset
     signature = node.signature()
     built = ctx._lowered_plans.get(signature)
     if built is None:
-        built = _build_physical(node, ctx)
-        _stamp_shuffle_estimates(node, built)
+        if isinstance(node, ProjectedScanNode):
+            origin = node.source_dataset
+            built = physical.SourceDataset(ctx, origin._source,
+                                           origin.num_partitions,
+                                           columns=node.fields)
+        else:
+            built = physical.build(node, [lower_plan(child, ctx)
+                                          for child in node.children])
+        stamp_shuffle_hints(node, built)
         ctx._lowered_plans[signature] = built
         if len(ctx._lowered_plans) > _LOWERED_MEMO_LIMIT:
             # drop the oldest half (dict preserves insertion order)
@@ -734,64 +733,3 @@ def lower_plan(node: LogicalNode, ctx) -> "physical.Dataset":
         built._share_origin = origin._share_origin
         origin._cache_mirrors.append(built)
     return built
-
-
-def _stamp_shuffle_estimates(node: LogicalNode, built) -> None:
-    """Copy the plan's input-size estimates onto freshly built shuffle deps.
-
-    The scheduler uses ``ShuffleDependency.estimated_bytes`` to run cheaper
-    pending map stages first in adaptive mode; rewritten nodes only exist as
-    physical datasets from this point on, so the hints must be transferred
-    here (original nodes are stamped directly by the statistics estimator).
-    """
-    if isinstance(built, physical.ShuffledDataset):
-        for child, dependency in zip(node.children, built.dependencies):
-            if child.stats is not None:
-                dependency.estimated_bytes = child.stats.size_bytes
-
-
-def _build_physical(node: LogicalNode, ctx) -> "physical.Dataset":
-    """Construct the physical dataset of one rewritten logical node."""
-    d = physical
-    if isinstance(node, ProjectedScanNode):
-        origin = node.source_dataset
-        return d.SourceDataset(ctx, origin._source, origin.num_partitions,
-                               columns=node.fields)
-    if isinstance(node, (SourceNode, PhysicalScanNode, CheckpointScanNode)):
-        # leaves always carry their physical dataset; reaching this branch
-        # means the plan was built by hand without one
-        raise PlanError(f"cannot lower {node.op} node without a physical dataset")
-    if isinstance(node, _FUSABLE + (FusedNode,)):
-        # one stage per narrow node; a fused chain is named after its kinds
-        stages = node.stages if isinstance(node, FusedNode) else [node]
-        return d.FusedDataset(lower_plan(node.child, ctx),
-                              [_stage_of(stage) for stage in stages])
-    if isinstance(node, MapPartitionsNode):
-        return d.MapPartitionsDataset(lower_plan(node.child, ctx), node.func,
-                                      with_index=node.with_index)
-    if isinstance(node, SampleNode):
-        return d.SampleDataset(lower_plan(node.child, ctx), node.fraction,
-                               node.seed)
-    if isinstance(node, CoalesceNode):
-        return d.CoalescedDataset(lower_plan(node.child, ctx),
-                                  node.num_partitions)
-    if isinstance(node, UnionNode):
-        parents = [lower_plan(child, ctx) for child in node.children]
-        return d.UnionDataset(ctx, parents)
-    if node.op in wide.OPERATORS:
-        parents = [lower_plan(child, ctx) for child in node.children]
-        return d.wide_dataset(node, parents)
-    if isinstance(node, BroadcastJoinNode):
-        left = lower_plan(node.children[0], ctx)
-        right = lower_plan(node.children[1], ctx)
-        if node.broadcast_side == "right":
-            stream, build = left, right
-        else:
-            stream, build = right, left
-        return d.BroadcastJoinDataset(stream, build, node.emit, node.how,
-                                      node.broadcast_side)
-    if isinstance(node, JoinNode):
-        return d.FusedDataset(lower_plan(node.child, ctx),
-                              [("flat_map", node.emit)],
-                              d.join_display_name(node.how))
-    raise PlanError(f"cannot lower unknown logical node {node.op!r}")

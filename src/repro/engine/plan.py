@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import copy
 import itertools
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 #: Monotonic identity for logical nodes.  Copies produced by rewrite rules
 #: keep the origin id of the node they derive from, so that structurally
@@ -241,7 +242,24 @@ class ProjectedScanNode(LogicalNode):
 
 # ---------------------------------------------------------------------------
 # Narrow unary operators
+#
+# ``map``, ``filter``, ``flat_map`` and ``project`` each carry the record
+# function ``func`` of the one stage they lower to.
 # ---------------------------------------------------------------------------
+
+
+def field_projector(fields: List[str]):
+    """Record function of ``project``: keep only the listed dict fields.
+
+    The ``projection_fields`` marker lets batch kernels recognise the
+    function as a pure field selection and run it as a
+    :meth:`~repro.engine.columnar.ColumnBatch.project` column-reference
+    operation when the incoming batch is columnar.
+    """
+    def project(record: Any) -> Dict[str, Any]:
+        return {name: record.get(name) for name in fields}
+    project.projection_fields = tuple(fields)
+    return project
 
 
 class MapNode(LogicalNode):
@@ -259,6 +277,11 @@ class FilterNode(LogicalNode):
                  dataset=None):
         super().__init__([child], dataset=dataset)
         self.predicate = predicate
+
+    @property
+    def func(self) -> Callable[[Any], bool]:
+        """The record function of the stage: the predicate."""
+        return self.predicate
 
 
 class FlatMapNode(LogicalNode):
@@ -278,6 +301,8 @@ class ProjectNode(LogicalNode):
     def __init__(self, child: LogicalNode, fields: Sequence[str], dataset=None):
         super().__init__([child], dataset=dataset)
         self.fields = list(fields)
+        #: The record function of the stage (:func:`field_projector`).
+        self.func = field_projector(self.fields)
 
     def details(self) -> str:
         return f"fields={self.fields}"

@@ -20,8 +20,10 @@ module supplies that layer for the logical plan IR:
      half their input, aggregations one fifth, ...), the classic textbook
      defaults.
 
-The estimator also stamps ``estimated_bytes`` onto resolvable physical
-:class:`~repro.engine.dataset.ShuffleDependency` objects, which lets the DAG
+Each narrow kind's heuristic is one entry of :data:`NARROW_ESTIMATES`.
+:func:`stamp_shuffle_hints` copies the estimates onto the
+``estimated_bytes`` of built :class:`~repro.engine.dataset.ShuffleDependency`
+objects (for the estimator and for plan lowering), which lets the DAG
 scheduler run the cheapest pending shuffle-map stage first — exactly the
 ordering that gives adaptive re-optimization the best chance to cancel the
 expensive stages it makes redundant.
@@ -32,16 +34,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..config import EngineConfig
 from . import dataset as physical
-from .plan import (BroadcastJoinNode, CheckpointScanNode, CoalesceNode,
-                   CoGroupNode, DistinctNode, FilterNode, FlatMapNode,
-                   FusedNode, GroupByKeyNode, JoinNode, LocalizableNode,
-                   LogicalNode, MapNode, MapPartitionsNode, PhysicalScanNode,
-                   ProjectedScanNode, ProjectNode, RepartitionNode, SampleNode,
-                   SortNode, SourceNode, UnionNode)
+from .plan import (BroadcastJoinNode, CheckpointScanNode, CoGroupNode,
+                   DistinctNode, FusedNode, GroupByKeyNode, LocalizableNode,
+                   LogicalNode, PhysicalScanNode, ProjectedScanNode,
+                   SourceNode, UnionNode)
 from .memory import resolve_codec
 from .shuffle import KEY_SAMPLE_SIZE, estimate_bytes
 
@@ -155,6 +155,41 @@ class StatsEstimate:
         return f"{marker}{self.rows:,.0f} rows, {marker}{format_bytes(self.size_bytes)}"
 
 
+def _unchanged(node: LogicalNode, stats: StatsEstimate) -> StatsEstimate:
+    return stats
+
+
+#: How each narrow kind derives its output estimate from its input's, the
+#: one place each selectivity heuristic is applied.  A fused chain folds
+#: its stages' entries; a map, a coalesce, a join's emission and a
+#: repartition or sort pass the input's estimate on as is (``exact``
+#: included).
+NARROW_ESTIMATES: Dict[str, Callable[[LogicalNode, StatsEstimate],
+                                     StatsEstimate]] = {
+    "filter": lambda node, stats: stats.scaled(FILTER_SELECTIVITY),
+    "flat_map": lambda node, stats: stats.scaled(FLAT_MAP_GROWTH),
+    "project": lambda node, stats: stats.scaled(1.0, PROJECT_BYTES_RATIO),
+    "sample": lambda node, stats: stats.scaled(node.fraction),
+    **dict.fromkeys(("map", "coalesce", "join", "repartition", "sort"),
+                    _unchanged),
+}
+
+
+def stamp_shuffle_hints(node: LogicalNode, ds) -> None:
+    """Record each shuffle input's estimated size on ``ds``'s dependency.
+
+    The one writer of ``ShuffleDependency.estimated_bytes``: the estimator
+    calls it for every shuffle node whose dataset is built, and lowering
+    for every dataset it builds.  The scheduler runs cheaper pending
+    shuffle-map stages first, so adaptive re-optimization learns actual
+    sizes before the expensive stages.
+    """
+    if isinstance(ds, physical.ShuffledDataset):
+        for child, dependency in zip(node.children, ds.dependencies):
+            if child.stats is not None:
+                dependency.estimated_bytes = child.stats.size_bytes
+
+
 class StatsEstimator:
     """Annotates logical plans with :class:`StatsEstimate` per node."""
 
@@ -193,15 +228,17 @@ class StatsEstimator:
             return node.dataset
         return self.lowered_plans.get(node.signature())
 
-    def _shuffle_actual(self, node: LogicalNode) -> Optional[StatsEstimate]:
-        """Actual map-output stats of a shuffle node whose stage already ran."""
+    def _shuffled(self, node: LogicalNode):
+        """The built :class:`~repro.engine.dataset.ShuffledDataset` of
+        ``node`` when a shuffle manager can report on its map outputs."""
         if self.shuffle_manager is None:
             return None
         ds = self._physical_of(node)
-        if not isinstance(ds, physical.ShuffledDataset):
-            return None
-        actual = self.shuffle_manager.map_output_stats(
-            ds.dependencies[0].shuffle_id)
+        return ds if isinstance(ds, physical.ShuffledDataset) else None
+
+    def _map_actual(self, dependency) -> Optional[StatsEstimate]:
+        """Actual output of one shuffle's map stage, once it completed."""
+        actual = self.shuffle_manager.map_output_stats(dependency.shuffle_id)
         if actual is None:
             return None
         records, size = actual
@@ -257,8 +294,8 @@ class StatsEstimator:
         """Sampled key distribution of ``node``'s key-bearing input.
 
         Prefers the *actual* map output of the node's completed shuffle(s);
-        before the shuffle runs, an in-memory pair source directly below the
-        node is sampled instead.  Returns ``None`` when neither is
+        before the shuffle runs, in-memory pair sources directly below the
+        node are sampled instead.  Returns ``None`` when neither is
         observable (e.g. a UDF map sits between the source and the shuffle).
         """
         if isinstance(node, DistinctNode):
@@ -276,17 +313,13 @@ class StatsEstimator:
 
     def _shuffle_key_distribution(self, node: LogicalNode, key_of
                                   ) -> Optional[KeyDistribution]:
-        if self.shuffle_manager is None:
+        ds = self._shuffled(node)
+        if ds is None:
             return None
-        ds = self._physical_of(node)
-        if not isinstance(ds, physical.ShuffledDataset):
-            return None
-        dependencies = ds.dependencies
-        actuals = [self.shuffle_manager.map_output_stats(dep.shuffle_id)
-                   for dep in dependencies]
+        actuals = [self._map_actual(dep) for dep in ds.dependencies]
         if any(actual is None for actual in actuals):
             return None
-        shuffle_ids = tuple(dep.shuffle_id for dep in dependencies)
+        shuffle_ids = tuple(dep.shuffle_id for dep in ds.dependencies)
         cache_key = ("shuffle",) + shuffle_ids
         if cache_key not in self._key_cache:
             # one stratified draw over every map of every side: each side
@@ -295,62 +328,40 @@ class StatsEstimator:
             sample = self.shuffle_manager.sample_records(shuffle_ids,
                                                          KEY_SAMPLE_SIZE)
             self._key_cache[cache_key] = self._distribution_from_sample(
-                sample, sum(records for records, _ in actuals), key_of)
+                sample, sum(actual.rows for actual in actuals), key_of)
         return self._key_cache[cache_key]
 
     def _source_key_distribution(self, node: LogicalNode, key_of
                                  ) -> Optional[KeyDistribution]:
-        if isinstance(node, CoGroupNode):
-            return self._cogroup_source_distribution(node, key_of)
-        child = node.children[0]
-        ds = child.dataset
-        data = getattr(ds, "_data", None) if ds is not None else None
-        if not data:
-            return None
-        if not isinstance(node, DistinctNode):
-            probe = data[0]
-            if not (isinstance(probe, tuple) and len(probe) == 2):
-                return None
-        cache_key = ("source", ds.id, type(node).__name__)
-        if cache_key not in self._key_cache:
-            if len(data) <= KEY_SAMPLE_SIZE:
-                sample = data
-            else:
-                # seeded random, not a stride: striding aliases badly onto
-                # periodically repeating keys (i % k generators and the like)
-                rng = random.Random(f"source-sample:{ds.id}")
-                sample = rng.sample(data, KEY_SAMPLE_SIZE)
-            self._key_cache[cache_key] = self._distribution_from_sample(
-                sample, len(data), key_of)
-        return self._key_cache[cache_key]
+        """Plan-time key distribution of a node fed by in-memory sources.
 
-    def _cogroup_source_distribution(self, node: CoGroupNode, key_of
-                                     ) -> Optional[KeyDistribution]:
-        """Plan-time key distribution of a cogroup fed by in-memory sources.
-
-        Both sides must be directly observable pair collections (a UDF map
-        in between makes the keys unobservable); each side contributes
-        samples proportionally to its row count, so a hot key on either
-        input surfaces in the combined distribution — the signal that lets
-        the cost model price a skewed join's straggler *before* its
-        shuffles run (once they have run, the actual map outputs take over
-        via :meth:`_shuffle_key_distribution`).
+        Every input must be a directly observable collection — of pairs,
+        unless the node is a distinct — since a UDF map in between makes
+        the keys unobservable.  Each input contributes samples in
+        proportion to its row count (a seeded random draw, not a stride:
+        striding aliases badly onto periodically repeating keys), so a hot
+        key on either side of a cogroup surfaces in the combined
+        distribution — the signal that lets the cost model price a skewed
+        join's straggler *before* its shuffles run (once they have run, the
+        actual map outputs take over via :meth:`_shuffle_key_distribution`).
         """
-        sides = []
+        inputs = []
         for child in node.children:
             ds = child.dataset
             data = getattr(ds, "_data", None) if ds is not None else None
             if not data:
                 return None
             probe = data[0]
-            if not (isinstance(probe, tuple) and len(probe) == 2):
+            if not isinstance(node, DistinctNode) and \
+                    not (isinstance(probe, tuple) and len(probe) == 2):
                 return None
-            sides.append((ds.id, data))
-        cache_key = ("source-cogroup",) + tuple(ds_id for ds_id, _ in sides)
+            inputs.append((ds.id, data))
+        cache_key = ("source", type(node).__name__) + \
+            tuple(ds_id for ds_id, _ in inputs)
         if cache_key not in self._key_cache:
-            total = sum(len(data) for _, data in sides)
+            total = sum(len(data) for _, data in inputs)
             sample: list = []
-            for ds_id, data in sides:
+            for ds_id, data in inputs:
                 wanted = max(1, round(KEY_SAMPLE_SIZE * len(data) / total))
                 if len(data) <= wanted:
                     sample.extend(data)
@@ -361,24 +372,16 @@ class StatsEstimator:
                 sample, total, key_of)
         return self._key_cache[cache_key]
 
-    def _stamp_shuffle_hint(self, node: LogicalNode,
-                            child: Optional[StatsEstimate]) -> None:
-        """Record the pre-shuffle size on the physical dependency, if any."""
-        if child is None:
-            return
-        ds = self._physical_of(node)
-        if isinstance(ds, physical.ShuffledDataset):
-            ds.dependencies[0].estimated_bytes = child.size_bytes
-
     # -- estimation ---------------------------------------------------------
 
     def _estimate(self, node: LogicalNode) -> Optional[StatsEstimate]:
         children = [self._estimate(child) for child in node.children]
         if isinstance(node, CoGroupNode):
             self._override_cogroup_inputs(node, children)
-        stats = self._node_stats(node, children)
-        node.stats = stats
-        return stats
+        if node.is_shuffle:
+            stamp_shuffle_hints(node, self._physical_of(node))
+        node.stats = self._node_stats(node, children)
+        return node.stats
 
     def _override_cogroup_inputs(self, node: CoGroupNode, children) -> None:
         """Feed actual per-side map-output sizes back into a cogroup's inputs.
@@ -388,21 +391,13 @@ class StatsEstimator:
         signal that lets adaptive re-optimization flip a mis-estimated join
         to broadcast mid-job.
         """
-        if self.shuffle_manager is None:
-            return
-        ds = self._physical_of(node)
-        if not isinstance(ds, physical.ShuffledDataset):
+        ds = self._shuffled(node)
+        if ds is None:
             return
         for index, dependency in enumerate(ds.dependencies):
-            actual = self.shuffle_manager.map_output_stats(dependency.shuffle_id)
+            actual = self._map_actual(dependency)
             if actual is not None:
-                records, size = actual
-                children[index] = StatsEstimate(rows=float(records),
-                                                size_bytes=float(size),
-                                                exact=True)
-                node.children[index].stats = children[index]
-            if children[index] is not None:
-                dependency.estimated_bytes = children[index].size_bytes
+                children[index] = node.children[index].stats = actual
 
     def _node_stats(self, node: LogicalNode,
                     children) -> Optional[StatsEstimate]:
@@ -420,123 +415,69 @@ class StatsEstimator:
                     exact=True)
             return self._leaf_stats(node)
         if isinstance(node, ProjectedScanNode):
-            # a pruned scan is its source leaf shrunk by the projection: the
-            # same byte ratio the ProjectNode it replaced would have applied
+            # a pruned scan is its source leaf shrunk by the projection it
+            # replaced
             base = self._dataset_stats(node.source_dataset)
-            return base.scaled(1.0, PROJECT_BYTES_RATIO) \
+            return NARROW_ESTIMATES["project"](node, base) \
                 if base is not None else None
 
-        # shuffle operators: prefer the actual map output once it exists
-        if isinstance(node, (RepartitionNode, SortNode, LocalizableNode)) \
-                and node.is_shuffle:
+        # repartition, sort and keyed shuffles: prefer the actual map output
+        # once it exists
+        if node.is_shuffle and not isinstance(node, CoGroupNode):
             if isinstance(node, LocalizableNode):
                 node.key_stats = self.key_distribution(node)
-            actual = self._shuffle_actual(node)
-            self._stamp_shuffle_hint(node, child)
+            ds = self._shuffled(node)
+            actual = self._map_actual(ds.dependencies[0]) \
+                if ds is not None else None
             if actual is not None:
-                return self._keyed_output_from_actual(node, actual)
+                if node.key_stats is None or actual.rows <= 0:
+                    return actual
+                return self._keyed_output(node, actual,
+                                          actual.exact and node.key_stats.exact)
 
-        if isinstance(node, (MapNode, CoalesceNode)):
-            return child
-        if isinstance(node, FilterNode):
-            return child.scaled(FILTER_SELECTIVITY) if child else None
-        if isinstance(node, FlatMapNode):
-            return child.scaled(FLAT_MAP_GROWTH) if child else None
-        if isinstance(node, ProjectNode):
-            return child.scaled(1.0, PROJECT_BYTES_RATIO) if child else None
-        if isinstance(node, SampleNode):
-            return child.scaled(node.fraction) if child else None
-        if isinstance(node, FusedNode):
-            return self._fused_stats(node, child)
-        if isinstance(node, MapPartitionsNode):
-            return None  # arbitrary per-partition function: unknown output
-        if isinstance(node, (RepartitionNode, SortNode)):
+        if node.op in NARROW_ESTIMATES or isinstance(node, FusedNode):
+            for stage in getattr(node, "stages", [node]):
+                if child is not None:
+                    child = NARROW_ESTIMATES[stage.op](stage, child)
             return child
         if isinstance(node, LocalizableNode):
-            refined = self._keyed_output_estimate(node, child)
-            if refined is not None:
-                return refined
-            if isinstance(node, DistinctNode):
-                return child.scaled(DISTINCT_RATIO) if child else None
-            return child.scaled(AGGREGATE_RATIO, AGGREGATE_RATIO) if child else None
+            if child is None:
+                return None
+            if node.key_stats is not None and child.rows > 0 and \
+                    node.is_shuffle:
+                # local (shuffle-eliminated) variants merge keys per
+                # partition only; the whole-input distinct count does not
+                # bound their output, so the heuristics stay in charge
+                return self._keyed_output(node, child, False)
+            return child.scaled(DISTINCT_RATIO if isinstance(node, DistinctNode)
+                                else AGGREGATE_RATIO)
         if isinstance(node, CoGroupNode):
             node.key_stats = self.key_distribution(node)
-            if any(c is None for c in children):
-                return None
-            return StatsEstimate(
-                rows=max(c.rows for c in children),
-                size_bytes=sum(c.size_bytes for c in children))
-        if isinstance(node, JoinNode):
-            return child
-        if isinstance(node, BroadcastJoinNode):
-            if any(c is None for c in children):
-                return None
-            stream = children[0] if node.broadcast_side == "right" else children[1]
-            return StatsEstimate(rows=stream.rows,
-                                 size_bytes=sum(c.size_bytes for c in children))
-        if isinstance(node, UnionNode):
-            if any(c is None for c in children):
-                return None
-            return StatsEstimate(rows=sum(c.rows for c in children),
-                                 size_bytes=sum(c.size_bytes for c in children))
-        return None
+        if any(c is None for c in children) or not isinstance(
+                node, (CoGroupNode, BroadcastJoinNode, UnionNode)):
+            return None  # e.g. map_partitions: an arbitrary function
+        if isinstance(node, CoGroupNode):
+            rows = max(c.rows for c in children)
+        elif isinstance(node, UnionNode):
+            rows = sum(c.rows for c in children)
+        else:  # a broadcast join emits about one row per stream row
+            rows = children[0 if node.broadcast_side == "right" else 1].rows
+        return StatsEstimate(rows=rows,
+                             size_bytes=sum(c.size_bytes for c in children))
 
-    def _keyed_output_from_actual(self, node: LogicalNode,
-                                  actual: StatsEstimate) -> StatsEstimate:
-        """Refine a completed shuffle's map-output stats into reduce output.
+    def _keyed_output(self, node: LocalizableNode, base: StatsEstimate,
+                      exact: bool) -> StatsEstimate:
+        """One output record per distinct key of ``base``, the keyed input.
 
-        The map output of a grouping/aggregation/distinct is still keyed
-        per-record (or per map-side combiner); the reduce merges those down
-        to one record per distinct key, so the sampled key distribution is
-        the better output-cardinality signal.  Grouping keeps every value,
-        so its output bytes stay at the map-output size; aggregations and
-        distinct shrink proportionally to the key ratio.
+        The sampled key distribution bounds a grouping, aggregation or
+        distinct output's cardinality.  Grouping keeps every value, so its
+        output bytes stay at the input's; aggregations and distinct shrink
+        proportionally to the key ratio.
         """
-        distribution = node.key_stats
-        if distribution is None or actual.rows <= 0 or \
-                not isinstance(node, LocalizableNode):
-            return actual
-        rows = min(actual.rows, distribution.distinct_keys)
-        if rows <= 0:
-            return actual
-        if isinstance(node, GroupByKeyNode):
-            size = actual.size_bytes
-        else:
-            size = actual.size_bytes * (rows / actual.rows)
-        return StatsEstimate(rows=rows, size_bytes=size,
-                             exact=actual.exact and distribution.exact)
-
-    def _keyed_output_estimate(self, node: LogicalNode,
-                               child: Optional[StatsEstimate]
-                               ) -> Optional[StatsEstimate]:
-        """Plan-time cardinality from a sampled pair source, if observable."""
-        distribution = node.key_stats
-        if distribution is None or child is None or child.rows <= 0 or \
-                not node.is_shuffle:
-            # local (shuffle-eliminated) variants merge keys per partition
-            # only; the whole-input distinct count does not bound their
-            # output, so the generic heuristics stay in charge
-            return None
-        rows = min(child.rows, distribution.distinct_keys)
-        if isinstance(node, GroupByKeyNode):
-            size = child.size_bytes
-        else:
-            size = child.size_bytes * (rows / child.rows)
-        return StatsEstimate(rows=rows, size_bytes=size, exact=False)
-
-    def _fused_stats(self, node: FusedNode,
-                     child: Optional[StatsEstimate]) -> Optional[StatsEstimate]:
-        if child is None:
-            return None
-        stats = child
-        for stage in node.stages:
-            if isinstance(stage, FilterNode):
-                stats = stats.scaled(FILTER_SELECTIVITY)
-            elif isinstance(stage, FlatMapNode):
-                stats = stats.scaled(FLAT_MAP_GROWTH)
-            elif isinstance(stage, ProjectNode):
-                stats = stats.scaled(1.0, PROJECT_BYTES_RATIO)
-        return stats
+        rows = min(base.rows, node.key_stats.distinct_keys)
+        size = base.size_bytes if isinstance(node, GroupByKeyNode) \
+            else base.size_bytes * (rows / base.rows)
+        return StatsEstimate(rows=rows, size_bytes=size, exact=exact)
 
     def _leaf_stats(self, node: LogicalNode) -> Optional[StatsEstimate]:
         cached = self._cached_actual(node)

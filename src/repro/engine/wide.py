@@ -17,8 +17,8 @@ A wide operator is declared once, in :data:`OPERATORS`, as a
     the partial's output records.
 
 Every way the engine runs an operator is derived from that declaration
-(:class:`~repro.engine.dataset.ShuffledDataset` and
-:func:`~repro.engine.dataset.wide_dataset`):
+(:class:`~repro.engine.dataset.ShuffledDataset`, which
+:func:`~repro.engine.dataset.build` makes of every wide node):
 
 * **reduce**: the finish of one partial — the fold of the partition's
   reduce input, or, when the map side already folded, its merge;

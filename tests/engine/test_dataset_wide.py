@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import EngineConfig
+from repro.engine.context import EngineContext
+from repro.errors import PlanError
+
 
 class TestGroupingAndReduction:
     def test_reduce_by_key_sums(self, engine):
@@ -176,3 +180,50 @@ class TestChainedWideOperations:
         sizes = engine.parallelize([(k, "label") for k in range(4)], 2)
         joined = dict(grouped.join(sizes).collect())
         assert all(value == (5, "label") for value in joined.values())
+
+
+class TestContextBoundary:
+    """Datasets of two engine contexts never combine: each context's
+    scheduler runs only its own lineage and knows only its own shuffles."""
+
+    @staticmethod
+    def _add(a, b):
+        return a + b
+
+    @pytest.fixture()
+    def other_engine(self):
+        ctx = EngineContext(EngineConfig(num_workers=1, default_parallelism=2,
+                                         seed=1))
+        yield ctx
+        ctx.stop()
+
+    @pytest.mark.parametrize("combine", [
+        lambda x, y: x.join(y),
+        lambda x, y: x.left_outer_join(y),
+        lambda x, y: x.full_outer_join(y),
+        lambda x, y: x.subtract_by_key(y),
+        lambda x, y: x.cogroup(y),
+        lambda x, y: x.union(y),
+    ], ids=["join", "left_outer_join", "full_outer_join", "subtract_by_key",
+            "cogroup", "union"])
+    @pytest.mark.parametrize("shuffled", [False, True],
+                             ids=["source", "after_shuffle"])
+    def test_combining_across_contexts_is_a_plan_error(
+            self, engine, other_engine, combine, shuffled):
+        x = engine.parallelize([(1, "a"), (2, "b")], 2)
+        y = other_engine.parallelize([(1, "X")], 1)
+        if shuffled:
+            y = y.reduce_by_key(self._add)
+        with pytest.raises(PlanError) as raised:
+            combine(x, y)
+        message = str(raised.value)
+        assert repr(x) in message and repr(y) in message
+        assert "different engine contexts" in message
+        # the other context's datasets still run there
+        assert dict(y.collect()) == {1: "X"}
+
+    def test_combining_within_one_context_still_works(self, engine):
+        x = engine.parallelize([(1, "a"), (2, "b")], 2)
+        y = engine.parallelize([(1, "X")], 1).reduce_by_key(self._add)
+        assert x.join(y).collect() == [(1, ("a", "X"))]
+        assert sorted(x.union(y).collect()) == [(1, "X"), (1, "a"), (2, "b")]
