@@ -48,9 +48,9 @@ CONFIGS = (
     ("clean", {}, ()),
     ("task failures", {"failure_rate": 0.10, "max_task_retries": 8},
      ("num_failed_attempts",)),
-    ("worker crashes", {"crash_failure_rate": 0.10, "max_stage_retries": 8},
+    ("worker crashes", {"faults": {"crash": 0.10}, "max_stage_retries": 8},
      ("stage_retries",)),
-    ("frame corruption", {"corruption_rate": 0.10, "max_stage_retries": 8},
+    ("frame corruption", {"faults": {"corrupt": 0.10}, "max_stage_retries": 8},
      ("lost_map_outputs", "recomputed_tasks")),
 )
 

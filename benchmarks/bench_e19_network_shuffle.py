@@ -53,7 +53,7 @@ STRAGGLE_S = 1.0
 CONFIGS = (
     ("local transport", {"shuffle_transport": "local"}, ()),
     ("tcp clean", {"shuffle_transport": "tcp"}, ()),
-    ("tcp + drops", {"shuffle_transport": "tcp", "network_drop_rate": 0.15,
+    ("tcp + drops", {"shuffle_transport": "tcp", "faults": {"drop": 0.15},
                      "fetch_max_retries": 6, "fetch_backoff_s": 0.001},
      ("fetch_retries",)),
 )

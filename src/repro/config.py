@@ -35,6 +35,7 @@ KINDS: Dict[str, Kind] = {
     "str": (str,),
     "Optional[str]": (str,),
     "Tuple[str, ...]": (list, tuple),
+    "Tuple[Tuple[str, float], ...]": (dict, list, tuple),
 }
 
 
@@ -94,20 +95,24 @@ def _table(cls: type) -> Tuple[Knob, ...]:
         for item in fields(cls) if item.metadata)
 
 
-def _checks(knobs: Tuple[Knob, ...]) -> Tuple[Tuple[str, Check], ...]:
-    return tuple((entry.name, entry.check) for entry in knobs if entry.check)
+def knob_checks(cls: type) -> Tuple[Tuple[str, Check], ...]:
+    """``(name, check)`` of every checked field of a knob dataclass."""
+    return tuple((item.name, item.check) for item in _table(cls) if item.check)
 
 
-def _validate(config: Any, checks: Tuple[Tuple[str, Check], ...]) -> None:
-    """Apply every field check; a value of the wrong type fails it too."""
+def validate(values: Dict[str, Any], checks: Tuple[Tuple[str, Check], ...],
+             label: str = "{}") -> None:
+    """Apply every check to ``values`` by name; a value of the wrong type
+    fails it too.  ``label`` formats the name in the error."""
     for name, (test, rule) in checks:
-        value = getattr(config, name)
+        value = values[name]
         try:
             if test(value):
                 continue
-        except TypeError:
+        except (TypeError, ValueError):
             pass
-        raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
+        raise ConfigurationError(
+            f"{label.format(name)} must be {rule}, got {value!r}")
 
 
 #: Connect/read timeout, in seconds, of one TCP shuffle fetch attempt.
@@ -165,27 +170,27 @@ class EngineConfig:
         decision is seeded per ``(seed, task id, attempt)``, so a given
         attempt fails identically on both executor backends and retried
         attempts draw fresh decisions.
-    crash_failure_rate:
-        Probability that a task *crashes its worker* instead of failing
-        cleanly, seeded per ``(seed, task id, attempt)`` like
-        ``failure_rate``.  On the process backend the worker hard-exits
-        mid-task (after computing, before reporting), breaking the pool —
-        the driver respawns it and resubmits the stage's unfinished tasks,
-        bounded by ``max_stage_retries``.  On the thread backend a crash
-        cannot take the driver down, so the decision degrades to an
-        injected task failure handled by the ordinary retry loop.  ``0.0``
-        disables crash injection.
-    corruption_rate:
-        Probability that a written spill/transport frame payload is
-        corrupted (truncated or bit-flipped) on its way to disk, evaluated
-        once per writing task / spill event from the engine seed.  The
-        checksummed frame headers detect the damage on read, the reduce
-        side raises :class:`~repro.errors.FetchFailedError` naming the lost
-        ``(shuffle_id, map_partition)``, and the scheduler recomputes
-        exactly the lost map partitions from lineage.  Only frames actually
-        written are eligible: process-backend transport frames, and bucket
-        spill frames under a bounded ``shuffle_memory_bytes``.  ``0.0``
-        disables corruption injection.
+    faults:
+        The fail points armed for tests and the fault-injection
+        benchmarks, as a mapping of point to value (stored as sorted
+        pairs); each point is declared in
+        :data:`repro.engine.retry.FAULTS`, and every decision is one seeded
+        draw of ``retry.Faults``.  ``crash``: probability that a task
+        *crashes its worker* instead of failing cleanly, per ``(seed, task
+        id, attempt)`` — a worker process hard-exits after computing,
+        breaking the pool (respawned, its unfinished tasks resubmitted,
+        bounded by ``max_stage_retries``); a thread raises an injected
+        crash that the attempt budget retries.  ``corrupt``: probability
+        that a written spill or transport frame payload (or a shuffle
+        server reply) is truncated or bit-flipped; the frame CRCs catch it
+        and the lost map partitions are recomputed from lineage.  Only
+        frames actually written are eligible: transport frames, and bucket
+        spill frames under a bounded ``shuffle_memory_bytes``.  ``drop``:
+        probability that the shuffle server closes a fetch without
+        replying, per ``(request, attempt)``.  ``delay``: seconds the
+        shuffle server sleeps before each reply, below
+        :data:`FETCH_TIMEOUT_S`.  Every rate is in ``[0, 1)``; an unknown
+        point is an error.  Empty (the default) injects nothing.
     task_timeout_s:
         Driver-side deadline, in seconds, on settling each task attempt.
         An attempt whose result does not arrive in time is counted in
@@ -284,16 +289,6 @@ class EngineConfig:
         ``n`` sleeps ``fetch_backoff_s * 2**n`` (capped, with deterministic
         ±50% jitter keyed on the engine seed and fetch coordinates).  ``0``
         retries immediately.
-    network_drop_rate:
-        Probability that the shuffle server drops a fetch (closes the
-        connection without replying), seeded per ``(request, attempt)`` so
-        a retried fetch draws a fresh decision.  Exercises the fetch-retry
-        ladder deterministically; ``0.0`` disables drop injection.
-    network_delay_s:
-        Fixed per-request delay, in seconds, the shuffle server sleeps
-        before serving a fetch — simulated network latency.  Must stay
-        below :data:`FETCH_TIMEOUT_S` or every fetch times out.  ``0``
-        serves immediately.
     heartbeat_interval_s:
         Interval at which process-backend workers write heartbeat files
         under the transport root for the driver's
@@ -390,12 +385,15 @@ class EngineConfig:
     memory_budget_bytes: int = knob(256 * 1024 * 1024, at_least(0))
     spill_codec: str = knob("auto", one_of("auto", "none", "zlib", "lz4"))
     failure_rate: float = knob(0.0, RATE, spec=True)
-    crash_failure_rate: float = knob(0.0, RATE)
-    corruption_rate: float = knob(0.0, RATE)
+    faults: Tuple[Tuple[str, float], ...] = knob(
+        (), (lambda value: isinstance(dict(value), dict), "a mapping"))
     task_timeout_s: float = knob(0.0, at_least(0))
     max_stage_retries: int = knob(2, at_least(0))
     seed: int = knob(0, spec=True)
-    optimizer_rules: Tuple[str, ...] = knob(KNOWN_OPTIMIZER_RULES)
+    optimizer_rules: Tuple[str, ...] = knob(KNOWN_OPTIMIZER_RULES, (
+        lambda value: not isinstance(value, str)
+        and set(value) <= set(KNOWN_OPTIMIZER_RULES),
+        f"a sequence of rule names from {list(KNOWN_OPTIMIZER_RULES)}"))
     broadcast_threshold_bytes: int = knob(10 * 1024 * 1024, at_least(0),
                                           spec=True, hint=True)
     target_partition_bytes: int = knob(0, at_least(0), spec=True, hint=True)
@@ -409,8 +407,6 @@ class EngineConfig:
                                   spec=True, hint=True)
     fetch_max_retries: int = knob(3, at_least(0), spec=True, hint=True)
     fetch_backoff_s: float = knob(0.05, at_least(0))
-    network_drop_rate: float = knob(0.0, RATE)
-    network_delay_s: float = knob(0.0, at_least(0))
     heartbeat_interval_s: float = knob(0.0, at_least(0))
     heartbeat_timeout_s: float = knob(0.0, at_least(0))
     blacklist_failure_threshold: int = knob(0, at_least(0), spec=True,
@@ -427,28 +423,18 @@ class EngineConfig:
     recover_from: Optional[str] = knob(None, spec=True, hint=True)
 
     def __post_init__(self) -> None:
-        _validate(self, _ENGINE_CHECKS)
-        if self.network_delay_s >= FETCH_TIMEOUT_S:
-            raise ConfigurationError(
-                f"network_delay_s must be below the {FETCH_TIMEOUT_S}s fetch "
-                "timeout or every fetch times out")
+        validate(vars(self), _ENGINE_CHECKS)
+        faults = dict(self.faults)
+        if faults:
+            # lazily: the engine package imports this module
+            from .engine.retry import fault_checks
+            validate(faults, fault_checks(faults), "faults[{!r}]")
+        object.__setattr__(self, "faults", tuple(sorted(faults.items())))
         if self.checkpoint_interval > 0 and not self.checkpoint_dir:
             raise ConfigurationError(
                 "checkpoint_interval requires checkpoint_dir: automatic "
                 "checkpoints need a durable directory to land in")
-        if isinstance(self.optimizer_rules, str):
-            # tuple("pushdown") would explode into characters and produce a
-            # baffling unknown-rules error; demand a proper sequence instead
-            raise ConfigurationError(
-                "optimizer_rules must be a sequence of rule names, "
-                f"e.g. optimizer_rules=({self.optimizer_rules!r},)")
         object.__setattr__(self, "optimizer_rules", tuple(self.optimizer_rules))
-        unknown = [rule for rule in self.optimizer_rules
-                   if rule not in KNOWN_OPTIMIZER_RULES]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown optimizer rules {unknown}; "
-                f"known: {list(KNOWN_OPTIMIZER_RULES)}")
 
     def with_overrides(self, **overrides: Any) -> "EngineConfig":
         """Return a copy of this configuration with some fields replaced."""
@@ -477,7 +463,7 @@ class PlatformConfig:
     audit_enabled: bool = knob(True)
 
     def __post_init__(self) -> None:
-        _validate(self, _PLATFORM_CHECKS)
+        validate(vars(self), _PLATFORM_CHECKS)
 
     def with_overrides(self, **overrides: Any) -> "PlatformConfig":
         """Return a copy of this configuration with some fields replaced."""
@@ -491,7 +477,7 @@ SPEC_KNOBS: Dict[str, Knob] = {entry.preference: entry
                                for entry in ENGINE_KNOBS if entry.preference}
 #: The knobs ``DeploymentModel.optimizer_hints`` surfaces.
 HINT_KNOBS = tuple(entry for entry in ENGINE_KNOBS if entry.hint)
-_ENGINE_CHECKS = _checks(ENGINE_KNOBS)
-_PLATFORM_CHECKS = _checks(_table(PlatformConfig))
+_ENGINE_CHECKS = knob_checks(EngineConfig)
+_PLATFORM_CHECKS = knob_checks(PlatformConfig)
 
 DEFAULT_ENGINE_CONFIG = EngineConfig()

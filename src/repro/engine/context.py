@@ -26,7 +26,7 @@ from .optimizer import PlanOptimizer, lower_plan
 from .plan import SourceNode, render_plan
 from .scheduler import DAGScheduler
 from .shuffle import ShuffleManager
-from .retry import policy
+from .retry import Faults, policy
 from .shuffle_server import ShuffleServer
 from .storage import BlockStore
 from .transport import LocalDirShuffleTransport, TcpShuffleTransport
@@ -96,6 +96,7 @@ class EngineContext:
         self._journal: Optional[JobJournal] = None
         if self.config.checkpoint_dir:
             self._journal = JobJournal(self._checkpoint_root)
+        faults = Faults.of(self.config)
         if self.config.executor_backend == "process" or \
                 self.config.shuffle_transport == "tcp":
             if self._checkpoint_root is not None:
@@ -109,12 +110,7 @@ class EngineContext:
                 transport_root = os.path.join(self.spill_dir(), "transport")
                 durable = False
             if self.config.shuffle_transport == "tcp":
-                self._shuffle_server = ShuffleServer(
-                    transport_root,
-                    drop_rate=self.config.network_drop_rate,
-                    delay_s=self.config.network_delay_s,
-                    corruption_rate=self.config.corruption_rate,
-                    seed=self.config.seed)
+                self._shuffle_server = ShuffleServer(transport_root, faults)
                 self._transport = TcpShuffleTransport(
                     transport_root, self._shuffle_server.address,
                     policy=policy(self.config, "fetch"), durable=durable)
@@ -122,12 +118,9 @@ class EngineContext:
                 self._transport = LocalDirShuffleTransport(transport_root,
                                                            durable=durable)
         self.shuffle_manager = ShuffleManager(
-            memory_manager=self.memory_manager,
-            spill_dir=self.spill_dir,
-            transport=self._transport,
-            codec=self.config.spill_codec,
-            corruption_rate=self.config.corruption_rate,
-            seed=self.config.seed)
+            self.memory_manager, spill_dir=self.spill_dir,
+            transport=self._transport, codec=self.config.spill_codec,
+            faults=faults)
         self.block_store = BlockStore(memory_budget_bytes=self.config.memory_budget_bytes)
         self.metrics = MetricsRegistry()
         #: (build dataset id, collection kind) -> collected broadcast value;

@@ -48,8 +48,7 @@ from . import serializer
 from .dataset import (BroadcastDependency, LineageStub,
                       ParallelCollectionDataset, ShuffleDependency)
 from .metrics import StageMetrics, TaskContext, TaskMetrics
-from .memory import should_inject
-from .retry import (FAILURES, InjectedCrash, InjectedFailure,
+from .retry import (FAILURES, Faults, InjectedCrash, InjectedFailure,
                     NodeHealthTracker, attempt_failure, policy)
 
 #: Floor on the speculation threshold: tasks faster than this are never
@@ -83,15 +82,15 @@ class TaskResult:
         self.metrics = metrics
 
 
-def run_attempt(task: Task, attempt: int, config: EngineConfig,
+def run_attempt(task: Task, attempt: int, faults: Faults,
                 hard_crash: bool = False,
                 task_context: Optional[TaskContext] = None) -> Dict[str, Any]:
     """Run one attempt of ``task``; return its outcome as a plain dict.
 
-    Fault injection is drawn here, which both backends run, so a given
-    attempt fails identically on both: ``failure_rate`` per ``(seed, task
-    id, attempt)``, and ``crash_failure_rate`` under its own ``crash:`` tag
-    so enabling one knob never perturbs the other's decisions.  The
+    The ``task`` and ``crash`` fail points fire here, which both backends
+    run, so a given attempt fails identically on both: each is drawn per
+    ``(task id, attempt)`` under its own tag, so arming one never perturbs
+    the other's decisions.  The
     outcome is ``ok``, ``duration_s`` and either ``value`` plus the
     ``TaskContext`` ``counters``, or ``error`` — (exception type name,
     message, formatted traceback) — plus ``failure``: the kind of
@@ -104,11 +103,10 @@ def run_attempt(task: Task, attempt: int, config: EngineConfig,
     started = time.perf_counter()
     key = f"{task.task_id}:{attempt}"
     try:
-        if should_inject(config.seed, config.failure_rate, key):
+        if faults.fires("task", key):
             raise InjectedFailure(
                 f"injected failure for {task.task_id} attempt {attempt}")
-        crash = should_inject(config.seed, config.crash_failure_rate,
-                              f"crash:{key}")
+        crash = faults.fires("crash", key)
         if crash and not hard_crash:
             raise InjectedCrash(
                 f"injected crash for {task.task_id} attempt {attempt}")
@@ -197,6 +195,7 @@ class Executor:
         #: deadline without racing a sleep against it.
         self._clock = clock
         self._attempts = policy(config, "attempt")
+        self.faults = Faults.of(config)
         beat_s = config.heartbeat_interval_s
         #: The worker ledger.  Only worker processes beat (``heartbeat_dir``)
         #: or take strikes (a thread settles no pid).
@@ -234,9 +233,9 @@ class Executor:
             # nothing to overlap and no clock to watch: the driver runs it,
             # saving the two thread hand-offs of a pool round trip
             future = Future()
-            future.set_result(run_attempt(task, attempt, self.config))
+            future.set_result(run_attempt(task, attempt, self.faults))
             return future
-        return self._get_pool().submit(run_attempt, task, attempt, self.config)
+        return self._get_pool().submit(run_attempt, task, attempt, self.faults)
 
     def _absorb(self, outcome: Dict[str, Any],
                 metrics: Optional[TaskMetrics]) -> None:

@@ -137,22 +137,6 @@ def decode_payload(payload: bytes, codec: int) -> bytes:
 # -- corruption fault injection ----------------------------------------------
 
 
-def should_inject(seed: int, rate: float, key: str) -> bool:
-    """Seeded fault-injection decision, drawn with probability ``rate``.
-
-    The decision is a pure function of ``(seed, key)``, so identical runs
-    inject identical faults, while a retried attempt or a *re*-written
-    payload (recomputed map output, re-spilled bucket — both carry a fresh
-    key) draws a fresh decision instead of failing forever.
-    """
-    return rate > 0.0 and random.Random(f"{seed}:{key}").random() < rate
-
-
-def should_corrupt(seed: int, rate: float, key: str) -> bool:
-    """Seeded per-write decision of ``EngineConfig.corruption_rate``."""
-    return should_inject(seed, rate, f"corrupt:{key}")
-
-
 def corrupt_payload(payload: bytes, seed: int, key: str) -> bytes:
     """Deterministically damage one framed payload (fault injection).
 

@@ -1,4 +1,5 @@
-"""The failure table, the retry policy of each ledger, and worker health.
+"""The failure table, the fault table, the retry policy of each ledger,
+and worker health.
 
 Every way a run can fail is declared once, in :data:`FAILURES`: what
 detects it, which *ledger* it charges, how it recovers and which
@@ -18,8 +19,25 @@ ledgers:
 
 A failed attempt that does not go to the stage ledger is retried within
 its attempt budget.  :func:`policy` derives the :class:`RetryPolicy` of a
-ledger from the knob table; binding the shuffle server's port has no knob,
-so its budget is declared here too.
+ledger from the knob table; binding the shuffle server's port and
+re-reading a locally spilled span have no knob, so their budgets are
+declared here too.
+
+A counter belongs to a ledger when a kind of that ledger declares it.
+``num_failed_attempts`` is declared by kinds of two ledgers, attempt
+(``crash``) and stage (``checkpoint``), because a failed attempt is
+recorded wherever it was charged; it counts as moved only against the
+ledgers that do not declare it.  A scenario that isolates one kind must
+therefore avoid what would tick another ledger's counter on the way: the
+``stale_heartbeat`` one blacklists workers that own no map output,
+because healing a blacklisted producer's output ticks
+``lost_map_outputs``.
+
+Every way a run can be *made* to fail is declared once too, in
+:data:`FAULTS`: each fail point, the tag of its seeded decision and the
+failure kind it exercises.  ``EngineConfig.failure_rate`` arms ``task``
+and ``EngineConfig.faults`` the others; one :class:`Faults` object, built
+from the config, draws every decision.
 
 Jitter is *deterministic*: drawn from a seeded RNG keyed on ``(seed, retry
 key, attempt)``, so identical runs sleep identical delays and tests can
@@ -38,8 +56,11 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Collection, Dict, List, NamedTuple,
                     Optional, Tuple, Type)
 
-from ..errors import (CheckpointCorruptionError, ConfigurationError,
-                      FetchFailedError, ShuffleCorruptionError)
+from ..config import (FETCH_TIMEOUT_S, RATE, Check, at_least, knob,
+                      knob_checks, validate)
+from ..errors import (CheckpointCorruptionError, FetchFailedError,
+                      ShuffleCorruptionError)
+from .memory import corrupt_payload
 from .metrics import COUNTER, Counter
 
 
@@ -91,6 +112,87 @@ FAILURES: Dict[str, Failure] = {
 }
 
 
+class Fault(NamedTuple):
+    """One fail point.
+
+    ``tag`` prefixes the key of the point's seeded draw; ``None`` means the
+    point is a value, not a draw.  ``kind`` is the :data:`FAILURES` kind an
+    injected fault exercises (``None`` for latency, which is no failure);
+    ``check`` is the rule on the value ``EngineConfig.faults`` arms the
+    point with (``None``: ``faults`` does not arm it).
+    """
+
+    tag: Optional[str]
+    kind: Optional[str]
+    check: Optional[Check]
+
+
+#: Every fail point, by name.  The tags are the seed strings the draws
+#: have always used, so a seed injects the same faults at the same places.
+FAULTS: Dict[str, Fault] = {
+    # run_attempt, before the work; armed by failure_rate
+    "task": Fault("", "task_error", None),
+    # run_attempt: a thread raises; a worker process exits after the work
+    # (its pool breaks: broken_pool)
+    "crash": Fault("crash:", "crash", RATE),
+    # spill and transport frame writes, worker frame writes, server replies
+    "corrupt": Fault("corrupt:", "lost_output", RATE),
+    # shuffle server: close without replying
+    "drop": Fault("corrupt:drop:", "fetch_error", RATE),
+    # shuffle server: seconds to sleep before replying, below the fetch
+    # timeout or every fetch times out
+    "delay": Fault(None, None, (lambda value: 0.0 <= value < FETCH_TIMEOUT_S,
+                                f"in [0, {FETCH_TIMEOUT_S}) seconds")),
+}
+
+
+def fault_checks(points: Collection[str]) -> Tuple[Tuple[str, Check], ...]:
+    """The value check of each point ``EngineConfig.faults`` arms.  Any
+    other name fails its check (``failure_rate`` arms ``task``)."""
+    armable = {point: fault.check for point, fault in FAULTS.items()
+               if fault.check}
+    unknown = (lambda value: False,
+               f"unset: faults arms {sorted(armable)}, failure_rate arms task")
+    return tuple((point, armable.get(point, unknown)) for point in points)
+
+
+class Faults:
+    """The armed fail points of one engine, and their one seeded decision.
+
+    A decision is a pure function of ``(seed, point, key)``, so identical
+    runs inject identical faults, while a retried attempt or a re-written
+    payload (recomputed map output, re-spilled bucket: both carry a fresh
+    key) draws a fresh decision instead of failing forever.
+    """
+
+    def __init__(self, seed: int = 0,
+                 values: Optional[Dict[str, float]] = None):
+        self.seed, self.values = seed, dict(values or {})
+
+    @classmethod
+    def of(cls, config: Any) -> "Faults":
+        """What ``config`` arms: its ``faults``, and ``failure_rate`` as
+        ``task``."""
+        return cls(config.seed,
+                   {**dict(config.faults), "task": config.failure_rate})
+
+    def fires(self, point: str, key: str) -> bool:
+        """Whether the fault at ``point`` fires for ``key``."""
+        rate = self.values.get(point, 0.0)
+        return rate > 0.0 and random.Random(
+            f"{self.seed}:{FAULTS[point].tag}{key}").random() < rate
+
+    def damage(self, payload: bytes, key: str) -> bytes:
+        """``payload`` as it is written: damaged when ``corrupt`` fires.
+
+        Only the bytes on disk or on the wire are damaged; the writer's
+        accounting stays truthful and the reader must detect the damage.
+        """
+        if self.fires("corrupt", key):
+            return corrupt_payload(payload, self.seed, key)
+        return payload
+
+
 def attempt_failure(error: BaseException) -> Tuple[str, Dict[str, Any]]:
     """The kind of a failed attempt's ``error``, and its coordinates.
 
@@ -117,24 +219,15 @@ class RetryPolicy:
     ``backoff_s == 0`` retries immediately (the stage ledger).
     """
 
-    max_retries: int = 3
-    backoff_s: float = 0.0
-    multiplier: float = 2.0
-    max_backoff_s: float = 2.0
-    jitter: float = 0.5
+    max_retries: int = knob(3, at_least(0))
+    backoff_s: float = knob(0.0, at_least(0))
+    multiplier: float = knob(2.0, at_least(1))
+    max_backoff_s: float = knob(2.0, at_least(0))
+    jitter: float = knob(0.5, (lambda value: 0.0 <= value <= 1.0, "in [0, 1]"))
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.backoff_s < 0:
-            raise ConfigurationError("backoff_s must be >= 0")
-        if self.multiplier < 1.0:
-            raise ConfigurationError("multiplier must be >= 1")
-        if self.max_backoff_s < 0:
-            raise ConfigurationError("max_backoff_s must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError("jitter must be in [0, 1]")
+        validate(vars(self), _POLICY_CHECKS)
 
     def delay_s(self, attempt: int, key: str = "") -> float:
         """Seeded backoff delay before retry ``attempt`` (0-based)."""
@@ -175,19 +268,23 @@ class RetryPolicy:
         raise AssertionError("unreachable: the loop returns or raises")
 
 
+_POLICY_CHECKS = knob_checks(RetryPolicy)
+
 #: ``(max_retries, backoff_s)`` of each retry loop, read off the knobs.
 _BUDGETS: Dict[str, Callable[[Any], Tuple[int, float]]] = {
     "attempt": lambda config: (config.max_task_retries, 0.0),
     "stage": lambda config: (config.max_stage_retries, 0.0),
     "fetch": lambda config: (config.fetch_max_retries, config.fetch_backoff_s),
     "bind": lambda config: (4, 0.05),
+    "reread": lambda config: (1, 0.0),
 }
 
 
 def policy(config: Any, ledger: str) -> RetryPolicy:
-    """The :class:`RetryPolicy` of ``ledger`` (or ``"bind"``), seeded by
-    ``config.seed``.  The stage ledger never backs off: the recompute
-    itself is the wait."""
+    """The :class:`RetryPolicy` of ``ledger`` (or ``"bind"``, ``"reread"``),
+    seeded by ``config.seed``.  The stage ledger never backs off: the
+    recompute itself is the wait.  A knob-less budget reads only the seed,
+    so its ``config`` may be a :class:`Faults`."""
     retries, backoff_s = _BUDGETS[ledger](config)
     return RetryPolicy(max_retries=retries, backoff_s=backoff_s,
                        seed=config.seed)

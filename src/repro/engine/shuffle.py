@@ -43,8 +43,8 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 
 from ..errors import FetchFailedError, ShuffleCorruptionError, ShuffleError
 from .memory import (CODEC_NONE, MemoryManager, Span, SpillFile,
-                     corrupt_payload, encode_payload, load_span, resolve_codec,
-                     should_corrupt)
+                     encode_payload, load_span, resolve_codec)
+from .retry import Faults, policy
 
 #: Reduce partition -> (span, estimated bytes): the map output one task
 #: registers, and (keyed by ``(map, reduce)``) a shuffle's span catalog.
@@ -204,7 +204,7 @@ class ShuffleManager:
 
     def __init__(self, memory_manager: Optional[MemoryManager] = None,
                  spill_dir=None, transport=None, codec: str = "auto",
-                 corruption_rate: float = 0.0, seed: int = 0):
+                 faults: Optional[Faults] = None):
         self._lock = threading.Lock()
         self._buckets: Dict[Tuple[int, int, int], List[Any]] = {}
         #: Per-bucket byte estimates, measured once on the map side; the
@@ -246,13 +246,13 @@ class ShuffleManager:
         self._span_bytes = 0
         self._spill_count = 0
         self._spill_bytes = 0
-        #: Seeded corruption fault injection (``EngineConfig.
-        #: corruption_rate``): each framed bucket draws a decision keyed by
-        #: a monotonic sequence number, so a re-written (recomputed) bucket
-        #: is not doomed to re-corrupt.
-        self._corruption_rate = corruption_rate
-        self._seed = seed
+        #: The ``corrupt`` fail point: each framed bucket draws a decision
+        #: keyed by a monotonic sequence number, so a re-written
+        #: (recomputed) bucket is not doomed to re-corrupt.
+        self.faults = faults or Faults()
         self._write_seq = itertools.count(1)
+        #: One in-place re-read of a locally spilled span.
+        self._reread = policy(self.faults, "reread")
         #: Shuffle transport of the process backend; owns the frame files
         #: that worker-written map output lives in.  ``None`` on the thread
         #: backend.
@@ -290,17 +290,10 @@ class ShuffleManager:
             self.memory.reserve(self._memory_owner, held)
 
     def _damage(self, kind: str) -> Callable[[bytes], bytes]:
-        """The seeded corruption injector for one framed bucket write.
-
-        Fault injection damages the bytes *on disk only* — the write-side
-        accounting stays truthful, and the read side must detect the damage.
-        """
-        def damage(payload: bytes) -> bytes:
-            key = f"{kind}:{next(self._write_seq)}"
-            if should_corrupt(self._seed, self._corruption_rate, key):
-                return corrupt_payload(payload, self._seed, key)
-            return payload
-        return damage
+        """The ``corrupt`` fail point of the framed bucket writes of one
+        ``kind`` (``spill`` or ``transport``)."""
+        return lambda payload: self.faults.damage(
+            payload, f"{kind}:{next(self._write_seq)}")
 
     def _spill_path(self, shuffle_id: int) -> str:
         return os.path.join(self._spill_dir(), f"shuffle-{shuffle_id}.spill")
@@ -666,12 +659,13 @@ class ShuffleManager:
         with lost_map_output(shuffle_id, map_partition):
             if self.transport is not None:
                 return self.transport.read_span(source)
-            try:
-                return load_span(source)
-            except ShuffleCorruptionError:
-                with self._lock:
-                    self._fetch_retries += 1
-                return load_span(source)
+            return self._reread.run(lambda attempt: load_span(source),
+                                    retry_on=(ShuffleCorruptionError,),
+                                    on_retry=self._count_reread)
+
+    def _count_reread(self, attempt: int, error: BaseException) -> None:
+        with self._lock:
+            self._fetch_retries += 1
 
     def drain_fetch_retries(self) -> int:
         """Retried reads (local re-reads + network fetches) since last drain.

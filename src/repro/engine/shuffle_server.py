@@ -44,10 +44,10 @@ import threading
 import time
 from typing import List, Optional, Tuple
 
-from ..config import FETCH_TIMEOUT_S, EngineConfig
+from ..config import FETCH_TIMEOUT_S
 from ..errors import ShuffleCorruptionError
-from .memory import corrupt_payload, load_frames_bytes, should_corrupt
-from .retry import FAILURES, RetryPolicy, policy
+from .memory import load_frames_bytes
+from .retry import FAILURES, Faults, RetryPolicy, policy
 
 #: Request header: magic, attempt, offset, length, relpath byte length.
 _REQUEST = struct.Struct("<4sBqqH")
@@ -103,28 +103,26 @@ class ShuffleServer:
     daemon thread (requests are small and the test/benchmark fan-in is
     bounded by the worker count, so thread-per-connection is the simplest
     correct shape).  The server validates that every requested path stays
-    under ``root`` — a traversal attempt gets ``STATUS_ERROR``, never a
-    file.
+    under ``root`` and that the span's offset and length are not negative
+    — a traversal attempt or a negative span gets ``STATUS_ERROR``, never
+    bytes.
 
-    Chaos knobs mirror ``EngineConfig``: ``drop_rate`` closes the
-    connection without replying (the client sees a short read and
-    retries), ``delay_s`` sleeps before replying (straggler injection for
-    speculation tests), ``corruption_rate`` damages the payload *after*
-    reading it from disk — on-the-wire rot the client's frame CRCs must
-    catch.  All three key on :func:`span_chaos_key` + the request's
-    attempt number, so schedules are deterministic and retries are not
-    doomed to repeat the failure.
+    Three fail points of :data:`~repro.engine.retry.FAULTS`, armed by
+    ``faults``, fire here: ``drop`` closes the connection without replying
+    (the client sees a short read and retries), ``delay`` sleeps that many
+    seconds before replying (straggler injection for speculation tests),
+    and ``corrupt`` damages the payload *after* reading it from disk —
+    on-the-wire rot the client's frame CRCs must catch.  The draws key on
+    :func:`span_chaos_key` + the request's attempt number, so schedules
+    are deterministic and retries are not doomed to repeat the failure.
     """
 
-    def __init__(self, root: str, drop_rate: float = 0.0,
-                 delay_s: float = 0.0, corruption_rate: float = 0.0,
-                 seed: int = 0, host: str = "127.0.0.1", port: int = 0,
+    def __init__(self, root: str, faults: Optional[Faults] = None,
+                 host: str = "127.0.0.1", port: int = 0,
                  bind_policy: Optional[RetryPolicy] = None) -> None:
         self.root = os.path.abspath(root)
-        self._drop_rate = drop_rate
-        self._delay_s = delay_s
-        self._corruption_rate = corruption_rate
-        self._seed = seed
+        self._faults = faults or Faults()
+        self._delay_s = self._faults.values.get("delay", 0.0)
         self._lock = threading.Lock()
         self._closed = False
         self.requests_served = 0
@@ -148,7 +146,7 @@ class ShuffleServer:
         not retried.  Exhaustion raises :class:`AddressInUseError`.
         """
         if bind_policy is None:
-            bind_policy = policy(EngineConfig(seed=self._seed), "bind")
+            bind_policy = policy(self._faults, "bind")
 
         def bind_once(attempt: int) -> socket.socket:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -204,14 +202,14 @@ class ShuffleServer:
                 with self._lock:
                     self.requests_served += 1
                 path = os.path.normpath(os.path.join(self.root, relpath))
-                if not path.startswith(self.root + os.sep):
+                if offset < 0 or length < 0 or \
+                        not path.startswith(self.root + os.sep):
                     connection.sendall(_RESPONSE.pack(STATUS_ERROR, 0))
                     return
-                if self._delay_s > 0:
+                if self._delay_s:
                     time.sleep(self._delay_s)
-                key = span_chaos_key(relpath, offset)
-                if should_corrupt(self._seed, self._drop_rate,
-                                  f"drop:{key}:{attempt}"):
+                key = f"{span_chaos_key(relpath, offset)}:{attempt}"
+                if self._faults.fires("drop", key):
                     return  # close without replying: the client retries
                 try:
                     with open(path, "rb") as handle:
@@ -223,10 +221,7 @@ class ShuffleServer:
                 except OSError:
                     connection.sendall(_RESPONSE.pack(STATUS_ERROR, 0))
                     return
-                if should_corrupt(self._seed, self._corruption_rate,
-                                  f"wire:{key}:{attempt}"):
-                    payload = corrupt_payload(payload, self._seed,
-                                              f"wire:{key}:{attempt}")
+                payload = self._faults.damage(payload, f"wire:{key}")
                 connection.sendall(_RESPONSE.pack(STATUS_OK, len(payload)))
                 if payload:
                     connection.sendall(payload)

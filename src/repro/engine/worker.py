@@ -34,9 +34,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import serializer
 from .executor import run_attempt
-from .memory import (CODEC_NONE, MemoryManager, corrupt_payload,
-                     resolve_codec, should_corrupt)
+from .memory import CODEC_NONE, MemoryManager, resolve_codec
 from .metrics import TaskContext
+from .retry import Faults
 from .shuffle import ShuffleError, lost_map_output, write_buckets
 from .storage import BlockStore
 from .transport import LocalDirShuffleTransport, build_worker_transport
@@ -59,8 +59,7 @@ class WorkerShuffleClient:
     """
 
     def __init__(self, transport: LocalDirShuffleTransport,
-                 codec: int = CODEC_NONE, corruption_rate: float = 0.0,
-                 seed: int = 0):
+                 codec: int = CODEC_NONE, faults: Optional[Faults] = None):
         self._transport = transport
         #: Frame codec id; must match the driver's resolved codec so the
         #: spans a worker writes carry the same measured byte estimates the
@@ -68,16 +67,15 @@ class WorkerShuffleClient:
         self.codec = codec
         self._catalog: Dict[int, Dict[str, Any]] = {}
         self._last_map_output: Optional[Dict[str, Any]] = None
-        #: Seeded corruption injection (``EngineConfig.corruption_rate``):
-        #: armed per task attempt by :meth:`begin_task`, fired at most once
-        #: on the next transport frame written.
-        self._corruption_rate = corruption_rate
-        self._seed = seed
+        #: The ``corrupt`` fail point: keyed per task attempt by
+        #: :meth:`begin_task`, drawn at most once, on the next transport
+        #: frame written.
+        self.faults = faults or Faults()
         self._corrupt_key: Optional[str] = None
 
     def begin_task(self, task_id: str, attempt: int,
                    catalog: Dict[int, Dict[str, Any]]) -> None:
-        """Install the task's span catalog; draw its corruption decision.
+        """Install the task's span catalog; key its corruption decision.
 
         The catalog is the one the task's own stage payload carries and it
         *replaces* the previous task's: which spans a task reads never
@@ -88,11 +86,7 @@ class WorkerShuffleClient:
         recoverable rather than repeating forever.
         """
         self._catalog = catalog
-        key = f"{task_id}:{attempt}"
-        if should_corrupt(self._seed, self._corruption_rate, key):
-            self._corrupt_key = key
-        else:
-            self._corrupt_key = None
+        self._corrupt_key = f"{task_id}:{attempt}"
 
     # -- catalog ------------------------------------------------------------
 
@@ -159,11 +153,9 @@ class WorkerShuffleClient:
         return sum(size for _, size in spans.values())
 
     def _damage(self, payload: bytes) -> bytes:
-        """Fire this attempt's armed corruption, at most once."""
+        """Draw this attempt's corruption decision, at most once."""
         key, self._corrupt_key = self._corrupt_key, None
-        if key is None:
-            return payload
-        return corrupt_payload(payload, self._seed, key)
+        return payload if key is None else self.faults.damage(payload, key)
 
     def take_map_output(self) -> Optional[Dict[str, Any]]:
         """Pop the spans of the map output written since the last take."""
@@ -208,8 +200,7 @@ class WorkerContext:
         self.memory_manager = MemoryManager(config.shuffle_memory_bytes)
         self.block_store = WorkerBlockStore(config.memory_budget_bytes)
         self.shuffle_manager = WorkerShuffleClient(
-            transport, resolve_codec(config.spill_codec),
-            corruption_rate=config.corruption_rate, seed=config.seed)
+            transport, resolve_codec(config.spill_codec), Faults.of(config))
         self._transport = transport
         self._spill_root: Optional[str] = None
 
@@ -345,7 +336,7 @@ def run_stage_task(payload_path: str, task_index: int,
     client = state.ctx.shuffle_manager
     client.begin_task(task.task_id, attempt, payload["catalog"])
     task_context = TaskContext()
-    outcome = run_attempt(task, attempt, state.ctx.config, hard_crash=True,
+    outcome = run_attempt(task, attempt, client.faults, hard_crash=True,
                           task_context=task_context)
     # a failed attempt's partial spans are dropped; fetches this task
     # survived (TCP transport retries) must not leak into the next task

@@ -97,6 +97,7 @@ BAD_INPUTS = [
     ("optimizer_rules", "pushdown"),  # used to explode into characters
     ("num_workers", 2.7),           # used to become 2
     ("corruption_rate", 0.5),       # not settable; used to be ignored
+    ("faults", {"crash": 0.5}),     # a field specs may not set
     ("batch_sise", 8),              # a typo; used to be ignored
 ]
 

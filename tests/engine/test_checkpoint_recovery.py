@@ -39,7 +39,7 @@ from repro.engine.journal import (JOURNAL_NAME, JobJournal, atomic_write_bytes,
                                   validate_shuffle_entry)
 from repro.engine.memory import (CODEC_NONE, CODEC_ZLIB, CRC_FLAG, Span,
                                  dump_frames)
-from repro.engine.retry import RetryPolicy
+from repro.engine.retry import Faults, RetryPolicy
 from repro.engine.scheduler import NodeHealthTracker
 from repro.engine.shuffle_server import (AddressInUseError, ShuffleFetchClient,
                                          ShuffleServer)
@@ -945,7 +945,7 @@ def test_shuffle_server_bind_retries_until_port_frees(tmp_path):
 def test_shuffle_server_stop_drains_in_flight_requests(tmp_path):
     records = [(k, k * k) for k in range(32)]
     length = _write_frames(str(tmp_path / "span.data"), records)
-    server = ShuffleServer(str(tmp_path), delay_s=0.3)
+    server = ShuffleServer(str(tmp_path), Faults(values={"delay": 0.3}))
     client = ShuffleFetchClient(server.address)
     fetched = []
 

@@ -9,10 +9,16 @@ ledger moved.  A counter that kinds of two ledgers share (a failed
 attempt is recorded wherever it was charged) only counts against the
 ledgers that do not declare it.  The scenarios are keyed by kind, so a
 kind added to the table without a scenario fails here.
+
+:data:`~repro.engine.retry.FAULTS` declares every fail point the
+injectors above arm; each point gets one scenario that arms it alone and
+checks it exercises the kind it names, and the seeded draws are pinned to
+the decisions recorded before the table existed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import threading
@@ -23,12 +29,14 @@ import pytest
 from repro.config import EngineConfig
 from repro.engine import serializer
 from repro.engine.context import EngineContext
+from repro.engine.memory import CODEC_NONE, corrupt_payload, dump_frames
 from repro.engine.metrics import COUNTERS, JOB
-from repro.engine.retry import FAILURES, RetryPolicy, policy
+from repro.engine.retry import (FAILURES, FAULTS, Faults, RetryPolicy,
+                                policy)
 from repro.engine.transport import TcpShuffleTransport
-from repro.errors import ShuffleCorruptionError
+from repro.errors import ConfigurationError, ShuffleCorruptionError
 
-from test_memory_bounded import DATA
+from test_memory_bounded import DATA, TINY_CAP
 
 needs_closures = pytest.mark.skipif(
     not serializer.supports_closures(),
@@ -78,19 +86,36 @@ def _flaky_tcp_reads(monkeypatch, failures: int) -> None:
     monkeypatch.setattr(TcpShuffleTransport, "read_span", read_span)
 
 
+#: One wide run per fail point that arms that point alone.
+ARMED = {
+    "task": dict(backend="thread", failure_rate=0.3, max_task_retries=8),
+    "crash": dict(backend="thread", faults={"crash": 0.3},
+                  max_task_retries=8),
+    # on a thread, frames are written only where buckets spill
+    "corrupt": dict(backend="thread", faults={"corrupt": 0.1},
+                    shuffle_memory_bytes=TINY_CAP, max_stage_retries=8),
+    "drop": dict(backend="thread", shuffle_transport="tcp",
+                 faults={"drop": 0.3}, fetch_max_retries=8,
+                 fetch_backoff_s=0.0),
+    "delay": dict(backend="thread", shuffle_transport="tcp",
+                  faults={"delay": 0.002}),
+}
+
+
+def _armed(point):
+    result, summary = _run_wide(**ARMED[point])
+    return result, _fault_free_wide(), summary
+
+
 # -- one scenario per kind: () -> (result, fault-free result, summary) --------
 
 
 def _task_error(tmp_path, monkeypatch):
-    result, summary = _run_wide("thread", failure_rate=0.3,
-                                max_task_retries=8)
-    return result, _fault_free_wide(), summary
+    return _armed("task")
 
 
 def _crash(tmp_path, monkeypatch):
-    result, summary = _run_wide("thread", crash_failure_rate=0.3,
-                                max_task_retries=8)
-    return result, _fault_free_wide(), summary
+    return _armed("crash")
 
 
 def _deadline(tmp_path, monkeypatch):
@@ -116,10 +141,7 @@ def _deadline(tmp_path, monkeypatch):
 
 
 def _fetch_error(tmp_path, monkeypatch):
-    result, summary = _run_wide("thread", shuffle_transport="tcp",
-                                network_drop_rate=0.3, fetch_max_retries=8,
-                                fetch_backoff_s=0.0)
-    return result, _fault_free_wide(), summary
+    return _armed("drop")
 
 
 def _lost_output(tmp_path, monkeypatch):
@@ -154,7 +176,7 @@ def _stale_heartbeat(tmp_path, monkeypatch):
 
 
 def _broken_pool(tmp_path, monkeypatch):
-    result, summary = _run_wide("process", crash_failure_rate=0.2,
+    result, summary = _run_wide("process", faults={"crash": 0.2},
                                 max_stage_retries=8)
     return result, _fault_free_wide(), summary
 
@@ -214,6 +236,7 @@ def test_each_retry_policy_is_derived_from_its_knobs():
         RetryPolicy(max_retries=7, backoff_s=0.2, seed=9)
     assert policy(config, "bind") == \
         RetryPolicy(max_retries=4, backoff_s=0.05, seed=9)
+    assert policy(config, "reread") == RetryPolicy(max_retries=1, seed=9)
 
 
 def test_a_driver_producer_is_never_struck(monkeypatch):
@@ -227,3 +250,81 @@ def test_a_driver_producer_is_never_struck(monkeypatch):
     assert sorted(result) == sorted(_fault_free_wide())
     assert summary["lost_map_outputs"] == 2
     assert summary["blacklisted_workers"] == 0
+
+
+# -- the fault table ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("point", list(FAULTS))
+def test_each_fail_point_exercises_its_kind(point):
+    assert point in ARMED, f"fail point {point!r} has no scenario"
+    kind = FAULTS[point].kind
+    assert kind in FAILURES if point != "delay" else kind is None, \
+        f"fail point {point!r} names no failure kind"
+    options = dict(ARMED[point])
+    config = EngineConfig(executor_backend=options.pop("backend"), seed=1,
+                          **options)
+    armed = {name for name, value in Faults.of(config).values.items()
+             if value}
+    assert armed == {point}
+    result, expected, summary = _armed(point)
+    assert sorted(result) == sorted(expected)
+    if kind is None:  # latency is no failure: nothing may tick
+        assert {summary[failure.counter.key(JOB)]
+                for failure in FAILURES.values()} == {0}
+    else:
+        counter = FAILURES[kind].counter.key(JOB)
+        assert summary[counter] > 0, f"{point} did not tick {counter}"
+
+
+#: Decision keys in the shapes the fail points use: ``task id:attempt``
+#: (task, crash, a worker's frame), and a fetched span ``identity:attempt``
+#: (drop, wire rot).
+_KEYS = [f"{stage}-{part}:{attempt}" for stage in range(6)
+         for part in range(12) for attempt in range(4)]
+_SPANS = [f"shuffle-{shuffle}/map-{map_}:{offset}:{attempt}"
+          for shuffle in range(3) for map_ in range(8)
+          for offset in (0, 4096) for attempt in range(6)]
+
+
+def test_fault_decisions_match_the_recorded_draws():
+    """Digests of ``memory.should_inject``/``should_corrupt`` over the same
+    keys, seed 7 and rate 0.3, recorded before the fault table: every
+    point keeps its seed string."""
+    faults = Faults(7, dict.fromkeys(("task", "crash", "corrupt", "drop"),
+                                     0.3))
+    shapes = {
+        "task": [faults.fires("task", key) for key in _KEYS],
+        "crash": [faults.fires("crash", key) for key in _KEYS],
+        "worker": [faults.fires("corrupt", key) for key in _KEYS],
+        "seq": [faults.fires("corrupt", f"{('spill', 'transport')[n % 2]}:{n}")
+                for n in range(1, len(_KEYS) + 1)],
+        "drop": [faults.fires("drop", span) for span in _SPANS],
+        "wire": [faults.fires("corrupt", f"wire:{span}") for span in _SPANS],
+    }
+    digest = hashlib.sha256()
+    for name, bits in shapes.items():
+        digest.update(name.encode() + bytes(bits))
+    assert digest.hexdigest()[:16] == "1e3f2af0077b8e3a"
+    assert sum(map(sum, shapes.values())) == 513
+    payload = dump_frames([(i, i * i) for i in range(64)], CODEC_NONE)
+    damaged = hashlib.sha256()
+    for key in _KEYS:
+        written = faults.damage(payload, key)
+        assert written in (payload, corrupt_payload(payload, 7, key))
+        damaged.update(written)
+    assert damaged.hexdigest()[:16] == "7e8037a8fea68322"
+
+
+def test_faults_names_each_unknown_point_and_bounds_each_value():
+    for faults, message in (({"crahs": 0.1}, r"faults\['crahs'\]"),
+                            ({"task": 0.1}, "failure_rate arms task"),
+                            ({"corrupt": 1.0}, r"faults\['corrupt'\]"),
+                            ({"delay": 5.0}, r"\[0, 5.0\) seconds"),
+                            (0.5, "mapping")):
+        with pytest.raises(ConfigurationError, match=message):
+            EngineConfig(faults=faults)
+    config = EngineConfig(faults={"drop": 0.1, "crash": 0.2})
+    assert config.faults == (("crash", 0.2), ("drop", 0.1))
+    assert config == config.with_overrides(faults=dict(config.faults))
+    assert hash(config) == hash(EngineConfig(faults=config.faults))

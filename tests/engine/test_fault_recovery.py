@@ -1,8 +1,8 @@
 """Lineage-based fault recovery: crashes, corruption, deadlines, recovery.
 
 The contract under test: with seeded faults injected — spurious task
-failures (``failure_rate``), hard worker deaths (``crash_failure_rate``),
-damaged spill/transport frames (``corruption_rate``) — every wide operator
+failures (``failure_rate``), hard worker deaths (the ``crash`` fail point),
+damaged spill/transport frames (``corrupt``) — every wide operator
 still returns *identical* results to a fault-free run, on both executor
 backends, because the engine detects the damage (checksummed frames),
 invalidates exactly the lost map output, recomputes it from lineage and
@@ -27,7 +27,8 @@ from repro.config import EngineConfig
 from repro.engine import serializer
 from repro.engine.context import EngineContext
 from repro.engine.memory import (CODEC_NONE, CRC_FLAG, corrupt_payload,
-                                 dump_frames, load_frames, should_corrupt)
+                                 dump_frames, load_frames)
+from repro.engine.retry import Faults
 from repro.engine.shuffle import ShuffleManager
 from repro.errors import (FetchFailedError, ShuffleCorruptionError,
                           TaskError)
@@ -127,10 +128,11 @@ def test_missing_file_is_a_corruption_error():
 
 
 def test_corruption_injection_is_seeded_and_deterministic():
-    decisions = [should_corrupt(5, 0.5, f"t{i}:0") for i in range(64)]
-    assert decisions == [should_corrupt(5, 0.5, f"t{i}:0") for i in range(64)]
+    faults = Faults(5, {"corrupt": 0.5})
+    decisions = [faults.fires("corrupt", f"t{i}:0") for i in range(64)]
+    assert decisions == [faults.fires("corrupt", f"t{i}:0") for i in range(64)]
     assert any(decisions) and not all(decisions)
-    assert not any(should_corrupt(5, 0.0, f"t{i}:0") for i in range(64))
+    assert not any(Faults(5).fires("corrupt", f"t{i}:0") for i in range(64))
     payload = dump_frames([(i, i) for i in range(100)], CODEC_NONE)
     damaged = corrupt_payload(payload, 5, "t3:0")
     assert damaged == corrupt_payload(payload, 5, "t3:0")
@@ -221,15 +223,15 @@ def test_retried_external_registration_does_not_double_count(tmp_path):
 #: Fault rates low enough that the bounded retry budgets converge for every
 #: (pipeline, backend) cell, high enough that faults actually fire across
 #: the matrix (asserted in the aggregate below).
-CHAOS = {"failure_rate": 0.05, "crash_failure_rate": 0.05,
-         "corruption_rate": 0.05, "max_task_retries": 8,
+CHAOS = {"failure_rate": 0.05, "faults": {"crash": 0.05, "corrupt": 0.05},
+         "max_task_retries": 8,
          "max_stage_retries": 8, "seed": 7}
 
 _fault_hits = {"thread": 0, "process": 0}
 
 #: On-disk frame corruption alone (no wire chaos), at a rate and seed where
 #: a reduce side of the four-round chain below hits a damaged span.
-CUT_CHAOS = {"corruption_rate": 0.15, "max_stage_retries": 8,
+CUT_CHAOS = {"faults": {"corrupt": 0.15}, "max_stage_retries": 8,
              "fetch_max_retries": 2, "fetch_backoff_s": 0.001, "seed": 7}
 
 
@@ -287,8 +289,8 @@ def test_chaos_matrix_actually_injected_faults():
 #: replies and on-the-wire corruption, stacked on top of injected worker
 #: crashes.  Low enough for the fetch-retry and stage-retry budgets to
 #: converge everywhere, high enough to actually fire (asserted below).
-NETWORK_CHAOS = {"network_drop_rate": 0.08, "network_delay_s": 0.002,
-                 "corruption_rate": 0.05, "fetch_max_retries": 4,
+NETWORK_CHAOS = {"faults": {"drop": 0.08, "delay": 0.002, "corrupt": 0.05},
+                 "fetch_max_retries": 4,
                  "fetch_backoff_s": 0.001, "max_task_retries": 8,
                  "max_stage_retries": 8, "seed": 7}
 
@@ -325,7 +327,8 @@ def test_network_chaos_thread_backend_matches_fault_free(pipeline_name):
 @pytest.mark.parametrize("pipeline_name", sorted(PIPELINES))
 def test_network_chaos_process_backend_matches_fault_free(pipeline_name):
     first, second, summary = run_network_chaos(
-        "process", pipeline_name, crash_failure_rate=0.05)
+        "process", pipeline_name,
+        faults={**NETWORK_CHAOS["faults"], "crash": 0.05})
     clean_first, clean_second, _ = run_clean(
         "thread", pipeline_name, seed=NETWORK_CHAOS["seed"])
     assert first == clean_first
@@ -363,7 +366,7 @@ def test_network_chaos_matrix_actually_retried_fetches():
 
 @needs_closures
 def test_job_survives_broken_process_pool():
-    with make_engine("process", crash_failure_rate=0.2, seed=1,
+    with make_engine("process", faults={"crash": 0.2}, seed=1,
                      max_stage_retries=8) as ctx:
         ds = ctx.parallelize(DATA, 4).reduce_by_key(lambda a, b: a + b, 4)
         result = ds.collect()
@@ -378,7 +381,7 @@ def test_job_survives_broken_process_pool():
 
 @needs_closures
 def test_crash_retries_are_bounded():
-    with make_engine("process", crash_failure_rate=0.97, seed=1,
+    with make_engine("process", faults={"crash": 0.97}, seed=1,
                      max_stage_retries=2) as ctx:
         with pytest.raises(Exception):
             ctx.parallelize(DATA, 4).group_by_key(4).collect()
@@ -675,7 +678,7 @@ def test_no_leak_after_crashing_stage_and_failed_job():
             raise ValueError("boom")
         return pair
 
-    ctx = make_engine("process", crash_failure_rate=0.2, seed=1,
+    ctx = make_engine("process", faults={"crash": 0.2}, seed=1,
                       max_stage_retries=8, max_task_retries=0)
     try:
         # a crashing-but-successful job, then a failing one

@@ -37,7 +37,7 @@ def _engine(backend: str, **overrides) -> EngineContext:
 @needs_closures
 def test_retired_pool_workers_are_never_blacklisted():
     heartbeat_interval_s = 0.05  # stale after 4 missed beats: 0.2 s
-    with _engine("process", crash_failure_rate=0.2, max_stage_retries=8,
+    with _engine("process", faults={"crash": 0.2}, max_stage_retries=8,
                  heartbeat_interval_s=heartbeat_interval_s,
                  blacklist_failure_threshold=0) as ctx:
         ds = ctx.parallelize(DATA, 4).reduce_by_key(_add, 4)

@@ -143,10 +143,10 @@ SCENARIOS = {
                      "skew_min_partition_bytes": 1}, _skew)],
     "spill": [({"broadcast_threshold_bytes": 0,
                 "shuffle_memory_bytes": 2048}, _wide)],
-    "faults_thread": [({"failure_rate": 0.25, "crash_failure_rate": 0.15,
+    "faults_thread": [({"failure_rate": 0.25, "faults": {"crash": 0.15},
                         "max_task_retries": 8}, _faults)],
     "faults_process": [({"executor_backend": "process", "seed": 2,
-                         "failure_rate": 0.25, "crash_failure_rate": 0.15,
+                         "failure_rate": 0.25, "faults": {"crash": 0.15},
                          "max_task_retries": 8, "max_stage_retries": 8},
                         _serial_faults)],
     "checkpoint_resume": [

@@ -28,10 +28,10 @@ from repro.engine import serializer
 from repro.engine import shuffle as shuffle_module
 from repro.engine.context import EngineContext
 from repro.engine.memory import CODEC_NONE, Span, dump_frames
-from repro.engine.retry import RetryPolicy
+from repro.engine.retry import Faults, RetryPolicy
 from repro.engine.scheduler import NodeHealthTracker
-from repro.engine.shuffle_server import (ShuffleFetchClient, ShuffleServer,
-                                         span_chaos_key)
+from repro.engine.shuffle_server import (FetchError, ShuffleFetchClient,
+                                         ShuffleServer, span_chaos_key)
 from repro.engine.transport import (LocalDirShuffleTransport,
                                     TcpShuffleTransport,
                                     build_worker_transport)
@@ -214,10 +214,27 @@ def test_server_rejects_unknown_files_and_traversal(server_root):
         server.stop()
 
 
+def test_server_rejects_negative_offsets_and_lengths(server_root):
+    """Both values arrive over the socket; a negative length would read to
+    the end of the file, a negative offset fails in ``seek``."""
+    root, relpath, length = server_root
+    server = ShuffleServer(root)
+    client = ShuffleFetchClient(server.address,
+                                policy=RetryPolicy(max_retries=0))
+    try:
+        assert len(client.fetch_bytes(relpath, 10, length - 10, 0)) == \
+            length - 10
+        for offset, size in ((10, -1), (-1, 10), (-5, -5)):
+            with pytest.raises(FetchError, match="status 2"):
+                client.fetch_bytes(relpath, offset, size, 0)
+    finally:
+        server.stop()
+
+
 def test_client_retries_through_dropped_connections(server_root):
     root, relpath, length = server_root
     # seeded drops: some attempts die, the retry budget rides them out
-    server = ShuffleServer(root, drop_rate=0.5, seed=11)
+    server = ShuffleServer(root, Faults(11, {"drop": 0.5}))
     policy = RetryPolicy(max_retries=8, backoff_s=0.0, seed=11)
     try:
         client = ShuffleFetchClient(server.address, policy=policy)
@@ -234,7 +251,7 @@ def test_client_detects_wire_corruption_and_escalates(server_root):
     root, relpath, length = server_root
     # every attempt corrupts: the frame CRC catches it, retries are spent,
     # the exhausted budget escalates as a corruption naming the tcp span
-    server = ShuffleServer(root, corruption_rate=1.0, seed=2)
+    server = ShuffleServer(root, Faults(2, {"corrupt": 1.0}))
     policy = RetryPolicy(max_retries=2, backoff_s=0.0)
     try:
         client = ShuffleFetchClient(server.address, policy=policy)
@@ -247,7 +264,7 @@ def test_client_detects_wire_corruption_and_escalates(server_root):
 
 def test_client_survives_delayed_replies(server_root):
     root, relpath, length = server_root
-    server = ShuffleServer(root, delay_s=0.05)
+    server = ShuffleServer(root, Faults(values={"delay": 0.05}))
     try:
         client = ShuffleFetchClient(server.address, timeout_s=5.0)
         assert client.fetch_records(relpath, 0, length) == RECORDS
@@ -712,8 +729,8 @@ def test_heartbeat_files_actually_appear():
 
 def test_config_validates_network_knobs():
     for bad in (dict(shuffle_transport="udp"), dict(fetch_max_retries=-1),
-                dict(fetch_backoff_s=-0.1), dict(network_drop_rate=1.5),
-                dict(network_delay_s=-1.0), dict(speculation_multiplier=-1),
+                dict(fetch_backoff_s=-0.1), dict(faults={"drop": 1.5}),
+                dict(faults={"delay": -1.0}), dict(speculation_multiplier=-1),
                 dict(speculation_quantile=2.0),
                 dict(blacklist_failure_threshold=-1),
                 dict(heartbeat_interval_s=-1.0)):

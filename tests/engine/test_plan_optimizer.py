@@ -576,8 +576,10 @@ class TestSkewPricedCost:
 
 class TestOptimizerConfig:
     def test_unknown_rule_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(optimizer_rules=("definitely_not_a_rule",))
+        # a bare string would otherwise explode into one-letter rules
+        for rules in (("definitely_not_a_rule",), "pushdown"):
+            with pytest.raises(ConfigurationError, match="optimizer_rules"):
+                EngineConfig(optimizer_rules=rules)
 
     def test_rules_normalised_to_tuple(self):
         config = EngineConfig(optimizer_rules=["fuse_narrow"])

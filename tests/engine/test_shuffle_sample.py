@@ -103,7 +103,7 @@ def test_samples_identical_across_settings_cold_and_resumed(
 def test_recomputed_maps_reproduce_their_samples(reference):
     """Corrupted transport frames force lineage recomputation of maps."""
     expected_result, expected_samples = reference
-    with make_engine(transport="tcp", corruption_rate=0.05) as ctx:
+    with make_engine(transport="tcp", faults={"corrupt": 0.05}) as ctx:
         assert program(ctx) == expected_result
         summary = ctx.metrics.summary()
         assert shuffle_samples(ctx) == expected_samples
