@@ -24,13 +24,13 @@ re-reading a locally spilled span have no knob, so their budgets are
 declared here too.
 
 A counter belongs to a ledger when a kind of that ledger declares it.
-``num_failed_attempts`` is declared by kinds of two ledgers, attempt
-(``crash``) and stage (``checkpoint``), because a failed attempt is
-recorded wherever it was charged; it counts as moved only against the
-ledgers that do not declare it.  A scenario that isolates one kind must
-therefore avoid what would tick another ledger's counter on the way: the
-``stale_heartbeat`` one blacklists workers that own no map output,
-because healing a blacklisted producer's output ticks
+``num_failed_attempts`` is declared by kinds of three ledgers, worker
+(``task_error``), attempt (``crash``) and stage (``checkpoint``), because
+a failed attempt is recorded wherever it was charged; only a scenario of
+a fetch-ledger kind must leave it at zero.  A scenario that isolates one
+kind must therefore avoid what would tick another ledger's counter on
+the way: the ``stale_heartbeat`` one blacklists workers that own no map
+output, because healing a blacklisted producer's output ticks
 ``lost_map_outputs``.
 
 Every way a run can be *made* to fail is declared once too, in
