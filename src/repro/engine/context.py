@@ -29,7 +29,7 @@ from .shuffle import ShuffleManager
 from .retry import Faults, policy
 from .shuffle_server import ShuffleServer
 from .storage import BlockStore
-from .transport import LocalDirShuffleTransport, TcpShuffleTransport
+from .transport import ShuffleTransport, TcpShuffleTransport
 
 
 class EngineContext:
@@ -115,8 +115,8 @@ class EngineContext:
                     transport_root, self._shuffle_server.address,
                     policy=policy(self.config, "fetch"), durable=durable)
             else:
-                self._transport = LocalDirShuffleTransport(transport_root,
-                                                           durable=durable)
+                self._transport = ShuffleTransport(transport_root,
+                                                   durable=durable)
         self.shuffle_manager = ShuffleManager(
             self.memory_manager, spill_dir=self.spill_dir,
             transport=self._transport, codec=self.config.spill_codec,

@@ -110,8 +110,8 @@ class _ExternalRunAccumulator:
         self._budget = self._memory.task_run_budget(ctx.config.num_workers)
         self._bytes = 0
         self._spillable = True
-        #: Frame codec of the owning shuffle manager (driver or worker
-        #: client); spilled runs are compressed exactly like bucket spills.
+        #: Frame codec of the context's shuffle manager; spilled runs are
+        #: compressed exactly like bucket spills.
         self._codec = getattr(ctx.shuffle_manager, "codec", CODEC_NONE)
         self.runs: List[SpillRun] = []
 

@@ -15,7 +15,7 @@ extrapolate costs.  Two backends implement that shape behind one interface
     forked worker processes — stage payloads (cut to what the stage reads,
     see :class:`_StageCut`) are pickled to the workers over a
     :class:`~repro.engine.transport.ShuffleTransport` and map output comes
-    back as pickle-framed spill-file spans, so CPU-bound jobs get
+    back as the span catalog of its frame files, so CPU-bound jobs get
     real multi-core speedups.
 
 Both run every attempt through :func:`run_attempt` and settle every
@@ -566,9 +566,9 @@ class ProcessExecutor(Executor):
     boundaries, the span catalog of the shuffles they read, the cached
     blocks of the datasets they carry) published through the shuffle
     transport; workers run :func:`run_attempt` out of that payload and
-    return its outcome plus map-output spans, dirty cache blocks and their
-    pid, which :meth:`_absorb` registers with the shuffle manager, the
-    block store and the health tracker.
+    return its outcome plus the catalog of the map output written, dirty
+    cache blocks and their pid, which :meth:`_absorb` adopts into the
+    shuffle manager, the block store and the health tracker.
     """
 
     def __init__(self, config: EngineConfig, shuffle_manager=None,
@@ -578,8 +578,8 @@ class ProcessExecutor(Executor):
         if transport is None:
             # directly constructed executors (no engine context) still need
             # somewhere for payloads and map output to live
-            from .transport import LocalDirShuffleTransport
-            transport = LocalDirShuffleTransport(
+            from .transport import ShuffleTransport
+            transport = ShuffleTransport(
                 tempfile.mkdtemp(prefix="repro-transport-"))
         super().__init__(config, clock, heartbeat_dir=transport.heartbeat_dir)
         self._shuffle_manager = shuffle_manager
@@ -698,10 +698,8 @@ class ProcessExecutor(Executor):
         if outcome["ok"]:
             map_output = outcome.get("map_output")
             if map_output is not None and self._shuffle_manager is not None:
-                self._shuffle_manager.register_external_map_output(
-                    map_output["shuffle_id"], map_output["map_partition"],
-                    map_output["spans"], worker=worker,
-                    sample=map_output["sample"])
+                self._shuffle_manager.adopt_catalog(*map_output,
+                                                    producer=worker)
             if self._memory is not None:
                 # fold the driver-tracked residency (external spans
                 # registered so far) into the worker-observed peak,

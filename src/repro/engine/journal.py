@@ -20,17 +20,20 @@ Both kinds of entry store a list of *span records*: a
 :class:`~repro.engine.memory.Span` ``[path, offset, length, count]``
 followed by its coordinates (``map, reduce, estimated bytes`` for a
 shuffle bucket; none for a checkpoint partition, whose index is its
-position).  A shuffle entry also lists each map's key sample under
+position).  A shuffle entry is the JSON line encoding of a span catalog
+(:func:`~repro.engine.shuffle.catalog_of`): its map partitions under
+``"maps"``, its buckets under ``"spans"`` and each map's key sample under
 ``"samples"`` as ``[path, offset, length, count, map]``.
 
 ``journal.json`` is an append-only file of compact JSON lines.  Line 1 is
-``{"version":6}``; every later line is one record, ``{"kind": "shuffles"
-| "checkpoints", "key": ..., "entry": {...} | null}``, appended and
-fsynced as a shuffle settles or a checkpoint is written (``null`` forgets
-the key).  Reading it back is a fold (:func:`load_journal_state`): the
-last record per key wins, and the first line that lacks its newline,
-fails to parse or is not a record ends the fold — an append cut short by
-a crash is the expected failure, not corruption.  Opening a journal
+the header ``{"version": JOURNAL_VERSION}``; every later line is one
+record, ``{"kind": "shuffles" | "checkpoints", "key": ..., "entry": {...}
+| null}``, appended and fsynced as a shuffle settles or a checkpoint is
+written (``null`` forgets the key).  Reading it back is a fold
+(:func:`load_journal_state`): the last record per key wins, and the first
+line that lacks its newline, fails to parse or is not a record ends the
+fold — an append cut short by a crash is the expected failure, not
+corruption.  Opening a journal
 rewrites it once, atomically, as the header plus its live records, which
 both compacts an old file and creates a new one.
 
@@ -145,7 +148,8 @@ def _parse(line: bytes) -> Any:
 
 
 def _fold(blob: bytes) -> Optional[_Live]:
-    """Replay a journal file; ``None`` unless line 1 is the v6 header.
+    """Replay a journal file; ``None`` unless line 1 is the header of
+    :data:`JOURNAL_VERSION`.
 
     The last record per key wins and a ``null`` entry drops the key.  The
     first line that lacks its newline, fails to parse or is not a record
@@ -213,11 +217,9 @@ class JobJournal:
         """Record a settled shuffle's durable span catalog.
 
         ``catalog`` is the :meth:`ShuffleManager.export_durable_catalog`
-        result: ``{"maps": [...], "buckets": {(map, reduce): (span,
-        size)}, "samples": {map: span}}`` with every path durable.  A
-        superseded entry's files that the new catalog no longer references
-        are unlinked, so repeated runs over one ``checkpoint_dir`` do not
-        accumulate orphaned frames.
+        result, every path in it durable.  A superseded entry's files that
+        the new catalog no longer references are unlinked, so repeated
+        runs over one ``checkpoint_dir`` do not accumulate orphaned frames.
         """
         spans = [[*span, m, r, size]
                  for (m, r), (span, size) in sorted(catalog["buckets"].items())]
@@ -323,8 +325,9 @@ def load_journal_state(directory: str) -> Optional[Dict[str, Dict[str, Any]]]:
     """Fold a journal into ``{kind: {key: entry}}`` for every kind.
 
     ``None`` when the file is absent or its first line is not the
-    version-6 header (an older journal, or garbage): recovery then
-    degrades to a counted cold start.  A torn tail only shortens the fold.
+    :data:`JOURNAL_VERSION` header (an older journal, or garbage):
+    recovery then degrades to a counted cold start.  A torn tail only
+    shortens the fold.
     """
     live = _read(os.path.join(directory, JOURNAL_NAME))
     if live is None:
@@ -358,22 +361,30 @@ def validate_shuffle_entry(entry: Any) -> Tuple[Dict[int, Dict[int, tuple]],
                                                 Dict[int, Span], int, int]:
     """Revalidate one recorded shuffle's spans and key samples.
 
-    Returns ``(per-map {reduce: (span, estimated bytes)} of fully valid map
-    partitions, {map: key-sample span} of the same maps, num_maps, invalid
-    span count)``; a map partition with *any* bad span, its sample
-    included, is dropped wholesale, so the resumed scheduler recomputes it
-    from lineage instead of serving a half-restored output.
+    Returns ``(per_map, samples, num_maps, invalid count)``: ``per_map`` and
+    ``samples`` are what :func:`~repro.engine.shuffle.catalog_of` takes —
+    per map ``{reduce: (span, estimated bytes)}`` and the key-sample span —
+    for every recorded map partition with no bad span.  A map that wrote
+    no records has no span and is adopted as it is; a map with *any* bad
+    span, its sample included, is dropped wholesale, so the resumed
+    scheduler recomputes it from lineage instead of serving a
+    half-restored output.  A recorded map outside ``range(num_maps)``, or
+    a span record that names no recorded map, counts as invalid.
     """
     try:
         num_maps = int(entry["num_maps"])
+        listed = [int(map_partition) for map_partition in entry["maps"]]
         records = list(entry["spans"])
         sample_records = list(entry["samples"])
     except (KeyError, TypeError, ValueError):
         return {}, {}, 0, 1
-    per_map: Dict[int, Dict[int, tuple]] = {}
+    per_map: Dict[int, Dict[int, tuple]] = {
+        map_partition: {} for map_partition in listed
+        if 0 <= map_partition < num_maps}
     samples: Dict[int, Span] = {}
     bad_maps: set = set()
-    invalid = 0
+    invalid = sum(not 0 <= map_partition < num_maps
+                  for map_partition in listed)
     # a bucket record ends in (map, reduce, bytes), a sample record in (map)
     for record, width in [(record, 3) for record in records] + \
             [(record, 1) for record in sample_records]:
@@ -381,8 +392,8 @@ def validate_shuffle_entry(entry: Any) -> Tuple[Dict[int, Dict[int, tuple]],
             coordinates = [int(value) for value in record[4:]]
         except (TypeError, ValueError):
             coordinates = []
-        if len(coordinates) != width:
-            invalid += 1  # names no map partition to drop
+        if len(coordinates) != width or coordinates[0] not in per_map:
+            invalid += 1  # names no recorded map partition to drop
             continue
         map_partition = coordinates[0]
         span = _valid_span(record)
@@ -392,10 +403,9 @@ def validate_shuffle_entry(entry: Any) -> Tuple[Dict[int, Dict[int, tuple]],
         elif width == 1:
             samples[map_partition] = span
         else:
-            per_map.setdefault(map_partition, {})[coordinates[1]] = \
-                (span, coordinates[2])
+            per_map[map_partition][coordinates[1]] = (span, coordinates[2])
     for map_partition in bad_maps:
-        per_map.pop(map_partition, None)
+        del per_map[map_partition]
         samples.pop(map_partition, None)
     return per_map, samples, num_maps, invalid
 

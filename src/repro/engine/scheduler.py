@@ -35,6 +35,7 @@ from .journal import shuffle_journal_key, validate_shuffle_entry
 from .metrics import JobMetrics, PendingCounters, StageMetrics
 from .retry import FAILURES, policy
 from .retry import NodeHealthTracker  # noqa: F401 - still importable here
+from .shuffle import catalog_of
 
 #: Upper bound on accepted adaptive re-plans per job; a backstop against a
 #: (buggy) replanner oscillating between plan shapes forever.
@@ -93,7 +94,7 @@ class ShuffleMapTask(Task):
 
     def __getstate__(self):
         # the driver's shuffle manager stays home; the worker runtime
-        # installs its own shuffle client after unpickling
+        # installs the payload's own shuffle manager after unpickling
         state = self.__dict__.copy()
         state["_shuffle_manager"] = None
         return state
@@ -323,7 +324,7 @@ class DAGScheduler:
             # the producer of the unreadable span takes a strike: repeated
             # lost output is how a worker serving rotten bytes gets
             # blacklisted.  Only a worker process's pid is ever struck —
-            # never "driver" or "recovered"
+            # never "recovered" or a driver write, which has no producer
             producer = self.shuffle_manager.producer_of(*lost)
             if isinstance(producer, int):
                 self.executor.health.record_failure(producer)
@@ -604,11 +605,12 @@ class DAGScheduler:
         """Re-register a prior run's map output for this shuffle, if valid.
 
         Every recorded span, key samples included, is CRC-revalidated
-        without decoding it; a map partition with any bad span is dropped
-        (and recomputed by the normal missing-partition path), and damage
-        only decoding can reveal surfaces at the reduce read as a fetch
-        failure, which recomputes that map from lineage — so the journal
-        can only save work, never corrupt a result.  A shuffle fully served
+        without decoding it; every recorded map partition is adopted — one
+        that wrote no records with no spans — except one with any bad span,
+        which is dropped (and recomputed by the normal missing-partition
+        path), and damage only decoding can reveal surfaces at the reduce
+        read as a fetch failure, which recomputes that map from lineage —
+        so the journal can only save work, never corrupt a result.  A shuffle fully served
         by recovered spans skips its map stage entirely and counts as a
         recovered stage.
         """
@@ -633,10 +635,8 @@ class DAGScheduler:
                 self.journal.forget_shuffle(key)
             return
         self.pending_counters.recovery_invalid_entries += invalid
-        for map_partition, spans in sorted(per_map.items()):
-            self.shuffle_manager.register_external_map_output(
-                dependency.shuffle_id, map_partition, spans,
-                worker="recovered", sample=samples.get(map_partition))
+        self.shuffle_manager.adopt_catalog(
+            dependency.shuffle_id, catalog_of(per_map, samples), "recovered")
         if per_map and self.shuffle_manager.is_complete(dependency.shuffle_id):
             job.stages_recovered += 1
 

@@ -8,18 +8,18 @@ bucket so that shuffle volume can be reported without serialising everything.
 
 A bucket lives in one of two places: resident, as a Python list, or on
 disk, as a :class:`~repro.engine.memory.Span` of a frame file — spilled by
-this manager, written by a worker process or by the networked write path,
-or re-registered from a journal.  By default every bucket stays resident.
-When the owning context runs memory-bounded
-(``EngineConfig.shuffle_memory_bytes`` > 0, tracked by a
-:class:`~repro.engine.memory.MemoryManager`), writes that push the resident
-total over the budget spill the coldest buckets to a per-shuffle spill file
-(see :mod:`repro.engine.memory`); reads — full, ranged (``map_range=``) and
-streaming — transparently bring spans back.  Byte accounting always uses
-the map-side estimates measured at write time, so bounded and unbounded
-runs report identical shuffle metrics; with compression on, the estimates
-are scaled by the measured ratio of the active codec rather than a
-simulated constant.
+this manager, framed into its transport, or adopted from another manager's
+span catalog (:func:`catalog_of`: a worker's map output, a stage payload,
+a journal).  Without a transport every bucket starts resident.  When the
+owning context runs memory-bounded (``EngineConfig.shuffle_memory_bytes``
+> 0, tracked by a :class:`~repro.engine.memory.MemoryManager`), writes
+that push the resident total over the budget spill the coldest buckets to
+a per-shuffle spill file (see :mod:`repro.engine.memory`); reads — full,
+ranged (``map_range=``) and streaming — transparently bring spans back.
+Byte accounting always uses the map-side estimates measured at write
+time, so bounded and unbounded runs report identical shuffle metrics; with
+compression on, the estimates are scaled by the measured ratio of the
+active codec rather than a simulated constant.
 
 Every map task also keeps a bounded key sample of its own output
 (:func:`sample_map_output`) next to it — a list of references on the
@@ -38,17 +38,42 @@ import pickle
 import random
 import threading
 from contextlib import contextmanager
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from ..errors import FetchFailedError, ShuffleCorruptionError, ShuffleError
 from .memory import (CODEC_NONE, MemoryManager, Span, SpillFile,
                      encode_payload, load_span, resolve_codec)
 from .retry import Faults, policy
 
-#: Reduce partition -> (span, estimated bytes): the map output one task
-#: registers, and (keyed by ``(map, reduce)``) a shuffle's span catalog.
-SpanMap = Dict[Any, Tuple[Span, int]]
+#: Where a bucket or key sample lives: resident records, or a span on disk.
+Source = Union[List[Any], Span]
+
+#: Reduce partition -> (source, estimated bytes): one map's buckets.
+SpanMap = Dict[int, Tuple[Source, int]]
+
+
+def catalog_of(maps: Dict[int, SpanMap],
+               samples: Dict[int, Source]) -> Dict[str, Any]:
+    """The span catalog of some map partitions' output.
+
+    ``maps`` holds each map partition's buckets — empty for a map that
+    wrote no records — and ``samples`` the key sample of each map that
+    wrote some.  The catalog is ``{"maps": [map partitions in order],
+    "buckets": {(map, reduce): (source, estimated bytes)}, "samples": {map:
+    source}}``: what :meth:`ShuffleManager.export_catalog` returns and
+    :meth:`ShuffleManager.adopt_catalog` registers — a stage payload's
+    complete shuffles, a worker's map output, a journal's recovered
+    shuffle.  Sources are whatever the exporting manager held, so a
+    catalog shipped to another process holds only spans when the exporter
+    frames into a transport.
+    """
+    return {"maps": sorted(maps),
+            "buckets": {(map_partition, reduce_partition): bucket
+                        for map_partition, buckets in sorted(maps.items())
+                        for reduce_partition, bucket in buckets.items()},
+            "samples": samples}
+
 
 #: Records in one map task's key sample, and the most a key-distribution
 #: estimate decodes per map.
@@ -232,13 +257,12 @@ class ShuffleManager:
         #: (created lazily); ``None`` disables spilling entirely.
         self._spill_dir = spill_dir
         #: Bucket key -> span, for every bucket on disk rather than in
-        #: ``_buckets`` (spilled here, or registered by a writer elsewhere).
+        #: ``_buckets`` (spilled here, framed into the transport, adopted).
         self._spans: Dict[Tuple[int, int, int], Span] = {}
         #: ``(shuffle_id, map_partition)`` -> (records the map wrote, its
         #: key sample): a resident list or a span.  Only maps that wrote
         #: records have one; it is never counted as bucket bytes.
-        self._samples: Dict[Tuple[int, int],
-                            Tuple[int, Union[List[Any], Span]]] = {}
+        self._samples: Dict[Tuple[int, int], Tuple[int, Source]] = {}
         #: Buckets whose records refused to pickle; they stay resident.
         self._unspillable: set = set()
         #: Estimated bytes of all resident buckets, and of all spans.
@@ -248,20 +272,20 @@ class ShuffleManager:
         self._spill_bytes = 0
         #: The ``corrupt`` fail point: each framed bucket draws a decision
         #: keyed by a monotonic sequence number, so a re-written
-        #: (recomputed) bucket is not doomed to re-corrupt.
+        #: (recomputed) bucket is not doomed to re-corrupt.  A worker's
+        #: faults draw once per task attempt instead (``engine/worker.py``).
         self.faults = faults or Faults()
         self._write_seq = itertools.count(1)
         #: One in-place re-read of a locally spilled span.
         self._reread = policy(self.faults, "reread")
-        #: Shuffle transport of the process backend; owns the frame files
-        #: that worker-written map output lives in.  ``None`` on the thread
-        #: backend.
+        #: Shuffle transport of the process backend or of the TCP shuffle;
+        #: when set, every map output is framed into its files and every
+        #: span read goes through it.  ``None`` keeps buckets resident.
         self.transport = transport
-        #: ``(shuffle_id, map_partition)`` -> producer identity (worker pid,
-        #: ``"driver"`` or, for journal adoption, ``"recovered"``) of
-        #: externally registered map output; the scheduler strikes a lost
-        #: span's producer when it is a worker pid and heals a blacklisted
-        #: worker's outputs wholesale.
+        #: ``(shuffle_id, map_partition)`` -> producer identity (a worker
+        #: pid or, for journal adoption, ``"recovered"``) of adopted map
+        #: output; the scheduler strikes a lost span's producer when it is a
+        #: worker pid and heals a blacklisted worker's outputs wholesale.
         self._producers: Dict[Tuple[int, int], Any] = {}
         #: Local re-reads of spilled spans that healed a transient
         #: corruption read (drained into stage metrics alongside the
@@ -279,9 +303,9 @@ class ShuffleManager:
 
         Spans live on disk, so under a bounded budget they must not consume
         it; in the unbounded default (where nothing spills, so every span
-        was written elsewhere) they stand in for the resident buckets the
-        thread backend would have held, which keeps peak-residency
-        accounting backend-invariant.
+        was framed into a transport or adopted) they stand in for the
+        resident buckets the thread backend would have held, which keeps
+        peak-residency accounting backend-invariant.
         """
         if self.memory is not None:
             held = self._resident_bytes
@@ -308,8 +332,7 @@ class ShuffleManager:
         with self._lock:
             return self._spill_count, self._spill_bytes
 
-    def _source_locked(self, key: Tuple[int, int, int]
-                       ) -> Union[List[Any], Span, None]:
+    def _source_locked(self, key: Tuple[int, int, int]) -> Optional[Source]:
         """A bucket's records if resident, its span if on disk; ``None``
         when it is absent or empty (lock held)."""
         source = self._buckets.get(key) or self._spans.get(key)
@@ -333,8 +356,7 @@ class ShuffleManager:
         return size, 0
 
     def _set_sample_locked(self, shuffle_id: int, map_partition: int,
-                           records: int,
-                           sample: Union[List[Any], Span, None]) -> None:
+                           records: int, sample: Optional[Source]) -> None:
         """Install a map's key sample, replacing any earlier attempt's."""
         if records and sample:
             self._samples[(shuffle_id, map_partition)] = (records, sample)
@@ -356,7 +378,11 @@ class ShuffleManager:
                          task_context=None) -> int:
         """Store the buckets produced by one map task; return bytes written.
 
-        Bucket copies, byte estimation (which pickles a sample of every
+        A manager that has a transport frames every map output into it
+        (:func:`write_buckets`) and registers the spans, so every reader —
+        in this process or another, over TCP or not — reads frames.
+        Without one the buckets are copied and stay resident.  Framing,
+        bucket copies, byte estimation (which pickles a sample of every
         bucket) and the map's key sample happen *outside* the global lock so
         concurrent map tasks never serialise behind each other; the lock
         only guards the final dictionary swap-in and counter updates.  Under
@@ -368,17 +394,20 @@ class ShuffleManager:
         with self._lock:
             if shuffle_id not in self._expected_maps:
                 raise ShuffleError(f"shuffle {shuffle_id} was never registered")
-        if self.transport is not None and self.transport.networked:
-            # networked shuffle: even driver-side (thread backend) map
-            # output goes through transport frame files, so reduce reads
-            # cross the wire and the whole retry/CRC ladder is exercised
-            return self._write_networked_map_output(shuffle_id, map_partition,
-                                                    buckets, task_context)
-        copies = {reduce_partition: list(records)
-                  for reduce_partition, records in buckets.items()}
-        sample = sample_map_output(shuffle_id, map_partition, copies)
-        entries = [(reduce_partition, copied, estimate_bytes(copied, self.codec))
-                   for reduce_partition, copied in copies.items()]
+        if self.transport is not None:
+            spans, sample = write_buckets(
+                self.transport.map_output_writer(shuffle_id, map_partition,
+                                                 self.codec),
+                shuffle_id, map_partition, buckets, self._damage("transport"))
+            entries = [(reduce_partition, span, size)
+                       for reduce_partition, (span, size) in spans.items()]
+        else:
+            copies = {reduce_partition: list(records)
+                      for reduce_partition, records in buckets.items()}
+            sample = sample_map_output(shuffle_id, map_partition, copies)
+            entries = [(reduce_partition, copied,
+                        estimate_bytes(copied, self.codec))
+                       for reduce_partition, copied in copies.items()]
         with self._lock:
             written = self._install_map_output_locked(
                 shuffle_id, map_partition, entries, sample)
@@ -433,51 +462,10 @@ class ShuffleManager:
                 task_context.spill_bytes += span.length
         self._sync_memory()
 
-    def _write_networked_map_output(self, shuffle_id: int, map_partition: int,
-                                    buckets: Dict[int, List[Any]],
-                                    task_context=None) -> int:
-        """Frame one map task's buckets to a transport file and register it.
-
-        The networked twin of the resident write path: every reader then
-        fetches the buckets over TCP.
-        """
-        spans, sample = write_buckets(
-            self.transport.map_output_writer(shuffle_id, map_partition,
-                                             self.codec),
-            shuffle_id, map_partition, buckets, self._damage("transport"))
-        written = self.register_external_map_output(
-            shuffle_id, map_partition, spans, worker="driver", sample=sample)
-        if task_context is not None and self.memory is not None:
-            task_context.note_peak(self.memory.used_bytes)
-        return written
-
-    def register_external_map_output(self, shuffle_id: int,
-                                     map_partition: int, spans: SpanMap,
-                                     worker: Any = None,
-                                     sample: Optional[Span] = None) -> int:
-        """Adopt map output another writer framed to disk.
-
-        ``spans`` maps each reduce partition to ``(span, estimated bytes)``
-        and ``sample`` is the span of the map's key sample
-        (:func:`write_buckets`); the bytes are the writer-side
-        ``estimate_bytes`` measurement, so read-side accounting matches the
-        thread backend exactly.  Retried map tasks overwrite their previous
-        registration the same way :meth:`write_map_output` overwrites
-        resident buckets; the stale frame file lives on until the shuffle is
-        removed.  Returns the estimated bytes written, mirroring
-        :meth:`write_map_output`.
-        """
-        with self._lock:
-            return self._install_map_output_locked(
-                shuffle_id, map_partition,
-                [(reduce_partition, span, size)
-                 for reduce_partition, (span, size) in spans.items()],
-                sample, worker)
-
     def _install_map_output_locked(
             self, shuffle_id: int, map_partition: int,
-            entries: List[Tuple[int, Union[List[Any], Span], int]],
-            sample: Union[List[Any], Span, None], worker: Any = None) -> int:
+            entries: Iterable[Tuple[int, Source, int]],
+            sample: Optional[Source], producer: Any = None) -> int:
         """Install one map attempt's ``(reduce, records or span, bytes)``
         buckets and key sample; return the bytes written (lock held).
 
@@ -509,109 +497,117 @@ class ShuffleManager:
             written += size
         self._completed_maps[shuffle_id].add(map_partition)
         self._set_sample_locked(shuffle_id, map_partition, records_out, sample)
-        if worker is not None:
-            self._producers[(shuffle_id, map_partition)] = worker
+        if producer is not None:
+            self._producers[(shuffle_id, map_partition)] = producer
         self._bytes_written[shuffle_id] += written - stale_bytes
         self._records_written[shuffle_id] += records_out - stale_records
         self._sync_memory()
         return written
 
-    def _catalog_entries_locked(self, shuffle_id: int) -> List[
-            Tuple[Tuple[int, int], Union[List[Any], Span], int]]:
-        """``((map, reduce), bucket or span, bytes)`` of each non-empty bucket."""
-        self._check_readable(shuffle_id)
-        entries = []
+    def _export_locked(self, shuffle_id: int, maps: Iterable[int]
+                       ) -> Tuple[Dict[int, SpanMap], Dict[int, Source]]:
+        """``maps``' buckets and key samples, as :func:`catalog_of` takes
+        them (lock held); empty buckets are left out."""
+        buckets: Dict[int, SpanMap] = {map_partition: {}
+                                       for map_partition in maps}
         for key, size in self._bucket_bytes.items():
-            if key[0] == shuffle_id:
+            if key[0] == shuffle_id and key[1] in buckets:
                 source = self._source_locked(key)
                 if source is not None:
-                    entries.append(((key[1], key[2]), source, size))
-        return entries
+                    buckets[key[1]][key[2]] = (source, size)
+        samples = {map_partition: self._samples[(shuffle_id, map_partition)][1]
+                   for map_partition in buckets
+                   if (shuffle_id, map_partition) in self._samples}
+        return buckets, samples
 
-    def export_catalog(self, shuffle_id: int) -> Dict[str, Any]:
-        """Span catalog of one complete shuffle for worker-process reads.
+    def export_catalog(self, shuffle_id: int,
+                       maps: Optional[Iterable[int]] = None) -> Dict[str, Any]:
+        """The span catalog of ``maps`` (default: every completed map).
 
-        Returns ``{"maps": [map partitions in order], "buckets": {(map,
-        reduce): (span, estimated bytes)}}``.  Buckets already on disk
-        export their spans directly.  Resident buckets — only reachable when
-        a directly constructed manager mixed thread-side writes into a
-        process-backend read — are framed to transport files on demand, one
-        file per bucket, swept with the shuffle; an unpicklable resident
-        bucket cannot cross the process boundary and the pickling error
-        propagates.
+        Each bucket and key sample is exported where it lives — resident
+        records or a span — with its write-side byte estimate.
+        :meth:`adopt_catalog` is the inverse.
         """
         with self._lock:
-            entries = self._catalog_entries_locked(shuffle_id)
-            maps = sorted(self._completed_maps[shuffle_id])
-        buckets: SpanMap = {}
-        for (map_partition, reduce_partition), source, size in entries:
-            if not isinstance(source, Span):
-                if self.transport is None:
-                    raise ShuffleError(
-                        f"shuffle {shuffle_id} holds resident buckets but no "
-                        f"transport is attached to export them")
-                with self.transport.map_output_writer(
-                        shuffle_id, map_partition, self.codec) as writer:
-                    source = writer.append(source)
-            buckets[(map_partition, reduce_partition)] = (source, size)
-        return {"maps": maps, "buckets": buckets}
+            return catalog_of(*self._export_locked(
+                shuffle_id,
+                self._completed_maps[shuffle_id] if maps is None else maps))
+
+    def adopt_catalog(self, shuffle_id: int, catalog: Dict[str, Any],
+                      producer: Any = None) -> int:
+        """Register every map output ``catalog`` lists; return its bytes.
+
+        The one way map output written elsewhere becomes this manager's:
+        each listed map partition's buckets and key sample replace any
+        earlier attempt's, with the writer's byte estimates, so read-side
+        accounting matches the thread backend exactly.  A shuffle this
+        manager does not know yet is registered complete, with the listed
+        maps as its map count (a stage payload's shuffles).  ``producer`` is
+        the identity a lost span's strike goes to (a worker pid) or
+        ``"recovered"`` for journal adoption.
+        """
+        self.register_shuffle(shuffle_id, len(catalog["maps"]))
+        per_map: Dict[int, List[Tuple[int, Source, int]]] = {
+            map_partition: [] for map_partition in catalog["maps"]}
+        for (map_partition, reduce_partition), (source, size) in \
+                catalog["buckets"].items():
+            per_map[map_partition].append((reduce_partition, source, size))
+        samples = catalog["samples"]
+        with self._lock:
+            return sum(self._install_map_output_locked(
+                shuffle_id, map_partition, entries,
+                samples.get(map_partition), producer)
+                for map_partition, entries in per_map.items())
 
     def export_durable_catalog(self, shuffle_id: int,
                                directory: str) -> Dict[str, Any]:
-        """Span catalog of one complete shuffle with every span durable.
+        """:meth:`export_catalog` of a complete shuffle, every span durable.
 
-        The journaling twin of :meth:`export_catalog`: spans whose frame
-        files already live under ``directory`` (the engine's checkpoint
-        dir — where a durable transport roots its shuffle files) are
-        reused as-is; everything else — resident buckets, spilled spans,
-        spans outside the durable root — is re-framed into fsynced per-map
-        files under ``directory/shuffle-<id>/``.  Key samples go the same
-        way and come back as ``"samples": {map: span}``.  The result is
-        safe to record in the job journal: every path in it survives a
-        driver crash.
+        Spans whose frame files already live under ``directory`` (the
+        engine's checkpoint dir — where a durable transport roots its
+        shuffle files) are reused as-is; every other bucket and key sample
+        of a map — resident, spilled, or outside the durable root — is
+        re-framed into one fsynced file per map under
+        ``directory/shuffle-<id>/``.  The result is safe to record in the
+        job journal: every path in it survives a driver crash.
         """
         prefix = os.path.abspath(directory) + os.sep
+
+        def durable(source: Source) -> bool:
+            return isinstance(source, Span) and \
+                os.path.abspath(source.path).startswith(prefix)
+
+        def records(source: Source) -> List[Any]:
+            return load_span(source) if isinstance(source, Span) else source
+
         with self._lock:
-            entries = self._catalog_entries_locked(shuffle_id)
-            maps = sorted(self._completed_maps[shuffle_id])
-            # a sample rides in the slot of reduce partition ``None``
-            entries += [((map_partition, None), sample, 0)
-                        for (sid, map_partition), (_, sample)
-                        in self._samples.items() if sid == shuffle_id]
-        buckets: SpanMap = {}
-        samples: Dict[int, Span] = {}
-
-        def place(map_partition, reduce_partition, span, size):
-            if reduce_partition is None:
-                samples[map_partition] = span
-            else:
-                buckets[(map_partition, reduce_partition)] = (span, size)
-
-        pending: Dict[int, List[Tuple[Optional[int],
-                                      Union[List[Any], Span], int]]] = {}
-        for (map_partition, reduce_partition), source, size in entries:
-            if isinstance(source, Span) and \
-                    os.path.abspath(source.path).startswith(prefix):
-                place(map_partition, reduce_partition, source, size)
-            else:
-                pending.setdefault(map_partition, []).append(
-                    (reduce_partition, source, size))
+            self._check_readable(shuffle_id)
+            maps, samples = self._export_locked(
+                shuffle_id, sorted(self._completed_maps[shuffle_id]))
         # re-framing happens outside the lock: resident buckets are
         # immutable once written and frame files append-only
         shuffle_dir = os.path.join(directory, f"shuffle-{shuffle_id}")
-        for map_partition, items in sorted(pending.items()):
+        for map_partition, buckets in maps.items():
+            pending = [reduce_partition
+                       for reduce_partition, (source, _) in buckets.items()
+                       if not durable(source)]
+            sample = samples.get(map_partition)
+            reframe_sample = sample is not None and not durable(sample)
+            if not pending and not reframe_sample:
+                continue
             os.makedirs(shuffle_dir, exist_ok=True)
             path = os.path.join(
                 shuffle_dir,
                 f"map-{map_partition}-{os.getpid()}-journal.data")
             with SpillFile(path, self.codec) as writer:
-                for reduce_partition, source, size in items:
-                    if isinstance(source, Span):
-                        source = load_span(source)
-                    place(map_partition, reduce_partition,
-                          writer.append(source), size)
+                for reduce_partition in pending:
+                    source, size = buckets[reduce_partition]
+                    buckets[reduce_partition] = (
+                        writer.append(records(source)), size)
+                if reframe_sample:
+                    samples[map_partition] = writer.append(records(sample))
                 writer.sync()
-        return {"maps": maps, "buckets": buckets, "samples": samples}
+        return catalog_of(maps, samples)
 
     # -- reduce side ----------------------------------------------------------
 
@@ -632,7 +628,7 @@ class ShuffleManager:
         the size is the write-side estimate.  The map partition lets a
         read-side integrity failure name the exact lost output.
         """
-        refs: List[Tuple[int, Union[List[Any], Span], int]] = []
+        refs: List[Tuple[int, Source, int]] = []
         for map_partition in sorted(self._completed_maps[shuffle_id]):
             if map_range is not None and \
                     not map_range[0] <= map_partition < map_range[1]:
@@ -645,7 +641,7 @@ class ShuffleManager:
         return refs
 
     def _load(self, shuffle_id: int, map_partition: int,
-              source: Union[List[Any], Span]) -> List[Any]:
+              source: Source) -> List[Any]:
         """A resident bucket as is, or one span read back verified.
 
         With a transport the read goes through it — a plain file read on
@@ -670,8 +666,8 @@ class ShuffleManager:
     def drain_fetch_retries(self) -> int:
         """Retried reads (local re-reads + network fetches) since last drain.
 
-        Driver-side counts only: worker processes drain their own transport
-        and ship the count back inside the task counters.
+        Counts of this process only: a worker drains its own manager and
+        ships the count back inside the task counters.
         """
         with self._lock:
             count, self._fetch_retries = self._fetch_retries, 0

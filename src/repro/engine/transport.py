@@ -9,22 +9,23 @@ must cross the process boundary explicitly.  A :class:`ShuffleTransport`
 owns that movement:
 
 * the driver *publishes* one serialized payload per stage and hands workers
-  an opaque token (a file path for the local-dir implementation);
+  an opaque token (a file path);
 * a parallelised collection is framed into one *input* file the first time
   a stage ships it; payloads carry its per-partition spans, and both kinds
   of file are read where they lie (the shared directory), never fetched;
 * workers write each map task's buckets through the frame store's one
   writer (:class:`~repro.engine.memory.SpillFile`) into per-shuffle files
   and report the :class:`~repro.engine.memory.Span` of each back with the
-  task result;
+  task result, in a span catalog;
 * reduce and ranged-skew reads bring spans back with
   :func:`~repro.engine.memory.load_span` — the very read spilled buckets
   use;
 * the transport removes a shuffle's files when the driver forgets the
   shuffle, which also sweeps partial output of failed stages.
 
-:class:`LocalDirShuffleTransport` is the single-machine implementation: one
-directory shared by driver and workers.  :class:`TcpShuffleTransport`
+:class:`ShuffleTransport` is one directory shared by driver and workers;
+every shuffle manager that holds one — the driver's and each worker's —
+frames its map output into it.  :class:`TcpShuffleTransport`
 (``EngineConfig.shuffle_transport = "tcp"``) layers the networked read path
 on top: writes still land in the transport root, but span *reads* go
 through the :mod:`~repro.engine.shuffle_server` fetch client — retried,
@@ -45,53 +46,9 @@ from .retry import RetryPolicy, policy
 
 
 class ShuffleTransport:
-    """Moves stage payloads and shuffle map output between processes."""
+    """Moves stage payloads and shuffle map output between processes.
 
-    #: Networked transports route span reads through a fetch client; the
-    #: shuffle layer uses this to pick the external-write path.
-    networked = False
-
-    #: Durable transports keep shuffle frame files across driver restarts
-    #: (journal-based recovery); shutdown must not sweep them.
-    durable = False
-
-    def publish_stage(self, payload: bytes) -> str:
-        """Store one serialized stage payload; return a worker-readable token."""
-        raise NotImplementedError
-
-    def discard_stage(self, token: str) -> None:
-        """Drop a published stage payload (idempotent)."""
-        raise NotImplementedError
-
-    def map_output_writer(self, shuffle_id: int, map_partition: int,
-                          codec: int) -> SpillFile:
-        """Open a frame writer for one map task's output of one shuffle."""
-        raise NotImplementedError
-
-    def input_writer(self, dataset_id: int) -> SpillFile:
-        """Open a frame writer for the partitions of one parallelised input."""
-        raise NotImplementedError
-
-    def read_span(self, span: Span) -> List[Any]:
-        """Read one registered span's records back (local file read here)."""
-        return load_span(span)
-
-    def drain_fetch_retries(self) -> int:
-        """Fetch retries accumulated since the last drain (0 when local)."""
-        return 0
-
-    def remove_shuffle(self, shuffle_id: int) -> None:
-        """Delete every file of a shuffle, registered or partial (idempotent)."""
-        raise NotImplementedError
-
-    def cleanup(self) -> None:
-        """Delete everything the transport owns (idempotent)."""
-        raise NotImplementedError
-
-
-class LocalDirShuffleTransport(ShuffleTransport):
-    """Single-machine transport: one shared directory of frame files.
-
+    One directory of frame files, shared by the driver and its workers.
     The driver creates the root (under the engine context's spill directory)
     and each forked worker attaches to the same path.  File names carry the
     writer's pid and a per-process sequence number, so concurrent workers
@@ -115,12 +72,14 @@ class LocalDirShuffleTransport(ShuffleTransport):
         return f"{prefix}-{os.getpid()}-{next(self._seq)}{suffix}"
 
     def publish_stage(self, payload: bytes) -> str:
+        """Store one serialized stage payload; return a worker-readable token."""
         path = os.path.join(self.root, self._unique_name("stage", ".payload"))
         with open(path, "wb") as handle:
             handle.write(payload)
         return path
 
     def discard_stage(self, token: str) -> None:
+        """Drop a published stage payload (idempotent)."""
         try:
             os.remove(token)
         except OSError:
@@ -132,6 +91,7 @@ class LocalDirShuffleTransport(ShuffleTransport):
 
     def map_output_writer(self, shuffle_id: int, map_partition: int,
                           codec: int) -> SpillFile:
+        """Open a frame writer for one map task's output of one shuffle."""
         directory = self.shuffle_dir(shuffle_id)
         os.makedirs(directory, exist_ok=True)
         name = self._unique_name(f"map-{map_partition}", ".data")
@@ -145,7 +105,16 @@ class LocalDirShuffleTransport(ShuffleTransport):
         name = self._unique_name(f"dataset-{dataset_id}", ".data")
         return SpillFile(os.path.join(directory, name))
 
+    def read_span(self, span: Span) -> List[Any]:
+        """Read one registered span's records back (a local file read)."""
+        return load_span(span)
+
+    def drain_fetch_retries(self) -> int:
+        """Fetch retries accumulated since the last drain (0 when local)."""
+        return 0
+
     def remove_shuffle(self, shuffle_id: int) -> None:
+        """Delete every file of a shuffle, registered or partial (idempotent)."""
         shutil.rmtree(self.shuffle_dir(shuffle_id), ignore_errors=True)
 
     def worker_scratch_dir(self) -> str:
@@ -172,6 +141,7 @@ class LocalDirShuffleTransport(ShuffleTransport):
         return {"mode": "local", "root": self.root}
 
     def cleanup(self) -> None:
+        """Delete everything the transport owns (idempotent)."""
         if not self.durable:
             shutil.rmtree(self.root, ignore_errors=True)
             return
@@ -191,7 +161,7 @@ class LocalDirShuffleTransport(ShuffleTransport):
                     pass
 
 
-class TcpShuffleTransport(LocalDirShuffleTransport):
+class TcpShuffleTransport(ShuffleTransport):
     """Networked transport: local writes, TCP span reads with retries.
 
     Map output is still written into the shared root (the server process
@@ -204,8 +174,6 @@ class TcpShuffleTransport(LocalDirShuffleTransport):
     shuffle services: the read path, failure modes, and metrics are the
     ones a real cluster would exercise.
     """
-
-    networked = True
 
     def __init__(self, root: str, address: Tuple[str, int],
                  policy: Optional[RetryPolicy] = None, durable: bool = False):
@@ -234,7 +202,7 @@ class TcpShuffleTransport(LocalDirShuffleTransport):
 
 
 def build_worker_transport(spec: Dict[str, Any],
-                           config: Any) -> LocalDirShuffleTransport:
+                           config: Any) -> ShuffleTransport:
     """Rebuild a transport inside a forked worker from its pickled spec.
 
     TCP workers get their own fetch client under the fetch ledger's
@@ -244,4 +212,4 @@ def build_worker_transport(spec: Dict[str, Any],
     if spec.get("mode") == "tcp":
         return TcpShuffleTransport(spec["root"], tuple(spec["address"]),
                                    policy=policy(config, "fetch"))
-    return LocalDirShuffleTransport(spec["root"])
+    return ShuffleTransport(spec["root"])

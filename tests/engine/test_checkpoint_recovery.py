@@ -247,6 +247,21 @@ def test_validate_shuffle_entry_drops_corrupt_maps_wholesale(tmp_path):
     assert validate_shuffle_entry({"nonsense": True}) == ({}, {}, 0, 1)
 
 
+def test_validate_shuffle_entry_adopts_every_recorded_map(tmp_path):
+    """A recorded map with no span wrote no records: it is adopted empty.
+    A recorded map outside ``range(num_maps)``, and a span of a map the
+    entry does not record, are invalid."""
+    path = str(tmp_path / "map0.data")
+    length = _write_frames(path, [(1, "a")])
+    entry = {"shuffle_id": 0, "num_maps": 2, "maps": [0, 1, 2],
+             "spans": [[path, 0, length, 1, 0, 0, length],
+                       [path, 0, length, 1, 3, 0, length]],
+             "samples": []}
+    per_map, samples, num_maps, invalid = validate_shuffle_entry(entry)
+    assert per_map == {0: {0: (Span(path, 0, length, 1), length)}, 1: {}}
+    assert samples == {} and num_maps == 2 and invalid == 2
+
+
 def test_validate_checkpoint_entry_is_all_or_nothing(tmp_path):
     p0 = str(tmp_path / "p0.data")
     p1 = str(tmp_path / "p1.data")
@@ -368,6 +383,32 @@ def test_resume_adopts_journaled_shuffles(tmp_path, backend):
         summary = ctx.metrics.summary()
     assert resumed == expected
     assert summary["stages_recovered"] > 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("limit", [30, 40])
+def test_resume_adopts_a_shuffle_with_an_empty_map_partition(tmp_path,
+                                                             backend, limit):
+    """A map partition that wrote no records has no span record, only its
+    place in the journalled ``"maps"``; resume adopts it like every other
+    map, so the whole shuffle is recovered and only the reduce stage runs.
+    ``limit=40`` is the control in which every map partition wrote
+    records."""
+    root = tmp_path / "ckpt"
+
+    def job(ctx):
+        return sorted(ctx.parallelize(range(40), 4)
+                      .filter(lambda x: x < limit).map(lambda x: (x % 3, x))
+                      .reduce_by_key(lambda a, b: a + b, 2).collect())
+
+    with make_engine(backend, root) as ctx:
+        expected = job(ctx)
+    with make_engine(backend, root, recover_from=str(root)) as ctx:
+        resumed = job(ctx)
+        summary = ctx.metrics.summary()
+    assert resumed == expected
+    assert (summary["num_stages"], summary["num_tasks"],
+            summary["stages_recovered"]) == (1, 2, 1)
 
 
 def test_resume_adopts_journaled_checkpoint(tmp_path):

@@ -34,6 +34,7 @@ from repro.engine.metrics import COUNTERS, JOB
 from repro.engine.retry import (FAILURES, FAULTS, Faults, RetryPolicy,
                                 policy)
 from repro.engine.transport import TcpShuffleTransport
+from repro.engine.worker import _AttemptFaults
 from repro.errors import ConfigurationError, ShuffleCorruptionError
 
 from test_memory_bounded import DATA, TINY_CAP
@@ -314,6 +315,19 @@ def test_fault_decisions_match_the_recorded_draws():
         assert written in (payload, corrupt_payload(payload, 7, key))
         damaged.update(written)
     assert damaged.hexdigest()[:16] == "7e8037a8fea68322"
+
+
+def test_a_worker_attempt_draws_corruption_once_at_its_first_frame():
+    """A worker's ``corrupt`` decision is keyed ``task_id:attempt`` and
+    drawn at the attempt's first frame only, whatever key the shuffle
+    manager passes; an unarmed worker damages nothing."""
+    faults = _AttemptFaults(7, {"corrupt": 1.0})
+    payload = dump_frames([(i, i * i) for i in range(64)], CODEC_NONE)
+    assert faults.damage(payload, "transport:1") == payload
+    faults.arm("job0-s1-p2:0")
+    assert faults.damage(payload, "transport:2") == \
+        corrupt_payload(payload, 7, "job0-s1-p2:0") != payload
+    assert faults.damage(payload, "transport:3") == payload
 
 
 def test_faults_names_each_unknown_point_and_bounds_each_value():

@@ -199,7 +199,7 @@ def test_retried_map_attempt_does_not_double_count():
 
 def test_retried_external_registration_does_not_double_count(tmp_path):
     from repro.engine.memory import SpillFile
-    from repro.engine.shuffle import write_buckets
+    from repro.engine.shuffle import catalog_of, write_buckets
 
     manager = ShuffleManager(codec="none")
     manager.register_shuffle(8, 1)
@@ -208,7 +208,7 @@ def test_retried_external_registration_does_not_double_count(tmp_path):
         writer = SpillFile(str(tmp_path / f"map-0-a{attempt}.data"))
         spans, sample = write_buckets(writer, 8, 0, BUCKETS,
                                       lambda payload: payload)
-        manager.register_external_map_output(8, 0, spans, sample=sample)
+        manager.adopt_catalog(8, catalog_of({0: spans}, {0: sample}))
 
     register(0)
     clean_stats = manager.map_output_stats(8)

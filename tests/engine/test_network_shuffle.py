@@ -32,8 +32,7 @@ from repro.engine.retry import Faults, RetryPolicy
 from repro.engine.scheduler import NodeHealthTracker
 from repro.engine.shuffle_server import (FetchError, ShuffleFetchClient,
                                          ShuffleServer, span_chaos_key)
-from repro.engine.transport import (LocalDirShuffleTransport,
-                                    TcpShuffleTransport,
+from repro.engine.transport import (ShuffleTransport, TcpShuffleTransport,
                                     build_worker_transport)
 from repro.errors import ConfigurationError, ShuffleCorruptionError
 
@@ -304,7 +303,6 @@ def test_tcp_transport_serves_remote_spans_and_local_spills(server_root):
     server = ShuffleServer(root)
     try:
         transport = TcpShuffleTransport(root, server.address)
-        assert transport.networked
         # a span under the transport root goes over the wire
         span = Span(os.path.join(root, relpath), 0, length, len(RECORDS))
         assert transport.read_span(span) == RECORDS
@@ -353,10 +351,9 @@ def test_build_worker_transport_rebuilds_tcp_from_spec(server_root):
 
 def test_build_worker_transport_accepts_local_specs(tmp_path):
     config = EngineConfig()
-    spec = LocalDirShuffleTransport(str(tmp_path)).worker_spec()
+    spec = ShuffleTransport(str(tmp_path)).worker_spec()
     rebuilt = build_worker_transport(spec, config)
-    assert isinstance(rebuilt, LocalDirShuffleTransport)
-    assert not rebuilt.networked
+    assert isinstance(rebuilt, ShuffleTransport)
 
 
 # -- transport parity: every wide operator, both backends ----------------------

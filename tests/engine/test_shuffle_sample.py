@@ -29,8 +29,8 @@ from repro.engine import scheduler as scheduler_module
 from repro.engine.context import EngineContext
 from repro.engine.memory import MemoryManager, SpillFile, load_span
 from repro.engine.shuffle import (KEY_SAMPLE_SIZE, ShuffleManager,
-                                  estimate_bytes, sample_map_output,
-                                  write_buckets)
+                                  catalog_of, estimate_bytes,
+                                  sample_map_output, write_buckets)
 
 needs_closures = pytest.mark.skipif(
     not serializer.supports_closures(),
@@ -178,7 +178,7 @@ def test_sample_lifecycle_and_accounting(tmp_path):
     # an externally framed map output registers its sample span, unaccounted
     writer = SpillFile(str(tmp_path / "map-0.data"))
     spans, sample = write_buckets(writer, 1, 0, outputs[0], lambda p: p)
-    manager.register_external_map_output(1, 0, spans, sample=sample)
+    manager.adopt_catalog(1, catalog_of({0: spans}, {0: sample}))
     assert manager._samples[(1, 0)] == (700, sample)
     assert manager.map_output_stats(1) == (750, sizes)
     assert memory.used_bytes == sizes

@@ -22,7 +22,7 @@ from repro.engine import serializer
 from repro.engine import worker as worker_runtime
 from repro.engine.context import EngineContext
 from repro.engine.dataset import LineageStub, TaskContext
-from repro.engine.transport import LocalDirShuffleTransport
+from repro.engine.transport import ShuffleTransport
 from repro.errors import PlanError
 
 from payload_probe import recorded_payloads, shipped_graph
@@ -165,8 +165,8 @@ def test_published_input_is_swept_with_the_transport_root(tmp_path):
 
 
 def _held_catalog(_records):
-    """Shuffle ids in the span catalog this worker process holds right now."""
-    return [sorted(worker_runtime._STATE.ctx.shuffle_manager._catalog)]
+    """Shuffle ids registered with this worker's shuffle manager right now."""
+    return [sorted(worker_runtime._STATE.ctx.shuffle_manager._expected_maps)]
 
 
 def test_worker_catalog_holds_only_the_current_payloads_shuffles():
@@ -192,7 +192,7 @@ def test_a_computed_stub_names_the_dataset_and_the_cut(tmp_path):
         config = ctx.config
     task = serializer.loads(payloads[-1])["tasks"][0]
     worker_ctx = worker_runtime.WorkerContext(
-        config, LocalDirShuffleTransport(str(tmp_path)))
+        config, ShuffleTransport(str(tmp_path)))
     worker_runtime._attach_graph(task, worker_ctx, set())
     stub = task._dataset.dependencies[0].parent
     assert isinstance(stub, LineageStub)
