@@ -118,20 +118,15 @@ def validate(values: Dict[str, Any], checks: Tuple[Tuple[str, Check], ...],
 #: Connect/read timeout, in seconds, of one TCP shuffle fetch attempt.
 FETCH_TIMEOUT_S = 5.0
 
-#: Rewrite rules of the logical-plan optimizer, in application order.
-#: ``EngineConfig.optimizer_rules`` may hold any subset; an empty tuple
-#: disables the optimizer entirely and actions execute the plan the Dataset
-#: API recorded, verbatim.
+#: Rewrite rules of the logical-plan optimizer, in application order: the
+#: names of the rows of :data:`repro.engine.optimizer.RULES`, which fails at
+#: import unless it lists exactly these.  ``EngineConfig.optimizer_rules``
+#: may hold any subset; an empty tuple disables the optimizer entirely and
+#: actions execute the plan the Dataset API recorded, verbatim.
 KNOWN_OPTIMIZER_RULES: Tuple[str, ...] = (
-    "cache_prune",       # replace fully cached subtrees by a cached scan
-    "pushdown",          # push filters/projections below shuffle boundaries
-    "shuffle_elim",      # drop a shuffle when the child partitioning matches
-    "map_side_combine",  # pre-aggregate on the map side of reduce_by_key &co
-    "fuse_narrow",       # fuse chains of narrow ops into one operator
-    "broadcast_join",    # hash-join against a collected small side, no shuffle
-    "coalesce_shuffle",  # shrink reduce partition counts on small shuffles
-    "split_skewed_shuffle",  # fan a fat reduce partition out over map slices
-)
+    "cache_prune", "pushdown", "shuffle_elim", "map_side_combine",
+    "fuse_narrow", "broadcast_join", "coalesce_shuffle",
+    "split_skewed_shuffle")
 
 
 @dataclass(frozen=True)

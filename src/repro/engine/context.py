@@ -22,7 +22,7 @@ from .dataset import (CheckpointEntry, Dataset, ParallelCollectionDataset,
 from .journal import JobJournal, load_journal_state, validate_checkpoint_entry
 from .memory import MemoryManager, SpillFile, resolve_codec
 from .metrics import MetricsRegistry, PendingCounters
-from .optimizer import PlanOptimizer, lower_plan
+from .optimizer import COST, PlanOptimizer, lower_plan
 from .plan import SourceNode, render_plan
 from .scheduler import DAGScheduler
 from .shuffle import ShuffleManager
@@ -30,6 +30,7 @@ from .retry import Faults, policy
 from .shuffle_server import ShuffleServer
 from .storage import BlockStore
 from .transport import ShuffleTransport, TcpShuffleTransport
+from .wide import ACTIONS
 
 
 class EngineContext:
@@ -220,7 +221,13 @@ class EngineContext:
         if self._adopt_recovered_checkpoint(dataset, key):
             return
         path = os.path.join(self.checkpoints_dir(), f"ds-{dataset.id}.data")
-        partials = dataset._run("checkpoint")
+        # the files serve the dataset's own partitions: collect the
+        # optimized executable only when a rewrite (a coalesced shuffle, a
+        # broadcast join) did not change their number
+        executable = self._executable_for(dataset)
+        run_job = self.run_job if executable.num_partitions == \
+            dataset.num_partitions else self.scheduler.run_job
+        partials = ACTIONS["checkpoint"]().run(run_job, dataset)
         with SpillFile(path, resolve_codec(self.config.spill_codec)) as writer:
             spans = [writer.append(records) for records in partials]
             writer.sync()
@@ -355,8 +362,10 @@ class EngineContext:
         while True:
             executable = self._executable_for(dataset)
             replanner = None
+            # re-planning pays off only when a cost-based rule can fire:
+            # otherwise the optimizer provably returns the same plan
             if partitions is None and dataset.plan is not None and \
-                    self._adaptive_can_replan():
+                    self.config.adaptive_enabled and self.optimizer.armed(COST):
                 replanner = self._adaptive_replanner(dataset)
             try:
                 return self.scheduler.run_job(executable, func, partitions,
@@ -370,23 +379,6 @@ class EngineContext:
                 # loop is bounded.
                 if not self._discard_checkpoint(error.dataset_id):
                     raise
-
-    def _adaptive_can_replan(self) -> bool:
-        """Whether mid-job re-optimization could change anything at all.
-
-        Re-planning after every shuffle stage only pays off when a
-        cost-based rule is enabled *and* armed; otherwise the optimizer
-        provably returns the same plan and the per-stage overhead is waste.
-        """
-        if not self.config.adaptive_enabled:
-            return False
-        rules = self.config.optimizer_rules
-        return ("broadcast_join" in rules and
-                self.config.broadcast_threshold_bytes > 0) or \
-               ("coalesce_shuffle" in rules and
-                self.config.target_partition_bytes > 0) or \
-               ("split_skewed_shuffle" in rules and
-                self.config.skew_split_factor > 1)
 
     def _adaptive_replanner(self, dataset: Dataset) -> Callable[[], Dataset]:
         """A callback re-optimizing ``dataset``'s plan with fresh statistics.

@@ -831,7 +831,9 @@ class Dataset:
     def take(self, n: int) -> List[Any]:
         """Return the first ``n`` records, scanning as few partitions as possible."""
         collected: List[Any] = []
-        for partition in range(self.num_partitions):
+        # a job's partitions are its executable's: a rewrite (a coalesced
+        # shuffle, a broadcast join) may give it another number of them
+        for partition in range(self.ctx._executable_for(self).num_partitions):
             if len(collected) >= n:
                 break
             collected += self._run("take", n - len(collected),
@@ -901,7 +903,7 @@ class Dataset:
 
     def to_local_iterator(self) -> Iterator[Any]:
         """Iterate over all records partition by partition."""
-        for partition in range(self.num_partitions):
+        for partition in range(self.ctx._executable_for(self).num_partitions):
             yield from self._run("to_local_iterator", partitions=[partition])
 
     def histogram(self, buckets: int) -> Tuple[List[float], List[int]]:

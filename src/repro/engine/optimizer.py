@@ -2,42 +2,18 @@
 
 The optimizer rewrites the logical plan a :class:`~repro.engine.dataset.Dataset`
 recorded, then :func:`lower_plan` turns the optimized plan back into physical
-datasets the DAG scheduler can run.  Seven rules ship today (see
-:data:`repro.config.KNOWN_OPTIMIZER_RULES`):
+datasets the DAG scheduler can run.  Every rule is one row of :data:`RULES`,
+in application order: its phase (structural rules reshape the plan,
+cost-based ones decide on the statistics the estimator writes onto it), the
+knob condition that arms it, and its rewrite, whose docstring says what the
+rule does.  :data:`repro.config.KNOWN_OPTIMIZER_RULES` lists the same names
+and this module fails at import when the two disagree.
 
-``cache_prune``
-    Replace a subtree whose root is fully materialised in the block store by
-    a direct scan of the cached blocks, so nothing below it is re-planned or
-    re-executed.
-``pushdown``
-    Move filters below repartition and sort boundaries, and projections below
-    shuffles that provably route records independently of the projected-away
-    fields (key-preservation analysis: round-robin repartitions always; sorts
-    when their declared ``key_fields`` survive the projection), so
-    fewer/narrower records cross the shuffle.  Projections reaching a
-    schema-bearing source fold into the scan itself
-    (:class:`~repro.engine.plan.ProjectedScanNode`), which then materialises
-    only the surviving columns; adjacent projections collapse.
-``shuffle_elim``
-    Drop the shuffle of an aggregation whose input is already partitioned by
-    the same partitioner (e.g. ``reduce_by_key(n).group_by_key(n)``): the
-    keys are co-located, so a narrow per-partition pass suffices.
-``map_side_combine``
-    Rewrite per-key aggregations to pre-combine on the map side, shrinking
-    the bytes written to the shuffle.
-``broadcast_join``
-    Cost-based join strategy selection: when one join input's estimated size
-    is below ``EngineConfig.broadcast_threshold_bytes``, replace the shuffle
-    cogroup with a narrow broadcast hash join (all join variants supported).
-``coalesce_shuffle``
-    Cost-based partition sizing: shrink a shuffle's reduce partition count
-    when its estimated output divided by the partition count falls below
-    ``EngineConfig.target_partition_bytes``.
-``fuse_narrow``
-    Collapse chains of narrow operators (map/filter/flat_map/project) into a
-    single pipelined physical operator.
+Before any rule runs, every checkpointed subtree is truncated to a scan of
+its checkpoint files.  That step is not a rule: no rule set may re-run the
+lineage above a checkpoint.
 
-The two cost-based rules read the :class:`~repro.engine.stats.StatsEstimate`
+The cost-based rules read the :class:`~repro.engine.stats.StatsEstimate`
 annotations a :class:`~repro.engine.stats.StatsEstimator` writes onto the
 plan right before they run; re-running the optimizer after a shuffle-map
 stage completes therefore folds *actual* sizes into the decisions (adaptive
@@ -64,9 +40,9 @@ from __future__ import annotations
 
 import math
 import statistics
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ..config import EngineConfig
+from ..config import KNOWN_OPTIMIZER_RULES, EngineConfig
 from . import dataset as physical
 from .partitioner import HashPartitioner, RoundRobinPartitioner
 from .plan import (AggregateNode, BroadcastJoinNode, CheckpointScanNode,
@@ -176,6 +152,34 @@ def _iter_nodes(node: LogicalNode):
         yield from _iter_nodes(child)
 
 
+def _replace_topmost(node: LogicalNode,
+                     scan: Callable[[LogicalNode], Optional[LogicalNode]]
+                     ) -> LogicalNode:
+    """Replace each topmost inner node ``scan`` maps to a leaf by the leaf."""
+    leaf = scan(node) if node.children else None
+    return leaf if leaf is not None else _with_children(
+        node, lambda child: _replace_topmost(child, scan))
+
+
+def _with_children(node: LogicalNode,
+                   rewrite: Callable[[LogicalNode], LogicalNode]
+                   ) -> LogicalNode:
+    """``node`` over its rewritten children: a copy when any changed."""
+    new_children = [rewrite(child) for child in node.children]
+    if any(new is not old for new, old in zip(new_children, node.children)):
+        node = node.copy_with(children=new_children)
+    return node
+
+
+def _checkpoint_scan(node: LogicalNode) -> Optional[CheckpointScanNode]:
+    """Lineage truncation at a durable checkpoint: the scan serves
+    checksummed files that also survive restarts, so recomputation and
+    recovery stop here."""
+    ds = node.dataset
+    return CheckpointScanNode(ds) if ds is not None and ds.has_checkpoint \
+        else None
+
+
 def _balanced_ranges(map_bytes: List[Tuple[int, int]],
                      wanted: int) -> List[Tuple[int, int]]:
     """Cut the map-partition index space into byte-balanced contiguous ranges.
@@ -237,16 +241,33 @@ def projection_preserves_keys(project: ProjectNode,
     return False
 
 
+#: The rule phases, in the order ``optimize`` runs them.
+STRUCTURAL, COST = "structural", "cost"
+
+
+class Rule(NamedTuple):
+    """One optimizer rule: a row of :data:`RULES`."""
+
+    phase: str
+    #: Whether the configuration's knobs let the rule fire at all.
+    armed: Callable[[EngineConfig], bool]
+    #: ``rewrite(optimizer, plan, applied) -> plan``; appends the rule's
+    #: name to ``applied`` each time it fires.
+    rewrite: Callable[..., LogicalNode]
+
+
+def _always(config: EngineConfig) -> bool:
+    return True
+
+
 class OptimizationResult:
     """The outcome of one optimizer run over a logical plan."""
 
     def __init__(self, plan: LogicalNode, applied: List[str],
-                 rules: List[str], cost: Optional[float] = None):
+                 cost: Optional[float] = None):
         self.plan = plan
         #: Rule names, one entry per rewrite that fired, in application order.
         self.applied = applied
-        #: Rules that were enabled for the run.
-        self.rules = rules
         #: Estimated cost of the optimized plan (cost-model lower bound),
         #: ``None`` when no statistics layer was available.
         self.cost = cost
@@ -271,38 +292,30 @@ class PlanOptimizer:
     # -- public API ---------------------------------------------------------
 
     def optimize(self, plan: LogicalNode) -> OptimizationResult:
-        """Rewrite ``plan`` with every enabled rule, in canonical order.
+        """Rewrite ``plan`` with every enabled, armed rule, phase by phase.
 
-        The structural rules run first; the plan is then annotated with
-        statistics (folding in any *actual* sizes of already-completed
-        shuffle map stages) before the cost-based rules decide join strategy
-        and partition sizing on it.
+        Checkpointed subtrees are truncated first, under every rule set.
+        The plan is annotated with statistics (folding in any *actual*
+        sizes of already-completed shuffle map stages) after the structural
+        rules, so the cost-based rules decide on it, and again at the end.
+        Fusion is the last structural rule: the annotated plan then has the
+        exact shape (and structural signatures) of the plan that executes,
+        so actual sizes of its completed shuffles resolve on re-planning.
         """
-        rules = list(self.config.optimizer_rules)
         applied: List[str] = []
-        node = plan
-        if "cache_prune" in rules:
-            node = self._prune_cached(node, applied)
-        if "pushdown" in rules:
-            node = self._push_down(node, applied)
-        if "shuffle_elim" in rules:
-            node = self._eliminate_shuffles(node, applied)
-        if "map_side_combine" in rules:
-            node = self._insert_combines(node, applied)
-        # fusion must precede annotation: the annotated plan then has the
-        # exact shape (and structural signatures) of the plan that executes,
-        # so actual sizes of its completed shuffles resolve on re-planning
-        if "fuse_narrow" in rules:
-            node = self._fuse_narrow(node, applied)
-        self.estimator.annotate(node)
-        if "broadcast_join" in rules:
-            node = self._broadcast_joins(node, applied)
-        if "coalesce_shuffle" in rules:
-            node = self._coalesce_shuffles(node, applied)
-        if "split_skewed_shuffle" in rules:
-            self._split_skewed_shuffles(node, applied)
-        self.estimator.annotate(node)
-        return OptimizationResult(node, applied, rules, cost=plan_cost(node))
+        node = _replace_topmost(plan, _checkpoint_scan)
+        for phase in (STRUCTURAL, COST):
+            for name in self.armed(phase):
+                node = RULES[name].rewrite(self, node, applied)
+            self.estimator.annotate(node)
+        return OptimizationResult(node, applied, cost=plan_cost(node))
+
+    def armed(self, phase: str) -> List[str]:
+        """The enabled rules of ``phase`` their knobs arm, in order."""
+        enabled = self.config.optimizer_rules
+        return [name for name, rule in RULES.items()
+                if rule.phase == phase and name in enabled
+                and rule.armed(self.config)]
 
     # -- generic bottom-up rewriting ----------------------------------------
 
@@ -313,16 +326,18 @@ class PlanOptimizer:
         A node whose children were rewritten is itself copied, so any node
         returned unchanged is guaranteed to head a fully original subtree.
         """
-        new_children = [self._transform(child, rule) for child in node.children]
-        if any(new is not old for new, old in zip(new_children, node.children)):
-            node = node.copy_with(children=new_children)
-        return rule(node)
+        return rule(_with_children(
+            node, lambda child: self._transform(child, rule)))
 
     # -- rule: cache pruning ------------------------------------------------
 
     def _materialized_physical(self, node: LogicalNode):
-        """The fully cached physical dataset behind ``node``, if any."""
-        ds = node.dataset
+        """The fully cached physical dataset behind ``node``, if any.
+
+        Read through the node's origin: the only copies this rule meets
+        are ancestors of truncated checkpoints, which keep their records.
+        """
+        ds = node.origin_dataset
         if ds is None or not ds.is_cached:
             return None
         for candidate in (ds._executable, ds):
@@ -333,89 +348,70 @@ class PlanOptimizer:
                 return candidate
         return None
 
-    @staticmethod
-    def _checkpointed_physical(node: LogicalNode):
-        """The checkpointed dataset behind ``node``, if its files are live."""
-        ds = node.dataset
-        if ds is not None and ds.has_checkpoint:
-            return ds
-        return None
-
     def _prune_cached(self, node: LogicalNode, applied: List[str]) -> LogicalNode:
-        materialized = self._materialized_physical(node)
-        if materialized is not None and node.children:
+        """Replace a subtree whose root is fully materialised in the block
+        store by a direct scan of the cached blocks, so nothing below it is
+        re-planned or re-executed."""
+        def scan(n: LogicalNode) -> Optional[LogicalNode]:
+            materialized = self._materialized_physical(n)
+            if materialized is None:
+                return None
             applied.append("cache_prune")
             return PhysicalScanNode(materialized)
-        checkpointed = self._checkpointed_physical(node)
-        if checkpointed is not None and node.children:
-            # lineage truncation at a durable checkpoint: same shape as the
-            # cache prune, but the scan serves checksummed files that also
-            # survive restarts — recomputation and recovery stop here
-            applied.append("cache_prune")
-            return CheckpointScanNode(checkpointed)
-        new_children = [self._prune_cached(child, applied)
-                        for child in node.children]
-        if any(new is not old for new, old in zip(new_children, node.children)):
-            node = node.copy_with(children=new_children)
-        return node
+
+        return _replace_topmost(node, scan)
 
     # -- rule: filter / projection pushdown ---------------------------------
 
     def _push_down(self, node: LogicalNode, applied: List[str]) -> LogicalNode:
+        """Move filters below repartition and sort boundaries, and
+        projections below shuffles that provably route records
+        independently of the projected-away fields
+        (:func:`projection_preserves_keys`), so fewer/narrower records
+        cross the shuffle.  Projections reaching a schema-bearing source
+        fold into the scan itself (:class:`ProjectedScanNode`), which then
+        materialises only the surviving columns; adjacent projections
+        collapse."""
         for _ in range(_MAX_PUSHDOWN_PASSES):
-            fired: List[bool] = []
+            fired = len(applied)
 
             def rule(n: LogicalNode) -> LogicalNode:
-                if isinstance(n, FilterNode) and \
-                        isinstance(n.child, (RepartitionNode, SortNode)):
-                    swap = n.child
-                    if n.is_cached or swap.is_cached:
-                        return n
-                    fired.append(True)
-                    applied.append("pushdown")
-                    pushed = n.copy_with(children=[swap.child])
-                    return swap.copy_with(children=[pushed])
-                if isinstance(n, ProjectNode):
-                    return self._push_down_project(n, fired, applied)
-                return n
+                pushed = self._push_down_step(n)
+                if pushed is None:
+                    return n
+                applied.append("pushdown")
+                return pushed
 
             node = self._transform(node, rule)
-            if not fired:
+            if len(applied) == fired:
                 break
         return node
 
-    def _push_down_project(self, n: ProjectNode, fired: List[bool],
-                           applied: List[str]) -> LogicalNode:
-        """One pushdown step for a projection: sink, collapse or fold."""
+    def _push_down_step(self, n: LogicalNode) -> Optional[LogicalNode]:
+        """One pushdown step at ``n`` (sink, collapse or fold), if any."""
+        if not isinstance(n, (FilterNode, ProjectNode)) or n.is_cached or \
+                n.child.is_cached:
+            return None
         child = n.child
-        if n.is_cached or child.is_cached:
-            return n
         if isinstance(child, (RepartitionNode, SortNode)) and \
-                projection_preserves_keys(n, child):
-            fired.append(True)
-            applied.append("pushdown")
-            pushed = n.copy_with(children=[child.child])
-            return child.copy_with(children=[pushed])
+                (isinstance(n, FilterNode) or
+                 projection_preserves_keys(n, child)):
+            return child.copy_with(children=[n.copy_with(
+                children=[child.child])])
+        if isinstance(n, FilterNode):
+            return None
         if isinstance(child, ProjectNode) and \
                 set(n.fields) <= set(child.fields):
             # the outer field set survives the inner projection unchanged,
             # so one projection suffices (fields outside the inner set
             # would have been nulled and must NOT collapse)
-            fired.append(True)
-            applied.append("pushdown")
             return n.copy_with(children=[child.child])
         if isinstance(child, ProjectedScanNode) and \
                 set(n.fields) <= set(child.fields):
-            fired.append(True)
-            applied.append("pushdown")
             return self._projected_scan(child.source_dataset, n)
         if isinstance(child, SourceNode):
-            scan = self._fold_projected_scan(n, child)
-            if scan is not None:
-                fired.append(True)
-                applied.append("pushdown")
-                return scan
-        return n
+            return self._fold_projected_scan(n, child)
+        return None
 
     def _fold_projected_scan(self, n: ProjectNode,
                              child: SourceNode) -> Optional[ProjectedScanNode]:
@@ -448,6 +444,10 @@ class PlanOptimizer:
 
     def _eliminate_shuffles(self, node: LogicalNode,
                             applied: List[str]) -> LogicalNode:
+        """Drop the shuffle of an aggregation whose input is already
+        partitioned by the same partitioner (e.g.
+        ``reduce_by_key(n).group_by_key(n)``): the keys are co-located, so
+        a narrow per-partition pass suffices."""
         def rule(n: LogicalNode) -> LogicalNode:
             if isinstance(n, LocalizableNode) and not n.local and \
                     output_partitioning(n.child) == (n.partitioned_by,
@@ -462,6 +462,8 @@ class PlanOptimizer:
 
     def _insert_combines(self, node: LogicalNode,
                          applied: List[str]) -> LogicalNode:
+        """Pre-combine per-key aggregations on the map side, shrinking the
+        bytes written to the shuffle."""
         def rule(n: LogicalNode) -> LogicalNode:
             if isinstance(n, AggregateNode) and not n.local and \
                     not n.map_side_combine:
@@ -476,9 +478,11 @@ class PlanOptimizer:
 
     def _broadcast_joins(self, node: LogicalNode,
                          applied: List[str]) -> LogicalNode:
+        """Join strategy selection: when one join input's estimated size is
+        below ``EngineConfig.broadcast_threshold_bytes``, replace the
+        shuffle cogroup with a narrow broadcast hash join (every join
+        variant)."""
         threshold = self.config.broadcast_threshold_bytes
-        if threshold <= 0:
-            return node
 
         def rule(n: LogicalNode) -> LogicalNode:
             if not isinstance(n, JoinNode) or not isinstance(n.child, CoGroupNode):
@@ -559,9 +563,10 @@ class PlanOptimizer:
 
     def _coalesce_shuffles(self, node: LogicalNode,
                            applied: List[str]) -> LogicalNode:
+        """Partition sizing: shrink a shuffle's reduce partition count when
+        its estimated output divided by the partition count falls below
+        ``EngineConfig.target_partition_bytes``."""
         target = self.config.target_partition_bytes
-        if target <= 0:
-            return node
 
         def rule(n: LogicalNode) -> LogicalNode:
             if not n.is_shuffle or n.is_cached or isinstance(n, SortNode):
@@ -576,11 +581,9 @@ class PlanOptimizer:
             wanted = max(1, math.ceil(n.stats.size_bytes / target))
             if wanted >= current:
                 return n
-            if isinstance(partitioner, RoundRobinPartitioner):
-                replacement = RoundRobinPartitioner(wanted,
-                                                    seed=self.config.seed)
-            else:
-                replacement = HashPartitioner(wanted)
+            replacement = RoundRobinPartitioner(wanted, seed=self.config.seed) \
+                if isinstance(partitioner, RoundRobinPartitioner) else \
+                HashPartitioner(wanted)
             applied.append("coalesce_shuffle")
             return n.copy_with(partitioner=replacement,
                                variant=n.variant + f"|coalesce{wanted}")
@@ -590,7 +593,7 @@ class PlanOptimizer:
     # -- rule: runtime skew splitting ----------------------------------------
 
     def _split_skewed_shuffles(self, node: LogicalNode,
-                               applied: List[str]) -> None:
+                               applied: List[str]) -> LogicalNode:
         """Annotate completed shuffles whose reduce partitions are skewed.
 
         The AQE counterpart of ``coalesce_shuffle``: where coalescing
@@ -607,9 +610,8 @@ class PlanOptimizer:
         to the unsplit read.
         """
         factor = self.config.skew_split_factor
-        manager = self.estimator.shuffle_manager
-        if factor < 2 or manager is None:
-            return
+        if self.estimator.shuffle_manager is None:
+            return node
         min_bytes = self.config.skew_min_partition_bytes
         for n in _iter_nodes(node):
             if not n.is_shuffle or n.is_cached:
@@ -627,6 +629,7 @@ class PlanOptimizer:
             if plan != ds.split_plan:
                 ds.split_plan = plan
                 applied.append("split_skewed_shuffle")
+        return node
 
     def _skew_split_plan(self, ds, dependencies, factor: int, min_bytes: int
                          ) -> Dict[int, List[Tuple[int, int, int]]]:
@@ -668,6 +671,8 @@ class PlanOptimizer:
     # -- rule: narrow-operator fusion ---------------------------------------
 
     def _fuse_narrow(self, node: LogicalNode, applied: List[str]) -> LogicalNode:
+        """Collapse chains of narrow operators (map/filter/flat_map/project)
+        into a single pipelined physical operator."""
         def fusable(n: LogicalNode) -> bool:
             return isinstance(n, _FUSABLE) and not n.is_cached
 
@@ -684,6 +689,29 @@ class PlanOptimizer:
             return n
 
         return self._transform(node, rule)
+
+
+#: Every optimizer rule, in application order.
+RULES: Dict[str, Rule] = {
+    "cache_prune": Rule(STRUCTURAL, _always, PlanOptimizer._prune_cached),
+    "pushdown": Rule(STRUCTURAL, _always, PlanOptimizer._push_down),
+    "shuffle_elim": Rule(STRUCTURAL, _always,
+                         PlanOptimizer._eliminate_shuffles),
+    "map_side_combine": Rule(STRUCTURAL, _always,
+                             PlanOptimizer._insert_combines),
+    "fuse_narrow": Rule(STRUCTURAL, _always, PlanOptimizer._fuse_narrow),
+    "broadcast_join": Rule(
+        COST, lambda config: config.broadcast_threshold_bytes > 0,
+        PlanOptimizer._broadcast_joins),
+    "coalesce_shuffle": Rule(
+        COST, lambda config: config.target_partition_bytes > 0,
+        PlanOptimizer._coalesce_shuffles),
+    "split_skewed_shuffle": Rule(
+        COST, lambda config: config.skew_split_factor > 1,
+        PlanOptimizer._split_skewed_shuffles),
+}
+if tuple(RULES) != KNOWN_OPTIMIZER_RULES:
+    raise ImportError("RULES and config.KNOWN_OPTIMIZER_RULES disagree")
 
 
 # ---------------------------------------------------------------------------
