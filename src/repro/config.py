@@ -202,9 +202,10 @@ class EngineConfig:
         output and rerun a stage this many times; each of those runs may
         respawn a broken process pool and resubmit its unfinished tasks
         this many times.  Every such rerun counts in ``stage_retries``.  A
-        corrupt checkpoint is not charged here: dropping it bounds its
-        recovery.  ``0`` disables stage-level recovery and the first lost
-        output or crashed pool fails the job.
+        checkpoint span that fails its checks is lost output like any
+        other and is charged here.  ``0`` disables stage-level recovery:
+        the first lost output — a rotten checkpoint span included — or
+        crashed pool fails the job.
     seed:
         Seed for the engine's own random decisions (fault injection,
         sampling of shuffle sizes).
@@ -318,18 +319,18 @@ class EngineConfig:
     checkpoint_dir:
         Durable directory for the recovery layer: the write-ahead job
         journal (``engine/journal.py``, one appended line per record) and
-        checkpoint partition files are written and fsynced here, and — when
-        set — shuffle transport frames are rooted here instead of the
-        per-context temporary spill directory, so settled map-output spans
-        survive a driver crash.  The directory is created on demand and is
+        the durable spans of journalled shuffles and checkpoints are
+        written and fsynced here, and — when set — shuffle transport
+        frames are rooted here instead of the per-context temporary spill
+        directory, so settled map-output spans survive a driver crash.  The directory is created on demand and is
         *not* removed by ``EngineContext.stop()``; it is the handle a later
         ``recover_from=`` resume replays.  ``None`` (the default) disables
         journaling and checkpointing entirely.
     checkpoint_interval:
         Automatic checkpoint cadence, counted in settled shuffle stages:
-        every N-th completed shuffle whose consuming dataset supports
-        checkpointing has that dataset's partitions materialised to
-        checksummed spill-format files under ``checkpoint_dir`` and its
+        every N-th completed shuffle has its consuming dataset checkpointed
+        (``Dataset.checkpoint()``: its partitions written as a one-bucket
+        shuffle whose spans are kept under ``checkpoint_dir``) and its
         lineage truncated to a checkpoint scan, so stage-retry
         recomputation and recovery replay stop there instead of walking
         back to the sources.  Requires ``checkpoint_dir``; ``0`` (the
@@ -338,8 +339,8 @@ class EngineConfig:
     recover_from:
         Path of a previous run's ``checkpoint_dir`` to resume from.  A
         fresh ``EngineContext`` replays the journal found there,
-        revalidates every recorded shuffle span and checkpoint file by
-        frame CRC (corrupt or missing entries are dropped and their
+        revalidates every recorded shuffle span (checkpoints are shuffles)
+        by frame CRC (corrupt or missing entries are dropped and their
         partitions recomputed from lineage — the journal is a hint, never
         a correctness dependency), re-registers the surviving map outputs
         with the ``ShuffleManager``, and the scheduler then runs only the

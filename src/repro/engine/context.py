@@ -15,12 +15,11 @@ import threading
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
 from ..config import DEFAULT_ENGINE_CONFIG, EngineConfig
-from ..errors import (CheckpointCorruptionError, ConfigurationError,
-                      EngineError, SourceError)
-from .dataset import (CheckpointEntry, Dataset, ParallelCollectionDataset,
+from ..errors import ConfigurationError, EngineError, SourceError
+from .dataset import (CheckpointDependency, Dataset, ParallelCollectionDataset,
                       SourceDataset)
-from .journal import JobJournal, load_journal_state, validate_checkpoint_entry
-from .memory import MemoryManager, SpillFile, resolve_codec
+from .journal import JobJournal, load_journal_state
+from .memory import MemoryManager
 from .metrics import MetricsRegistry, PendingCounters
 from .optimizer import COST, PlanOptimizer, lower_plan
 from .plan import SourceNode, render_plan
@@ -30,7 +29,6 @@ from .retry import Faults, policy
 from .shuffle_server import ShuffleServer
 from .storage import BlockStore
 from .transport import ShuffleTransport, TcpShuffleTransport
-from .wide import ACTIONS
 
 
 class EngineContext:
@@ -70,8 +68,8 @@ class EngineContext:
         #: path the parity suite pins.
         self._transport = None
         self._shuffle_server: Optional[ShuffleServer] = None
-        #: Root of every durable artefact (journal, checkpoint files,
-        #: durable shuffle frames); ``None`` without ``checkpoint_dir`` or
+        #: Root of every durable artefact (journal, durable shuffle frames,
+        #: checkpoints included); ``None`` without ``checkpoint_dir`` or
         #: ``recover_from``.  Writes go to ``checkpoint_dir``; a context
         #: built only to resume reads ``recover_from`` and journals nothing.
         self._checkpoint_root: Optional[str] = None
@@ -81,14 +79,11 @@ class EngineContext:
         #: Journal entries replayed from ``recover_from``, keyed as the
         #: journal recorded them; validated lazily and popped on adoption.
         self._recovered_shuffles: dict = {}
-        self._recovered_checkpoints: dict = {}
-        #: dataset id -> dataset with a live checkpoint (invalidation path).
-        self._checkpointed: dict = {}
-        #: Reentrancy guard: a checkpoint's own collection job must not
-        #: trigger further automatic checkpoints.
+        #: Reentrancy guard: a checkpoint's own job must not trigger
+        #: further automatic checkpoints.
         self._checkpointing = False
-        #: Checkpoint and recovery tallies the scheduler folds into the
-        #: next finished job's metrics (shared, drained there).
+        #: Recovery tallies the scheduler folds into the next finished
+        #: job's metrics (shared, drained there).
         self.pending_counters = PendingCounters()
         if self.config.recover_from:
             self._replay_journal(self.config.recover_from)
@@ -174,9 +169,9 @@ class EngineContext:
     def _replay_journal(self, directory: str) -> None:
         """Load a prior run's journal; its entries become adoption *hints*.
 
-        Every recorded shuffle span and checkpoint file is CRC-revalidated
-        before anything adopts it, so an unreadable or stale journal (or
-        one pointing at corrupt files) only costs recomputation.
+        Every recorded span is CRC-revalidated before anything adopts it,
+        so an unreadable or stale journal (or one pointing at corrupt
+        files) only costs recomputation.
         """
         state = load_journal_state(directory)
         if state is None:
@@ -184,101 +179,51 @@ class EngineContext:
             self.pending_counters.recovery_invalid_entries += 1
             return
         self._recovered_shuffles.update(state["shuffles"])
-        self._recovered_checkpoints.update(state["checkpoints"])
-
-    def checkpoints_dir(self) -> str:
-        """Directory for *writing* checkpoint partition files (created on use).
-
-        Requires ``checkpoint_dir`` proper: a recover-only context (just
-        ``recover_from``) journals nothing, so letting it write checkpoint
-        files into the recovered directory would leave them unjournaled.
-        """
-        if not self.config.checkpoint_dir:
-            raise ConfigurationError(
-                "Dataset.checkpoint() requires EngineConfig.checkpoint_dir")
-        directory = os.path.join(self._checkpoint_root, "checkpoints")
-        os.makedirs(directory, exist_ok=True)
-        return directory
 
     def checkpoint_dataset(self, dataset: Dataset) -> None:
         """Materialise ``dataset`` durably (behind ``Dataset.checkpoint``).
 
-        Adopts the recovered checkpoint recorded under the same content
-        fingerprint when its spans still pass their CRC checks; otherwise
-        runs one collection job and appends every partition to one fsynced
-        frame file, recorded in the journal only once it is durable.
-        Adoption needs no write access, so it is attempted before the
-        ``checkpoint_dir`` requirement is enforced — a recover-only context
-        may adopt, never write.
+        The checkpoint is a one-bucket shuffle
+        (:class:`~repro.engine.dataset.CheckpointDependency`) over the
+        dataset's executable, or over a copy of the dataset that keeps its
+        lineage when no rewrite stands in for it, so the stage reuses every
+        shuffle the executable already completed.  The
+        dataset takes the executable's partitioning and depends on the
+        checkpoint alone; its one job runs the shuffle like any other —
+        adopted from a resumed journal, written where it is computed, made
+        durable and journalled — and a failed job leaves the dataset as it
+        was.
         """
         self._check_active()
-        if dataset._checkpoint is not None:
+        if dataset.has_checkpoint:
             return
-        # a lineage without a stable identity has no fingerprint; the
-        # dataset-id fallback keeps the journal key a unique string either
-        # way — a None key would serialise as "null" and collide
-        key = dataset.fingerprint() or f"dataset:{dataset.id}"
-        if self._adopt_recovered_checkpoint(dataset, key):
-            return
-        path = os.path.join(self.checkpoints_dir(), f"ds-{dataset.id}.data")
-        # the files serve the dataset's own partitions: collect the
-        # optimized executable only when a rewrite (a coalesced shuffle, a
-        # broadcast join) did not change their number
+        if not self.config.checkpoint_dir:
+            raise ConfigurationError(
+                "Dataset.checkpoint() requires EngineConfig.checkpoint_dir")
         executable = self._executable_for(dataset)
-        run_job = self.run_job if executable.num_partitions == \
-            dataset.num_partitions else self.scheduler.run_job
-        partials = ACTIONS["checkpoint"]().run(run_job, dataset)
-        with SpillFile(path, resolve_codec(self.config.spill_codec)) as writer:
-            spans = [writer.append(records) for records in partials]
-            writer.sync()
-        self._install_checkpoint(dataset, CheckpointEntry(key, spans))
-        self.pending_counters.checkpoints_written += 1
-        if self._journal is not None:
-            self._journal.record_checkpoint(key, dataset.name, spans)
-
-    def _adopt_recovered_checkpoint(self, dataset: Dataset, key: str) -> bool:
-        """Back ``dataset`` with a recovered checkpoint if it revalidates."""
-        entry = self._recovered_checkpoints.pop(key, None)
-        if entry is None:
-            return False
-        spans, invalid = validate_checkpoint_entry(entry)
-        if spans is None:
-            self.pending_counters.recovery_invalid_entries += max(1, invalid)
-            if self._journal is not None:
-                self._journal.forget_checkpoint(key)
-            return False
-        self._install_checkpoint(dataset, CheckpointEntry(key, spans))
-        self.pending_counters.stages_recovered += 1
-        return True
-
-    def _install_checkpoint(self, dataset: Dataset,
-                            entry: CheckpointEntry) -> None:
-        dataset._checkpoint = entry
+        if executable is dataset:
+            executable = dataset._lineage_copy()
+        dependency = CheckpointDependency(executable, self._next_shuffle_id())
+        lineage = dataset.num_partitions, dataset.dependencies
+        dataset.num_partitions = executable.num_partitions
+        dataset.dependencies = [dependency]
+        try:
+            self.scheduler.run_job(dataset, None,
+                                   description=f"checkpoint:{dataset.name}")
+        except BaseException:
+            dataset.num_partitions, dataset.dependencies = lineage
+            raise
+        dataset._checkpoint = dependency.shuffle_id
         dataset._executable = None
-        self._checkpointed[dataset.id] = dataset
         # lineage truncation changes what the optimizer may rewrite, exactly
         # like a cache flag flip: re-plan every memoised executable
         self._cache_epoch += 1
-
-    def _discard_checkpoint(self, dataset_id: int) -> bool:
-        """Drop a poisoned checkpoint; True when there was one to drop."""
-        dataset = self._checkpointed.pop(dataset_id, None)
-        if dataset is None or dataset._checkpoint is None:
-            return False
-        entry = dataset._checkpoint
-        dataset._checkpoint = None
-        dataset._executable = None
-        self._cache_epoch += 1
-        self.pending_counters.recovery_invalid_entries += 1
-        if self._journal is not None and entry.key:
-            self._journal.forget_checkpoint(entry.key)
-        return True
 
     def _auto_checkpoint(self, dataset: Dataset) -> None:
         """Scheduler hook: checkpoint ``dataset`` after its shuffle settled.
 
         Fired every ``checkpoint_interval`` settled shuffle-map stages.  The
-        nested collection job reads the just-completed shuffle, so the write
+        nested checkpoint job reads the just-completed shuffle, so the write
         costs one pass over the stage output, not a recomputation; the guard
         keeps that nested job from checkpointing recursively.
         """
@@ -359,26 +304,15 @@ class EngineContext:
         physical plan when actual map-output sizes contradict the estimates.
         """
         self._check_active()
-        while True:
-            executable = self._executable_for(dataset)
-            replanner = None
-            # re-planning pays off only when a cost-based rule can fire:
-            # otherwise the optimizer provably returns the same plan
-            if partitions is None and dataset.plan is not None and \
-                    self.config.adaptive_enabled and self.optimizer.armed(COST):
-                replanner = self._adaptive_replanner(dataset)
-            try:
-                return self.scheduler.run_job(executable, func, partitions,
-                                              description,
-                                              replanner=replanner)
-            except CheckpointCorruptionError as error:
-                # a checkpoint file failed its CRC mid-job: drop the
-                # checkpoint (journal entry included) and re-plan — the
-                # retry recomputes from lineage, costing time, never
-                # correctness.  Each retry consumes one checkpoint, so the
-                # loop is bounded.
-                if not self._discard_checkpoint(error.dataset_id):
-                    raise
+        executable = self._executable_for(dataset)
+        replanner = None
+        # re-planning pays off only when a cost-based rule can fire:
+        # otherwise the optimizer provably returns the same plan
+        if partitions is None and dataset.plan is not None and \
+                self.config.adaptive_enabled and self.optimizer.armed(COST):
+            replanner = self._adaptive_replanner(dataset)
+        return self.scheduler.run_job(executable, func, partitions,
+                                      description, replanner=replanner)
 
     def _adaptive_replanner(self, dataset: Dataset) -> Callable[[], Dataset]:
         """A callback re-optimizing ``dataset``'s plan with fresh statistics.

@@ -23,11 +23,10 @@ import copy
 import itertools
 import math
 import random
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
-from ..errors import (CheckpointCorruptionError, PlanError,
-                      ShuffleCorruptionError)
+from ..errors import PlanError
 from . import plan as logical
 from . import wide
 from .columnar import ColumnBatch
@@ -193,6 +192,26 @@ class ShuffleDependency(Dependency):
         self.estimated_bytes: Optional[float] = None
 
 
+def _whole_partition(batches: Iterator[List[Any]]) -> Dict[int, List[Any]]:
+    """A checkpoint's map side: the partition, whole, as bucket 0."""
+    return {0: collect_partition(batches)}
+
+
+class CheckpointDependency(ShuffleDependency):
+    """A checkpoint: a shuffle with one bucket per map.
+
+    Map ``p`` writes partition ``p`` of ``parent`` whole, as bucket 0, and
+    the checkpointed dataset serves partition ``p`` as the read of map
+    ``p`` alone.  The scheduler keeps every bucket of it a durable span
+    under ``checkpoint_dir``; ``parent`` keeps the full lineage, so a lost
+    span recomputes its one partition like any lost map output.
+    """
+
+    def __init__(self, parent: "Dataset", shuffle_id: int):
+        super().__init__(parent, HashPartitioner(1), _whole_partition,
+                         shuffle_id)
+
+
 class Broadcast:
     """A value collected once on the driver and shared by every task."""
 
@@ -226,18 +245,6 @@ class BroadcastDependency(Dependency):
 # ---------------------------------------------------------------------------
 
 
-class CheckpointEntry(NamedTuple):
-    """One durable dataset checkpoint: its journal key and partition spans.
-
-    Plain picklable state: a worker process ships it with the dataset and
-    reads the spans directly (they live under ``checkpoint_dir``, outside
-    any per-run scratch tree).
-    """
-
-    key: str
-    spans: List[Span]
-
-
 class Dataset:
     """An immutable, lazily evaluated, partitioned collection of records."""
 
@@ -261,10 +268,10 @@ class Dataset:
         self._executable_epoch = -1
         #: Lowered physical datasets that inherited this dataset's cache flag.
         self._cache_mirrors: List["Dataset"] = []
-        #: Durable checkpoint backing this dataset, if :meth:`checkpoint`
-        #: materialised (or recovery adopted) one; partitions are then
-        #: served from its checksummed files and lineage truncates here.
-        self._checkpoint: Optional[CheckpointEntry] = None
+        #: Shuffle id of the checkpoint backing this dataset, once
+        #: :meth:`checkpoint` wrote (or a resume adopted) it; partitions are
+        #: then served from its spans and lineage truncates here.
+        self._checkpoint: Optional[int] = None
         #: Content fingerprint under which :meth:`share` placed this dataset
         #: in the context's borrowed block store (``None``: not shared), and
         #: the label blocks it publishes there are attributed to.
@@ -517,39 +524,44 @@ class Dataset:
         return self._checkpoint is not None
 
     def checkpoint(self) -> "Dataset":
-        """Materialise every partition to durable, checksummed files.
+        """Materialise every partition durably and truncate lineage here.
 
-        Requires ``EngineConfig.checkpoint_dir``.  Runs a job collecting the
-        dataset, writes one CRC-framed file per partition (atomic
-        tmp+rename+fsync), records the checkpoint in the job journal and
-        truncates lineage here: later recomputation — stage retries, fault
-        recovery, and jobs after a driver restart with ``recover_from`` —
-        reads the files instead of re-running everything upstream.  When the
-        context was recovered and the journal carries a checkpoint for this
-        dataset's plan, the files are revalidated and adopted without
-        recomputing.  A file that later fails its CRC invalidates the whole
-        checkpoint and the job transparently falls back to lineage.
-        Idempotent while the checkpoint is live.
+        Requires ``EngineConfig.checkpoint_dir``.  Runs one job whose stage
+        writes partition ``p`` of the dataset's executable as map output
+        ``p`` of a one-bucket shuffle
+        (:class:`CheckpointDependency`), where the partition is computed,
+        then keeps every span of it durable under ``checkpoint_dir`` and
+        journals it like any settled shuffle.  The dataset then takes its
+        executable's partitioning and depends on that shuffle alone: later
+        recomputation — stage retries, fault recovery, and jobs after a
+        driver restart with ``recover_from`` — reads the spans instead of
+        re-running everything upstream.  A resumed context adopts the
+        journalled spans when they revalidate; a lineage without a
+        fingerprint is written all the same but never journalled.  A span
+        that later fails its checks is lost output: its one partition is
+        recomputed from lineage and re-recorded.  Idempotent while the
+        checkpoint is live.
         """
         self.ctx.checkpoint_dataset(self)
         return self
 
+    def _lineage_copy(self) -> "Dataset":
+        """This dataset under a fresh id, computed from its own lineage and
+        unmarked: what a checkpoint's map stage runs when no rewrite
+        stands in for the dataset."""
+        twin = object.__new__(type(self))  # not __getstate__: keeps all data
+        twin.__dict__.update(self.__dict__, id=self.ctx._next_dataset_id(),
+                             plan=None, is_cached=False, _share_key=None,
+                             _executable=None, _cache_mirrors=[])
+        return twin
+
     def _checkpoint_records(self, partition: int,
                             task_context: TaskContext) -> List[Any]:
-        """Serve one partition from its checkpoint span, verified.
-
-        Any read problem — missing file, truncated payload, CRC mismatch,
-        record-count drift — raises :class:`CheckpointCorruptionError`; the
-        driver invalidates the checkpoint and re-runs the job from lineage,
-        so corruption can cost time but never correctness.
-        """
-        try:
-            records = load_span(self._checkpoint.spans[partition])
-        except (OSError, ShuffleCorruptionError) as error:
-            raise CheckpointCorruptionError(
-                f"checkpoint partition {partition} of {self.name} is "
-                f"unreadable: {error}", dataset_id=self.id,
-                partition=partition) from error
+        """Serve one partition from its checkpoint: the one bucket of map
+        ``partition``, verified; a rotten span raises the
+        :class:`~repro.errors.FetchFailedError` that heals it."""
+        records, _ = self.ctx.shuffle_manager.read_reduce_input(
+            self._checkpoint, 0, map_range=(partition, partition + 1))
         task_context.records_read += len(records)
         return records
 
@@ -947,9 +959,9 @@ class Dataset:
 class LineageStub(Dataset):
     """What a stage payload ships in place of lineage its tasks never read.
 
-    The process backend replaces the parent behind a complete shuffle, a
-    filled broadcast or a live checkpoint with one of these *in the shipped
-    copy of the graph only* (:mod:`repro.engine.executor`); the driver keeps
+    The process backend replaces the parent behind a complete shuffle (a
+    checkpoint's included) or a filled broadcast with one of these *in the
+    shipped copy of the graph only* (:mod:`repro.engine.executor`); the driver keeps
     the full lineage, because every recovery path recomputes from it and
     republishes.  A stub keeps the identity a diagnostic needs and refuses
     to compute.
@@ -970,8 +982,8 @@ class LineageStub(Dataset):
                         batch_size: int) -> Iterator[List[Any]]:
         raise PlanError(
             f"dataset '{self.name}' (id {self.id}) was cut from this stage's "
-            f"payload: it sits behind a complete shuffle, a filled broadcast "
-            f"or a checkpoint, and only the driver's lineage can recompute it")
+            f"payload: it sits behind a complete shuffle or a filled "
+            f"broadcast, and only the driver's lineage can recompute it")
 
 
 # ---------------------------------------------------------------------------

@@ -324,10 +324,12 @@ class Executor:
 
         The first result of a task wins; a later one (a speculation loser)
         only reaches :meth:`_absorb`.  A failure whose ledger is the stage
-        (lost map output, a corrupt checkpoint) will not heal on a retry —
-        the same damaged bytes would be read again — so it is raised to the
-        scheduler, which recomputes it from lineage; any other failure is
-        charged to the task's retry budget.
+        (lost map output, a rotten checkpoint span included) will not heal
+        on a retry — the same damaged bytes would be read again — so it is
+        raised to the scheduler, which recomputes it from lineage and reruns
+        the stage; like the attempts a broken pool takes down, the attempt
+        is counted by that rerun, not recorded as a failed attempt.  Any
+        other failure is charged to the task's retry budget.
         """
         if info.index in drive.completed:
             self._absorb(outcome, None)
@@ -338,8 +340,8 @@ class Executor:
         if outcome["ok"]:
             metrics.set_counters(outcome["counters"])
         self._absorb(outcome, metrics)
-        drive.stage.add_task(metrics)
         if outcome["ok"]:
+            drive.stage.add_task(metrics)
             drive.stage.speculative_wins += info.speculative
             drive.durations.append(metrics.duration_s)
             drive.completed[info.index] = TaskResult(
@@ -350,6 +352,7 @@ class Executor:
         failure = FAILURES[kind]
         if failure.ledger == "stage":
             raise failure.detect[0](message, **coordinates)
+        drive.stage.add_task(metrics)
         self._charge(drive, info.index, message, RuntimeError(trace))
 
     def _charge(self, drive: _StageDrive, index: int, reason: str,
@@ -425,15 +428,15 @@ class Executor:
 class _StageCut:
     """The copy of a stage's task graphs that crosses the process boundary.
 
-    A stage reads the spans of its complete upstream shuffles, the values of
-    its filled broadcasts and the files of its live checkpoints — never the
-    lineage behind them.  Walking from each task root, the dependency edge
+    A stage reads the spans of its complete upstream shuffles (checkpoints
+    included) and the values of its filled broadcasts — never the lineage
+    behind them.  Walking from each task root, the dependency edge
     into such lineage is replaced by an edge to a
     :class:`~repro.engine.dataset.LineageStub`; the datasets and
     dependencies between a root and a cut are shallow copies, everything
     untouched is shipped as the object it is, and the driver's graph is
-    never mutated (fetch-failure, checkpoint-corruption and journal recovery
-    all recompute from it and republish).  The cut is per edge: a dataset
+    never mutated (fetch-failure and journal recovery both recompute from
+    it and republish).  The cut is per edge: a dataset
     behind a complete shuffle on one path and read narrowly on another
     ships in full, because the narrow path reaches it.  A cached parent is
     *not* a cut — a worker may evict the seeded block and recompute.
@@ -473,11 +476,9 @@ class _StageCut:
         clone.parent = parent
         return clone
 
-    def _edge_parent(self, dataset: Any, dependency: Any) -> Any:
+    def _edge_parent(self, dependency: Any) -> Any:
         """What the payload carries behind one edge: the parent, or a stub."""
-        if dataset.has_checkpoint:
-            cut = True  # served from the checkpoint files, whatever the edge
-        elif isinstance(dependency, ShuffleDependency):
+        if isinstance(dependency, ShuffleDependency):
             cut = self._is_complete(dependency.shuffle_id)
             if cut and dependency.shuffle_id not in self.shuffle_ids:
                 self.shuffle_ids.append(dependency.shuffle_id)
@@ -498,7 +499,7 @@ class _StageCut:
         if shipped is not None:
             return shipped
         dependencies = [
-            self._reparent(dependency, self._edge_parent(dataset, dependency))
+            self._reparent(dependency, self._edge_parent(dependency))
             for dependency in dataset.dependencies]
         shipped = dataset
         if any(new is not old
@@ -562,7 +563,7 @@ class ProcessExecutor(Executor):
 
     Same stage driver and observable behaviour as :class:`Executor`; the
     differences are mechanical.  Each stage is serialized once into a
-    payload (task graphs cut at satisfied shuffle, broadcast and checkpoint
+    payload (task graphs cut at satisfied shuffle and broadcast
     boundaries, the span catalog of the shuffles they read, the cached
     blocks of the datasets they carry) published through the shuffle
     transport; workers run :func:`run_attempt` out of that payload and

@@ -12,24 +12,22 @@ with ``EngineConfig.checkpoint_dir`` records, as execution progresses:
   (:func:`shuffle_journal_key`, :mod:`repro.engine.fingerprint`) — so a
   restarted run of the same program matches its entries while a *changed*
   program (edited map/filter logic, different input, different plan shape)
-  never adopts the old program's map output;
-* per checkpoint (:meth:`~repro.engine.dataset.Dataset.checkpoint`): the
-  spans of the checksummed partitions a dataset was materialised to.
+  never adopts the old program's map output.  A checkpoint
+  (:meth:`~repro.engine.dataset.Dataset.checkpoint`) is a shuffle with one
+  bucket per map, so it is recorded the same way and adopted the same way.
 
-Both kinds of entry store a list of *span records*: a
-:class:`~repro.engine.memory.Span` ``[path, offset, length, count]``
-followed by its coordinates (``map, reduce, estimated bytes`` for a
-shuffle bucket; none for a checkpoint partition, whose index is its
-position).  A shuffle entry is the JSON line encoding of a span catalog
+An entry is the JSON line encoding of a span catalog
 (:func:`~repro.engine.shuffle.catalog_of`): its map partitions under
-``"maps"``, its buckets under ``"spans"`` and each map's key sample under
-``"samples"`` as ``[path, offset, length, count, map]``.
+``"maps"``, its buckets under ``"spans"`` as *span records* — a
+:class:`~repro.engine.memory.Span` ``[path, offset, length, count]``
+followed by ``map, reduce, estimated bytes`` — and each map's key sample
+under ``"samples"`` as ``[path, offset, length, count, map]``.
 
 ``journal.json`` is an append-only file of compact JSON lines.  Line 1 is
 the header ``{"version": JOURNAL_VERSION}``; every later line is one
-record, ``{"kind": "shuffles" | "checkpoints", "key": ..., "entry": {...}
-| null}``, appended and fsynced as a shuffle settles or a checkpoint is
-written (``null`` forgets the key).  Reading it back is a fold
+record, ``{"kind": "shuffles", "key": ..., "entry": {...} | null}``,
+appended and fsynced as a shuffle settles (``null`` forgets the key).
+Reading it back is a fold
 (:func:`load_journal_state`): the last record per key wins, and the first
 line that lacks its newline, fails to parse or is not a record ends the
 fold — an append cut short by a crash is the expected failure, not
@@ -55,7 +53,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..errors import ShuffleCorruptionError
 from .fingerprint import shuffle_fingerprint
@@ -72,15 +70,17 @@ from .memory import Span, verify_span
 #: the hash placement under which equal keys share a partition across
 #: numeric types (``True``/``1``/``1.0``, ``-1.0``/``-1``) and NaN has one
 #: partition — a shuffle output adopted from an older journal would split
-#: such keys from the ones recomputed now.  Older journals are discarded as
-#: a cold start.
-JOURNAL_VERSION = 7
+#: such keys from the ones recomputed now; version 8 records a checkpoint
+#: as the shuffle it is, so a version-7 ``checkpoints`` line — keyed by a
+#: fingerprint, or by a bare dataset id when the lineage had none — is never
+#: adopted.  Older journals are discarded as a cold start.
+JOURNAL_VERSION = 8
 
 #: File name of the journal inside ``checkpoint_dir``.
 JOURNAL_NAME = "journal.json"
 
 #: The kinds of record; each is its own key space.
-KINDS = ("shuffles", "checkpoints")
+KINDS = ("shuffles",)
 
 #: ``(kind, key) -> entry`` of the live records, in the order of their
 #: last records.
@@ -234,19 +234,6 @@ class JobJournal:
             "samples": samples,
         })
 
-    def record_checkpoint(self, key: str, name: str,
-                          spans: List[Span]) -> None:
-        """Record a materialised checkpoint: one span per partition."""
-        self._record("checkpoints", key, {
-            "name": name,
-            "num_partitions": len(spans),
-            "spans": [list(span) for span in spans],
-        })
-
-    def forget_checkpoint(self, key: str) -> None:
-        """Drop a checkpoint entry (its files went missing or corrupt)."""
-        self._record("checkpoints", key, None)
-
     def forget_shuffle(self, key: str) -> None:
         """Drop a shuffle entry (its recorded spans were invalidated)."""
         self._record("shuffles", key, None)
@@ -287,7 +274,7 @@ class JobJournal:
         """Best-effort deletion of files no journal entry references.
 
         Invalidated and superseded entries would otherwise orphan their
-        span and checkpoint files forever (the durable transport's cleanup
+        span files forever (the durable transport's cleanup
         deliberately keeps them for ``recover_from`` resumes).  Only paths
         inside the journal's own directory are ever touched, and only ones
         no surviving entry still points at.
@@ -311,7 +298,7 @@ class JobJournal:
 
 
 def _entry_files(entry: Any) -> Set[str]:
-    """The durable file paths a shuffle or checkpoint entry references."""
+    """The durable file paths a shuffle entry references."""
     files: Set[str] = set()
     for record in [*(entry.get("spans") or ()), *(entry.get("samples") or ())]:
         try:
@@ -341,8 +328,8 @@ def load_journal_state(directory: str) -> Optional[Dict[str, Dict[str, Any]]]:
 def _valid_span(record: Any) -> Optional[Span]:
     """Check one journalled span record; its span, or ``None`` if bad.
 
-    The one validator both kinds of entry share: the record's leading
-    ``[path, offset, length, count]`` go through :func:`verify_span`, so a
+    The record's leading ``[path, offset, length, count]`` go through
+    :func:`verify_span`, so a
     span counts as valid only when every frame header and CRC check and
     the frames fill it exactly.  Nothing is decoded here; the record count
     is checked by the read that consumes the span.
@@ -410,21 +397,7 @@ def validate_shuffle_entry(entry: Any) -> Tuple[Dict[int, Dict[int, tuple]],
     return per_map, samples, num_maps, invalid
 
 
-def validate_checkpoint_entry(entry: Any) -> Tuple[Optional[List[Span]], int]:
-    """Revalidate one recorded checkpoint's partition spans.
-
-    Returns ``(spans, invalid span count)``, with ``spans`` ``None`` unless
-    every partition is valid: checkpoints are adopted all-or-nothing — a
-    dataset with one unreadable partition recomputes entirely, since
-    lineage recomputation is always available.
-    """
-    try:
-        records = list(entry["spans"])
-        num_partitions = int(entry["num_partitions"])
-    except (KeyError, TypeError, ValueError):
-        return None, 1
-    if len(records) != num_partitions:
-        return None, 1
-    spans = [_valid_span(record) for record in records]
-    invalid = spans.count(None)
-    return (None if invalid else spans), invalid
+#: Kept only for the row of ``benchmarks/e21/trace.py``'s ``SITES`` that
+#: names it (a checkpoint is a shuffle since journal version 8); it goes
+#: when that table changes (ROADMAP item 5).
+validate_checkpoint_entry = validate_shuffle_entry

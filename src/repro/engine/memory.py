@@ -17,7 +17,7 @@ already measures (``estimate_bytes``), so bounded and unbounded runs report
 identical shuffle metrics; only the spill counters differ.
 
 Every framed file the engine writes — spill runs, shuffle-bucket spills,
-map output, checkpoint partitions, parallelised input — goes through one
+map output (checkpoints included), parallelised input — goes through one
 *frame store*: :class:`SpillFile` appends records and returns their
 :class:`Span` ``(path, offset, length, count)``, and :func:`load_span` is
 the one verified read.  A payload is a sequence of pickled record batches
@@ -446,8 +446,8 @@ class SpillFile:
     def sync(self) -> None:
         """Force everything appended so far to durable storage (fsync).
 
-        Checkpoints and journalled shuffle files call this so their spans
-        survive a driver crash; scratch files skip the cost — they only need
+        Journalled shuffle files (checkpoints included) call this so their
+        spans survive a driver crash; scratch files skip the cost — they only need
         to outlive the writer, not the machine.
         """
         if self._handle is not None:

@@ -86,15 +86,17 @@ COUNTERS = (
     Counter("speculative_launches", STAGE),
     Counter("speculative_wins", STAGE),
     Counter("blacklisted_workers", JOB),  # by the node health tracker
-    # datasets materialised to checkpoint files (manual and automatic)
+    # checkpoint shuffles written (manual and automatic); one a resumed run
+    # adopted whole is recovered, not written
     Counter("checkpoints_written", JOB),
-    # shuffles and checkpoints a resumed run adopted from the journal
+    # shuffles (checkpoints are shuffles) a resumed run adopted whole from
+    # the journal
     Counter("stages_recovered", JOB),
     # bytes written to the journal: the compacted file at open, then
     # every appended line
     Counter("journal_bytes", JOB),
-    # journal or checkpoint entries dropped at recovery (missing files,
-    # failed CRCs); each degrades to lineage recomputation
+    # journal entries and recorded spans dropped at recovery (missing
+    # files, failed CRCs); each degrades to lineage recomputation
     Counter("recovery_invalid_entries", JOB),
 )
 
@@ -267,9 +269,8 @@ class JobMetrics:
 class PendingCounters:
     """Job counters tallied where no job record is at hand.
 
-    Checkpoint writes and journal recovery happen on the engine context,
-    possibly between jobs; the scheduler folds the tally into the next job
-    to finish.
+    Journal recovery happens on the engine context, before any job; the
+    scheduler folds the tally into the next job to finish.
     """
 
     def drain_into(self, job: JobMetrics) -> None:

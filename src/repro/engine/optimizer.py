@@ -10,7 +10,7 @@ rule does.  :data:`repro.config.KNOWN_OPTIMIZER_RULES` lists the same names
 and this module fails at import when the two disagree.
 
 Before any rule runs, every checkpointed subtree is truncated to a scan of
-its checkpoint files.  That step is not a rule: no rule set may re-run the
+its checkpoint.  That step is not a rule: no rule set may re-run the
 lineage above a checkpoint.
 
 The cost-based rules read the :class:`~repro.engine.stats.StatsEstimate`
@@ -173,7 +173,7 @@ def _with_children(node: LogicalNode,
 
 def _checkpoint_scan(node: LogicalNode) -> Optional[CheckpointScanNode]:
     """Lineage truncation at a durable checkpoint: the scan serves
-    checksummed files that also survive restarts, so recomputation and
+    verified spans that also survive restarts, so recomputation and
     recovery stop here."""
     ds = node.dataset
     return CheckpointScanNode(ds) if ds is not None and ds.has_checkpoint \
@@ -264,18 +264,24 @@ class OptimizationResult:
     """The outcome of one optimizer run over a logical plan."""
 
     def __init__(self, plan: LogicalNode, applied: List[str],
-                 cost: Optional[float] = None):
+                 cost: Optional[float] = None, truncated: bool = False):
         self.plan = plan
         #: Rule names, one entry per rewrite that fired, in application order.
         self.applied = applied
         #: Estimated cost of the optimized plan (cost-model lower bound),
         #: ``None`` when no statistics layer was available.
         self.cost = cost
+        #: Whether a checkpointed subtree was truncated to its scan.
+        self.truncated = truncated
 
     @property
     def changed(self) -> bool:
-        """True when at least one rewrite fired."""
-        return bool(self.applied)
+        """True when a rewrite fired or a checkpoint truncated the plan.
+
+        A checkpoint takes its executable's partitioning, so what the API
+        built over it earlier may count other partitions: it is rebuilt.
+        """
+        return bool(self.applied) or self.truncated
 
 
 class PlanOptimizer:
@@ -303,12 +309,13 @@ class PlanOptimizer:
         so actual sizes of its completed shuffles resolve on re-planning.
         """
         applied: List[str] = []
-        node = _replace_topmost(plan, _checkpoint_scan)
+        node = truncated = _replace_topmost(plan, _checkpoint_scan)
         for phase in (STRUCTURAL, COST):
             for name in self.armed(phase):
                 node = RULES[name].rewrite(self, node, applied)
             self.estimator.annotate(node)
-        return OptimizationResult(node, applied, cost=plan_cost(node))
+        return OptimizationResult(node, applied, cost=plan_cost(node),
+                                  truncated=truncated is not plan)
 
     def armed(self, phase: str) -> List[str]:
         """The enabled rules of ``phase`` their knobs arm, in order."""

@@ -173,16 +173,17 @@ class PhysicalScanNode(LogicalNode):
 
 
 class CheckpointScanNode(LogicalNode):
-    """A leaf scanning a dataset's durable checkpoint files.
+    """A leaf scanning a dataset's durable checkpoint.
 
-    Inserted by the cache-pruning rule when a dataset has a validated
+    Inserted by the optimizer, before any rule, when a dataset has a
     checkpoint (:meth:`~repro.engine.dataset.Dataset.checkpoint`): the
-    whole subtree below it is replaced by a direct scan of the checksummed
-    partition files, so stage-retry recomputation and recovery replay stop
-    at the checkpoint instead of walking the lineage back to the sources.
-    ``dataset`` is the checkpointed dataset itself — its compute path
-    serves the files and transparently falls back to lineage if a file
-    fails its CRC, so this truncation can never produce a wrong answer.
+    whole subtree below it is replaced by a scan of the checkpoint's
+    spans, so stage-retry recomputation and recovery replay stop at the
+    checkpoint instead of walking the lineage back to the sources.
+    ``dataset`` is the checkpointed dataset itself — it serves each
+    partition from its span, and a span that fails its checks is lost
+    output, recomputed from the lineage behind the checkpoint, so this
+    truncation can never produce a wrong answer.
     """
 
     op = "checkpoint_scan"

@@ -24,14 +24,16 @@ re-reading a locally spilled span have no knob, so their budgets are
 declared here too.
 
 A counter belongs to a ledger when a kind of that ledger declares it.
-``num_failed_attempts`` is declared by kinds of three ledgers, worker
-(``task_error``), attempt (``crash``) and stage (``checkpoint``), because
-a failed attempt is recorded wherever it was charged; only a scenario of
-a fetch-ledger kind must leave it at zero.  A scenario that isolates one
-kind must therefore avoid what would tick another ledger's counter on
-the way: the ``stale_heartbeat`` one blacklists workers that own no map
-output, because healing a blacklisted producer's output ticks
-``lost_map_outputs``.
+``num_failed_attempts`` counts the attempts charged to a task's budget,
+so it is declared by kinds of two ledgers, worker (``task_error``) and
+attempt (``crash``); an attempt a stage-ledger failure cuts short is
+counted by the stage's rerun instead (``stage_retries``), whether its
+input was lost (``lost_output``, a rotten checkpoint span included) or its
+pool broke, so a scenario of a stage- or fetch-ledger kind must leave it
+at zero.  A scenario that isolates one kind must avoid what would tick
+another ledger's counter on the way: the ``stale_heartbeat`` one
+blacklists workers that own no map output, because healing a blacklisted
+producer's output ticks ``lost_map_outputs``.
 
 Every way a run can be *made* to fail is declared once too, in
 :data:`FAULTS`: each fail point, the tag of its seeded decision and the
@@ -58,8 +60,7 @@ from typing import (Any, Callable, Collection, Dict, List, NamedTuple,
 
 from ..config import (FETCH_TIMEOUT_S, RATE, Check, at_least, knob,
                       knob_checks, validate)
-from ..errors import (CheckpointCorruptionError, FetchFailedError,
-                      ShuffleCorruptionError)
+from ..errors import FetchFailedError, ShuffleCorruptionError
 from .memory import corrupt_payload
 from .metrics import COUNTER, Counter
 
@@ -100,9 +101,6 @@ FAILURES: Dict[str, Failure] = {
     "lost_output": Failure((FetchFailedError,), "stage",
                            "strike the producer; heal; rerun the stage",
                            COUNTER.lost_map_outputs),
-    "checkpoint": Failure((CheckpointCorruptionError,), "stage",
-                          "drop the checkpoint; rerun the job",
-                          COUNTER.num_failed_attempts),
     "stale_heartbeat": Failure((), "worker",
                                "blacklist; recycle the pool; heal",
                                COUNTER.blacklisted_workers),
@@ -196,13 +194,12 @@ class Faults:
 def attempt_failure(error: BaseException) -> Tuple[str, Dict[str, Any]]:
     """The kind of a failed attempt's ``error``, and its coordinates.
 
-    Besides a task error, an attempt's own error can signal lost output, a
-    rotten checkpoint or an injected crash.  The coordinates are the error's
-    own fields: what a stage-ledger kind recovers from (the lost
-    ``shuffle_id``/``map_partition``, the rotten checkpoint's
-    ``dataset_id``/``partition``).
+    Besides a task error, an attempt's own error can signal lost output
+    (a rotten checkpoint span is one) or an injected crash.  The
+    coordinates are the error's own fields: what the stage ledger recovers
+    from (the lost ``shuffle_id``/``map_partition``).
     """
-    for kind in ("lost_output", "checkpoint", "crash"):
+    for kind in ("lost_output", "crash"):
         if isinstance(error, FAILURES[kind].detect):
             return kind, dict(vars(error))
     return "task_error", {}

@@ -28,8 +28,9 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 from ..config import EngineConfig
 from ..errors import FetchFailedError
 from . import wide
-from .dataset import (BroadcastDependency, Dataset, Dependency,
-                      ShuffleDependency, ShuffledDataset, TaskContext)
+from .dataset import (BroadcastDependency, CheckpointDependency, Dataset,
+                      Dependency, ShuffleDependency, ShuffledDataset,
+                      TaskContext)
 from .executor import Task, create_executor
 from .journal import shuffle_journal_key, validate_shuffle_entry
 from .metrics import JobMetrics, PendingCounters, StageMetrics
@@ -177,8 +178,8 @@ class DAGScheduler:
         #: stage that would recompute them is about to run.
         self.recovered_shuffles = recovered_shuffles \
             if recovered_shuffles is not None else {}
-        #: Context-owned job counters (checkpoint and recovery tallies),
-        #: folded into each finishing job.
+        #: Context-owned job counters (recovery tallies), folded into each
+        #: finishing job.
         self.pending_counters = pending_counters \
             if pending_counters is not None else PendingCounters()
         #: Context callback checkpointing a dataset after its shuffle
@@ -202,7 +203,8 @@ class DAGScheduler:
 
     # -- public entry point ----------------------------------------------------
 
-    def run_job(self, dataset: Dataset, func: Callable[[Iterator[Any]], Any],
+    def run_job(self, dataset: Dataset,
+                func: Optional[Callable[[Iterator[Any]], Any]],
                 partitions: Optional[Sequence[int]] = None,
                 description: str = "",
                 replanner: Optional[Callable[[], Dataset]] = None) -> List[Any]:
@@ -212,9 +214,21 @@ class DAGScheduler:
         stage and may return a replacement physical dataset for the rest of
         the job (adaptive re-optimization); it must only be supplied for
         whole-dataset jobs, since a replacement may change partitioning.
+        ``func`` ``None`` is a checkpoint job: the shuffle ``dataset``'s one
+        :class:`~repro.engine.dataset.CheckpointDependency` writes, and what
+        it needs, with no result stage — even if a cache could serve
+        ``dataset``.
         """
         job = JobMetrics(job_id=next(self._job_counter), description=description)
         try:
+            if func is None:
+                (checkpoint,) = dataset.dependencies
+                self._execute_prerequisites(checkpoint.parent, job, None)
+                recovered = job.stages_recovered
+                self._run_shuffle_stage(checkpoint, job)
+                # a checkpoint adopted whole from the journal wrote nothing
+                job.checkpoints_written += job.stages_recovered == recovered
+                return []
             dataset = self._execute_prerequisites(dataset, job, replanner)
             if partitions is None:
                 # whole-dataset jobs serve skew-split reduce partitions as
@@ -403,8 +417,8 @@ class DAGScheduler:
         """Pending shuffle/broadcast dependencies whose own inputs are ready.
 
         Deepest-first, left-to-right, skipping anything beneath a complete
-        shuffle, a filled broadcast, a fully cached dataset or a durable
-        checkpoint — the same boundaries job execution observes.
+        shuffle (a checkpoint is one), a filled broadcast or a fully cached
+        dataset — the same boundaries job execution observes.
         """
         ready: List[Dependency] = []
         satisfied: Dict[int, bool] = {}
@@ -413,7 +427,7 @@ class DAGScheduler:
             if node.id in satisfied:
                 return satisfied[node.id]
             ok = True
-            if not self._is_fully_cached(node) and not node.has_checkpoint:
+            if not self._is_fully_cached(node):
                 for dependency in node.dependencies:
                     if isinstance(dependency, ShuffleDependency):
                         if self.shuffle_manager.is_complete(dependency.shuffle_id):
@@ -507,7 +521,7 @@ class DAGScheduler:
                 return
             seen.add(node.id)
             if self._is_fully_cached(node) or node.has_checkpoint:
-                return
+                return  # a checkpoint is read whole, never split
             if isinstance(node, ShuffledDataset):
                 if node.split_plan and node.supports_slice_reads:
                     found.append(node)
@@ -646,16 +660,24 @@ class DAGScheduler:
         The entry is keyed by :func:`shuffle_journal_key` — shuffle id plus
         the map-side lineage signature — so a later ``recover_from`` resume
         of a *changed* program (which reuses the same per-context shuffle
-        ids) can never match, and adopt, this program's map output.
+        ids) can never match, and adopt, this program's map output.  A
+        checkpoint is also served from those durable spans, never from
+        memory, so its catalog is adopted back — even when its lineage has
+        no key and nothing is journalled.
         """
         if self.journal is None:
             return
         if not self.shuffle_manager.is_complete(dependency.shuffle_id):
             return
         key = shuffle_journal_key(dependency)
+        checkpoint = isinstance(dependency, CheckpointDependency)
+        if key is None and not checkpoint:
+            return
+        catalog = self.shuffle_manager.export_durable_catalog(
+            dependency.shuffle_id, self.journal.directory)
+        if checkpoint:
+            self.shuffle_manager.adopt_catalog(dependency.shuffle_id, catalog)
         if key is not None:
-            catalog = self.shuffle_manager.export_durable_catalog(
-                dependency.shuffle_id, self.journal.directory)
             self.journal.record_shuffle(
                 key, dependency.shuffle_id,
                 dependency.parent.num_partitions,

@@ -234,7 +234,9 @@ class StatsEstimator:
         if self.shuffle_manager is None:
             return None
         ds = self._physical_of(node)
-        return ds if isinstance(ds, physical.ShuffledDataset) else None
+        # a checkpointed one reads its checkpoint, not its own shuffles
+        return ds if isinstance(ds, physical.ShuffledDataset) and \
+            not ds.has_checkpoint else None
 
     def _map_actual(self, dependency) -> Optional[StatsEstimate]:
         """Actual output of one shuffle's map stage, once it completed."""
@@ -406,14 +408,10 @@ class StatsEstimator:
         if isinstance(node, (SourceNode, PhysicalScanNode)):
             return self._leaf_stats(node)
         if isinstance(node, CheckpointScanNode):
-            # checkpoint metadata records exact per-partition row counts
-            entry = getattr(node.dataset, "_checkpoint", None)
-            if entry is not None:
-                return StatsEstimate(
-                    rows=float(sum(span.count for span in entry.spans)),
-                    size_bytes=float(sum(span.length for span in entry.spans)),
-                    exact=True)
-            return self._leaf_stats(node)
+            # a checkpoint is a complete shuffle: its map output is exact
+            actual = self._map_actual(node.dataset.dependencies[0]) \
+                if self.shuffle_manager is not None else None
+            return actual if actual is not None else self._leaf_stats(node)
         if isinstance(node, ProjectedScanNode):
             # a pruned scan is its source leaf shrunk by the projection it
             # replaced

@@ -44,8 +44,8 @@ partial, an associative ``merge`` of two partials on the driver and a
 ``finish`` turning the merged partial into the answer -- or into the
 ``PlanError`` of an empty dataset.  :meth:`Action.run` is the one runner:
 one job of the kernel, a left fold of ``merge`` over the partials in
-partition order, then ``finish``.  Every ``Dataset`` action, the broadcast
-build and the checkpoint collection run through it.
+partition order, then ``finish``.  Every ``Dataset`` action and the
+broadcast build run through it.
 """
 
 from __future__ import annotations
@@ -487,8 +487,8 @@ def _histogram(low: float, width: float, buckets: int) -> Action:
 #: The actions by name: each entry takes the action's parameters and
 #: returns its declaration.  ``key_values`` (a broadcast join's build-side
 #: hash table) and ``key_set`` (the keys of its stream side, for unmatched
-#: build rows) are what a ``BroadcastDependency`` collects; ``checkpoint``
-#: and ``zip_with_index`` keep one partial per partition.
+#: build rows) are what a ``BroadcastDependency`` collects;
+#: ``zip_with_index`` keeps one partial per partition.
 ACTIONS: Dict[str, Callable[..., Action]] = {
     "collect": lambda: Action("collect {}", collect_partition, _extend, _keep),
     "to_local_iterator": lambda: Action(
@@ -522,8 +522,6 @@ ACTIONS: Dict[str, Callable[..., Action]] = {
     "foreach": _foreach,
     "zip_with_index": lambda: Action(
         "zip_with_index sizes of {}", _each(count_partition), _extend, _keep),
-    "checkpoint": lambda: Action(
-        "checkpoint:{}", _each(collect_partition), _extend, _keep),
     "key_values": lambda: Action(
         "broadcast {}", lambda batches: GROUP.fold(_records(batches)),
         lambda left, right: GROUP.merge([left.items(), right.items()]), _keep),

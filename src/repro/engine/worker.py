@@ -7,8 +7,8 @@ computing partitions: ``config``, a :class:`WorkerBlockStore`, a
 :class:`~repro.engine.shuffle.ShuffleManager`, a fresh
 :class:`~repro.engine.memory.MemoryManager` and a per-process spill
 directory.  The driver publishes one serialized *payload* per stage: the task
-graphs cut at every complete shuffle, filled broadcast and live checkpoint
-(the lineage behind those is a :class:`~repro.engine.dataset.LineageStub`),
+graphs cut at every complete shuffle (a checkpoint is one) and filled
+broadcast (the lineage behind those is a :class:`~repro.engine.dataset.LineageStub`),
 the span catalog of exactly the shuffles the cut graphs read, the cached
 blocks of the datasets they carry, and parallelised input as per-partition
 spans.  Workers deserialize it once, give it its own shuffle manager — the

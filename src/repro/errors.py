@@ -63,22 +63,6 @@ class ShuffleCorruptionError(ShuffleError):
         self.offset = offset
 
 
-class CheckpointCorruptionError(EngineError):
-    """A durable checkpoint partition failed its integrity check on read.
-
-    Carries the checkpointed dataset's id so the driver can invalidate
-    exactly that checkpoint (dropping its journal entry and bumping the
-    cache epoch) and re-run the job from lineage — a corrupt or truncated
-    checkpoint file degrades to recomputation, never to a wrong answer.
-    """
-
-    def __init__(self, message: str, dataset_id: int = -1,
-                 partition: int = -1):
-        super().__init__(message)
-        self.dataset_id = dataset_id
-        self.partition = partition
-
-
 class FetchFailedError(ShuffleError):
     """A reduce-side read lost one map partition's shuffle output.
 

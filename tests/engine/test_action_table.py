@@ -196,8 +196,6 @@ CASES: Dict[str, Case] = {
     "foreach": Case((abs,), lambda parts: None, None),
     "zip_with_index": Case((), lambda parts: [len(part) for part in parts],
                            [0, 0, 0]),
-    "checkpoint": Case((), lambda parts: [list(part) for part in parts],
-                       [[], [], []]),
     "key_values": Case((), ref_key_values, {},
                        record=lambda value: (value % 4, value)),
     "key_set": Case((), lambda parts: {key for key, _ in flatten(parts)},

@@ -1,14 +1,15 @@
 """Durable checkpointing, the job journal, and driver-crash recovery.
 
 The contract under test: a context configured with ``checkpoint_dir``
-journals each settled shuffle and materialised checkpoint as one
-appended, fsynced line, and a context started with ``recover_from``
-folds that journal — revalidating every recorded span and checkpoint
-file by CRC — so a driver killed with SIGKILL mid-job resumes with
+journals each settled shuffle — a checkpoint is a shuffle with one bucket
+per map — as one appended, fsynced line, and a context started with
+``recover_from`` folds that journal — revalidating every recorded span by
+CRC — so a driver killed with SIGKILL mid-job resumes with
 *byte-identical* results and ``stages_recovered > 0``, on both executor
 backends.  The journal is a hint, never a correctness dependency: a
-corrupted, torn or outdated journal, span, or checkpoint file degrades
-to lineage recomputation with identical results — never a wrong answer.
+corrupted, torn or outdated journal or span degrades to lineage
+recomputation with identical results — never a wrong answer — and a
+rotten checkpoint span recomputes its one partition.
 
 Also covered here (same PR): ``NodeHealthTracker`` blacklist cooldown
 rehabilitation driven by a fake clock, ``ShuffleServer`` graceful
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -34,18 +36,17 @@ from repro.config import EngineConfig
 from repro.engine import serializer
 from repro.engine.context import EngineContext
 from repro.engine.journal import (JOURNAL_NAME, JobJournal, atomic_write_bytes,
-                                  load_journal_state,
-                                  validate_checkpoint_entry,
-                                  validate_shuffle_entry)
+                                  load_journal_state, validate_shuffle_entry)
 from repro.engine.memory import (CODEC_NONE, CODEC_ZLIB, CRC_FLAG, Span,
                                  dump_frames)
 from repro.engine.retry import Faults, RetryPolicy
 from repro.engine.scheduler import NodeHealthTracker
 from repro.engine.shuffle_server import (AddressInUseError, ShuffleFetchClient,
                                          ShuffleServer)
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FetchFailedError
 
 from payload_probe import recorded_payloads, shipped_graph
+from test_checkpoint_truncation import REPARTITIONING
 
 _HAVE_CLOSURES = serializer.supports_closures()
 
@@ -78,6 +79,17 @@ def build_pipeline(ctx):
 def run_cold(backend: str):
     with make_engine(backend) as ctx:
         return sorted(build_pipeline(ctx).collect())
+
+
+def checkpoint_buckets(ctx, ds):
+    """Every non-empty bucket of ``ds``'s checkpoint, where it lives."""
+    catalog = ctx.shuffle_manager.export_catalog(ds._checkpoint)
+    return [source for source, _ in catalog["buckets"].values()]
+
+
+def rot(span):
+    """Flip one payload byte of ``span`` (header and CRC take 9 bytes)."""
+    _flip_byte(span[0], span[1] + 9)
 
 
 # -- journal primitives --------------------------------------------------------
@@ -121,11 +133,10 @@ def test_load_journal_state_treats_damage_as_absence(tmp_path):
     path.write_bytes(b'{"version":6}\n')
     assert load_journal_state(str(tmp_path)) is None
     # a header cut before its newline is no header
-    path.write_bytes(b'{"version":7}')
+    path.write_bytes(b'{"version":8}')
     assert load_journal_state(str(tmp_path)) is None
-    path.write_bytes(b'{"version":7}\n')
-    assert load_journal_state(str(tmp_path)) == {"shuffles": {},
-                                                 "checkpoints": {}}
+    path.write_bytes(b'{"version":8}\n')
+    assert load_journal_state(str(tmp_path)) == {"shuffles": {}}
 
 
 def test_journal_records_reload_across_instances(tmp_path):
@@ -135,9 +146,6 @@ def test_journal_records_reload_across_instances(tmp_path):
         "buckets": {(0, 0): (Span("a.data", 0, 10, 3), 10),
                     (1, 0): (Span("b.data", 0, 12, 4), 12)},
     })
-    journal.record_checkpoint("ckpt-key", "totals",
-                              [Span("p0.data", 0, 9, 3),
-                               Span("p1.data", 0, 9, 4)])
     assert journal.drain_bytes_written() > 0
     assert journal.drain_bytes_written() == 0  # drained means drained
 
@@ -148,44 +156,45 @@ def test_journal_records_reload_across_instances(tmp_path):
     assert "jobs" not in state
     assert state["shuffles"]["shuffle:0"]["num_maps"] == 2
     assert state["shuffles"]["shuffle:0"]["num_reduces"] == 1
-    # both kinds of entry hold span records: a Span, then its coordinates
+    # an entry holds span records: a Span, then its coordinates
     assert state["shuffles"]["shuffle:0"]["spans"][1] == \
         ["b.data", 0, 12, 4, 1, 0, 12]
-    assert state["checkpoints"]["ckpt-key"]["spans"] == \
-        [["p0.data", 0, 9, 3], ["p1.data", 0, 9, 4]]
 
     reloaded.forget_shuffle("shuffle:0")
-    reloaded.forget_checkpoint("ckpt-key")
     state = load_journal_state(reloaded.directory)
-    assert state["shuffles"] == {} and state["checkpoints"] == {}
+    assert state["shuffles"] == {}
 
 
 def test_journal_appends_one_line_per_change(tmp_path):
     path = tmp_path / JOURNAL_NAME
     journal = JobJournal(str(tmp_path))
-    assert path.read_bytes() == b'{"version":7}\n'
-    first = [Span(str(tmp_path / "p0.data"), 0, 9, 3)]
-    journal.record_checkpoint("ckpt-key", "ds", first)
+    assert path.read_bytes() == b'{"version":8}\n'
+
+    def catalog(name):
+        return {"maps": [0], "buckets": {
+            (0, 0): (Span(str(tmp_path / name), 0, 9, 3), 9)}}
+
+    journal.record_shuffle("shuffle:0:sig", 0, 1, 1, catalog("p0.data"))
     recorded = path.read_bytes()
     header, line = recorded.splitlines()
     assert json.loads(line) == {
-        "kind": "checkpoints", "key": "ckpt-key",
-        "entry": {"name": "ds", "num_partitions": 1,
-                  "spans": [[str(tmp_path / "p0.data"), 0, 9, 3]]}}
+        "kind": "shuffles", "key": "shuffle:0:sig",
+        "entry": {"shuffle_id": 0, "num_maps": 1, "num_reduces": 1,
+                  "maps": [0], "samples": [],
+                  "spans": [[str(tmp_path / "p0.data"), 0, 9, 3, 0, 0, 9]]}}
     assert journal.drain_bytes_written() == len(recorded)
 
     # the live entry again, or a key that is not live: nothing to write
-    journal.record_checkpoint("ckpt-key", "ds", first)
+    journal.record_shuffle("shuffle:0:sig", 0, 1, 1, catalog("p0.data"))
     journal.forget_shuffle("shuffle:never")
     assert path.read_bytes() == recorded
     assert journal.drain_bytes_written() == 0
 
-    journal.record_checkpoint("ckpt-key", "ds",
-                              [Span(str(tmp_path / "p1.data"), 0, 9, 3)])
-    journal.forget_checkpoint("ckpt-key")
+    journal.record_shuffle("shuffle:0:sig", 0, 1, 1, catalog("p1.data"))
+    journal.forget_shuffle("shuffle:0:sig")
     lines = path.read_bytes().splitlines()
     assert len(lines) == 4 and json.loads(lines[-1])["entry"] is None
-    assert load_journal_state(str(tmp_path))["checkpoints"] == {}
+    assert load_journal_state(str(tmp_path))["shuffles"] == {}
 
     # opening compacts the file to its live records: here, none
     JobJournal(str(tmp_path))
@@ -262,25 +271,6 @@ def test_validate_shuffle_entry_adopts_every_recorded_map(tmp_path):
     assert samples == {} and num_maps == 2 and invalid == 2
 
 
-def test_validate_checkpoint_entry_is_all_or_nothing(tmp_path):
-    p0 = str(tmp_path / "p0.data")
-    p1 = str(tmp_path / "p1.data")
-    spans = [Span(p0, 0, _write_frames(p0, [1, 2, 3]), 3),
-             Span(p1, 0, _write_frames(p1, [4, 5]), 2)]
-    entry = {"name": "ds", "num_partitions": 2,
-             "spans": [list(span) for span in spans]}
-    assert validate_checkpoint_entry(entry) == (spans, 0)
-
-    with open(p1, "r+b") as handle:  # truncate one partition
-        handle.truncate(4)
-    assert validate_checkpoint_entry(entry) == (None, 1)
-
-    assert validate_checkpoint_entry({"spans": "not-a-list"}) == (None, 1)
-    assert validate_checkpoint_entry(
-        {"name": "ds", "num_partitions": 3,
-         "spans": [list(span) for span in spans]}) == (None, 1)
-
-
 # -- Dataset.checkpoint() ------------------------------------------------------
 
 
@@ -304,58 +294,165 @@ def test_checkpoint_serves_identical_results(tmp_path, backend):
         before = sorted(ds.collect())
         ds.checkpoint()
         assert ds.has_checkpoint
+        # written where computed, kept durable: every bucket is a span
+        # under checkpoint_dir, none is resident
+        buckets = checkpoint_buckets(ctx, ds)
         after = sorted(ds.collect())
         assert before == after == expected
         ds.checkpoint()  # idempotent: no second materialisation
         summary = ctx.metrics.summary()
     assert summary["checkpoints_written"] == 1
-    files = os.listdir(tmp_path / "ckpt" / "checkpoints")
-    assert len(files) > 0 and all(name.endswith(".data") for name in files)
+    root = str(tmp_path / "ckpt") + os.sep
+    assert buckets and all(isinstance(bucket, Span) and
+                           bucket.path.startswith(root) for bucket in buckets)
 
 
-def test_corrupt_checkpoint_degrades_to_lineage(tmp_path):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_rotten_checkpoint_span_heals_its_partition(tmp_path, backend):
+    """A checkpoint span that fails its checks is one lost map output: only
+    its partition is recomputed, the checkpoint stays, and the journal
+    records the healed span in place of the rotten one."""
     expected = run_cold("thread")
-    with make_engine("thread", tmp_path / "ckpt") as ctx:
+    root = tmp_path / "ckpt"
+    with make_engine(backend, root) as ctx:
         ds = build_pipeline(ctx).checkpoint()
-        directory = os.path.join(str(tmp_path / "ckpt"), "checkpoints")
-        for name in os.listdir(directory):
-            with open(os.path.join(directory, name), "r+b") as handle:
-                handle.truncate(3)
-        # the poisoned read must fall back to recomputing from lineage —
-        # identical answer, corruption only visible in the metrics
+        ((key, entry),) = [
+            item for item in load_journal_state(str(root))["shuffles"].items()
+            if item[1]["shuffle_id"] == ds._checkpoint]
+        rotten = entry["spans"][0]
+        rot(rotten)
         assert sorted(ds.collect()) == expected
-        assert not ds.has_checkpoint
+        assert ds.has_checkpoint
         summary = ctx.metrics.summary()
-    assert summary["recovery_invalid_entries"] >= 1
+    assert (summary["lost_map_outputs"], summary["recomputed_tasks"]) == (1, 1)
+    healed = load_journal_state(str(root))["shuffles"][key]
+    (record,) = [record for record in healed["spans"]
+                 if record[4] == rotten[4]]
+    assert record[:2] != rotten[:2]
+    per_map, _, _, invalid = validate_shuffle_entry(healed)
+    assert invalid == 0 and rotten[4] in per_map
+
+
+def test_a_rotten_checkpoint_span_fails_the_job_without_stage_retries(
+        tmp_path):
+    """``max_stage_retries=0``: a rotten checkpoint span is lost output like
+    any other, and the first one fails the job."""
+    with make_engine("thread", tmp_path / "ckpt", max_stage_retries=0) as ctx:
+        ds = build_pipeline(ctx).checkpoint()
+        rot(checkpoint_buckets(ctx, ds)[0])
+        with pytest.raises(FetchFailedError):
+            ds.collect()
 
 
 @needs_closures
-def test_corrupt_checkpoint_behind_a_cut_payload_degrades_to_lineage(tmp_path):
+def test_corrupt_checkpoint_behind_a_cut_payload_heals_its_partition(
+        tmp_path):
     """Process backend: the payload drops what feeds a checkpointed dataset;
-    when the checkpoint rots the driver republishes from its own lineage."""
+    when a checkpoint span rots the driver republishes the lineage of that
+    partition from its own graph."""
     expected = [(key, value + 1) for key, value in run_cold("thread")]
     with make_engine("process", tmp_path / "ckpt") as ctx:
         ds = build_pipeline(ctx).checkpoint()
         bumped = ds.map(lambda kv: (kv[0], kv[1] + 1))
         with recorded_payloads(ctx) as served:
             assert sorted(bumped.collect()) == expected
-        # served from the checkpoint files: the shuffle read that produced
-        # them is behind the cut, and no span catalog rides along
+        # served from the checkpoint: the shuffle read that produced it is
+        # behind the cut, and only the checkpoint's span catalog rides along
         (full, stubs), = map(shipped_graph, served)
         assert ds.id in full and len(stubs) == 1
-        assert serializer.loads(served[0])["catalog"] == {}
-        directory = os.path.join(str(tmp_path / "ckpt"), "checkpoints")
-        for name in os.listdir(directory):
-            with open(os.path.join(directory, name), "r+b") as handle:
-                handle.truncate(3)
+        assert list(serializer.loads(served[0])["catalog"]) == \
+            [ds._checkpoint]
+        rot(checkpoint_buckets(ctx, ds)[0])
         with recorded_payloads(ctx) as healed:
             assert sorted(bumped.collect()) == expected
-        assert not ds.has_checkpoint
-        # the failed attempt, then the replanned job reading the shuffle
-        assert len(healed) == 2
-        assert len(serializer.loads(healed[-1])["catalog"]) == 1
+        assert ds.has_checkpoint
+        # the failed attempt, the recompute of the lost map (reading the
+        # shuffle behind the checkpoint) and the rerun
+        assert [list(serializer.loads(payload)["catalog"])
+                for payload in healed] == \
+            [[ds._checkpoint], [ds._checkpoint - 1], [ds._checkpoint]]
         summary = ctx.metrics.summary()
-    assert summary["recovery_invalid_entries"] >= 1
+    assert (summary["lost_map_outputs"], summary["recomputed_tasks"]) == (1, 1)
+
+
+@pytest.mark.parametrize("rule", sorted(REPARTITIONING))
+def test_checkpoint_after_collect_reruns_no_completed_map_task(tmp_path,
+                                                              rule):
+    """A rewrite gives the join's executable another partition count; the
+    checkpoint is written over that executable, so after ``collect()`` it
+    is one stage of one task per executable partition, and it reads the
+    shuffles ``collect()`` completed instead of re-running their maps."""
+    config = EngineConfig(num_workers=2, seed=3,
+                          optimizer_rules=("cache_prune", rule),
+                          checkpoint_dir=str(tmp_path),
+                          **REPARTITIONING[rule])
+    with EngineContext(config) as ctx:
+        facts = ctx.parallelize([(key % 8, key) for key in range(40)], 4)
+        dimension = ctx.parallelize([(key, -key) for key in range(0, 8, 2)],
+                                    2)
+        joined = facts.join(dimension, 3)
+        expected = sorted(joined.collect())
+        joined.checkpoint()
+        job = ctx.metrics.jobs[-1]
+        partitions = {"coalesce_shuffle": 1, "broadcast_join": 4}[rule]
+        assert job.description == "checkpoint:join"
+        assert [(stage.is_shuffle_map, stage.num_tasks)
+                for stage in job.stages] == [(True, partitions)]
+        assert joined.num_partitions == partitions
+        assert sorted(joined.collect()) == expected
+
+
+@pytest.mark.parametrize("rule", sorted(REPARTITIONING))
+def test_a_dataset_built_before_the_checkpoint_reads_all_its_records(
+        tmp_path, rule):
+    """A dataset derived before ``checkpoint()`` was built for the old
+    partition count; once the checkpoint takes the executable's count
+    (3 -> 4 for the broadcast join) it must be rebuilt, not read
+    partitions 0..2 and drop the fourth."""
+    config = EngineConfig(num_workers=2, seed=3,
+                          optimizer_rules=("cache_prune", rule),
+                          checkpoint_dir=str(tmp_path),
+                          **REPARTITIONING[rule])
+    with EngineContext(config) as ctx:
+        facts = ctx.parallelize([(key % 8, key) for key in range(40)], 4)
+        dimension = ctx.parallelize([(key, -key) for key in range(0, 8, 2)],
+                                    2)
+        joined = facts.join(dimension, 3)
+        values = joined.map(lambda pair: pair[1])
+        expected = sorted(values.collect())
+        joined.checkpoint()
+        assert sorted(values.collect()) == expected
+
+
+@needs_closures
+def test_a_checkpoint_brings_no_records_to_the_driver(tmp_path, monkeypatch):
+    """Process backend: what the driver unpickles from the checkpoint
+    stage — each attempt's outcome — does not grow with the partitions;
+    the records stay in the spans the workers wrote."""
+    from repro.engine.executor import ProcessExecutor
+
+    absorbed = []
+    absorb = ProcessExecutor._absorb
+
+    def counting(self, outcome, metrics):
+        absorbed.append(len(pickle.dumps(outcome)))
+        return absorb(self, outcome, metrics)
+
+    monkeypatch.setattr(ProcessExecutor, "_absorb", counting)
+
+    def checkpoint_stage_bytes(index, per_partition):
+        with make_engine("process", tmp_path / f"ckpt-{index}") as ctx:
+            ds = ctx.range(0, 4 * per_partition, num_partitions=4) \
+                .map(lambda x: (x, str(x)))
+            ds.count()
+            absorbed.clear()
+            ds.checkpoint()
+            assert ctx.metrics.jobs[-1].records_written == 4 * per_partition
+        return sum(absorbed)
+
+    small = checkpoint_stage_bytes(0, 1_000)
+    large = checkpoint_stage_bytes(1, 20_000)
+    assert small > 0 and large < small * 1.1
 
 
 def test_auto_checkpoint_interval_materialises_shuffle_consumers(tmp_path):
@@ -365,7 +462,9 @@ def test_auto_checkpoint_interval_materialises_shuffle_consumers(tmp_path):
         summary = ctx.metrics.summary()
     assert result == run_cold("thread")
     assert summary["checkpoints_written"] >= 1
-    assert os.listdir(tmp_path / "ckpt" / "checkpoints")
+    # each checkpoint is journalled beside the pipeline's two shuffles
+    assert len(load_journal_state(str(tmp_path / "ckpt"))["shuffles"]) == \
+        2 + summary["checkpoints_written"]
 
 
 # -- resume-on-restart ---------------------------------------------------------
@@ -427,6 +526,68 @@ def test_resume_adopts_journaled_checkpoint(tmp_path):
     assert summary["checkpoints_written"] == 0
 
 
+class _Box:
+    """A value with the default, address-based ``repr``: no fingerprint."""
+
+    k = 1
+
+
+def test_resume_never_adopts_an_unfingerprintable_checkpoint(tmp_path):
+    """A lineage without a fingerprint has no journal key: its checkpoint
+    is written durably and truncates lineage in its own run, like any
+    checkpoint, but is never journalled, so a resume over the same
+    directory with another ``k`` computes the new answer."""
+    root = tmp_path / "ckpt"
+    box, calls = _Box(), []
+
+    def times_k(x):
+        calls.append(x)
+        return x * box.k
+
+    with make_engine("thread", root) as ctx:
+        ds = ctx.parallelize(range(6), 2).map(times_k).checkpoint()
+        buckets = checkpoint_buckets(ctx, ds)
+        calls.clear()
+        assert ds.map(lambda x: x + 1).collect() == [1, 2, 3, 4, 5, 6]
+        assert calls == []  # truncated at the checkpoint
+    assert all(bucket.path.startswith(str(root) + os.sep)
+               for bucket in buckets)
+    assert load_journal_state(str(root))["shuffles"] == {}
+
+    box.k = 100
+    with make_engine("thread", root, recover_from=str(root)) as ctx:
+        resumed = ctx.parallelize(range(6), 2).map(times_k).checkpoint() \
+            .collect()
+        summary = ctx.metrics.summary()
+    assert resumed == [0, 100, 200, 300, 400, 500]
+    assert (summary["stages_recovered"], summary["checkpoints_written"]) == \
+        (0, 1)
+
+
+@needs_closures
+@pytest.mark.parametrize("start", [0, 10])
+def test_resume_adopts_a_checkpoint_over_published_input_only_if_unchanged(
+        tmp_path, start):
+    """Process backend: a parallelised input ships as spans once published,
+    and the checkpoint's journal key still covers its records, so a resume
+    adopts the checkpoint for the same input (``start=0``) and never for
+    another one of the same size."""
+    root = tmp_path / "ckpt"
+
+    def job(ctx, first):
+        ds = ctx.parallelize(range(first, first + 10), 2).map(
+            lambda x: 2 * x)
+        ds.count()  # publishes the input
+        return ds.checkpoint().collect(), ctx.metrics.summary()
+
+    with make_engine("process", root) as ctx:
+        job(ctx, 0)
+    with make_engine("process", root, recover_from=str(root)) as ctx:
+        resumed, summary = job(ctx, start)
+    assert resumed == [2 * x for x in range(start, start + 10)]
+    assert summary["stages_recovered"] == (start == 0)
+
+
 def test_resume_from_garbage_journal_degrades_to_cold_start(tmp_path):
     root = tmp_path / "ckpt"
     os.makedirs(root)
@@ -455,6 +616,34 @@ def test_resume_from_version_5_journal_degrades_to_cold_start(tmp_path):
     assert result == expected
     assert summary["stages_recovered"] == 0
     assert summary["recovery_invalid_entries"] >= 1
+
+
+def test_resume_from_version_7_journal_with_a_checkpoint_line_degrades_to_cold_start(  # noqa: E501
+        tmp_path):
+    """A version-7 journal's ``checkpoints`` line is never adopted, even
+    when every span it names still validates: the whole journal is a
+    counted cold start."""
+    root = tmp_path / "ckpt"
+    with make_engine("thread", root) as ctx:
+        expected = sorted(build_pipeline(ctx).checkpoint().collect())
+    shuffles = load_journal_state(str(root))["shuffles"]
+    key, entry = max(shuffles.items(), key=lambda item: item[1]["shuffle_id"])
+    lines = [{"version": 7}] + [
+        {"kind": "shuffles", "key": other, "entry": recorded}
+        for other, recorded in shuffles.items() if other != key] + [
+        {"kind": "checkpoints", "key": "fingerprint",
+         "entry": {"name": "reduce_by_key", "num_partitions":
+                   len(entry["spans"]),
+                   "spans": [record[:4] for record in entry["spans"]]}}]
+    (root / JOURNAL_NAME).write_text(
+        "".join(json.dumps(line) + "\n" for line in lines))
+    with make_engine("thread", root, recover_from=str(root)) as ctx:
+        result = sorted(build_pipeline(ctx).checkpoint().collect())
+        summary = ctx.metrics.summary()
+    assert result == expected
+    assert summary["stages_recovered"] == 0
+    assert summary["recovery_invalid_entries"] >= 1
+    assert summary["checkpoints_written"] == 1
 
 
 # -- the append-only journal: fold, torn tail, compaction ----------------------
@@ -520,7 +709,7 @@ def test_reopening_keeps_the_journal_the_size_of_its_live_entries(tmp_path):
     assert sizes == [sizes[0]] * 5
     state = load_journal_state(str(root))
     lines = (root / JOURNAL_NAME).read_bytes().splitlines()
-    assert len(lines) == 1 + len(state["shuffles"]) + len(state["checkpoints"])
+    assert len(lines) == 1 + len(state["shuffles"])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -587,14 +776,11 @@ def _damage_span(record, damage):
 
 def _damage_journal(root, kind, damage):
     """Damage the first non-empty span of the last shuffle (read by the
-    result stage) or of the checkpoint, then append the entry again: the
-    resume must fold to that superseding record."""
+    result stage; a checkpoint, when the run ended with one), then append
+    the entry again: the resume must fold to that superseding record."""
     state = load_journal_state(str(root))
-    if kind == "shuffles":
-        key, entry = max(state["shuffles"].items(),
-                         key=lambda item: item[1]["shuffle_id"])
-    else:
-        ((key, entry),) = state["checkpoints"].items()
+    key, entry = max(state[kind].items(),
+                     key=lambda item: item[1]["shuffle_id"])
     _damage_span(next(record for record in entry["spans"] if record[3]),
                  damage)
     with open(root / JOURNAL_NAME, "a") as handle:
@@ -644,16 +830,17 @@ def test_resume_adopts_undecoded_checkpoint_damage_then_recomputes(
     root = tmp_path / "ckpt"
     with make_engine("thread", root) as ctx:
         expected = sorted(build_pipeline(ctx).checkpoint().collect())
-    _damage_journal(root, "checkpoints", damage)
+    _damage_journal(root, "shuffles", damage)
 
     with make_engine("thread", root, recover_from=str(root)) as ctx:
         ds = build_pipeline(ctx).checkpoint()
         assert ds.has_checkpoint  # adopted: validation decoded nothing
         resumed = sorted(ds.collect())
-        assert not ds.has_checkpoint  # the read raised, lineage took over
+        assert ds.has_checkpoint  # the read raised, one partition healed
         summary = ctx.metrics.summary()
     assert resumed == expected
-    assert summary["recovery_invalid_entries"] >= 1
+    assert summary["recovery_invalid_entries"] == 0
+    assert (summary["lost_map_outputs"], summary["recomputed_tasks"]) == (1, 1)
 
 
 def _run_once(tmp_path, map_func, data_end=240, **engine_kwargs):
@@ -781,9 +968,10 @@ def test_forget_unlinks_invalidated_files_inside_journal_root(tmp_path):
     try:
         journal.record_shuffle("shuffle:0:sig", 0, 1, 1, {
             "maps": [0], "buckets": {(0, 0): (Span(str(span), 0, 10, 1), 10)}})
-        journal.record_checkpoint("ckpt-key", "ds",
-                                  [Span(str(ckpt), 0, 10, 1),
-                                   Span(str(outside), 0, 7, 1)])
+        journal.record_shuffle("shuffle:1:sig", 1, 2, 1, {
+            "maps": [0, 1],
+            "buckets": {(0, 0): (Span(str(ckpt), 0, 10, 1), 10),
+                        (1, 0): (Span(str(outside), 0, 7, 1), 7)}})
 
         # superseding an entry unlinks the files it no longer references
         replacement = span.parent / "map-0.attempt2.data"
@@ -796,7 +984,7 @@ def test_forget_unlinks_invalidated_files_inside_journal_root(tmp_path):
         journal.forget_shuffle("shuffle:0:sig")
         assert not replacement.exists()
         assert not replacement.parent.exists()  # emptied dir swept too
-        journal.forget_checkpoint("ckpt-key")
+        journal.forget_shuffle("shuffle:1:sig")
         assert not ckpt.exists()
         assert outside.exists()  # never touches files outside its root
     finally:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 import threading
 import time
 
@@ -151,16 +150,6 @@ def _lost_output(tmp_path, monkeypatch):
     return result, _fault_free_wide(), summary
 
 
-def _checkpoint(tmp_path, monkeypatch):
-    with _engine("thread", checkpoint_dir=str(tmp_path)) as ctx:
-        ds = _wide(ctx).checkpoint()
-        directory = os.path.join(str(tmp_path), "checkpoints")
-        for name in os.listdir(directory):
-            with open(os.path.join(directory, name), "r+b") as handle:
-                handle.truncate(3)
-        return ds.collect(), _fault_free_wide(), ctx.metrics.summary()
-
-
 def _stale_heartbeat(tmp_path, monkeypatch):
     """Between two jobs the tracker's clock leaps once: every live pool
     worker's beat file reads as stale at the next check."""
@@ -188,7 +177,6 @@ SCENARIOS = {
     "deadline": _deadline,
     "fetch_error": _fetch_error,
     "lost_output": _lost_output,
-    "checkpoint": _checkpoint,
     "stale_heartbeat": _stale_heartbeat,
     "broken_pool": _broken_pool,
 }

@@ -173,12 +173,14 @@ GOLDEN = {
         {"jobs": "340a0007b35bbe14", "stages": "cfa0e77378e976e6",
          "tasks": "1e7cce5ffc2aff3a", "summary": "2e3dd3e7c5d2e5a8"},
     ],
-    # recorded without journal_bytes, which JOURNAL_BYTES pins
+    # recorded without journal_bytes, which JOURNAL_BYTES pins; re-recorded
+    # when a checkpoint became a one-bucket shuffle (its job's stage is a
+    # shuffle-map stage, and a resumed run adopts it in a job of its own)
     "checkpoint_resume": [
-        {"jobs": "ee01f754820c1b8a", "stages": "b4a8b221ba266da2",
-         "tasks": "2a8b621c443f587c", "summary": "15295179d0cecaa3"},
-        {"jobs": "98d941f850a6bb2d", "stages": "9d0a40bd3047a391",
-         "tasks": "f6d120726ba2da40", "summary": "d373d79f41f2889d"},
+        {"jobs": "8b53a77b152ec002", "stages": "5b7618e1cd3c0f09",
+         "tasks": "b1f77545244ca98e", "summary": "ea2fa828c01221c5"},
+        {"jobs": "71a3d44b1f8fda89", "stages": "9d0a40bd3047a391",
+         "tasks": "f6d120726ba2da40", "summary": "de436797355c5609"},
     ],
     "faults_process": [
         {"jobs": "361f7df994eeeef5", "stages": "38c09e133896dcfe",
@@ -211,9 +213,10 @@ GOLDEN = {
 #: journal document per record, before the journal became append-only,
 #: they read [6336, 13391, 4100] and [21293]; now the first context
 #: appends one line per record and the resume writes only the compacted
-#: file it opens with.
+#: file it opens with.  Before a checkpoint was a shuffle they read
+#: [1834, 1485, 409] and [3728].
 JOURNAL_BYTES = {
-    "checkpoint_resume": [[1834, 1485, 409], [3728]],
+    "checkpoint_resume": [[2662, 1744, 0], [4406, 0, 0]],
 }
 
 

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.config import EngineConfig
 from repro.engine import serializer
-from repro.engine import context as context_module
 from repro.engine import memory as memory_module
 from repro.engine import scheduler as scheduler_module
 from repro.engine.context import EngineContext
@@ -308,8 +307,6 @@ def test_driver_decodes_samples_and_validation_decodes_nothing(
 
     monkeypatch.setattr(scheduler_module, "validate_shuffle_entry",
                         counting(scheduler_module.validate_shuffle_entry))
-    monkeypatch.setattr(context_module, "validate_checkpoint_entry",
-                        counting(context_module.validate_checkpoint_entry))
 
     root = str(tmp_path / "ckpt")
     with make_engine("process", checkpoint_dir=root) as ctx:
