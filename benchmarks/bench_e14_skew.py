@@ -3,9 +3,10 @@
 One hot key holding >= 80% of all records turns a reduce stage into a
 single-straggler job: one task does (almost) all the grouping work while the
 other workers idle.  With ``skew_split_factor`` armed, the adaptive layer
-detects the fat reduce partition from *actual* map-output bytes and serves
-it as parallel sub-reads over disjoint map-output slices, re-merged to
-byte-identical results.
+detects the fat reduce partition from *actual* map-output bytes and gives
+the shuffle a one-bucket slice shuffle: one map task folds each disjoint
+map-output slice, and the task that reads the partition merges the stored
+partials to byte-identical results.
 
 What the three measured quantities mean:
 
@@ -13,7 +14,10 @@ What the three measured quantities mean:
   threads under the GIL, so CPU-bound reduce work cannot speed up locally
   (the same caveat E9 documents); this column is the no-regression guard.
 * ``straggler`` — the slowest task of the job.  This is what skew splitting
-  attacks directly: the hot partition's work spreads over sub-read tasks.
+  attacks directly: the hot partition's fold spreads over the slice
+  shuffle's map tasks.  The measured repeats reuse the stored partials, so
+  their straggler is the task that merges them (and, for the join, emits
+  the pairs).
 * ``sim small-4`` — the cost model's estimated wall-clock of the measured
   task structure on the built-in 16-slot cluster profile (the paper's
   model-driven what-if deployment, exactly what E6 sweeps).  On a cluster
@@ -99,12 +103,13 @@ WORKLOADS = (
 
 
 def _measure(build, action, pairs, skew_on: bool, workers: int = WORKERS):
-    """Warm the shuffle (stamping split plans), then best-of-REPS metrics."""
+    """Warm the shuffles (a split's slice shuffle included, whose partials
+    the repeats reuse), then best-of-REPS metrics."""
     model = CostModel()
     profile = BUILTIN_PROFILES[PROFILE]
     with _engine(skew_on, workers) as ctx:
         dataset = build(ctx, pairs)
-        result = action(dataset)  # runs the shuffle; adaptive replan stamps
+        result = action(dataset)  # runs the shuffles; a replan splits
         walls, stragglers, simulated_walls, splits = [], [], [], []
         for _ in range(REPS):
             started = time.perf_counter()

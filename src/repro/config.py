@@ -228,16 +228,17 @@ class EngineConfig:
         joins still switch to broadcast (shuffles coalesce, and skewed
         reduce partitions split) at runtime.
     skew_split_factor:
-        Maximum number of parallel sub-partition reads a skewed reduce
-        partition is fanned out into by the ``split_skewed_shuffle`` rule —
-        the runtime counterpart of ``coalesce_shuffle``: where coalescing
-        shrinks many small partitions, splitting fans one fat partition out
-        over disjoint map-output slices, each served as its own task.
-        Splits only ever fall between map slices (never inside one map
-        task's combined output for a key), and partial per-slice reductions
-        are re-merged with the operator's combiner, so results are
-        identical to the unsplit plan.  ``0`` or ``1`` disables skew
-        splitting entirely.
+        Maximum number of map-output slices a skewed reduce partition is
+        fanned out into by the ``split_skewed_shuffle`` rule — the runtime
+        counterpart of ``coalesce_shuffle``: where coalescing shrinks many
+        small partitions, splitting fans one fat partition out over
+        disjoint map-output slices.  Each slice is folded by its own map
+        task of a one-bucket slice shuffle, and the task that reads the
+        partition merges the stored partials.  Splits only ever fall
+        between map slices (never inside one map task's combined output for
+        a key), and the partials are re-merged with the operator's merge,
+        so results are identical to the unsplit plan.  ``0`` or ``1``
+        disables skew splitting entirely.
     skew_min_partition_bytes:
         A reduce partition is only considered skewed when its actual
         map-output bytes reach this floor *and* exceed twice the median

@@ -224,6 +224,32 @@ class Broadcast:
         self.ready = True
 
 
+class SliceDependency(ShuffleDependency):
+    """A skew split: a one-bucket shuffle with one map per slice unit.
+
+    ``plan`` maps each split reduce partition to its slices
+    ``(dependency index, map_lo, map_hi)``; the units are those slices in
+    partition order.  Map ``u`` (:class:`SkewSlices`) folds unit ``u`` into
+    its finished partial and writes that whole, as bucket 0.
+    ``ranges[partition]`` is the map range of the partition's units, so the
+    split dataset serves the partition as the merge of those partials in
+    the task that reads it.  The shuffle id is the complement of the split
+    dataset's first one: a split takes no id from its context, and a
+    resumed run finds the same.
+    """
+
+    def __init__(self, dataset: "ShuffledDataset",
+                 plan: Dict[int, List[Tuple[int, int, int]]]):
+        shuffle_id = ~dataset.dependencies[0].shuffle_id
+        units = [(partition, *unit) for partition, slices in plan.items()
+                 for unit in slices]
+        super().__init__(SkewSlices(dataset, units, shuffle_id),
+                         HashPartitioner(1), _whole_partition, shuffle_id)
+        ends = list(itertools.accumulate(map(len, plan.values())))
+        self.ranges = {partition: (end - len(slices), end)
+                       for (partition, slices), end in zip(plan.items(), ends)}
+
+
 class BroadcastDependency(Dependency):
     """The child needs the *whole* parent collected into a driver-side value.
 
@@ -248,12 +274,17 @@ class BroadcastDependency(Dependency):
 class Dataset:
     """An immutable, lazily evaluated, partitioned collection of records."""
 
+    #: The runtime skew split a :class:`ShuffledDataset` is served through
+    #: (:class:`SliceDependency`); never one of ``dependencies``, so plan
+    #: identity and ``explain()`` do not see it.
+    split: Optional[SliceDependency] = None
+
     def __init__(self, ctx, num_partitions: int, dependencies: List[Dependency],
-                 name: str = ""):
+                 name: str = "", dataset_id: Optional[int] = None):
         if num_partitions < 1:
             raise PlanError("a dataset needs at least one partition")
         self.ctx = ctx
-        self.id = ctx._next_dataset_id()
+        self.id = ctx._next_dataset_id() if dataset_id is None else dataset_id
         self.num_partitions = int(num_partitions)
         self.dependencies = list(dependencies)
         self.name = name or type(self).__name__
@@ -287,8 +318,9 @@ class Dataset:
         replaced by the worker's own (reattached by the worker runtime after
         unpickling, walking the task graph), and the logical plan, memoised
         executable and cache mirrors are plan-time artefacts the worker
-        never evaluates.  Everything else — including installed skew-slice
-        results — ships as is.
+        never evaluates.  Everything else ships as is; a stage payload
+        has already cut the lineage behind complete shuffles
+        (:mod:`repro.engine.executor`).
         """
         state = self.__dict__.copy()
         state["ctx"] = None
@@ -1269,6 +1301,22 @@ class CoalescedDataset(Dataset):
 # ---------------------------------------------------------------------------
 
 
+def _shuffle_buckets(ctx, partition: int, task_context: TaskContext,
+                     dependencies: List[ShuffleDependency],
+                     map_range: Optional[Tuple[int, int]] = None
+                     ) -> List[List[Any]]:
+    """Every bucket ``dependencies`` address to ``partition``, in
+    dependency and map order."""
+    buckets = []
+    for dependency in dependencies:
+        for records, size in ctx.shuffle_manager.iter_reduce_input(
+                dependency.shuffle_id, partition, map_range=map_range):
+            task_context.shuffle_bytes_read += size
+            buckets.append(records)
+    _note_memory_peak(ctx, task_context)
+    return buckets
+
+
 class ShuffledDataset(Dataset):
     """A wide operator's partitions, read back from its shuffles and reduced.
 
@@ -1277,13 +1325,13 @@ class ShuffledDataset(Dataset):
     ``op`` (:class:`~repro.engine.wide.WideOperator`).  A partition is
     reduced resident (one fold), memory-bounded (a fold per spilled run,
     then the merge) or skew-split.  For the split, the
-    ``split_skewed_shuffle`` rule stamps ``split_plan`` — per reduce
-    partition, ``(dependency_index, map_lo, map_hi)`` slice units — once
-    actual map-output bytes identify a straggler; the scheduler runs one
-    task per unit (:meth:`read_slice`), merges the partials back in unit
-    order (:meth:`install_slice_result`) and the partition's compute serves
-    the merged records once.  Without a declared merge an operator is
-    never split or merged externally.
+    ``split_skewed_shuffle`` rule gives the dataset a ``split``
+    (:class:`SliceDependency`) once actual map-output bytes identify a
+    straggler: a one-bucket shuffle whose map ``u`` writes the partial of
+    slice unit ``u``.  The scheduler runs it like any shuffle, and while it
+    is complete a split partition is the merge of its units' partials,
+    read in the task that reads the partition.  Without a declared merge
+    an operator is never split or merged externally.
     """
 
     def __init__(self, parents: List[Dataset], partitioner: Partitioner,
@@ -1300,39 +1348,12 @@ class ShuffledDataset(Dataset):
         #: Folds one slice of reduce input — a map range, a spilled run or
         #: the whole partition — into a partial.
         self._slice_reduce = wide.slice_fold(op)
-        self.split_plan: Dict[int, List[Tuple[int, int, int]]] = {}
-        self._slice_results: Dict[int, List[Any]] = {}
 
     @property
     def supports_slice_reads(self) -> bool:
-        """Whether a partition can be served as merged sub-reads."""
+        """Whether a partition can be split into slices whose partials
+        merge back to its read."""
         return self._op.merge is not None
-
-    def _read(self, partition: int, task_context: TaskContext,
-              dependencies: List[ShuffleDependency],
-              map_range: Optional[Tuple[int, int]] = None) -> Iterable[Any]:
-        inputs = []
-        for dependency in dependencies:
-            records, size = self.ctx.shuffle_manager.read_reduce_input(
-                dependency.shuffle_id, partition, map_range=map_range)
-            task_context.shuffle_bytes_read += size
-            inputs.append(records)
-        _note_memory_peak(self.ctx, task_context)
-        return inputs[0] if len(inputs) == 1 else \
-            itertools.chain.from_iterable(inputs)
-
-    def read_slice(self, partition: int, unit: Tuple[int, int, int],
-                   task_context: TaskContext) -> List[Any]:
-        """Fold one map-output slice; the partial travels finished."""
-        dep_index, map_lo, map_hi = unit
-        records = self._read(partition, task_context,
-                             [self.dependencies[dep_index]], (map_lo, map_hi))
-        return list(self._op.finish(self._slice_reduce(records)))
-
-    def install_slice_result(self, partition: int, partials: List[Any]) -> None:
-        """Merge per-slice partials (in unit order) into the override."""
-        self._slice_results[partition] = list(
-            self._op.finish(self._op.merge(partials)))
 
     def _external_merge_enabled(self) -> bool:
         """A bounded memory manager, a spill directory and a merge."""
@@ -1398,17 +1419,50 @@ class ShuffledDataset(Dataset):
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
-        # a skew-split partition was already reduced by its sub-read tasks
-        # (bytes were accounted there): serve the merged records as-is
-        reduced = self._slice_results.pop(partition, None)
-        if reduced is None and self._external_merge_enabled():
+        split = self.split
+        if split is not None and partition in split.ranges and \
+                self.ctx.shuffle_manager.is_complete(split.shuffle_id):
+            # a split partition: the merge of its slices' stored partials
+            reduced = self._op.finish(wide.stored_merge(self._op)(
+                _shuffle_buckets(self.ctx, 0, task_context, [split],
+                                 split.ranges[partition])))
+        elif self._external_merge_enabled():
             reduced = self._compute_external(partition, task_context)
-        elif reduced is None:
+        else:
             reduced = self._op.finish(self._slice_reduce(
-                self._read(partition, task_context, self.dependencies)))
+                itertools.chain.from_iterable(_shuffle_buckets(
+                    self.ctx, partition, task_context, self.dependencies))))
         if isinstance(reduced, list):
             return chunk_list(reduced, batch_size)
         return chunk_iterator(reduced, batch_size)
+
+
+class SkewSlices(Dataset):
+    """The map side of a skew split: partition ``u`` is the partial of
+    slice unit ``u`` (:class:`SliceDependency`).
+
+    Its dependencies are the split dataset's own shuffle dependencies, so
+    a rotten span of theirs heals like any shuffle read; of that dataset
+    it keeps only the operator.  Its id is its shuffle's: it allocates no
+    dataset id of its context.
+    """
+
+    def __init__(self, dataset: ShuffledDataset,
+                 units: List[Tuple[int, int, int, int]], dataset_id: int):
+        super().__init__(dataset.ctx, len(units), dataset.dependencies,
+                         name=f"skew-split:{dataset.name}",
+                         dataset_id=dataset_id)
+        self.units = units
+        self._op = dataset._op
+
+    def compute_batches(self, partition: int, task_context: TaskContext,
+                        batch_size: int) -> Iterator[List[Any]]:
+        reduce_partition, dep_index, map_lo, map_hi = self.units[partition]
+        records = itertools.chain.from_iterable(_shuffle_buckets(
+            self.ctx, reduce_partition, task_context,
+            [self.dependencies[dep_index]], (map_lo, map_hi)))
+        partial = self._op.finish(wide.slice_fold(self._op)(records))
+        return chunk_list(list(partial), batch_size)
 
 
 def broadcast_preserves_build(how: str, build_side: str) -> bool:

@@ -429,9 +429,9 @@ class _StageCut:
     """The copy of a stage's task graphs that crosses the process boundary.
 
     A stage reads the spans of its complete upstream shuffles (checkpoints
-    included) and the values of its filled broadcasts — never the lineage
-    behind them.  Walking from each task root, the dependency edge
-    into such lineage is replaced by an edge to a
+    and a dataset's ``split`` included) and the values of its filled
+    broadcasts — never the lineage behind them.  Walking from each task
+    root, the dependency edge into such lineage is replaced by an edge to a
     :class:`~repro.engine.dataset.LineageStub`; the datasets and
     dependencies between a root and a cut are shallow copies, everything
     untouched is shipped as the object it is, and the driver's graph is
@@ -492,8 +492,10 @@ class _StageCut:
     def _ship(self, dataset: Any) -> Any:
         """``dataset`` as the payload carries it: itself, or a cut copy.
 
-        The copy is shallow — it shares every attribute value (installed
-        skew-slice overrides included) with the driver's object.
+        The copy is shallow — it shares every other attribute value with
+        the driver's object.  A ``split`` is one more shuffle edge, cut
+        when its shuffle is complete; until then the payload has no catalog
+        of it, and the tasks read the split partitions whole.
         """
         shipped = self._shipped.get(id(dataset))
         if shipped is not None:
@@ -501,11 +503,15 @@ class _StageCut:
         dependencies = [
             self._reparent(dependency, self._edge_parent(dependency))
             for dependency in dataset.dependencies]
+        split = dataset.split
         shipped = dataset
-        if any(new is not old
-               for new, old in zip(dependencies, dataset.dependencies)):
+        if split is not None or any(
+                new is not old
+                for new, old in zip(dependencies, dataset.dependencies)):
             shipped = copy.copy(dataset)
             shipped.dependencies = dependencies
+        if split is not None:
+            shipped.split = self._reparent(split, self._edge_parent(split))
         self._shipped[id(dataset)] = shipped
         self.datasets.append(shipped)
         return shipped
@@ -653,15 +659,7 @@ class ProcessExecutor(Executor):
         except Exception as error:  # noqa: BLE001 - rethrown with diagnosis
             raise SerializationError(
                 _diagnose_unpicklable(tasks, cut.datasets, error)) from error
-        token = self._transport.publish_stage(data)
-        # one-shot skew-slice overrides just shipped inside the payload;
-        # the worker copies own them now, and a stale driver copy would
-        # replay into a later job's payload (a cut copy shares the dict)
-        for dataset in cut.datasets:
-            overrides = getattr(dataset, "_slice_results", None)
-            if overrides:
-                overrides.clear()
-        return token
+        return self._transport.publish_stage(data)
 
     def _collect_blocks(self, datasets: List[Any]) -> Dict[Tuple[int, int], Any]:
         if self._block_store is None:

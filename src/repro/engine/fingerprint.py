@@ -63,8 +63,8 @@ _DATASET_SKIP_ATTRS = frozenset({
     "ctx", "id", "name", "dependencies", "plan", "is_cached", "_executable",
     "_executable_epoch", "_cache_mirrors", "_checkpoint", "_size_hint",
     "_fingerprint", "_share_key", "_share_origin",
-    # derived from ``dependencies`` (union) or per-job runtime state
-    "_offsets", "split_plan", "_slice_results", "_spans",
+    # derived from ``dependencies`` (union) or runtime state (a skew split)
+    "_offsets", "split", "_spans",
     "_build_holder", "_stream_keys_holder", "_emits_unmatched_build",
 })
 

@@ -62,7 +62,8 @@ COUNTERS = (
     # physical plans swapped mid-job when actual shuffle sizes contradicted
     # the estimates
     Counter("adaptive_replans", JOB),
-    # skewed reduce partitions served as parallel sub-partition reads
+    # reduce partitions a job served from a skew split's partials, computed
+    # in that job or reused
     Counter("skew_splits", JOB),
     # broadcast build sides served from the context-wide build cache
     Counter("broadcast_reuses", JOB),

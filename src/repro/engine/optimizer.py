@@ -601,20 +601,22 @@ class PlanOptimizer:
 
     def _split_skewed_shuffles(self, node: LogicalNode,
                                applied: List[str]) -> LogicalNode:
-        """Annotate completed shuffles whose reduce partitions are skewed.
+        """Split the skewed reduce partitions of completed shuffles.
 
         The AQE counterpart of ``coalesce_shuffle``: where coalescing
         shrinks many small partitions, this rule fans one fat partition out
-        over disjoint map-output slices, each served as its own parallel
-        sub-read task.  It only fires once the shuffle's map stages have
-        completed — i.e. during adaptive re-plans (or follow-up actions on
-        the same lineage), when *actual* per-partition bytes are known — and
-        never rewrites the plan structurally: the split plan is stamped onto
-        the existing physical dataset, so the completed shuffle output keeps
-        being reused.  Splits fall only between map slices, never inside one
-        map task's combined run for a key, and the per-slice partials
-        re-merge through the operator's combiner, so results are identical
-        to the unsplit read.
+        over disjoint map-output slices.  It only fires once the shuffle's
+        map stages have completed — i.e. during adaptive re-plans (or
+        follow-up actions on the same lineage), when *actual*
+        per-partition bytes are known — and never rewrites the plan
+        structurally: the physical dataset gets a ``split``, a one-bucket
+        shuffle with one map per slice
+        (:class:`~repro.engine.dataset.SliceDependency`), beside its
+        dependencies, so the completed shuffle output keeps being reused.
+        Splits fall only between map slices, never inside one map task's
+        combined run for a key, and the per-slice partials re-merge
+        through the operator's merge, so results are identical to the
+        unsplit read.
         """
         factor = self.config.skew_split_factor
         if self.estimator.shuffle_manager is None:
@@ -633,8 +635,9 @@ class PlanOptimizer:
                 continue
             n.skew_split = {partition: len(units)
                             for partition, units in plan.items()}
-            if plan != ds.split_plan:
-                ds.split_plan = plan
+            # a split stays: any slicing of a partition merges to its read
+            if ds.split is None:
+                ds.split = physical.SliceDependency(ds, plan)
                 applied.append("split_skewed_shuffle")
         return node
 

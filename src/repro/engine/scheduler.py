@@ -17,6 +17,13 @@ still switches to a broadcast hash join at runtime, before the expensive
 side's shuffle ever runs.  Pending shuffle stages are executed cheapest-first
 (by estimated map-output bytes) so the cheap evidence arrives before the
 expensive stages it can cancel.
+
+**Skew splits**: a dataset the ``split_skewed_shuffle`` rule split carries
+a one-bucket *slice shuffle* beside its dependencies
+(:class:`~repro.engine.dataset.SliceDependency`).  Before a stage reads
+such a dataset the scheduler completes that shuffle as it completes any
+other, and the stage's tasks merge the partials of each split partition
+they read.
 """
 
 from __future__ import annotations
@@ -29,8 +36,7 @@ from ..config import EngineConfig
 from ..errors import FetchFailedError
 from . import wide
 from .dataset import (BroadcastDependency, CheckpointDependency, Dataset,
-                      Dependency, ShuffleDependency, ShuffledDataset,
-                      TaskContext)
+                      Dependency, ShuffleDependency, SkewSlices, TaskContext)
 from .executor import Task, create_executor
 from .journal import shuffle_journal_key, validate_shuffle_entry
 from .metrics import JobMetrics, PendingCounters, StageMetrics
@@ -53,12 +59,14 @@ _BROADCAST_BUILDS_LIMIT = 64
 def _shuffle_edges(lineage: Dataset, seen: Optional[set] = None
                    ) -> Iterator[Tuple[Dataset, ShuffleDependency]]:
     """Every ``(dataset, shuffle dependency)`` edge in ``lineage``, depth
-    first in dependency order."""
+    first in dependency order, a dataset's skew split after its
+    dependencies."""
     seen = set() if seen is None else seen
     if lineage.id in seen:
         return
     seen.add(lineage.id)
-    for dependency in lineage.dependencies:
+    split = [lineage.split] if lineage.split is not None else []
+    for dependency in lineage.dependencies + split:
         if isinstance(dependency, ShuffleDependency):
             yield lineage, dependency
         yield from _shuffle_edges(dependency.parent, seen)
@@ -108,29 +116,11 @@ class ShuffleMapTask(Task):
         written_bytes = self._shuffle_manager.write_map_output(
             self._dependency.shuffle_id, self.partition, buckets,
             task_context=task_context)
-        task_context.records_written += written_records
+        if not isinstance(parent, SkewSlices):
+            # a skew split's partials are bytes, not records of the plan
+            task_context.records_written += written_records
         task_context.shuffle_bytes_written += written_bytes
         return written_records
-
-
-class SkewSliceTask(Task):
-    """Reads one map-output slice of a skewed reduce partition.
-
-    The per-slice reduction (grouping, combiner folds, sorted runs) happens
-    inside the task, so the straggler partition's work is spread over as
-    many parallel tasks as the split plan carries slices; the driver then
-    merges the partials back in slice order before the result stage runs.
-    """
-
-    def __init__(self, task_id: str, stage_id: int, partition: int,
-                 dataset: Dataset, unit):
-        super().__init__(task_id, stage_id, partition)
-        self._dataset = dataset
-        self._unit = unit
-
-    def run(self, task_context: TaskContext) -> Any:
-        return self._dataset.read_slice(self.partition, self._unit,
-                                        task_context)
 
 
 class ResultTask(Task):
@@ -231,8 +221,8 @@ class DAGScheduler:
                 return []
             dataset = self._execute_prerequisites(dataset, job, replanner)
             if partitions is None:
-                # whole-dataset jobs serve skew-split reduce partitions as
-                # parallel sub-reads before the result stage consumes them
+                # whole-dataset jobs read skew-split reduce partitions from
+                # their slice shuffles' partials
                 self._execute_skew_splits(dataset, job)
                 partitions = range(dataset.num_partitions)
             result_dataset = dataset
@@ -296,8 +286,8 @@ class DAGScheduler:
         Fetch-failed attempts are always folded into the job — their settled
         tasks wrote real shuffle output the retry will consume.  Attempts
         killed by any other error follow ``register_failed``, which
-        preserves each call site's historical accounting (failed result and
-        skew stages are registered, failed map stages are not).
+        preserves each call site's historical accounting (failed result
+        stages are registered, failed map stages are not).
 
         The loop itself is the stage ledger's
         :class:`~repro.engine.retry.RetryPolicy`: recovery — absorbing any
@@ -498,99 +488,62 @@ class DAGScheduler:
                 del self.broadcast_builds[stale]
         dependency.holder.set(value)
 
-    # -- skew-split sub-partition reads -------------------------------------
+    # -- skew splits ---------------------------------------------------------
 
-    def _collect_split_datasets(self, dataset: Dataset) -> List[Dataset]:
-        """Shuffle-reading datasets with a split plan the result stage hits.
+    def _execute_skew_splits(self, dataset: Dataset, job: JobMetrics) -> None:
+        """Complete the slice shuffle of every split the next stage reads.
 
-        Walks the narrow closure the result tasks will pull through,
-        stopping at fully cached datasets (served from blocks), broadcast
-        inputs (filled separately) and shuffle reads themselves (nothing
-        below them executes again).  Known over-approximation: a *partially*
-        cached dataset between the shuffle and the result stage is walked
-        through, so a partition whose derived block happens to be cached
-        still gets its sub-reads computed (and then unused) — being
+        A split partition's straggler work is spread over the slice
+        shuffle's map tasks, one per map-output slice; the task that reads
+        the partition merges their partials.  The slice shuffle is a
+        shuffle like any other — reused while complete, adopted from a
+        resumed journal, healed per lost slice — and every split partition
+        not served from the cache counts in ``skew_splits``.
+
+        The walk covers the narrow closure the stage's tasks pull through,
+        stopping at fully cached or checkpointed datasets (served from
+        blocks or spans) and at shuffle and broadcast inputs (nothing
+        behind them executes again).  Known over-approximation: a
+        *partially* cached dataset between the split and the stage is
+        walked through, so a split whose partitions' derived blocks happen
+        to be cached still gets its slice shuffle computed — being
         per-partition path-aware through non-1:1 narrow ops (coalesce,
         union) is not worth the complexity for that corner.
         """
-        found: List[Dataset] = []
         seen: set = set()
 
         def walk(node: Dataset) -> None:
-            if node.id in seen:
+            if node.id in seen or self._is_fully_cached(node) or \
+                    node.has_checkpoint:
                 return
             seen.add(node.id)
-            if self._is_fully_cached(node) or node.has_checkpoint:
-                return  # a checkpoint is read whole, never split
-            if isinstance(node, ShuffledDataset):
-                if node.split_plan and node.supports_slice_reads:
-                    found.append(node)
-                return
+            split = node.split
+            if split is not None:
+                served = [partition for partition in split.ranges
+                          if not (node.is_cached and self.block_store.contains(
+                              node.id, partition))]
+                if served and \
+                        not self.shuffle_manager.is_complete(split.shuffle_id):
+                    self._run_shuffle_stage(split, job)
+                job.skew_splits += len(served)
             for dependency in node.dependencies:
-                if isinstance(dependency, BroadcastDependency):
-                    continue
-                walk(dependency.parent)
+                if not isinstance(dependency, (ShuffleDependency,
+                                               BroadcastDependency)):
+                    walk(dependency.parent)
 
         walk(dataset)
-        return found
-
-    def _execute_skew_splits(self, dataset: Dataset, job: JobMetrics) -> None:
-        """Serve skew-split reduce partitions as parallel sub-read stages.
-
-        For every split partition, one task per map-output slice applies the
-        per-slice reduction on the persistent executor pool; the partials
-        are then merged in slice order on the driver and installed as the
-        partition's one-shot compute override, so the result stage consumes
-        records identical to the unsplit read without re-doing the heavy
-        reduce work in a single straggler task.
-        """
-        for ds in self._collect_split_datasets(dataset):
-            pending = []
-            for partition, units in sorted(ds.split_plan.items()):
-                if ds.is_cached and self.block_store.contains(ds.id, partition):
-                    continue  # served from the cache; no read happens
-                pending.append((partition, units))
-            if not pending:
-                continue
-            split_dataset = ds
-
-            def build_skew_stage():
-                stage = StageMetrics(stage_id=next(self._stage_counter),
-                                     name=f"skew-split:{split_dataset.name}",
-                                     is_shuffle_map=False)
-                tasks = [SkewSliceTask(
-                    task_id=(f"job{job.job_id}-s{stage.stage_id}"
-                             f"-p{partition}.{index}"),
-                    stage_id=stage.stage_id, partition=partition,
-                    dataset=split_dataset, unit=unit)
-                    for partition, units in pending
-                    for index, unit in enumerate(units)]
-                return stage, tasks
-
-            results = self._execute_stage_with_recovery(job, ds,
-                                                        build_skew_stage)
-            cursor = 0
-            for partition, units in pending:
-                partials = [result.value
-                            for result in results[cursor:cursor + len(units)]]
-                cursor += len(units)
-                ds.install_slice_result(partition, partials)
-                job.skew_splits += 1
 
     def _run_shuffle_stage(self, dependency: ShuffleDependency,
                            job: JobMetrics, recompute: bool = False) -> None:
         parent = dependency.parent
-        if not recompute:
-            # a skewed upstream shuffle read by this map stage benefits from
-            # splitting exactly like one read by the result stage: its split
-            # plan (stamped by the replan that followed the upstream stage)
-            # is served as sub-reads before the straggler map task would run
-            self._execute_skew_splits(parent, job)
-        self.shuffle_manager.register_shuffle(dependency.shuffle_id,
-                                              parent.num_partitions)
         shuffle_id = dependency.shuffle_id
+        self.shuffle_manager.register_shuffle(shuffle_id, parent.num_partitions)
         if not recompute:
             self._adopt_recovered_shuffle(dependency, job)
+            if not self.shuffle_manager.is_complete(shuffle_id):
+                # map tasks read a split partition of the parent's lineage
+                # from its partials, exactly like a result task
+                self._execute_skew_splits(parent, job)
         label = f"{'recompute' if recompute else 'shuffle'}:{parent.name}"
 
         def build_map_stage():

@@ -73,13 +73,6 @@ def resident_bytes(records: List[Any]) -> int:
     return array + sampled * len(records) // len(sample)
 
 
-class StorageLevel:
-    """Symbolic persistence levels (only memory is actually implemented)."""
-
-    NONE = "none"
-    MEMORY = "memory"
-
-
 class BlockStore:
     """LRU cache of partition blocks keyed by ``(dataset_id, partition)``.
 

@@ -23,8 +23,9 @@ Every way the engine runs an operator is derived from that declaration
 * **reduce**: the finish of one partial — the fold of the partition's
   reduce input, or, when the map side already folded, its merge;
 * **narrow local form** (``shuffle_elim``): the same fold over a partition;
-* **skew split**: a fold per map-range slice, then the merge of the slice
-  partials in slice order;
+* **skew split**: a fold per map-range slice, stored as a one-bucket
+  shuffle, then the merge of the slice partials in slice order, in the
+  task that reads the partition;
 * **external merge**: a fold per spilled run, then the merge of the runs
   and the resident tail, streamed (the list-shaped merges are lazy, so one
   frame per run is resident);
@@ -32,11 +33,12 @@ Every way the engine runs an operator is derived from that declaration
   only beside a merge.  Whatever has no merge is therefore never combined,
   split or merged externally.
 
-A partial that leaves the task that built it — a spilled run, a skew-slice
-result — travels as its finished records, which is exactly what ``merge``
-consumes.  Declarations are tuples of plain functions so the lineage
-fingerprint (:mod:`repro.engine.fingerprint`) identifies them by bytecode
-and closure cells.
+A partial that leaves the task that built it — a spilled run, a skew
+split's slice partial — travels as its finished records, which is exactly
+what ``merge`` consumes; a slice partial stays stored for every later read,
+so it is merged through :func:`stored_merge`.  Declarations are tuples of
+plain functions so the lineage fingerprint (:mod:`repro.engine.fingerprint`)
+identifies them by bytecode and closure cells.
 
 An action is declared once too, in :data:`ACTIONS`, as an :class:`Action`:
 the job description, a batch ``kernel`` folding one partition into a
@@ -223,6 +225,41 @@ def slice_fold(op: WideOperator) -> Callable[[Iterable[Any]], Any]:
         return merge([records])
 
     return merge_run
+
+
+def stored_merge(op: WideOperator) -> Callable[[List[Iterable[Any]]], Any]:
+    """The merge of partials a shuffle keeps, which leaves them as stored.
+
+    The list merges adopt the first value list of a key and extend it
+    (:func:`_extend`, :func:`_extend_each`), and a partial read back from a
+    resident bucket is the stored object, so a keyed merge here adopts a
+    copy of each key's first value list instead — one C-level copy per
+    key, no work per value.
+    """
+    if op.route == RECORD:
+        return op.merge
+
+    def merge_stored(partials: List[Iterable[Any]]) -> Any:
+        adopted = set()
+
+        def fresh(partial: Iterable[Any]) -> Iterator[Any]:
+            for key, combiner in partial:
+                if key not in adopted:
+                    adopted.add(key)
+                    combiner = _copied(combiner)
+                yield key, combiner
+
+        # the merge drains the partials in order, so a key's first
+        # appearance is the combiner it adopts
+        return op.merge([fresh(partial) for partial in partials])
+
+    return merge_stored
+
+
+def _copied(combiner: Any) -> Any:
+    if type(combiner) is tuple:  # a cogroup slot: one value list per side
+        return tuple(map(_copied, combiner))
+    return combiner.copy() if type(combiner) is list else combiner
 
 
 def local_form(op: WideOperator) -> Callable[[Iterable[Any]], Iterable[Any]]:

@@ -201,8 +201,8 @@ def _attach_graph(task: Any, ctx: WorkerContext, seen: set) -> None:
     ``Dataset.__getstate__`` strips the driver context before pickling;
     this walk installs the worker's stand-in on the deserialized graph,
     lineage stubs included (they are leaves: the walk ends at every cut).
-    Duck-typed on the task attributes (``_dataset`` for result/skew-slice
-    tasks, ``_dependency`` for shuffle-map tasks, which write through
+    Duck-typed on the task attributes (``_dataset`` for result tasks,
+    ``_dependency`` for shuffle-map tasks, which write through
     ``ctx.shuffle_manager``) so custom task classes ship without
     registration.
     """

@@ -68,9 +68,11 @@ REPARTITIONING = {
 
 
 @pytest.mark.parametrize("rule", sorted(REPARTITIONING))
-def test_checkpoint_holds_the_datasets_own_partitions(tmp_path, rule):
-    """The checkpoint files serve the dataset's partitions by index, so
-    they must hold the dataset's partitions, not its executable's."""
+def test_checkpoint_holds_its_executables_partitions(tmp_path, rule):
+    """A checkpoint is a shuffle over the dataset's executable, so its
+    files hold the executable's partitions, and the checkpointed dataset
+    takes that partitioning: every record comes back, under a rewrite
+    that repartitions too."""
     config = EngineConfig(num_workers=2, seed=3,
                           optimizer_rules=("cache_prune", rule),
                           checkpoint_dir=str(tmp_path),

@@ -198,9 +198,13 @@ GOLDEN = {
         {"jobs": "d2e88f212a06251b", "stages": "f17cc94aaae99411",
          "tasks": "0ee48a9afa0ccfbd", "summary": "fd0821db9c5aaa95"},
     ],
+    # re-recorded when a skew split became a one-bucket slice shuffle: its
+    # stage is a shuffle-map stage computed once and reused by the second
+    # job, the result stages read the partials' bytes, and the stored
+    # partials raise every later residency mark by their 1474 bytes
     "skew_split": [
-        {"jobs": "f14bfc73df520651", "stages": "4f66cb2e6f29aca1",
-         "tasks": "d406e52e299c3971", "summary": "35d52ee1313b2e7b"},
+        {"jobs": "7b068f927857dfeb", "stages": "9ef4b705293bddcc",
+         "tasks": "0450113e18ee597b", "summary": "1973ce5cab6b78c7"},
     ],
     "spill": [
         {"jobs": "9818e0b0b04508c8", "stages": "e521d26a204f3266",

@@ -1,12 +1,14 @@
 """Skew-aware adaptive execution: runtime reduce-partition splitting.
 
-The ``split_skewed_shuffle`` rule stamps a per-reduce-partition split plan
-onto completed shuffles whose actual map-output bytes mark a partition as a
-straggler; the scheduler then serves those partitions as parallel sub-reads
-over disjoint map-output slices and re-merges the partials.  The contract
-under test everywhere: split and unsplit plans return *identical* results
-(same records, same order) and identical record counts, for every wide
-operator, every batch size and every nasty key distribution.
+The ``split_skewed_shuffle`` rule gives a completed shuffle whose actual
+map-output bytes mark a reduce partition as a straggler a one-bucket slice
+shuffle: one map task folds each disjoint map-output slice, and the task
+that reads the partition merges the stored partials.  The contract under
+test everywhere: split and unsplit plans return *identical* results (same
+records, same order) and identical record counts, for every wide operator,
+every batch size and every nasty key distribution.  The slice shuffle is a
+shuffle like any other: its partials are reused, adopted on resume, healed
+per rotten span, and never shipped as records to a worker.
 """
 
 from __future__ import annotations
@@ -15,13 +17,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import re
+import shutil
+
 from repro.config import EngineConfig
+from repro.engine import serializer, wide
 from repro.engine.context import EngineContext
-from repro.engine import wide
+from repro.engine.dataset import ShuffleDependency
+from repro.engine.journal import shuffle_journal_key
+from repro.engine.memory import Span
 from repro.engine.optimizer import _balanced_ranges
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.plan import (AggregateNode, DistinctNode, GroupByKeyNode,
                                SortNode)
+
+from payload_probe import recorded_payloads
+
+needs_closures = pytest.mark.skipif(
+    not serializer.supports_closures(),
+    reason="shipping task closures to worker processes needs cloudpickle")
+
+BACKENDS = ["thread", pytest.param("process", marks=needs_closures)]
 
 
 def split_engine(batch_size: int = 1024, **overrides) -> EngineContext:
@@ -127,8 +143,13 @@ def test_combined_aggregation_splits_and_re_merges_via_combiner():
     assert splits >= 2
 
 
+def is_slice_stage(stage) -> bool:
+    """A skew split's slice shuffle stage (map or recompute)."""
+    return ":skew-split:" in stage.name
+
+
 def test_split_shrinks_the_straggler_task():
-    """The hot partition's reduce work spreads over sub-read tasks."""
+    """The hot partition's reduce work spreads over slice map tasks."""
     data = [(0 if i % 10 < 9 else i % 5 + 1, i) for i in range(40_000)]
 
     def straggler(make_engine):
@@ -136,30 +157,43 @@ def test_split_shrinks_the_straggler_task():
             ds = ctx.parallelize(data, 4).group_by_key(4)
             ds.collect()
             ds.collect()
-            job = ctx.metrics.jobs[-1]
-            return max(stage.max_task_duration_s for stage in job.stages), job
+            computed, job = ctx.metrics.jobs[-2:]
+            return max(stage.max_task_duration_s
+                       for stage in job.stages), computed, job
 
-    split_longest, split_job = straggler(split_engine)
-    plain_longest, _ = straggler(plain_engine)
+    split_longest, computed, split_job = straggler(split_engine)
+    plain_longest, _, _ = straggler(plain_engine)
     assert split_job.skew_splits >= 1
-    assert any(stage.name.startswith("skew-split:")
-               for stage in split_job.stages)
+    assert any(is_slice_stage(stage) for stage in computed.stages)
     assert split_longest < plain_longest
 
 
 def test_split_preserves_shuffle_read_accounting():
-    """Sub-reads account exactly the bytes the unsplit read would."""
+    """The base shuffle's bytes are read exactly as the unsplit read reads
+    them, and the partials' bytes are counted as any shuffle read's are."""
     data = DATASETS["extreme-skew"]
 
-    def read_bytes(make_engine):
+    def jobs(make_engine):
         with make_engine() as ctx:
             ds = ctx.parallelize(data, 4).group_by_key(4)
             ds.collect()
             ds.collect()
-            job = ctx.metrics.jobs[-1]
-            return sum(stage.shuffle_bytes_read for stage in job.stages)
+            return ctx.metrics.jobs[-2:]
 
-    assert read_bytes(split_engine) == read_bytes(plain_engine)
+    def read(job):
+        return sum(stage.shuffle_bytes_read for stage in job.stages)
+
+    split_first, split_again = jobs(split_engine)
+    plain_first, _ = jobs(plain_engine)
+    (slices,) = [stage for stage in split_first.stages
+                 if is_slice_stage(stage)]
+    partials = slices.shuffle_bytes_written
+    assert partials > 0
+    # the slice maps read the split partitions' base buckets, the result
+    # stage every other base bucket and the partials
+    assert read(split_first) == read(plain_first) + partials
+    # a reuse reads the partials in place of the split partitions
+    assert read(split_again) == read(split_first) - slices.shuffle_bytes_read
 
 
 def test_no_split_when_rule_disabled_via_rules_tuple():
@@ -216,7 +250,7 @@ def test_skewed_shuffle_feeding_a_downstream_shuffle_splits():
     assert split_first == plain_first
     assert split_second == plain_second
     assert splits >= 1
-    assert any(name.startswith("skew-split:") for name in names)
+    assert any(":skew-split:" in name for name in names)
 
 
 def test_explain_renders_split_decision():
@@ -238,8 +272,7 @@ def test_cached_split_dataset_serves_blocks_not_subreads():
         second = ds.collect()  # served from blocks: no sub-read stage
         assert first == second
         job = ctx.metrics.jobs[-1]
-        assert not any(stage.name.startswith("skew-split:")
-                       for stage in job.stages)
+        assert not any(is_slice_stage(stage) for stage in job.stages)
         assert job.cache_hits == 4
 
 
@@ -340,3 +373,164 @@ def test_property_split_parity(pairs, batch_size, pipeline_name):
     assert split_first == plain_first
     assert split_second == plain_second
     assert split_counts == plain_counts
+
+
+# -- a split is a one-bucket slice shuffle -----------------------------------
+
+
+def hot_pairs(count: int):
+    """Key 0 carries nine records in ten."""
+    return [(0 if i % 10 < 9 else i % 5 + 1, i) for i in range(count)]
+
+
+def _add(a, b):
+    return a + b
+
+
+def _lineage(*roots):
+    """Every dataset reachable through ``dependencies``, depth first."""
+    seen, order, stack = set(), [], list(reversed(roots))
+    while stack:
+        ds = stack.pop()
+        if ds.id not in seen:
+            seen.add(ds.id)
+            order.append(ds)
+            stack.extend(reversed([dep.parent for dep in ds.dependencies]))
+    return order
+
+
+def _split_partitions(ds):
+    """The reduce partitions ``explain()`` reports as split."""
+    return {int(partition) for partition
+            in re.findall(r"p(\d+)->\d+ sub-reads", ds.explain())}
+
+
+@needs_closures
+def test_the_result_payload_does_not_grow_with_the_hot_partition():
+    """Process backend: the task that reads a split partition merges its
+    partials, so the result stage ships spans of them, never records."""
+    def result_payload(count):
+        with split_engine(executor_backend="process",
+                          broadcast_threshold_bytes=0) as ctx:
+            ds = ctx.parallelize(hot_pairs(count), 4).group_by_key(4)
+            with recorded_payloads(ctx) as published:
+                records = ds.count()
+            assert records == 2 and ctx.metrics.jobs[0].skew_splits >= 1
+            return len(published[-1])
+
+    small, large = result_payload(4_000), result_payload(40_000)
+    assert large < small + 512
+
+
+def test_a_diamond_reads_no_split_partition_whole():
+    """Both branches of a union over one split shuffle read its split
+    partitions from the partials."""
+    def run(make_engine):
+        with make_engine(broadcast_threshold_bytes=0) as ctx:
+            grouped = ctx.parallelize(hot_pairs(4_000), 4).group_by_key(4)
+            ds = grouped.map_values(len).union(grouped.map_values(sum))
+            manager, whole = ctx.shuffle_manager, []
+
+            def recording(read):
+                def recorded(shuffle_id, partition, map_range=None):
+                    if map_range is None:
+                        whole.append((shuffle_id, partition))
+                    return read(shuffle_id, partition, map_range=map_range)
+                return recorded
+
+            for name in ("read_reduce_input", "iter_reduce_input"):
+                setattr(manager, name, recording(getattr(manager, name)))
+            result = ds.collect()
+            (shuffle,) = [dep for node in _lineage(ctx._executable_for(ds))
+                          for dep in node.dependencies
+                          if isinstance(dep, ShuffleDependency)]
+            return result, whole, shuffle.shuffle_id, _split_partitions(ds)
+
+    result, whole, shuffle_id, split = run(split_engine)
+    plain, _, _, _ = run(plain_engine)
+    assert result == plain
+    assert split
+    assert not [partition for read_id, partition in whole
+                if read_id == shuffle_id and partition in split]
+
+
+@pytest.mark.parametrize("slices_lost", [False, True])
+def test_a_resume_runs_no_task_outside_the_result_stage(tmp_path,
+                                                        slices_lost):
+    """A journalled run's slice shuffle is adopted like any shuffle, and
+    never recomputed for a consumer the journal already holds — not even
+    when its own spans are gone."""
+    def run(**options):
+        with split_engine(broadcast_threshold_bytes=0,
+                          checkpoint_dir=str(tmp_path), **options) as ctx:
+            ds = ctx.parallelize(hot_pairs(4_000), 4).group_by_key(4) \
+                .map_values(len).reduce_by_key(_add, 2)
+            return sorted(ds.collect()), ctx.metrics.jobs[-1]
+
+    cold, cold_job = run()
+    if slices_lost:
+        # a split's shuffle id is negative: its durable directory is the
+        # only one named with a double dash
+        (lost,) = tmp_path.glob("shuffle--*")
+        shutil.rmtree(lost)
+    resumed, job = run(recover_from=str(tmp_path))
+    assert cold_job.skew_splits >= 1
+    assert resumed == cold
+    assert job.stages_recovered >= 2
+    assert [stage.name.split(":")[0] for stage in job.stages] == ["result"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_rotten_slice_span_heals_its_one_slice(backend):
+    """A slice partial that fails its checks is one lost map output of the
+    slice shuffle: only its slice is folded again."""
+    # on a thread, map output is framed where a transport carries it
+    options = {"shuffle_transport": "tcp"} if backend == "thread" else {}
+
+    def run(make_engine, rotten):
+        with make_engine(executor_backend=backend, broadcast_threshold_bytes=0,
+                         **options) as ctx:
+            ds = ctx.parallelize(hot_pairs(4_000), 4).group_by_key(4)
+            first = ds.collect()
+            if rotten:
+                split = ctx._executable_for(ds).split
+                catalog = ctx.shuffle_manager.export_catalog(split.shuffle_id)
+                span = next(source for source, _ in catalog["buckets"].values()
+                            if isinstance(source, Span))
+                with open(span.path, "r+b") as handle:
+                    handle.seek(span.offset + 9)  # past header and CRC
+                    byte = handle.read(1)[0]
+                    handle.seek(span.offset + 9)
+                    handle.write(bytes([byte ^ 0xFF]))
+            return first, ds.collect(), ctx.metrics.jobs[-1]
+
+    first, healed, job = run(split_engine, rotten=True)
+    expected, _, _ = run(plain_engine, rotten=False)
+    assert first == healed == expected
+    assert job.skew_splits >= 1
+    assert (job.lost_map_outputs, job.recomputed_tasks) == (1, 1)
+
+
+def test_a_split_leaves_every_identity_as_it_was():
+    """Fingerprints, dataset ids and base shuffles' journal keys do not see
+    a split, nor do datasets built after one."""
+    def identities(make_engine):
+        with make_engine(broadcast_threshold_bytes=0) as ctx:
+            pairs = ctx.parallelize(hot_pairs(4_000), 4)
+            grouped = pairs.group_by_key(4).map_values(len)
+            grouped.collect()
+            later = grouped.reduce_by_key(_add, 2).join(pairs, 2)
+            later.collect()
+            datasets = _lineage(grouped, later, ctx._executable_for(grouped),
+                                ctx._executable_for(later))
+            keys = [shuffle_journal_key(dep) for ds in datasets
+                    for dep in ds.dependencies
+                    if isinstance(dep, ShuffleDependency)]
+            return ([(ds.id, ds.fingerprint()) for ds in datasets], keys,
+                    ctx.metrics.summary()["skew_splits"])
+
+    armed, disarmed = identities(split_engine), identities(plain_engine)
+    assert armed[2] >= 1 and disarmed[2] == 0
+    assert all(fingerprint for _, fingerprint in armed[0])
+    assert all(armed[1])
+    assert armed[:2] == disarmed[:2]
