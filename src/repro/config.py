@@ -216,7 +216,9 @@ class EngineConfig:
     broadcast_threshold_bytes:
         Joins whose build side is estimated below this size are lowered to a
         broadcast hash join instead of a shuffle cogroup (``broadcast_join``
-        rule).  ``0`` disables broadcast join selection entirely.
+        rule): the build side is written once as a one-bucket shuffle that
+        every stream task reads whole, and the stream side is never
+        shuffled.  ``0`` disables broadcast join selection entirely.
     target_partition_bytes:
         Target post-shuffle partition size for the ``coalesce_shuffle`` rule:
         when a shuffle's estimated output, divided by its partition count,

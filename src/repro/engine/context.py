@@ -119,14 +119,8 @@ class EngineContext:
             faults=faults)
         self.block_store = BlockStore(memory_budget_bytes=self.config.memory_budget_bytes)
         self.metrics = MetricsRegistry()
-        #: (build dataset id, collection kind) -> collected broadcast value;
-        #: lets jobs reuse broadcast build sides across joins instead of
-        #: re-running the nested collection job.  Invalidated per dataset by
-        #: ``Dataset.unpersist()`` and wholesale by ``stop()``.
-        self.broadcast_builds = {}
         self.scheduler = DAGScheduler(self.config, self.shuffle_manager,
                                       self.block_store, self.metrics,
-                                      broadcast_builds=self.broadcast_builds,
                                       memory_manager=self.memory_manager,
                                       transport=self._transport,
                                       journal=self._journal,
@@ -359,17 +353,6 @@ class EngineContext:
             key = (fingerprint, origin)
             self.shared_reuse[key] = self.shared_reuse.get(key, 0) + 1
 
-    def invalidate_broadcast_builds(self, *dataset_ids: int) -> None:
-        """Drop cached broadcast build sides collected from these datasets.
-
-        Called by ``Dataset.unpersist()`` (for the dataset and its lowered
-        cache mirrors): once the user drops a dataset's materialisation, any
-        broadcast hash maps collected from it are dropped too.
-        """
-        stale = [key for key in self.broadcast_builds if key[0] in dataset_ids]
-        for key in stale:
-            del self.broadcast_builds[key]
-
     def explain(self, dataset: Dataset) -> str:
         """Return the textual physical lineage of a dataset."""
         return "\n".join(self.scheduler.explain(dataset))
@@ -433,7 +416,6 @@ class EngineContext:
         # a borrowed store is its lender's to clear; only let go of it, so a
         # stopped context awaiting cycle collection does not keep it alive
         self.shared_blocks = None
-        self.broadcast_builds.clear()
         self._lowered_plans.clear()
         if self._shuffle_server is not None:
             self._shuffle_server.stop()

@@ -193,7 +193,8 @@ class ShuffleDependency(Dependency):
 
 
 def _whole_partition(batches: Iterator[List[Any]]) -> Dict[int, List[Any]]:
-    """A checkpoint's map side: the partition, whole, as bucket 0."""
+    """A one-bucket shuffle's map side (a checkpoint, a skew split, a
+    broadcast build): the partition, whole, as bucket 0."""
     return {0: collect_partition(batches)}
 
 
@@ -210,18 +211,6 @@ class CheckpointDependency(ShuffleDependency):
     def __init__(self, parent: "Dataset", shuffle_id: int):
         super().__init__(parent, HashPartitioner(1), _whole_partition,
                          shuffle_id)
-
-
-class Broadcast:
-    """A value collected once on the driver and shared by every task."""
-
-    def __init__(self) -> None:
-        self.value: Any = None
-        self.ready = False
-
-    def set(self, value: Any) -> None:
-        self.value = value
-        self.ready = True
 
 
 class SliceDependency(ShuffleDependency):
@@ -248,22 +237,6 @@ class SliceDependency(ShuffleDependency):
         ends = list(itertools.accumulate(map(len, plan.values())))
         self.ranges = {partition: (end - len(slices), end)
                        for (partition, slices), end in zip(plan.items(), ends)}
-
-
-class BroadcastDependency(Dependency):
-    """The child needs the *whole* parent collected into a driver-side value.
-
-    The DAG scheduler fills the :class:`Broadcast` holder (running the parent
-    as a nested job) before any task of the child executes, collecting it
-    with the row ``action`` of :data:`~repro.engine.wide.ACTIONS`:
-    ``key_values``, the hash table of a broadcast join build side, or
-    ``key_set``, used to emit unmatched build-side rows of outer joins.
-    """
-
-    def __init__(self, parent: "Dataset", holder: Broadcast, action: str):
-        super().__init__(parent)
-        self.holder = holder
-        self.action = action
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +475,12 @@ class Dataset:
             self.ctx.block_store.evict_dataset(mirror.id)
             invalidated.append(mirror.id)
         self._cache_mirrors.clear()
-        # collected broadcast build sides derived from this dataset (or its
-        # lowered mirrors) are dropped with the cache
-        self.ctx.invalidate_broadcast_builds(*invalidated)
+        # the one-bucket shuffles broadcast joins read this dataset (or its
+        # lowered mirrors) through are dropped with the cache
+        for dataset_id in invalidated:
+            for kind in BROADCAST_KINDS:
+                self.ctx.shuffle_manager.remove_shuffle(
+                    broadcast_shuffle_id(dataset_id, kind))
         self._executable = None
         self.ctx._cache_epoch += 1
         return self
@@ -992,11 +968,11 @@ class LineageStub(Dataset):
     """What a stage payload ships in place of lineage its tasks never read.
 
     The process backend replaces the parent behind a complete shuffle (a
-    checkpoint's included) or a filled broadcast with one of these *in the
-    shipped copy of the graph only* (:mod:`repro.engine.executor`); the driver keeps
-    the full lineage, because every recovery path recomputes from it and
-    republishes.  A stub keeps the identity a diagnostic needs and refuses
-    to compute.
+    checkpoint's, a skew split's and a broadcast build's included) with one
+    of these *in the shipped copy of the graph only*
+    (:mod:`repro.engine.executor`); the driver keeps the full lineage,
+    because every recovery path recomputes from it and republishes.  A stub
+    keeps the identity a diagnostic needs and refuses to compute.
     """
 
     def __init__(self, original: Dataset):
@@ -1014,8 +990,8 @@ class LineageStub(Dataset):
                         batch_size: int) -> Iterator[List[Any]]:
         raise PlanError(
             f"dataset '{self.name}' (id {self.id}) was cut from this stage's "
-            f"payload: it sits behind a complete shuffle or a filled "
-            f"broadcast, and only the driver's lineage can recompute it")
+            f"payload: it sits behind a complete shuffle, and only the "
+            f"driver's lineage can recompute it")
 
 
 # ---------------------------------------------------------------------------
@@ -1480,16 +1456,43 @@ def broadcast_preserves_build(how: str, build_side: str) -> bool:
     return how == "right_outer"
 
 
+def broadcast_shuffle_id(dataset_id: int, kind: str) -> str:
+    """The id of the one-bucket shuffle a broadcast join reads dataset
+    ``dataset_id`` through, of one of :data:`BROADCAST_KINDS`.
+
+    Taken from no counter, so every join over one physical dataset reads
+    one shuffle and ids allocated later do not move; a string, so it never
+    meets a context shuffle id or a skew split's (both integers).
+    """
+    return f"{kind}-{dataset_id}"
+
+
+def _distinct_keys(batches: Iterator[List[Any]]) -> Dict[int, List[Any]]:
+    """A stream key-set shuffle's map side: the partition's distinct keys,
+    as bucket 0."""
+    return {0: list(dict.fromkeys(
+        key for key, _ in itertools.chain.from_iterable(batches)))}
+
+
+#: What a broadcast join reads through a one-bucket shuffle: a build
+#: side's pairs, and a stream side's distinct keys.
+BROADCAST_KINDS = {"build": _whole_partition, "keys": _distinct_keys}
+
+
 class BroadcastJoinDataset(Dataset):
     """A join evaluated as a narrow broadcast hash join.
 
-    The *build* side is collected into a ``{key: [values]}`` hash map by the
-    scheduler (a :class:`BroadcastDependency`); each partition of the
-    *stream* side is then joined against it locally, reusing the exact
-    ``emit`` function of the shuffle-cogroup form so every join variant
-    produces identical pairs.  When the join preserves unmatched build-side
-    rows (see :func:`broadcast_preserves_build`), one extra partition emits
-    them using a broadcast of the stream side's key set.
+    The *build* side is a one-bucket shuffle: map ``p`` writes build
+    partition ``p``'s pairs as they are, and each partition of the
+    *stream* side folds every map's bucket, in map order, into the
+    ``{key: [values]}`` table it probes — where it is read, so no build
+    table travels in a stage payload.  The stream partition is joined
+    against it locally, reusing the exact ``emit`` function of the
+    shuffle-cogroup form so every join variant produces identical pairs.
+    When the join preserves unmatched build-side rows (see
+    :func:`broadcast_preserves_build`), a second one-bucket shuffle holds
+    each stream partition's distinct keys, and one extra partition emits
+    the build rows whose key none of them holds.
     """
 
     def __init__(self, stream: Dataset, build: Dataset, emit,
@@ -1497,20 +1500,16 @@ class BroadcastJoinDataset(Dataset):
         self._emit = emit
         self._how = how
         self._build_side = build_side
-        self._build_holder = Broadcast()
-        dependencies: List[Dependency] = [
-            NarrowDependency(stream),
-            BroadcastDependency(build, self._build_holder, "key_values"),
-        ]
-        self._emits_unmatched_build = broadcast_preserves_build(how, build_side)
-        self._stream_keys_holder: Optional[Broadcast] = None
-        if self._emits_unmatched_build:
-            self._stream_keys_holder = Broadcast()
-            dependencies.append(
-                BroadcastDependency(stream, self._stream_keys_holder, "key_set"))
-        num_partitions = stream.num_partitions + \
-            (1 if self._emits_unmatched_build else 0)
-        super().__init__(stream.ctx, num_partitions, dependencies,
+        # the unmatched build rows need the stream's key set and a
+        # partition of their own
+        unmatched = broadcast_preserves_build(how, build_side)
+        reads = [(build, "build")] + [(stream, "keys")] * unmatched
+        dependencies: List[Dependency] = [NarrowDependency(stream)] + [
+            ShuffleDependency(parent, HashPartitioner(1), BROADCAST_KINDS[kind],
+                              broadcast_shuffle_id(parent.id, kind))
+            for parent, kind in reads]
+        super().__init__(stream.ctx, stream.num_partitions + unmatched,
+                         dependencies,
                          name=f"broadcast_{join_display_name(how)}"
                               f"({build_side})")
 
@@ -1525,23 +1524,23 @@ class BroadcastJoinDataset(Dataset):
             return (key, (stream_values, build_values))
         return (key, (build_values, stream_values))
 
-    def _prepared(self, holder: Optional[Broadcast], what: str) -> Any:
-        if holder is None or not holder.ready:
-            raise PlanError(
-                f"{what} of {self.name} was not prepared; "
-                "broadcast joins must run through the DAG scheduler")
-        return holder.value
+    def _read(self, index: int, task_context: TaskContext
+              ) -> Iterator[Any]:
+        """Every record of the one-bucket shuffle ``dependencies[index]``,
+        in map order."""
+        return itertools.chain.from_iterable(_shuffle_buckets(
+            self.ctx, 0, task_context, [self.dependencies[index]]))
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:
-        build_map: Dict[Any, List[Any]] = self._prepared(
-            self._build_holder, "broadcast input")
+        # the group fold builds fresh value lists: the stored buckets stay
+        # as they are for every other reader
+        build_map = wide.GROUP.fold(self._read(1, task_context))
         stream = self._stream
         if partition >= stream.num_partitions:
             # the unmatched-build partition: build keys never seen by the
             # stream, bounded by the (small) broadcast build side
-            stream_keys = self._prepared(self._stream_keys_holder,
-                                         "stream key set")
+            stream_keys = set(self._read(2, task_context))
             yield from chunk_iterator(itertools.chain.from_iterable(
                 self._emit(self._pair(key, [], values))
                 for key, values in build_map.items()

@@ -45,8 +45,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..config import EngineConfig
 from ..errors import SerializationError, TaskError
 from . import serializer
-from .dataset import (BroadcastDependency, LineageStub,
-                      ParallelCollectionDataset, ShuffleDependency)
+from .dataset import (LineageStub, ParallelCollectionDataset,
+                      ShuffleDependency)
 from .metrics import StageMetrics, TaskContext, TaskMetrics
 from .retry import (FAILURES, Faults, InjectedCrash, InjectedFailure,
                     NodeHealthTracker, attempt_failure, policy)
@@ -428,10 +428,10 @@ class Executor:
 class _StageCut:
     """The copy of a stage's task graphs that crosses the process boundary.
 
-    A stage reads the spans of its complete upstream shuffles (checkpoints
-    and a dataset's ``split`` included) and the values of its filled
-    broadcasts — never the lineage behind them.  Walking from each task
-    root, the dependency edge into such lineage is replaced by an edge to a
+    A stage reads the spans of its complete upstream shuffles (checkpoints,
+    broadcast builds and a dataset's ``split`` included) — never the
+    lineage behind them.  Walking from each task root, the dependency edge
+    into such lineage is replaced by an edge to a
     :class:`~repro.engine.dataset.LineageStub`; the datasets and
     dependencies between a root and a cut are shallow copies, everything
     untouched is shipped as the object it is, and the driver's graph is
@@ -478,14 +478,10 @@ class _StageCut:
 
     def _edge_parent(self, dependency: Any) -> Any:
         """What the payload carries behind one edge: the parent, or a stub."""
-        if isinstance(dependency, ShuffleDependency):
-            cut = self._is_complete(dependency.shuffle_id)
-            if cut and dependency.shuffle_id not in self.shuffle_ids:
+        if isinstance(dependency, ShuffleDependency) and \
+                self._is_complete(dependency.shuffle_id):
+            if dependency.shuffle_id not in self.shuffle_ids:
                 self.shuffle_ids.append(dependency.shuffle_id)
-        else:
-            cut = isinstance(dependency, BroadcastDependency) and \
-                dependency.holder.ready
-        if cut:
             return LineageStub(dependency.parent)
         return self._ship(dependency.parent)
 
@@ -569,13 +565,13 @@ class ProcessExecutor(Executor):
 
     Same stage driver and observable behaviour as :class:`Executor`; the
     differences are mechanical.  Each stage is serialized once into a
-    payload (task graphs cut at satisfied shuffle and broadcast
-    boundaries, the span catalog of the shuffles they read, the cached
-    blocks of the datasets they carry) published through the shuffle
-    transport; workers run :func:`run_attempt` out of that payload and
-    return its outcome plus the catalog of the map output written, dirty
-    cache blocks and their pid, which :meth:`_absorb` adopts into the
-    shuffle manager, the block store and the health tracker.
+    payload (task graphs cut at complete shuffle boundaries, the span
+    catalog of the shuffles they read, the cached blocks of the datasets
+    they carry) published through the shuffle transport; workers run
+    :func:`run_attempt` out of that payload and return its outcome plus
+    the catalog of the map output written, dirty cache blocks and their
+    pid, which :meth:`_absorb` adopts into the shuffle manager, the block
+    store and the health tracker.
     """
 
     def __init__(self, config: EngineConfig, shuffle_manager=None,

@@ -65,7 +65,6 @@ _DATASET_SKIP_ATTRS = frozenset({
     "_fingerprint", "_share_key", "_share_origin",
     # derived from ``dependencies`` (union) or runtime state (a skew split)
     "_offsets", "split", "_spans",
-    "_build_holder", "_stream_keys_holder", "_emits_unmatched_build",
 })
 
 
@@ -251,7 +250,7 @@ def object_fingerprint(obj: Any, skip: Iterable[str] = (),
 def _dependency_signature(dependency: Any) -> tuple:
     partitioner = getattr(dependency, "partitioner", None)
     map_side = getattr(dependency, "map_side", None)
-    return (type(dependency).__name__, getattr(dependency, "action", None),
+    return (type(dependency).__name__,
             value_fingerprint(partitioner), value_fingerprint(map_side),
             value_fingerprint(dependency.parent))
 
@@ -261,7 +260,7 @@ def dataset_fingerprint(dataset: Any) -> Optional[str]:
 
     Covers the operator class, every semantic attribute (partition count,
     functions, parameters, in-memory data, the source's own fingerprint)
-    and, per dependency, its action, partitioner, map-side function and the
+    and, per dependency, its kind, partitioner, map-side function and the
     parent's fingerprint.  Memoised on the dataset: a lineage is immutable.
     """
     memo = dataset.__dict__.get("_fingerprint", _UNSET)

@@ -65,8 +65,6 @@ COUNTERS = (
     # reduce partitions a job served from a skew split's partials, computed
     # in that job or reused
     Counter("skew_splits", JOB),
-    # broadcast build sides served from the context-wide build cache
-    Counter("broadcast_reuses", JOB),
     # spill events (shuffle buckets, merge runs) under a shuffle memory cap,
     # and the serialised bytes they wrote
     Counter("spills", TASK),
@@ -284,8 +282,8 @@ class PendingCounters:
 def _covered_s(jobs: List[JobMetrics]) -> float:
     """Length of the union of the jobs' ``[started_at, finished_at]``.
 
-    A broadcast build side or an automatic checkpoint runs as a job nested
-    inside the job that needs it; its time is counted once.
+    An automatic checkpoint runs as a job nested inside the job that needs
+    it; its time is counted once.
     """
     covered, reach = 0.0, float("-inf")
     for start, wall in sorted((j.started_at, j.wall_clock_s) for j in jobs):

@@ -2,8 +2,8 @@
 
 The scheduler walks the lineage of the dataset an action was invoked on,
 executes one *shuffle-map stage* for every shuffle dependency whose output is
-not yet available, fills every *broadcast* input (collecting the build side
-of broadcast joins as a nested job), and finally runs the *result stage* that
+not yet available (a broadcast join's build side is one: a one-bucket
+shuffle its stream tasks read), and finally runs the *result stage* that
 applies the action's partition function.  Shuffle outputs are kept between
 jobs so that re-running an action on the same dataset (or on a descendant)
 does not repeat the shuffle, mirroring the behaviour of production engines.
@@ -34,9 +34,8 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 
 from ..config import EngineConfig
 from ..errors import FetchFailedError
-from . import wide
-from .dataset import (BroadcastDependency, CheckpointDependency, Dataset,
-                      Dependency, ShuffleDependency, SkewSlices, TaskContext)
+from .dataset import (CheckpointDependency, Dataset, ShuffleDependency,
+                      SkewSlices, TaskContext)
 from .executor import Task, create_executor
 from .journal import shuffle_journal_key, validate_shuffle_entry
 from .metrics import JobMetrics, PendingCounters, StageMetrics
@@ -47,13 +46,6 @@ from .shuffle import catalog_of
 #: Upper bound on accepted adaptive re-plans per job; a backstop against a
 #: (buggy) replanner oscillating between plan shapes forever.
 _MAX_ADAPTIVE_REPLANS = 20
-
-#: Cap on cached broadcast build sides.  Long-running contexts (streaming:
-#: one fresh build side per micro-batch) would otherwise pin every
-#: collected hash map forever; evicting the oldest entries only costs
-#: re-collecting if an old build side resurfaces (same discipline as the
-#: lowered-plan memo).
-_BROADCAST_BUILDS_LIMIT = 64
 
 
 def _shuffle_edges(lineage: Dataset, seen: Optional[set] = None
@@ -151,9 +143,8 @@ class DAGScheduler:
     """Turns actions on datasets into stages of tasks and executes them."""
 
     def __init__(self, config: EngineConfig, shuffle_manager, block_store,
-                 metrics_registry, broadcast_builds: Optional[Dict] = None,
-                 memory_manager=None, transport=None, journal=None,
-                 recovered_shuffles: Optional[Dict] = None,
+                 metrics_registry, memory_manager=None, transport=None,
+                 journal=None, recovered_shuffles: Optional[Dict] = None,
                  pending_counters: Optional[PendingCounters] = None,
                  checkpoint_hook: Optional[Callable[[Dataset], None]] = None):
         self.config = config
@@ -176,11 +167,6 @@ class DAGScheduler:
         #: settled (``checkpoint_interval`` automatic checkpoints).
         self.checkpoint_hook = checkpoint_hook
         self._settled_shuffles = 0
-        #: Context-wide cache of collected broadcast build sides, keyed by
-        #: ``(build dataset id, collection kind)``; lets a later job joining
-        #: against the same build side skip the nested collection job.
-        self.broadcast_builds = broadcast_builds if broadcast_builds is not None \
-            else {}
         #: Thread or process executor per ``config.executor_backend``; the
         #: process backend needs the scheduler's collaborators to publish
         #: payloads and settle worker results on the driver side.
@@ -363,7 +349,9 @@ class DAGScheduler:
         for key in lost:
             self.shuffle_manager.invalidate_map_output(*key)
         job.lost_map_outputs += len(lost)
-        for shuffle_id in sorted({shuffle_id for shuffle_id, _ in lost}):
+        # in order of first loss: ids are ints and (a broadcast join's)
+        # strings, which do not sort together
+        for shuffle_id in dict.fromkeys(shuffle_id for shuffle_id, _ in lost):
             found = _find_shuffle(lineage, shuffle_id)
             if found is not None:
                 job.recomputed_tasks += len(
@@ -379,7 +367,7 @@ class DAGScheduler:
 
     def _execute_prerequisites(self, dataset: Dataset, job: JobMetrics,
                                replanner: Optional[Callable[[], Dataset]]) -> Dataset:
-        """Run every missing shuffle-map stage and broadcast collection.
+        """Run every missing shuffle-map stage.
 
         One prerequisite is executed per iteration; in adaptive mode the
         replanner then gets a chance to swap the remaining physical plan, and
@@ -391,9 +379,6 @@ class DAGScheduler:
             if not ready:
                 return dataset
             dependency = self._pick_prerequisite(ready, replanner is not None)
-            if isinstance(dependency, BroadcastDependency):
-                self._fill_broadcast(dependency, job)
-                continue
             self._run_shuffle_stage(dependency, job)
             self._maybe_auto_checkpoint(dataset, dependency)
             if replanner is not None and \
@@ -403,14 +388,15 @@ class DAGScheduler:
                     dataset = replanned
                     job.adaptive_replans += 1
 
-    def _ready_prerequisites(self, dataset: Dataset) -> List[Dependency]:
-        """Pending shuffle/broadcast dependencies whose own inputs are ready.
+    def _ready_prerequisites(self, dataset: Dataset
+                             ) -> List[ShuffleDependency]:
+        """Pending shuffle dependencies whose own inputs are ready.
 
         Deepest-first, left-to-right, skipping anything beneath a complete
-        shuffle (a checkpoint is one), a filled broadcast or a fully cached
-        dataset — the same boundaries job execution observes.
+        shuffle (a checkpoint and a broadcast build are ones) or a fully
+        cached dataset — the same boundaries job execution observes.
         """
-        ready: List[Dependency] = []
+        ready: List[ShuffleDependency] = []
         satisfied: Dict[int, bool] = {}
 
         def walk(node: Dataset) -> bool:
@@ -425,12 +411,6 @@ class DAGScheduler:
                         if walk(dependency.parent):
                             ready.append(dependency)
                         ok = False
-                    elif isinstance(dependency, BroadcastDependency):
-                        if dependency.holder.ready:
-                            continue
-                        if walk(dependency.parent):
-                            ready.append(dependency)
-                        ok = False
                     elif not walk(dependency.parent):
                         ok = False
             satisfied[node.id] = ok
@@ -440,53 +420,28 @@ class DAGScheduler:
         return ready
 
     @staticmethod
-    def _pick_prerequisite(ready: List[Dependency], adaptive: bool) -> Dependency:
+    def _pick_prerequisite(ready: List[ShuffleDependency],
+                           adaptive: bool) -> ShuffleDependency:
         """Choose the next prerequisite to execute.
 
         Plain jobs keep the discovery (deepest-first) order.  Adaptive jobs
         run the cheapest pending stage first — by the estimated map-output
         bytes the statistics layer stamped on the dependency — so actual
         sizes of cheap stages can re-shape the plan before expensive stages
-        run; broadcast fills (small by construction) go first.
+        run; broadcast joins' reads (small by construction, and the only
+        shuffles with a string id) go first.
         """
         if not adaptive:
             return ready[0]
 
         def cost(indexed) -> tuple:
             index, dependency = indexed
-            if isinstance(dependency, BroadcastDependency):
+            if isinstance(dependency.shuffle_id, str):
                 return (-1.0, index)
             estimated = dependency.estimated_bytes
             return (estimated if estimated is not None else float("inf"), index)
 
         return min(enumerate(ready), key=cost)[1]
-
-    def _fill_broadcast(self, dependency: BroadcastDependency,
-                        job: JobMetrics) -> None:
-        """Collect a broadcast input, reusing a prior job's collection.
-
-        The collection is the dependency's row of
-        :data:`~repro.engine.wide.ACTIONS`, and collected build sides are
-        cached per ``(build dataset id, row name)``:
-        datasets are immutable, so a later join against the same build side
-        can skip the nested collection job entirely.  The context
-        invalidates entries when the build dataset is unpersisted and on
-        shutdown.  Cached values are shared read-only by every consumer.
-        """
-        parent = dependency.parent
-        cache_key = (parent.id, dependency.action)
-        cached = self.broadcast_builds.get(cache_key)
-        if cached is not None:
-            dependency.holder.set(cached)
-            job.broadcast_reuses += 1
-            return
-        value = wide.ACTIONS[dependency.action]().run(self.run_job, parent)
-        self.broadcast_builds[cache_key] = value
-        if len(self.broadcast_builds) > _BROADCAST_BUILDS_LIMIT:
-            # drop the oldest half (dict preserves insertion order)
-            for stale in list(self.broadcast_builds)[:_BROADCAST_BUILDS_LIMIT // 2]:
-                del self.broadcast_builds[stale]
-        dependency.holder.set(value)
 
     # -- skew splits ---------------------------------------------------------
 
@@ -502,8 +457,8 @@ class DAGScheduler:
 
         The walk covers the narrow closure the stage's tasks pull through,
         stopping at fully cached or checkpointed datasets (served from
-        blocks or spans) and at shuffle and broadcast inputs (nothing
-        behind them executes again).  Known over-approximation: a
+        blocks or spans) and at shuffle inputs (nothing behind them
+        executes again).  Known over-approximation: a
         *partially* cached dataset between the split and the stage is
         walked through, so a split whose partitions' derived blocks happen
         to be cached still gets its slice shuffle computed — being
@@ -527,8 +482,7 @@ class DAGScheduler:
                     self._run_shuffle_stage(split, job)
                 job.skew_splits += len(served)
             for dependency in node.dependencies:
-                if not isinstance(dependency, (ShuffleDependency,
-                                               BroadcastDependency)):
+                if not isinstance(dependency, ShuffleDependency):
                     walk(dependency.parent)
 
         walk(dataset)
@@ -667,13 +621,8 @@ class DAGScheduler:
                          f"[id={node.id}, partitions={node.num_partitions}"
                          f"{', cached' if node.is_cached else ''}]")
             for dependency in node.dependencies:
-                marker = ""
                 if isinstance(dependency, ShuffleDependency):
-                    marker = "(shuffle)"
-                elif isinstance(dependency, BroadcastDependency):
-                    marker = f"(broadcast {dependency.action})"
-                if marker:
-                    lines.append(f"{indent}  {marker}")
+                    lines.append(f"{indent}  (shuffle)")
                 walk(dependency.parent, depth + 1)
 
         walk(dataset, 0)

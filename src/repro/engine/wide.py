@@ -34,11 +34,12 @@ Every way the engine runs an operator is derived from that declaration
   split or merged externally.
 
 A partial that leaves the task that built it — a spilled run, a skew
-split's slice partial — travels as its finished records, which is exactly
-what ``merge`` consumes; a slice partial stays stored for every later read,
-so it is merged through :func:`stored_merge`.  Declarations are tuples of
-plain functions so the lineage fingerprint (:mod:`repro.engine.fingerprint`)
-identifies them by bytecode and closure cells.
+split's slice partial, a map-side combine's bucket — travels as its
+finished records, which is exactly what ``merge`` consumes; a stored
+partial stays stored for every later read, so it is merged through
+:func:`stored_merge`.  Declarations are tuples of plain functions so the
+lineage fingerprint (:mod:`repro.engine.fingerprint`) identifies them by
+bytecode and closure cells.
 
 An action is declared once too, in :data:`ACTIONS`, as an :class:`Action`:
 the job description, a batch ``kernel`` folding one partition into a
@@ -46,8 +47,8 @@ partial, an associative ``merge`` of two partials on the driver and a
 ``finish`` turning the merged partial into the answer -- or into the
 ``PlanError`` of an empty dataset.  :meth:`Action.run` is the one runner:
 one job of the kernel, a left fold of ``merge`` over the partials in
-partition order, then ``finish``.  Every ``Dataset`` action and the
-broadcast build run through it.
+partition order, then ``finish``.  Every ``Dataset`` action runs through
+it.
 """
 
 from __future__ import annotations
@@ -132,15 +133,17 @@ def _cogroup(triples: Iterable[Any]) -> Dict[Any, Tuple[List[Any], List[Any]]]:
     return grouped
 
 
-def _merge_by_key(merge_combiners, streams: List[Iterable[Any]]) -> Dict[Any, Any]:
+def _merge_by_key(merge_combiners, streams: List[Iterable[Any]],
+                  adopt: Callable[[Any], Any] = _identity) -> Dict[Any, Any]:
     """Merge ``(key, combiner)`` streams in order: first-appearance key
-    order, each key's combiners merged left to right."""
+    order, each key's combiners merged left to right into what ``adopt``
+    makes of its first one."""
     merged: Dict[Any, Any] = {}
     get = merged.get
     for stream in streams:
         for key, combiner in stream:
             current = get(key, _MISSING)
-            merged[key] = (combiner if current is _MISSING
+            merged[key] = (adopt(combiner) if current is _MISSING
                            else merge_combiners(current, combiner))
     return merged
 
@@ -188,7 +191,7 @@ def _aggregate(create_combiner, merge_value, merge_combiners,
 
 
 #: ``group_by_key``; the broadcast join groups its build and stream sides
-#: with the same fold and merge.
+#: with the same fold, in the task that probes them.
 GROUP = WideOperator(_group, functools.partial(_merge_by_key, _extend),
                      _items, KEY)
 
@@ -215,11 +218,12 @@ def slice_fold(op: WideOperator) -> Callable[[Iterable[Any]], Any]:
     """The fold of one slice of reduce input into a partial.
 
     A reduce reads raw input records, or — after a map-side combine —
-    finished partials, which merge rather than fold.
+    finished partials, which merge rather than fold.  Those partials are
+    what the shuffle stores, so they merge through :func:`stored_merge`.
     """
     if not op.combine:
         return op.fold
-    merge = op.merge
+    merge = stored_merge(op)
 
     def merge_run(records: Iterable[Any]) -> Any:
         return merge([records])
@@ -230,36 +234,27 @@ def slice_fold(op: WideOperator) -> Callable[[Iterable[Any]], Any]:
 def stored_merge(op: WideOperator) -> Callable[[List[Iterable[Any]]], Any]:
     """The merge of partials a shuffle keeps, which leaves them as stored.
 
-    The list merges adopt the first value list of a key and extend it
-    (:func:`_extend`, :func:`_extend_each`), and a partial read back from a
-    resident bucket is the stored object, so a keyed merge here adopts a
-    copy of each key's first value list instead — one C-level copy per
-    key, no work per value.
+    A keyed merge (:func:`_merge_by_key`) adopts the first combiner of a
+    key and merges the rest into it — the list merges (:func:`_extend`,
+    :func:`_extend_each`) and any user ``merge_combiners`` may do so in
+    place — and a partial read back from a resident bucket is the stored
+    object, so a keyed merge here adopts a shallow copy of each key's
+    first combiner instead: one copy per key, no work per value.
     """
     if op.route == RECORD:
         return op.merge
+    return functools.partial(op.merge, adopt=_copied)
 
-    def merge_stored(partials: List[Iterable[Any]]) -> Any:
-        adopted = set()
 
-        def fresh(partial: Iterable[Any]) -> Iterator[Any]:
-            for key, combiner in partial:
-                if key not in adopted:
-                    adopted.add(key)
-                    combiner = _copied(combiner)
-                yield key, combiner
-
-        # the merge drains the partials in order, so a key's first
-        # appearance is the combiner it adopts
-        return op.merge([fresh(partial) for partial in partials])
-
-    return merge_stored
+#: Combiner types no merge can change in place: adopted as they are.
+_IMMUTABLE = frozenset({int, float, complex, bool, str, bytes, type(None)})
 
 
 def _copied(combiner: Any) -> Any:
-    if type(combiner) is tuple:  # a cogroup slot: one value list per side
+    kind = type(combiner)
+    if kind is tuple:  # a cogroup slot: one value list per side
         return tuple(map(_copied, combiner))
-    return combiner.copy() if type(combiner) is list else combiner
+    return combiner if kind in _IMMUTABLE else copy.copy(combiner)
 
 
 def local_form(op: WideOperator) -> Callable[[Iterable[Any]], Iterable[Any]]:
@@ -522,10 +517,8 @@ def _histogram(low: float, width: float, buckets: int) -> Action:
 
 
 #: The actions by name: each entry takes the action's parameters and
-#: returns its declaration.  ``key_values`` (a broadcast join's build-side
-#: hash table) and ``key_set`` (the keys of its stream side, for unmatched
-#: build rows) are what a ``BroadcastDependency`` collects;
-#: ``zip_with_index`` keeps one partial per partition.
+#: returns its declaration.  ``zip_with_index`` keeps one partial per
+#: partition.
 ACTIONS: Dict[str, Callable[..., Action]] = {
     "collect": lambda: Action("collect {}", collect_partition, _extend, _keep),
     "to_local_iterator": lambda: Action(
@@ -559,10 +552,4 @@ ACTIONS: Dict[str, Callable[..., Action]] = {
     "foreach": _foreach,
     "zip_with_index": lambda: Action(
         "zip_with_index sizes of {}", _each(count_partition), _extend, _keep),
-    "key_values": lambda: Action(
-        "broadcast {}", lambda batches: GROUP.fold(_records(batches)),
-        lambda left, right: GROUP.merge([left.items(), right.items()]), _keep),
-    "key_set": lambda: Action(
-        "broadcast {}", lambda batches: {key for key, _ in _records(batches)},
-        operator.ior, _keep),
 }

@@ -7,11 +7,12 @@ computing partitions: ``config``, a :class:`WorkerBlockStore`, a
 :class:`~repro.engine.shuffle.ShuffleManager`, a fresh
 :class:`~repro.engine.memory.MemoryManager` and a per-process spill
 directory.  The driver publishes one serialized *payload* per stage: the task
-graphs cut at every complete shuffle (a checkpoint is one) and filled
-broadcast (the lineage behind those is a :class:`~repro.engine.dataset.LineageStub`),
-the span catalog of exactly the shuffles the cut graphs read, the cached
-blocks of the datasets they carry, and parallelised input as per-partition
-spans.  Workers deserialize it once, give it its own shuffle manager — the
+graphs cut at every complete shuffle (a checkpoint and a broadcast build
+are ones; the lineage behind a cut is a
+:class:`~repro.engine.dataset.LineageStub`), the span catalog of exactly
+the shuffles the cut graphs read, the cached blocks of the datasets they
+carry, and parallelised input as per-partition spans.  Workers
+deserialize it once, give it its own shuffle manager — the
 driver's kind, over the worker's transport, with no memory manager — which
 adopts the payload's catalogs, reattach the worker context to every dataset
 in the task graphs, and then answer

@@ -119,14 +119,6 @@ def ref_mean(partitions):
     return total / count
 
 
-def ref_key_values(partitions):
-    grouped: Dict[Any, List[Any]] = {}
-    for partition in partitions:
-        for key, value in partition:
-            grouped.setdefault(key, []).append(value)
-    return grouped
-
-
 def flatten(partitions):
     return [record for partition in partitions for record in partition]
 
@@ -162,8 +154,6 @@ class Case(NamedTuple):
     reference: Callable[[List[List[Any]]], Any]
     #: The answer over an empty dataset, or the ``PlanError`` class.
     empty: Any
-    #: An int -> the record the row runs over (pairs for the keyed rows).
-    record: Callable[[int], Any] = lambda value: value
 
 
 HISTOGRAM = (-20, 7.0, 4)
@@ -196,10 +186,6 @@ CASES: Dict[str, Case] = {
     "foreach": Case((abs,), lambda parts: None, None),
     "zip_with_index": Case((), lambda parts: [len(part) for part in parts],
                            [0, 0, 0]),
-    "key_values": Case((), ref_key_values, {},
-                       record=lambda value: (value % 4, value)),
-    "key_set": Case((), lambda parts: {key for key, _ in flatten(parts)},
-                    set(), record=lambda value: (value % 4, value)),
 }
 
 
@@ -253,13 +239,12 @@ def test_empty_dataset(engines, backend, name):
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
-@given(values=st.lists(st.lists(st.integers(-20, 20), max_size=12),
-                       min_size=1, max_size=5),
+@given(partitions=st.lists(st.lists(st.integers(-20, 20), max_size=12),
+                           min_size=1, max_size=5),
        batch_size=st.sampled_from(BATCH_SIZES))
-def test_row_matches_the_per_record_reference(engines, backend, name, values,
-                                              batch_size):
+def test_row_matches_the_per_record_reference(engines, backend, name,
+                                              partitions, batch_size):
     case = CASES[name]
-    partitions = [[case.record(value) for value in part] for part in values]
     try:
         want = case.reference(partitions)
     except PlanError:

@@ -4,7 +4,9 @@ The parity matrix runs every join variant under the broadcast hash-join and
 shuffle-cogroup strategies over empty sides, duplicate keys and skewed key
 distributions, asserting identical sorted results.  Further sections pin the
 plan shapes (rule firing, thresholds, both build sides), the adaptive
-runtime switch on a mis-estimated join, and the ``coalesce_shuffle`` rule.
+runtime switch on a mis-estimated join, the ``coalesce_shuffle`` rule, and
+the broadcast build as a one-bucket shuffle: reused while complete, healed
+one map at a time.
 """
 
 from __future__ import annotations
@@ -14,8 +16,12 @@ import random
 import pytest
 
 from repro.config import EngineConfig
-from repro.engine import EngineContext
+from repro.engine import EngineContext, serializer
+from repro.engine.dataset import broadcast_shuffle_id
+from repro.engine.memory import Span
 from repro.engine.plan import BroadcastJoinNode, CoGroupNode, count_nodes
+
+from test_checkpoint_recovery import rot
 
 JOIN_VARIANTS = ("join", "left_outer_join", "right_outer_join",
                  "full_outer_join", "subtract_by_key")
@@ -46,15 +52,23 @@ def shuffle_engine(**overrides) -> EngineContext:
 
 def run_join(make_engine, left_data, right_data, variant,
              swap_sizes=False):
+    """The sorted result, the ``(name, tasks)`` of every map stage, and
+    those of the one-bucket shuffles a broadcast join reads (none for a
+    shuffle join): its build side, then the stream side for the key set."""
     with make_engine() as ctx:
         left = ctx.parallelize(left_data, 1 if swap_sizes else 3) \
             if left_data else ctx.empty()
         right = ctx.parallelize(right_data, 2) if right_data else ctx.empty()
         joined = getattr(left, variant)(right)
         result = sorted(map(repr, joined.collect()))
-        shuffle_stages = sum(1 for job in ctx.metrics.jobs
-                             for stage in job.stages if stage.is_shuffle_map)
-    return result, shuffle_stages
+        map_stages = [(stage.name, stage.num_tasks)
+                      for job in ctx.metrics.jobs for stage in job.stages
+                      if stage.is_shuffle_map]
+        executable = ctx._executable_for(joined)
+        reads = [(f"shuffle:{dep.parent.name}", dep.parent.num_partitions)
+                 for dep in executable.dependencies[1:]] \
+            if executable.name.startswith("broadcast") else []
+    return result, map_stages, reads
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +80,16 @@ def run_join(make_engine, left_data, right_data, variant,
 @pytest.mark.parametrize("dataset_name", sorted(DATASETS))
 def test_parity_broadcast_vs_shuffle(variant, dataset_name):
     left_data, right_data = DATASETS[dataset_name]
-    broadcast, broadcast_stages = run_join(
+    broadcast, broadcast_stages, reads = run_join(
         broadcast_engine, left_data, right_data, variant)
-    shuffled, shuffled_stages = run_join(
+    shuffled, shuffled_stages, _ = run_join(
         shuffle_engine, left_data, right_data, variant)
     assert broadcast == shuffled
-    assert broadcast_stages == 0
+    # exactly one map stage over the build side, and one over the stream
+    # side's keys when the join keeps unmatched build rows
+    assert broadcast_stages == reads and 1 <= len(reads) <= 2
     if left_data and right_data:
-        assert shuffled_stages == 2
+        assert len(shuffled_stages) == 2
 
 
 @pytest.mark.parametrize("variant", JOIN_VARIANTS)
@@ -81,8 +97,9 @@ def test_parity_with_random_keys(variant):
     rng = random.Random(7)
     left_data = [(rng.randrange(25), rng.randrange(1000)) for _ in range(300)]
     right_data = [(rng.randrange(30), rng.randrange(1000)) for _ in range(40)]
-    broadcast, _ = run_join(broadcast_engine, left_data, right_data, variant)
-    shuffled, _ = run_join(shuffle_engine, left_data, right_data, variant)
+    broadcast, _, _ = run_join(broadcast_engine, left_data, right_data,
+                               variant)
+    shuffled, _, _ = run_join(shuffle_engine, left_data, right_data, variant)
     assert broadcast == shuffled
 
 
@@ -199,14 +216,14 @@ class TestAdaptiveReoptimization:
             result = sorted(joined.collect())
             job = ctx.metrics.jobs[-1]
             moved = sum(j.shuffle_bytes for j in ctx.metrics.jobs)
-            map_stages = sum(1 for j in ctx.metrics.jobs
-                             for s in j.stages if s.is_shuffle_map)
+            map_stages = [s.name for j in ctx.metrics.jobs
+                          for s in j.stages if s.is_shuffle_map]
         return result, moved, map_stages, job.adaptive_replans
 
     def test_static_estimate_keeps_the_shuffle(self):
         result, moved, map_stages, replans = self._run(adaptive=False)
         assert replans == 0
-        assert map_stages == 2  # both sides shuffled
+        assert len(map_stages) == 2  # both sides shuffled
 
     def test_adaptive_switches_to_broadcast_at_runtime(self):
         static_result, static_moved, _, _ = self._run(adaptive=False)
@@ -214,8 +231,9 @@ class TestAdaptiveReoptimization:
         assert result == static_result
         assert replans >= 1
         # only the (actually tiny) mis-estimated side's map stage ran before
-        # the plan switched; the big side's shuffle never executed
-        assert map_stages == 1
+        # the plan switched, then its build shuffle; the big side's shuffle
+        # never executed
+        assert map_stages == ["shuffle:filter", "shuffle:filter"]
         assert moved < static_moved / 10
 
     def test_adaptive_replans_counted_in_metrics_summary(self):
@@ -294,7 +312,8 @@ class TestCoalesceShuffle:
 
 
 class TestBroadcastBuildReuse:
-    """Collected broadcast build sides are cached per build dataset."""
+    """A broadcast build is a one-bucket shuffle over the build dataset,
+    reused by every join over it while complete."""
 
     def fact_and_dim(self, ctx):
         fact = ctx.parallelize([(i % 10, i) for i in range(2000)], 4)
@@ -302,48 +321,56 @@ class TestBroadcastBuildReuse:
         return fact, dim
 
     @staticmethod
-    def broadcast_jobs(ctx):
-        return sum(1 for job in ctx.metrics.jobs
-                   if job.description.startswith("broadcast"))
+    def map_stages(job):
+        return [stage.name for stage in job.stages if stage.is_shuffle_map]
 
-    def test_second_join_reuses_the_collected_build(self):
+    def test_second_join_reuses_the_build_shuffle(self):
         with broadcast_engine() as ctx:
             fact, dim = self.fact_and_dim(ctx)
             first = fact.join(dim).count()
-            assert self.broadcast_jobs(ctx) == 1
+            assert self.map_stages(ctx.metrics.jobs[-1]) == \
+                ["shuffle:parallelize"]
             second = fact.map_values(lambda v: v * 2).join(dim).count()
             assert first == second == 2000
-            # no second nested collection job ran; the reuse was counted
-            assert self.broadcast_jobs(ctx) == 1
-            assert ctx.metrics.summary()["broadcast_reuses"] == 1
+            # no second build map stage ran, and no nested job at all
+            assert self.map_stages(ctx.metrics.jobs[-1]) == []
+            assert len(ctx.metrics.jobs) == 2
 
-    def test_unpersist_invalidates_the_cached_build(self):
+    def test_unpersist_drops_the_build_shuffle(self):
         with broadcast_engine() as ctx:
             fact, dim = self.fact_and_dim(ctx)
+            build = broadcast_shuffle_id(dim.id, "build")
             fact.join(dim).count()
-            assert any(key[0] == dim.id for key in ctx.broadcast_builds)
+            assert ctx.shuffle_manager.is_complete(build)
             dim.unpersist()
-            assert not any(key[0] == dim.id for key in ctx.broadcast_builds)
-            # the next join re-collects and re-caches
+            assert not ctx.shuffle_manager.is_complete(build)
+            # the next join writes the build shuffle again
             fact.map_values(str).join(dim).count()
-            assert self.broadcast_jobs(ctx) == 2
-            assert any(key[0] == dim.id for key in ctx.broadcast_builds)
+            assert self.map_stages(ctx.metrics.jobs[-1]) == \
+                ["shuffle:parallelize"]
+            assert ctx.shuffle_manager.is_complete(build)
 
-    def test_stop_clears_the_build_cache(self):
+    def test_stop_leaves_no_build_shuffle(self):
         ctx = broadcast_engine()
         fact, dim = self.fact_and_dim(ctx)
         fact.join(dim).count()
-        assert ctx.broadcast_builds
+        build = broadcast_shuffle_id(dim.id, "build")
+        assert ctx.shuffle_manager.is_complete(build)
         ctx.stop()
-        assert not ctx.broadcast_builds
+        assert not ctx.shuffle_manager.is_complete(build)
+        assert ctx.shuffle_manager.missing_map_partitions(build) == []
 
-    def test_key_set_and_key_values_cached_separately(self):
-        """An outer join preserving the build side collects both kinds."""
+    def test_an_outer_join_reads_the_build_and_the_stream_keys(self):
+        """An outer join preserving the build side also shuffles the
+        stream side's key set, under an id of its own kind."""
         with broadcast_engine() as ctx:
             fact, dim = self.fact_and_dim(ctx)
-            fact.right_outer_join(dim).count()
-            kinds = {key[1] for key in ctx.broadcast_builds}
-            assert kinds == {"key_values", "key_set"}
+            assert fact.right_outer_join(dim).count() == 2000
+            assert self.map_stages(ctx.metrics.jobs[-1]) == \
+                ["shuffle:parallelize", "shuffle:parallelize"]
+            for dataset, kind in ((dim, "build"), (fact, "keys")):
+                assert ctx.shuffle_manager.is_complete(
+                    broadcast_shuffle_id(dataset.id, kind))
 
     def test_reused_build_produces_identical_results(self):
         with broadcast_engine() as ctx:
@@ -353,6 +380,48 @@ class TestBroadcastBuildReuse:
             third = sorted(fact.map_values(lambda v: v).join(dim).collect())
             assert first == second
             assert sorted((k, (v, d)) for k, (v, d) in third) == first
+
+
+# ---------------------------------------------------------------------------
+# A rotten span of a broadcast shuffle heals its one map
+# ---------------------------------------------------------------------------
+
+
+BACKENDS = ["thread"] + (["process"] if serializer.supports_closures()
+                         else [])
+
+
+def rot_first_span(ctx, shuffle_id):
+    """Flip one payload byte of the first span of ``shuffle_id``."""
+    catalog = ctx.shuffle_manager.export_catalog(shuffle_id)
+    rot(next(source for source, _ in catalog["buckets"].values()
+             if isinstance(source, Span)))
+
+
+@pytest.mark.parametrize("kind", ["build", "keys"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_rotten_broadcast_span_heals_its_one_map(backend, kind):
+    """A build span (or a stream key-set span of a ``right_outer_join``)
+    that fails its checks is one lost map output: only that map runs
+    again, and the join's answer does not change."""
+    # on a thread, map output is framed where a transport carries it
+    options = {"shuffle_transport": "tcp"} if backend == "thread" else {}
+    with broadcast_engine(executor_backend=backend, **options) as ctx:
+        fact = ctx.parallelize([(i % 10, i) for i in range(400)], 4)
+        dim = ctx.parallelize([(i, f"d{i}") for i in range(0, 14, 2)], 3)
+        joined = fact.right_outer_join(dim)
+        first = sorted(joined.collect())
+        rot_first_span(ctx, broadcast_shuffle_id(
+            (dim if kind == "build" else fact).id, kind))
+        healed = sorted(joined.collect())
+        job = ctx.metrics.jobs[-1]
+    with shuffle_engine() as ctx:
+        expected = sorted(ctx.parallelize([(i % 10, i) for i in range(400)], 4)
+                          .right_outer_join(ctx.parallelize(
+                              [(i, f"d{i}") for i in range(0, 14, 2)], 3))
+                          .collect())
+    assert first == healed == expected
+    assert (job.lost_map_outputs, job.recomputed_tasks) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,31 @@ def test_resume_adopts_a_shuffle_with_an_empty_map_partition(tmp_path,
             summary["stages_recovered"]) == (1, 2, 1)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_resumed_broadcast_join_runs_only_its_stream_stage(tmp_path,
+                                                             backend):
+    """A broadcast build is a one-bucket shuffle, journalled like any
+    other: a resume adopts it and runs neither its map stage nor a
+    collection job of its own."""
+    root = tmp_path / "ckpt"
+
+    def job(ctx):
+        fact = ctx.parallelize([(i % 10, i) for i in range(400)], 4)
+        dim = ctx.parallelize([(i, f"d{i}") for i in range(12)], 2)
+        return sorted(fact.join(dim).collect())
+
+    with make_engine(backend, root) as ctx:
+        expected = job(ctx)
+    with make_engine(backend, root, recover_from=str(root)) as ctx:
+        resumed = job(ctx)
+        jobs = ctx.metrics.jobs
+    assert resumed == expected
+    assert [j.description for j in jobs] == ["collect join"]
+    assert [stage.name for stage in jobs[0].stages] == \
+        ["result:broadcast_join(right)"]
+    assert jobs[0].stages_recovered == 1
+
+
 def test_resume_adopts_journaled_checkpoint(tmp_path):
     root = tmp_path / "ckpt"
     with make_engine("thread", root) as ctx:

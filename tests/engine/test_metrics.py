@@ -142,9 +142,10 @@ def _slow_add(a, b):
 class TestNestedJobWall:
     """``summary()["wall_clock_s"]`` counts a nested job's time once.
 
-    A broadcast build side and an automatic checkpoint each run as a job of
-    their own inside the job that needs them; the summary's wall is the
-    length of the union of the jobs' intervals, not their sum.
+    An automatic checkpoint runs as a job of its own inside the job that
+    needs it; the summary's wall is the length of the union of the jobs'
+    intervals, not their sum.  A broadcast build side is a stage of the
+    join's own job.
     """
 
     SLACK_S = 0.02
@@ -162,14 +163,21 @@ class TestNestedJobWall:
         assert wall <= elapsed + self.SLACK_S
         assert wall >= max(job.wall_clock_s for job in jobs)
 
-    def test_broadcast_build_side_counted_once(self):
+    def test_broadcast_build_side_runs_inside_the_join_job(self):
         config = EngineConfig(num_workers=2, default_parallelism=2, seed=1,
                               broadcast_threshold_bytes=1 << 20)
         with EngineContext(config) as ctx:
             facts = ctx.parallelize([(i % 8, i) for i in range(80)], 2)
             dimension = ctx.parallelize(range(8), 4).map(_slow_pair)
-            self._check(ctx, lambda: facts.join(dimension).collect(),
-                        "broadcast")
+            started = time.perf_counter()
+            facts.join(dimension).collect()
+            elapsed = time.perf_counter() - started
+            (job,) = ctx.metrics.jobs
+            build = [stage for stage in job.stages if stage.is_shuffle_map]
+            assert [stage.num_tasks for stage in build] == [4]
+            wall = ctx.metrics.summary()["wall_clock_s"]
+            assert job.wall_clock_s >= 0.1
+            assert job.wall_clock_s <= wall <= elapsed + self.SLACK_S
 
     def test_automatic_checkpoint_counted_once(self, tmp_path):
         config = EngineConfig(num_workers=2, default_parallelism=2, seed=1,

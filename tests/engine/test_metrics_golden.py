@@ -46,7 +46,7 @@ SUMMARY_KEYS = [
     "num_jobs", "wall_clock_s", "total_task_time_s", "num_stages",
     "num_tasks", "num_failed_attempts", "records_read", "records_written",
     "shuffle_bytes", "cache_hits", "batches_processed", "adaptive_replans",
-    "skew_splits", "broadcast_reuses", "spills", "spill_bytes",
+    "skew_splits", "spills", "spill_bytes",
     "peak_shuffle_bytes", "stage_retries", "recomputed_tasks",
     "lost_map_outputs", "timed_out_tasks", "fetch_retries",
     "speculative_launches", "speculative_wins", "blacklisted_workers",
@@ -159,7 +159,7 @@ SCENARIOS = {
 FIRED = {
     "narrow": ("cache_hits",),
     "shuffle": ("shuffle_bytes",),
-    "broadcast_join": ("broadcast_reuses",),
+    "broadcast_join": ("shuffle_bytes",),
     "skew_split": ("skew_splits",),
     "spill": ("spills", "spill_bytes"),
     "faults_thread": ("num_failed_attempts",),
@@ -168,47 +168,53 @@ FIRED = {
                           "journal_bytes"),
 }
 
+#: Every ``jobs`` and ``summary`` digest was re-recorded when the
+#: ``broadcast_reuses`` counter went (stages and tasks kept theirs), and
+#: ``broadcast_join``'s whole set when a broadcast build became a one-bucket
+#: shuffle: the nested ``broadcast parallelize`` job became the join job's
+#: map stage (13 records, 197 bytes written), each stream task reads those
+#: 197 bytes, and the two later joins reuse it.
 GOLDEN = {
     "broadcast_join": [
-        {"jobs": "340a0007b35bbe14", "stages": "cfa0e77378e976e6",
-         "tasks": "1e7cce5ffc2aff3a", "summary": "2e3dd3e7c5d2e5a8"},
+        {"jobs": "d961087b1ab23b6d", "stages": "d984729bcb4aa6b6",
+         "tasks": "f2f30c9f8aec8404", "summary": "aa36afe34a892801"},
     ],
     # recorded without journal_bytes, which JOURNAL_BYTES pins; re-recorded
     # when a checkpoint became a one-bucket shuffle (its job's stage is a
     # shuffle-map stage, and a resumed run adopts it in a job of its own)
     "checkpoint_resume": [
-        {"jobs": "8b53a77b152ec002", "stages": "5b7618e1cd3c0f09",
-         "tasks": "b1f77545244ca98e", "summary": "ea2fa828c01221c5"},
-        {"jobs": "71a3d44b1f8fda89", "stages": "9d0a40bd3047a391",
-         "tasks": "f6d120726ba2da40", "summary": "de436797355c5609"},
+        {"jobs": "99db44b456c61a2e", "stages": "5b7618e1cd3c0f09",
+         "tasks": "b1f77545244ca98e", "summary": "c0e240c5e54ad6ca"},
+        {"jobs": "c724212c96c1e226", "stages": "9d0a40bd3047a391",
+         "tasks": "f6d120726ba2da40", "summary": "96f6a5992b6afd61"},
     ],
     "faults_process": [
-        {"jobs": "361f7df994eeeef5", "stages": "38c09e133896dcfe",
-         "tasks": "4dfc89ca8013774e", "summary": "43596de19905a825"},
+        {"jobs": "42fe04f8ae454065", "stages": "38c09e133896dcfe",
+         "tasks": "4dfc89ca8013774e", "summary": "4cb426fef91a6976"},
     ],
     "faults_thread": [
-        {"jobs": "57a0a01500c0c5f4", "stages": "d2c6706caf640704",
-         "tasks": "17fa49f44517c19c", "summary": "f7ffb79755bf1cc4"},
+        {"jobs": "ee184d68b78fe07f", "stages": "d2c6706caf640704",
+         "tasks": "17fa49f44517c19c", "summary": "687c20adb99cdde4"},
     ],
     "narrow": [
-        {"jobs": "ce1c2726806e9738", "stages": "970c2aed1e175996",
-         "tasks": "4e4c7230de34ea00", "summary": "5100cf932afd4214"},
+        {"jobs": "a389b527559ebd88", "stages": "970c2aed1e175996",
+         "tasks": "4e4c7230de34ea00", "summary": "d7e6e9004754cdfa"},
     ],
     "shuffle": [
-        {"jobs": "d2e88f212a06251b", "stages": "f17cc94aaae99411",
-         "tasks": "0ee48a9afa0ccfbd", "summary": "fd0821db9c5aaa95"},
+        {"jobs": "74ee5a17ca9ffe4a", "stages": "f17cc94aaae99411",
+         "tasks": "0ee48a9afa0ccfbd", "summary": "be38c50ebedd6263"},
     ],
     # re-recorded when a skew split became a one-bucket slice shuffle: its
     # stage is a shuffle-map stage computed once and reused by the second
     # job, the result stages read the partials' bytes, and the stored
     # partials raise every later residency mark by their 1474 bytes
     "skew_split": [
-        {"jobs": "7b068f927857dfeb", "stages": "9ef4b705293bddcc",
-         "tasks": "0450113e18ee597b", "summary": "1973ce5cab6b78c7"},
+        {"jobs": "813fbe18234ce4e9", "stages": "9ef4b705293bddcc",
+         "tasks": "0450113e18ee597b", "summary": "8d16156f57660680"},
     ],
     "spill": [
-        {"jobs": "9818e0b0b04508c8", "stages": "e521d26a204f3266",
-         "tasks": "b53fe65efd0903f4", "summary": "c2a5f46a1892ba71"},
+        {"jobs": "0967844e85e3a9af", "stages": "e521d26a204f3266",
+         "tasks": "b53fe65efd0903f4", "summary": "6e719ea500c5f06e"},
     ],
 }
 

@@ -42,7 +42,8 @@ class TestStages:
         right = engine.parallelize([(1, "b")], 2)
         assert left.join(right).collect() == [(1, ("a", "b"))]
         job = engine.metrics.jobs[-1]
-        assert sum(1 for s in job.stages if s.is_shuffle_map) == 0
+        # one map stage: the build side's one-bucket shuffle
+        assert sum(1 for s in job.stages if s.is_shuffle_map) == 1
 
     def test_shuffle_output_reused_across_jobs(self, engine):
         reduced = engine.range(40, num_partitions=4).map(lambda x: (x % 4, x)) \

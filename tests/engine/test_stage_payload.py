@@ -2,12 +2,13 @@
 
 The contract under test: what crosses the process boundary is proportional
 to what the stage *reads*.  A payload holds the task graphs cut at every
-complete shuffle, filled broadcast and live checkpoint, the span catalog of
-exactly the shuffles those graphs read, and parallelised input as
-per-partition spans published once per context — so a stage's payload size
-depends neither on the input size nor on how deep in a chain it sits, a
-worker loads only the input partition its task computes, and a long-lived
-worker holds one stage's span catalog rather than every catalog it ever saw.
+complete shuffle (a broadcast build and a live checkpoint are ones), the
+span catalog of exactly the shuffles those graphs read, and parallelised
+input as per-partition spans published once per context — so a stage's
+payload size depends neither on the input size nor on how deep in a chain
+it sits, a worker loads only the input partition its task computes, and a
+long-lived worker holds one stage's span catalog rather than every catalog
+it ever saw.
 """
 
 from __future__ import annotations
@@ -94,6 +95,23 @@ def test_payload_size_follows_what_the_stage_reads_not_the_input():
     assert not stubs
     assert source._data is None
     assert [span[3] for span in source._spans] == [50_000 // 8] * 8
+
+
+def test_the_stream_stage_payload_does_not_grow_with_the_build_side():
+    """A broadcast build is a one-bucket shuffle: the stream stage ships
+    the span catalog of its maps, never the build table."""
+    def stream_payload(build_rows):
+        with process_engine() as ctx:
+            stream = ctx.parallelize(
+                [(i % build_rows, i) for i in range(20_000)], 4)
+            build = ctx.parallelize(
+                [(k, f"dimension-{k:06d}") for k in range(build_rows)], 2)
+            with recorded_payloads(ctx) as published:
+                assert stream.join(build).count() == 20_000
+            return len(published[-1])
+
+    small, large = stream_payload(1_000), stream_payload(10_000)
+    assert large < small + 512
 
 
 def test_every_later_stage_ships_only_its_own_shuffle_read():

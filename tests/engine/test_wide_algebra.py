@@ -197,3 +197,57 @@ def test_merge_combiners_moves_the_combined_fingerprint():
             lambda v: [v], lambda acc, v: acc + [v], merge, 4)
 
     assert identity(build(_add))[1] != identity(build(_multiply))[1]
+
+
+# -- stored partials are never merged into ------------------------------------
+
+
+def _extend_in_place(left, right):
+    left.extend(right)
+    return left
+
+
+def _union_in_place(left, right):
+    left |= right
+    return left
+
+
+IN_PLACE_COMBINERS = {
+    "list": (lambda v: [v], lambda acc, v: acc + [v], _extend_in_place),
+    "set": (lambda v: {v}, lambda acc, v: acc | {v}, _union_in_place),
+}
+
+
+def _stored_partials(ctx, ds):
+    """Per map of ``ds``'s shuffle, what it stores: ``{key: sorted
+    combiner}`` over every reduce partition."""
+    (dependency,) = ctx._executable_for(ds).dependencies
+    partials = []
+    for map_partition in range(dependency.parent.num_partitions):
+        stored = {}
+        for reduce_partition in range(dependency.partitioner.num_partitions):
+            records, _ = ctx.shuffle_manager.read_reduce_input(
+                dependency.shuffle_id, reduce_partition,
+                map_range=(map_partition, map_partition + 1))
+            stored.update((key, sorted(combiner)) for key, combiner in records)
+        partials.append(stored)
+    return partials
+
+
+@pytest.mark.parametrize("kind", sorted(IN_PLACE_COMBINERS))
+def test_an_in_place_merge_combiners_leaves_the_shuffle_as_stored(kind):
+    """The reduce of a map-side-combined shuffle reads its resident buckets
+    as the stored objects: a ``merge_combiners`` that merges into its
+    first argument must get a copy of the first partial, or the shuffle
+    keeps what a read merged in (a list read again reads it twice)."""
+    create, merge_value, merge = IN_PLACE_COMBINERS[kind]
+    with EngineContext(EngineConfig(num_workers=2, seed=1)) as ctx:
+        pairs = ctx.parallelize([(i % 3, i) for i in range(30)], 4)
+        ds = pairs.combine_by_key(create, merge_value, merge)
+        reads = [sorted((key, sorted(values)) for key, values in ds.collect())
+                 for _ in range(3)]
+        stored = _stored_partials(ctx, ds)
+        maps = [{key: sorted(value for k, value in part if k == key)
+                 for key, _ in part} for part in pairs.glom().collect()]
+    assert reads == [[(key, list(range(key, 30, 3))) for key in range(3)]] * 3
+    assert stored == maps
