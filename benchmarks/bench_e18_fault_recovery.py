@@ -12,7 +12,9 @@ Assertions are hardware-independent: every faulted configuration must
 return *identical* results to the clean run, and its recovery counters
 (`num_failed_attempts`, `stage_retries`, `lost_map_outputs`,
 `recomputed_tasks`) must show the faults actually fired and were healed —
-a benchmark that silently ran fault-free would be measuring nothing.
+a benchmark that silently ran fault-free would be measuring nothing.  The
+counters are not asserted to repeat: the worker-crash row's do not (which
+attempts a broken pool settled before the break is a race).
 Wall-clock ratios are recorded, never asserted (crash recovery forks a
 fresh pool; the cost is real and host-dependent).
 
@@ -77,10 +79,13 @@ def _pairs():
 def _measure(overrides, pairs):
     """Median wall-clock of REPS fresh contexts (pool spawn included).
 
-    Each repetition builds a fresh context so the injected fault schedule —
-    a pure function of ``(seed, task_id, attempt)`` — replays identically;
-    recovery work is part of the measured wall-clock, exactly as a user
-    would experience it.
+    Each repetition builds a fresh context so every injected fault
+    decision — a pure function of ``(seed, task_id, attempt)`` — is drawn
+    afresh, and the results are identical.  The recovery counters need not
+    repeat: under worker crashes, which attempts a broken pool settled
+    before the break is a race, so ``stage_retries`` and the attempt counts
+    move run to run.  Recovery work is part of the measured wall-clock,
+    exactly as a user would experience it.
     """
     walls, results, summaries = [], [], []
     for _ in range(REPS):
@@ -97,7 +102,7 @@ def _measure(overrides, pairs):
         walls.append(time.perf_counter() - started)
         results.append(result)
     assert all(result == results[0] for result in results), \
-        "the seeded fault schedule must replay identically"
+        "every repetition must return the fault-free answer"
     return results[0], sorted(walls)[len(walls) // 2], summaries[0]
 
 

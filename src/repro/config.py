@@ -143,10 +143,6 @@ class EngineConfig:
         partition count.
     max_task_retries:
         How many times a failed task is retried before the job is aborted.
-    memory_budget_bytes:
-        Budget of the in-memory cache, in resident bytes (sampled
-        ``sys.getsizeof`` of the cached records, not their pickled size).
-        When exceeded the least recently used cached partitions are evicted.
     spill_codec:
         Which frame codec compresses spill and transport payloads — shuffle
         bucket spills, reduce-side external-merge runs and process-backend
@@ -255,9 +251,11 @@ class EngineConfig:
         ``>= 1``.
     shuffle_memory_bytes:
         Budget for memory-bounded execution: the total estimated bytes the
-        engine may keep resident for shuffle map-output buckets and
+        engine may keep resident for shuffle map-output buckets (cached
+        partitions included: a cache is a one-bucket shuffle) and
         reduce-side merge partials.  When the budget is exceeded, the
-        shuffle manager spills cold buckets to per-context spill files and
+        shuffle manager spills cold buckets to per-context spill files (a
+        spilled cached partition is read back, never dropped) and
         the wide operators (aggregate/group/distinct/sort/cogroup) switch
         to an external merge that folds bounded in-memory runs, spills
         them, and streams a k-way merge — results, order and shuffle
@@ -381,7 +379,6 @@ class EngineConfig:
     num_workers: int = knob(4, at_least(1))
     default_parallelism: int = knob(4, at_least(1))
     max_task_retries: int = knob(2, at_least(0), spec=True)
-    memory_budget_bytes: int = knob(256 * 1024 * 1024, at_least(0))
     spill_codec: str = knob("auto", one_of("auto", "none", "zlib", "lz4"))
     failure_rate: float = knob(0.0, RATE, spec=True)
     faults: Tuple[Tuple[str, float], ...] = knob(

@@ -1,8 +1,9 @@
 """The engine context: entry point of the dataflow substrate.
 
 An :class:`EngineContext` plays the role of a ``SparkContext``: it owns the
-configuration, the shuffle manager, the block store (cache), the metrics
-registry and the DAG scheduler, and offers factory methods to create datasets.
+configuration, the shuffle manager (which holds cached partitions too), the
+metrics registry and the DAG scheduler, and offers factory methods to create
+datasets.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
 from ..config import DEFAULT_ENGINE_CONFIG, EngineConfig
 from ..errors import ConfigurationError, EngineError, SourceError
-from .dataset import (CheckpointDependency, Dataset, ParallelCollectionDataset,
+from .dataset import (Dataset, OneBucketDependency, ParallelCollectionDataset,
                       SourceDataset)
 from .journal import JobJournal, load_journal_state
 from .memory import MemoryManager
@@ -117,10 +118,9 @@ class EngineContext:
             self.memory_manager, spill_dir=self.spill_dir,
             transport=self._transport, codec=self.config.spill_codec,
             faults=faults)
-        self.block_store = BlockStore(memory_budget_bytes=self.config.memory_budget_bytes)
         self.metrics = MetricsRegistry()
         self.scheduler = DAGScheduler(self.config, self.shuffle_manager,
-                                      self.block_store, self.metrics,
+                                      self.metrics,
                                       memory_manager=self.memory_manager,
                                       transport=self._transport,
                                       journal=self._journal,
@@ -129,10 +129,9 @@ class EngineContext:
                                       checkpoint_hook=self._auto_checkpoint)
         #: Structural signature -> physical dataset, shared by plan lowering
         #: so sibling plans reuse identical rewritten subtrees (and their
-        #: shuffle outputs / cached blocks).
+        #: shuffle outputs, cached partitions included).
         self._lowered_plans = {}
-        self.optimizer = PlanOptimizer(self.config, self.block_store,
-                                       self.shuffle_manager,
+        self.optimizer = PlanOptimizer(self.config, self.shuffle_manager,
                                        self._lowered_plans)
         #: Bumped by Dataset.cache()/unpersist(); memoised executables from
         #: an older epoch are re-planned so rewrites respect the new cache
@@ -177,8 +176,8 @@ class EngineContext:
     def checkpoint_dataset(self, dataset: Dataset) -> None:
         """Materialise ``dataset`` durably (behind ``Dataset.checkpoint``).
 
-        The checkpoint is a one-bucket shuffle
-        (:class:`~repro.engine.dataset.CheckpointDependency`) over the
+        The checkpoint is a one-bucket shuffle (the ``"checkpoint"`` kind of
+        :data:`~repro.engine.dataset.ONE_BUCKET`) over the
         dataset's executable, or over a copy of the dataset that keeps its
         lineage when no rewrite stands in for it, so the stage reuses every
         shuffle the executable already completed.  The
@@ -196,8 +195,8 @@ class EngineContext:
                 "Dataset.checkpoint() requires EngineConfig.checkpoint_dir")
         executable = self._executable_for(dataset)
         if executable is dataset:
-            executable = dataset._lineage_copy()
-        dependency = CheckpointDependency(executable, self._next_shuffle_id())
+            executable = dataset._lineage_copy(self._next_dataset_id())
+        dependency = OneBucketDependency("checkpoint", dataset, executable)
         lineage = dataset.num_partitions, dataset.dependencies
         dataset.num_partitions = executable.num_partitions
         dataset.dependencies = [dependency]
@@ -412,7 +411,6 @@ class EngineContext:
         self._stopped = True
         self.scheduler.executor.shutdown()
         self.shuffle_manager.clear()
-        self.block_store.clear()
         # a borrowed store is its lender's to clear; only let go of it, so a
         # stopped context awaiting cycle collection does not keep it alive
         self.shared_blocks = None

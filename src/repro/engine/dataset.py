@@ -23,8 +23,8 @@ import copy
 import itertools
 import math
 import random
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 from ..errors import PlanError
 from . import plan as logical
@@ -191,29 +191,95 @@ class ShuffleDependency(Dependency):
         #: re-optimization learns actual sizes before the expensive stages.
         self.estimated_bytes: Optional[float] = None
 
+    #: The :data:`ONE_BUCKET` kind of a one-bucket shuffle, and whether it
+    #: is journalled (every other settled shuffle is).
+    kind: Optional[str] = None
+    journalled = True
+
 
 def _whole_partition(batches: Iterator[List[Any]]) -> Dict[int, List[Any]]:
-    """A one-bucket shuffle's map side (a checkpoint, a skew split, a
-    broadcast build): the partition, whole, as bucket 0."""
+    """A one-bucket shuffle's map side: the partition, whole, as bucket 0."""
     return {0: collect_partition(batches)}
 
 
-class CheckpointDependency(ShuffleDependency):
-    """A checkpoint: a shuffle with one bucket per map.
+def _distinct_keys(batches: Iterator[List[Any]]) -> Dict[int, List[Any]]:
+    """A stream key-set shuffle's map side: the partition's distinct keys,
+    as bucket 0."""
+    return {0: list(dict.fromkeys(
+        key for key, _ in itertools.chain.from_iterable(batches)))}
 
-    Map ``p`` writes partition ``p`` of ``parent`` whole, as bucket 0, and
-    the checkpointed dataset serves partition ``p`` as the read of map
-    ``p`` alone.  The scheduler keeps every bucket of it a durable span
-    under ``checkpoint_dir``; ``parent`` keeps the full lineage, so a lost
-    span recomputes its one partition like any lost map output.
+
+def one_bucket_id(dataset_id: int, kind: str) -> str:
+    """The id of the ``kind`` one-bucket shuffle over dataset ``dataset_id``.
+
+    Taken from no counter, so every reader of one physical dataset reads
+    one shuffle and ids allocated later do not move; a string, so it never
+    meets a context shuffle id or a skew split's (both integers).
+    """
+    return f"{kind}-{dataset_id}"
+
+
+#: The name :func:`one_bucket_id` had while only broadcast joins used it.
+broadcast_shuffle_id = one_bucket_id
+
+
+class OneBucket(NamedTuple):
+    """One kind of one-bucket shuffle: map ``p`` writes what ``map_side``
+    makes of partition ``p`` of its parent as bucket 0."""
+
+    map_side: Callable[[Iterator[List[Any]]], Dict[int, List[Any]]]
+    #: The shuffle id, from the dataset the shuffle belongs to.
+    shuffle_id: Callable[["Dataset"], Any]
+    #: Whether a settled shuffle of the kind is recorded in the job journal
+    #: (when its lineage has a fingerprint), so a resume can adopt it.
+    journalled: bool
+
+
+#: Every kind of one-bucket shuffle, declared once.
+ONE_BUCKET: Dict[str, OneBucket] = {
+    # Dataset.checkpoint(): a durable materialisation, one context shuffle
+    # id per checkpoint
+    "checkpoint": OneBucket(_whole_partition,
+                            lambda ds: ds.ctx._next_shuffle_id(), True),
+    # a skew split's slice partials: the complement of the split dataset's
+    # first shuffle id, so a split takes no id and a resumed run finds it
+    "slice": OneBucket(_whole_partition,
+                       lambda ds: ~ds.dependencies[0].shuffle_id, True),
+    # a broadcast join's build side, and the stream side's key set
+    "build": OneBucket(_whole_partition,
+                       lambda ds: one_bucket_id(ds.id, "build"), True),
+    "keys": OneBucket(_distinct_keys,
+                      lambda ds: one_bucket_id(ds.id, "keys"), True),
+    # Dataset.cache(): written by whichever task computes a partition, not
+    # by a stage of its own.  Never journalled: a resume adopts what a map
+    # stage would otherwise recompute, and a cache is the context's own
+    # resident state; making it adoptable would re-frame and fsync every
+    # cached partition, which is what checkpoint() is for
+    "cache": OneBucket(_whole_partition,
+                       lambda ds: one_bucket_id(ds.id, "cache"), False),
+}
+
+
+class OneBucketDependency(ShuffleDependency):
+    """A one-bucket shuffle of one :data:`ONE_BUCKET` kind.
+
+    ``owner`` is the dataset the kind takes the shuffle id from; the map
+    side reads ``parent``, the owner itself unless another is given (a
+    checkpoint's executable, a skew split's slices, a cache's unmarked
+    lineage).
     """
 
-    def __init__(self, parent: "Dataset", shuffle_id: int):
-        super().__init__(parent, HashPartitioner(1), _whole_partition,
-                         shuffle_id)
+    def __init__(self, kind: str, owner: "Dataset",
+                 parent: Optional["Dataset"] = None):
+        declared = ONE_BUCKET[kind]
+        super().__init__(owner if parent is None else parent,
+                         HashPartitioner(1), declared.map_side,
+                         declared.shuffle_id(owner))
+        self.kind = kind
+        self.journalled = declared.journalled
 
 
-class SliceDependency(ShuffleDependency):
+class SliceDependency(OneBucketDependency):
     """A skew split: a one-bucket shuffle with one map per slice unit.
 
     ``plan`` maps each split reduce partition to its slices
@@ -222,18 +288,15 @@ class SliceDependency(ShuffleDependency):
     its finished partial and writes that whole, as bucket 0.
     ``ranges[partition]`` is the map range of the partition's units, so the
     split dataset serves the partition as the merge of those partials in
-    the task that reads it.  The shuffle id is the complement of the split
-    dataset's first one: a split takes no id from its context, and a
-    resumed run finds the same.
+    the task that reads it.
     """
 
     def __init__(self, dataset: "ShuffledDataset",
                  plan: Dict[int, List[Tuple[int, int, int]]]):
-        shuffle_id = ~dataset.dependencies[0].shuffle_id
         units = [(partition, *unit) for partition, slices in plan.items()
                  for unit in slices]
-        super().__init__(SkewSlices(dataset, units, shuffle_id),
-                         HashPartitioner(1), _whole_partition, shuffle_id)
+        super().__init__("slice", dataset, SkewSlices(
+            dataset, units, ONE_BUCKET["slice"].shuffle_id(dataset)))
         ends = list(itertools.accumulate(map(len, plan.values())))
         self.ranges = {partition: (end - len(slices), end)
                        for (partition, slices), end in zip(plan.items(), ends)}
@@ -323,21 +386,29 @@ class Dataset:
                       task_context: TaskContext) -> Optional[List[Any]]:
         """One partition of a persisted dataset as a list, or ``None``.
 
-        Looks in the context's own store (``cache()``), then — on a local
-        miss — in the borrowed one (:meth:`share`) for the pieces the
-        partition is kept as there (:meth:`_share_pieces`), and computes
-        the missing ones, leaving each wherever it is wanted.  The partition
-        is one hit however many of its pieces were stored.  ``None`` means
-        nobody keeps any of it (a shared-only dataset whose keys the
-        borrowed store declines): the caller streams it as if unmarked.
+        A cached dataset's partition ``p`` is map output ``p`` of its cache
+        shuffle (:data:`ONE_BUCKET` ``"cache"``), read through the catalog
+        wherever the task runs.  On a miss — or for a dataset only shared —
+        the borrowed store (:meth:`share`) is asked for the pieces the
+        partition is kept as there (:meth:`_share_pieces`), the missing
+        ones are computed and left wherever they are wanted, and a cached
+        dataset writes the partition as map output ``p`` where it was
+        computed.  The partition is one hit however many of its pieces were
+        stored.  ``None`` means nobody keeps any of it (a shared-only
+        dataset whose keys the borrowed store declines): the caller streams
+        it as if unmarked.
         """
-        local = self.ctx.block_store if self.is_cached else None
-        cached = local.get(self.id, partition) if local is not None else None
-        if cached is not None:
+        manager = self.ctx.shuffle_manager
+        cache = self.cache_id if self.is_cached else None
+        if cache is not None and manager.has_map_output(cache, partition):
+            # map ``partition``'s one bucket, absent when it wrote nothing
+            buckets = [bucket for bucket, _ in manager.iter_reduce_input(
+                cache, 0, map_range=(partition, partition + 1))]
+            records = buckets[0] if buckets else []
             task_context.cache_hits += 1
             # records served from a store are reads, like source reads
-            task_context.records_read += len(cached)
-            return cached
+            task_context.records_read += len(records)
+            return records
         shared = self.ctx.shared_blocks if self._share_key is not None else None
         key, pieces = self._share_pieces(partition) if shared is not None \
             else (None, [partition])
@@ -348,7 +419,7 @@ class Dataset:
         admitted = {piece for piece, block in zip(pieces, blocks)
                     if block is None and shared is not None
                     and shared.admits(key, piece)}
-        if local is None and not stored and not admitted:
+        if cache is None and not stored and not admitted:
             return None
         if stored:
             task_context.cache_hits += 1
@@ -362,15 +433,41 @@ class Dataset:
             if piece in admitted:
                 shared.put(key, piece, blocks[position],
                            origin=self._share_origin)
-            if piece in admitted or local is not None:
+            if piece in admitted or cache is not None:
                 # materialising into a store is written output
                 written += len(blocks[position])
         records = blocks[0] if len(blocks) == 1 else \
             [record for block in blocks for record in block]
-        if local is not None:
-            local.put(self.id, partition, records)
+        if cache is not None:
+            self._register_cache()
+            manager.write_map_output(cache, partition, {0: records},
+                                     task_context=task_context)
         task_context.records_written += written
         return records
+
+    @property
+    def cache_id(self) -> str:
+        """The id of this dataset's cache shuffle."""
+        return ONE_BUCKET["cache"].shuffle_id(self)
+
+    def _register_cache(self) -> None:
+        """Declare the cache shuffle, one map per partition, before any
+        map output of it is written or adopted."""
+        self.ctx.shuffle_manager.register_shuffle(
+            self.cache_id, self.num_partitions,
+            journalled=ONE_BUCKET["cache"].journalled)
+
+    @property
+    def cache_dependency(self) -> Optional[OneBucketDependency]:
+        """A cached dataset's cache shuffle as a shuffle edge, else ``None``.
+
+        Its map side reads this dataset's lineage, unmarked, under the same
+        id: what recomputes a lost cached partition.  Never one of
+        ``dependencies``, so plan identity and ``explain()`` do not see it.
+        """
+        if not self.is_cached:
+            return None
+        return OneBucketDependency("cache", self, self._lineage_copy(self.id))
 
     def _share_pieces(self, partition: int) -> Tuple[Any, List[Any]]:
         """The borrowed store's key for this dataset and the pieces one
@@ -449,7 +546,16 @@ class Dataset:
     # -- persistence ------------------------------------------------------------
 
     def cache(self) -> "Dataset":
-        """Mark the dataset so computed partitions are kept in memory."""
+        """Mark the dataset so computed partitions are kept.
+
+        Partition ``p`` is written, where a task first computes it, as map
+        output ``p`` of the dataset's cache shuffle, and every later task
+        reads it from there.  It is held like any map output: resident
+        (under ``EngineConfig.shuffle_memory_bytes``, spilled and read back
+        beyond it, never dropped) or, where a transport carries map output,
+        a span of its frame files.  A lost span recomputes that one
+        partition.
+        """
         self.is_cached = True
         # the cache flag changes what the optimizer may rewrite: re-plan
         # every memoised executable in this context, not just this dataset's
@@ -465,22 +571,17 @@ class Dataset:
         A :meth:`share` mark is dropped with the cache flag; blocks already
         in the borrowed store stay — other contexts may be reading them.
         """
-        self.is_cached = False
-        self._share_key = None
-        self.ctx.block_store.evict_dataset(self.id)
-        invalidated = [self.id]
-        for mirror in self._cache_mirrors:
-            mirror.is_cached = False
-            mirror._share_key = None
-            self.ctx.block_store.evict_dataset(mirror.id)
-            invalidated.append(mirror.id)
+        invalidated = [self, *self._cache_mirrors]
+        for dataset in invalidated:
+            dataset.is_cached = False
+            dataset._share_key = None
         self._cache_mirrors.clear()
-        # the one-bucket shuffles broadcast joins read this dataset (or its
-        # lowered mirrors) through are dropped with the cache
-        for dataset_id in invalidated:
-            for kind in BROADCAST_KINDS:
+        # the one-bucket shuffles keyed by this dataset or a lowered mirror:
+        # its cache, and what broadcast joins read it through
+        for dataset in invalidated:
+            for kind in ("cache", "build", "keys"):
                 self.ctx.shuffle_manager.remove_shuffle(
-                    broadcast_shuffle_id(dataset_id, kind))
+                    one_bucket_id(dataset.id, kind))
         self._executable = None
         self.ctx._cache_epoch += 1
         return self
@@ -536,8 +637,8 @@ class Dataset:
 
         Requires ``EngineConfig.checkpoint_dir``.  Runs one job whose stage
         writes partition ``p`` of the dataset's executable as map output
-        ``p`` of a one-bucket shuffle
-        (:class:`CheckpointDependency`), where the partition is computed,
+        ``p`` of a one-bucket shuffle (:data:`ONE_BUCKET`
+        ``"checkpoint"``), where the partition is computed,
         then keeps every span of it durable under ``checkpoint_dir`` and
         journals it like any settled shuffle.  The dataset then takes its
         executable's partitioning and depends on that shuffle alone: later
@@ -553,12 +654,12 @@ class Dataset:
         self.ctx.checkpoint_dataset(self)
         return self
 
-    def _lineage_copy(self) -> "Dataset":
-        """This dataset under a fresh id, computed from its own lineage and
-        unmarked: what a checkpoint's map stage runs when no rewrite
-        stands in for the dataset."""
+    def _lineage_copy(self, dataset_id: int) -> "Dataset":
+        """This dataset under ``dataset_id``, computed from its own lineage
+        and unmarked: what a checkpoint's map stage runs when no rewrite
+        stands in for the dataset (a fresh id), and a cache's (its own)."""
         twin = object.__new__(type(self))  # not __getstate__: keeps all data
-        twin.__dict__.update(self.__dict__, id=self.ctx._next_dataset_id(),
+        twin.__dict__.update(self.__dict__, id=dataset_id,
                              plan=None, is_cached=False, _share_key=None,
                              _executable=None, _cache_mirrors=[])
         return twin
@@ -971,18 +1072,20 @@ class LineageStub(Dataset):
     checkpoint's, a skew split's and a broadcast build's included) with one
     of these *in the shipped copy of the graph only*
     (:mod:`repro.engine.executor`); the driver keeps the full lineage,
-    because every recovery path recomputes from it and republishes.  A stub
-    keeps the identity a diagnostic needs and refuses to compute.
+    because every recovery path recomputes from it and republishes.  A
+    dataset whose cache shuffle is complete ships as a stub too, one that
+    is ``cached``: its partitions are read from that shuffle.  A stub keeps
+    the identity a diagnostic needs and refuses to compute.
     """
 
-    def __init__(self, original: Dataset):
+    def __init__(self, original: Dataset, cached: bool = False):
         # not Dataset.__init__: a stub borrows an identity, it allocates none
         self.ctx = None
         self.id = original.id
         self.name = original.name
         self.num_partitions = original.num_partitions
         self.dependencies = []
-        self.is_cached = False
+        self.is_cached = cached
         self._checkpoint = None
         self._share_key = None
 
@@ -1456,29 +1559,6 @@ def broadcast_preserves_build(how: str, build_side: str) -> bool:
     return how == "right_outer"
 
 
-def broadcast_shuffle_id(dataset_id: int, kind: str) -> str:
-    """The id of the one-bucket shuffle a broadcast join reads dataset
-    ``dataset_id`` through, of one of :data:`BROADCAST_KINDS`.
-
-    Taken from no counter, so every join over one physical dataset reads
-    one shuffle and ids allocated later do not move; a string, so it never
-    meets a context shuffle id or a skew split's (both integers).
-    """
-    return f"{kind}-{dataset_id}"
-
-
-def _distinct_keys(batches: Iterator[List[Any]]) -> Dict[int, List[Any]]:
-    """A stream key-set shuffle's map side: the partition's distinct keys,
-    as bucket 0."""
-    return {0: list(dict.fromkeys(
-        key for key, _ in itertools.chain.from_iterable(batches)))}
-
-
-#: What a broadcast join reads through a one-bucket shuffle: a build
-#: side's pairs, and a stream side's distinct keys.
-BROADCAST_KINDS = {"build": _whole_partition, "keys": _distinct_keys}
-
-
 class BroadcastJoinDataset(Dataset):
     """A join evaluated as a narrow broadcast hash join.
 
@@ -1505,9 +1585,7 @@ class BroadcastJoinDataset(Dataset):
         unmatched = broadcast_preserves_build(how, build_side)
         reads = [(build, "build")] + [(stream, "keys")] * unmatched
         dependencies: List[Dependency] = [NarrowDependency(stream)] + [
-            ShuffleDependency(parent, HashPartitioner(1), BROADCAST_KINDS[kind],
-                              broadcast_shuffle_id(parent.id, kind))
-            for parent, kind in reads]
+            OneBucketDependency(kind, parent) for parent, kind in reads]
         super().__init__(stream.ctx, stream.num_partitions + unmatched,
                          dependencies,
                          name=f"broadcast_{join_display_name(how)}"

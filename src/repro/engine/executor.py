@@ -40,7 +40,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..config import EngineConfig
 from ..errors import SerializationError, TaskError
@@ -438,8 +438,9 @@ class _StageCut:
     never mutated (fetch-failure and journal recovery both recompute from
     it and republish).  The cut is per edge: a dataset
     behind a complete shuffle on one path and read narrowly on another
-    ships in full, because the narrow path reaches it.  A cached parent is
-    *not* a cut — a worker may evict the seeded block and recompute.
+    ships in full, because the narrow path reaches it.  A cached dataset
+    whose cache shuffle is complete is a cut itself: it ships as a cached
+    stub, read from that shuffle.
     """
 
     def __init__(self, tasks: Sequence[Task],
@@ -451,6 +452,9 @@ class _StageCut:
         self.datasets: List[Any] = []
         #: Ids of the complete shuffles the shipped graph reads.
         self.shuffle_ids: List[int] = []
+        #: The cached datasets it reaches, complete or not: their cache
+        #: shuffles' map output ships too.
+        self.caches: List[Any] = []
         self.tasks = [self._ship_task(task) for task in tasks]
 
     def _ship_task(self, task: Task) -> Task:
@@ -496,6 +500,12 @@ class _StageCut:
         shipped = self._shipped.get(id(dataset))
         if shipped is not None:
             return shipped
+        if dataset.is_cached:
+            self.caches.append(dataset)
+            if self._is_complete(dataset.cache_id):
+                shipped = self._shipped[id(dataset)] = LineageStub(
+                    dataset, cached=True)
+                return shipped
         dependencies = [
             self._reparent(dependency, self._edge_parent(dependency))
             for dependency in dataset.dependencies]
@@ -565,17 +575,17 @@ class ProcessExecutor(Executor):
 
     Same stage driver and observable behaviour as :class:`Executor`; the
     differences are mechanical.  Each stage is serialized once into a
-    payload (task graphs cut at complete shuffle boundaries, the span
-    catalog of the shuffles they read, the cached blocks of the datasets
-    they carry) published through the shuffle transport; workers run
-    :func:`run_attempt` out of that payload and return its outcome plus
-    the catalog of the map output written, dirty cache blocks and their
-    pid, which :meth:`_absorb` adopts into the shuffle manager, the block
-    store and the health tracker.
+    payload (task graphs cut at complete shuffle boundaries, and the span
+    catalog of the shuffles they read, caches included) published through
+    the shuffle transport; workers run :func:`run_attempt` out of that
+    payload and return its outcome plus the catalog of every map output
+    it wrote (a map task's own, and the partitions it cached) and their
+    pid, which :meth:`_absorb` adopts into the shuffle manager and the
+    health tracker.
     """
 
     def __init__(self, config: EngineConfig, shuffle_manager=None,
-                 block_store=None, memory_manager=None, transport=None,
+                 memory_manager=None, transport=None,
                  clock: Callable[[], float] = time.perf_counter):
         self._owns_transport = transport is None
         if transport is None:
@@ -586,7 +596,6 @@ class ProcessExecutor(Executor):
                 tempfile.mkdtemp(prefix="repro-transport-"))
         super().__init__(config, clock, heartbeat_dir=transport.heartbeat_dir)
         self._shuffle_manager = shuffle_manager
-        self._block_store = block_store
         self._memory = memory_manager
         self._transport = transport
 
@@ -632,20 +641,23 @@ class ProcessExecutor(Executor):
     def _publish_stage(self, tasks: Sequence[Task]) -> str:
         """Serialize what this stage reads — and nothing behind it.
 
-        The payload holds the cut task graphs (:class:`_StageCut`), the span
-        catalog of exactly the shuffles those graphs read, and the cached
-        blocks of exactly the datasets they carry.  Parallelised input on
-        the path is published once per context and rides as spans.
+        The payload holds the cut task graphs (:class:`_StageCut`) and the
+        span catalog of exactly the shuffles those graphs read: the
+        complete ones behind a cut, and every cache they reach, with what
+        it holds so far.  Parallelised input on the path is published once
+        per context and rides as spans.
         """
-        is_complete = self._shuffle_manager.is_complete \
-            if self._shuffle_manager is not None else lambda shuffle_id: False
-        cut = _StageCut(tasks, is_complete)
+        manager = self._shuffle_manager
+        cut = _StageCut(tasks, manager.is_complete if manager is not None
+                        else lambda shuffle_id: False)
+        for dataset in cut.caches:
+            # before any worker reports a partition of it
+            dataset._register_cache()
         payload = {
             "tasks": cut.tasks,
-            "catalog": {shuffle_id:
-                        self._shuffle_manager.export_catalog(shuffle_id)
-                        for shuffle_id in cut.shuffle_ids},
-            "blocks": self._collect_blocks(cut.datasets),
+            "catalog": {shuffle_id: manager.export_catalog(shuffle_id)
+                        for shuffle_id in cut.shuffle_ids + [
+                            dataset.cache_id for dataset in cut.caches]},
         }
         try:
             for dataset in cut.datasets:
@@ -657,44 +669,27 @@ class ProcessExecutor(Executor):
                 _diagnose_unpicklable(tasks, cut.datasets, error)) from error
         return self._transport.publish_stage(data)
 
-    def _collect_blocks(self, datasets: List[Any]) -> Dict[Tuple[int, int], Any]:
-        if self._block_store is None:
-            return {}
-        blocks: Dict[Tuple[int, int], Any] = {}
-        for dataset in datasets:
-            if not dataset.is_cached:
-                continue
-            cached = self._block_store.snapshot_dataset(dataset.id,
-                                                        dataset.num_partitions)
-            for partition, records in cached.items():
-                blocks[(dataset.id, partition)] = records
-        return blocks
-
     # -- result settlement --------------------------------------------------
 
     def _absorb(self, outcome: Dict[str, Any],
                 metrics: Optional[TaskMetrics]) -> None:
         """Fold a worker's outcome into the driver's stores.
 
-        Blocks cached before a failure, or by a speculation loser, stay
-        cached, as on the thread backend where the driver store is written
-        directly.  Only a winner registers its map output: a loser's spans
-        are simply never registered.  A failure whose ledger is the worker
-        strikes it; a lost span is charged to its *producer* by the
-        scheduler.
+        Only a winner registers its map output: a loser's spans are simply
+        never registered.  A failed attempt's own map output never exists,
+        but partitions it cached before failing stay cached, as on the
+        thread backend.  A failure whose ledger is the worker strikes it; a
+        lost span is charged to its *producer* by the scheduler.
         """
         worker = outcome["worker"]
         self._pool_pids.add(worker)
-        if self._block_store is not None:
-            for (dataset_id, partition), records in outcome["blocks"].items():
-                self._block_store.put(dataset_id, partition, records)
         if metrics is None:
             return
-        if outcome["ok"]:
-            map_output = outcome.get("map_output")
-            if map_output is not None and self._shuffle_manager is not None:
-                self._shuffle_manager.adopt_catalog(*map_output,
+        if self._shuffle_manager is not None:
+            for shuffle_id, catalog in outcome["map_output"]:
+                self._shuffle_manager.adopt_catalog(shuffle_id, catalog,
                                                     producer=worker)
+        if outcome["ok"]:
             if self._memory is not None:
                 # fold the driver-tracked residency (external spans
                 # registered so far) into the worker-observed peak,
@@ -753,7 +748,7 @@ class ProcessExecutor(Executor):
 
 
 def create_executor(config: EngineConfig, shuffle_manager=None,
-                    block_store=None, memory_manager=None, transport=None):
+                    memory_manager=None, transport=None):
     """Build the executor ``config.executor_backend`` selects.
 
     The thread backend ignores the collaborator arguments — it shares the
@@ -761,7 +756,6 @@ def create_executor(config: EngineConfig, shuffle_manager=None,
     """
     if config.executor_backend == "process":
         return ProcessExecutor(config, shuffle_manager=shuffle_manager,
-                               block_store=block_store,
                                memory_manager=memory_manager,
                                transport=transport)
     return Executor(config)

@@ -2,8 +2,8 @@
 
 PR 8–9 made the *workers* expendable — lineage recomputes lost map output,
 crashed pools respawn — but the driver remained a single point of failure:
-kill it and the map-output catalog, the block store and every completed
-stage die with it.  The journal closes that gap.  A context configured
+kill it and the map-output catalog, the cache and every completed stage
+die with it.  The journal closes that gap.  A context configured
 with ``EngineConfig.checkpoint_dir`` records, as execution progresses:
 
 * per completed shuffle: the full span catalog of its durable frame

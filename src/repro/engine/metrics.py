@@ -53,11 +53,11 @@ COUNTERS = (
     Counter("num_tasks", STAGE),  # task attempts, failed ones included
     Counter("num_failed_attempts", STAGE),  # injected faults and retries
     Counter("records_read", TASK),  # from sources, caches and checkpoints
-    Counter("records_written", TASK),  # to shuffles and cached blocks
+    Counter("records_written", TASK),  # to shuffles, caches included
     # estimated bytes through the shuffle, write side and read side
     Counter("shuffle_bytes_written", TASK, job_name="shuffle_bytes"),
     Counter("shuffle_bytes_read", TASK, top=STAGE),
-    Counter("cache_hits", TASK),  # partitions served from the block store
+    Counter("cache_hits", TASK),  # partitions a cache or shared store served
     Counter("batches_processed", TASK),  # depends on the batch size
     # physical plans swapped mid-job when actual shuffle sizes contradicted
     # the estimates

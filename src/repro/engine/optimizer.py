@@ -287,13 +287,11 @@ class OptimizationResult:
 class PlanOptimizer:
     """Applies the enabled rewrite rules to logical plans."""
 
-    def __init__(self, config: EngineConfig, block_store,
-                 shuffle_manager=None, lowered_plans=None):
+    def __init__(self, config: EngineConfig, shuffle_manager=None,
+                 lowered_plans=None):
         self.config = config
-        self.block_store = block_store
         #: Statistics layer shared by the cost-based rules and ``explain()``.
-        self.estimator = StatsEstimator(config, block_store, shuffle_manager,
-                                        lowered_plans)
+        self.estimator = StatsEstimator(config, shuffle_manager, lowered_plans)
 
     # -- public API ---------------------------------------------------------
 
@@ -345,19 +343,18 @@ class PlanOptimizer:
         are ancestors of truncated checkpoints, which keep their records.
         """
         ds = node.origin_dataset
-        if ds is None or not ds.is_cached:
+        manager = self.estimator.shuffle_manager
+        if ds is None or not ds.is_cached or manager is None:
             return None
         for candidate in (ds._executable, ds):
-            if candidate is None or not candidate.is_cached:
-                continue
-            if self.block_store.contains_all(candidate.id,
-                                             candidate.num_partitions):
+            if candidate is not None and candidate.is_cached and \
+                    manager.is_complete(candidate.cache_id):
                 return candidate
         return None
 
     def _prune_cached(self, node: LogicalNode, applied: List[str]) -> LogicalNode:
-        """Replace a subtree whose root is fully materialised in the block
-        store by a direct scan of the cached blocks, so nothing below it is
+        """Replace a subtree whose root's cache shuffle is complete by a
+        direct scan of the cached dataset, so nothing below it is
         re-planned or re-executed."""
         def scan(n: LogicalNode) -> Optional[LogicalNode]:
             materialized = self._materialized_physical(n)

@@ -147,7 +147,7 @@ class PhysicalScanNode(LogicalNode):
     """A leaf wrapping an already materialised physical dataset.
 
     Inserted by the cache-pruning rule: the whole subtree below a fully
-    cached dataset is replaced by a direct scan of its cached blocks.
+    cached dataset is replaced by a direct scan of its cache shuffle.
     """
 
     op = "cached_scan"

@@ -24,6 +24,12 @@ a one-bucket *slice shuffle* beside its dependencies
 such a dataset the scheduler completes that shuffle as it completes any
 other, and the stage's tasks merge the partials of each split partition
 they read.
+
+**Caches**: a cached dataset's partitions are the map outputs of its
+one-bucket *cache shuffle*, written by whichever task computes them; no
+stage runs it.  While it is complete, everything beneath the dataset is
+skipped like the lineage behind any complete shuffle, and a lost cached
+partition heals like any lost map output.
 """
 
 from __future__ import annotations
@@ -34,8 +40,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 
 from ..config import EngineConfig
 from ..errors import FetchFailedError
-from .dataset import (CheckpointDependency, Dataset, ShuffleDependency,
-                      SkewSlices, TaskContext)
+from .dataset import Dataset, ShuffleDependency, SkewSlices, TaskContext
 from .executor import Task, create_executor
 from .journal import shuffle_journal_key, validate_shuffle_entry
 from .metrics import JobMetrics, PendingCounters, StageMetrics
@@ -51,14 +56,16 @@ _MAX_ADAPTIVE_REPLANS = 20
 def _shuffle_edges(lineage: Dataset, seen: Optional[set] = None
                    ) -> Iterator[Tuple[Dataset, ShuffleDependency]]:
     """Every ``(dataset, shuffle dependency)`` edge in ``lineage``, depth
-    first in dependency order, a dataset's skew split after its
-    dependencies."""
+    first in dependency order, a dataset's skew split and cache shuffle
+    after its dependencies."""
     seen = set() if seen is None else seen
     if lineage.id in seen:
         return
     seen.add(lineage.id)
-    split = [lineage.split] if lineage.split is not None else []
-    for dependency in lineage.dependencies + split:
+    beside = [dependency for dependency in (lineage.split,
+                                            lineage.cache_dependency)
+              if dependency is not None]
+    for dependency in lineage.dependencies + beside:
         if isinstance(dependency, ShuffleDependency):
             yield lineage, dependency
         yield from _shuffle_edges(dependency.parent, seen)
@@ -127,7 +134,7 @@ class ResultTask(Task):
     def run(self, task_context: TaskContext) -> Any:
         # records the action consumes are *reads* (sources and caches count
         # them while the iterator is drained); ``records_written`` is
-        # reserved for materialised output: shuffle files and cached blocks
+        # reserved for materialised output: shuffle map outputs, caches too
         batches = _counted_batches(
             self._dataset.batch_iterator(self.partition, task_context),
             task_context)
@@ -142,14 +149,13 @@ class ResultTask(Task):
 class DAGScheduler:
     """Turns actions on datasets into stages of tasks and executes them."""
 
-    def __init__(self, config: EngineConfig, shuffle_manager, block_store,
+    def __init__(self, config: EngineConfig, shuffle_manager,
                  metrics_registry, memory_manager=None, transport=None,
                  journal=None, recovered_shuffles: Optional[Dict] = None,
                  pending_counters: Optional[PendingCounters] = None,
                  checkpoint_hook: Optional[Callable[[Dataset], None]] = None):
         self.config = config
         self.shuffle_manager = shuffle_manager
-        self.block_store = block_store
         self.metrics_registry = metrics_registry
         #: Write-ahead job journal (``checkpoint_dir`` set); settled
         #: shuffles export their durable span catalogs into it.
@@ -171,7 +177,6 @@ class DAGScheduler:
         #: process backend needs the scheduler's collaborators to publish
         #: payloads and settle worker results on the driver side.
         self.executor = create_executor(config, shuffle_manager=shuffle_manager,
-                                        block_store=block_store,
                                         memory_manager=memory_manager,
                                         transport=transport)
         self._job_counter = itertools.count()
@@ -191,9 +196,9 @@ class DAGScheduler:
         the job (adaptive re-optimization); it must only be supplied for
         whole-dataset jobs, since a replacement may change partitioning.
         ``func`` ``None`` is a checkpoint job: the shuffle ``dataset``'s one
-        :class:`~repro.engine.dataset.CheckpointDependency` writes, and what
-        it needs, with no result stage — even if a cache could serve
-        ``dataset``.
+        ``"checkpoint"`` :class:`~repro.engine.dataset.OneBucketDependency`
+        writes, and what it needs, with no result stage — even if a cache
+        could serve ``dataset``.
         """
         job = JobMetrics(job_id=next(self._job_counter), description=description)
         try:
@@ -248,11 +253,14 @@ class DAGScheduler:
         re-run from scratch by the next job (every map task rewrites its
         buckets), so keeping its partial buckets — resident or spilled to
         disk — only pins memory and spill files.  Complete shuffles are
-        kept; their reuse across jobs is unchanged.
+        kept; their reuse across jobs is unchanged.  So is a partial cache:
+        it holds what tasks computed, not a stage left half done.
         """
+        manager = self.shuffle_manager
         for _, dependency in _shuffle_edges(dataset):
-            if not self.shuffle_manager.is_complete(dependency.shuffle_id):
-                self.shuffle_manager.remove_shuffle(dependency.shuffle_id)
+            if dependency.kind != "cache" and \
+                    not manager.is_complete(dependency.shuffle_id):
+                manager.remove_shuffle(dependency.shuffle_id)
 
     # -- lineage-based fault recovery -----------------------------------------
 
@@ -349,8 +357,8 @@ class DAGScheduler:
         for key in lost:
             self.shuffle_manager.invalidate_map_output(*key)
         job.lost_map_outputs += len(lost)
-        # in order of first loss: ids are ints and (a broadcast join's)
-        # strings, which do not sort together
+        # in order of first loss: ids are ints and (a dataset-keyed
+        # one-bucket shuffle's) strings, which do not sort together
         for shuffle_id in dict.fromkeys(shuffle_id for shuffle_id, _ in lost):
             found = _find_shuffle(lineage, shuffle_id)
             if found is not None:
@@ -361,9 +369,9 @@ class DAGScheduler:
     # -- shuffle stages ----------------------------------------------------------
 
     def _is_fully_cached(self, dataset: Dataset) -> bool:
-        if not dataset.is_cached:
-            return False
-        return self.block_store.contains_all(dataset.id, dataset.num_partitions)
+        """Whether the dataset is cached and its cache shuffle complete."""
+        return dataset.is_cached and \
+            self.shuffle_manager.is_complete(dataset.cache_id)
 
     def _execute_prerequisites(self, dataset: Dataset, job: JobMetrics,
                                replanner: Optional[Callable[[], Dataset]]) -> Dataset:
@@ -428,15 +436,14 @@ class DAGScheduler:
         run the cheapest pending stage first — by the estimated map-output
         bytes the statistics layer stamped on the dependency — so actual
         sizes of cheap stages can re-shape the plan before expensive stages
-        run; broadcast joins' reads (small by construction, and the only
-        shuffles with a string id) go first.
+        run; broadcast joins' reads (small by construction) go first.
         """
         if not adaptive:
             return ready[0]
 
         def cost(indexed) -> tuple:
             index, dependency = indexed
-            if isinstance(dependency.shuffle_id, str):
+            if dependency.kind in ("build", "keys"):
                 return (-1.0, index)
             estimated = dependency.estimated_bytes
             return (estimated if estimated is not None else float("inf"), index)
@@ -457,11 +464,11 @@ class DAGScheduler:
 
         The walk covers the narrow closure the stage's tasks pull through,
         stopping at fully cached or checkpointed datasets (served from
-        blocks or spans) and at shuffle inputs (nothing behind them
+        their one-bucket shuffles) and at shuffle inputs (nothing behind them
         executes again).  Known over-approximation: a
         *partially* cached dataset between the split and the stage is
-        walked through, so a split whose partitions' derived blocks happen
-        to be cached still gets its slice shuffle computed — being
+        walked through, so a split whose partitions' derived partitions
+        happen to be cached still gets its slice shuffle computed — being
         per-partition path-aware through non-1:1 narrow ops (coalesce,
         union) is not worth the complexity for that corner.
         """
@@ -475,8 +482,9 @@ class DAGScheduler:
             split = node.split
             if split is not None:
                 served = [partition for partition in split.ranges
-                          if not (node.is_cached and self.block_store.contains(
-                              node.id, partition))]
+                          if not (node.is_cached and
+                                  self.shuffle_manager.has_map_output(
+                                      node.cache_id, partition))]
                 if served and \
                         not self.shuffle_manager.is_complete(split.shuffle_id):
                     self._run_shuffle_stage(split, job)
@@ -570,14 +578,15 @@ class DAGScheduler:
         ids) can never match, and adopt, this program's map output.  A
         checkpoint is also served from those durable spans, never from
         memory, so its catalog is adopted back — even when its lineage has
-        no key and nothing is journalled.
+        no key and nothing is journalled.  A kind declared unjournalled (a
+        cache) is neither.
         """
-        if self.journal is None:
+        if self.journal is None or not dependency.journalled:
             return
         if not self.shuffle_manager.is_complete(dependency.shuffle_id):
             return
         key = shuffle_journal_key(dependency)
-        checkpoint = isinstance(dependency, CheckpointDependency)
+        checkpoint = dependency.kind == "checkpoint"
         if key is None and not checkpoint:
             return
         catalog = self.shuffle_manager.export_durable_catalog(

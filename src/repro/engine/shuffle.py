@@ -291,6 +291,9 @@ class ShuffleManager:
         #: corruption read (drained into stage metrics alongside the
         #: transport's network fetch retries).
         self._fetch_retries = 0
+        #: Shuffles registered as never journalled (caches): their frame
+        #: files are no recovery state, even in a durable transport.
+        self._unjournalled: set = set()
 
     # -- memory accounting -----------------------------------------------------
 
@@ -365,9 +368,13 @@ class ShuffleManager:
 
     # -- map side ------------------------------------------------------------
 
-    def register_shuffle(self, shuffle_id: int, num_map_partitions: int) -> None:
-        """Declare a shuffle and the number of map tasks that will feed it."""
+    def register_shuffle(self, shuffle_id: int, num_map_partitions: int,
+                         journalled: bool = True) -> None:
+        """Declare a shuffle and the number of map tasks that will feed it
+        (a repeated declaration changes nothing)."""
         with self._lock:
+            if not journalled and shuffle_id not in self._expected_maps:
+                self._unjournalled.add(shuffle_id)
             self._expected_maps.setdefault(shuffle_id, num_map_partitions)
             self._completed_maps.setdefault(shuffle_id, set())
             self._bytes_written.setdefault(shuffle_id, 0)
@@ -611,6 +618,17 @@ class ShuffleManager:
 
     # -- reduce side ----------------------------------------------------------
 
+    def has_map_output(self, shuffle_id: int, map_partition: int) -> bool:
+        """True when map ``map_partition`` of the shuffle has registered
+        output (a complete shuffle or not)."""
+        with self._lock:
+            return map_partition in self._completed_maps.get(shuffle_id, ())
+
+    def shuffle_ids(self) -> List[Any]:
+        """Every registered shuffle's id, in registration order."""
+        with self._lock:
+            return list(self._expected_maps)
+
     def is_complete(self, shuffle_id: int) -> bool:
         """True when every map task of the shuffle has reported its output."""
         with self._lock:
@@ -687,10 +705,15 @@ class ShuffleManager:
             return [key for key, who in self._producers.items()
                     if who == worker]
 
-    def _check_readable(self, shuffle_id: int) -> None:
+    def _check_readable(self, shuffle_id: int,
+                        map_range: Optional[Tuple[int, int]] = None) -> None:
+        """A read needs every map output it covers: a ranged read only
+        those of its range."""
         if shuffle_id not in self._expected_maps:
             raise ShuffleError(f"shuffle {shuffle_id} was never registered")
-        if len(self._completed_maps[shuffle_id]) < self._expected_maps[shuffle_id]:
+        completed = self._completed_maps[shuffle_id]
+        if not (completed.issuperset(range(*map_range)) if map_range
+                else len(completed) >= self._expected_maps[shuffle_id]):
             raise ShuffleError(
                 f"shuffle {shuffle_id} read before all map outputs were written")
 
@@ -715,7 +738,7 @@ class ShuffleManager:
         append-only, which is what makes the snapshot safe.
         """
         with self._lock:
-            self._check_readable(shuffle_id)
+            self._check_readable(shuffle_id, map_range)
             refs = self._bucket_refs(shuffle_id, reduce_partition, map_range)
         records: List[Any] = []
         size = 0
@@ -736,7 +759,7 @@ class ShuffleManager:
         (and summing the sizes) reproduces the full read exactly.
         """
         with self._lock:
-            self._check_readable(shuffle_id)
+            self._check_readable(shuffle_id, map_range)
             refs = self._bucket_refs(shuffle_id, reduce_partition, map_range)
         for map_partition, source, bucket_size in refs:
             yield self._load(shuffle_id, map_partition, source), bucket_size
@@ -880,8 +903,16 @@ class ShuffleManager:
             completed = self._completed_maps.get(shuffle_id, set())
             return [m for m in range(expected) if m not in completed]
 
-    def remove_shuffle(self, shuffle_id: int) -> None:
-        """Discard all data of a shuffle, including its spill file."""
+    def _keeps_frames(self, shuffle_id: Any) -> bool:
+        """Whether a shuffle's frame files are recovery state: in a durable
+        transport, unless it was registered as never journalled."""
+        return self.transport.durable and shuffle_id not in self._unjournalled
+
+    def remove_shuffle(self, shuffle_id: int,
+                       spare_durable: bool = False) -> None:
+        """Discard all data of a shuffle, its spill file and its frame
+        files — but, with ``spare_durable``, frames that are recovery state
+        (:meth:`_keeps_frames`)."""
         with self._lock:
             # delete only the matching keys; rebuilding the whole dict would
             # copy every other shuffle's entries under the lock
@@ -903,8 +934,10 @@ class ShuffleManager:
             self._sync_memory()
             # sweeps registered frame files and partial output of failed
             # map attempts alike
-            if self.transport is not None:
+            if self.transport is not None and \
+                    not (spare_durable and self._keeps_frames(shuffle_id)):
                 self.transport.remove_shuffle(shuffle_id)
+            self._unjournalled.discard(shuffle_id)
 
     def _remove_spill_file_locked(self, shuffle_id: int) -> None:
         # the spill directory exists once anything has spilled; asking for
@@ -916,27 +949,12 @@ class ShuffleManager:
                 pass
 
     def clear(self) -> None:
-        """Discard every shuffle (used when an engine context shuts down)."""
+        """Discard every shuffle (used when an engine context shuts down).
+
+        A durable transport's frame files are recovery state: they survive
+        so a restarted context can re-register them from the journal.
+        """
+        for shuffle_id in self.shuffle_ids():
+            self.remove_shuffle(shuffle_id, spare_durable=True)
         with self._lock:
-            for shuffle_id in self._expected_maps:
-                self._remove_spill_file_locked(shuffle_id)
-                if self.transport is not None and not self.transport.durable:
-                    # a durable transport's frame files are recovery state:
-                    # they must survive stop() so a restarted context can
-                    # re-register them from the journal
-                    self.transport.remove_shuffle(shuffle_id)
-            self._buckets.clear()
-            self._spans.clear()
-            self._bucket_bytes.clear()
-            self._reduce_bytes.clear()
-            self._completed_maps.clear()
-            self._expected_maps.clear()
-            self._bytes_written.clear()
-            self._records_written.clear()
-            self._unspillable.clear()
-            self._producers.clear()
-            self._samples.clear()
             self._fetch_retries = 0
-            self._resident_bytes = 0
-            self._span_bytes = 0
-            self._sync_memory()

@@ -11,8 +11,8 @@ module supplies that layer for the logical plan IR:
   every node, combining three sources in decreasing order of trust:
 
   1. **actuals** — completed shuffle map outputs (via
-     :meth:`repro.engine.shuffle.ShuffleManager.map_output_stats`) and fully
-     cached block-store datasets;
+     :meth:`repro.engine.shuffle.ShuffleManager.map_output_stats`), fully
+     cached datasets' cache shuffles included;
   2. **source sampling** — in-memory collections are stride-sampled with the
      same :func:`repro.engine.shuffle.estimate_bytes` accounting the shuffle
      uses, so estimates and actuals are directly comparable;
@@ -136,8 +136,9 @@ class StatsEstimate:
 
     rows: float
     size_bytes: float
-    #: True when the numbers were observed (cached blocks, completed shuffle
-    #: map outputs, in-memory collections), False for heuristic propagation.
+    #: True when the numbers were observed (completed shuffle map outputs,
+    #: caches included, and in-memory collections), False for heuristic
+    #: propagation.
     exact: bool = False
 
     def scaled(self, row_factor: float,
@@ -193,10 +194,9 @@ def stamp_shuffle_hints(node: LogicalNode, ds) -> None:
 class StatsEstimator:
     """Annotates logical plans with :class:`StatsEstimate` per node."""
 
-    def __init__(self, config: EngineConfig, block_store=None,
-                 shuffle_manager=None, lowered_plans=None):
+    def __init__(self, config: EngineConfig, shuffle_manager=None,
+                 lowered_plans=None):
         self.config = config
-        self.block_store = block_store
         self.shuffle_manager = shuffle_manager
         #: Resolved frame codec id, so leaf sampling measures the same
         #: compression ratio the shuffle manager's accounting uses.
@@ -248,13 +248,12 @@ class StatsEstimator:
                              exact=True)
 
     def _cached_actual(self, node: LogicalNode) -> Optional[StatsEstimate]:
-        """Actual stats of a node whose physical dataset is fully cached."""
-        if self.block_store is None:
-            return None
+        """Actual stats of a node whose physical dataset is fully cached:
+        its cache shuffle's map output."""
         ds = node.dataset
-        if ds is None or not ds.is_cached:
+        if self.shuffle_manager is None or ds is None or not ds.is_cached:
             return None
-        actual = self.block_store.dataset_stats(ds.id, ds.num_partitions)
+        actual = self.shuffle_manager.map_output_stats(ds.cache_id)
         if actual is None:
             return None
         rows, size = actual

@@ -1,18 +1,16 @@
-"""In-memory cache of computed dataset partitions.
+"""An in-memory store of computed partitions shared across contexts.
 
-Datasets marked with :meth:`repro.engine.dataset.Dataset.cache` store their
-computed partitions here so that subsequent jobs reuse them instead of
-recomputing the lineage.  The store enforces a memory budget in *resident*
-bytes with LRU eviction, which lets benchmarks demonstrate the cost of
-under-provisioned caches.
-
-The same class serves as the store a platform lends to every context it
-creates (``EngineContext(shared_blocks=...)``), keyed by content
-fingerprint instead of dataset id.  That store outlives the jobs that fill
-it, so it admits a block only on the *second* request for its key: most of
-what a trial-and-error session reads is read exactly once, and a
-cache-on-second-request rule keeps such one-off scans from being
-materialised at all, let alone from flushing what is actually reused.
+A platform lends one :class:`BlockStore` to every context it creates
+(``EngineContext(shared_blocks=...)``); datasets marked with
+:meth:`repro.engine.dataset.Dataset.share` look their partitions up there
+by content fingerprint and publish what they materialise.  The store
+enforces a memory budget in *resident* bytes with LRU eviction.  It
+outlives the jobs that fill it, so it admits a block only on the *second*
+request for its key: most of what a trial-and-error session reads is read
+exactly once, and a cache-on-second-request rule keeps such one-off scans
+from being materialised at all, let alone from flushing what is actually
+reused.  (A context's own ``cache()`` is not kept here: a cached partition
+is map output of a one-bucket shuffle, :mod:`repro.engine.dataset`.)
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
-from .memory import CODEC_NONE
-from .shuffle import _stride_sample, estimate_bytes
+from .shuffle import _stride_sample
 
 #: Records measured per block by :func:`resident_bytes`.
 _RESIDENT_SAMPLE_SIZE = 32
@@ -76,10 +73,10 @@ def resident_bytes(records: List[Any]) -> int:
 class BlockStore:
     """LRU cache of partition blocks keyed by ``(dataset_id, partition)``.
 
-    ``dataset_id`` is any hashable: a context's own store uses dataset ids,
-    a store shared between contexts uses content fingerprints.
-    ``admit_on_second_touch`` selects the admission rule of the latter (see
-    :meth:`admits`); the default admits everything, as ``cache()`` needs.
+    ``dataset_id`` is any hashable: a shared store's keys are content
+    fingerprints (or a source's range identity).  ``admit_on_second_touch``
+    selects the admission rule (see :meth:`admits`); the default admits
+    everything.
     """
 
     def __init__(self, memory_budget_bytes: int = 256 * 1024 * 1024,
@@ -168,59 +165,7 @@ class BlockStore:
         with self._lock:
             return {key[0] for key in self._blocks}
 
-    def contains_all(self, dataset_id: int, num_partitions: int) -> bool:
-        """True when every partition of the dataset is currently cached.
-
-        The single source of truth for "fully materialised", shared by the
-        scheduler (skip upstream stages) and the plan optimizer (prune the
-        subtree below a cached dataset).
-        """
-        with self._lock:
-            return all((dataset_id, partition) in self._blocks
-                       for partition in range(num_partitions))
-
-    def dataset_stats(self, dataset_id: int,
-                      num_partitions: int) -> Optional[Tuple[int, int]]:
-        """Actual ``(rows, bytes)`` of a fully cached dataset, else ``None``.
-
-        Used by the statistics layer: a materialised cache is an exact source
-        of row counts and a sampled one of *serialised* bytes — the unit the
-        cost model prices shuffles and broadcasts in, not the resident bytes
-        the budget is enforced with.
-        """
-        with self._lock:
-            blocks = [self._blocks.get((dataset_id, partition))
-                      for partition in range(num_partitions)]
-        if any(block is None for block in blocks):
-            return None
-        return (sum(map(len, blocks)),
-                sum(estimate_bytes(block, CODEC_NONE) for block in blocks))
-
-    def snapshot_dataset(self, dataset_id: int,
-                         num_partitions: int) -> Dict[int, List[Any]]:
-        """Currently cached partitions of a dataset, keyed by partition.
-
-        Used to seed worker-process block stores on the process backend; a
-        bookkeeping read, so — unlike :meth:`get` — it moves nothing in the
-        LRU order and touches no hit/miss counter.
-        """
-        with self._lock:
-            blocks: Dict[int, List[Any]] = {}
-            for partition in range(num_partitions):
-                records = self._blocks.get((dataset_id, partition))
-                if records is not None:
-                    blocks[partition] = records
-            return blocks
-
     # -- management -------------------------------------------------------------
-
-    def evict_dataset(self, dataset_id: int) -> int:
-        """Drop every cached partition of a dataset; return blocks dropped."""
-        with self._lock:
-            keys = [key for key in self._blocks if key[0] == dataset_id]
-            for key in keys:
-                self._drop(key)
-        return len(keys)
 
     def clear(self) -> None:
         """Drop every cached block (and forget which keys were asked for)."""

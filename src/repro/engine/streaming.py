@@ -5,7 +5,8 @@ are executed as a sequence of small batch jobs, exactly like Spark Streaming's
 discretised streams: a stream source produces one batch of records per tick,
 each batch becomes a dataset, and the registered transformation pipeline plus
 output action run on it.  Sliding windows are supported by buffering previous
-batches.
+batches.  A tick's datasets are never read again, so once its outputs ran
+every shuffle the tick registered (a cache's included) is removed.
 """
 
 from __future__ import annotations
@@ -186,12 +187,14 @@ class StreamingContext:
         if not self._outputs:
             raise StreamError("no output registered; call foreach_batch first")
         report = StreamRunReport()
+        shuffles = self.engine.shuffle_manager
         for batch_index in range(max_batches):
             records = self.source.next_batch(batch_index)
             if records is None:
                 break
             self._buffer.append(list(records))
             started = time.perf_counter()
+            registered = set(shuffles.shuffle_ids())
             outputs: List[Any] = []
             output_records = 0
             for stream, action in self._outputs:
@@ -206,6 +209,10 @@ class StreamingContext:
                 outputs.append(result)
                 if isinstance(result, (list, tuple)):
                     output_records += len(result)
+            for shuffle_id in shuffles.shuffle_ids():
+                if shuffle_id not in registered:
+                    # a durable transport's frames stay, as at stop()
+                    shuffles.remove_shuffle(shuffle_id, spare_durable=True)
             elapsed = time.perf_counter() - started
             report.batches.append(BatchResult(
                 batch_index=batch_index, num_input_records=len(records),

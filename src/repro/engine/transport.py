@@ -4,7 +4,7 @@ On the thread backend every task shares the driver's address space, so
 shuffle buckets live in the :class:`~repro.engine.shuffle.ShuffleManager`'s
 in-memory dict.  The process backend has no shared memory: stage payloads
 (the task graphs cut to what the stage reads, the span catalog of the
-shuffles it reads, cached blocks), parallelised input and shuffle map output
+shuffles it reads, caches included), parallelised input and shuffle map output
 must cross the process boundary explicitly.  A :class:`ShuffleTransport`
 owns that movement:
 

@@ -3,25 +3,25 @@
 Each worker process (forked by :class:`~repro.engine.executor.ProcessExecutor`)
 holds one :class:`WorkerContext` — a stand-in for the driver's
 ``EngineContext`` exposing exactly the surface task graphs touch while
-computing partitions: ``config``, a :class:`WorkerBlockStore`, a
+computing partitions: ``config``, a
 :class:`~repro.engine.shuffle.ShuffleManager`, a fresh
 :class:`~repro.engine.memory.MemoryManager` and a per-process spill
 directory.  The driver publishes one serialized *payload* per stage: the task
-graphs cut at every complete shuffle (a checkpoint and a broadcast build
-are ones; the lineage behind a cut is a
+graphs cut at every complete shuffle (a checkpoint, a broadcast build and
+a cache are ones; the lineage behind a cut is a
 :class:`~repro.engine.dataset.LineageStub`), the span catalog of exactly
-the shuffles the cut graphs read, the cached blocks of the datasets they
-carry, and parallelised input as per-partition spans.  Workers
-deserialize it once, give it its own shuffle manager — the
-driver's kind, over the worker's transport, with no memory manager — which
-adopts the payload's catalogs, reattach the worker context to every dataset
-in the task graphs, and then answer
-``run_stage_task(payload, index, attempt)`` calls with a plain result dict:
-the outcome of :func:`~repro.engine.executor.run_attempt` — the attempt
-body the thread backend runs too, seeded fault injection included — plus
-the catalog of any map output written (its spans and key sample), dirty
-cache blocks and the worker's pid, so byte/spill/peak accounting flows back
-across the process boundary and job metrics stay backend-invariant.
+the shuffles the cut graphs read (every cache they reach included), and
+parallelised input as per-partition spans.  Workers deserialize it once,
+give it its own shuffle manager — the driver's kind, over the worker's
+transport, with no memory manager — which adopts the payload's catalogs,
+reattach the worker context to every dataset in the task graphs, and then
+answer ``run_stage_task(payload, index, attempt)`` calls with a plain
+result dict: the outcome of :func:`~repro.engine.executor.run_attempt` —
+the attempt body the thread backend runs too, seeded fault injection
+included — plus the catalog of every map output the attempt wrote (its
+spans and key sample: a map task's own, and each partition it cached) and
+the worker's pid, so byte/spill/peak accounting flows back across the
+process boundary and job metrics stay backend-invariant.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .memory import MemoryManager
 from .metrics import TaskContext
 from .retry import Faults
 from .shuffle import ShuffleManager
-from .storage import BlockStore
 from .transport import ShuffleTransport, build_worker_transport
 
 #: Deserialized stage payloads kept per worker; stages of one job arrive in
@@ -68,33 +67,20 @@ class _AttemptFaults(Faults):
         return payload if key is None else super().damage(payload, key)
 
 
-class WorkerBlockStore(BlockStore):
-    """A :class:`BlockStore` that tracks blocks cached since the last task.
+class _PayloadShuffles(ShuffleManager):
+    """A stage payload's shuffle manager: it lists every map output written
+    through it (``written``, emptied before each attempt)."""
 
-    Workers cannot share the driver's cache, so the driver seeds each stage
-    payload with the relevant cached blocks (:meth:`seed`, which bypasses
-    dirty tracking) and the task result carries back whatever the task
-    cached (:meth:`drain_dirty`) for the driver to adopt — the next stage's
-    payload then serves those partitions as cache hits everywhere.
-    """
+    def __init__(self, **options: Any):
+        super().__init__(**options)
+        self.written: List[Tuple[Any, int]] = []
 
-    def __init__(self, memory_budget_bytes: int):
-        super().__init__(memory_budget_bytes)
-        self._dirty: Dict[Tuple[int, int], List[Any]] = {}
-
-    def put(self, dataset_id: int, partition: int, records: List[Any]) -> None:
-        super().put(dataset_id, partition, records)
-        # keep our own reference: the block may be LRU-evicted before the
-        # task finishes, but the driver must still adopt it
-        self._dirty[(dataset_id, partition)] = list(records)
-
-    def seed(self, blocks: Dict[Tuple[int, int], List[Any]]) -> None:
-        for (dataset_id, partition), records in blocks.items():
-            BlockStore.put(self, dataset_id, partition, records)
-
-    def drain_dirty(self) -> Dict[Tuple[int, int], List[Any]]:
-        dirty, self._dirty = self._dirty, {}
-        return dirty
+    def write_map_output(self, shuffle_id, map_partition, buckets,
+                         task_context=None) -> int:
+        size = super().write_map_output(shuffle_id, map_partition, buckets,
+                                        task_context)
+        self.written.append((shuffle_id, map_partition))
+        return size
 
 
 class WorkerContext:
@@ -103,7 +89,6 @@ class WorkerContext:
     def __init__(self, config, transport: ShuffleTransport):
         self.config = config
         self.memory_manager = MemoryManager(config.shuffle_memory_bytes)
-        self.block_store = WorkerBlockStore(config.memory_budget_bytes)
         self.faults = _AttemptFaults.of(config)
         #: The shuffle manager of the payload whose task runs now.
         self.shuffle_manager: Optional[ShuffleManager] = None
@@ -119,9 +104,9 @@ class WorkerContext:
         peaks count merge runs only.  Map output it writes is framed into
         the transport.
         """
-        manager = ShuffleManager(transport=self._transport,
-                                 codec=self.config.spill_codec,
-                                 faults=self.faults)
+        manager = _PayloadShuffles(transport=self._transport,
+                                   codec=self.config.spill_codec,
+                                   faults=self.faults)
         for shuffle_id, catalog in catalogs.items():
             manager.adopt_catalog(shuffle_id, catalog)
         return manager
@@ -232,7 +217,6 @@ def _load_payload(state: _WorkerState, payload_path: str) -> Dict[str, Any]:
         return payload
     with open(payload_path, "rb") as handle:
         payload = serializer.loads(handle.read())
-    state.ctx.block_store.seed(payload.get("blocks") or {})
     payload["shuffle_manager"] = state.ctx.shuffle_manager = \
         state.ctx.shuffle_store(payload["catalog"])
     seen: set = set()
@@ -250,11 +234,10 @@ def run_stage_task(payload_path: str, task_index: int,
 
     The dict is the cross-process task protocol: the
     :func:`~repro.engine.executor.run_attempt` outcome plus what only a
-    worker has — ``(shuffle id, catalog)`` of the map output a successful
-    map attempt wrote, the dirty cache blocks and the worker's pid.  Failed
-    attempts still return their dirty blocks — on the thread backend a
-    block cached before the failure stays cached too — but never their map
-    output.
+    worker has — ``(shuffle id, catalog)`` of every map output the attempt
+    wrote, and the worker's pid.  A map task writes its own output last,
+    so a failed attempt lists only the partitions it cached — as on the
+    thread backend, they stay cached.
     """
     state = _STATE
     if state is None:
@@ -263,6 +246,7 @@ def run_stage_task(payload_path: str, task_index: int,
     task = payload["tasks"][task_index]
     ctx = state.ctx
     manager = ctx.shuffle_manager = payload["shuffle_manager"]
+    manager.written.clear()
     ctx.faults.arm(f"{task.task_id}:{attempt}")
     task_context = TaskContext()
     outcome = run_attempt(task, attempt, ctx.faults, hard_crash=True,
@@ -270,14 +254,10 @@ def run_stage_task(payload_path: str, task_index: int,
     # fetches this task survived (TCP transport retries) must not leak into
     # the next task
     task_context.fetch_retries += manager.drain_fetch_retries()
-    dependency = getattr(task, "_dependency", None)
     if outcome["ok"]:
         outcome["counters"] = task_context.counters()
-        if dependency is not None:
-            outcome["map_output"] = (dependency.shuffle_id,
-                                     manager.export_catalog(
-                                         dependency.shuffle_id,
-                                         [task.partition]))
-    outcome["blocks"] = state.ctx.block_store.drain_dirty()
+    outcome["map_output"] = [
+        (shuffle_id, manager.export_catalog(shuffle_id, [map_partition]))
+        for shuffle_id, map_partition in manager.written]
     outcome["worker"] = os.getpid()
     return outcome

@@ -235,8 +235,8 @@ def test_diamond_join_ships_the_shared_parent_only_where_it_is_scanned():
     assert len(graphs[-1][1]) == 2
 
 
-def test_diamond_cached_parent_of_two_shuffles_is_never_cut():
-    """A cached parent is evictable in the worker, so its lineage ships."""
+def test_diamond_fully_cached_parent_of_two_shuffles_is_a_cut():
+    """A cached parent whose every partition is cached ships as a stub."""
 
     def build(ctx, pairs):
         base = pairs.map_values(lambda v: v + 1).cache()
@@ -245,13 +245,14 @@ def test_diamond_cached_parent_of_two_shuffles_is_never_cut():
         return totals.join(sizes, 4)
 
     _, pairs_id, graphs = _diamond(build)
-    # every map stage over the cached parent carries it *and* what it would
-    # recompute from, although all but the first find every block cached
+    # the first map stage over the cached parent computes and caches it;
+    # every later one reads it from the cache shuffle, behind a cut
     scanning = [full for full, _ in graphs
                 if any(ds.is_cached for ds in full.values())]
-    assert len(scanning) >= 2
-    assert all(pairs_id in full for full in scanning)
-    # once both shuffles are complete the cached parent is behind a cut
+    assert len(scanning) == 1 and pairs_id in scanning[0]
+    cut = [stubs for full, stubs in graphs[1:]
+           if any(stub.is_cached for stub in stubs.values())]
+    assert cut and all(pairs_id not in stubs for stubs in cut)
     full, stubs = graphs[-1]
     assert not any(ds.is_cached for ds in full.values())
     assert pairs_id not in full and stubs

@@ -73,7 +73,9 @@ class TestCaching:
     def test_cached_dataset_served_from_store(self, engine):
         ds = engine.range(50, num_partitions=2).map(lambda x: x * 2).cache()
         ds.count()
-        assert engine.block_store.stats()["blocks"] == 2
+        # each partition is one map output of the dataset's cache shuffle
+        assert engine.shuffle_manager.missing_map_partitions(ds.cache_id) == []
+        assert engine.shuffle_manager.is_complete(ds.cache_id)
         ds.count()
         job = engine.metrics.jobs[-1]
         assert job.cache_hits == 2
@@ -82,7 +84,7 @@ class TestCaching:
         ds = engine.range(10, num_partitions=2).cache()
         ds.count()
         ds.unpersist()
-        assert engine.block_store.stats()["blocks"] == 0
+        assert ds.cache_id not in engine.shuffle_manager.shuffle_ids()
         assert not ds.is_cached
 
     def test_cache_avoids_upstream_shuffle_recomputation(self, engine):

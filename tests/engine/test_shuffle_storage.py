@@ -283,15 +283,6 @@ class TestBlockStore:
         assert store.get(1, 0) == [2, 3]
         assert store.stats()["blocks"] == 1
 
-    def test_evict_dataset(self):
-        store = BlockStore()
-        store.put(1, 0, [1])
-        store.put(1, 1, [2])
-        store.put(2, 0, [3])
-        assert store.evict_dataset(1) == 2
-        assert not store.contains(1, 0)
-        assert store.contains(2, 0)
-
     # budgets are in resident bytes: sized off the block, room for two
 
     def test_lru_eviction_under_budget(self):

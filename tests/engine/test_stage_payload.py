@@ -2,8 +2,8 @@
 
 The contract under test: what crosses the process boundary is proportional
 to what the stage *reads*.  A payload holds the task graphs cut at every
-complete shuffle (a broadcast build and a live checkpoint are ones), the
-span catalog of exactly the shuffles those graphs read, and parallelised
+complete shuffle (a broadcast build, a live checkpoint and a complete cache
+are ones), the span catalog of exactly the shuffles those graphs read, and parallelised
 input as per-partition spans published once per context — so a stage's
 payload size depends neither on the input size nor on how deep in a chain
 it sits, a worker loads only the input partition its task computes, and a
@@ -13,6 +13,7 @@ it ever saw.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 
@@ -177,6 +178,62 @@ def test_published_input_is_swept_with_the_transport_root(tmp_path):
     assert not os.path.exists(inputs)
     # shuffle frames of a durable root survive for recovery; inputs do not
     assert os.path.isdir(os.path.join(root, "transport"))
+
+
+# -- caches --------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def run_cached(n: int):
+    """Cache ``n`` pairs, count them, then count a map over the cache.
+
+    Returns the pickled size of each caching task's outcome, the sizes of
+    the later job's stage payloads and the ``(full, stubs)`` graphs they
+    ship.
+    """
+    with process_engine() as ctx:
+        outcomes = []
+        absorb = ctx.scheduler.executor._absorb
+
+        def record(outcome, metrics):
+            outcomes.append(len(serializer.dumps(outcome)))
+            return absorb(outcome, metrics)
+
+        ctx.scheduler.executor._absorb = record
+        cached = ctx.parallelize(range(n), 4) \
+            .map(lambda x: (x, str(x) * 3)).cache()
+        assert cached.count() == n
+        caching = tuple(outcomes)
+        with recorded_payloads(ctx) as payloads:
+            assert cached.map(lambda pair: pair[0]).count() == n
+        return caching, [len(data) for data in payloads], \
+            [shipped_graph(data) for data in payloads]
+
+
+def test_a_later_stage_payload_does_not_grow_with_the_cached_data():
+    _, small, _ = run_cached(1_000)
+    _, large, _ = run_cached(20_000)
+    assert len(small) == len(large) == 1
+    assert large[0] < small[0] + 512
+
+
+def test_no_caching_task_outcome_grows_with_the_cached_data():
+    """A caching task reports the span catalog of what it cached, not the
+    records."""
+    small, _, _ = run_cached(1_000)
+    large, _, _ = run_cached(20_000)
+    assert len(small) == len(large) == 4
+    assert max(large) < max(small) + 512
+
+
+def test_a_fully_cached_parent_is_a_cut():
+    _, _, graphs = run_cached(1_000)
+    (full, stubs), = graphs
+    (stub,) = stubs.values()
+    assert isinstance(stub, LineageStub) and stub.is_cached
+    # the map over the cache ships; the cached map and its input do not
+    assert [ds.name for ds in full.values()] == ["map"]
+    assert stub.id not in full
 
 
 # -- the span catalog travels with its payload ---------------------------------

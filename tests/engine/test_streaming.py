@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 
+from repro.config import EngineConfig
+from repro.engine import EngineContext
 from repro.engine.streaming import StreamingContext, StreamSource
 from repro.errors import StreamError
 
@@ -126,3 +130,25 @@ class TestReports:
     def test_negative_batch_interval_rejected(self, engine):
         with pytest.raises(StreamError):
             StreamingContext(engine, CountingSource(), batch_interval_s=-1)
+
+
+class TestStreamingResources:
+    @staticmethod
+    def registered_after(ticks: int) -> int:
+        """Shuffles still registered after ``ticks`` ticks of a reduce whose
+        output is cached and read twice."""
+        def output(index, dataset):
+            cached = dataset.cache()
+            return [cached.count(), len(cached.collect())]
+
+        with EngineContext(EngineConfig(num_workers=2, seed=1)) as engine:
+            ssc = StreamingContext(engine, CountingSource(ticks, 20))
+            (ssc.stream()
+             .map(lambda x: (x % 3, x))
+             .reduce_by_key(operator.add)
+             .foreach_batch(output))
+            ssc.run(max_batches=ticks)
+            return len(engine.shuffle_manager.shuffle_ids())
+
+    def test_no_shuffle_of_a_finished_tick_stays_registered(self):
+        assert self.registered_after(50) <= self.registered_after(1)
