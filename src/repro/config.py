@@ -289,7 +289,7 @@ class EngineConfig:
     heartbeat_interval_s:
         Interval at which process-backend workers write heartbeat files
         under the transport root for the driver's
-        :class:`~repro.engine.scheduler.NodeHealthTracker` to check
+        :class:`~repro.engine.retry.NodeHealthTracker` to check
         between stages.  ``0`` (the default) disables heartbeats.
     heartbeat_timeout_s:
         Age beyond which a live pool worker's heartbeat file counts as

@@ -185,7 +185,9 @@ class EngineContext:
         checkpoint alone; its one job runs the shuffle like any other —
         adopted from a resumed journal, written where it is computed, made
         durable and journalled — and a failed job leaves the dataset as it
-        was.
+        was.  The checkpoint is then the dataset's one store: the cache
+        shuffles of the dataset and its lowered mirrors, if any, are
+        dropped.
         """
         self._check_active()
         if dataset.has_checkpoint:
@@ -207,6 +209,10 @@ class EngineContext:
             dataset.num_partitions, dataset.dependencies = lineage
             raise
         dataset._checkpoint = dependency.shuffle_id
+        if dataset.is_cached:
+            # the checkpoint is the dataset's one store now
+            for cached in (dataset, *dataset._cache_mirrors):
+                self.shuffle_manager.remove_shuffle(cached.cache_id)
         dataset._executable = None
         # lineage truncation changes what the optimizer may rewrite, exactly
         # like a cache flag flip: re-plan every memoised executable

@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import os
 import random
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Tuple)
@@ -191,10 +192,12 @@ class ShuffleDependency(Dependency):
         #: re-optimization learns actual sizes before the expensive stages.
         self.estimated_bytes: Optional[float] = None
 
-    #: The :data:`ONE_BUCKET` kind of a one-bucket shuffle, and whether it
-    #: is journalled (every other settled shuffle is).
+    #: The :data:`ONE_BUCKET` kind of a one-bucket shuffle, whether it is
+    #: journalled (every other settled shuffle is) and whether it is
+    #: filled lazily (no other shuffle is).
     kind: Optional[str] = None
     journalled = True
+    lazy = False
 
 
 def _whole_partition(batches: Iterator[List[Any]]) -> Dict[int, List[Any]]:
@@ -219,10 +222,6 @@ def one_bucket_id(dataset_id: int, kind: str) -> str:
     return f"{kind}-{dataset_id}"
 
 
-#: The name :func:`one_bucket_id` had while only broadcast joins used it.
-broadcast_shuffle_id = one_bucket_id
-
-
 class OneBucket(NamedTuple):
     """One kind of one-bucket shuffle: map ``p`` writes what ``map_side``
     makes of partition ``p`` of its parent as bucket 0."""
@@ -233,6 +232,10 @@ class OneBucket(NamedTuple):
     #: Whether a settled shuffle of the kind is recorded in the job journal
     #: (when its lineage has a fingerprint), so a resume can adopt it.
     journalled: bool
+    #: Whether the shuffle is filled lazily: no stage runs it, whichever
+    #: task computes partition ``p`` writes map output ``p``, and a read of
+    #: a written one counts in ``cache_hits``.
+    lazy: bool = False
 
 
 #: Every kind of one-bucket shuffle, declared once.
@@ -250,13 +253,14 @@ ONE_BUCKET: Dict[str, OneBucket] = {
                        lambda ds: one_bucket_id(ds.id, "build"), True),
     "keys": OneBucket(_distinct_keys,
                       lambda ds: one_bucket_id(ds.id, "keys"), True),
-    # Dataset.cache(): written by whichever task computes a partition, not
-    # by a stage of its own.  Never journalled: a resume adopts what a map
-    # stage would otherwise recompute, and a cache is the context's own
-    # resident state; making it adoptable would re-frame and fsync every
-    # cached partition, which is what checkpoint() is for
+    # Dataset.cache(): filled lazily, not by a stage of its own.  Never
+    # journalled: a resume adopts what a map stage would otherwise
+    # recompute, and a cache is the context's own resident state; making
+    # it adoptable would re-frame and fsync every cached partition, which
+    # is what checkpoint() is for
     "cache": OneBucket(_whole_partition,
-                       lambda ds: one_bucket_id(ds.id, "cache"), False),
+                       lambda ds: one_bucket_id(ds.id, "cache"), False,
+                       lazy=True),
 }
 
 
@@ -277,6 +281,7 @@ class OneBucketDependency(ShuffleDependency):
                          declared.shuffle_id(owner))
         self.kind = kind
         self.journalled = declared.journalled
+        self.lazy = declared.lazy
 
 
 class SliceDependency(OneBucketDependency):
@@ -384,13 +389,16 @@ class Dataset:
 
     def _materialized(self, partition: int,
                       task_context: TaskContext) -> Optional[List[Any]]:
-        """One partition of a persisted dataset as a list, or ``None``.
+        """One partition of a kept dataset as a list, or ``None``.
 
-        A cached dataset's partition ``p`` is map output ``p`` of its cache
-        shuffle (:data:`ONE_BUCKET` ``"cache"``), read through the catalog
-        wherever the task runs.  On a miss — or for a dataset only shared —
-        the borrowed store (:meth:`share`) is asked for the pieces the
-        partition is kept as there (:meth:`_share_pieces`), the missing
+        Partition ``p`` of a dataset with a :attr:`store` is map output
+        ``p`` of that one-bucket shuffle, read through the catalog wherever
+        the task runs.  A store its own stage wrote (a checkpoint) is
+        always read: a lost or rotten span raises the error that heals it.
+        A lazily filled one (a cache) is read, and counted a hit, once
+        partition ``p`` is written.  On a miss — or for a dataset only
+        shared — the borrowed store (:meth:`share`) is asked for the pieces
+        the partition is kept as there (:meth:`_share_pieces`), the missing
         ones are computed and left wherever they are wanted, and a cached
         dataset writes the partition as map output ``p`` where it was
         computed.  The partition is one hit however many of its pieces were
@@ -399,13 +407,14 @@ class Dataset:
         it as if unmarked.
         """
         manager = self.ctx.shuffle_manager
-        cache = self.cache_id if self.is_cached else None
-        if cache is not None and manager.has_map_output(cache, partition):
+        store, kind = self.store or (None, None)
+        if store is not None and (not kind.lazy or
+                                  manager.has_map_output(store, partition)):
             # map ``partition``'s one bucket, absent when it wrote nothing
             buckets = [bucket for bucket, _ in manager.iter_reduce_input(
-                cache, 0, map_range=(partition, partition + 1))]
+                store, 0, map_range=(partition, partition + 1))]
             records = buckets[0] if buckets else []
-            task_context.cache_hits += 1
+            task_context.cache_hits += kind.lazy
             # records served from a store are reads, like source reads
             task_context.records_read += len(records)
             return records
@@ -419,7 +428,7 @@ class Dataset:
         admitted = {piece for piece, block in zip(pieces, blocks)
                     if block is None and shared is not None
                     and shared.admits(key, piece)}
-        if cache is None and not stored and not admitted:
+        if store is None and not stored and not admitted:
             return None
         if stored:
             task_context.cache_hits += 1
@@ -433,39 +442,64 @@ class Dataset:
             if piece in admitted:
                 shared.put(key, piece, blocks[position],
                            origin=self._share_origin)
-            if piece in admitted or cache is not None:
+            if piece in admitted or store is not None:
                 # materialising into a store is written output
                 written += len(blocks[position])
         records = blocks[0] if len(blocks) == 1 else \
             [record for block in blocks for record in block]
-        if cache is not None:
-            self._register_cache()
-            manager.write_map_output(cache, partition, {0: records},
+        if store is not None:
+            self._register_store()
+            manager.write_map_output(store, partition, {0: records},
                                      task_context=task_context)
         task_context.records_written += written
         return records
+
+    @property
+    def store(self) -> Optional[Tuple[Any, OneBucket]]:
+        """The one-bucket shuffle that keeps this dataset whole, as
+        ``(shuffle id, ONE_BUCKET row)``: its checkpoint once
+        :meth:`checkpoint` wrote one, else its cache while it is cached,
+        else ``None``.
+
+        The dataset is *stored* while that shuffle is complete
+        (:meth:`is_stored`): its partitions are read from there, and no
+        layer looks beneath it.
+        """
+        if self._checkpoint is not None:
+            return self._checkpoint, ONE_BUCKET["checkpoint"]
+        if self.is_cached:
+            return self.cache_id, ONE_BUCKET["cache"]
+        return None
+
+    def is_stored(self, manager) -> bool:
+        """Whether ``manager`` holds this dataset's store complete."""
+        store = self.store
+        return store is not None and manager.is_complete(store[0])
 
     @property
     def cache_id(self) -> str:
         """The id of this dataset's cache shuffle."""
         return ONE_BUCKET["cache"].shuffle_id(self)
 
-    def _register_cache(self) -> None:
-        """Declare the cache shuffle, one map per partition, before any
-        map output of it is written or adopted."""
+    def _register_store(self) -> None:
+        """Declare the store, one map per partition, before any map output
+        of it is written or adopted (a repeated declaration changes
+        nothing)."""
+        store, kind = self.store
         self.ctx.shuffle_manager.register_shuffle(
-            self.cache_id, self.num_partitions,
-            journalled=ONE_BUCKET["cache"].journalled)
+            store, self.num_partitions, journalled=kind.journalled)
 
     @property
     def cache_dependency(self) -> Optional[OneBucketDependency]:
-        """A cached dataset's cache shuffle as a shuffle edge, else ``None``.
+        """The cache shuffle, while it is this dataset's :attr:`store`, as
+        a shuffle edge, else ``None``.
 
         Its map side reads this dataset's lineage, unmarked, under the same
         id: what recomputes a lost cached partition.  Never one of
         ``dependencies``, so plan identity and ``explain()`` do not see it.
         """
-        if not self.is_cached:
+        store = self.store
+        if store is None or not store[1].lazy:
             return None
         return OneBucketDependency("cache", self, self._lineage_copy(self.id))
 
@@ -478,26 +512,21 @@ class Dataset:
     def _compute_piece(self, piece: Any,
                        task_context: TaskContext) -> List[Any]:
         """Compute one piece (:meth:`_share_pieces`) as a list."""
-        if self.has_checkpoint:
-            return self._checkpoint_records(piece, task_context)
         return collect_partition(self.compute_batches(
             piece, task_context, self.ctx.config.batch_size))
 
     def batch_iterator(self, partition: int,
                        task_context: TaskContext) -> Iterator[List[Any]]:
-        """Compute a partition in batches, honouring cache and checkpoint.
+        """Compute a partition in batches, honouring a store or a share mark.
 
         Batches hold at most ``EngineConfig.batch_size`` records; record and
         byte metrics are counted once per batch or stored block.
         """
         batch_size = self.ctx.config.batch_size
-        if self.is_cached or self._share_key is not None:
+        if self.store is not None or self._share_key is not None:
             records = self._materialized(partition, task_context)
             if records is not None:
                 return chunk_list(records, batch_size)
-        if self.has_checkpoint:
-            return chunk_list(self._checkpoint_records(partition, task_context),
-                              batch_size)
         return self.compute_batches(partition, task_context, batch_size)
 
     @property
@@ -548,12 +577,14 @@ class Dataset:
     def cache(self) -> "Dataset":
         """Mark the dataset so computed partitions are kept.
 
-        Partition ``p`` is written, where a task first computes it, as map
-        output ``p`` of the dataset's cache shuffle, and every later task
-        reads it from there.  It is held like any map output: resident
-        (under ``EngineConfig.shuffle_memory_bytes``, spilled and read back
-        beyond it, never dropped) or, where a transport carries map output,
-        a span of its frame files.  A lost span recomputes that one
+        The cache shuffle becomes the dataset's :attr:`store` unless a
+        checkpoint already is.  It is filled lazily: partition ``p`` is
+        written, where a task first computes it, as map output ``p``, and
+        every later task reads it from there as a cache hit.  It is held
+        like any map output: resident (under
+        ``EngineConfig.shuffle_memory_bytes``, spilled and read back beyond
+        it, never dropped) or, where a transport carries map output, a
+        span of its frame files.  A lost span recomputes that one
         partition.
         """
         self.is_cached = True
@@ -650,6 +681,11 @@ class Dataset:
         that later fails its checks is lost output: its one partition is
         recomputed from lineage and re-recorded.  Idempotent while the
         checkpoint is live.
+
+        The checkpoint becomes the dataset's :attr:`store`, read like a
+        complete cache but counted as no cache hit.  A cached dataset keeps
+        one store, the checkpoint: its cache shuffles are dropped, and no
+        later task copies a partition into them.
         """
         self.ctx.checkpoint_dataset(self)
         return self
@@ -663,16 +699,6 @@ class Dataset:
                              plan=None, is_cached=False, _share_key=None,
                              _executable=None, _cache_mirrors=[])
         return twin
-
-    def _checkpoint_records(self, partition: int,
-                            task_context: TaskContext) -> List[Any]:
-        """Serve one partition from its checkpoint: the one bucket of map
-        ``partition``, verified; a rotten span raises the
-        :class:`~repro.errors.FetchFailedError` that heals it."""
-        records, _ = self.ctx.shuffle_manager.read_reduce_input(
-            self._checkpoint, 0, map_range=(partition, partition + 1))
-        task_context.records_read += len(records)
-        return records
 
     # -- narrow transformations --------------------------------------------------
 
@@ -1073,9 +1099,10 @@ class LineageStub(Dataset):
     of these *in the shipped copy of the graph only*
     (:mod:`repro.engine.executor`); the driver keeps the full lineage,
     because every recovery path recomputes from it and republishes.  A
-    dataset whose cache shuffle is complete ships as a stub too, one that
-    is ``cached``: its partitions are read from that shuffle.  A stub keeps
-    the identity a diagnostic needs and refuses to compute.
+    dataset whose store is a complete cache ships as a stub too, one that
+    is ``cached``: its :attr:`~Dataset.store` is that cache, and its
+    partitions are read from there.  A stub keeps the identity a diagnostic
+    needs and refuses to compute.
     """
 
     def __init__(self, original: Dataset, cached: bool = False):
@@ -1144,6 +1171,13 @@ class ParallelCollectionDataset(Dataset):
         with transport.input_writer(self.id) as writer:
             self._spans = [writer.append(self._data[slice(*self._bounds(p))])
                            for p in range(self.num_partitions)]
+
+    def withdraw(self) -> None:
+        """Delete the published file, for a dataset no task reads again;
+        a later stage over it would publish it afresh."""
+        if self._spans is not None:
+            os.remove(self._spans[0].path)
+            self._spans = None
 
     def compute_batches(self, partition: int, task_context: TaskContext,
                         batch_size: int) -> Iterator[List[Any]]:

@@ -438,9 +438,10 @@ class _StageCut:
     never mutated (fetch-failure and journal recovery both recompute from
     it and republish).  The cut is per edge: a dataset
     behind a complete shuffle on one path and read narrowly on another
-    ships in full, because the narrow path reaches it.  A cached dataset
-    whose cache shuffle is complete is a cut itself: it ships as a cached
-    stub, read from that shuffle.
+    ships in full, because the narrow path reaches it.  A dataset whose
+    store is filled lazily (a cache) is no dependency edge: the payload
+    carries that store's catalog so far, and once it is complete the
+    dataset is a cut itself, shipped as a cached stub read from it.
     """
 
     def __init__(self, tasks: Sequence[Task],
@@ -452,8 +453,8 @@ class _StageCut:
         self.datasets: List[Any] = []
         #: Ids of the complete shuffles the shipped graph reads.
         self.shuffle_ids: List[int] = []
-        #: The cached datasets it reaches, complete or not: their cache
-        #: shuffles' map output ships too.
+        #: The datasets with a lazily filled store it reaches, complete or
+        #: not: their stores' map output ships too.
         self.caches: List[Any] = []
         self.tasks = [self._ship_task(task) for task in tasks]
 
@@ -500,9 +501,10 @@ class _StageCut:
         shipped = self._shipped.get(id(dataset))
         if shipped is not None:
             return shipped
-        if dataset.is_cached:
+        store = dataset.store
+        if store is not None and store[1].lazy:
             self.caches.append(dataset)
-            if self._is_complete(dataset.cache_id):
+            if self._is_complete(store[0]):
                 shipped = self._shipped[id(dataset)] = LineageStub(
                     dataset, cached=True)
                 return shipped
@@ -652,7 +654,7 @@ class ProcessExecutor(Executor):
                         else lambda shuffle_id: False)
         for dataset in cut.caches:
             # before any worker reports a partition of it
-            dataset._register_cache()
+            dataset._register_store()
         payload = {
             "tasks": cut.tasks,
             "catalog": {shuffle_id: manager.export_catalog(shuffle_id)

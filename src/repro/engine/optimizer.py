@@ -9,9 +9,10 @@ knob condition that arms it, and its rewrite, whose docstring says what the
 rule does.  :data:`repro.config.KNOWN_OPTIMIZER_RULES` lists the same names
 and this module fails at import when the two disagree.
 
-Before any rule runs, every checkpointed subtree is truncated to a scan of
-its checkpoint.  That step is not a rule: no rule set may re-run the
-lineage above a checkpoint.
+Before any rule runs, every checkpointed subtree is truncated to the scan
+``cache_prune`` makes of a complete cache, a :class:`PhysicalScanNode`
+reading the dataset's store.  That step is not a rule: no rule set may
+re-run the lineage above a checkpoint.
 
 The cost-based rules read the :class:`~repro.engine.stats.StatsEstimate`
 annotations a :class:`~repro.engine.stats.StatsEstimator` writes onto the
@@ -45,8 +46,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from ..config import KNOWN_OPTIMIZER_RULES, EngineConfig
 from . import dataset as physical
 from .partitioner import HashPartitioner, RoundRobinPartitioner
-from .plan import (AggregateNode, BroadcastJoinNode, CheckpointScanNode,
-                   CoGroupNode, FilterNode, FlatMapNode, FusedNode, JoinNode,
+from .plan import (AggregateNode, BroadcastJoinNode, CoGroupNode,
+                   FilterNode, FlatMapNode, FusedNode, JoinNode,
                    LocalizableNode, LogicalNode, MapNode, PhysicalScanNode,
                    ProjectedScanNode, ProjectNode, RepartitionNode, SortNode,
                    SourceNode, output_partitioning)
@@ -171,12 +172,12 @@ def _with_children(node: LogicalNode,
     return node
 
 
-def _checkpoint_scan(node: LogicalNode) -> Optional[CheckpointScanNode]:
+def _checkpoint_scan(node: LogicalNode) -> Optional[PhysicalScanNode]:
     """Lineage truncation at a durable checkpoint: the scan serves
     verified spans that also survive restarts, so recomputation and
     recovery stop here."""
     ds = node.dataset
-    return CheckpointScanNode(ds) if ds is not None and ds.has_checkpoint \
+    return PhysicalScanNode(ds) if ds is not None and ds.has_checkpoint \
         else None
 
 
@@ -337,7 +338,7 @@ class PlanOptimizer:
     # -- rule: cache pruning ------------------------------------------------
 
     def _materialized_physical(self, node: LogicalNode):
-        """The fully cached physical dataset behind ``node``, if any.
+        """The stored physical dataset behind a cached ``node``, if any.
 
         Read through the node's origin: the only copies this rule meets
         are ancestors of truncated checkpoints, which keep their records.
@@ -347,8 +348,7 @@ class PlanOptimizer:
         if ds is None or not ds.is_cached or manager is None:
             return None
         for candidate in (ds._executable, ds):
-            if candidate is not None and candidate.is_cached and \
-                    manager.is_complete(candidate.cache_id):
+            if candidate is not None and candidate.is_stored(manager):
                 return candidate
         return None
 

@@ -144,16 +144,23 @@ class SourceNode(LogicalNode):
 
 
 class PhysicalScanNode(LogicalNode):
-    """A leaf wrapping an already materialised physical dataset.
+    """A leaf scanning a stored dataset: its store serves it whole.
 
-    Inserted by the cache-pruning rule: the whole subtree below a fully
-    cached dataset is replaced by a direct scan of its cache shuffle.
+    Inserted by the optimizer in place of the whole subtree below a
+    dataset whose :attr:`~repro.engine.dataset.Dataset.store` serves it:
+    by the truncation step, before any rule, for a checkpointed dataset,
+    and by the cache-pruning rule for a fully cached one.  Nothing below
+    is re-planned or re-executed; a lost or rotten stored partition is
+    recomputed from the lineage behind the store, so the scan can never
+    produce a wrong answer.  A checkpoint scans as ``checkpoint_scan``.
     """
 
     op = "cached_scan"
 
     def __init__(self, dataset):
         super().__init__([], dataset=dataset)
+        if dataset is not None and dataset.has_checkpoint:
+            self.op = "checkpoint_scan"
 
     def signature(self) -> Tuple[Any, ...]:
         """Keyed by the scanned dataset, not the origin counter.
@@ -161,45 +168,10 @@ class PhysicalScanNode(LogicalNode):
         Scan nodes are built fresh on every optimizer run; a counter-based
         identity would make every run's plan look new, defeating the lowered
         -plan memo (and causing adaptive re-optimization to re-execute
-        shuffles above a cached dataset on every re-plan).
+        shuffles above a stored dataset on every re-plan).
         """
         ds_id = self.dataset.id if self.dataset is not None else self.origin_id
         return (self.op, self.variant, ("scan", ds_id), ())
-
-    def details(self) -> str:
-        if self.dataset is None:
-            return ""
-        return f"{self.dataset.name}, partitions={self.dataset.num_partitions}"
-
-
-class CheckpointScanNode(LogicalNode):
-    """A leaf scanning a dataset's durable checkpoint.
-
-    Inserted by the optimizer, before any rule, when a dataset has a
-    checkpoint (:meth:`~repro.engine.dataset.Dataset.checkpoint`): the
-    whole subtree below it is replaced by a scan of the checkpoint's
-    spans, so stage-retry recomputation and recovery replay stop at the
-    checkpoint instead of walking the lineage back to the sources.
-    ``dataset`` is the checkpointed dataset itself — it serves each
-    partition from its span, and a span that fails its checks is lost
-    output, recomputed from the lineage behind the checkpoint, so this
-    truncation can never produce a wrong answer.
-    """
-
-    op = "checkpoint_scan"
-
-    def __init__(self, dataset):
-        super().__init__([], dataset=dataset)
-
-    def signature(self) -> Tuple[Any, ...]:
-        """Keyed by the checkpointed dataset, not the origin counter.
-
-        Same reasoning as :class:`PhysicalScanNode`: the node is rebuilt on
-        every optimizer run and a counter identity would defeat the
-        lowered-plan memo.
-        """
-        ds_id = self.dataset.id if self.dataset is not None else self.origin_id
-        return (self.op, self.variant, ("checkpoint", ds_id), ())
 
     def details(self) -> str:
         if self.dataset is None:

@@ -25,11 +25,13 @@ such a dataset the scheduler completes that shuffle as it completes any
 other, and the stage's tasks merge the partials of each split partition
 they read.
 
-**Caches**: a cached dataset's partitions are the map outputs of its
-one-bucket *cache shuffle*, written by whichever task computes them; no
-stage runs it.  While it is complete, everything beneath the dataset is
-skipped like the lineage behind any complete shuffle, and a lost cached
-partition heals like any lost map output.
+**Stored datasets**: a checkpointed or cached dataset's partitions are
+the map outputs of its one-bucket *store*
+(:attr:`~repro.engine.dataset.Dataset.store`): a checkpoint's, written by
+its own stage, else a cache's, written by whichever task computes them.
+While the store is complete the dataset is *stored*: everything beneath
+it is skipped like the lineage behind any complete shuffle, and a lost
+stored partition heals like any lost map output.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .executor import Task, create_executor
 from .journal import shuffle_journal_key, validate_shuffle_entry
 from .metrics import JobMetrics, PendingCounters, StageMetrics
 from .retry import FAILURES, policy
-from .retry import NodeHealthTracker  # noqa: F401 - still importable here
 from .shuffle import catalog_of
 
 #: Upper bound on accepted adaptive re-plans per job; a backstop against a
@@ -258,7 +259,7 @@ class DAGScheduler:
         """
         manager = self.shuffle_manager
         for _, dependency in _shuffle_edges(dataset):
-            if dependency.kind != "cache" and \
+            if not dependency.lazy and \
                     not manager.is_complete(dependency.shuffle_id):
                 manager.remove_shuffle(dependency.shuffle_id)
 
@@ -368,11 +369,6 @@ class DAGScheduler:
 
     # -- shuffle stages ----------------------------------------------------------
 
-    def _is_fully_cached(self, dataset: Dataset) -> bool:
-        """Whether the dataset is cached and its cache shuffle complete."""
-        return dataset.is_cached and \
-            self.shuffle_manager.is_complete(dataset.cache_id)
-
     def _execute_prerequisites(self, dataset: Dataset, job: JobMetrics,
                                replanner: Optional[Callable[[], Dataset]]) -> Dataset:
         """Run every missing shuffle-map stage.
@@ -401,8 +397,8 @@ class DAGScheduler:
         """Pending shuffle dependencies whose own inputs are ready.
 
         Deepest-first, left-to-right, skipping anything beneath a complete
-        shuffle (a checkpoint and a broadcast build are ones) or a fully
-        cached dataset — the same boundaries job execution observes.
+        shuffle (a broadcast build is one) or a stored dataset — the same
+        boundaries job execution observes.
         """
         ready: List[ShuffleDependency] = []
         satisfied: Dict[int, bool] = {}
@@ -411,7 +407,7 @@ class DAGScheduler:
             if node.id in satisfied:
                 return satisfied[node.id]
             ok = True
-            if not self._is_fully_cached(node):
+            if not node.is_stored(self.shuffle_manager):
                 for dependency in node.dependencies:
                     if isinstance(dependency, ShuffleDependency):
                         if self.shuffle_manager.is_complete(dependency.shuffle_id):
@@ -460,31 +456,29 @@ class DAGScheduler:
         the partition merges their partials.  The slice shuffle is a
         shuffle like any other — reused while complete, adopted from a
         resumed journal, healed per lost slice — and every split partition
-        not served from the cache counts in ``skew_splits``.
+        not served from the split dataset's store counts in ``skew_splits``.
 
         The walk covers the narrow closure the stage's tasks pull through,
-        stopping at fully cached or checkpointed datasets (served from
-        their one-bucket shuffles) and at shuffle inputs (nothing behind them
-        executes again).  Known over-approximation: a
-        *partially* cached dataset between the split and the stage is
-        walked through, so a split whose partitions' derived partitions
-        happen to be cached still gets its slice shuffle computed — being
-        per-partition path-aware through non-1:1 narrow ops (coalesce,
-        union) is not worth the complexity for that corner.
+        stopping at stored datasets (served from their stores) and at
+        shuffle inputs (nothing behind them executes again).  Known
+        over-approximation: a *partially* cached dataset between the split
+        and the stage is walked through, so a split whose partitions'
+        derived partitions happen to be cached still gets its slice shuffle
+        computed — being per-partition path-aware through non-1:1 narrow
+        ops (coalesce, union) is not worth the complexity for that corner.
         """
         seen: set = set()
 
         def walk(node: Dataset) -> None:
-            if node.id in seen or self._is_fully_cached(node) or \
-                    node.has_checkpoint:
+            if node.id in seen or node.is_stored(self.shuffle_manager):
                 return
             seen.add(node.id)
-            split = node.split
+            split, store = node.split, node.store
             if split is not None:
                 served = [partition for partition in split.ranges
-                          if not (node.is_cached and
-                                  self.shuffle_manager.has_map_output(
-                                      node.cache_id, partition))]
+                          if store is None or
+                          not self.shuffle_manager.has_map_output(
+                              store[0], partition)]
                 if served and \
                         not self.shuffle_manager.is_complete(split.shuffle_id):
                     self._run_shuffle_stage(split, job)

@@ -11,8 +11,8 @@ module supplies that layer for the logical plan IR:
   every node, combining three sources in decreasing order of trust:
 
   1. **actuals** — completed shuffle map outputs (via
-     :meth:`repro.engine.shuffle.ShuffleManager.map_output_stats`), fully
-     cached datasets' cache shuffles included;
+     :meth:`repro.engine.shuffle.ShuffleManager.map_output_stats`), the
+     stores of stored (checkpointed or fully cached) datasets included;
   2. **source sampling** — in-memory collections are stride-sampled with the
      same :func:`repro.engine.shuffle.estimate_bytes` accounting the shuffle
      uses, so estimates and actuals are directly comparable;
@@ -38,10 +38,9 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..config import EngineConfig
 from . import dataset as physical
-from .plan import (BroadcastJoinNode, CheckpointScanNode, CoGroupNode,
-                   DistinctNode, FusedNode, GroupByKeyNode, LocalizableNode,
-                   LogicalNode, PhysicalScanNode, ProjectedScanNode,
-                   SourceNode, UnionNode)
+from .plan import (BroadcastJoinNode, CoGroupNode, DistinctNode, FusedNode,
+                   GroupByKeyNode, LocalizableNode, LogicalNode,
+                   PhysicalScanNode, ProjectedScanNode, SourceNode, UnionNode)
 from .memory import resolve_codec
 from .shuffle import KEY_SAMPLE_SIZE, estimate_bytes
 
@@ -234,31 +233,24 @@ class StatsEstimator:
         if self.shuffle_manager is None:
             return None
         ds = self._physical_of(node)
-        # a checkpointed one reads its checkpoint, not its own shuffles
+        # a stored dataset's size is its store's, not its shuffles'
         return ds if isinstance(ds, physical.ShuffledDataset) and \
-            not ds.has_checkpoint else None
+            self._stored_actual(ds) is None else None
 
-    def _map_actual(self, dependency) -> Optional[StatsEstimate]:
+    def _map_actual(self, shuffle_id) -> Optional[StatsEstimate]:
         """Actual output of one shuffle's map stage, once it completed."""
-        actual = self.shuffle_manager.map_output_stats(dependency.shuffle_id)
+        actual = self.shuffle_manager.map_output_stats(shuffle_id)
         if actual is None:
             return None
         records, size = actual
         return StatsEstimate(rows=float(records), size_bytes=float(size),
                              exact=True)
 
-    def _cached_actual(self, node: LogicalNode) -> Optional[StatsEstimate]:
-        """Actual stats of a node whose physical dataset is fully cached:
-        its cache shuffle's map output."""
-        ds = node.dataset
-        if self.shuffle_manager is None or ds is None or not ds.is_cached:
-            return None
-        actual = self.shuffle_manager.map_output_stats(ds.cache_id)
-        if actual is None:
-            return None
-        rows, size = actual
-        return StatsEstimate(rows=float(rows), size_bytes=float(size),
-                             exact=True)
+    def _stored_actual(self, ds) -> Optional[StatsEstimate]:
+        """Actual stats of a stored dataset: its store's map output."""
+        store = ds.store if ds is not None and \
+            self.shuffle_manager is not None else None
+        return self._map_actual(store[0]) if store is not None else None
 
     # -- key distributions ---------------------------------------------------
 
@@ -317,7 +309,8 @@ class StatsEstimator:
         ds = self._shuffled(node)
         if ds is None:
             return None
-        actuals = [self._map_actual(dep) for dep in ds.dependencies]
+        actuals = [self._map_actual(dep.shuffle_id)
+                   for dep in ds.dependencies]
         if any(actual is None for actual in actuals):
             return None
         shuffle_ids = tuple(dep.shuffle_id for dep in ds.dependencies)
@@ -396,7 +389,7 @@ class StatsEstimator:
         if ds is None:
             return
         for index, dependency in enumerate(ds.dependencies):
-            actual = self._map_actual(dependency)
+            actual = self._map_actual(dependency.shuffle_id)
             if actual is not None:
                 children[index] = node.children[index].stats = actual
 
@@ -404,13 +397,11 @@ class StatsEstimator:
                     children) -> Optional[StatsEstimate]:
         child = children[0] if children else None
 
+        stored = self._stored_actual(self._physical_of(node))
+        if stored is not None:
+            return stored
         if isinstance(node, (SourceNode, PhysicalScanNode)):
-            return self._leaf_stats(node)
-        if isinstance(node, CheckpointScanNode):
-            # a checkpoint is a complete shuffle: its map output is exact
-            actual = self._map_actual(node.dataset.dependencies[0]) \
-                if self.shuffle_manager is not None else None
-            return actual if actual is not None else self._leaf_stats(node)
+            return self._dataset_stats(node.dataset)
         if isinstance(node, ProjectedScanNode):
             # a pruned scan is its source leaf shrunk by the projection it
             # replaced
@@ -424,7 +415,7 @@ class StatsEstimator:
             if isinstance(node, LocalizableNode):
                 node.key_stats = self.key_distribution(node)
             ds = self._shuffled(node)
-            actual = self._map_actual(ds.dependencies[0]) \
+            actual = self._map_actual(ds.dependencies[0].shuffle_id) \
                 if ds is not None else None
             if actual is not None:
                 if node.key_stats is None or actual.rows <= 0:
@@ -475,12 +466,6 @@ class StatsEstimator:
         size = base.size_bytes if isinstance(node, GroupByKeyNode) \
             else base.size_bytes * (rows / base.rows)
         return StatsEstimate(rows=rows, size_bytes=size, exact=exact)
-
-    def _leaf_stats(self, node: LogicalNode) -> Optional[StatsEstimate]:
-        cached = self._cached_actual(node)
-        if cached is not None:
-            return cached
-        return self._dataset_stats(node.dataset)
 
     def _dataset_stats(self, ds) -> Optional[StatsEstimate]:
         if ds is None:

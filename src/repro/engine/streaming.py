@@ -6,7 +6,8 @@ discretised streams: a stream source produces one batch of records per tick,
 each batch becomes a dataset, and the registered transformation pipeline plus
 output action run on it.  Sliding windows are supported by buffering previous
 batches.  A tick's datasets are never read again, so once its outputs ran
-every shuffle the tick registered (a cache's included) is removed.
+every shuffle the tick registered (a cache's included) is removed, and so
+is every input file the tick published for worker processes.
 """
 
 from __future__ import annotations
@@ -196,6 +197,7 @@ class StreamingContext:
             started = time.perf_counter()
             registered = set(shuffles.shuffle_ids())
             outputs: List[Any] = []
+            inputs: List[Dataset] = []
             output_records = 0
             for stream, action in self._outputs:
                 if batch_index % stream.slide_batches != 0:
@@ -204,6 +206,7 @@ class StreamingContext:
                 windowed_records = [record for batch in window for record in batch]
                 dataset = self.engine.parallelize(windowed_records,
                                                   self.num_partitions)
+                inputs.append(dataset)
                 transformed = stream._transform(dataset)
                 result = action(batch_index, transformed)
                 outputs.append(result)
@@ -213,6 +216,8 @@ class StreamingContext:
                 if shuffle_id not in registered:
                     # a durable transport's frames stay, as at stop()
                     shuffles.remove_shuffle(shuffle_id, spare_durable=True)
+            for dataset in inputs:
+                dataset.withdraw()
             elapsed = time.perf_counter() - started
             report.batches.append(BatchResult(
                 batch_index=batch_index, num_input_records=len(records),

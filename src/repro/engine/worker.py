@@ -141,7 +141,7 @@ def _heartbeat_loop(directory: str, interval_s: float) -> None:
     """Touch this worker's beat file forever (daemon thread).
 
     Liveness is the file's mtime: the driver-side
-    :class:`~repro.engine.scheduler.NodeHealthTracker` compares it against
+    :class:`~repro.engine.retry.NodeHealthTracker` compares it against
     ``heartbeat_timeout_s``.  A wedged or killed worker stops touching the
     file and goes stale; write errors are swallowed — a missing beat *is*
     the signal, crashing the worker over it would invert the design.

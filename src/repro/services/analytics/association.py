@@ -60,8 +60,11 @@ class AssociationRulesService(AnalyticsService):
         started = time.perf_counter()
         support_counts: Dict[FrozenSet[str], int] = {}
 
-        # size-1 itemsets
-        item_counts = (baskets.flat_map(lambda basket: ((item, 1) for item in basket))
+        # size-1 itemsets; items and candidates go out sorted (candidates as
+        # sorted tuples), never in frozenset order, which follows the
+        # per-process string hash seed
+        item_counts = (baskets.flat_map(lambda basket: ((item, 1)
+                                                        for item in sorted(basket)))
                        .reduce_by_key(lambda left, right: left + right)
                        .filter(lambda pair: pair[1] >= min_count)
                        .collect())
@@ -74,19 +77,21 @@ class AssociationRulesService(AnalyticsService):
             candidates = self._candidates(current_frequent, size)
             if not candidates:
                 break
-            candidate_list = list(candidates)
+            itemsets = [frozenset(candidate) for candidate in candidates]
 
-            def count_candidates(basket: FrozenSet[str],
-                                 candidate_list=candidate_list) -> List[Tuple[FrozenSet[str], int]]:
-                return [(candidate, 1) for candidate in candidate_list
-                        if candidate <= basket]
+            def count_candidates(basket: FrozenSet[str], candidates=candidates,
+                                 itemsets=itemsets) -> List[Tuple[Tuple[str, ...], int]]:
+                return [(candidate, 1)
+                        for candidate, itemset in zip(candidates, itemsets)
+                        if itemset <= basket]
 
             counted = (baskets.flat_map(count_candidates)
                        .reduce_by_key(lambda left, right: left + right)
                        .filter(lambda pair: pair[1] >= min_count)
                        .collect())
-            current_frequent = {itemset for itemset, _ in counted}
-            support_counts.update(dict(counted))
+            current_frequent = {frozenset(itemset) for itemset, _ in counted}
+            support_counts.update((frozenset(itemset), count)
+                                  for itemset, count in counted)
 
         rules = self._rules(support_counts, num_baskets, min_confidence)
         mining_time = time.perf_counter() - started
@@ -109,17 +114,15 @@ class AssociationRulesService(AnalyticsService):
                      "baskets": float(num_baskets)})
 
     @staticmethod
-    def _candidates(frequent: set, size: int) -> set:
-        """Generate size-``size`` candidates from (size-1)-frequent itemsets."""
+    def _candidates(frequent: set, size: int) -> List[Tuple[str, ...]]:
+        """Generate size-``size`` candidates from (size-1)-frequent itemsets,
+        each a sorted tuple, in sorted order."""
         items = sorted({item for itemset in frequent for item in itemset})
-        candidates = set()
-        for combination in itertools.combinations(items, size):
-            candidate = frozenset(combination)
-            # prune: every (size-1)-subset must be frequent
-            if all(frozenset(subset) in frequent
-                   for subset in itertools.combinations(combination, size - 1)):
-                candidates.add(candidate)
-        return candidates
+        # prune: every (size-1)-subset must be frequent
+        return [combination
+                for combination in itertools.combinations(items, size)
+                if all(frozenset(subset) in frequent for subset
+                       in itertools.combinations(combination, size - 1))]
 
     @staticmethod
     def _rules(support_counts: Dict[FrozenSet[str], int], num_baskets: int,

@@ -17,7 +17,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine import EngineContext, serializer
-from repro.engine.dataset import broadcast_shuffle_id
+from repro.engine.dataset import one_bucket_id
 from repro.engine.memory import Span
 from repro.engine.plan import BroadcastJoinNode, CoGroupNode, count_nodes
 
@@ -339,7 +339,7 @@ class TestBroadcastBuildReuse:
     def test_unpersist_drops_the_build_shuffle(self):
         with broadcast_engine() as ctx:
             fact, dim = self.fact_and_dim(ctx)
-            build = broadcast_shuffle_id(dim.id, "build")
+            build = one_bucket_id(dim.id, "build")
             fact.join(dim).count()
             assert ctx.shuffle_manager.is_complete(build)
             dim.unpersist()
@@ -354,7 +354,7 @@ class TestBroadcastBuildReuse:
         ctx = broadcast_engine()
         fact, dim = self.fact_and_dim(ctx)
         fact.join(dim).count()
-        build = broadcast_shuffle_id(dim.id, "build")
+        build = one_bucket_id(dim.id, "build")
         assert ctx.shuffle_manager.is_complete(build)
         ctx.stop()
         assert not ctx.shuffle_manager.is_complete(build)
@@ -370,7 +370,7 @@ class TestBroadcastBuildReuse:
                 ["shuffle:parallelize", "shuffle:parallelize"]
             for dataset, kind in ((dim, "build"), (fact, "keys")):
                 assert ctx.shuffle_manager.is_complete(
-                    broadcast_shuffle_id(dataset.id, kind))
+                    one_bucket_id(dataset.id, kind))
 
     def test_reused_build_produces_identical_results(self):
         with broadcast_engine() as ctx:
@@ -411,7 +411,7 @@ def test_a_rotten_broadcast_span_heals_its_one_map(backend, kind):
         dim = ctx.parallelize([(i, f"d{i}") for i in range(0, 14, 2)], 3)
         joined = fact.right_outer_join(dim)
         first = sorted(joined.collect())
-        rot_first_span(ctx, broadcast_shuffle_id(
+        rot_first_span(ctx, one_bucket_id(
             (dim if kind == "build" else fact).id, kind))
         healed = sorted(joined.collect())
         job = ctx.metrics.jobs[-1]

@@ -40,7 +40,7 @@ from repro.engine.journal import (JOURNAL_NAME, JobJournal, atomic_write_bytes,
 from repro.engine.memory import (CODEC_NONE, CODEC_ZLIB, CRC_FLAG, Span,
                                  dump_frames)
 from repro.engine.retry import Faults, RetryPolicy
-from repro.engine.scheduler import NodeHealthTracker
+from repro.engine.retry import NodeHealthTracker
 from repro.engine.shuffle_server import (AddressInUseError, ShuffleFetchClient,
                                          ShuffleServer)
 from repro.errors import ConfigurationError, FetchFailedError

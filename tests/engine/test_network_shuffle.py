@@ -29,7 +29,7 @@ from repro.engine import shuffle as shuffle_module
 from repro.engine.context import EngineContext
 from repro.engine.memory import CODEC_NONE, Span, dump_frames
 from repro.engine.retry import Faults, RetryPolicy
-from repro.engine.scheduler import NodeHealthTracker
+from repro.engine.retry import NodeHealthTracker
 from repro.engine.shuffle_server import (FetchError, ShuffleFetchClient,
                                          ShuffleServer, span_chaos_key)
 from repro.engine.transport import (ShuffleTransport, TcpShuffleTransport,

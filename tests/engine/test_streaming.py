@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import operator
+import os
 
 import pytest
 
 from repro.config import EngineConfig
-from repro.engine import EngineContext
+from repro.engine import EngineContext, serializer
 from repro.engine.streaming import StreamingContext, StreamSource
 from repro.errors import StreamError
 
@@ -152,3 +153,25 @@ class TestStreamingResources:
 
     def test_no_shuffle_of_a_finished_tick_stays_registered(self):
         assert self.registered_after(50) <= self.registered_after(1)
+
+    @staticmethod
+    def input_files_after(ticks: int) -> int:
+        """Input files published for worker processes that are still on
+        disk after ``ticks`` ticks of a reduce on the process backend."""
+        config = EngineConfig(num_workers=2, seed=1,
+                              executor_backend="process")
+        with EngineContext(config) as engine:
+            ssc = StreamingContext(engine, CountingSource(ticks, 20),
+                                   num_partitions=4)
+            (ssc.stream()
+             .map(lambda x: (x % 3, x))
+             .reduce_by_key(operator.add)
+             .foreach_batch(lambda index, dataset: dataset.collect()))
+            ssc.run(max_batches=ticks)
+            inputs = os.path.join(engine._transport.root, "inputs")
+            return len(os.listdir(inputs)) if os.path.isdir(inputs) else 0
+
+    @pytest.mark.skipif(not serializer.supports_closures(),
+                        reason="process-backend stages ship closures")
+    def test_no_input_of_a_finished_tick_stays_published(self):
+        assert self.input_files_after(30) <= self.input_files_after(1)
