@@ -178,9 +178,11 @@ class EngineContext:
 
         The checkpoint is a one-bucket shuffle (the ``"checkpoint"`` kind of
         :data:`~repro.engine.dataset.ONE_BUCKET`) over the
-        dataset's executable, or over a copy of the dataset that keeps its
-        lineage when no rewrite stands in for it, so the stage reuses every
-        shuffle the executable already completed.  The
+        dataset's executable, or over an unmarked copy that keeps its
+        lineage when no rewrite stands in for the dataset or the executable
+        is a cached mirror whose cache is incomplete, so the stage reuses
+        every shuffle the executable already completed and fills no cache
+        that the checkpoint then drops.  The
         dataset takes the executable's partitioning and depends on the
         checkpoint alone; its one job runs the shuffle like any other —
         adopted from a resumed journal, written where it is computed, made
@@ -196,8 +198,10 @@ class EngineContext:
             raise ConfigurationError(
                 "Dataset.checkpoint() requires EngineConfig.checkpoint_dir")
         executable = self._executable_for(dataset)
-        if executable is dataset:
-            executable = dataset._lineage_copy(self._next_dataset_id())
+        if executable is dataset or (executable.is_cached and not
+                                     executable.is_stored(self.shuffle_manager)):
+            # a cache the stage would fill is dropped right after it
+            executable = executable._lineage_copy(self._next_dataset_id())
         dependency = OneBucketDependency("checkpoint", dataset, executable)
         lineage = dataset.num_partitions, dataset.dependencies
         dataset.num_partitions = executable.num_partitions

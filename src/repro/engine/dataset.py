@@ -881,62 +881,52 @@ class Dataset:
         return self._derive(logical.CoGroupNode(
             [self.plan, other.plan], HashPartitioner(num_partitions)), other)
 
-    def _join_with(self, other: "Dataset", emit, how: str,
+    def _join_with(self, other: "Dataset", how: str,
                    num_partitions: Optional[int]) -> "Dataset":
-        """Common shape of every join: cogroup, then emit matched pairs."""
+        """Common shape of every join: cogroup, then emit the pairs of
+        :data:`~repro.engine.wide.JOINS` ``[how]``."""
         cogrouped = self.cogroup(other, num_partitions)
-        return cogrouped._derive(logical.JoinNode(cogrouped.plan, emit, how))
+        return cogrouped._derive(logical.JoinNode(
+            cogrouped.plan, wide.JOINS[how].emit, how))
 
     def join(self, other: "Dataset",
              num_partitions: Optional[int] = None) -> "Dataset":
-        """Inner join two key-value datasets: ``(k, (v_self, v_other))``."""
-        def emit(pair):
-            key, (left_values, right_values) = pair
-            return ((key, (left, right))
-                    for left in left_values for right in right_values)
-        return self._join_with(other, emit, "inner", num_partitions)
+        """Inner join two key-value datasets: ``(k, (v_self, v_other))``.
+
+        Order, for every join: a shuffle join emits a key's pairs left value
+        by left value, right values in order, and its keys in the cogroup's
+        order.  A broadcast join keeps the stream side's partitions and
+        record order: each stream record's pairs come where the record is,
+        in build-value order, so a key's pairs keep the shuffle join's order
+        when the right side is the build side.  The unmatched build rows of
+        an outer join come last, key by key.  Compare results of the two
+        strategies as multisets.
+        """
+        return self._join_with(other, "inner", num_partitions)
 
     def left_outer_join(self, other: "Dataset",
                         num_partitions: Optional[int] = None) -> "Dataset":
-        """Left outer join: unmatched left records pair with ``None``."""
-        def emit(pair):
-            key, (left_values, right_values) = pair
-            if not left_values:
-                return []
-            rights = right_values or [None]
-            return ((key, (left, right)) for left in left_values for right in rights)
-        return self._join_with(other, emit, "left_outer", num_partitions)
+        """Left outer join: unmatched left records pair with ``None``.
+        Order as in :meth:`join`."""
+        return self._join_with(other, "left_outer", num_partitions)
 
     def right_outer_join(self, other: "Dataset",
                          num_partitions: Optional[int] = None) -> "Dataset":
-        """Right outer join: unmatched right records pair with ``None``."""
-        def emit(pair):
-            key, (left_values, right_values) = pair
-            if not right_values:
-                return []
-            lefts = left_values or [None]
-            return ((key, (left, right)) for left in lefts for right in right_values)
-        return self._join_with(other, emit, "right_outer", num_partitions)
+        """Right outer join: unmatched right records pair with ``None``.
+        Order as in :meth:`join`."""
+        return self._join_with(other, "right_outer", num_partitions)
 
     def full_outer_join(self, other: "Dataset",
                         num_partitions: Optional[int] = None) -> "Dataset":
-        """Full outer join: unmatched records on either side pair with ``None``."""
-        def emit(pair):
-            key, (left_values, right_values) = pair
-            lefts = left_values or [None]
-            rights = right_values or [None]
-            return ((key, (left, right)) for left in lefts for right in rights)
-        return self._join_with(other, emit, "full_outer", num_partitions)
+        """Full outer join: unmatched records on either side pair with
+        ``None``.  Order as in :meth:`join`."""
+        return self._join_with(other, "full_outer", num_partitions)
 
     def subtract_by_key(self, other: "Dataset",
                         num_partitions: Optional[int] = None) -> "Dataset":
-        """Keep pairs whose key does not appear in ``other``."""
-        def emit(pair):
-            key, (left_values, right_values) = pair
-            if right_values:
-                return []
-            return ((key, left) for left in left_values)
-        return self._join_with(other, emit, "subtract_by_key", num_partitions)
+        """Keep pairs whose key does not appear in ``other``.  Order as in
+        :meth:`join`."""
+        return self._join_with(other, "subtract_by_key", num_partitions)
 
     # -- actions ----------------------------------------------------------------
 
@@ -1581,16 +1571,12 @@ class SkewSlices(Dataset):
 def broadcast_preserves_build(how: str, build_side: str) -> bool:
     """Whether a broadcast join must emit *unmatched build-side* rows.
 
-    Outer joins preserve unmatched rows of specific sides; when the
-    preserved side is the broadcast (build) side, the streamed pass over the
-    other side never sees those rows and a dedicated unmatched pass is
-    required (priced into the cost model by the ``broadcast_join`` rule).
+    The streamed pass over the other side never sees them, so a join that
+    keeps them (:data:`~repro.engine.wide.JOINS`) needs a dedicated
+    unmatched pass (priced into the cost model by the ``broadcast_join``
+    rule).
     """
-    if how == "full_outer":
-        return True
-    if build_side == "left":
-        return how in ("left_outer", "subtract_by_key")
-    return how == "right_outer"
+    return build_side in wide.JOINS[how].keeps
 
 
 class BroadcastJoinDataset(Dataset):
@@ -1600,18 +1586,18 @@ class BroadcastJoinDataset(Dataset):
     partition ``p``'s pairs as they are, and each partition of the
     *stream* side folds every map's bucket, in map order, into the
     ``{key: [values]}`` table it probes — where it is read, so no build
-    table travels in a stage payload.  The stream partition is joined
-    against it locally, reusing the exact ``emit`` function of the
-    shuffle-cogroup form so every join variant produces identical pairs.
-    When the join preserves unmatched build-side rows (see
+    table travels in a stage payload.  Each stream batch is then one
+    probe of that table (:meth:`~repro.engine.wide.JoinKind.probe`): the
+    partition's pairs follow its records, each record's in build-value
+    order, and a batch is emitted before the next one is pulled.  When the
+    join preserves unmatched build-side rows (see
     :func:`broadcast_preserves_build`), a second one-bucket shuffle holds
     each stream partition's distinct keys, and one extra partition emits
-    the build rows whose key none of them holds.
+    the build rows whose key none of them holds, key by key in build order.
     """
 
-    def __init__(self, stream: Dataset, build: Dataset, emit,
-                 how: str, build_side: str):
-        self._emit = emit
+    def __init__(self, stream: Dataset, build: Dataset, how: str,
+                 build_side: str):
         self._how = how
         self._build_side = build_side
         # the unmatched build rows need the stream's key set and a
@@ -1625,17 +1611,6 @@ class BroadcastJoinDataset(Dataset):
                          name=f"broadcast_{join_display_name(how)}"
                               f"({build_side})")
 
-    @property
-    def _stream(self) -> Dataset:
-        return self.dependencies[0].parent
-
-    def _pair(self, key: Any, stream_values: List[Any],
-              build_values: List[Any]) -> Any:
-        """Orient one cogroup-shaped pair in the join's left/right order."""
-        if self._build_side == "right":
-            return (key, (stream_values, build_values))
-        return (key, (build_values, stream_values))
-
     def _read(self, index: int, task_context: TaskContext
               ) -> Iterator[Any]:
         """Every record of the one-bucket shuffle ``dependencies[index]``,
@@ -1647,29 +1622,24 @@ class BroadcastJoinDataset(Dataset):
                         batch_size: int) -> Iterator[List[Any]]:
         # the group fold builds fresh value lists: the stored buckets stay
         # as they are for every other reader
-        build_map = wide.GROUP.fold(self._read(1, task_context))
-        stream = self._stream
+        table = wide.GROUP.fold(self._read(1, task_context))
+        kind = wide.JOINS[self._how]
+        stream = self.dependencies[0].parent
         if partition >= stream.num_partitions:
-            # the unmatched-build partition: build keys never seen by the
-            # stream, bounded by the (small) broadcast build side
+            # the unmatched-build partition: build rows whose key the stream
+            # never holds, each probed as an unmatched record of its side
             stream_keys = set(self._read(2, task_context))
-            yield from chunk_iterator(itertools.chain.from_iterable(
-                self._emit(self._pair(key, [], values))
-                for key, values in build_map.items()
-                if key not in stream_keys), batch_size)
+            rows = [(key, value) for key, values in table.items()
+                    if key not in stream_keys for value in values]
+            stream_side = "left" if self._build_side == "right" else "right"
+            yield from chunk_list(kind.probe(stream_side, {})(rows),
+                                  batch_size)
             return
-        # the group fold of the stream partition: first-appearance order
-        grouped = wide.GROUP.fold(stream.iterator(partition, task_context))
-        produced: List[Any] = []
-        extend = produced.extend
-        for key, values in grouped.items():
-            extend(self._emit(self._pair(key, values, build_map.get(key, []))))
-            if len(produced) >= batch_size:
+        probe = kind.probe(self._build_side, table)
+        for batch in stream.batch_iterator(partition, task_context):
+            produced = probe(batch)
+            if produced:
                 yield produced
-                produced = []
-                extend = produced.extend
-        if produced:
-            yield produced
 
 
 # ---------------------------------------------------------------------------
@@ -1705,7 +1675,7 @@ def build(node: logical.LogicalNode, parents: List[Dataset]) -> Dataset:
     if isinstance(node, logical.BroadcastJoinNode):
         stream, broadcast = parents if node.broadcast_side == "right" \
             else parents[::-1]
-        return BroadcastJoinDataset(stream, broadcast, node.emit, node.how,
+        return BroadcastJoinDataset(stream, broadcast, node.how,
                                     node.broadcast_side)
     if isinstance(node, logical.MapPartitionsNode):
         return MapPartitionsDataset(parents[0], node.func,

@@ -501,7 +501,7 @@ class PlanOptimizer:
                 return n
             applied.append("broadcast_join")
             rewritten = BroadcastJoinNode(
-                list(cogroup.children), n.emit, n.how, side, origin=n,
+                list(cogroup.children), n.how, side, origin=n,
                 parallelism=cogroup.partitioner.num_partitions)
             rewritten.stats = n.stats
             return rewritten

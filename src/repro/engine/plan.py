@@ -479,11 +479,10 @@ class BroadcastJoinNode(LogicalNode):
 
     op = "broadcast_join"
 
-    def __init__(self, children: Sequence[LogicalNode], emit, how: str,
+    def __init__(self, children: Sequence[LogicalNode], how: str,
                  broadcast_side: str, origin: LogicalNode,
                  parallelism: int = 1):
         super().__init__(children, dataset=None)
-        self.emit = emit
         self.how = how
         #: Which input ("left" or "right") is collected and broadcast.
         self.broadcast_side = broadcast_side

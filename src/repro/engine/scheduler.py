@@ -375,8 +375,11 @@ class DAGScheduler:
 
         One prerequisite is executed per iteration; in adaptive mode the
         replanner then gets a chance to swap the remaining physical plan, and
-        the (possibly new) lineage is re-examined from scratch.  Returns the
-        dataset the result stage should execute.
+        the (possibly new) lineage is re-examined from scratch.  A one-bucket
+        shuffle (a broadcast build or key set) is no logical node's shuffle:
+        its sizes change no statistic the cost-based rules read, so no
+        replan follows it.  Returns the dataset
+        the result stage should execute.
         """
         while True:
             ready = self._ready_prerequisites(dataset)
@@ -385,7 +388,7 @@ class DAGScheduler:
             dependency = self._pick_prerequisite(ready, replanner is not None)
             self._run_shuffle_stage(dependency, job)
             self._maybe_auto_checkpoint(dataset, dependency)
-            if replanner is not None and \
+            if replanner is not None and dependency.kind is None and \
                     job.adaptive_replans < _MAX_ADAPTIVE_REPLANS:
                 replanned = replanner()
                 if replanned is not dataset:

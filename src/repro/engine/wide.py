@@ -214,6 +214,62 @@ OPERATORS: Dict[str, Callable[[Any], Tuple[str, WideOperator]]] = {
 }
 
 
+class JoinKind(NamedTuple):
+    """One join kind: whose unmatched records it keeps, and whether it is
+    the anti-join.  A matched record emits its product with the other
+    side's values; an unmatched record of a kept side emits itself in the
+    anti-join and a ``None``-padded pair otherwise; any other record emits
+    nothing.  The shuffle join's :meth:`emit` and the broadcast join's
+    :meth:`probe` are both derived from these two columns."""
+
+    #: The sides (``"left"``, ``"right"``) whose unmatched records are kept.
+    keeps: Tuple[str, ...]
+    anti: bool = False
+
+    def partners(self, side: str) -> Tuple[Any, ...]:
+        """What an unmatched record of ``side`` is paired with."""
+        return (None,) if side in self.keeps else ()
+
+    def emit(self, pair: Any) -> Iterable[Any]:
+        """The shuffle join's pairs of one cogrouped ``(key, (lefts, rights))``:
+        for each left value in order, each right value in order."""
+        key, (lefts, rights) = pair
+        if self.anti:
+            return () if rights else ((key, left) for left in lefts)
+        return ((key, (left, right))
+                for left in lefts or self.partners("right")
+                for right in rights or self.partners("left"))
+
+    def probe(self, build_side: str, table: Dict[Any, List[Any]]
+              ) -> Callable[[List[Any]], List[Any]]:
+        """The broadcast join's pass over one batch of the stream side (the
+        side that is not ``build_side``) against the build ``{key: values}``
+        table: per stream record in order, its pairs in build-value order.
+        Chosen once per task, so each batch is one comprehension."""
+        get = table.get
+        if self.anti:
+            if build_side == "left":  # only unmatched build rows are kept
+                return lambda batch: []
+            return lambda batch: [(key, value) for key, value in batch
+                                  if key not in table]
+        unmatched = self.partners("left" if build_side == "right" else "right")
+        if build_side == "right":
+            return lambda batch: [(key, (value, other)) for key, value in batch
+                                  for other in get(key, unmatched)]
+        return lambda batch: [(key, (other, value)) for key, value in batch
+                              for other in get(key, unmatched)]
+
+
+#: Every join kind by its ``how``, declared once.
+JOINS: Dict[str, JoinKind] = {
+    "inner": JoinKind(()),
+    "left_outer": JoinKind(("left",)),
+    "right_outer": JoinKind(("right",)),
+    "full_outer": JoinKind(("left", "right")),
+    "subtract_by_key": JoinKind(("left",), anti=True),
+}
+
+
 def slice_fold(op: WideOperator) -> Callable[[Iterable[Any]], Any]:
     """The fold of one slice of reduce input into a partial.
 

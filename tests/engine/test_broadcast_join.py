@@ -19,6 +19,7 @@ from repro.config import EngineConfig
 from repro.engine import EngineContext, serializer
 from repro.engine.dataset import one_bucket_id
 from repro.engine.memory import Span
+from repro.engine.metrics import TaskContext
 from repro.engine.plan import BroadcastJoinNode, CoGroupNode, count_nodes
 
 from test_checkpoint_recovery import rot
@@ -422,6 +423,147 @@ def test_a_rotten_broadcast_span_heals_its_one_map(backend, kind):
                           .collect())
     assert first == healed == expected
     assert (job.lost_map_outputs, job.recomputed_tasks) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The probe: every kind from one declaration, stream order, one batch ahead
+# ---------------------------------------------------------------------------
+
+#: The large (stream) and small (build) side of the probe cases.
+STREAM = [((k * 7) % 9, f"S{k}") for k in range(60)]
+BUILD = [(k % 5, f"B{k}") for k in range(0, 12, 2)]
+
+
+def reference_join(variant, left, right):
+    """The join in plain Python, independent of the engine's declaration."""
+    right_keys = {key for key, _ in right}
+    left_keys = {key for key, _ in left}
+    if variant == "subtract_by_key":
+        return [(key, value) for key, value in left if key not in right_keys]
+    pairs = [(key, (value, other)) for key, value in left
+             for match, other in right if match == key]
+    if variant in ("left_outer_join", "full_outer_join"):
+        pairs += [(key, (value, None)) for key, value in left
+                  if key not in right_keys]
+    if variant in ("right_outer_join", "full_outer_join"):
+        pairs += [(key, (None, value)) for key, value in right
+                  if key not in left_keys]
+    return pairs
+
+
+def sides(build_side):
+    """``(left, right)`` data whose small side is ``build_side``."""
+    return (STREAM, BUILD) if build_side == "right" else (BUILD, STREAM)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("build_side", ["left", "right"])
+@pytest.mark.parametrize("variant", JOIN_VARIANTS)
+def test_probe_matches_shuffle_and_reference(variant, build_side, backend):
+    """Broadcast join = shuffle join = plain Python, as multisets, for every
+    join kind, either build side and both backends."""
+    left_data, right_data = sides(build_side)
+    results = {}
+    for strategy, threshold in (("broadcast", 1 << 20), ("shuffle", 0)):
+        with EngineContext(EngineConfig(
+                num_workers=2, default_parallelism=4, seed=1,
+                executor_backend=backend,
+                broadcast_threshold_bytes=threshold)) as ctx:
+            joined = getattr(ctx.parallelize(left_data, 3), variant)(
+                ctx.parallelize(right_data, 2))
+            results[strategy] = sorted(map(repr, joined.collect()))
+            name = ctx._executable_for(joined).name
+        assert name.startswith("broadcast") == (strategy == "broadcast")
+        if strategy == "broadcast":
+            assert name.endswith(f"({build_side})")
+    reference = sorted(map(repr, reference_join(variant, left_data,
+                                                right_data)))
+    assert results["broadcast"] == results["shuffle"] == reference
+
+
+@pytest.mark.parametrize("build_side", ["left", "right"])
+@pytest.mark.parametrize("variant", JOIN_VARIANTS)
+def test_each_stream_partition_keeps_its_record_order(variant, build_side):
+    """Partition ``p`` of a broadcast join holds stream partition ``p``'s
+    pairs in stream-record order, each record's in build-value order."""
+    left_data, right_data = sides(build_side)
+    with broadcast_engine() as ctx:
+        left = ctx.parallelize(left_data, 3)
+        right = ctx.parallelize(right_data, 2)
+        stream = right if build_side == "left" else left
+        partitions = stream.glom().collect()
+        joined = getattr(left, variant)(right)
+        assert ctx._executable_for(joined).name.endswith(f"({build_side})")
+        produced = joined.glom().collect()
+    build = {}
+    for key, value in left_data if build_side == "left" else right_data:
+        build.setdefault(key, []).append(value)
+    keeps_stream = variant == "full_outer_join" or variant == (
+        "left_outer_join" if build_side == "right" else "right_outer_join")
+    for index, records in enumerate(partitions):
+        expected = []
+        for key, value in records:
+            if variant == "subtract_by_key":
+                if build_side == "right" and key not in build:
+                    expected.append((key, value))
+                continue
+            others = build.get(key) or ([None] if keeps_stream else [])
+            expected += [(key, (value, other) if build_side == "right"
+                          else (other, value)) for other in others]
+        assert produced[index] == expected
+
+
+def test_a_stream_task_pulls_one_batch_before_its_first_output():
+    config = EngineConfig(num_workers=2, default_parallelism=4, seed=1,
+                          batch_size=4)
+    with EngineContext(config) as ctx:
+        joined = ctx.parallelize(STREAM, 2).join(ctx.parallelize(BUILD, 2))
+        joined.count()  # completes the build shuffle
+        executable = ctx._executable_for(joined)
+        assert executable.name == "broadcast_join(right)"
+        stream = executable.dependencies[0].parent
+        pulled = []
+        original = stream.batch_iterator
+
+        def counted(partition, task_context):
+            for batch in original(partition, task_context):
+                pulled.append(len(batch))
+                yield batch
+
+        stream.batch_iterator = counted
+        batches = executable.compute_batches(0, TaskContext(), 4)
+        first = next(batches)
+        assert first and len(pulled) == 1
+        assert len(list(batches)) + 1 <= len(pulled) == 30 // 4 + 1
+
+
+def test_a_build_stage_is_followed_by_no_replan():
+    """The adaptive replanner runs after a shuffle stage the cost-based
+    rules price (here the reduce), never after a broadcast build or key
+    set."""
+    with broadcast_engine() as ctx:
+        calls = []
+        make = ctx._adaptive_replanner
+
+        def counting(dataset):
+            replan = make(dataset)
+
+            def called():
+                calls.append(len(ctx.metrics.jobs))
+                return replan()
+            return called
+
+        ctx._adaptive_replanner = counting
+        facts = ctx.parallelize([(k % 200, k) for k in range(400)], 3) \
+            .reduce_by_key(lambda a, b: a + b)
+        joined = facts.full_outer_join(ctx.parallelize(BUILD, 2))
+        assert ctx._executable_for(joined).name == \
+            "broadcast_full_outer_join(right)"
+        joined.collect()
+        stages = [stage.name for stage in ctx.metrics.jobs[-1].stages
+                  if stage.is_shuffle_map]
+    assert len(stages) == 3  # the reduce, the build, the stream's key set
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,16 @@ below the checkpointed sort).
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 
 from repro.config import KNOWN_OPTIMIZER_RULES, EngineConfig
+from repro.engine import serializer
 from repro.engine.context import EngineContext
+
+BACKENDS = ["thread", "process"] if serializer.supports_closures() \
+    else ["thread"]
 
 RULE_SETS = [(), KNOWN_OPTIMIZER_RULES] + \
     [(rule,) for rule in KNOWN_OPTIMIZER_RULES] + \
@@ -87,3 +93,26 @@ def test_checkpoint_holds_its_executables_partitions(tmp_path, rule):
         assert sorted(joined.collect()) == expected
         assert sorted(joined.map(lambda pair: pair[1]).collect()) == \
             sorted(pair[1] for pair in expected)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["plain", "cached"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_checkpoint_writes_each_partition_once(tmp_path, backend, cached):
+    """The checkpoint stage of a cached dataset whose cache is not yet
+    filled reads an unmarked copy of the executable: it writes the 35
+    checkpointed records once, and no cache copy it would then drop."""
+    config = EngineConfig(num_workers=2, default_parallelism=4, seed=1,
+                          executor_backend=backend,
+                          checkpoint_dir=str(tmp_path))
+    with EngineContext(config) as ctx:
+        totals = ctx.parallelize(range(200), 4) \
+            .map(lambda x: (x % 7, x)).reduce_by_key(operator.add)
+        if cached:
+            totals.cache()
+        totals.checkpoint()
+        job = ctx.metrics.jobs[-1]
+        assert job.description.startswith("checkpoint:")
+        assert job.records_written == 35
+        assert sorted(totals.collect()) == sorted(
+            (key, sum(x for x in range(200) if x % 7 == key))
+            for key in range(7))

@@ -173,11 +173,14 @@ FIRED = {
 #: ``broadcast_join``'s whole set when a broadcast build became a one-bucket
 #: shuffle: the nested ``broadcast parallelize`` job became the join job's
 #: map stage (13 records, 197 bytes written), each stream task reads those
-#: 197 bytes, and the two later joins reuse it.
+#: 197 bytes, and the two later joins reuse it.  Re-recorded again when a
+#: broadcast join began to emit one batch per probed stream batch: only
+#: ``batches_processed`` moved (each join task 4 -> 12, each left outer
+#: join task 10 -> 12, the summary 74 -> 146).
 GOLDEN = {
     "broadcast_join": [
-        {"jobs": "d961087b1ab23b6d", "stages": "d984729bcb4aa6b6",
-         "tasks": "f2f30c9f8aec8404", "summary": "aa36afe34a892801"},
+        {"jobs": "e53b1d254b7d6c42", "stages": "659133ab4799389e",
+         "tasks": "188ff734f2905d34", "summary": "d63a32491002bc20"},
     ],
     # recorded without journal_bytes, which JOURNAL_BYTES pins; re-recorded
     # when a checkpoint became a one-bucket shuffle (its job's stage is a
