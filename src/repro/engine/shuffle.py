@@ -6,6 +6,13 @@ register the buckets here; reduce-side tasks then fetch and concatenate the
 buckets addressed to them.  Byte accounting is estimated from a sample of the
 bucket so that shuffle volume can be reported without serialising everything.
 
+The manager keeps one record per registered shuffle (its map count and
+the output of each map that has reported) and each map's output whole:
+its non-empty buckets with their byte estimates, its record count, key
+sample and producer.  A retried, recomputed or late attempt replaces the
+record, an invalidation pops it, and every statistic is read off the
+records of the one shuffle asked about.
+
 A bucket lives in one of two places: resident, as a Python list, or on
 disk, as a :class:`~repro.engine.memory.Span` of a frame file — spilled by
 this manager, framed into its transport, or adopted from another manager's
@@ -13,9 +20,10 @@ span catalog (:func:`catalog_of`: a worker's map output, a stage payload,
 a journal).  Without a transport every bucket starts resident.  When the
 owning context runs memory-bounded (``EngineConfig.shuffle_memory_bytes``
 > 0, tracked by a :class:`~repro.engine.memory.MemoryManager`), writes
-that push the resident total over the budget spill the coldest buckets to
-a per-shuffle spill file (see :mod:`repro.engine.memory`); reads — full,
-ranged (``map_range=``) and streaming — transparently bring spans back.
+that push the resident total over the budget spill the coldest resident
+buckets, in write order across all shuffles, to a per-shuffle spill file
+(see :mod:`repro.engine.memory`); reads — full, ranged (``map_range=``)
+and streaming — transparently bring spans back.
 Byte accounting always uses the map-side estimates measured at write
 time, so bounded and unbounded runs report identical shuffle metrics; with
 compression on, the estimates are scaled by the measured ratio of the
@@ -38,8 +46,9 @@ import pickle
 import random
 import threading
 from contextlib import contextmanager
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from types import MappingProxyType
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from ..errors import FetchFailedError, ShuffleCorruptionError, ShuffleError
 from .memory import (CODEC_NONE, MemoryManager, Span, SpillFile,
@@ -224,27 +233,47 @@ def lost_map_output(shuffle_id: int, map_partition: int) -> Iterator[None]:
             map_partition=map_partition) from exc
 
 
+class _MapOutput(NamedTuple):
+    """One map attempt's output, installed and dropped whole.
+
+    ``buckets`` holds the non-empty buckets only, each with its write-side
+    byte estimate; a spill swaps a resident bucket's records for its span.
+    ``records`` and ``size`` are the map's totals, ``sample`` its key sample
+    (``None`` when it wrote no records) and ``producer`` the identity that
+    registered it: a worker pid, ``"recovered"`` or ``None``.
+    """
+    buckets: SpanMap
+    records: int
+    size: int
+    sample: Optional[Source]
+    producer: Any
+
+
+class _Shuffle(NamedTuple):
+    """A registered shuffle: its map count, whether its frame files are
+    recovery state, and the output of every map that has reported."""
+    expected: int
+    journalled: bool
+    maps: Dict[int, _MapOutput]
+
+
+#: What a read of a shuffle that is not registered sees.
+_UNREGISTERED = _Shuffle(0, True, MappingProxyType({}))
+
+
 class ShuffleManager:
-    """Stores map-side shuffle output, keyed by shuffle id and partition."""
+    """Stores map-side shuffle output: one record per registered shuffle,
+    holding each completed map's output whole."""
 
     def __init__(self, memory_manager: Optional[MemoryManager] = None,
                  spill_dir=None, transport=None, codec: str = "auto",
                  faults: Optional[Faults] = None):
         self._lock = threading.Lock()
-        self._buckets: Dict[Tuple[int, int, int], List[Any]] = {}
-        #: Per-bucket byte estimates, measured once on the map side; the
-        #: reduce side sums these instead of re-sampling and re-pickling the
-        #: very data the map side already measured.  Entries survive a
-        #: bucket's spill: accounting never depends on where the bucket is.
-        self._bucket_bytes: Dict[Tuple[int, int, int], int] = {}
-        #: (shuffle_id, reduce_partition) -> byte total, maintained
-        #: incrementally on write so skew detection (which runs on every
-        #: adaptive re-plan) never scans all buckets under the lock.
-        self._reduce_bytes: Dict[Tuple[int, int], int] = {}
-        self._completed_maps: Dict[int, set] = {}
-        self._expected_maps: Dict[int, int] = {}
-        self._bytes_written: Dict[int, int] = {}
-        self._records_written: Dict[int, int] = {}
+        #: Every registered shuffle, in registration order.
+        self._shuffles: Dict[Any, _Shuffle] = {}
+        #: ``(shuffle, map, reduce)`` of each resident bucket not yet tried
+        #: as a spill victim, in write order: the coldest comes first.
+        self._resident: Dict[Tuple[Any, int, int], None] = {}
         #: Resolved frame codec id; every spill-file and transport frame this
         #: manager writes is compressed with it, and ``estimate_bytes``
         #: measures its ratio so accounting matches the on-disk format.
@@ -256,15 +285,6 @@ class ShuffleManager:
         #: Zero-argument callable returning the context's spill directory
         #: (created lazily); ``None`` disables spilling entirely.
         self._spill_dir = spill_dir
-        #: Bucket key -> span, for every bucket on disk rather than in
-        #: ``_buckets`` (spilled here, framed into the transport, adopted).
-        self._spans: Dict[Tuple[int, int, int], Span] = {}
-        #: ``(shuffle_id, map_partition)`` -> (records the map wrote, its
-        #: key sample): a resident list or a span.  Only maps that wrote
-        #: records have one; it is never counted as bucket bytes.
-        self._samples: Dict[Tuple[int, int], Tuple[int, Source]] = {}
-        #: Buckets whose records refused to pickle; they stay resident.
-        self._unspillable: set = set()
         #: Estimated bytes of all resident buckets, and of all spans.
         self._resident_bytes = 0
         self._span_bytes = 0
@@ -282,18 +302,10 @@ class ShuffleManager:
         #: when set, every map output is framed into its files and every
         #: span read goes through it.  ``None`` keeps buckets resident.
         self.transport = transport
-        #: ``(shuffle_id, map_partition)`` -> producer identity (a worker
-        #: pid or, for journal adoption, ``"recovered"``) of adopted map
-        #: output; the scheduler strikes a lost span's producer when it is a
-        #: worker pid and heals a blacklisted worker's outputs wholesale.
-        self._producers: Dict[Tuple[int, int], Any] = {}
         #: Local re-reads of spilled spans that healed a transient
         #: corruption read (drained into stage metrics alongside the
         #: transport's network fetch retries).
         self._fetch_retries = 0
-        #: Shuffles registered as never journalled (caches): their frame
-        #: files are no recovery state, even in a durable transport.
-        self._unjournalled: set = set()
 
     # -- memory accounting -----------------------------------------------------
 
@@ -335,36 +347,19 @@ class ShuffleManager:
         with self._lock:
             return self._spill_count, self._spill_bytes
 
-    def _source_locked(self, key: Tuple[int, int, int]) -> Optional[Source]:
-        """A bucket's records if resident, its span if on disk; ``None``
-        when it is absent or empty (lock held)."""
-        source = self._buckets.get(key) or self._spans.get(key)
-        if isinstance(source, Span) and not source.count:
-            return None
-        return source
-
-    def _drop_bucket_locked(self, key: Tuple[int, int, int]
-                            ) -> Tuple[int, int]:
-        """Forget one bucket wherever it lives; ``(bytes, records)`` it had."""
-        size = self._bucket_bytes.pop(key, 0)
-        self._unspillable.discard(key)
-        bucket = self._buckets.pop(key, None)
-        if bucket is not None:
-            self._resident_bytes -= size
-            return size, len(bucket)
-        span = self._spans.pop(key, None)
-        if span is not None:
-            self._span_bytes -= size
-            return size, span.count
-        return size, 0
-
-    def _set_sample_locked(self, shuffle_id: int, map_partition: int,
-                           records: int, sample: Optional[Source]) -> None:
-        """Install a map's key sample, replacing any earlier attempt's."""
-        if records and sample:
-            self._samples[(shuffle_id, map_partition)] = (records, sample)
-        else:
-            self._samples.pop((shuffle_id, map_partition), None)
+    def _retract_locked(self, shuffle_id: Any, map_partition: int,
+                        output: Optional[_MapOutput]) -> None:
+        """Take a map output that was dropped (if any) out of the byte
+        totals and the spill order (lock held)."""
+        if output is None:
+            return
+        for reduce_partition, (source, size) in output.buckets.items():
+            if isinstance(source, Span):
+                self._span_bytes -= size
+            else:
+                self._resident_bytes -= size
+                self._resident.pop(
+                    (shuffle_id, map_partition, reduce_partition), None)
 
     # -- map side ------------------------------------------------------------
 
@@ -373,12 +368,9 @@ class ShuffleManager:
         """Declare a shuffle and the number of map tasks that will feed it
         (a repeated declaration changes nothing)."""
         with self._lock:
-            if not journalled and shuffle_id not in self._expected_maps:
-                self._unjournalled.add(shuffle_id)
-            self._expected_maps.setdefault(shuffle_id, num_map_partitions)
-            self._completed_maps.setdefault(shuffle_id, set())
-            self._bytes_written.setdefault(shuffle_id, 0)
-            self._records_written.setdefault(shuffle_id, 0)
+            if shuffle_id not in self._shuffles:
+                self._shuffles[shuffle_id] = _Shuffle(num_map_partitions,
+                                                      journalled, {})
 
     def write_map_output(self, shuffle_id: int, map_partition: int,
                          buckets: Dict[int, List[Any]],
@@ -392,14 +384,14 @@ class ShuffleManager:
         bucket copies, byte estimation (which pickles a sample of every
         bucket) and the map's key sample happen *outside* the global lock so
         concurrent map tasks never serialise behind each other; the lock
-        only guards the final dictionary swap-in and counter updates.  Under
-        a memory budget the swap-in is followed — still under the lock — by
-        spilling the coldest buckets until the resident total fits again;
+        only guards installing the map's record.  Under a memory budget the
+        install is followed — still under the lock — by spilling the
+        coldest buckets until the resident total fits again;
         ``task_context`` (when given) receives the spill counters and the
         residency high-water mark.
         """
         with self._lock:
-            if shuffle_id not in self._expected_maps:
+            if shuffle_id not in self._shuffles:
                 raise ShuffleError(f"shuffle {shuffle_id} was never registered")
         if self.transport is not None:
             spans, sample = write_buckets(
@@ -426,40 +418,35 @@ class ShuffleManager:
     def _spill_over_budget(self, task_context=None) -> None:
         """Spill the coldest buckets until the resident total fits the budget.
 
-        Called with the manager lock held.  Victims are taken in bucket
-        insertion order (oldest write first); each is framed onto its
-        shuffle's spill file, its records are dropped from memory, and its
-        byte *estimate* stays on record so read-side accounting is
-        unchanged.  Buckets that refuse to pickle are marked unspillable and
-        stay resident.  Spilling performs file I/O under the lock — the
-        price of a consistent resident total; the unbounded default path
-        never reaches this method.
+        Called with the manager lock held.  Victims are the resident
+        buckets in write order (oldest first); each is framed onto its
+        shuffle's spill file and its record keeps the span and its byte
+        *estimate* in place of the records, so read-side accounting is
+        unchanged.  A bucket that refuses to pickle is tried once and stays
+        resident.  Spilling performs file I/O under the lock — the price of
+        a consistent resident total; the unbounded default path never
+        reaches this method.
         """
         if self.memory is None or not self.memory.bounded or \
                 self._spill_dir is None:
             return
-        budget = self.memory.budget_bytes
-        if self._resident_bytes <= budget:
-            return
-        for key in list(self._buckets):
-            if self._resident_bytes <= budget:
-                break
-            if key in self._unspillable:
-                continue
-            bucket = self._buckets[key]
-            if not bucket:
-                continue
+        while self._resident and \
+                self._resident_bytes > self.memory.budget_bytes:
+            key = next(iter(self._resident))
+            shuffle_id, map_partition, reduce_partition = key
+            buckets = self._shuffles[shuffle_id].maps[map_partition].buckets
+            records, size = buckets[reduce_partition]
             try:
-                with SpillFile(self._spill_path(key[0]), self.codec) as spill:
-                    span = spill.append(bucket, self._damage("spill"))
+                with SpillFile(self._spill_path(shuffle_id), self.codec) as spill:
+                    span = spill.append(records, self._damage("spill"))
             except OSError:
                 raise
             except Exception:  # records that refuse to pickle stay resident
-                self._unspillable.add(key)
+                span = None
+            del self._resident[key]
+            if span is None:
                 continue
-            self._spans[key] = span
-            del self._buckets[key]
-            size = self._bucket_bytes.get(key, 0)
+            buckets[reduce_partition] = (span, size)
             self._resident_bytes -= size
             self._span_bytes += size
             self._spill_count += 1
@@ -477,55 +464,34 @@ class ShuffleManager:
         buckets and key sample; return the bytes written (lock held).
 
         A retried, recomputed or late duplicate attempt replaces its map
-        partition's earlier output: the stale buckets are retracted from the
-        per-shuffle totals, so `bytes_written` and `map_output_stats` never
-        double-count (a stale span just goes stale in its append-only file).
+        partition's earlier output whole, so no bucket of the earlier
+        attempt is read or counted again (a stale span just goes stale in
+        its append-only file).
         """
-        if shuffle_id not in self._expected_maps:
+        shuffle = self._shuffles.get(shuffle_id)
+        if shuffle is None:
             raise ShuffleError(f"shuffle {shuffle_id} was never registered")
-        written = records_out = stale_bytes = stale_records = 0
+        buckets: SpanMap = {}
+        written = records = 0
         for reduce_partition, source, size in entries:
-            key = (shuffle_id, map_partition, reduce_partition)
-            previous, previous_records = self._drop_bucket_locked(key)
-            stale_bytes += previous
-            stale_records += previous_records
-            self._bucket_bytes[key] = size
+            count = source.count if isinstance(source, Span) else len(source)
+            if count:
+                buckets[reduce_partition] = (source, size)
+                records += count
+                written += size
+        self._retract_locked(shuffle_id, map_partition,
+                             shuffle.maps.pop(map_partition, None))
+        shuffle.maps[map_partition] = _MapOutput(
+            buckets, records, written, sample if records else None, producer)
+        for reduce_partition, (source, size) in buckets.items():
             if isinstance(source, Span):
-                self._spans[key] = source
                 self._span_bytes += size
-                records_out += source.count
             else:
-                self._buckets[key] = source
                 self._resident_bytes += size
-                records_out += len(source)
-            reduce_key = (shuffle_id, reduce_partition)
-            self._reduce_bytes[reduce_key] = \
-                self._reduce_bytes.get(reduce_key, 0) - previous + size
-            written += size
-        self._completed_maps[shuffle_id].add(map_partition)
-        self._set_sample_locked(shuffle_id, map_partition, records_out, sample)
-        if producer is not None:
-            self._producers[(shuffle_id, map_partition)] = producer
-        self._bytes_written[shuffle_id] += written - stale_bytes
-        self._records_written[shuffle_id] += records_out - stale_records
+                self._resident[(shuffle_id, map_partition,
+                                reduce_partition)] = None
         self._sync_memory()
         return written
-
-    def _export_locked(self, shuffle_id: int, maps: Iterable[int]
-                       ) -> Tuple[Dict[int, SpanMap], Dict[int, Source]]:
-        """``maps``' buckets and key samples, as :func:`catalog_of` takes
-        them (lock held); empty buckets are left out."""
-        buckets: Dict[int, SpanMap] = {map_partition: {}
-                                       for map_partition in maps}
-        for key, size in self._bucket_bytes.items():
-            if key[0] == shuffle_id and key[1] in buckets:
-                source = self._source_locked(key)
-                if source is not None:
-                    buckets[key[1]][key[2]] = (source, size)
-        samples = {map_partition: self._samples[(shuffle_id, map_partition)][1]
-                   for map_partition in buckets
-                   if (shuffle_id, map_partition) in self._samples}
-        return buckets, samples
 
     def export_catalog(self, shuffle_id: int,
                        maps: Optional[Iterable[int]] = None) -> Dict[str, Any]:
@@ -536,9 +502,9 @@ class ShuffleManager:
         :meth:`adopt_catalog` is the inverse.
         """
         with self._lock:
-            return catalog_of(*self._export_locked(
-                shuffle_id,
-                self._completed_maps[shuffle_id] if maps is None else maps))
+            outputs = self._shuffles[shuffle_id].maps
+            return catalog_of(*_export(outputs,
+                                       outputs if maps is None else maps))
 
     def adopt_catalog(self, shuffle_id: int, catalog: Dict[str, Any],
                       producer: Any = None) -> int:
@@ -588,9 +554,8 @@ class ShuffleManager:
             return load_span(source) if isinstance(source, Span) else source
 
         with self._lock:
-            self._check_readable(shuffle_id)
-            maps, samples = self._export_locked(
-                shuffle_id, sorted(self._completed_maps[shuffle_id]))
+            outputs = self._readable_maps(shuffle_id)
+            maps, samples = _export(outputs, sorted(outputs))
         # re-framing happens outside the lock: resident buckets are
         # immutable once written and frame files append-only
         shuffle_dir = os.path.join(directory, f"shuffle-{shuffle_id}")
@@ -622,41 +587,20 @@ class ShuffleManager:
         """True when map ``map_partition`` of the shuffle has registered
         output (a complete shuffle or not)."""
         with self._lock:
-            return map_partition in self._completed_maps.get(shuffle_id, ())
+            return map_partition in self._shuffles.get(
+                shuffle_id, _UNREGISTERED).maps
 
     def shuffle_ids(self) -> List[Any]:
         """Every registered shuffle's id, in registration order."""
         with self._lock:
-            return list(self._expected_maps)
+            return list(self._shuffles)
 
     def is_complete(self, shuffle_id: int) -> bool:
         """True when every map task of the shuffle has reported its output."""
         with self._lock:
-            expected = self._expected_maps.get(shuffle_id)
-            if expected is None:
-                return False
-            return len(self._completed_maps[shuffle_id]) >= expected
-
-    def _bucket_refs(self, shuffle_id: int, reduce_partition: int,
-                     map_range: Optional[Tuple[int, int]]):
-        """Snapshot ``(map partition, bucket or span, size)`` in map order.
-
-        Called with the lock held.  Resident buckets contribute their
-        (immutable) list reference, on-disk buckets their span; either way
-        the size is the write-side estimate.  The map partition lets a
-        read-side integrity failure name the exact lost output.
-        """
-        refs: List[Tuple[int, Source, int]] = []
-        for map_partition in sorted(self._completed_maps[shuffle_id]):
-            if map_range is not None and \
-                    not map_range[0] <= map_partition < map_range[1]:
-                continue
-            key = (shuffle_id, map_partition, reduce_partition)
-            source = self._source_locked(key)
-            if source is not None:
-                refs.append((map_partition, source,
-                             self._bucket_bytes.get(key, 0)))
-        return refs
+            shuffle = self._shuffles.get(shuffle_id)
+            return shuffle is not None and \
+                len(shuffle.maps) >= shuffle.expected
 
     def _load(self, shuffle_id: int, map_partition: int,
               source: Source) -> List[Any]:
@@ -696,54 +640,45 @@ class ShuffleManager:
     def producer_of(self, shuffle_id: int, map_partition: int) -> Any:
         """Worker identity that registered a map output (None if unknown)."""
         with self._lock:
-            return self._producers.get((shuffle_id, map_partition))
+            output = self._shuffles.get(
+                shuffle_id, _UNREGISTERED).maps.get(map_partition)
+            return output.producer if output is not None else None
 
     def outputs_of(self, worker: Any) -> List[Tuple[int, int]]:
         """``(shuffle_id, map_partition)`` of every registered map output
         ``worker`` produced."""
         with self._lock:
-            return [key for key, who in self._producers.items()
-                    if who == worker]
+            return [(shuffle_id, map_partition)
+                    for shuffle_id, shuffle in self._shuffles.items()
+                    for map_partition, output in shuffle.maps.items()
+                    if output.producer == worker]
 
-    def _check_readable(self, shuffle_id: int,
-                        map_range: Optional[Tuple[int, int]] = None) -> None:
-        """A read needs every map output it covers: a ranged read only
-        those of its range."""
-        if shuffle_id not in self._expected_maps:
+    def _readable_maps(self, shuffle_id: int,
+                       map_range: Optional[Tuple[int, int]] = None
+                       ) -> Dict[int, _MapOutput]:
+        """The map outputs of a shuffle a read may use (lock held): a read
+        needs every map output it covers, a ranged read only those of its
+        range."""
+        shuffle = self._shuffles.get(shuffle_id)
+        if shuffle is None:
             raise ShuffleError(f"shuffle {shuffle_id} was never registered")
-        completed = self._completed_maps[shuffle_id]
-        if not (completed.issuperset(range(*map_range)) if map_range
-                else len(completed) >= self._expected_maps[shuffle_id]):
+        if not (all(m in shuffle.maps for m in range(*map_range)) if map_range
+                else len(shuffle.maps) >= shuffle.expected):
             raise ShuffleError(
                 f"shuffle {shuffle_id} read before all map outputs were written")
+        return shuffle.maps
 
     def read_reduce_input(self, shuffle_id: int, reduce_partition: int,
                           map_range: Optional[Tuple[int, int]] = None
                           ) -> Tuple[List[Any], int]:
-        """Return (records, estimated bytes) addressed to ``reduce_partition``.
-
-        ``map_range=(lo, hi)`` restricts the read to the buckets written by
-        map partitions ``lo <= m < hi``: one oversized reduce partition can
-        be served as several sub-reads over disjoint map-output slices whose
-        concatenation (in range order) is exactly the full read.
-
-        The byte count is the sum of the per-bucket estimates measured when
-        the map side wrote its output — no data is re-sampled or re-pickled
-        on the read path, and read-side accounting matches write-side
-        accounting exactly (spilled buckets included).  Only the bucket-ref
-        snapshot happens under the manager lock; concatenation and any
-        spill-file reads — linear in the partition size — run outside it, so
-        concurrent sub-partition readers never serialise behind each other.
-        Resident buckets are immutable once written and spill-file spans are
-        append-only, which is what makes the snapshot safe.
-        """
-        with self._lock:
-            self._check_readable(shuffle_id, map_range)
-            refs = self._bucket_refs(shuffle_id, reduce_partition, map_range)
+        """Return (records, estimated bytes) addressed to ``reduce_partition``:
+        the concatenation of :meth:`iter_reduce_input`'s buckets and the
+        sum of their sizes."""
         records: List[Any] = []
         size = 0
-        for map_partition, source, bucket_size in refs:
-            records.extend(self._load(shuffle_id, map_partition, source))
+        for bucket, bucket_size in self.iter_reduce_input(
+                shuffle_id, reduce_partition, map_range):
+            records.extend(bucket)
             size += bucket_size
         return records, size
 
@@ -752,31 +687,49 @@ class ShuffleManager:
                           ) -> Iterator[Tuple[List[Any], int]]:
         """Stream ``(bucket records, estimated bytes)`` in map order.
 
-        The streaming counterpart of :meth:`read_reduce_input` used by the
-        memory-bounded external merge: spilled buckets are loaded one at a
-        time, so at most one bucket's records are brought back per step
-        instead of the whole partition.  Concatenating every yielded bucket
-        (and summing the sizes) reproduces the full read exactly.
+        ``map_range=(lo, hi)`` restricts the read to the buckets written by
+        map partitions ``lo <= m < hi``: one oversized reduce partition can
+        be served as several sub-reads over disjoint map-output slices whose
+        concatenation (in range order) is exactly the full read.  Spilled
+        buckets are loaded one at a time, so the memory-bounded external
+        merge brings back at most one bucket's records per step.
+
+        The sizes are the per-bucket estimates measured when the map side
+        wrote its output — no data is re-sampled or re-pickled on the read
+        path, and read-side accounting matches write-side accounting
+        exactly (spilled buckets included).  Only the bucket-ref snapshot
+        happens under the manager lock; span reads run outside it, so
+        concurrent sub-partition readers never serialise behind each other.
+        A resident bucket is immutable once written and spill-file spans
+        are append-only, which is what makes the snapshot safe.
         """
         with self._lock:
-            self._check_readable(shuffle_id, map_range)
-            refs = self._bucket_refs(shuffle_id, reduce_partition, map_range)
-        for map_partition, source, bucket_size in refs:
-            yield self._load(shuffle_id, map_partition, source), bucket_size
+            maps = self._readable_maps(shuffle_id, map_range)
+            refs = [(map_partition, maps[map_partition].buckets[reduce_partition])
+                    for map_partition in sorted(maps)
+                    if (map_range is None
+                        or map_range[0] <= map_partition < map_range[1])
+                    and reduce_partition in maps[map_partition].buckets]
+        for map_partition, (source, size) in refs:
+            yield self._load(shuffle_id, map_partition, source), size
 
     def reduce_partition_bytes(self, shuffle_id: int) -> Dict[int, int]:
         """Per-reduce-partition byte totals of a shuffle's map output.
 
-        Aggregates the per-bucket estimates measured on the write side; this
-        is the signal the ``split_skewed_shuffle`` rule reads after the map
-        stages complete to decide which reduce partitions are skewed.  The
-        totals are maintained incrementally by :meth:`write_map_output`, so
-        this never scans buckets under the lock.
+        Summed from the per-bucket estimates measured on the write side,
+        over the shuffle's own map outputs (a reduce partition no map wrote
+        to is absent); this is the signal the ``split_skewed_shuffle`` rule
+        reads after the map stages complete to decide which reduce
+        partitions are skewed.
         """
+        totals: Dict[int, int] = {}
         with self._lock:
-            return {reduce_partition: size
-                    for (sid, reduce_partition), size in self._reduce_bytes.items()
-                    if sid == shuffle_id}
+            for output in self._shuffles.get(shuffle_id,
+                                             _UNREGISTERED).maps.values():
+                for reduce_partition, (_, size) in output.buckets.items():
+                    totals[reduce_partition] = \
+                        totals.get(reduce_partition, 0) + size
+        return totals
 
     def reduce_partition_map_bytes(self, shuffle_id: int,
                                    reduce_partition: int) -> List[Tuple[int, int]]:
@@ -788,9 +741,11 @@ class ShuffleManager:
         map ranges over.
         """
         with self._lock:
-            expected = self._expected_maps.get(shuffle_id, 0)
-            return [(m, self._bucket_bytes.get((shuffle_id, m, reduce_partition), 0))
-                    for m in range(expected)]
+            shuffle = self._shuffles.get(shuffle_id, _UNREGISTERED)
+            sizes = {m: output.buckets[reduce_partition][1]
+                     for m, output in shuffle.maps.items()
+                     if reduce_partition in output.buckets}
+            return [(m, sizes.get(m, 0)) for m in range(shuffle.expected)]
 
     def sample_records(self, shuffle_ids: Sequence[int],
                        size: int) -> List[Any]:
@@ -812,16 +767,17 @@ class ShuffleManager:
         the shuffle itself.
         """
         with self._lock:
-            strata = [self._samples.get((shuffle_id, map_partition), (0, None))
-                      for shuffle_id in shuffle_ids
-                      for map_partition in sorted(
-                          self._completed_maps.get(shuffle_id, ()))]
-        shares = _largest_remainder(max(0, size),
-                                    [records for records, _ in strata])
+            strata = [output for shuffle_id in shuffle_ids
+                      for _, output in sorted(self._shuffles.get(
+                          shuffle_id, _UNREGISTERED).maps.items())]
+        shares = _largest_remainder(
+            max(0, size), [output.records if output.sample is not None else 0
+                           for output in strata])
         sample: List[Any] = []
-        for (_, source), share in zip(strata, shares):
+        for output, share in zip(strata, shares):
             if not share:
                 continue
+            source = output.sample
             if isinstance(source, Span):
                 try:
                     source = load_span(source)
@@ -838,7 +794,8 @@ class ShuffleManager:
     def bytes_written(self, shuffle_id: int) -> int:
         """Total estimated bytes written for the shuffle so far."""
         with self._lock:
-            return self._bytes_written.get(shuffle_id, 0)
+            return sum(output.size for output in self._shuffles.get(
+                shuffle_id, _UNREGISTERED).maps.values())
 
     def map_output_stats(self, shuffle_id: int) -> Optional[Tuple[int, int]]:
         """Actual ``(records, bytes)`` of a *complete* shuffle's map output.
@@ -848,46 +805,31 @@ class ShuffleManager:
         shuffle-map stage has already executed (adaptive re-optimization).
         """
         with self._lock:
-            expected = self._expected_maps.get(shuffle_id)
-            if expected is None or len(self._completed_maps[shuffle_id]) < expected:
+            shuffle = self._shuffles.get(shuffle_id)
+            if shuffle is None or len(shuffle.maps) < shuffle.expected:
                 return None
-            return (self._records_written[shuffle_id],
-                    self._bytes_written[shuffle_id])
+            return (sum(output.records for output in shuffle.maps.values()),
+                    sum(output.size for output in shuffle.maps.values()))
 
     def invalidate_map_output(self, shuffle_id: int,
                               map_partition: int) -> bool:
         """Drop one map partition's output after a fetch failure.
 
-        Removes every bucket the partition contributed, resident or on
-        disk, retracts its share of the per-shuffle and per-reduce
-        byte/record totals, and un-marks the partition as completed so
-        :meth:`is_complete` turns false and :meth:`missing_map_partitions`
-        reports it.  The scheduler then recomputes just that partition from
-        lineage and re-registers its output.  Stale spans in append-only
-        frame files are simply abandoned (they are swept with the shuffle).
-        Returns True when the partition had registered output.
+        Pops the partition's record, so its buckets — resident or on disk —
+        leave every read and total, :meth:`is_complete` turns false and
+        :meth:`missing_map_partitions` reports it.  The scheduler then
+        recomputes just that partition from lineage and re-registers its
+        output.  Stale spans in append-only frame files are simply
+        abandoned (they are swept with the shuffle).  Returns True when the
+        partition had registered output.
         """
         with self._lock:
-            completed = self._completed_maps.get(shuffle_id)
-            if completed is None or map_partition not in completed:
-                return False
-            stale = [key for key in self._bucket_bytes
-                     if key[0] == shuffle_id and key[1] == map_partition]
-            for key in stale:
-                size, records = self._drop_bucket_locked(key)
-                self._bytes_written[shuffle_id] -= size
-                self._records_written[shuffle_id] -= records
-                reduce_key = (shuffle_id, key[2])
-                remaining = self._reduce_bytes.get(reduce_key, 0) - size
-                if remaining > 0:
-                    self._reduce_bytes[reduce_key] = remaining
-                else:
-                    self._reduce_bytes.pop(reduce_key, None)
-            completed.discard(map_partition)
-            self._producers.pop((shuffle_id, map_partition), None)
-            self._samples.pop((shuffle_id, map_partition), None)
+            shuffle = self._shuffles.get(shuffle_id)
+            output = shuffle.maps.pop(map_partition, None) \
+                if shuffle is not None else None
+            self._retract_locked(shuffle_id, map_partition, output)
             self._sync_memory()
-            return True
+            return output is not None
 
     def missing_map_partitions(self, shuffle_id: int) -> List[int]:
         """Expected map partitions whose output is absent (sorted).
@@ -897,56 +839,33 @@ class ShuffleManager:
         that never reported at all.
         """
         with self._lock:
-            expected = self._expected_maps.get(shuffle_id)
-            if expected is None:
-                return []
-            completed = self._completed_maps.get(shuffle_id, set())
-            return [m for m in range(expected) if m not in completed]
-
-    def _keeps_frames(self, shuffle_id: Any) -> bool:
-        """Whether a shuffle's frame files are recovery state: in a durable
-        transport, unless it was registered as never journalled."""
-        return self.transport.durable and shuffle_id not in self._unjournalled
+            shuffle = self._shuffles.get(shuffle_id, _UNREGISTERED)
+            return [m for m in range(shuffle.expected) if m not in shuffle.maps]
 
     def remove_shuffle(self, shuffle_id: int,
                        spare_durable: bool = False) -> None:
         """Discard all data of a shuffle, its spill file and its frame
-        files — but, with ``spare_durable``, frames that are recovery state
-        (:meth:`_keeps_frames`)."""
+        files — but, with ``spare_durable``, frames that are recovery state:
+        those in a durable transport of a shuffle not registered as never
+        journalled (a cache)."""
         with self._lock:
-            # delete only the matching keys; rebuilding the whole dict would
-            # copy every other shuffle's entries under the lock
-            for key in [key for key in self._bucket_bytes
-                        if key[0] == shuffle_id]:
-                self._drop_bucket_locked(key)
-            stale_reduce = [key for key in self._reduce_bytes
-                            if key[0] == shuffle_id]
-            for key in stale_reduce:
-                del self._reduce_bytes[key]
-            self._completed_maps.pop(shuffle_id, None)
-            self._expected_maps.pop(shuffle_id, None)
-            self._bytes_written.pop(shuffle_id, None)
-            self._records_written.pop(shuffle_id, None)
-            for owned in (self._producers, self._samples):
-                for key in [key for key in owned if key[0] == shuffle_id]:
-                    del owned[key]
-            self._remove_spill_file_locked(shuffle_id)
+            shuffle = self._shuffles.pop(shuffle_id, _UNREGISTERED)
+            for map_partition, output in shuffle.maps.items():
+                self._retract_locked(shuffle_id, map_partition, output)
+            # the spill directory exists once anything has spilled; asking
+            # for it before that would create it for nothing
+            if self._spill_count:
+                try:
+                    os.remove(self._spill_path(shuffle_id))
+                except OSError:
+                    pass
             self._sync_memory()
             # sweeps registered frame files and partial output of failed
             # map attempts alike
-            if self.transport is not None and \
-                    not (spare_durable and self._keeps_frames(shuffle_id)):
+            if self.transport is not None and not (
+                    spare_durable and self.transport.durable
+                    and shuffle.journalled):
                 self.transport.remove_shuffle(shuffle_id)
-            self._unjournalled.discard(shuffle_id)
-
-    def _remove_spill_file_locked(self, shuffle_id: int) -> None:
-        # the spill directory exists once anything has spilled; asking for
-        # it before that would create it for nothing
-        if self._spill_count:
-            try:
-                os.remove(self._spill_path(shuffle_id))
-            except OSError:
-                pass
 
     def clear(self) -> None:
         """Discard every shuffle (used when an engine context shuts down).
@@ -958,3 +877,16 @@ class ShuffleManager:
             self.remove_shuffle(shuffle_id, spare_durable=True)
         with self._lock:
             self._fetch_retries = 0
+
+
+def _export(outputs: Dict[int, _MapOutput], maps: Iterable[int]
+            ) -> Tuple[Dict[int, SpanMap], Dict[int, Source]]:
+    """``maps``' buckets and key samples, as :func:`catalog_of` takes them;
+    a listed map with no output exports as empty."""
+    listed = {map_partition: outputs.get(map_partition)
+              for map_partition in maps}
+    return ({map_partition: {} if output is None else dict(output.buckets)
+             for map_partition, output in listed.items()},
+            {map_partition: output.sample
+             for map_partition, output in listed.items()
+             if output is not None and output.sample is not None})

@@ -655,7 +655,7 @@ def test_late_speculation_loser_write_is_idempotent():
                     [(manager.bytes_written(shuffle_id),
                       manager.map_output_stats(shuffle_id),
                       manager.reduce_partition_bytes(shuffle_id))
-                     for shuffle_id in sorted(manager._expected_maps)])
+                     for shuffle_id in sorted(manager.shuffle_ids())])
 
     speculated = run(_speculating_engine(), *_parked_straggler())
     plain = run(make_engine("thread", transport="local", num_workers=3,

@@ -150,6 +150,15 @@ def _buckets(tag, sizes):
             for reduce, size in enumerate(sizes)}
 
 
+def held_samples(manager):
+    """``(shuffle, map)`` -> (records, key sample) of every map output
+    that holds a key sample."""
+    return {(shuffle_id, map_partition): (output.records, output.sample)
+            for shuffle_id, shuffle in manager._shuffles.items()
+            for map_partition, output in shuffle.maps.items()
+            if output.sample is not None}
+
+
 def test_sample_lifecycle_and_accounting(tmp_path):
     memory = MemoryManager(0)
     manager = ShuffleManager(memory_manager=memory, codec="none")
@@ -157,7 +166,7 @@ def test_sample_lifecycle_and_accounting(tmp_path):
     outputs = {0: _buckets("m0", [400, 300]), 1: _buckets("m1", [50])}
     for map_partition, buckets in outputs.items():
         manager.write_map_output(1, map_partition, buckets)
-    assert set(manager._samples) == {(1, 0), (1, 1)}
+    assert set(held_samples(manager)) == {(1, 0), (1, 1)}
 
     # never in byte, record or memory accounting
     sizes = sum(estimate_bytes(records, manager.codec)
@@ -172,25 +181,25 @@ def test_sample_lifecycle_and_accounting(tmp_path):
         {"again", "m1"}
     # a rewrite with no records leaves no sample behind
     manager.write_map_output(1, 0, {})
-    assert (1, 0) not in manager._samples
+    assert (1, 0) not in held_samples(manager)
 
     # an externally framed map output registers its sample span, unaccounted
     writer = SpillFile(str(tmp_path / "map-0.data"))
     spans, sample = write_buckets(writer, 1, 0, outputs[0], lambda p: p)
     manager.adopt_catalog(1, catalog_of({0: spans}, {0: sample}))
-    assert manager._samples[(1, 0)] == (700, sample)
+    assert held_samples(manager)[(1, 0)] == (700, sample)
     assert manager.map_output_stats(1) == (750, sizes)
     assert memory.used_bytes == sizes
 
     # dropped on invalidate, remove and clear
     assert manager.invalidate_map_output(1, 0)
-    assert (1, 0) not in manager._samples
+    assert (1, 0) not in held_samples(manager)
     manager.register_shuffle(2, 1)
     manager.write_map_output(2, 0, _buckets("other", [9]))
     manager.remove_shuffle(1)
-    assert set(manager._samples) == {(2, 0)}
+    assert set(held_samples(manager)) == {(2, 0)}
     manager.clear()
-    assert manager._samples == {}
+    assert held_samples(manager) == {}
     assert memory.used_bytes == 0
 
 
@@ -208,7 +217,7 @@ def test_bounded_manager_never_spills_or_reserves_samples(tmp_path):
     assert spilled <= 6
     assert memory.used_bytes == manager.resident_bytes()
     assert all(isinstance(sample, list)
-               for _, sample in manager._samples.values())
+               for _, sample in held_samples(manager).values())
 
 
 # -- stratification ------------------------------------------------------------
@@ -289,7 +298,7 @@ def test_driver_decodes_samples_and_validation_decodes_nothing(
     def counting_sample(self, shuffle_ids, size):
         before = decoded_records[0]
         result = real_sample(self, shuffle_ids, size)
-        maps = sum(len(self._completed_maps[sid]) for sid in shuffle_ids)
+        maps = sum(len(self._shuffles[sid].maps) for sid in shuffle_ids)
         sampled.append((decoded_records[0] - before, maps))
         return result
 

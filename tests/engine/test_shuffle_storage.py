@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from repro.engine.memory import CODEC_NONE
-from repro.engine.shuffle import ShuffleManager, estimate_bytes
+from repro.engine.memory import CODEC_NONE, SpillFile
+from repro.engine.shuffle import (ShuffleManager, catalog_of, estimate_bytes,
+                                  write_buckets)
 from repro.engine.storage import BlockStore, resident_bytes
 from repro.errors import ShuffleError
 
@@ -115,6 +116,43 @@ class TestShuffleManager:
         records, _ = manager.read_reduce_input(8, 0)
         records.append("mutated")
         assert manager.read_reduce_input(8, 0)[0] == ["a", "b"]
+
+
+class TestRewrittenMapOutput:
+    """A rewrite replaces a map's output whole: a reduce partition the new
+    attempt does not write keeps nothing of the earlier attempt's."""
+
+    FIRST = {0: ["a"], 1: ["b"]}
+    SECOND = {0: ["a", "b"]}
+
+    def assert_only_second(self, manager):
+        assert manager.read_reduce_input(1, 0) == (["a", "b"], 24)
+        assert manager.read_reduce_input(1, 1) == ([], 0)
+        assert list(manager.iter_reduce_input(1, 1)) == []
+        assert manager.map_output_stats(1) == (2, 24)
+        assert manager.bytes_written(1) == 24
+        assert manager.reduce_partition_bytes(1) == {0: 24}
+        assert manager.reduce_partition_map_bytes(1, 1) == [(0, 0)]
+        assert manager.export_catalog(1)["buckets"].keys() == {(0, 0)}
+
+    def test_resident_rewrite_drops_the_stale_bucket(self):
+        manager = ShuffleManager(codec="none")
+        manager.register_shuffle(1, num_map_partitions=1)
+        manager.write_map_output(1, 0, self.FIRST)
+        manager.write_map_output(1, 0, self.SECOND)
+        self.assert_only_second(manager)
+
+    def test_adopted_rewrite_drops_the_stale_span(self, tmp_path):
+        manager = ShuffleManager(codec="none")
+        for attempt, buckets in enumerate([self.FIRST, self.SECOND]):
+            writer = SpillFile(str(tmp_path / f"map-0-{attempt}.data"),
+                               CODEC_NONE)
+            spans, sample = write_buckets(writer, 1, 0, buckets, lambda p: p)
+            manager.adopt_catalog(1, catalog_of({0: spans}, {0: sample}),
+                                  producer=attempt)
+        self.assert_only_second(manager)
+        assert manager.producer_of(1, 0) == 1
+        assert manager.outputs_of(0) == []
 
 
 class TestRangedReduceReads:

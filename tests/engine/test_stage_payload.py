@@ -241,7 +241,7 @@ def test_a_fully_cached_parent_is_a_cut():
 
 def _held_catalog(_records):
     """Shuffle ids registered with this worker's shuffle manager right now."""
-    return [sorted(worker_runtime._STATE.ctx.shuffle_manager._expected_maps)]
+    return [sorted(worker_runtime._STATE.ctx.shuffle_manager.shuffle_ids())]
 
 
 def test_worker_catalog_holds_only_the_current_payloads_shuffles():
